@@ -44,7 +44,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.workloads.traces import LoadTrace
+from repro.workloads.traces import LoadTrace, _elementwise
 
 __all__ = [
     "ArrivalProcess",
@@ -101,8 +101,7 @@ def _estimate_bound(
     """Upper bound on ``trace.rate`` over ``[t0, t1]`` from a grid scan."""
     if samples < 2:
         samples = 2
-    grid = np.linspace(t0, t1, samples)
-    peak = max(trace.rate(float(t)) for t in grid)
+    peak = float(np.max(trace.rates(np.linspace(t0, t1, samples))))
     return peak * margin
 
 
@@ -115,7 +114,8 @@ class PoissonArrivals:
     is estimated per window from a grid scan with a safety margin —
     exact for traces whose within-window peak the grid sees (constant,
     monotone, or slowly-varying over a tick); pass an explicit bound
-    for spiky traces.
+    for spiky traces. A window evaluates the trace through
+    ``trace.rates``: one call for the grid scan, one for all candidates.
 
     Parameters
     ----------
@@ -155,9 +155,6 @@ class PoissonArrivals:
             samples=self.bound_samples, margin=self.bound_margin,
         )
 
-    def _rate(self, t: float) -> float:
-        return max(0.0, self.trace.rate(t))
-
     def window(self, t0: float, t1: float) -> np.ndarray:
         if t1 <= t0:
             return np.empty(0)
@@ -169,10 +166,8 @@ class PoissonArrivals:
             return np.empty(0)
         times = np.sort(self.rng.uniform(t0, t1, size=n))
         accept_u = self.rng.uniform(0.0, 1.0, size=n)
-        rates = np.fromiter(
-            (self._rate(float(t)) for t in times), dtype=float, count=n
-        )
-        return times[accept_u * bound < rates]
+        # accept_u * bound ≥ 0, so a negative rate rejects like a zero one.
+        return times[accept_u * bound < self.trace.rates(times)]
 
 
 class MMPPArrivals:
@@ -222,36 +217,30 @@ class MMPPArrivals:
             states.append((states[-1] + step) % len(self.factors))
             switch_times.append(t)
         self._switch_times = switch_times
-        self._states = states
-        self._thin = PoissonArrivals(
-            _ModulatedView(self), rng, rate_bound=rate_bound,
-            bound_samples=17,
-        )
+        # _factor_table[bisect_right(_switch_times, t)]: the first state
+        # also holds before time 0.
+        factor_path = [self.factors[s] for s in states]
+        self._factor_table = factor_path[:1] + factor_path
+        self._switch_arr = np.array(switch_times)
+        self._factor_arr = np.array(self._factor_table)
+        # The modulated rate is itself a LoadTrace: thin against it.
+        self._thin = PoissonArrivals(self, rng, rate_bound=rate_bound, bound_samples=17)
 
     def factor_at(self, t: float) -> float:
         """State multiplier in effect at time ``t`` (last state holds
         beyond the pre-drawn horizon)."""
-        idx = bisect.bisect_right(self._switch_times, t) - 1
-        if idx < 0:
-            idx = 0
-        return self.factors[self._states[idx]]
+        return self._factor_table[bisect.bisect_right(self._switch_times, t)]
 
     def rate(self, t: float) -> float:
         """Effective (modulated) arrival rate at ``t``."""
         return max(0.0, self.trace.rate(t)) * self.factor_at(t)
 
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        factors = self._factor_arr[np.searchsorted(self._switch_arr, ts, side="right")]
+        return np.maximum(self.trace.rates(ts), 0.0) * factors
+
     def window(self, t0: float, t1: float) -> np.ndarray:
         return self._thin.window(t0, t1)
-
-
-class _ModulatedView:
-    """Adapter exposing an MMPP's effective rate as a LoadTrace."""
-
-    def __init__(self, mmpp: MMPPArrivals):
-        self._mmpp = mmpp
-
-    def rate(self, t: float) -> float:
-        return self._mmpp.rate(t)
 
 
 # -- request-size marks ---------------------------------------------------------
@@ -376,6 +365,13 @@ class DiurnalModulator:
         )
         return max(0.0, self.base.rate(t) * max(0.0, cycle))
 
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        # Same operation order as ``rate``; np.sin matches libm's sin.
+        cycle = 1.0 + self.amplitude * np.sin(
+            2.0 * math.pi * (ts - self.phase) / self.period
+        )
+        return np.maximum(self.base.rates(ts) * np.maximum(cycle, 0.0), 0.0)
+
 
 class SpikeModulator:
     """Flash-crowd spikes layered multiplicatively on another trace.
@@ -412,6 +408,10 @@ class SpikeModulator:
 
     def rate(self, t: float) -> float:
         return max(0.0, self.base.rate(t) * self.multiplier(t))
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        mult = _elementwise(self.multiplier, ts)
+        return np.maximum(self.base.rates(ts) * mult, 0.0)
 
 
 # -- correlated multi-app surges ------------------------------------------------
@@ -457,6 +457,12 @@ class CorrelatedSurge:
             t += float(rng.exponential(mean_interval))
         self.starts = starts
         self.attached: list[str] = []
+        # The end of the latest window starting at or before each point:
+        # _ends[searchsorted(starts, t - lag, "right")].
+        self._starts_arr = np.array(starts, dtype=float)
+        self._ends_arr = np.array(
+            [-math.inf] + [s + self.duration for s in starts], dtype=float
+        )
 
     def windows(self) -> list[tuple[float, float]]:
         """The shared surge windows ``[(start, end), ...]``."""
@@ -518,3 +524,12 @@ class _SurgedTrace:
         if self.surge.active(t, lag=self.lag):
             value *= self.factor
         return value
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        shifted = ts - self.lag
+        surge = self.surge
+        ends = surge._ends_arr[
+            np.searchsorted(surge._starts_arr, shifted, side="right")
+        ]
+        values = self.base.rates(ts)
+        return np.where(shifted < ends, values * self.factor, values)

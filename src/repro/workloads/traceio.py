@@ -39,6 +39,7 @@ reads; bump :data:`SCHEMA` when the layout changes incompatibly.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -256,8 +257,10 @@ class TraceReplayer:
         trace = self.trace
         if isinstance(trace, ReplayTrace):
             times = trace._times
-            cuts = [t for t in times if t0 < t < t1]
-            bounds = [t0, *cuts, t1]
+            # The sample times strictly inside (t0, t1).
+            lo = bisect.bisect_right(times, t0)
+            hi = bisect.bisect_left(times, t1)
+            bounds = [t0, *times[lo:hi], t1]
             for a, b in zip(bounds, bounds[1:]):
                 yield a, b, max(0.0, trace.rate(a))
             return

@@ -16,11 +16,26 @@ import numpy as np
 
 
 class LoadTrace(Protocol):
-    """Offered load as a function of time."""
+    """Offered load as a function of time.
+
+    ``rate`` answers one instant (a model tick); ``rates`` answers a
+    whole array of them (arrival thinning) and must equal ``rate``
+    elementwise, bit for bit, so both paths see the same curve.
+    """
 
     def rate(self, t: float) -> float:
         """Request rate (req/s) at time ``t``; never negative."""
         ...
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        """``[rate(t) for t in ts]`` for a 1-D float array, bitwise."""
+        ...
+
+
+def _elementwise(rate, ts: np.ndarray) -> np.ndarray:
+    """``rate`` mapped over ``ts``: for exp-based curves, where ``np.exp``
+    may differ from ``math.exp`` by an ulp."""
+    return np.fromiter(map(rate, ts.tolist()), dtype=float, count=len(ts))
 
 
 class ConstantTrace:
@@ -33,6 +48,9 @@ class ConstantTrace:
 
     def rate(self, t: float) -> float:
         return self.value
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        return np.full(len(ts), self.value)
 
 
 class StepTrace:
@@ -53,15 +71,18 @@ class StepTrace:
         self.steps = list(steps)
         self.initial = float(initial)
         self._times = [float(t) for t in times]
-        # Duplicate step times: the last one wins, matching the linear
-        # scan this replaced.
-        self._rates = [float(r) for _t, r in steps]
+        # _table[bisect_right(_times, t)]: the rate before the first step,
+        # then one per step. Duplicate step times: the last one wins,
+        # matching the linear scan this replaced.
+        self._table = [self.initial] + [float(r) for _t, r in steps]
+        self._times_arr = np.array(self._times, dtype=float)
+        self._table_arr = np.array(self._table, dtype=float)
 
     def rate(self, t: float) -> float:
-        idx = bisect.bisect_right(self._times, t) - 1
-        if idx < 0:
-            return self.initial
-        return self._rates[idx]
+        return self._table[bisect.bisect_right(self._times, t)]
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        return self._table_arr[np.searchsorted(self._times_arr, ts, side="right")]
 
 
 class RampTrace:
@@ -84,6 +105,12 @@ class RampTrace:
             return self.end_rate
         frac = (t - self.start_time) / (self.end_time - self.start_time)
         return self.start_rate + frac * (self.end_rate - self.start_rate)
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        frac = (ts - self.start_time) / (self.end_time - self.start_time)
+        out = self.start_rate + frac * (self.end_rate - self.start_rate)
+        out = np.where(ts <= self.start_time, self.start_rate, out)
+        return np.where(ts >= self.end_time, self.end_rate, out)
 
 
 class DiurnalTrace:
@@ -113,6 +140,13 @@ class DiurnalTrace:
             2 * math.pi * (t - self.phase) / self.period
         )
         return max(0.0, value)
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        # Same operation order as ``rate``; np.sin matches libm's sin.
+        value = self.base + self.amplitude * np.sin(
+            2 * math.pi * (ts - self.phase) / self.period
+        )
+        return np.maximum(value, 0.0)
 
 
 class FlashCrowdTrace:
@@ -145,6 +179,9 @@ class FlashCrowdTrace:
             -dt / self.decay
         )
 
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        return _elementwise(self.rate, ts)
+
 
 class BurstyTrace:
     """Base rate with random bursts.
@@ -175,12 +212,19 @@ class BurstyTrace:
         gaps = rng.exponential(1 / burst_rate, size=expected)
         times = np.cumsum(gaps)
         self.burst_times: list[float] = [float(t) for t in times if t < horizon]
+        # Every burst lasts as long, so the latest start at or before t
+        # decides: t is in a burst iff t < _ends[bisect_right(starts, t)].
+        self._ends = [-math.inf] + [s + self.burst_duration for s in self.burst_times]
+        self._starts_arr = np.array(self.burst_times, dtype=float)
+        self._ends_arr = np.array(self._ends, dtype=float)
 
     def rate(self, t: float) -> float:
-        in_burst = any(
-            start <= t < start + self.burst_duration for start in self.burst_times
-        )
+        in_burst = t < self._ends[bisect.bisect_right(self.burst_times, t)]
         return self.base * (self.burst_factor if in_burst else 1.0)
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        ends = self._ends_arr[np.searchsorted(self._starts_arr, ts, side="right")]
+        return self.base * np.where(ts < ends, self.burst_factor, 1.0)
 
 
 class NoisyTrace:
@@ -207,11 +251,19 @@ class NoisyTrace:
         n = int(math.ceil(horizon / bucket)) + 1
         sigma = math.sqrt(math.log(1 + rel_std**2))
         self._noise = rng.lognormal(mean=-sigma**2 / 2, sigma=sigma, size=n)
+        # Padded with the factor 1.0 that holds outside the horizon.
+        self._noise_padded = np.concatenate(([1.0], self._noise, [1.0]))
 
     def rate(self, t: float) -> float:
         idx = int(t // self.bucket)
         noise = self._noise[idx] if 0 <= idx < len(self._noise) else 1.0
         return max(0.0, self.base.rate(t) * float(noise))
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        # np.floor_divide rounds exactly as Python's float ``//``.
+        idx = np.clip(np.floor_divide(ts, self.bucket), -1, len(self._noise))
+        noise = self._noise_padded[idx.astype(np.intp) + 1]
+        return np.maximum(self.base.rates(ts) * noise, 0.0)
 
 
 class CompositeTrace:
@@ -222,8 +274,19 @@ class CompositeTrace:
             raise ValueError("need at least one component")
         self.components = list(components)
 
+    # Both sum left to right: Python 3.12's sum() compensates, which
+    # numpy's elementwise add cannot reproduce.
     def rate(self, t: float) -> float:
-        return sum(c.rate(t) for c in self.components)
+        total = 0.0
+        for c in self.components:
+            total += c.rate(t)
+        return total
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        total = np.zeros(len(ts))
+        for c in self.components:
+            total += c.rates(ts)
+        return total
 
 
 class ScaledTrace:
@@ -237,6 +300,9 @@ class ScaledTrace:
 
     def rate(self, t: float) -> float:
         return self.base.rate(t) * self.factor
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        return self.base.rates(ts) * self.factor
 
 
 class OUTrace:
@@ -294,6 +360,10 @@ class OUTrace:
             return float(self._path[-1])
         return float(self._path[idx])
 
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        idx = np.clip(np.floor_divide(ts, self.step), 0, len(self._path) - 1)
+        return self._path[idx.astype(np.intp)]
+
 
 class ReplayTrace:
     """Replay a recorded trace of ``(time, rate)`` samples.
@@ -325,7 +395,12 @@ class ReplayTrace:
         if time_scale <= 0 or rate_scale < 0:
             raise ValueError("invalid scales")
         self._times = [t * time_scale for t in times]
-        self._rates = [r * rate_scale for _t, r in samples]
+        rates = [r * rate_scale for _t, r in samples]
+        # _table[bisect_right(_times, t)]: the first rate holds before the
+        # first sample.
+        self._table = rates[:1] + rates
+        self._times_arr = np.array(self._times, dtype=float)
+        self._table_arr = np.array(self._table, dtype=float)
 
     @classmethod
     def from_csv(
@@ -354,7 +429,7 @@ class ReplayTrace:
         return cls(samples, **kwargs)
 
     def rate(self, t: float) -> float:
-        idx = bisect.bisect_right(self._times, t) - 1
-        if idx < 0:
-            return self._rates[0]
-        return self._rates[idx]
+        return self._table[bisect.bisect_right(self._times, t)]
+
+    def rates(self, ts: np.ndarray) -> np.ndarray:
+        return self._table_arr[np.searchsorted(self._times_arr, ts, side="right")]
