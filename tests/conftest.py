@@ -51,6 +51,56 @@ def collector(engine: Engine, api: ClusterAPI) -> MetricsCollector:
     return MetricsCollector(engine, api, scrape_interval=5.0)
 
 
+def make_chaos_platform(domains, *, seed: int = 5):
+    """A platform with every fault kind's target, and the monkey armed.
+
+    Three controller replicas (controller-crash, partition), three zones
+    (zone-outage), data-plane fault tolerance and a big-data job on a
+    spread dataset (executor-kill, straggler, data-loss). The monkey
+    strikes every ~40 s, heals after 30 s, and keeps at most two faults
+    active. Returns ``(platform, monkey)``; neither has run yet.
+    """
+    from repro.dataplane import DataPlaneConfig
+    from repro.platform.config import ClusterSpec, PlatformConfig
+    from repro.platform.evolve import EvolvePlatform
+    from repro.storage.placement import spread_blocks
+    from repro.workloads.bigdata import Stage
+
+    platform = EvolvePlatform(
+        cluster_spec=ClusterSpec(node_count=6, zones=3),
+        config=PlatformConfig(
+            seed=seed,
+            controller_replicas=3,
+            data_plane=DataPlaneConfig(enabled=True),
+        ),
+    )
+    spread_blocks(
+        platform.store,
+        "events",
+        total_mb=2000.0,
+        block_mb=100.0,
+        nodes=sorted(platform.cluster.nodes)[:3],
+        replication=2,
+    )
+    platform.submit_bigdata(
+        "job",
+        stages=[
+            Stage("scan", 3600.0, input_mb=2000.0),
+            Stage("agg", 1200.0, input_mb=200.0, deps=("scan",)),
+        ],
+        allocation=ResourceVector(cpu=2, memory=4, disk_bw=60, net_bw=60),
+        executors=3,
+        dataset="events",
+    )
+    monkey = platform.enable_chaos(
+        mtbf=40.0,
+        repair_time=30.0,
+        max_concurrent_failures=2,
+        domains=domains,
+    )
+    return platform, monkey
+
+
 def make_spec(
     name: str = "pod-0",
     *,
