@@ -21,7 +21,7 @@ its 4× goodput ratio drops well below the resilient one.
 
 A separate resilient run takes a correlated fault — a whole availability
 zone dark for five minutes via
-:class:`repro.cluster.chaos.ZoneOutageDomain` — and reports containment
+:class:`repro.cluster.chaos.ZoneOutageInjector` — and reports containment
 (blast radius) plus time-to-recover from the fault-recovery report.
 
 Run standalone with ``python -m benchmarks.bench_t10_overload``
@@ -33,7 +33,7 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.recovery import fault_recovery_report, summarize
-from repro.cluster.chaos import ZoneOutageDomain
+from repro.cluster.chaos import ZoneOutageInjector
 from repro.cluster.resources import ResourceVector
 from repro.platform.config import ClusterSpec, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
@@ -161,7 +161,7 @@ def _run_point(
 def _run_zone_outage(*, duration: float) -> dict:
     """Resilient build riding out a five-minute zone outage at 2× load."""
     platform = _build(factor=2.0, resilient=True)
-    dom = ZoneOutageDomain(platform.injector, log=platform.fault_log)
+    dom = ZoneOutageInjector(platform.injector)
     strike_at = duration / 3.0
     heal_at = strike_at + 300.0
     token: list = []

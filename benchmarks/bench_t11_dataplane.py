@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cluster.pod import PodPhase, WorkloadClass
 from repro.cluster.resources import ResourceVector
 from repro.dataplane import DataPlaneConfig
 from repro.platform.config import ClusterSpec, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
+from repro.platform.presets import schedule_fault_cycle
 from repro.storage.placement import spread_blocks
 from repro.workloads.bigdata import Stage
 from repro.workloads.plo import LatencyPLO
@@ -46,20 +46,14 @@ from repro.workloads.traces import ConstantTrace
 NODES = 6
 SEED = 47
 DURATION = 1800.0
-#: Fault levels: seconds between consecutive faults (None = no faults).
+#: Fault levels: seconds between consecutive faults of the deterministic
+#: cycle (:func:`repro.platform.presets.schedule_fault_cycle`); None = no
+#: faults.
 LEVELS: dict[str, float | None] = {
     "calm": None,
     "moderate": 240.0,
     "harsh": 120.0,
 }
-#: Injected fault kinds, cycled in order at the level's period. Crash
-#: before data-loss so mid-job node loss (the lineage trigger) lands
-#: while the analytics job is still running.
-FAULT_CYCLE = ("executor-kill", "crash", "data-loss", "straggler")
-#: How long a crashed node stays dark / a straggler stays slow.
-CRASH_OUTAGE = 60.0
-STRAGGLER_WINDOW = 120.0
-STRAGGLER_FACTOR = 0.5
 
 DATASET = "t11-data"
 DATASET_MB = 2400.0
@@ -108,82 +102,10 @@ def _build(*, ft: bool, seed: int = SEED) -> EvolvePlatform:
     return platform
 
 
-def _schedule_faults(
-    platform: EvolvePlatform, period: float | None, duration: float
-) -> None:
-    """Deterministic fault schedule: one fault per ``period`` seconds,
-    cycling :data:`FAULT_CYCLE`. Targets are picked by a running strike
-    counter over sorted candidate lists, so the schedule is a pure
-    function of the scenario — no RNG draws, both builds see the exact
-    same faults.
-    """
-    if period is None:
-        return
-    engine = platform.engine
-    strikes = iter(range(10_000))
-
-    def executor_kill() -> None:
-        victims = sorted(
-            pod.name
-            for pod in platform.cluster.pods.values()
-            if pod.phase is PodPhase.RUNNING
-            and pod.spec.workload_class is WorkloadClass.BIGDATA
-        )
-        if victims:
-            k = next(strikes)
-            platform.cluster.evict(
-                victims[k % len(victims)], reason="executor-kill"
-            )
-
-    def crash() -> None:
-        healthy = [n.name for n in platform.injector.healthy_nodes()]
-        if len(healthy) <= 2:
-            return
-        name = healthy[next(strikes) % len(healthy)]
-        platform.injector.fail_node(name)
-        engine.schedule(CRASH_OUTAGE, lambda: _recover(name))
-
-    def _recover(name: str) -> None:
-        if platform.injector.is_failed(name):
-            platform.injector.recover_node(name)
-
-    def data_loss() -> None:
-        bearing = sorted(platform.store.nodes_with_data())
-        if bearing:
-            platform.store.drop_node(bearing[next(strikes) % len(bearing)])
-
-    def straggler() -> None:
-        nodes = [
-            n
-            for n in platform.cluster.nodes.values()
-            if n.speed_factor >= 1.0 and not n.allocatable.is_zero()
-        ]
-        if not nodes:
-            return
-        node = nodes[next(strikes) % len(nodes)]
-        node.speed_factor = STRAGGLER_FACTOR
-        engine.schedule(STRAGGLER_WINDOW, lambda: _heal(node.name))
-
-    def _heal(name: str) -> None:
-        platform.cluster.get_node(name).speed_factor = 1.0
-
-    kinds = {
-        "executor-kill": executor_kill,
-        "crash": crash,
-        "data-loss": data_loss,
-        "straggler": straggler,
-    }
-    at = 60.0
-    i = 0
-    while at < duration - CRASH_OUTAGE:
-        engine.schedule_at(at, kinds[FAULT_CYCLE[i % len(FAULT_CYCLE)]])
-        at += period
-        i += 1
-
-
 def _run_cell(*, level: str, ft: bool, duration: float) -> dict:
     platform = _build(ft=ft)
-    _schedule_faults(platform, LEVELS[level], duration)
+    if LEVELS[level] is not None:
+        schedule_fault_cycle(platform, LEVELS[level], duration)
     platform.run(duration)
     job = platform.apps["t11-job"]
     stream = platform.apps["t11-stream"]

@@ -33,29 +33,26 @@ from repro.cluster.api import (
 from repro.cluster.chaos import (
     ActuationFaultInjector,
     ChaosMonkey,
-    ControllerCrashDomain,
-    DataLossDomain,
+    ControllerCrashInjector,
+    DataLossInjector,
     DegradationInjector,
-    ExecutorKillDomain,
+    ExecutorKillInjector,
     FailureInjector,
     FaultEpisode,
     FaultLog,
-    NodeCrashDomain,
-    NodeDegradationDomain,
-    PartitionDomain,
     PartitionInjector,
-    StragglerDomain,
+    StragglerInjector,
+    ZoneOutageInjector,
 )
 from repro.cluster.quota import QuotaManager
 
 __all__ = [
     "ActuationError",
-    "ControllerCrashDomain",
+    "ControllerCrashInjector",
     "Lease",
     "LeaderDeposed",
     "LeaderElected",
     "NodeNotFound",
-    "PartitionDomain",
     "PartitionError",
     "PartitionInjector",
     "PodNotFound",
@@ -66,11 +63,10 @@ __all__ = [
     "FailureInjector",
     "FaultEpisode",
     "FaultLog",
-    "NodeCrashDomain",
-    "NodeDegradationDomain",
-    "ExecutorKillDomain",
-    "StragglerDomain",
-    "DataLossDomain",
+    "ZoneOutageInjector",
+    "ExecutorKillInjector",
+    "StragglerInjector",
+    "DataLossInjector",
     "QuotaManager",
     "RESOURCES",
     "ResourceVector",

@@ -3,41 +3,57 @@
 Real-cluster evaluations survive more than clean machine loss: nodes slow
 down or shed capacity without dying, metric scrapes drop or freeze, and
 actuations (resizes, replica changes) transiently fail. This module holds
-the cluster-facing fault domains so the control plane's recovery paths
-(pod eviction → self-healing resubmit → rescheduling → controller
+the cluster-facing faults so the control plane's recovery paths (pod
+eviction → self-healing resubmit → rescheduling → controller
 re-convergence, plus safe mode / retry / circuit breaking in the control
-loop) can be exercised and tested:
+loop) can be exercised and tested.
 
-* :class:`FailureInjector` — binary node crash/recover (the classic).
-* :class:`DegradationInjector` — partial capacity loss: a node keeps
-  running but loses a fraction of its allocatable, evicting the
-  lowest-priority pods that no longer fit.
-* :class:`ActuationFaultInjector` — transient actuation failures; wired
-  into :class:`~repro.cluster.api.ClusterAPI` so resizes and pod
-  submissions raise :class:`~repro.cluster.api.ActuationError`.
-* :class:`PartitionInjector` — per-controller API-server unreachability;
-  wired into :class:`~repro.cluster.api.ClusterAPI` so every verb of a
-  partitioned controller's :class:`~repro.cluster.api.ScopedClusterAPI`
-  raises :class:`~repro.cluster.api.PartitionError`.
-* :class:`ControllerCrashDomain` / :class:`PartitionDomain` — strike the
-  *control plane itself* (kill or partition the leader replica of a
-  :class:`~repro.control.ha.ReplicatedControlPlane`), exercising leader
-  failover, snapshot restore, and WAL replay.
-* :class:`ZoneOutageDomain` — correlated failure: every node in one
-  availability zone crashes together as a single logged episode.
-* :class:`ChaosMonkey` — random strikes from a seeded RNG over a
-  pluggable set of :class:`FaultDomain` verbs for soak experiments.
+Every chaos fault kind is one class. Each keeps its own verbs and also
+speaks the one protocol every chaos driver uses:
 
-Metrics-pipeline faults (dropped scrapes, frozen series, outliers) live
-in :mod:`repro.metrics.faults`; every injector records its episodes into
-a shared :class:`FaultLog` so :mod:`repro.analysis.recovery` can compute
-per-episode MTTR and re-convergence time.
+* ``name`` — the kind's chaos-domain name;
+* ``candidates()`` — the viable victims right now, in a deterministic
+  order (an empty list means the kind cannot strike);
+* ``strike(victim)`` — inject the fault on one candidate and return the
+  token that undoes it;
+* ``heal(token)`` — undo the strike; tolerates racing an external
+  recovery.
+
+The controller-crash and data-plane kinds record FaultLog episodes only
+when built with a ``log``; the others always log (into a private
+FaultLog unless given one).
+
+The kinds, as ``name`` → class (FaultLog episode kind):
+
+* ``crash`` → :class:`FailureInjector` (``node-crash``)
+* ``degrade`` → :class:`DegradationInjector` (``node-degradation``)
+* ``zone-outage`` → :class:`ZoneOutageInjector` (``zone-outage``)
+* ``controller-crash`` → :class:`ControllerCrashInjector`
+  (``controller-crash``)
+* ``partition`` → :class:`PartitionInjector` (``controller-partition``)
+* ``executor-kill`` → :class:`ExecutorKillInjector` (``executor-kill``)
+* ``straggler`` → :class:`StragglerInjector` (``node-straggler``)
+* ``data-loss`` → :class:`DataLossInjector` (``data-loss``)
+
+Choosing the victim is the only decision the drivers own: the
+:class:`ChaosMonkey` draws uniformly from its seeded RNG on a Poisson
+clock, the scenario fuzzer resolves ``candidates()[target % len]`` for
+an explicit schedule, and the R-T11 deterministic cycle
+(:func:`repro.platform.presets.schedule_fault_cycle`) uses a running
+strike counter.
+
+:class:`ActuationFaultInjector` (transient resize / pod-creation
+failures) is not a chaos kind: it is wired into
+:class:`~repro.cluster.api.ClusterAPI`, which consults it on every gated
+verb. Metrics-pipeline faults (dropped scrapes, frozen series, outliers)
+live in :mod:`repro.metrics.faults`; every injector records its episodes
+into a shared :class:`FaultLog` so :mod:`repro.analysis.recovery` can
+compute per-episode MTTR and re-convergence time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -154,8 +170,11 @@ def _nominal_allocatable(node: Node) -> ResourceVector:
     return (node.capacity - node.system_reserved).clamp_nonnegative()
 
 
+# -- node faults ------------------------------------------------------------------
+
+
 class FailureInjector:
-    """Deterministic fail/recover verbs on a cluster.
+    """Binary node crash/recover; chaos kind ``crash``.
 
     Failing a node zeroes its allocatable capacity (so schedulers'
     ``can_fit`` rejects it naturally) and evicts its pods with reason
@@ -164,7 +183,10 @@ class FailureInjector:
     node's capacity legitimately changed while it was down (an operator
     resize, a degradation healed elsewhere), that change survives the
     recovery, clamped to the node's nominal allocatable ceiling.
+    Candidates are the healthy nodes.
     """
+
+    name = "crash"
 
     def __init__(self, cluster: Cluster, *, log: FaultLog | None = None):
         self.cluster = cluster
@@ -213,9 +235,24 @@ class FailureInjector:
             n for n in self.cluster.nodes.values() if not self.is_failed(n.name)
         ]
 
+    def candidates(self) -> list[str]:
+        return [n.name for n in self.healthy_nodes()]
+
+    def strike(self, node_name: str) -> str:
+        self.fail_node(node_name)
+        return node_name
+
+    def heal(self, node_name: str) -> None:
+        if self.is_failed(node_name):
+            self.recover_node(node_name)
+
+
+#: Fraction of allocatable a chaos ``degrade`` strike leaves on its victim.
+DEGRADE_FACTOR = 0.5
+
 
 class DegradationInjector:
-    """Partial node degradation: capacity loss without death.
+    """Partial node degradation, capacity loss without death; kind ``degrade``.
 
     Degrading a node by ``factor`` keeps only that fraction of its current
     allocatable. Pods that no longer fit are evicted lowest-priority-first
@@ -223,7 +260,11 @@ class DegradationInjector:
     the rest keep running (and keep their metrics flowing, unlike a
     crash). Restoring adds the removed slice back, clamped to the node's
     nominal ceiling so it composes with crashes and operator resizes.
+    Candidates are the nodes that are neither dark nor already degraded;
+    a chaos strike degrades by :data:`DEGRADE_FACTOR`.
     """
+
+    name = "degrade"
 
     def __init__(self, cluster: Cluster, *, log: FaultLog | None = None):
         self.cluster = cluster
@@ -277,6 +318,347 @@ class DegradationInjector:
         node.generation += 1
         self.restorations += 1
         self.log.close(episode, self.cluster.now)
+
+    def candidates(self) -> list[str]:
+        return [
+            n.name
+            for n in self.cluster.nodes.values()
+            if not self.is_degraded(n.name) and not n.allocatable.is_zero()
+        ]
+
+    def strike(self, node_name: str) -> str:
+        self.degrade_node(node_name, DEGRADE_FACTOR)
+        return node_name
+
+    def heal(self, node_name: str) -> None:
+        if self.is_degraded(node_name):
+            self.restore_node(node_name)
+
+
+class ZoneOutageInjector:
+    """Take out a whole availability zone at once; kind ``zone-outage``.
+
+    Node crashes are independent by construction; real incidents are not —
+    a power feed or top-of-rack switch takes a correlated slice of the
+    cluster down together. A strike fails every healthy node carrying
+    the same ``zone`` label, recording a *single* ``zone-outage`` episode
+    (the unit the containment accounting and MTTR analysis care about)
+    with the blast radius — node and displaced-pod counts — in its
+    detail. Healing recovers the nodes that are still down; nodes
+    recovered externally in the meantime are skipped. Candidates are the
+    zones that still have a healthy labelled node.
+    """
+
+    name = "zone-outage"
+
+    def __init__(self, injector: FailureInjector, *, log: FaultLog | None = None):
+        self.injector = injector
+        self.log = log if log is not None else injector.log
+        self.outages = 0
+        self.pods_displaced = 0
+
+    def candidates(self) -> list[str]:
+        return sorted(
+            {
+                zone
+                for node in self.injector.healthy_nodes()
+                if (zone := node.labels.get("zone")) is not None
+            }
+        )
+
+    def strike_zone(self, zone: str) -> tuple:
+        """Fail every healthy node in ``zone``; returns the heal token."""
+        victims = [
+            node.name
+            for node in self.injector.healthy_nodes()
+            if node.labels.get("zone") == zone
+        ]
+        if not victims:
+            raise ClusterError(f"zone {zone!r} has no healthy nodes")
+        episode = self.log.open(
+            "zone-outage", zone, self.injector.cluster.now
+        )
+        displaced = 0
+        for name in victims:
+            displaced += len(self.injector.fail_node(name).evicted_pods)
+        episode.detail = f"nodes={len(victims)} pods_displaced={displaced}"
+        self.outages += 1
+        self.pods_displaced += displaced
+        return (zone, tuple(victims), episode)
+
+    strike = strike_zone
+
+    def heal(self, token: tuple) -> None:
+        _zone, victims, episode = token
+        for name in victims:
+            if self.injector.is_failed(name):
+                self.injector.recover_node(name)
+        self.log.close(episode, self.injector.cluster.now)
+
+
+# -- control-plane faults ---------------------------------------------------------
+
+
+class ControllerCrashInjector:
+    """Kill a control-plane replica; kind ``controller-crash``.
+
+    ``plane`` is any object with the
+    :class:`~repro.control.ha.ReplicatedControlPlane` surface (``engine``,
+    ``leader_index()``, ``alive_indices()``, ``identity(i)``,
+    ``is_alive(i)``, ``crash_replica(i)``, ``restart_replica(i)``). The
+    candidate is the leader — exercising failover, snapshot restore and
+    WAL replay — or, during a leader gap, any live replica.
+    """
+
+    name = "controller-crash"
+
+    def __init__(self, plane, *, log: FaultLog | None = None):
+        self.plane = plane
+        self.log = log
+        self.crashes = 0
+
+    def candidates(self) -> list[int]:
+        leader = self.plane.leader_index()
+        return [leader] if leader is not None else self.plane.alive_indices()
+
+    def strike(self, index: int) -> tuple:
+        episode = None
+        if self.log is not None:
+            episode = self.log.open(
+                "controller-crash", self.plane.identity(index),
+                self.plane.engine.now,
+            )
+        self.plane.crash_replica(index)
+        self.crashes += 1
+        return (index, episode)
+
+    def heal(self, token: tuple) -> None:
+        index, episode = token
+        if not self.plane.is_alive(index):
+            self.plane.restart_replica(index)
+        if episode is not None:
+            self.log.close(episode, self.plane.engine.now)
+
+
+class PartitionInjector:
+    """Per-controller API-server partitions; kind ``partition``.
+
+    Wired into :class:`~repro.cluster.api.ClusterAPI` (``api.partitions``);
+    a partitioned identity's :class:`~repro.cluster.api.ScopedClusterAPI`
+    raises :class:`~repro.cluster.api.PartitionError` from every verb.
+    Windows may be bounded (``duration``) or open-ended (closed by
+    :meth:`heal`). The chaos candidate is the leader of :attr:`plane` —
+    the interesting case, since a partitioned leader must stop actuating
+    and hand over without split-brain — unless it is already cut off; a
+    chaos strike opens an open-ended window.
+    """
+
+    name = "partition"
+
+    def __init__(self, *, log: FaultLog | None = None):
+        self.log = log if log is not None else FaultLog()
+        #: identity → (until-time or None for open-ended, episode)
+        self._partitioned: dict[str, tuple[float | None, FaultEpisode]] = {}
+        self.partitions_injected = 0
+        #: The replicated control plane whose leader chaos strikes target;
+        #: the platform sets it when it builds one.
+        self.plane = None
+
+    def partition(
+        self, identity: str, now: float, duration: float | None = None
+    ) -> FaultEpisode:
+        """Cut ``identity`` off from the API server.
+
+        With ``duration`` the window closes by itself (episode recorded
+        closed immediately); without, it stays open until :meth:`heal`.
+        """
+        if identity in self._partitioned and self.is_partitioned(identity, now):
+            raise ClusterError(f"controller {identity!r} is already partitioned")
+        if duration is not None:
+            if duration <= 0:
+                raise ValueError("partition duration must be positive")
+            episode = self.log.record(
+                "controller-partition", identity, now, now + duration
+            )
+            self._partitioned[identity] = (now + duration, episode)
+        else:
+            episode = self.log.open("controller-partition", identity, now)
+            self._partitioned[identity] = (None, episode)
+        self.partitions_injected += 1
+        return episode
+
+    def is_partitioned(self, identity: str, now: float) -> bool:
+        entry = self._partitioned.get(identity)
+        if entry is None:
+            return False
+        until, _episode = entry
+        if until is not None and now >= until:
+            del self._partitioned[identity]
+            return False
+        return True
+
+    def heal(self, identity: str, now: float | None = None) -> None:
+        """Reconnect ``identity``; closes an open-ended episode.
+
+        ``now`` defaults to the clock of :attr:`plane`.
+        """
+        if now is None:
+            now = self.plane.engine.now
+        entry = self._partitioned.pop(identity, None)
+        if entry is not None:
+            _until, episode = entry
+            self.log.close(episode, now)
+
+    def candidates(self) -> list[str]:
+        leader = None if self.plane is None else self.plane.leader_index()
+        if leader is None:
+            return []
+        identity = self.plane.identity(leader)
+        if self.is_partitioned(identity, self.plane.engine.now):
+            return []
+        return [identity]
+
+    def strike(self, identity: str) -> str:
+        self.partition(identity, self.plane.engine.now)
+        return identity
+
+
+# -- data-plane faults ------------------------------------------------------------
+
+
+class ExecutorKillInjector:
+    """Kill one running executor pod of a data-parallel job; kind ``executor-kill``.
+
+    A much smaller blast radius than a node crash: the node stays up,
+    only the pod dies. With data-plane fault tolerance enabled the job
+    re-opens exactly the lost in-flight task share; without it, the
+    fluid model's global progress is untouched and only the executor
+    slot is lost until self-healing resubmits it. Candidates are the
+    running big-data pods, sorted by name.
+    """
+
+    name = "executor-kill"
+
+    def __init__(self, cluster: Cluster, *, log: FaultLog | None = None):
+        self.cluster = cluster
+        self.log = log
+        self.kills = 0
+
+    def candidates(self) -> list[str]:
+        return sorted(
+            pod.name
+            for pod in self.cluster.pods.values()
+            if pod.phase is PodPhase.RUNNING
+            and pod.spec.workload_class is WorkloadClass.BIGDATA
+        )
+
+    def strike(self, pod_name: str) -> str:
+        self.cluster.evict(pod_name, reason="executor-kill")
+        self.kills += 1
+        if self.log is not None:
+            now = self.cluster.now
+            self.log.record("executor-kill", pod_name, now, now,
+                            domain=self.name)
+        return pod_name
+
+    def heal(self, token: str) -> None:
+        """No-op: application self-healing resubmits the replica."""
+
+
+class StragglerInjector:
+    """Slow a node down without killing it; kind ``straggler``.
+
+    Models the sick-but-alive machine (failing disk, thermal throttling,
+    noisy neighbour) that motivates speculative execution: pods keep
+    their binds and report progress, just slowly. Sets
+    :attr:`Node.speed_factor` to ``factor``; only fault-tolerance-aware
+    workload models read it, so the kind is inert for default workloads.
+    Candidates are the live nodes at full speed.
+    """
+
+    name = "straggler"
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        *,
+        factor: float = 0.3,
+        log: FaultLog | None = None,
+    ):
+        if not 0.0 < factor < 1.0:
+            raise ValueError("straggler factor must be in (0, 1)")
+        self.cluster = cluster
+        self.factor = factor
+        self.log = log
+        self.strikes = 0
+
+    def candidates(self) -> list[str]:
+        return [
+            node.name
+            for node in self.cluster.nodes.values()
+            if node.speed_factor >= 1.0 and not node.allocatable.is_zero()
+        ]
+
+    def strike(self, node_name: str) -> tuple:
+        self.cluster.get_node(node_name).speed_factor = self.factor
+        self.strikes += 1
+        episode = None
+        if self.log is not None:
+            episode = self.log.open(
+                "node-straggler",
+                node_name,
+                self.cluster.now,
+                detail=f"speed_factor={self.factor}",
+                domain=self.name,
+            )
+        return (node_name, episode)
+
+    def heal(self, token: tuple) -> None:
+        name, episode = token
+        self.cluster.get_node(name).speed_factor = 1.0
+        if episode is not None:
+            self.log.close(episode, self.cluster.now)
+
+
+class DataLossInjector:
+    """Wipe every object-store replica on one node; kind ``data-loss``.
+
+    The disk dies but the node keeps computing — the failure mode that
+    exercises lineage recompute (a completed stage's shuffle output
+    vanishes) and the storage repair loop (objects drop below their
+    replication target) without any scheduler-visible capacity change.
+    Candidates are the data-bearing nodes, sorted.
+    """
+
+    name = "data-loss"
+
+    def __init__(self, store, cluster: Cluster, *, log: FaultLog | None = None):
+        self.store = store
+        self.cluster = cluster
+        self.log = log
+        self.strikes = 0
+        self.replicas_dropped = 0
+
+    def candidates(self) -> list[str]:
+        return sorted(self.store.nodes_with_data())
+
+    def strike(self, node_name: str) -> str:
+        dropped = self.store.drop_node(node_name)
+        self.strikes += 1
+        self.replicas_dropped += dropped
+        if self.log is not None:
+            now = self.cluster.now
+            self.log.record(
+                "data-loss", node_name, now, now,
+                detail=f"replicas_dropped={dropped}", domain=self.name,
+            )
+        return node_name
+
+    def heal(self, token: str) -> None:
+        """No-op: wiped data does not come back; repair re-replicates."""
+
+
+# -- actuation faults -------------------------------------------------------------
 
 
 class ActuationFaultInjector:
@@ -332,471 +714,14 @@ class ActuationFaultInjector:
         return False
 
 
-class PartitionInjector:
-    """Per-controller API-server partitions.
-
-    Wired into :class:`~repro.cluster.api.ClusterAPI` (``api.partitions``);
-    a partitioned identity's :class:`~repro.cluster.api.ScopedClusterAPI`
-    raises :class:`~repro.cluster.api.PartitionError` from every verb.
-    Windows may be bounded (``duration``) or open-ended (healed
-    explicitly by a chaos domain).
-    """
-
-    def __init__(self, *, log: FaultLog | None = None):
-        self.log = log if log is not None else FaultLog()
-        #: identity → (until-time or None for open-ended, episode)
-        self._partitioned: dict[str, tuple[float | None, FaultEpisode]] = {}
-        self.partitions_injected = 0
-
-    def partition(
-        self, identity: str, now: float, duration: float | None = None
-    ) -> FaultEpisode:
-        """Cut ``identity`` off from the API server.
-
-        With ``duration`` the window closes by itself (episode recorded
-        closed immediately); without, it stays open until :meth:`heal`.
-        """
-        if identity in self._partitioned and self.is_partitioned(identity, now):
-            raise ClusterError(f"controller {identity!r} is already partitioned")
-        if duration is not None:
-            if duration <= 0:
-                raise ValueError("partition duration must be positive")
-            episode = self.log.record(
-                "controller-partition", identity, now, now + duration
-            )
-            self._partitioned[identity] = (now + duration, episode)
-        else:
-            episode = self.log.open("controller-partition", identity, now)
-            self._partitioned[identity] = (None, episode)
-        self.partitions_injected += 1
-        return episode
-
-    def is_partitioned(self, identity: str, now: float) -> bool:
-        entry = self._partitioned.get(identity)
-        if entry is None:
-            return False
-        until, _episode = entry
-        if until is not None and now >= until:
-            del self._partitioned[identity]
-            return False
-        return True
-
-    def heal(self, identity: str, now: float) -> None:
-        """Reconnect ``identity``; closes an open-ended episode."""
-        entry = self._partitioned.pop(identity, None)
-        if entry is not None:
-            _until, episode = entry
-            self.log.close(episode, now)
-
-
 # -- random fault scheduling ----------------------------------------------------
 
 
-class FaultDomain(Protocol):
-    """One class of injectable fault the :class:`ChaosMonkey` can drive.
-
-    ``strike`` applies a fault and returns an opaque token (or None when
-    no viable target exists); ``heal`` undoes it. Domains must tolerate
-    ``heal`` racing with external recovery.
-    """
-
-    name: str
-
-    def strike(self) -> object | None: ...
-
-    def heal(self, token: object) -> None: ...
-
-
-class NodeCrashDomain:
-    """Crash a random healthy node."""
-
-    name = "crash"
-
-    def __init__(self, injector: FailureInjector, rng: np.random.Generator):
-        self.injector = injector
-        self.rng = rng
-
-    def strike(self) -> str | None:
-        candidates = [n.name for n in self.injector.healthy_nodes()]
-        if not candidates:
-            return None
-        victim = candidates[int(self.rng.integers(len(candidates)))]
-        self.injector.fail_node(victim)
-        return victim
-
-    def heal(self, token: object) -> None:
-        if self.injector.is_failed(str(token)):
-            self.injector.recover_node(str(token))
-
-
-class NodeDegradationDomain:
-    """Degrade a random node that is neither failed nor already degraded."""
-
-    name = "degrade"
-
-    def __init__(
-        self,
-        degrader: DegradationInjector,
-        rng: np.random.Generator,
-        *,
-        factor: float = 0.5,
-    ):
-        if not 0.0 < factor < 1.0:
-            raise ValueError("degradation factor must be in (0, 1)")
-        self.degrader = degrader
-        self.rng = rng
-        self.factor = factor
-
-    def strike(self) -> str | None:
-        candidates = [
-            n.name
-            for n in self.degrader.cluster.nodes.values()
-            if not self.degrader.is_degraded(n.name)
-            and not n.allocatable.is_zero()
-        ]
-        if not candidates:
-            return None
-        victim = candidates[int(self.rng.integers(len(candidates)))]
-        self.degrader.degrade_node(victim, self.factor)
-        return victim
-
-    def heal(self, token: object) -> None:
-        if self.degrader.is_degraded(str(token)):
-            self.degrader.restore_node(str(token))
-
-
-class ZoneOutageDomain:
-    """Take out a whole availability zone at once.
-
-    Node crashes are independent by construction; real incidents are not —
-    a power feed or top-of-rack switch takes a correlated slice of the
-    cluster down together. This domain fails every healthy node carrying
-    the same ``zone`` label in one strike, recording a *single*
-    ``zone-outage`` episode (the unit the containment accounting and MTTR
-    analysis care about) with the blast radius — node and displaced-pod
-    counts — in its detail. Healing recovers the nodes that are still
-    down; nodes recovered externally in the meantime are skipped.
-    """
-
-    name = "zone-outage"
-
-    def __init__(
-        self,
-        injector: FailureInjector,
-        rng: np.random.Generator | None = None,
-        *,
-        log: FaultLog | None = None,
-    ):
-        self.injector = injector
-        self.rng = rng  # only needed for random strike(); strike_zone is RNG-free
-        self.log = log if log is not None else injector.log
-        self.outages = 0
-        self.pods_displaced = 0
-
-    def zones(self) -> list[str]:
-        """Zones that still have at least one healthy labelled node."""
-        return sorted(
-            {
-                zone
-                for node in self.injector.healthy_nodes()
-                if (zone := node.labels.get("zone")) is not None
-            }
-        )
-
-    def strike_zone(self, zone: str) -> object:
-        """Deterministically fail every healthy node in ``zone``."""
-        victims = [
-            node.name
-            for node in self.injector.healthy_nodes()
-            if node.labels.get("zone") == zone
-        ]
-        if not victims:
-            raise ClusterError(f"zone {zone!r} has no healthy nodes")
-        episode = self.log.open(
-            "zone-outage", zone, self.injector.cluster.now
-        )
-        displaced = 0
-        for name in victims:
-            displaced += len(self.injector.fail_node(name).evicted_pods)
-        episode.detail = f"nodes={len(victims)} pods_displaced={displaced}"
-        self.outages += 1
-        self.pods_displaced += displaced
-        return (zone, tuple(victims), episode)
-
-    def strike(self) -> object | None:
-        if self.rng is None:
-            raise ClusterError("random strike() needs an rng; use strike_zone")
-        candidates = self.zones()
-        if not candidates:
-            return None
-        zone = candidates[int(self.rng.integers(len(candidates)))]
-        return self.strike_zone(zone)
-
-    def heal(self, token: object) -> None:
-        _zone, victims, episode = token
-        for name in victims:
-            if self.injector.is_failed(name):
-                self.injector.recover_node(name)
-        self.log.close(episode, self.injector.cluster.now)
-
-
-class ControllerCrashDomain:
-    """Kill the control plane's current leader replica.
-
-    ``plane`` is any object with the :class:`~repro.control.ha.ReplicatedControlPlane`
-    surface (``engine``, ``leader_index()``, ``identity(i)``,
-    ``crash_replica(i)``, ``restart_replica(i)``, ``store``). With
-    ``corrupt_snapshot_probability`` > 0 the strike may also corrupt the
-    newest durable snapshot, forcing the successor to restore from an
-    older one and replay a longer WAL suffix — the torn-write case.
-    """
-
-    name = "controller-crash"
-
-    def __init__(
-        self,
-        plane,
-        rng: np.random.Generator,
-        *,
-        corrupt_snapshot_probability: float = 0.0,
-        log: FaultLog | None = None,
-    ):
-        if not 0.0 <= corrupt_snapshot_probability <= 1.0:
-            raise ValueError("corrupt_snapshot_probability must be in [0, 1]")
-        self.plane = plane
-        self.rng = rng
-        self.corrupt_snapshot_probability = corrupt_snapshot_probability
-        self.log = log if log is not None else FaultLog()
-        self.crashes = 0
-        self.snapshot_corruptions = 0
-
-    def strike(self) -> object | None:
-        leader = self.plane.leader_index()
-        if leader is None:
-            return None
-        now = self.plane.engine.now
-        if (
-            self.corrupt_snapshot_probability > 0
-            and self.plane.store is not None
-            and float(self.rng.random()) < self.corrupt_snapshot_probability
-            and self.plane.store.corrupt_latest(now)
-        ):
-            self.snapshot_corruptions += 1
-        episode = self.log.open(
-            "controller-crash", self.plane.identity(leader), now
-        )
-        self.plane.crash_replica(leader)
-        self.crashes += 1
-        return (leader, episode)
-
-    def heal(self, token: object) -> None:
-        index, episode = token
-        if not self.plane.is_alive(index):
-            self.plane.restart_replica(index)
-        self.log.close(episode, self.plane.engine.now)
-
-
-class PartitionDomain:
-    """Partition a controller replica from the API server.
-
-    Targets the current leader by default (``target="leader"``) — the
-    interesting case, since a partitioned leader must stop actuating and
-    hand over without split-brain — or a uniformly random live replica
-    (``target="random"``). The partition stays open until healed by the
-    monkey's repair clock.
-    """
-
-    name = "partition"
-
-    def __init__(
-        self,
-        plane,
-        injector: PartitionInjector,
-        rng: np.random.Generator,
-        *,
-        target: str = "leader",
-    ):
-        if target not in ("leader", "random"):
-            raise ValueError("target must be 'leader' or 'random'")
-        self.plane = plane
-        self.injector = injector
-        self.rng = rng
-        self.target = target
-        self.strikes = 0
-
-    def _pick(self) -> int | None:
-        if self.target == "leader":
-            return self.plane.leader_index()
-        candidates = self.plane.alive_indices()
-        if not candidates:
-            return None
-        return candidates[int(self.rng.integers(len(candidates)))]
-
-    def strike(self) -> str | None:
-        index = self._pick()
-        if index is None:
-            return None
-        identity = self.plane.identity(index)
-        now = self.plane.engine.now
-        if self.injector.is_partitioned(identity, now):
-            return None
-        self.injector.partition(identity, now)
-        self.strikes += 1
-        return identity
-
-    def heal(self, token: object) -> None:
-        self.injector.heal(str(token), self.plane.engine.now)
-
-
-class ExecutorKillDomain:
-    """Kill one running executor pod of a data-parallel job.
-
-    A much smaller blast radius than a node crash: the node stays up,
-    only the pod dies. With data-plane fault tolerance enabled the job
-    re-opens exactly the lost in-flight task share; without it, the
-    fluid model's global progress is untouched and only the executor
-    slot is lost until self-healing resubmits it.
-    """
-
-    name = "executor-kill"
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        rng: np.random.Generator,
-        *,
-        workload_class: WorkloadClass = WorkloadClass.BIGDATA,
-        log: FaultLog | None = None,
-    ):
-        self.cluster = cluster
-        self.rng = rng
-        self.workload_class = workload_class
-        self.log = log
-        self.kills = 0
-
-    def strike(self) -> str | None:
-        candidates = sorted(
-            pod.name
-            for pod in self.cluster.pods.values()
-            if pod.phase is PodPhase.RUNNING
-            and pod.spec.workload_class is self.workload_class
-        )
-        if not candidates:
-            return None
-        victim = candidates[int(self.rng.integers(len(candidates)))]
-        self.cluster.evict(victim, reason="executor-kill")
-        self.kills += 1
-        if self.log is not None:
-            now = self.cluster.now
-            self.log.record("executor-kill", victim, now, now,
-                            domain=self.name)
-        return victim
-
-    def heal(self, token: object) -> None:
-        """No-op: application self-healing resubmits the replica."""
-
-
-class StragglerDomain:
-    """Slow a healthy node down without killing it.
-
-    Models the sick-but-alive machine (failing disk, thermal throttling,
-    noisy neighbour) that motivates speculative execution: pods keep
-    their binds and report progress, just slowly. Sets
-    :attr:`Node.speed_factor`; only fault-tolerance-aware workload
-    models read it, so the domain is inert for default workloads.
-    """
-
-    name = "straggler"
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        rng: np.random.Generator,
-        *,
-        factor: float = 0.3,
-        log: FaultLog | None = None,
-    ):
-        if not 0.0 < factor < 1.0:
-            raise ValueError("straggler factor must be in (0, 1)")
-        self.cluster = cluster
-        self.rng = rng
-        self.factor = factor
-        self.log = log
-        self.strikes = 0
-
-    def strike(self) -> object | None:
-        candidates = [
-            node
-            for node in self.cluster.nodes.values()
-            if node.speed_factor >= 1.0 and not node.allocatable.is_zero()
-        ]
-        if not candidates:
-            return None
-        victim = candidates[int(self.rng.integers(len(candidates)))]
-        victim.speed_factor = self.factor
-        self.strikes += 1
-        episode = None
-        if self.log is not None:
-            episode = self.log.open(
-                "node-straggler",
-                victim.name,
-                self.cluster.now,
-                detail=f"speed_factor={self.factor}",
-                domain=self.name,
-            )
-        return (victim.name, episode)
-
-    def heal(self, token: object) -> None:
-        name, episode = token
-        self.cluster.get_node(name).speed_factor = 1.0
-        if episode is not None:
-            self.log.close(episode, self.cluster.now)
-
-
-class DataLossDomain:
-    """Wipe every object-store replica held on one data-bearing node.
-
-    The disk dies but the node keeps computing — the failure mode that
-    exercises lineage recompute (a completed stage's shuffle output
-    vanishes) and the storage repair loop (objects drop below their
-    replication target) without any scheduler-visible capacity change.
-    """
-
-    name = "data-loss"
-
-    def __init__(
-        self,
-        store,
-        cluster: Cluster,
-        rng: np.random.Generator,
-        *,
-        log: FaultLog | None = None,
-    ):
-        self.store = store
-        self.cluster = cluster
-        self.rng = rng
-        self.log = log
-        self.strikes = 0
-        self.replicas_dropped = 0
-
-    def strike(self) -> str | None:
-        candidates = sorted(self.store.nodes_with_data())
-        if not candidates:
-            return None
-        victim = candidates[int(self.rng.integers(len(candidates)))]
-        dropped = self.store.drop_node(victim)
-        self.strikes += 1
-        self.replicas_dropped += dropped
-        if self.log is not None:
-            now = self.cluster.now
-            self.log.record(
-                "data-loss", victim, now, now,
-                detail=f"replicas_dropped={dropped}", domain=self.name,
-            )
-        return victim
-
-    def heal(self, token: object) -> None:
-        """No-op: wiped data does not come back; repair re-replicates."""
+def _pick(rng: np.random.Generator, items: list):
+    """One of ``items``, drawn uniformly; a single item costs no draw."""
+    if len(items) == 1:
+        return items[0]
+    return items[int(rng.integers(len(items)))]
 
 
 class ChaosMonkey:
@@ -812,9 +737,11 @@ class ChaosMonkey:
         Never keep more than this many faults active at once (keeps soak
         runs from killing the whole cluster).
     domains:
-        Fault domains to draw from; defaults to crash-only against
-        ``injector`` (the legacy behaviour). With several domains the
-        monkey picks one uniformly per strike.
+        Fault kinds to draw from (objects with the protocol described in
+        this module's docstring); defaults to crash-only against
+        ``injector`` (the legacy behaviour). Each strike picks a kind
+        uniformly, then a victim uniformly from its candidates; a kind
+        with no candidate skips the strike.
     """
 
     def __init__(
@@ -826,7 +753,7 @@ class ChaosMonkey:
         mtbf: float = 3600.0,
         repair_time: float = 300.0,
         max_concurrent_failures: int = 1,
-        domains: list[FaultDomain] | None = None,
+        domains: list | None = None,
     ):
         if mtbf <= 0 or repair_time <= 0:
             raise ValueError("mtbf and repair_time must be positive")
@@ -838,13 +765,11 @@ class ChaosMonkey:
         self.mtbf = mtbf
         self.repair_time = repair_time
         self.max_concurrent_failures = max_concurrent_failures
-        self.domains: list[FaultDomain] = (
-            list(domains) if domains else [NodeCrashDomain(injector, rng)]
-        )
+        self.domains = [injector] if domains is None else list(domains)
         if not self.domains:
             raise ValueError("need at least one fault domain")
         self.strikes = 0
-        self._active: set[object] = set()
+        self._active = 0
         self._armed = False
 
     def start(self) -> None:
@@ -858,7 +783,7 @@ class ChaosMonkey:
         self._armed = False
 
     def active_faults(self) -> int:
-        return len(self._active)
+        return self._active
 
     def _arm_next(self) -> None:
         delay = float(self.rng.exponential(self.mtbf))
@@ -867,21 +792,18 @@ class ChaosMonkey:
     def _strike(self) -> None:
         if not self._armed:
             return
-        if len(self._active) < self.max_concurrent_failures:
-            if len(self.domains) == 1:
-                domain = self.domains[0]
-            else:
-                domain = self.domains[int(self.rng.integers(len(self.domains)))]
-            token = domain.strike()
-            if token is not None:
+        if self._active < self.max_concurrent_failures:
+            kind = _pick(self.rng, self.domains)
+            candidates = kind.candidates()
+            if candidates:
+                token = kind.strike(_pick(self.rng, candidates))
                 self.strikes += 1
-                key = (domain.name, token, self.engine.now)
-                self._active.add(key)
+                self._active += 1
                 self.engine.schedule(
-                    self.repair_time, lambda: self._heal(domain, token, key)
+                    self.repair_time, lambda: self._heal(kind, token)
                 )
         self._arm_next()
 
-    def _heal(self, domain: FaultDomain, token: object, key: object) -> None:
-        self._active.discard(key)
-        domain.heal(token)
+    def _heal(self, kind, token) -> None:
+        self._active -= 1
+        kind.heal(token)

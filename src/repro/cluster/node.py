@@ -58,7 +58,7 @@ class Node:
         #: node's membership and capacity accounting are unchanged.
         self.generation = 0
         #: Execution-speed multiplier in (0, 1]. 1.0 = nominal; chaos
-        #: (:class:`~repro.cluster.chaos.StragglerDomain`) lowers it to
+        #: (:class:`~repro.cluster.chaos.StragglerInjector`) lowers it to
         #: model a sick-but-alive machine. Only fault-tolerance-aware
         #: workload models consult it, so default runs are unaffected.
         self.speed_factor = 1.0

@@ -22,19 +22,15 @@ from repro.autoscaler.adaptive import AdaptiveAutoscaler
 from repro.cluster.chaos import (
     ActuationFaultInjector,
     ChaosMonkey,
-    ControllerCrashDomain,
-    DataLossDomain,
+    ControllerCrashInjector,
+    DataLossInjector,
     DegradationInjector,
-    ExecutorKillDomain,
+    ExecutorKillInjector,
     FailureInjector,
-    FaultDomain,
     FaultLog,
-    NodeCrashDomain,
-    NodeDegradationDomain,
-    PartitionDomain,
     PartitionInjector,
-    StragglerDomain,
-    ZoneOutageDomain,
+    StragglerInjector,
+    ZoneOutageInjector,
 )
 from repro.cluster.quota import QuotaManager
 from repro.autoscaler.registry import (
@@ -75,6 +71,21 @@ POLICIES = registered_policies()
 
 #: Schedulers selectable by name.
 SCHEDULERS = ("kube", "converged", "siloed")
+
+#: Chaos fault kinds selectable by name in :meth:`EvolvePlatform.enable_chaos`,
+#: each built against a platform and logging into its FaultLog.
+CHAOS_KINDS = {
+    "crash": lambda p: p.injector,
+    "degrade": lambda p: p.degrader,
+    "zone-outage": lambda p: ZoneOutageInjector(p.injector),
+    "controller-crash": lambda p: ControllerCrashInjector(
+        p.control_plane, log=p.fault_log
+    ),
+    "partition": lambda p: p.partition_faults,
+    "executor-kill": lambda p: ExecutorKillInjector(p.cluster, log=p.fault_log),
+    "straggler": lambda p: StragglerInjector(p.cluster, log=p.fault_log),
+    "data-loss": lambda p: DataLossInjector(p.store, p.cluster, log=p.fault_log),
+}
 
 
 @dataclass
@@ -215,6 +226,7 @@ class EvolvePlatform:
                 rng=self.rng.stream("ha/election"),
                 fault_log=self.fault_log,
             )
+            self.partition_faults.plane = self.control_plane
         self.apps: dict[str, Application] = {}
         self.quotas = QuotaManager()
         self.cluster.quotas = self.quotas
@@ -320,84 +332,26 @@ class EvolvePlatform:
         mtbf: float = 3600.0,
         repair_time: float = 300.0,
         max_concurrent_failures: int = 1,
-        domains: Sequence[str | FaultDomain] | None = None,
-        degrade_factor: float = 0.5,
+        domains: Sequence[str | object] | None = None,
     ) -> ChaosMonkey:
         """Arm random faults for the rest of the run.
 
-        ``domains`` selects the fault classes the monkey draws from:
-        names ``"crash"`` / ``"degrade"`` — plus ``"controller-crash"`` /
-        ``"partition"`` when the replicated control plane is enabled, and
-        ``"zone-outage"`` when the cluster spans multiple zones — or
-        pre-built :class:`~repro.cluster.chaos.FaultDomain` objects.
-        Defaults to crash-only (the legacy behaviour).
+        ``domains`` selects the fault kinds the monkey draws from: names
+        from :data:`CHAOS_KINDS` — ``"controller-crash"`` / ``"partition"``
+        need the replicated control plane and ``"zone-outage"`` a
+        multi-zone cluster — or pre-built fault-kind objects (see
+        :mod:`repro.cluster.chaos`). Defaults to crash-only (the legacy
+        behaviour); an empty list is an error.
         """
         if self.chaos is not None:
             raise RuntimeError("chaos already enabled")
         rng = self.rng.stream("chaos")
-        built: list[FaultDomain] | None = None
+        kinds = None
         if domains is not None:
-            built = []
-            for dom in domains:
-                if dom == "crash":
-                    built.append(NodeCrashDomain(self.injector, rng))
-                elif dom == "degrade":
-                    built.append(
-                        NodeDegradationDomain(
-                            self.degrader, rng, factor=degrade_factor
-                        )
-                    )
-                elif dom in ("controller-crash", "partition"):
-                    if self.control_plane is None:
-                        raise ValueError(
-                            f"fault domain {dom!r} needs the replicated "
-                            "control plane (set controller_replicas > 1 or "
-                            "controller_ha in PlatformConfig)"
-                        )
-                    if dom == "controller-crash":
-                        built.append(
-                            ControllerCrashDomain(
-                                self.control_plane, rng, log=self.fault_log
-                            )
-                        )
-                    else:
-                        built.append(
-                            PartitionDomain(
-                                self.control_plane, self.partition_faults, rng
-                            )
-                        )
-                elif dom == "zone-outage":
-                    if self.cluster_spec.zones <= 1:
-                        raise ValueError(
-                            "fault domain 'zone-outage' needs a multi-zone "
-                            "cluster (set ClusterSpec.zones > 1)"
-                        )
-                    built.append(
-                        ZoneOutageDomain(self.injector, rng, log=self.fault_log)
-                    )
-                elif dom == "executor-kill":
-                    built.append(
-                        ExecutorKillDomain(self.cluster, rng, log=self.fault_log)
-                    )
-                elif dom == "straggler":
-                    built.append(
-                        StragglerDomain(self.cluster, rng, log=self.fault_log)
-                    )
-                elif dom == "data-loss":
-                    built.append(
-                        DataLossDomain(
-                            self.store, self.cluster, rng, log=self.fault_log
-                        )
-                    )
-                elif isinstance(dom, str):
-                    raise ValueError(
-                        f"unknown fault domain {dom!r}; choose 'crash', "
-                        "'degrade', 'controller-crash', 'partition', "
-                        "'zone-outage', 'executor-kill', 'straggler', "
-                        "'data-loss', or pass a FaultDomain"
-                    )
-                else:
-                    built.append(dom)
+            kinds = [
+                self._chaos_kind(d) if isinstance(d, str) else d
+                for d in domains
+            ]
         self.chaos = ChaosMonkey(
             self.engine,
             self.injector,
@@ -405,10 +359,31 @@ class EvolvePlatform:
             mtbf=mtbf,
             repair_time=repair_time,
             max_concurrent_failures=max_concurrent_failures,
-            domains=built,
+            domains=kinds,
         )
         self.chaos.start()
         return self.chaos
+
+    def _chaos_kind(self, name: str):
+        """The named chaos fault kind, logging into :attr:`fault_log`."""
+        if name not in CHAOS_KINDS:
+            raise ValueError(
+                f"unknown fault domain {name!r}; choose from "
+                f"{', '.join(repr(k) for k in CHAOS_KINDS)}, or pass a "
+                "fault-kind object"
+            )
+        if name in ("controller-crash", "partition") and self.control_plane is None:
+            raise ValueError(
+                f"fault domain {name!r} needs the replicated control plane "
+                "(set controller_replicas > 1 or controller_ha in "
+                "PlatformConfig)"
+            )
+        if name == "zone-outage" and self.cluster_spec.zones <= 1:
+            raise ValueError(
+                "fault domain 'zone-outage' needs a multi-zone cluster "
+                "(set ClusterSpec.zones > 1)"
+            )
+        return CHAOS_KINDS[name](self)
 
     # -- construction helpers -------------------------------------------------
 

@@ -27,10 +27,15 @@ telemetry-off counterparts in the source benchmarks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.cluster.pod import PodPhase, WorkloadClass
+from repro.cluster.chaos import (
+    DataLossInjector,
+    ExecutorKillInjector,
+    StragglerInjector,
+)
 from repro.cluster.resources import ResourceVector
 from repro.dataplane import DataPlaneConfig
 from repro.obs.slo import SLOSpec
@@ -205,10 +210,6 @@ _DATAFAULT_PERIOD = 120.0
 _DATAFAULT_DATASET = "t11-data"
 _DATAFAULT_DATASET_MB = 2400.0
 _DATAFAULT_STREAM_RATE = 150.0
-_FAULT_CYCLE = ("executor-kill", "crash", "data-loss", "straggler")
-_CRASH_OUTAGE = 60.0
-_STRAGGLER_WINDOW = 120.0
-_STRAGGLER_FACTOR = 0.5
 _DATAFAULT_SLOS = (
     SLOSpec(
         name="stream_lag",
@@ -235,72 +236,49 @@ _DATAFAULT_SLOS = (
 )
 
 
-def _schedule_datafault_faults(
+#: The R-T11 fault cycle: one fault per period, in this order. Crash
+#: before data-loss so mid-job node loss (the lineage trigger) lands
+#: while the analytics job is still running.
+FAULT_CYCLE = ("executor-kill", "crash", "data-loss", "straggler")
+#: Seconds until a cycle strike heals: a crashed node stays dark, a
+#: straggler stays slow; killed executors and wiped data need no heal.
+_HEAL_AFTER = {"crash": 60.0, "straggler": 120.0}
+
+
+def schedule_fault_cycle(
     platform: EvolvePlatform, period: float, duration: float
 ) -> None:
-    """The R-T11 deterministic fault schedule: one fault per ``period``
-    seconds cycling executor kills, node crashes, data loss, and
-    stragglers. Targets come from a running strike counter over sorted
-    candidates — a pure function of the scenario, no RNG draws.
-    """
-    engine = platform.engine
-    strikes = iter(range(10_000))
+    """The R-T11 deterministic fault schedule.
 
-    def executor_kill() -> None:
-        victims = sorted(
-            pod.name
-            for pod in platform.cluster.pods.values()
-            if pod.phase is PodPhase.RUNNING
-            and pod.spec.workload_class is WorkloadClass.BIGDATA
-        )
-        if victims:
-            k = next(strikes)
-            platform.cluster.evict(
-                victims[k % len(victims)], reason="executor-kill"
+    From t = 60 s, one fault every ``period`` seconds, cycling
+    :data:`FAULT_CYCLE`. Victims come from a running strike counter over
+    each kind's ordered candidates — a pure function of the scenario, no
+    RNG draws. A crash is skipped while two or fewer nodes are healthy.
+    Only crashes log FaultLog episodes.
+    """
+    kinds = {
+        "executor-kill": ExecutorKillInjector(platform.cluster),
+        "crash": platform.injector,
+        "data-loss": DataLossInjector(platform.store, platform.cluster),
+        "straggler": StragglerInjector(platform.cluster, factor=0.5),
+    }
+    strikes = itertools.count()
+
+    def strike(kind) -> None:
+        candidates = kind.candidates()
+        if not candidates or (kind.name == "crash" and len(candidates) <= 2):
+            return
+        token = kind.strike(candidates[next(strikes) % len(candidates)])
+        if kind.name in _HEAL_AFTER:
+            platform.engine.schedule(
+                _HEAL_AFTER[kind.name], lambda: kind.heal(token)
             )
 
-    def crash() -> None:
-        healthy = [n.name for n in platform.injector.healthy_nodes()]
-        if len(healthy) <= 2:
-            return
-        name = healthy[next(strikes) % len(healthy)]
-        platform.injector.fail_node(name)
-        engine.schedule(_CRASH_OUTAGE, lambda: _recover(name))
-
-    def _recover(name: str) -> None:
-        if platform.injector.is_failed(name):
-            platform.injector.recover_node(name)
-
-    def data_loss() -> None:
-        bearing = sorted(platform.store.nodes_with_data())
-        if bearing:
-            platform.store.drop_node(bearing[next(strikes) % len(bearing)])
-
-    def straggler() -> None:
-        nodes = [
-            n
-            for n in platform.cluster.nodes.values()
-            if n.speed_factor >= 1.0 and not n.allocatable.is_zero()
-        ]
-        if not nodes:
-            return
-        node = nodes[next(strikes) % len(nodes)]
-        node.speed_factor = _STRAGGLER_FACTOR
-        engine.schedule(_STRAGGLER_WINDOW, lambda: _heal(node.name))
-
-    def _heal(name: str) -> None:
-        platform.cluster.get_node(name).speed_factor = 1.0
-
-    kinds = {
-        "executor-kill": executor_kill,
-        "crash": crash,
-        "data-loss": data_loss,
-        "straggler": straggler,
-    }
     at = 60.0
     i = 0
-    while at < duration - _CRASH_OUTAGE:
-        engine.schedule_at(at, kinds[_FAULT_CYCLE[i % len(_FAULT_CYCLE)]])
+    while at < duration - _HEAL_AFTER["crash"]:
+        kind = kinds[FAULT_CYCLE[i % len(FAULT_CYCLE)]]
+        platform.engine.schedule_at(at, lambda kind=kind: strike(kind))
         at += period
         i += 1
 
@@ -345,7 +323,7 @@ def _build_datafault(duration: float, seed: int) -> EvolvePlatform:
         plo=LatencyPLO(5.0, window=30),
         workers=2,
     )
-    _schedule_datafault_faults(platform, _DATAFAULT_PERIOD, duration)
+    schedule_fault_cycle(platform, _DATAFAULT_PERIOD, duration)
     return platform
 
 

@@ -1,6 +1,6 @@
 """Background re-replication of under-replicated objects.
 
-After a node failure (or a :class:`~repro.cluster.chaos.DataLossDomain`
+After a node failure (or a :class:`~repro.cluster.chaos.DataLossInjector`
 disk wipe) objects fall below their replication target. The
 :class:`StorageRepairService` runs a periodic scan that
 

@@ -32,9 +32,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from repro.cluster.chaos import ZoneOutageDomain
+from repro.cluster.chaos import (
+    ControllerCrashInjector,
+    DataLossInjector,
+    ExecutorKillInjector,
+    StragglerInjector,
+    ZoneOutageInjector,
+)
 from repro.cluster.events import PodScheduled
-from repro.cluster.pod import PodPhase, WorkloadClass
 from repro.cluster.resources import ResourceVector
 from repro.dataplane import DataPlaneConfig
 from repro.platform.config import ClusterSpec, OverloadConfig, PlatformConfig
@@ -564,197 +569,110 @@ def _deploy(
         raise ValueError(f"unknown workload kind {workload.kind!r}")
 
 
-def _schedule_chaos(platform: EvolvePlatform, event: ChaosEvent) -> None:
-    """Schedule one explicit strike/heal pair, with guards.
+class _OverloadSurge:
+    """A flash crowd, not a fault: 4x one microservice's offered load.
 
-    Every guard makes the event a no-op instead of an error when its
-    target is unavailable (all nodes already down, no control plane,
-    replica already partitioned …): a shrunken spec must stay runnable
-    no matter which of its siblings were dropped.
+    Exercises the shed → brownout → recover pipeline when the spec armed
+    the overload stack; healing restores the original trace.
     """
-    engine = platform.engine
-    token: dict = {}
 
-    if event.domain == "crash":
+    name = "overload-surge"
 
-        def strike() -> None:
-            healthy = [n.name for n in platform.injector.healthy_nodes()]
-            if not healthy:
-                return
-            name = healthy[event.target % len(healthy)]
-            platform.injector.fail_node(name)
-            token["node"] = name
+    def __init__(self, platform: EvolvePlatform):
+        self.platform = platform
 
-        def heal() -> None:
-            name = token.get("node")
-            if name is not None and platform.injector.is_failed(name):
-                platform.injector.recover_node(name)
+    def candidates(self) -> list[Microservice]:
+        return [
+            app
+            for _name, app in sorted(self.platform.apps.items())
+            if isinstance(app, Microservice)
+        ]
 
-    elif event.domain == "degrade":
+    def strike(self, app: Microservice) -> tuple:
+        trace = app.trace
+        app.trace = ScaledTrace(trace, 4.0)
+        return (app, trace)
 
-        def strike() -> None:
-            candidates = [
-                n.name
-                for n in platform.injector.healthy_nodes()
-                if not platform.degrader.is_degraded(n.name)
-            ]
-            if not candidates:
-                return
-            name = candidates[event.target % len(candidates)]
-            platform.degrader.degrade_node(name, 0.5)
-            token["node"] = name
+    def heal(self, token: tuple) -> None:
+        app, trace = token
+        app.trace = trace
 
-        def heal() -> None:
-            name = token.get("node")
-            if name is not None and platform.degrader.is_degraded(name):
-                platform.degrader.restore_node(name)
 
-    elif event.domain == "controller-crash":
+class _BoundedPartition:
+    """Cut any live controller replica off for a fixed window.
 
-        def strike() -> None:
-            plane = platform.control_plane
-            if plane is None:
-                return
-            alive = plane.alive_indices()
-            if not alive:
-                return
-            leader = plane.leader_index()
-            index = (
-                leader
-                if leader is not None
-                else alive[event.target % len(alive)]
-            )
-            plane.crash_replica(index)
-            token["index"] = index
+    Unlike the chaos monkey's open-ended leader partition, the window
+    closes by itself, so the event schedules no heal.
+    """
 
-        def heal() -> None:
-            plane = platform.control_plane
-            index = token.get("index")
-            if (
-                plane is not None
-                and index is not None
-                and not plane.is_alive(index)
-            ):
-                plane.restart_replica(index)
+    name = "partition"
 
-    elif event.domain == "zone-outage":
+    def __init__(self, platform: EvolvePlatform, duration: float):
+        self.platform = platform
+        self.duration = duration
 
-        def strike() -> None:
-            dom = ZoneOutageDomain(
-                platform.injector, log=platform.fault_log
-            )
-            zones = dom.zones()
-            if not zones:
-                return
-            token["zone"] = dom.strike_zone(zones[event.target % len(zones)])
-            token["dom"] = dom
+    def candidates(self) -> list[str]:
+        plane = self.platform.control_plane
+        return [plane.identity(i) for i in plane.alive_indices()]
 
-        def heal() -> None:
-            dom = token.get("dom")
-            if dom is not None:
-                dom.heal(token["zone"])
+    def strike(self, identity: str) -> None:
+        faults = self.platform.partition_faults
+        now = self.platform.engine.now
+        if not faults.is_partitioned(identity, now):
+            faults.partition(identity, now, self.duration)
 
-    elif event.domain == "overload-surge":
-        # A flash crowd, not a fault injection: multiply one
-        # microservice's offered load by 4× for the window, restoring
-        # the original trace afterwards. Exercises the shed → brownout →
-        # recover pipeline when the spec armed the overload stack.
 
-        def strike() -> None:
-            services = [
-                app
-                for _name, app in sorted(platform.apps.items())
-                if isinstance(app, Microservice)
-            ]
-            if not services:
-                return
-            app = services[event.target % len(services)]
-            token["app"] = app
-            token["trace"] = app.trace
-            app.trace = ScaledTrace(app.trace, 4.0)
+#: Chaos domain → the fault kind its events strike on a platform.
+#: Fuzzer strikes of controller-crash and the data-plane kinds record no
+#: FaultLog episode, so those kinds are built without a log.
+_FAULT_KINDS = {
+    "crash": lambda p, e: p.injector,
+    "degrade": lambda p, e: p.degrader,
+    "controller-crash": lambda p, e: ControllerCrashInjector(p.control_plane),
+    "partition": lambda p, e: _BoundedPartition(p, e.duration),
+    "zone-outage": lambda p, e: ZoneOutageInjector(p.injector),
+    "overload-surge": lambda p, e: _OverloadSurge(p),
+    "executor-kill": lambda p, e: ExecutorKillInjector(p.cluster),
+    "straggler": lambda p, e: StragglerInjector(p.cluster),
+    "data-loss": lambda p, e: DataLossInjector(p.store, p.cluster),
+}
 
-        def heal() -> None:
-            app = token.get("app")
-            if app is not None:
-                app.trace = token["trace"]
+#: Domains whose events schedule no heal: self-healing respawns a killed
+#: executor, the repair loop re-replicates wiped data, and a bounded
+#: partition window closes by itself.
+_NO_HEAL = ("executor-kill", "data-loss", "partition")
 
-    elif event.domain == "executor-kill":
-        # Kill one running data-parallel pod (bigdata executor or stream
-        # worker) — the small-blast-radius fault the task engine's
-        # share re-open and the stream checkpoint restart absorb.
 
-        def strike() -> None:
-            victims = sorted(
-                pod.name
-                for pod in platform.cluster.pods.values()
-                if pod.phase is PodPhase.RUNNING
-                and pod.spec.workload_class is WorkloadClass.BIGDATA
-            )
-            if not victims:
-                return
-            platform.cluster.evict(
-                victims[event.target % len(victims)], reason="executor-kill"
-            )
+def _schedule_chaos(platform: EvolvePlatform, event: ChaosEvent) -> None:
+    """Schedule one explicit strike/heal pair.
 
-        heal = None
-
-    elif event.domain == "straggler":
-
-        def strike() -> None:
-            candidates = [
-                node
-                for node in platform.cluster.nodes.values()
-                if node.speed_factor >= 1.0
-                and not node.allocatable.is_zero()
-            ]
-            if not candidates:
-                return
-            node = candidates[event.target % len(candidates)]
-            node.speed_factor = 0.3
-            token["node"] = node.name
-
-        def heal() -> None:
-            name = token.get("node")
-            if name is not None:
-                platform.cluster.get_node(name).speed_factor = 1.0
-
-    elif event.domain == "data-loss":
-        # Wipe one data-bearing node's replicas; no heal — the repair
-        # loop (armed whenever the spec sets ``ft``) re-replicates.
-
-        def strike() -> None:
-            nodes = sorted(platform.store.nodes_with_data())
-            if not nodes:
-                return
-            platform.store.drop_node(nodes[event.target % len(nodes)])
-
-        heal = None
-
-    elif event.domain == "partition":
-
-        def strike() -> None:
-            plane = platform.control_plane
-            if plane is None:
-                return
-            alive = plane.alive_indices()
-            if not alive:
-                return
-            identity = plane.identity(alive[event.target % len(alive)])
-            now = engine.now
-            if not platform.partition_faults.is_partitioned(identity, now):
-                # Bounded window: closes by itself, no heal callback.
-                platform.partition_faults.partition(
-                    identity, now, event.duration
-                )
-
-        heal = None
-
-    else:
+    The victim is ``candidates()[event.target % len(candidates)]`` at
+    strike time. With no candidate (all nodes already down, no control
+    plane, …) the event is a no-op instead of an error: a shrunken spec
+    must stay runnable no matter which of its siblings were dropped.
+    """
+    if event.domain not in _FAULT_KINDS:
         raise ValueError(f"unknown chaos domain {event.domain!r}")
+    kind = _FAULT_KINDS[event.domain](platform, event)
+    has_target = (
+        platform.control_plane is not None
+        or event.domain not in CONTROLLER_DOMAINS
+    )
+    tokens: list = []
 
-    engine.schedule_at(event.at, strike)
-    if heal is not None:
-        engine.schedule_at(event.at + event.duration, heal)
+    def strike() -> None:
+        candidates = kind.candidates() if has_target else []
+        if candidates:
+            victim = candidates[event.target % len(candidates)]
+            tokens.append(kind.strike(victim))
+
+    def heal() -> None:
+        for token in tokens:
+            kind.heal(token)
+
+    platform.engine.schedule_at(event.at, strike)
+    if event.domain not in _NO_HEAL:
+        platform.engine.schedule_at(event.at + event.duration, heal)
 
 
 # -- episodes ------------------------------------------------------------------

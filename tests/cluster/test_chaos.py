@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from repro.cluster.chaos import (
+    DEGRADE_FACTOR,
     ChaosMonkey,
-    DataLossDomain,
+    DataLossInjector,
     DegradationInjector,
-    ExecutorKillDomain,
+    ExecutorKillInjector,
     FailureInjector,
     FaultLog,
-    NodeCrashDomain,
-    NodeDegradationDomain,
-    StragglerDomain,
-    ZoneOutageDomain,
+    StragglerInjector,
+    ZoneOutageInjector,
 )
 from repro.cluster.cluster import ClusterError
 from repro.cluster.pod import PodPhase, WorkloadClass
@@ -127,6 +126,16 @@ class TestFailureInjector:
         degrader.restore_node("node-0")
         assert node.allocatable.cpu == pytest.approx(16.0)
 
+    def test_chaos_protocol(self, cluster, injector):
+        assert injector.name == "crash"
+        assert injector.candidates() == ["node-0", "node-1", "node-2"]
+        token = injector.strike("node-1")
+        assert injector.is_failed("node-1")
+        assert injector.candidates() == ["node-0", "node-2"]
+        injector.heal(token)
+        assert not injector.is_failed("node-1")
+        injector.heal(token)  # healing twice is harmless
+
 
 class TestDegradationInjector:
     def test_degrade_shrinks_allocatable(self, cluster, degrader):
@@ -187,6 +196,20 @@ class TestDegradationInjector:
         episode = degrader.log.episodes[0]
         assert episode.kind == "node-degradation"
         assert episode.duration() == pytest.approx(20.0)
+
+    def test_chaos_protocol(self, cluster, injector, degrader):
+        assert degrader.name == "degrade"
+        injector.fail_node("node-0")
+        # Dark nodes are not candidates, nor are already-degraded ones.
+        assert degrader.candidates() == ["node-1", "node-2"]
+        token = degrader.strike("node-1")
+        assert cluster.get_node("node-1").allocatable.cpu == pytest.approx(
+            16.0 * DEGRADE_FACTOR
+        )
+        assert degrader.candidates() == ["node-2"]
+        degrader.heal(token)
+        assert not degrader.is_degraded("node-1")
+        degrader.heal(token)  # healing twice is harmless
 
 
 class TestChaosMonkey:
@@ -253,10 +276,7 @@ class TestChaosMonkey:
         monkey = ChaosMonkey(
             engine, injector, rng,
             mtbf=2.0, repair_time=5000.0, max_concurrent_failures=2,
-            domains=[
-                NodeCrashDomain(injector, rng),
-                NodeDegradationDomain(degrader, rng, factor=0.5),
-            ],
+            domains=[injector, degrader],
         )
         monkey.start()
         for t in range(10, 500, 10):
@@ -313,10 +333,7 @@ class TestChaosMonkey:
             monkey = ChaosMonkey(
                 eng, inj, rng, mtbf=50.0, repair_time=30.0,
                 max_concurrent_failures=2,
-                domains=[
-                    NodeCrashDomain(inj, rng),
-                    NodeDegradationDomain(deg, rng, factor=0.5),
-                ],
+                domains=[inj, deg],
             )
             monkey.start()
             eng.run_until(2000.0)
@@ -338,7 +355,7 @@ class TestChaosMonkey:
             eng = Engine()
             inj = FailureInjector(make_cluster(eng))
             rng = np.random.default_rng(7)
-            domains = [NodeCrashDomain(inj, rng)] if explicit else None
+            domains = [inj] if explicit else None
             monkey = ChaosMonkey(eng, inj, rng, mtbf=100.0, repair_time=30.0,
                                  domains=domains)
             monkey.start()
@@ -346,6 +363,23 @@ class TestChaosMonkey:
             return [(f.time, f.node_name) for f in inj.failures]
 
         assert run(explicit=False) == run(explicit=True)
+
+    def test_empty_domain_list_rejected(self, engine, cluster, injector):
+        """An explicit empty list is an error, not a crash-only default."""
+        with pytest.raises(ValueError, match="at least one"):
+            ChaosMonkey(
+                engine, injector, np.random.default_rng(0), domains=[]
+            )
+
+    def test_kind_without_candidates_skips_strike(self, engine, cluster):
+        monkey = ChaosMonkey(
+            engine, FailureInjector(cluster), np.random.default_rng(0),
+            mtbf=10.0, repair_time=5.0,
+            domains=[DataLossInjector(ObjectStore(), cluster)],
+        )
+        monkey.start()
+        engine.run_until(500.0)
+        assert monkey.strikes == 0 and monkey.active_faults() == 0
 
 
 @pytest.fixture
@@ -366,11 +400,13 @@ def zoned_cluster(engine):
 
 
 class TestZoneOutageDomain:
+    """The ``zone-outage`` kind (:class:`ZoneOutageInjector`)."""
+
     def test_strike_zone_fails_whole_zone_one_episode(
         self, engine, zoned_cluster
     ):
         injector = FailureInjector(zoned_cluster)
-        dom = ZoneOutageDomain(injector)
+        dom = ZoneOutageInjector(injector)
         zoned_cluster.submit(make_spec("a", cpu=2))
         zoned_cluster.submit(make_spec("b", cpu=2))
         zoned_cluster.bind("a", "node-1-0")
@@ -393,7 +429,7 @@ class TestZoneOutageDomain:
 
     def test_heal_recovers_and_closes_episode(self, engine, zoned_cluster):
         injector = FailureInjector(zoned_cluster)
-        dom = ZoneOutageDomain(injector)
+        dom = ZoneOutageInjector(injector)
         engine.run_until(10.0)
         token = dom.strike_zone("z0")
         engine.run_until(50.0)
@@ -405,7 +441,7 @@ class TestZoneOutageDomain:
 
     def test_heal_tolerates_external_recovery(self, engine, zoned_cluster):
         injector = FailureInjector(zoned_cluster)
-        dom = ZoneOutageDomain(injector)
+        dom = ZoneOutageInjector(injector)
         token = dom.strike_zone("z2")
         injector.recover_node("node-2-0")  # operator beat the domain to it
         dom.heal(token)  # must not raise on the already-healthy node
@@ -413,31 +449,34 @@ class TestZoneOutageDomain:
 
     def test_zones_lists_only_healthy_zones(self, engine, zoned_cluster):
         injector = FailureInjector(zoned_cluster)
-        dom = ZoneOutageDomain(injector)
-        assert dom.zones() == ["z0", "z1", "z2"]
+        dom = ZoneOutageInjector(injector)
+        assert dom.candidates() == ["z0", "z1", "z2"]
         dom.strike_zone("z1")
-        assert dom.zones() == ["z0", "z2"]
+        assert dom.candidates() == ["z0", "z2"]
 
     def test_strike_empty_zone_rejected(self, engine, zoned_cluster):
         injector = FailureInjector(zoned_cluster)
-        dom = ZoneOutageDomain(injector)
+        dom = ZoneOutageInjector(injector)
         with pytest.raises(ClusterError):
             dom.strike_zone("nope")
 
-    def test_random_strike_needs_rng(self, engine, zoned_cluster):
+    def test_monkey_strikes_a_candidate_zone(self, engine, zoned_cluster):
         injector = FailureInjector(zoned_cluster)
-        dom = ZoneOutageDomain(injector)
-        with pytest.raises(ClusterError):
-            dom.strike()
-        seeded = ZoneOutageDomain(injector, np.random.default_rng(7))
-        token = seeded.strike()
-        assert token is not None and seeded.outages == 1
+        dom = ZoneOutageInjector(injector)
+        monkey = ChaosMonkey(
+            engine, injector, np.random.default_rng(7),
+            mtbf=50.0, repair_time=1000.0, domains=[dom],
+        )
+        monkey.start()
+        engine.run_until(400.0)
+        assert dom.outages == monkey.strikes == 1
+        (episode,) = injector.log.by_kind("zone-outage")
+        assert episode.target in ("z0", "z1", "z2")
 
     def test_unlabelled_cluster_has_no_zones(self, engine, cluster):
         injector = FailureInjector(cluster)
-        dom = ZoneOutageDomain(injector, np.random.default_rng(7))
-        assert dom.zones() == []
-        assert dom.strike() is None
+        dom = ZoneOutageInjector(injector)
+        assert dom.candidates() == []
 
 
 class TestFaultLogCloseOpen:
@@ -460,6 +499,8 @@ class TestFaultLogCloseOpen:
 
 
 class TestExecutorKillDomain:
+    """The ``executor-kill`` kind (:class:`ExecutorKillInjector`)."""
+
     def test_strike_evicts_running_bigdata_pod(self, engine, cluster):
         cluster.submit(make_spec("svc", workload_class=WorkloadClass.MICROSERVICE))
         cluster.submit(make_spec("exec-1", workload_class=WorkloadClass.BIGDATA))
@@ -467,9 +508,9 @@ class TestExecutorKillDomain:
         cluster.bind("exec-1", "node-1")
         engine.run_until(10.0)
         log = FaultLog()
-        dom = ExecutorKillDomain(cluster, np.random.default_rng(7), log=log)
-        victim = dom.strike()
-        assert victim == "exec-1"  # the microservice is out of scope
+        dom = ExecutorKillInjector(cluster, log=log)
+        assert dom.candidates() == ["exec-1"]  # the microservice is out of scope
+        victim = dom.strike("exec-1")
         assert cluster.get_pod("exec-1").phase == PodPhase.EVICTED
         assert cluster.get_pod("svc").phase == PodPhase.RUNNING
         assert dom.kills == 1
@@ -478,19 +519,18 @@ class TestExecutorKillDomain:
         dom.heal(victim)  # no-op by contract
 
     def test_no_candidates_is_a_noop(self, engine, cluster):
-        dom = ExecutorKillDomain(cluster, np.random.default_rng(7))
-        assert dom.strike() is None
+        dom = ExecutorKillInjector(cluster)
+        assert dom.candidates() == []
         assert dom.kills == 0
 
 
 class TestStragglerDomain:
+    """The ``straggler`` kind (:class:`StragglerInjector`)."""
+
     def test_strike_slows_and_heal_restores(self, engine, cluster):
         log = FaultLog()
-        dom = StragglerDomain(
-            cluster, np.random.default_rng(7), factor=0.25, log=log
-        )
-        token = dom.strike()
-        assert token is not None
+        dom = StragglerInjector(cluster, factor=0.25, log=log)
+        token = dom.strike(dom.candidates()[0])
         name, episode = token
         assert cluster.get_node(name).speed_factor == 0.25
         assert episode.kind == "node-straggler" and episode.active
@@ -500,34 +540,36 @@ class TestStragglerDomain:
         assert not episode.active
 
     def test_already_slow_nodes_not_restruck(self, cluster):
-        dom = StragglerDomain(cluster, np.random.default_rng(7))
+        dom = StragglerInjector(cluster)
         for _ in range(3):
-            dom.strike()
+            dom.strike(dom.candidates()[0])
         assert dom.strikes == 3
-        assert dom.strike() is None  # every node already slowed
+        assert dom.candidates() == []  # every node already slowed
 
     def test_dark_nodes_excluded(self, cluster):
         injector = FailureInjector(cluster)
         for name in ("node-0", "node-1", "node-2"):
             injector.fail_node(name)
-        dom = StragglerDomain(cluster, np.random.default_rng(7))
-        assert dom.strike() is None
+        dom = StragglerInjector(cluster)
+        assert dom.candidates() == []
 
     def test_invalid_factor(self, cluster):
         with pytest.raises(ValueError):
-            StragglerDomain(cluster, np.random.default_rng(7), factor=1.0)
+            StragglerInjector(cluster, factor=1.0)
 
 
 class TestDataLossDomain:
+    """The ``data-loss`` kind (:class:`DataLossInjector`)."""
+
     def test_strike_wipes_one_nodes_replicas(self, engine, cluster):
         store = ObjectStore()
         store.create_bucket("d")
         store.put("d", "k1", 10.0, {"node-0", "node-1"})
         store.put("d", "k2", 5.0, {"node-1"})
         log = FaultLog()
-        dom = DataLossDomain(store, cluster, np.random.default_rng(3), log=log)
-        victim = dom.strike()
-        assert victim in {"node-0", "node-1"}
+        dom = DataLossInjector(store, cluster, log=log)
+        assert dom.candidates() == ["node-0", "node-1"]
+        victim = dom.strike("node-1")
         assert victim not in store.nodes_with_data()
         assert dom.strikes == 1
         assert dom.replicas_dropped >= 1
@@ -537,6 +579,6 @@ class TestDataLossDomain:
         assert victim not in store.nodes_with_data()
 
     def test_empty_store_is_a_noop(self, cluster):
-        dom = DataLossDomain(ObjectStore(), cluster, np.random.default_rng(3))
-        assert dom.strike() is None
+        dom = DataLossInjector(ObjectStore(), cluster)
+        assert dom.candidates() == []
         assert dom.strikes == 0

@@ -19,12 +19,11 @@ PUBLIC_SURFACE = {
                       "FailureInjector", "ChaosMonkey", "QuotaManager",
                       "DegradationInjector", "ActuationFaultInjector",
                       "ActuationError", "FaultLog", "FaultEpisode",
-                      "NodeCrashDomain", "NodeDegradationDomain",
                       "PartitionError", "Lease", "ScopedClusterAPI",
                       "PodNotFound", "NodeNotFound", "PartitionInjector",
-                      "ControllerCrashDomain", "PartitionDomain",
-                      "ExecutorKillDomain", "StragglerDomain",
-                      "DataLossDomain", "LeaderElected", "LeaderDeposed"],
+                      "ZoneOutageInjector", "ControllerCrashInjector",
+                      "ExecutorKillInjector", "StragglerInjector",
+                      "DataLossInjector", "LeaderElected", "LeaderDeposed"],
     "repro.metrics": ["TimeSeries", "MetricsCollector", "MetricsSource",
                       "MetricsFaultInjector"],
     "repro.workloads": ["Application", "Microservice", "ServiceDemands",
