@@ -9,9 +9,12 @@ kept the decisions of every covered run.
 
 Covered runs: fuzz run seed 7, episodes 0-35 (all nine fuzzer chaos
 domains); every arena cell at horizon 450 s; the three ``repro report``
-presets; the ``metrics`` block of runner smoke experiments t7, t8, t10,
-t11 and f11; and one ``enable_chaos`` run striking every fault kind the
-monkey drives on the platform from :func:`tests.conftest.make_chaos_platform`.
+presets; the ``events_executed`` and ``metrics`` blocks of every runner
+smoke experiment except ``telemetry_overhead`` (its call counts depend
+on how the interpreter was started) and ``micro_timeseries`` (its
+metrics are constants); and one ``enable_chaos`` run striking every
+fault kind the monkey drives on the platform from
+:func:`tests.conftest.make_chaos_platform`.
 
 Digests are recorded on one interpreter (the file's ``python`` field)
 and the test skips on any other: float formatting and library numerics
@@ -45,7 +48,11 @@ FINGERPRINTS = Path(__file__).parent / "data" / "fingerprints.json"
 FUZZ_SEED = 7
 FUZZ_EPISODES = 36
 ARENA_HORIZON = 450.0
-RUNNER_EXPERIMENTS = ("t7", "t8", "t10", "t11", "f11")
+RUNNER_EXPERIMENTS = (
+    "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "t11",
+    "t12", "arena", "trace_realism",
+    "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10", "f11", "f12",
+)
 #: Every fault kind the chaos monkey can drive through ``enable_chaos``.
 MONKEY_KINDS = ("crash", "degrade", "partition", "executor-kill", "data-loss")
 MONKEY_HORIZON = 900.0
@@ -132,7 +139,7 @@ def _report(name: str) -> dict:
 def _runner(name: str) -> dict:
     from benchmarks import runner
 
-    out = runner.REGISTRY[name].run("smoke")
+    out = runner.run_experiment(runner.REGISTRY[name], "smoke")
     return {"events_executed": out["events_executed"], "metrics": out["metrics"]}
 
 
