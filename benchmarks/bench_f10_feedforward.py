@@ -6,10 +6,8 @@ Figure series: violation-seconds per surge shape for both controllers.
 Shape expected: anticipation roughly halves the violation burst on
 shapes with a visible rise (flash crowd, ramp) and is neutral on the
 instant step (nothing to anticipate — feedback is already slammed to its
-output rail by the time the loop runs).
+output rail by the time the loop runs). Smoke runs the flash crowd only.
 """
-
-import pytest
 
 from repro.analysis.report import format_table
 from repro.cluster.resources import ResourceVector
@@ -25,6 +23,7 @@ from repro.workloads.traces import (
     StepTrace,
 )
 
+SEED = 6
 SURGE_AT = 1800.0
 DURATION = 3600.0
 
@@ -39,10 +38,10 @@ SURGES = {
 }
 
 
-def run_surge(trace_factory, feedforward: bool) -> float:
+def run_surge(trace_factory, feedforward: bool, seed: int):
     platform = EvolvePlatform(
         cluster_spec=ClusterSpec(node_count=4),
-        config=PlatformConfig(seed=6),
+        config=PlatformConfig(seed=seed),
         policy="adaptive",
         policy_kwargs={"horizontal": False, "feedforward": feedforward},
     )
@@ -54,44 +53,55 @@ def run_surge(trace_factory, feedforward: bool) -> float:
         plo=LatencyPLO(0.05, window=30),
     )
     platform.run(DURATION)
-    return platform.result().trackers["svc"].violation_seconds
+    seconds = platform.result().trackers["svc"].violation_seconds
+    return seconds, platform.engine.events_executed
 
 
-@pytest.mark.benchmark(group="f10-feedforward", min_rounds=1, max_time=1)
-def test_f10_feedforward(benchmark, report):
-    results = {}
+def _key(surge: str, feedforward: bool) -> str:
+    label = surge.split(" (")[0].replace(" ", "_")
+    return f"violation_s/{label}/{'feedforward' if feedforward else 'feedback'}"
 
-    def experiment():
-        for name, factory in SURGES.items():
-            for ff in (False, True):
-                key = (name, ff)
-                if key not in results:
-                    results[key] = run_surge(factory, ff)
-        return results
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
+def run_case(mode: str, seed: int = SEED) -> dict:
+    surges = ("flash crowd",) if mode == "smoke" else tuple(SURGES)
+    events = 0
+    metrics: dict = {}
+    for surge in surges:
+        for feedforward in (False, True):
+            metrics[_key(surge, feedforward)], run_events = run_surge(
+                SURGES[surge], feedforward, seed)
+            events += run_events
+    metrics["flash_saving"] = 1 - (
+        metrics["violation_s/flash_crowd/feedforward"]
+        / max(metrics["violation_s/flash_crowd/feedback"], 1e-9))
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "surges": surges,
+    }
 
+
+def check_case(case: dict) -> None:
+    m = case["metrics"]
+    # Shape: anticipation wins where a rise is visible, never hurts.
+    for surge in case["surges"]:
+        feedback, both = m[_key(surge, False)], m[_key(surge, True)]
+        if surge != "instant step":
+            assert both < feedback, f"{surge}: feedforward did not help"
+        assert both <= feedback * 1.1, f"{surge}: feedforward hurt"
+
+
+def format_case(case: dict) -> list[str]:
+    m = case["metrics"]
     rows = []
-    for name in SURGES:
-        feedback = results[(name, False)]
-        both = results[(name, True)]
+    for surge in case["surges"]:
+        feedback, both = m[_key(surge, False)], m[_key(surge, True)]
         saved = 1 - both / feedback if feedback > 0 else 0.0
-        rows.append([
-            name, f"{feedback:.0f} s", f"{both:.0f} s", f"{saved:.0%}"
-        ])
-    report(
-        "",
+        rows.append([surge, f"{feedback:.0f} s", f"{both:.0f} s", f"{saved:.0%}"])
+    return [
         "R-F10: violation-seconds per surge shape, feedback vs +feedforward",
         format_table(
             ["surge", "feedback only", "with feedforward", "saved"], rows
         ),
-    )
-
-    benchmark.extra_info["flash_saving"] = (
-        1 - results[("flash crowd", True)] / results[("flash crowd", False)]
-    )
-    # Shape: anticipation wins where a rise is visible, never hurts.
-    assert results[("flash crowd", True)] < results[("flash crowd", False)]
-    assert results[("ramp (5 min)", True)] < results[("ramp (5 min)", False)]
-    for name in SURGES:
-        assert results[(name, True)] <= results[(name, False)] * 1.1
+    ]

@@ -5,21 +5,20 @@ An HPC gang running under a chaos monkey, with checkpoint intervals from
 completion makespan vs checkpoint interval. Shape expected: makespan
 falls steeply once any checkpointing exists and flattens — the classic
 checkpoint-interval curve — while the failure-free run is unaffected by
-the interval.
+the interval. Smoke runs the 50 s interval alone over three hours.
 """
-
-import pytest
 
 from repro.analysis.report import format_table
 from repro.cluster.resources import ResourceVector
 from repro.platform.config import ClusterSpec, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
 
+SEED = 77
 JOB_DURATION = 1800.0
 INTERVALS = (None, 600.0, 150.0, 50.0)
 
 
-def run_job(checkpoint_interval, *, chaos: bool, seed: int = 77):
+def run_job(checkpoint_interval, *, chaos: bool, seed: int, horizon: float):
     platform = EvolvePlatform(
         cluster_spec=ClusterSpec(node_count=4),
         config=PlatformConfig(seed=seed),
@@ -31,45 +30,68 @@ def run_job(checkpoint_interval, *, chaos: bool, seed: int = 77):
     )
     if chaos:
         platform.enable_chaos(mtbf=450.0, repair_time=120.0)
-    platform.run(10 * 3600.0)
-    return job.makespan(), job.rollbacks
+    platform.run(horizon)
+    return job.makespan(), job.rollbacks, platform.engine.events_executed
 
 
-@pytest.mark.benchmark(group="f11-checkpointing", min_rounds=1, max_time=1)
-def test_f11_checkpointing(benchmark, report):
-    results = {}
+def _label(interval) -> str:
+    return "none" if interval is None else f"{interval:g}s"
 
-    def experiment():
-        for interval in INTERVALS:
-            if interval not in results:
-                results[interval] = run_job(interval, chaos=True)
-        if "calm" not in results:
-            results["calm"] = run_job(None, chaos=False)
-        return results
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
+def run_case(mode: str, seed: int = SEED) -> dict:
+    if mode == "smoke":
+        intervals, horizon = (50.0,), 3 * 3600.0
+    else:
+        intervals, horizon = INTERVALS, 10 * 3600.0
+    events = 0
+    metrics: dict = {}
+    for interval in intervals:
+        makespan, rollbacks, run_events = run_job(
+            interval, chaos=True, seed=seed, horizon=horizon)
+        metrics[f"makespan_s/{_label(interval)}"] = makespan
+        metrics[f"rollbacks/{_label(interval)}"] = rollbacks
+        events += run_events
+    if mode == "full":
+        metrics["makespan_s/calm"], _rollbacks, run_events = run_job(
+            None, chaos=False, seed=seed, horizon=horizon)
+        events += run_events
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "intervals": intervals,
+    }
 
-    rows = []
-    for interval in INTERVALS:
-        makespan, rollbacks = results[interval]
-        label = "none (restart)" if interval is None else f"{interval:.0f} s"
-        rows.append([
-            label,
-            f"{makespan:.0f} s" if makespan else "never",
-            rollbacks,
-        ])
-    calm_makespan, _ = results["calm"]
-    report(
-        "",
-        f"R-F11: HPC makespan vs checkpoint interval under chaos "
-        f"(nominal {JOB_DURATION:.0f} s; failure-free run: {calm_makespan:.0f} s)",
-        format_table(["checkpoint interval", "makespan", "rollbacks"], rows),
-    )
 
-    none_makespan = results[None][0]
-    frequent_makespan = results[50.0][0]
-    assert none_makespan is not None and frequent_makespan is not None
-    benchmark.extra_info["saving"] = 1 - frequent_makespan / none_makespan
+def check_case(case: dict) -> None:
+    m = case["metrics"]
+    frequent = m["makespan_s/50s"]
+    assert frequent is not None, "the 50 s-checkpoint job never finished"
     # Shape: checkpointing recovers most of the failure cost.
-    assert frequent_makespan < none_makespan
-    assert frequent_makespan < calm_makespan * 2.0
+    if "makespan_s/none" in m:
+        assert m["makespan_s/none"] is not None
+        assert frequent < m["makespan_s/none"]
+    if "makespan_s/calm" in m:
+        assert frequent < m["makespan_s/calm"] * 2.0
+
+
+def format_case(case: dict) -> list[str]:
+    m = case["metrics"]
+    rows = []
+    for interval in case["intervals"]:
+        makespan = m[f"makespan_s/{_label(interval)}"]
+        rows.append([
+            "none (restart)" if interval is None else f"{interval:.0f} s",
+            f"{makespan:.0f} s" if makespan else "never",
+            m[f"rollbacks/{_label(interval)}"],
+        ])
+    title = (
+        "R-F11: HPC makespan vs checkpoint interval under chaos "
+        f"(nominal {JOB_DURATION:.0f} s"
+    )
+    if "makespan_s/calm" in m:
+        title += f"; failure-free run: {m['makespan_s/calm']:.0f} s"
+    return [
+        title + ")",
+        format_table(["checkpoint interval", "makespan", "rollbacks"], rows),
+    ]

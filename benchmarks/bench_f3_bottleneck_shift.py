@@ -4,9 +4,8 @@ The phase-shifting service (CPU → disk → network every 20 min) under the
 full controller. The figure series: per-dimension allocation over time,
 showing each allocation rising in its phase and being reclaimed
 afterwards, plus the same run with the CPU-only ablation flatlining.
+Smoke runs the full controller only.
 """
-
-import pytest
 
 from repro.analysis.report import format_table
 from repro.cluster.resources import RESOURCES
@@ -16,62 +15,49 @@ from benchmarks.scenarios import (
     phase_shift_service,
 )
 
+SEED = 7
 DURATION = 3 * PHASE_LEN
 SAMPLE = 300.0
 
 
-def run_variant(dimensions):
-    kwargs = {"horizontal": False}
+def run_variant(dimensions, seed: int) -> dict:
+    kwargs: dict = {"horizontal": False}
     if dimensions:
         kwargs["dimensions"] = dimensions
-    platform = build_platform("adaptive", nodes=4, seed=7, policy_kwargs=kwargs)
+    platform = build_platform("adaptive", nodes=4, seed=seed, policy_kwargs=kwargs)
     app = phase_shift_service(platform)
-    samples = []
-    svc = platform.apps[app]
-    t = SAMPLE
-    while t <= DURATION:
-        platform.run(t - platform.engine.now)
-        alloc = svc.current_allocation()
-        samples.append((t, {r: alloc[r] for r in RESOURCES}))
-        t += SAMPLE
-    return samples, platform.result().trackers[app]
-
-
-@pytest.mark.benchmark(group="f3-bottleneck-shift", min_rounds=1, max_time=1)
-def test_f3_bottleneck_shift(benchmark, report):
-    out = {}
-
-    def experiment():
-        if not out:
-            out["multi"] = run_variant(None)
-            out["cpu_only"] = run_variant(("cpu",))
-        return out
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    samples, tracker = out["multi"]
-    rows = [
-        [
-            f"{t / 60:.0f}",
-            ("cpu" if t <= PHASE_LEN else
-             "disk" if t <= 2 * PHASE_LEN else "net"),
-            f"{alloc['cpu']:.2f}",
-            f"{alloc['disk_bw']:.0f}",
-            f"{alloc['net_bw']:.0f}",
-        ]
-        for t, alloc in samples
+    platform.run(DURATION)
+    series = {r: platform.collector.series(f"app/{app}/alloc/{r}")
+              for r in RESOURCES}
+    samples = [
+        (t, {r: series[r].value_at(t) for r in RESOURCES})
+        for t in (SAMPLE * i for i in range(1, int(DURATION // SAMPLE) + 1))
     ]
-    report(
-        "",
-        "R-F3: per-dimension allocation as the bottleneck moves "
-        "(multi-resource controller)",
-        format_table(
-            ["t (min)", "phase", "cpu (cores)", "disk (MB/s)", "net (MB/s)"],
-            rows,
-        ),
-        f"multi-resource violations: {tracker.violation_fraction:.1%}; "
-        f"cpu-only ablation: {out['cpu_only'][1].violation_fraction:.1%}",
-    )
+    return {
+        "violations": platform.result().trackers[app].violation_fraction,
+        "samples": samples,
+        "events": platform.engine.events_executed,
+    }
+
+
+def run_case(mode: str, seed: int = SEED) -> dict:
+    variants = {"multi": None}
+    if mode == "full":
+        variants["cpu_only"] = ("cpu",)
+    runs = {label: run_variant(dims, seed) for label, dims in variants.items()}
+    return {
+        "seed": seed,
+        "events_executed": sum(run["events"] for run in runs.values()),
+        "metrics": {
+            f"violations/{label}": run["violations"]
+            for label, run in runs.items()
+        },
+        "samples": runs["multi"]["samples"],
+    }
+
+
+def check_case(case: dict) -> None:
+    samples = case["samples"]
 
     def mean_alloc(phase_index, resource):
         lo = phase_index * PHASE_LEN
@@ -84,6 +70,33 @@ def test_f3_bottleneck_shift(benchmark, report):
     assert mean_alloc(1, "disk_bw") > mean_alloc(0, "disk_bw")
     assert mean_alloc(2, "net_bw") > mean_alloc(0, "net_bw")
     # And the ablation is far worse overall.
-    assert out["multi"][1].violation_fraction < \
-        out["cpu_only"][1].violation_fraction / 2
-    benchmark.extra_info["multi_violations"] = tracker.violation_fraction
+    m = case["metrics"]
+    if "violations/cpu_only" in m:
+        assert m["violations/multi"] < m["violations/cpu_only"] / 2
+
+
+def format_case(case: dict) -> list[str]:
+    m = case["metrics"]
+    rows = [
+        [
+            f"{t / 60:.0f}",
+            ("cpu" if t <= PHASE_LEN else
+             "disk" if t <= 2 * PHASE_LEN else "net"),
+            f"{alloc['cpu']:.2f}",
+            f"{alloc['disk_bw']:.0f}",
+            f"{alloc['net_bw']:.0f}",
+        ]
+        for t, alloc in case["samples"]
+    ]
+    summary = f"multi-resource violations: {m['violations/multi']:.1%}"
+    if "violations/cpu_only" in m:
+        summary += f"; cpu-only ablation: {m['violations/cpu_only']:.1%}"
+    return [
+        "R-F3: per-dimension allocation as the bottleneck moves "
+        "(multi-resource controller)",
+        format_table(
+            ["t (min)", "phase", "cpu (cores)", "disk (MB/s)", "net (MB/s)"],
+            rows,
+        ),
+        summary,
+    ]

@@ -6,10 +6,8 @@ everything), scheduled by the locality-aware converged scheduler and the
 locality-blind kube scheduler. Figure series: makespan vs skew for both.
 Shape: kube degrades as data concentrates (executors read remotely);
 converged follows the data and degrades only when the hot node cannot
-hold every executor.
+hold every executor. Smoke runs the hottest skew only.
 """
-
-import pytest
 
 from repro.analysis.report import format_table
 from repro.cluster.resources import ResourceVector
@@ -18,14 +16,15 @@ from repro.platform.evolve import EvolvePlatform
 from repro.storage.placement import spread_blocks
 from repro.workloads.bigdata import Stage
 
+SEED = 3
 SKEWS = (0.0, 0.5, 0.9)
 DATASET_MB = 16_000
 
 
-def run_scan(scheduler: str, skew: float):
+def run_scan(scheduler: str, skew: float, seed: int):
     platform = EvolvePlatform(
         cluster_spec=ClusterSpec(node_count=4),
-        config=PlatformConfig(seed=3),
+        config=PlatformConfig(seed=seed),
         scheduler=scheduler,
     )
     spread_blocks(
@@ -40,47 +39,60 @@ def run_scan(scheduler: str, skew: float):
         dataset="logs",
     )
     platform.run(4 * 3600.0)
-    return job.makespan()
+    return job.makespan(), platform.engine.events_executed
 
 
-@pytest.mark.benchmark(group="f6-locality", min_rounds=1, max_time=1)
-def test_f6_locality(benchmark, report):
-    results = {}
+def _key(scheduler: str, skew: float) -> str:
+    return f"makespan_s/{scheduler}/skew-{skew:g}"
 
-    def experiment():
+
+def run_case(mode: str, seed: int = SEED) -> dict:
+    skews = (0.9,) if mode == "smoke" else SKEWS
+    events = 0
+    metrics: dict = {}
+    for skew in skews:
         for scheduler in ("converged", "kube"):
-            for skew in SKEWS:
-                key = (scheduler, skew)
-                if key not in results:
-                    results[key] = run_scan(scheduler, skew)
-        return results
+            metrics[_key(scheduler, skew)], run_events = run_scan(
+                scheduler, skew, seed)
+            events += run_events
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "skews": skews,
+    }
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
 
-    rows = []
-    for skew in SKEWS:
-        conv = results[("converged", skew)]
-        kube = results[("kube", skew)]
-        rows.append([
-            f"{skew:.1f}",
-            f"{conv:.0f} s" if conv else "never",
-            f"{kube:.0f} s" if kube else "never",
-            f"{kube / conv:.2f}x" if conv and kube else "n/a",
-        ])
-    report(
-        "",
-        "R-F6: scan makespan vs dataset placement skew",
-        format_table(["skew", "converged", "kube", "kube/converged"], rows),
-    )
-
+def check_case(case: dict) -> None:
+    m = case["metrics"]
     # Shape: the locality-aware scheduler wins, and its advantage grows
     # (or at least holds) as the data concentrates.
-    for skew in SKEWS:
-        conv = results[("converged", skew)]
-        kube = results[("kube", skew)]
+    gains = []
+    for skew in case["skews"]:
+        conv, kube = m[_key("converged", skew)], m[_key("kube", skew)]
         assert conv is not None and kube is not None
         assert conv <= kube * 1.05
-    gain_spread = results[("kube", 0.0)] / results[("converged", 0.0)]
-    gain_hot = results[("kube", 0.9)] / results[("converged", 0.9)]
-    benchmark.extra_info["gain_at_hot"] = gain_hot
-    assert gain_hot >= 1.1 or gain_spread >= 1.1
+        if skew in (0.0, 0.9):
+            gains.append(kube / conv)
+    assert max(gains) >= 1.1
+
+
+def _fmt(makespan) -> str:
+    return f"{makespan:.0f} s" if makespan else "never"
+
+
+def format_case(case: dict) -> list[str]:
+    m = case["metrics"]
+    rows = []
+    for skew in case["skews"]:
+        conv, kube = m[_key("converged", skew)], m[_key("kube", skew)]
+        rows.append([
+            f"{skew:.1f}",
+            _fmt(conv),
+            _fmt(kube),
+            f"{kube / conv:.2f}x" if conv and kube else "n/a",
+        ])
+    return [
+        "R-F6: scan makespan vs dataset placement skew",
+        format_table(["skew", "converged", "kube", "kube/converged"], rows),
+    ]

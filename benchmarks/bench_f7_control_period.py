@@ -5,10 +5,9 @@ to 80 s. Figure series: violation time and resize count vs period.
 Shape expected: violations grow with the period (slower reaction to
 transients) while actuation churn falls; the default (10 s) sits at the
 knee. This is the cadence-vs-stability trade every deployed controller
-must pick, so the evaluation documents it.
+must pick, so the evaluation documents it. Smoke runs 10 s and 80 s for
+one hour.
 """
-
-import pytest
 
 from repro.analysis.report import format_table
 from repro.cluster.events import PodResized
@@ -16,52 +15,65 @@ from repro.platform.config import ClusterSpec, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
 from benchmarks.scenarios import HOUR, deploy_service_mix
 
+SEED = 42
 PERIODS = (5.0, 10.0, 20.0, 40.0, 80.0)
-DURATION = 3 * HOUR
 
 
-def run_period(period: float):
+def run_period(period: float, seed: int, duration: float):
     platform = EvolvePlatform(
         cluster_spec=ClusterSpec(node_count=6),
-        config=PlatformConfig(seed=42, control_interval=period),
+        config=PlatformConfig(seed=seed, control_interval=period),
         scheduler="converged",
         policy="adaptive",
     )
     resizes = [0]
     platform.api.watch(PodResized, lambda e: resizes.__setitem__(0, resizes[0] + 1))
     deploy_service_mix(platform)
-    platform.run(DURATION)
-    return platform.result().total_violation_fraction(), resizes[0]
+    platform.run(duration)
+    violations = platform.result().total_violation_fraction()
+    return violations, resizes[0], platform.engine.events_executed
 
 
-@pytest.mark.benchmark(group="f7-control-period", min_rounds=1, max_time=1)
-def test_f7_control_period(benchmark, report):
-    results = {}
+def run_case(mode: str, seed: int = SEED) -> dict:
+    if mode == "smoke":
+        periods, duration = (10.0, 80.0), HOUR
+    else:
+        periods, duration = PERIODS, 3 * HOUR
+    events = 0
+    metrics: dict = {}
+    for period in periods:
+        violations, resizes, run_events = run_period(period, seed, duration)
+        metrics[f"violations/{period:g}s"] = violations
+        metrics[f"resizes/{period:g}s"] = resizes
+        events += run_events
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "duration": duration,
+        "periods": periods,
+    }
 
-    def experiment():
-        for period in PERIODS:
-            if period not in results:
-                results[period] = run_period(period)
-        return results
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    rows = [
-        [f"{period:.0f} s", f"{results[period][0]:.1%}", results[period][1]]
-        for period in PERIODS
-    ]
-    report(
-        "",
-        f"R-F7: violation time and resize churn vs control period "
-        f"(service mix, {DURATION / HOUR:.0f} h)",
-        format_table(["control period", "violation time", "resizes"], rows),
-    )
-
-    fastest = results[PERIODS[0]]
-    slowest = results[PERIODS[-1]]
-    benchmark.extra_info["violations_at_80s"] = slowest[0]
+def check_case(case: dict) -> None:
+    m = case["metrics"]
+    fastest, slowest = f"{case['periods'][0]:g}s", f"{case['periods'][-1]:g}s"
     # Shape: slower loops violate more and resize less.
-    assert slowest[0] > fastest[0]
-    assert slowest[1] < fastest[1]
+    assert m[f"violations/{slowest}"] > m[f"violations/{fastest}"]
+    assert m[f"resizes/{slowest}"] < m[f"resizes/{fastest}"]
     # The default period keeps violations in single digits.
-    assert results[10.0][0] < 0.10
+    assert m["violations/10s"] < 0.10
+
+
+def format_case(case: dict) -> list[str]:
+    m = case["metrics"]
+    rows = [
+        [f"{period:.0f} s", f"{m[f'violations/{period:g}s']:.1%}",
+         m[f"resizes/{period:g}s"]]
+        for period in case["periods"]
+    ]
+    return [
+        "R-F7: violation time and resize churn vs control period "
+        f"(service mix, {case['duration'] / HOUR:g} h)",
+        format_table(["control period", "violation time", "resizes"], rows),
+    ]

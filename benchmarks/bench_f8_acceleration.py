@@ -8,9 +8,8 @@ scheduler's accelerator preference. Figure: makespan per configuration,
 with and without competing load on the FPGA nodes.
 Shape expected: the preference captures most of the hardware speedup;
 a blind scheduler forfeits it whenever packing pulls executors away.
+Smoke skips the CPU-only cluster.
 """
-
-import pytest
 
 from repro.analysis.report import format_table
 from repro.cluster.resources import ResourceVector
@@ -20,9 +19,20 @@ from repro.workloads.bigdata import Stage
 from repro.workloads.microservice import ServiceDemands
 from repro.workloads.traces import ConstantTrace
 
+SEED = 9
 GENERAL = ResourceVector(cpu=16, memory=64, disk_bw=500, net_bw=1250)
 FPGA = ResourceVector(cpu=8, memory=32, disk_bw=200, net_bw=1250)
 SPEEDUP = 5.0
+
+#: label → (table name, run_config kwargs)
+CONFIGS = {
+    "hetero_aware": ("hetero, affinity-aware",
+                     dict(scheduler="converged", hetero=True, busy_fpga=True)),
+    "hetero_blind": ("hetero, blind (kube)",
+                     dict(scheduler="kube", hetero=True, busy_fpga=True)),
+    "cpu_only": ("cpu-only cluster",
+                 dict(scheduler="converged", hetero=False, busy_fpga=False)),
+}
 
 
 def hetero_spec():
@@ -32,11 +42,10 @@ def hetero_spec():
     ))
 
 
-def run_config(*, scheduler: str, accelerator: str | None, hetero: bool,
-               busy_fpga: bool):
+def run_config(*, scheduler: str, hetero: bool, busy_fpga: bool, seed: int):
     platform = EvolvePlatform(
         cluster_spec=hetero_spec() if hetero else ClusterSpec(node_count=6),
-        config=PlatformConfig(seed=9),
+        config=PlatformConfig(seed=seed),
         scheduler=scheduler,
     )
     if busy_fpga:
@@ -59,49 +68,42 @@ def run_config(*, scheduler: str, accelerator: str | None, hetero: bool,
         ],
         allocation=ResourceVector(cpu=4, memory=8, disk_bw=50, net_bw=50),
         executors=2,
-        accelerator=accelerator,
+        accelerator="fpga",
     )
     platform.run(3 * 3600.0)
-    return job.makespan()
+    return job.makespan(), platform.engine.events_executed
 
 
-@pytest.mark.benchmark(group="f8-acceleration", min_rounds=1, max_time=1)
-def test_f8_acceleration(benchmark, report):
-    results = {}
+def run_case(mode: str, seed: int = SEED) -> dict:
+    labels = ("hetero_aware", "hetero_blind")
+    if mode == "full":
+        labels += ("cpu_only",)
+    events = 0
+    metrics: dict = {}
+    for label in labels:
+        makespan, run_events = run_config(**CONFIGS[label][1], seed=seed)
+        metrics[f"makespan_s/{label}"] = makespan
+        events += run_events
+    return {"seed": seed, "events_executed": events, "metrics": metrics}
 
-    def experiment():
-        if not results:
-            results["cpu-only cluster"] = run_config(
-                scheduler="converged", accelerator="fpga", hetero=False,
-                busy_fpga=False,
-            )
-            results["hetero, affinity-aware"] = run_config(
-                scheduler="converged", accelerator="fpga", hetero=True,
-                busy_fpga=True,
-            )
-            results["hetero, blind (kube)"] = run_config(
-                scheduler="kube", accelerator="fpga", hetero=True,
-                busy_fpga=True,
-            )
-        return results
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    rows = [
-        [name, f"{makespan:.0f} s" if makespan else "never"]
-        for name, makespan in results.items()
-    ]
-    report(
-        "",
-        f"R-F8: accelerable analytics job ({SPEEDUP:.0f}x kernel on FPGA nodes)",
-        format_table(["configuration", "makespan"], rows),
-    )
-
-    cpu_only = results["cpu-only cluster"]
-    aware = results["hetero, affinity-aware"]
-    blind = results["hetero, blind (kube)"]
-    benchmark.extra_info["speedup_vs_cpu"] = cpu_only / aware
+def check_case(case: dict) -> None:
+    m = case["metrics"]
+    aware = m["makespan_s/hetero_aware"]
     # Shape: affinity captures a large share of the 5x kernel speedup;
     # the blind scheduler loses it to packing.
-    assert aware < cpu_only / 1.8
-    assert aware < blind / 1.5
+    assert aware < m["makespan_s/hetero_blind"] / 1.5
+    if "makespan_s/cpu_only" in m:
+        assert aware < m["makespan_s/cpu_only"] / 1.8
+
+
+def format_case(case: dict) -> list[str]:
+    rows = [
+        [CONFIGS[key.removeprefix("makespan_s/")][0],
+         f"{makespan:.0f} s" if makespan else "never"]
+        for key, makespan in case["metrics"].items()
+    ]
+    return [
+        f"R-F8: accelerable analytics job ({SPEEDUP:.0f}x kernel on FPGA nodes)",
+        format_table(["configuration", "makespan"], rows),
+    ]

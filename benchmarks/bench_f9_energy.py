@@ -6,85 +6,97 @@ spread default and the siloed partition (which keeps every pool's nodes
 warm). Reports energy (kWh), mean power, parked-node time, and the PLO
 cost of consolidating.
 Shape expected: consolidate < spread < siloed energy, with a modest
-violation penalty for consolidation (less headroom per node).
+violation penalty for consolidation (less headroom per node). Smoke
+compares consolidate and spread over 1.5 h.
 """
-
-import pytest
 
 from repro.analysis.energy import PowerModel, cluster_energy
 from repro.analysis.report import format_table
 from benchmarks.scenarios import HOUR, build_platform, deploy_service_mix
 
-DURATION = 3 * HOUR
+SEED = 42
 
+#: label → (table name, scheduler, scheduler_kwargs)
 CONFIGS = {
-    "converged+consolidate": dict(
-        scheduler="converged", scheduler_kwargs={"packing": "consolidate"}
-    ),
-    "converged+spread": dict(scheduler="converged", scheduler_kwargs={}),
-    "siloed": dict(scheduler="siloed", scheduler_kwargs={}),
+    "consolidate": ("converged+consolidate", "converged",
+                    {"packing": "consolidate"}),
+    "spread": ("converged+spread", "converged", None),
+    "siloed": ("siloed", "siloed", None),
 }
 
 
-def run_config(name):
-    cfg = CONFIGS[name]
+def run_config(label: str, seed: int, duration: float) -> dict:
+    _name, scheduler, scheduler_kwargs = CONFIGS[label]
     platform = build_platform(
-        "adaptive", nodes=6, seed=42,
-        scheduler=cfg["scheduler"],
-        scheduler_kwargs=cfg["scheduler_kwargs"] or None,
+        "adaptive", nodes=6, seed=seed,
+        scheduler=scheduler, scheduler_kwargs=scheduler_kwargs,
     )
     deploy_service_mix(platform)
-    platform.run(DURATION)
+    platform.run(duration)
     model = PowerModel()
-    report = cluster_energy(
+    energy = cluster_energy(
         platform.collector, list(platform.cluster.nodes),
-        start=0.0, end=DURATION, model=model,
+        start=0.0, end=duration, model=model,
     )
-    parked_kwh_per_node = model.parked_watts * DURATION / 3.6e6
-    parked_nodes = sum(
-        1 for kwh in report.per_node_kwh.values()
-        if kwh <= parked_kwh_per_node * 1.05
-    )
-    return report, parked_nodes, platform.result()
+    parked_kwh_per_node = model.parked_watts * duration / 3.6e6
+    return {
+        "energy": energy,
+        "parked_nodes": sum(
+            1 for kwh in energy.per_node_kwh.values()
+            if kwh <= parked_kwh_per_node * 1.05
+        ),
+        "violations": platform.result().total_violation_fraction(),
+        "events": platform.engine.events_executed,
+    }
 
 
-@pytest.mark.benchmark(group="f9-energy", min_rounds=1, max_time=1)
-def test_f9_energy(benchmark, report):
-    results = {}
+def run_case(mode: str, seed: int = SEED) -> dict:
+    if mode == "smoke":
+        labels, duration = ("consolidate", "spread"), 1.5 * HOUR
+    else:
+        labels, duration = tuple(CONFIGS), 3 * HOUR
+    runs = {label: run_config(label, seed, duration) for label in labels}
+    metrics: dict = {}
+    for label, run in runs.items():
+        metrics[f"energy_kwh/{label}"] = run["energy"].total_kwh
+        metrics[f"violations/{label}"] = run["violations"]
+    metrics["energy_saving"] = (
+        1 - metrics["energy_kwh/consolidate"] / metrics["energy_kwh/spread"])
+    return {
+        "seed": seed,
+        "events_executed": sum(run["events"] for run in runs.values()),
+        "metrics": metrics,
+        "duration": duration,
+        "runs": runs,
+    }
 
-    def experiment():
-        for name in CONFIGS:
-            if name not in results:
-                results[name] = run_config(name)
-        return results
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
+def check_case(case: dict) -> None:
+    m = case["metrics"]
+    # Shape: consolidation parks nodes and saves energy without wrecking
+    # the PLOs.
+    assert m["energy_kwh/consolidate"] < m["energy_kwh/spread"]
+    assert case["runs"]["consolidate"]["parked_nodes"] >= 1
+    assert m["violations/consolidate"] < 0.15
 
-    rows = []
-    for name in CONFIGS:
-        energy, parked, result = results[name]
-        rows.append([
-            name,
-            f"{energy.total_kwh:.2f} kWh",
-            f"{energy.mean_watts:.0f} W",
-            f"{parked}/6",
-            f"{result.total_violation_fraction():.1%}",
-        ])
-    report(
-        "",
-        f"R-F9: cluster energy over {DURATION / HOUR:.0f} h (service mix)",
+
+def format_case(case: dict) -> list[str]:
+    rows = [
+        [
+            CONFIGS[label][0],
+            f"{run['energy'].total_kwh:.2f} kWh",
+            f"{run['energy'].mean_watts:.0f} W",
+            f"{run['parked_nodes']}/6",
+            f"{run['violations']:.1%}",
+        ]
+        for label, run in case["runs"].items()
+    ]
+    return [
+        f"R-F9: cluster energy over {case['duration'] / HOUR:g} h "
+        "(service mix)",
         format_table(
             ["configuration", "energy", "mean power", "parked nodes",
              "violations"],
             rows,
         ),
-    )
-
-    consolidate = results["converged+consolidate"][0].total_kwh
-    spread = results["converged+spread"][0].total_kwh
-    benchmark.extra_info["energy_saving"] = 1 - consolidate / spread
-    # Shape: consolidation parks nodes and saves energy without wrecking
-    # the PLOs.
-    assert consolidate < spread
-    assert results["converged+consolidate"][1] >= 1
-    assert results["converged+consolidate"][2].total_violation_fraction() < 0.15
+    ]

@@ -13,13 +13,12 @@ so the win is measured, not asserted from memory. On the benchmark size
 at least 20× faster per query — in practice it is hundreds of times
 faster, and the gap grows linearly with retention.
 
-``python -m benchmarks.bench_micro_timeseries`` runs it standalone
-(``--smoke`` for the CI-sized variant).
+Smoke runs 20k samples and 500 queries; the speedup floor is the same.
+Query timings are wall-clock, so they are reported under ``timing``.
 """
 
 from __future__ import annotations
 
-import argparse
 import bisect
 import time
 from collections import deque
@@ -27,8 +26,10 @@ from collections import deque
 from repro.analysis.report import format_table
 from repro.metrics.timeseries import TimeSeries
 
-SAMPLES = 100_000
-QUERIES = 2_000
+#: The series are filled deterministically; no seed is drawn from.
+SEED = 0
+#: (samples, queries) per mode.
+SIZES = {"smoke": (20_000, 500), "full": (100_000, 2_000)}
 
 
 class ReferenceSeries:
@@ -76,7 +77,8 @@ def _time_queries(series, n: int, queries: int) -> dict[str, float]:
     return {"value_at": point, "window": window}
 
 
-def run_case(*, samples: int = SAMPLES, queries: int = QUERIES) -> dict:
+def run_case(mode: str, seed: int = SEED) -> dict:
+    samples, queries = SIZES[mode]
     fast = TimeSeries(maxlen=samples)
     slow = ReferenceSeries(maxlen=samples)
     _fill(fast, samples)
@@ -85,17 +87,23 @@ def run_case(*, samples: int = SAMPLES, queries: int = QUERIES) -> dict:
     probe = samples // 2 + 0.5
     assert fast.value_at(probe) == slow.value_at(probe)
     assert fast.window(100.0, 130.0) == slow.window(100.0, 130.0)
-    return {
-        "samples": samples,
-        "queries": min(queries, samples),
+    case = {
+        "seed": seed,
+        "events_executed": None,
+        "metrics": {"samples": samples, "queries": min(queries, samples)},
         "fast": _time_queries(fast, samples, queries),
         "slow": _time_queries(slow, samples, queries),
     }
+    case["timing"] = {
+        f"speedup/{op}": case["slow"][op] / max(case["fast"][op], 1e-9)
+        for op in ("value_at", "window")
+    }
+    return case
 
 
 def check_case(case: dict) -> None:
     for op in ("value_at", "window"):
-        speedup = case["slow"][op] / max(case["fast"][op], 1e-9)
+        speedup = case["timing"][f"speedup/{op}"]
         assert speedup >= 20.0, (
             f"{op}: bisect path only {speedup:.1f}x faster than the "
             f"copy-per-query reference (expected ≥20x)"
@@ -103,49 +111,21 @@ def check_case(case: dict) -> None:
 
 
 def format_case(case: dict) -> list[str]:
+    queries = case["metrics"]["queries"]
     rows = []
     for op in ("value_at", "window"):
         fast, slow = case["fast"][op], case["slow"][op]
         rows.append([
             op,
-            f"{slow / case['queries'] * 1e6:.1f}",
-            f"{fast / case['queries'] * 1e6:.1f}",
-            f"{slow / max(fast, 1e-9):.0f}x",
+            f"{slow / queries * 1e6:.1f}",
+            f"{fast / queries * 1e6:.1f}",
+            f"{case['timing'][f'speedup/{op}']:.0f}x",
         ])
     return [
         f"TimeSeries micro-benchmark "
-        f"({case['samples']:,} retained samples, "
-        f"{case['queries']:,} queries/op)",
+        f"({case['metrics']['samples']:,} retained samples, "
+        f"{queries:,} queries/op)",
         format_table(
             ["query", "copy-per-query µs", "bisect µs", "speedup"], rows
         ),
     ]
-
-
-def test_timeseries_query_speedup(report) -> None:
-    case = run_case()
-    report("", *format_case(case))
-    check_case(case)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized variant: smaller series, same assertions",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        case = run_case(samples=20_000, queries=500)
-    else:
-        case = run_case()
-    for line in format_case(case):
-        print(line)
-    check_case(case)
-    print("TS OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -24,119 +24,38 @@ zone dark for five minutes via
 :class:`repro.cluster.chaos.ZoneOutageInjector` — and reports containment
 (blast radius) plus time-to-recover from the fault-recovery report.
 
-Run standalone with ``python -m benchmarks.bench_t10_overload``
-(``--smoke`` for the CI-sized variant).
+Smoke runs 1× and 4× for 900 s per point; the checks are the same. The
+scenario itself is :func:`repro.platform.presets.build_overload`, which
+the ``overload`` report preset shares.
 """
 
 from __future__ import annotations
 
-import argparse
-
 from repro.analysis.recovery import fault_recovery_report, summarize
 from repro.cluster.chaos import ZoneOutageInjector
-from repro.cluster.resources import ResourceVector
-from repro.platform.config import ClusterSpec, PlatformConfig
-from repro.platform.evolve import EvolvePlatform
-from repro.scheduler.admission import SHED_CLASSES, OverloadConfig
-from repro.workloads.microservice import ServiceDemands
-from repro.workloads.plo import LatencyPLO
-from repro.workloads.traces import ConstantTrace, ScaledTrace
-
-NODES = 6
-ZONES = 3
-SEED = 42
-DURATION = 1800.0
-#: Web offered load at 1×; demands are 100 rps/core so this is ~6 cores.
-BASE_RATE = 600.0
-LOAD_FACTORS = (1.0, 2.0, 4.0)
-#: Per-pod ceiling. Web starts at the rail so overload shows up as
-#: horizontal scale-out (pending pods the scheduler must place), which
-#: is the pressure admission control manages — not as node-blocked
-#: vertical resizes.
-POD_CEILING = ResourceVector(cpu=4, memory=16, disk_bw=200, net_bw=500)
-
-WEB_DEMANDS = ServiceDemands(
-    cpu_seconds=0.01, disk_mb=0.02, net_mb=0.05, base_latency=0.008
+from repro.platform.presets import (
+    OVERLOAD_BASE_RATE,
+    OVERLOAD_NODES,
+    OVERLOAD_ZONES,
+    build_overload,
 )
-FILLER_DEMANDS = ServiceDemands(cpu_seconds=0.01, base_latency=0.01)
+from repro.scheduler.admission import SHED_CLASSES
+
+SEED = 42
+#: (duration per point, load factors) per mode.
+GRIDS = {"smoke": (900.0, (1.0, 4.0)), "full": (1800.0, (1.0, 2.0, 4.0))}
 
 
-def _overload(enabled: bool) -> OverloadConfig:
-    # Watermarks tuned to this topology: fillers strand ~3 cores per
-    # node, so node pressure saturates near 0.8 and a 4x surge shows up
-    # mostly as pending-queue depth.
-    return OverloadConfig(
-        admission=enabled, backpressure=enabled, brownout=enabled,
-        high_watermark=0.8, low_watermark=0.65, pending_high=12,
-    )
-
-
-def _build(*, factor: float, resilient: bool, seed: int = SEED) -> EvolvePlatform:
-    platform = EvolvePlatform(
-        cluster_spec=ClusterSpec(node_count=NODES, zones=ZONES),
-        config=PlatformConfig(
-            seed=seed,
-            overload=_overload(resilient),
-            max_allocation=POD_CEILING,
-        ),
-        scheduler="converged",
-        policy="adaptive",
-    )
-    # The latency-sensitive service under test: its offered load is the
-    # swept axis; everything else in the mix stays fixed.
-    platform.deploy_microservice(
-        "web",
-        trace=ScaledTrace(ConstantTrace(BASE_RATE), factor),
-        demands=WEB_DEMANDS,
-        allocation=ResourceVector(cpu=4, memory=4, disk_bw=20, net_bw=40),
-        plo=LatencyPLO(0.05, window=30),
-        replicas=2,
-    )
-    # A stream-class consumer: protected like latency work, never shed.
-    platform.deploy_microservice(
-        "stream",
-        trace=ConstantTrace(300.0),
-        demands=FILLER_DEMANDS,
-        allocation=ResourceVector(cpu=1.5, memory=2, disk_bw=10, net_bw=40),
-        plo=LatencyPLO(0.08, window=30),
-        labels={"shed-class": "stream"},
-    )
-    # Unmanaged fillers sized to claim the cluster's spare room, so the
-    # web service's 4× scale-out has nowhere to go unless the admission
-    # controller reclaims it from the sheddable tiers.
-    for i in range(3):
-        platform.deploy_microservice(
-            f"batch-{i}",
-            trace=ConstantTrace(200.0),
-            demands=FILLER_DEMANDS,
-            allocation=ResourceVector(cpu=4, memory=4, disk_bw=10, net_bw=20),
-            replicas=3,
-            managed=False,
-            labels={"shed-class": "batch"},
-        )
-    for i in range(3):
-        platform.deploy_microservice(
-            f"be-{i}",
-            trace=ConstantTrace(150.0),
-            demands=FILLER_DEMANDS,
-            allocation=ResourceVector(cpu=4, memory=4, disk_bw=10, net_bw=20),
-            replicas=3,
-            managed=False,
-            labels={"shed-class": "best-effort"},
-        )
-    return platform
-
-
-def _goodput(platform: EvolvePlatform, factor: float, duration: float) -> float:
+def _goodput(platform, factor: float, duration: float) -> float:
     """Served / offered for the web service over the whole run."""
-    offered = BASE_RATE * factor * duration
+    offered = OVERLOAD_BASE_RATE * factor * duration
     return platform.apps["web"].total_served / offered
 
 
 def _run_point(
-    *, factor: float, resilient: bool, duration: float
+    *, factor: float, resilient: bool, duration: float, seed: int
 ) -> dict:
-    platform = _build(factor=factor, resilient=resilient)
+    platform = build_overload(seed=seed, factor=factor, resilient=resilient)
     platform.run(duration)
     web = platform.apps["web"]
     admission = platform.admission
@@ -158,9 +77,9 @@ def _run_point(
     }
 
 
-def _run_zone_outage(*, duration: float) -> dict:
+def _run_zone_outage(*, duration: float, seed: int) -> dict:
     """Resilient build riding out a five-minute zone outage at 2× load."""
-    platform = _build(factor=2.0, resilient=True)
+    platform = build_overload(seed=seed, factor=2.0)
     dom = ZoneOutageInjector(platform.injector)
     strike_at = duration / 3.0
     heal_at = strike_at + 300.0
@@ -189,24 +108,41 @@ def _run_zone_outage(*, duration: float) -> dict:
     }
 
 
-def run_case(
-    *,
-    duration: float = DURATION,
-    factors: tuple[float, ...] = LOAD_FACTORS,
-) -> dict:
+def run_case(mode: str, seed: int = SEED) -> dict:
+    duration, factors = GRIDS[mode]
     curve = {
         resilient: [
-            _run_point(factor=f, resilient=resilient, duration=duration)
+            _run_point(factor=f, resilient=resilient, duration=duration,
+                       seed=seed)
             for f in factors
         ]
         for resilient in (True, False)
     }
+    outage = _run_zone_outage(duration=duration, seed=seed)
+    res_1x, res_peak = curve[True][0], curve[True][-1]
+    shed = res_peak["shed_by_class"]
+    metrics = {
+        "goodput/resilient-1x": res_1x["goodput"],
+        "goodput/resilient-peak": res_peak["goodput"],
+        "goodput/baseline-peak": curve[False][-1]["goodput"],
+        "shed_total": res_peak["shed_total"],
+        "shed/best-effort": shed["best-effort"],
+        "shed/batch": shed["batch"],
+        "running_evictions": res_peak["evicted_running"],
+        "brownout_duty": res_peak["brownout_duty"],
+        "outage/pods_displaced": outage["pods_displaced"],
+        "outage/time_to_recover_s": outage["time_to_recover_s"],
+    }
+    events = sum(p["events"] for p in curve[True] + curve[False])
     return {
+        "seed": seed,
+        "events_executed": events + outage["events"],
+        "metrics": metrics,
         "duration": duration,
         "factors": factors,
         "resilient": curve[True],
         "baseline": curve[False],
-        "outage": _run_zone_outage(duration=duration),
+        "outage": outage,
     }
 
 
@@ -244,7 +180,7 @@ def check_case(case: dict) -> None:
     assert base_peak["brownout_duty"] == 0.0
 
     outage = case["outage"]
-    assert outage["zone_nodes_failed"] == NODES // ZONES, (
+    assert outage["zone_nodes_failed"] == OVERLOAD_NODES // OVERLOAD_ZONES, (
         f"blast radius {outage['zone_nodes_failed']} nodes is not one zone"
     )
     assert outage["mttr_s"] is not None and outage["mttr_s"] >= 300.0
@@ -283,32 +219,3 @@ def format_case(case: dict) -> list[str]:
         f"goodput@2x={outage['goodput']:.3f}"
     )
     return lines
-
-
-def test_overload(report) -> None:
-    case = run_case()
-    report(*format_case(case))
-    check_case(case)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized variant: shorter runs, 1x/4x only, same assertions",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        case = run_case(duration=900.0, factors=(1.0, 4.0))
-    else:
-        case = run_case()
-    for line in format_case(case):
-        print(line)
-    check_case(case)
-    print("T10 OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

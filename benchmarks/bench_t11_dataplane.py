@@ -24,28 +24,16 @@ tolerance is free until a fault actually lands. The baseline rides
 through the same schedule on its optimistic fluid model, which simply
 cannot see most of these faults — the fidelity gap ft mode closes.
 
-Run standalone with ``python -m benchmarks.bench_t11_dataplane``
-(``--smoke`` for the CI-sized variant).
+Smoke runs calm and harsh for 900 s per cell; the checks are the same.
+The mix itself is :func:`repro.platform.presets.build_data_fault`,
+which the ``data-fault`` report preset shares.
 """
 
 from __future__ import annotations
 
-import argparse
+from repro.platform.presets import build_data_fault, schedule_fault_cycle
 
-from repro.cluster.resources import ResourceVector
-from repro.dataplane import DataPlaneConfig
-from repro.platform.config import ClusterSpec, PlatformConfig
-from repro.platform.evolve import EvolvePlatform
-from repro.platform.presets import schedule_fault_cycle
-from repro.storage.placement import spread_blocks
-from repro.workloads.bigdata import Stage
-from repro.workloads.plo import LatencyPLO
-from repro.workloads.stream import Operator
-from repro.workloads.traces import ConstantTrace
-
-NODES = 6
 SEED = 47
-DURATION = 1800.0
 #: Fault levels: seconds between consecutive faults of the deterministic
 #: cycle (:func:`repro.platform.presets.schedule_fault_cycle`); None = no
 #: faults.
@@ -54,56 +42,15 @@ LEVELS: dict[str, float | None] = {
     "moderate": 240.0,
     "harsh": 120.0,
 }
-
-DATASET = "t11-data"
-DATASET_MB = 2400.0
-JOB_ALLOC = ResourceVector(cpu=2, memory=4, disk_bw=100, net_bw=100)
-STREAM_ALLOC = ResourceVector(cpu=1.5, memory=2, disk_bw=10, net_bw=40)
-STREAM_RATE = 150.0
-
-
-def _build(*, ft: bool, seed: int = SEED) -> EvolvePlatform:
-    platform = EvolvePlatform(
-        cluster_spec=ClusterSpec(node_count=NODES),
-        config=PlatformConfig(
-            seed=seed,
-            data_plane=DataPlaneConfig(enabled=ft),
-        ),
-        scheduler="converged",
-        policy="adaptive",
-    )
-    nodes = sorted(platform.cluster.nodes)
-    spread_blocks(
-        platform.store,
-        DATASET,
-        total_mb=DATASET_MB,
-        block_mb=100.0,
-        nodes=nodes[:3],
-        replication=2,
-    )
-    platform.submit_bigdata(
-        "t11-job",
-        stages=[
-            Stage("scan", 360.0, input_mb=DATASET_MB),
-            Stage("agg", 240.0, input_mb=DATASET_MB / 10, deps=("scan",)),
-        ],
-        allocation=JOB_ALLOC,
-        executors=3,
-        dataset=DATASET,
-    )
-    platform.deploy_stream(
-        "t11-stream",
-        trace=ConstantTrace(STREAM_RATE),
-        operators=[Operator("parse", 0.004), Operator("agg", 0.002)],
-        allocation=STREAM_ALLOC,
-        plo=LatencyPLO(5.0, window=30),
-        workers=2,
-    )
-    return platform
+#: (duration per cell, levels) per mode.
+GRIDS = {
+    "smoke": (900.0, ("calm", "harsh")),
+    "full": (1800.0, ("calm", "moderate", "harsh")),
+}
 
 
-def _run_cell(*, level: str, ft: bool, duration: float) -> dict:
-    platform = _build(ft=ft)
+def _run_cell(*, level: str, ft: bool, duration: float, seed: int) -> dict:
+    platform = build_data_fault(seed=seed, ft=ft)
     if LEVELS[level] is not None:
         schedule_fault_cycle(platform, LEVELS[level], duration)
     platform.run(duration)
@@ -155,16 +102,33 @@ def _run_cell(*, level: str, ft: bool, duration: float) -> dict:
     return cell
 
 
-def run_case(
-    *,
-    duration: float = DURATION,
-    levels: tuple[str, ...] = ("calm", "moderate", "harsh"),
-) -> dict:
+def run_case(mode: str, seed: int = SEED) -> dict:
+    duration, levels = GRIDS[mode]
     cells = {
-        ft: [_run_cell(level=lvl, ft=ft, duration=duration) for lvl in levels]
+        ft: [
+            _run_cell(level=lvl, ft=ft, duration=duration, seed=seed)
+            for lvl in levels
+        ]
         for ft in (True, False)
     }
+    calm_ft, harsh_ft = cells[True][0], cells[True][-1]
+    metrics = {
+        "makespan_s/ft-calm": calm_ft["makespan"],
+        "makespan_s/ft-harsh": harsh_ft["makespan"],
+        "makespan_s/baseline-calm": cells[False][0]["makespan"],
+        "stream_lag_s/ft-harsh": harsh_ft["stream_lag_seconds"],
+        "executor_losses": harsh_ft["executor_losses"],
+        "lineage_recomputes": harsh_ft["lineage_recomputes"],
+        "reopened_cpu_s": harsh_ft["reopened_work"],
+        "stream_restarts": harsh_ft["stream_restarts"],
+        "stream_replayed": harsh_ft["stream_replayed"],
+        "repair_traffic_mb": harsh_ft["repair_traffic_mb"],
+    }
     return {
+        "seed": seed,
+        "events_executed": sum(
+            c["events"] for c in cells[True] + cells[False]),
+        "metrics": metrics,
         "duration": duration,
         "levels": levels,
         "ft": cells[True],
@@ -263,33 +227,3 @@ def format_case(case: dict) -> list[str]:
         f"backlog={harsh['repair_backlog']})"
     )
     return lines
-
-
-def test_dataplane(report) -> None:
-    case = run_case()
-    report(*format_case(case))
-    check_case(case)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized variant: shorter runs, calm/harsh only, "
-        "same assertions",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        case = run_case(duration=900.0, levels=("calm", "harsh"))
-    else:
-        case = run_case()
-    for line in format_case(case):
-        print(line)
-    check_case(case)
-    print("T11 OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

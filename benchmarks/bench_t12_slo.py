@@ -13,18 +13,19 @@ from an SLO's first bad tick to its first multi-window burn-rate alert
 firing (the fast window must accumulate enough evidence, so detection
 trails onset by design).
 
-Run standalone with ``python -m benchmarks.bench_t12_slo``
-(``--smoke`` for the CI-sized variant).
+Smoke trims the calm horizon to 900 s; the overload and data-fault
+presets are already CI-sized. A seed override replaces every preset's
+seed.
 """
 
 from __future__ import annotations
-
-import argparse
 
 from repro.obs.recorder import build_run_report
 from repro.platform.presets import PRESETS, build_scenario
 
 SCENARIOS = ("calm", "overload", "data-fault")
+#: The seed a default run reports; each preset keeps its own seed
+#: unless ``run_case`` is given one.
 SEED = PRESETS["overload"].seed
 #: Smoke trims only the calm horizon; overload/data-fault presets are
 #: already CI-sized and shortening them would cut the alert lifecycle.
@@ -38,8 +39,8 @@ def _alert_latency(slo: dict) -> float | None:
     return slo["alerts"][0]["fired_at"] - slo["first_bad_at"]
 
 
-def _run_scenario(name: str, duration: float | None) -> dict:
-    platform, horizon = build_scenario(name, duration=duration)
+def _run_scenario(name: str, duration: float | None, seed: int | None) -> dict:
+    platform, horizon = build_scenario(name, duration=duration, seed=seed)
     platform.run(horizon)
     report = build_run_report(platform)
     slos = report.slos
@@ -61,14 +62,39 @@ def _run_scenario(name: str, duration: float | None) -> dict:
     }
 
 
-def run_case(*, calm_duration: float | None = None) -> dict:
+def run_case(mode: str, seed: int | None = None) -> dict:
+    """``seed=None`` runs each preset at its own seed."""
+    calm_duration = SMOKE_CALM_DURATION if mode == "smoke" else None
     cells = {
         name: _run_scenario(
-            name, calm_duration if name == "calm" else None
+            name, calm_duration if name == "calm" else None, seed
         )
         for name in SCENARIOS
     }
-    return {"scenarios": cells}
+    overload = cells["overload"]
+    metrics = {
+        "attainment/calm": cells["calm"]["overall_attainment"],
+        "attainment/overload": overload["overall_attainment"],
+        "attainment/data-fault": cells["data-fault"]["overall_attainment"],
+        "alerts/calm": cells["calm"]["alerts"],
+        "alerts/overload": overload["alerts"],
+        "alerts_resolved/overload": overload["alerts_resolved"],
+        "alert_latency_s/web_latency": (
+            overload["alert_latency_s"]["web_latency"]),
+        "budget_spent_s/shed_free": overload["budget_spent_s"]["shed_free"],
+        "budget_spent_s/brownout_free": (
+            overload["budget_spent_s"]["brownout_free"]),
+        "ledgers_ok": all(c["ledgers_ok"] for c in cells.values()),
+    }
+    return {
+        "seed": SEED if seed is None else seed,
+        "events_executed": sum(c["events"] for c in cells.values()),
+        "metrics": metrics,
+        # The per-scenario RunReports ride along so --json can emit the
+        # flight-recorder artifact (REPORT_t12.json) next to the payload.
+        "report": {name: c["report"] for name, c in cells.items()},
+        "scenarios": cells,
+    }
 
 
 def check_case(case: dict) -> None:
@@ -140,31 +166,3 @@ def format_case(case: dict) -> list[str]:
         )
     )
     return lines
-
-
-def test_slo_attainment(report) -> None:
-    case = run_case()
-    report(*format_case(case))
-    check_case(case)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized variant: shorter calm horizon, same assertions",
-    )
-    args = parser.parse_args(argv)
-    case = run_case(
-        calm_duration=SMOKE_CALM_DURATION if args.smoke else None
-    )
-    for line in format_case(case):
-        print(line)
-    check_case(case)
-    print("T12 OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

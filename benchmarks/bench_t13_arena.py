@@ -9,14 +9,12 @@ SLO attainment (the R-T1 ordering surviving a much broader regime
 sweep), every policy covers every scenario, and the metrics block is a
 pure function of the seeds — two same-seed sweeps must agree exactly.
 
-Run standalone with ``python -m benchmarks.bench_t13_arena``
-(``--smoke`` replays the pack at its native, CI-sized horizons;
-``--full`` doubles every cell's horizon).
+Smoke replays the pack at its native, CI-sized horizons; full mode
+doubles every cell's horizon. A seed override replaces every pack
+entry's seed.
 """
 
 from __future__ import annotations
-
-import argparse
 
 from repro.arena import leaderboard_text, run_arena
 from repro.scenarios import scenario_names
@@ -26,8 +24,11 @@ from repro.scenarios import scenario_names
 FULL_HORIZON = 1200.0
 
 
-def run_case(*, horizon: float | None = None) -> dict:
-    return run_arena(horizon=horizon)
+def run_case(mode: str, seed: int | None = None) -> dict:
+    """``seed=None`` replays every pack entry at its own seed."""
+    return run_arena(
+        horizon=FULL_HORIZON if mode == "full" else None, seed=seed
+    )
 
 
 def check_case(case: dict) -> None:
@@ -79,34 +80,3 @@ def format_case(case: dict) -> list[str]:
         f"{case['events_executed']} events"
     )
     return lines
-
-
-def test_arena_leaderboard(report) -> None:
-    case = run_case()
-    report(*format_case(case))
-    check_case(case)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized variant: the pack's native horizons",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="double every cell's horizon",
-    )
-    args = parser.parse_args(argv)
-    case = run_case(horizon=FULL_HORIZON if args.full else None)
-    for line in format_case(case):
-        print(line)
-    check_case(case)
-    print("T13 OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

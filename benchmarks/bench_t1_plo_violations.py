@@ -7,57 +7,65 @@ the adaptive multi-resource controller cuts violations by a large factor
 (Skynet-lineage claim: >7×) versus the request-based Kubernetes baseline.
 """
 
-import pytest
-
 from repro.analysis.report import format_table
 from benchmarks.scenarios import HOUR, build_platform, deploy_service_mix
 
-POLICIES = ("static", "hpa", "vpa", "adaptive")
-DURATION = 4 * HOUR
+SEED = 42
 
 
-def run_policy(policy: str):
-    platform = build_platform(policy, nodes=6, seed=42)
-    apps = deploy_service_mix(platform)
-    platform.run(DURATION)
-    return apps, platform.result()
-
-
-@pytest.mark.benchmark(group="t1-plo-violations", min_rounds=1, max_time=1)
-def test_t1_plo_violations(benchmark, report):
-    results = {}
-
-    def experiment():
-        for policy in POLICIES:
-            if policy not in results:
-                results[policy] = run_policy(policy)
-        return results
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    apps = results["adaptive"][0]
-    rows = []
-    for policy in POLICIES:
-        _apps, result = results[policy]
-        row = [policy]
-        for app in apps:
-            row.append(f"{result.violation_fraction(app):.1%}")
-        row.append(f"{result.total_violation_fraction():.1%}")
-        rows.append(row)
-    report(
-        "",
-        "R-T1: PLO violation time per policy "
-        f"(3 services, 6 nodes, {DURATION / HOUR:.0f} h)",
-        format_table(["policy", *apps, "total"], rows),
+def run_case(mode: str, seed: int = SEED) -> dict:
+    if mode == "smoke":
+        policies, duration = ("static", "adaptive"), HOUR
+    else:
+        policies, duration = ("static", "hpa", "vpa", "adaptive"), 4 * HOUR
+    events = 0
+    metrics: dict = {}
+    per_app: dict = {}
+    for policy in policies:
+        platform = build_platform(policy, nodes=6, seed=seed)
+        apps = deploy_service_mix(platform)
+        platform.run(duration)
+        result = platform.result()
+        per_app[policy] = {app: result.violation_fraction(app) for app in apps}
+        metrics[f"violations/{policy}"] = result.total_violation_fraction()
+        events += platform.engine.events_executed
+    metrics["improvement_vs_static"] = metrics["violations/static"] / max(
+        metrics["violations/adaptive"], 1e-6
     )
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "duration": duration,
+        "per_app": per_app,
+    }
 
-    static_total = results["static"][1].total_violation_fraction()
-    adaptive_total = results["adaptive"][1].total_violation_fraction()
-    improvement = static_total / max(adaptive_total, 1e-6)
-    report(f"adaptive improvement over static: {improvement:.1f}x")
-    benchmark.extra_info["improvement_vs_static"] = improvement
 
+def check_case(case: dict) -> None:
+    metrics = case["metrics"]
+    adaptive = metrics["violations/adaptive"]
     # Shape assertions: adaptive wins by a wide margin.
-    assert adaptive_total < static_total / 3
+    assert adaptive < metrics["violations/static"] / 3
     for policy in ("hpa", "vpa"):
-        assert adaptive_total <= results[policy][1].total_violation_fraction() + 0.02
+        if f"violations/{policy}" in metrics:
+            assert adaptive <= metrics[f"violations/{policy}"] + 0.02
+
+
+def format_case(case: dict) -> list[str]:
+    metrics = case["metrics"]
+    apps = list(case["per_app"]["adaptive"])
+    rows = [
+        [
+            policy,
+            *(f"{fraction:.1%}" for fraction in per_app.values()),
+            f"{metrics[f'violations/{policy}']:.1%}",
+        ]
+        for policy, per_app in case["per_app"].items()
+    ]
+    return [
+        "R-T1: PLO violation time per policy "
+        f"(3 services, 6 nodes, {case['duration'] / HOUR:g} h)",
+        format_table(["policy", *apps, "total"], rows),
+        "adaptive improvement over static: "
+        f"{metrics['improvement_vs_static']:.1f}x",
+    ]

@@ -7,8 +7,6 @@ Shape expected: the adaptive controller's continuous reclaim roughly
 doubles effective utilization (usage/alloc) versus the static baseline.
 """
 
-import pytest
-
 from repro.analysis.report import format_table
 from repro.cluster.resources import RESOURCES, ResourceVector
 from repro.workloads.microservice import ServiceDemands
@@ -16,8 +14,7 @@ from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import DiurnalTrace
 from benchmarks.scenarios import HOUR, build_platform, deploy_batch_churn
 
-POLICIES = ("static", "vpa", "adaptive")
-DURATION = 4 * HOUR
+SEED = 17
 
 
 def deploy_overprovisioned_mix(platform):
@@ -35,57 +32,67 @@ def deploy_overprovisioned_mix(platform):
     return [f"svc-{i}" for i in range(6)]
 
 
-def run_policy(policy: str):
-    platform = build_platform(policy, nodes=6, seed=17)
-    deploy_overprovisioned_mix(platform)
-    deploy_batch_churn(platform, start=0.5 * HOUR)
-    platform.run(DURATION)
-    return platform.result()
-
-
-@pytest.mark.benchmark(group="t2-utilization", min_rounds=1, max_time=1)
-def test_t2_utilization(benchmark, report):
-    results = {}
-
-    def experiment():
-        for policy in POLICIES:
-            if policy not in results:
-                results[policy] = run_policy(policy)
-        return results
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    rows = []
-    for policy in POLICIES:
+def run_case(mode: str, seed: int = SEED) -> dict:
+    if mode == "smoke":
+        policies, duration = ("static", "adaptive"), HOUR
+    else:
+        policies, duration = ("static", "vpa", "adaptive"), 4 * HOUR
+    events = 0
+    metrics: dict = {}
+    results: dict = {}
+    for policy in policies:
+        platform = build_platform(policy, nodes=6, seed=seed)
+        deploy_overprovisioned_mix(platform)
+        deploy_batch_churn(platform, start=0.5 * HOUR)
+        platform.run(duration)
+        results[policy] = platform.result()
         util = results[policy].utilization
-        efficiency = util.overall_usage / max(util.overall_alloc, 1e-9)
+        metrics[f"efficiency/{policy}"] = util.overall_usage / max(
+            util.overall_alloc, 1e-9
+        )
+        events += platform.engine.events_executed
+    metrics["utilization_gain"] = metrics["efficiency/adaptive"] / max(
+        metrics["efficiency/static"], 1e-9
+    )
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "duration": duration,
+        "results": results,
+    }
+
+
+def check_case(case: dict) -> None:
+    metrics = case["metrics"]
+    # Shape: reclaim at least doubles usage/alloc efficiency, and violations
+    # do not explode while doing it.
+    assert metrics["efficiency/adaptive"] > 2 * metrics["efficiency/static"]
+    assert case["results"]["adaptive"].total_violation_fraction() < 0.15
+
+
+def format_case(case: dict) -> list[str]:
+    metrics = case["metrics"]
+    rows = []
+    for policy, result in case["results"].items():
+        util = result.utilization
         rows.append([
             policy,
             *(f"{util.mean_alloc[r]:.1%}" for r in RESOURCES),
             f"{util.overall_alloc:.1%}",
-            f"{efficiency:.0%}",
-            f"{results[policy].total_violation_fraction():.1%}",
+            f"{metrics[f'efficiency/{policy}']:.0%}",
+            f"{result.total_violation_fraction():.1%}",
         ])
-    report(
-        "",
-        f"R-T2: mean allocated cluster fraction per policy ({DURATION / HOUR:.0f} h, "
+    return [
+        "R-T2: mean allocated cluster fraction per policy "
+        f"({case['duration'] / HOUR:g} h, "
         "6 over-provisioned services + batch churn)",
         format_table(
             ["policy", *(f"alloc {r}" for r in RESOURCES), "overall",
              "usage/alloc", "violations"],
             rows,
         ),
-    )
-
-    static_util = results["static"].utilization
-    adaptive_util = results["adaptive"].utilization
-    static_eff = static_util.overall_usage / max(static_util.overall_alloc, 1e-9)
-    adaptive_eff = adaptive_util.overall_usage / max(adaptive_util.overall_alloc, 1e-9)
-    report(f"effective utilization: static {static_eff:.0%} → adaptive "
-           f"{adaptive_eff:.0%} ({adaptive_eff / max(static_eff, 1e-9):.1f}x)")
-    benchmark.extra_info["utilization_gain"] = adaptive_eff / max(static_eff, 1e-9)
-
-    # Shape: reclaim at least doubles usage/alloc efficiency, and violations
-    # do not explode while doing it.
-    assert adaptive_eff > 2 * static_eff
-    assert results["adaptive"].total_violation_fraction() < 0.15
+        f"effective utilization: static {metrics['efficiency/static']:.0%} → "
+        f"adaptive {metrics['efficiency/adaptive']:.0%} "
+        f"({metrics['utilization_gain']:.1f}x)",
+    ]

@@ -9,8 +9,6 @@ strand the 32-core gangs forever), finishes analytics at least as fast
 (locality), and keeps service PLOs intact despite co-location.
 """
 
-import pytest
-
 from repro.analysis.report import format_table
 from benchmarks.scenarios import (
     HOUR,
@@ -20,17 +18,7 @@ from benchmarks.scenarios import (
     deploy_service_mix,
 )
 
-SCHEDULERS = ("kube", "siloed", "converged")
-DURATION = 4 * HOUR
-
-
-def run_scheduler(scheduler: str):
-    platform = build_platform("adaptive", nodes=6, seed=23, scheduler=scheduler)
-    services = deploy_service_mix(platform)
-    batches = deploy_batch_churn(platform, start=0.25 * HOUR)
-    gangs = deploy_gang_rush(platform)
-    platform.run(DURATION)
-    return services, batches, gangs, platform.result()
+SEED = 23
 
 
 def _mean(values):
@@ -38,61 +26,78 @@ def _mean(values):
     return sum(values) / len(values) if values else None
 
 
-def _fmt(value, scale=1.0, suffix=""):
-    return "never" if value is None else f"{value * scale:.0f}{suffix}"
+def _fmt(value, suffix=""):
+    return "never" if value is None else f"{value:.0f}{suffix}"
 
 
-@pytest.mark.benchmark(group="t4-converged-sched", min_rounds=1, max_time=1)
-def test_t4_converged_scheduling(benchmark, report):
-    results = {}
+def run_case(mode: str, seed: int = SEED) -> dict:
+    if mode == "smoke":
+        schedulers, duration = ("converged",), 1.5 * HOUR
+    else:
+        schedulers, duration = ("kube", "siloed", "converged"), 4 * HOUR
+    events = 0
+    metrics: dict = {}
+    rows: dict = {}
+    for scheduler in schedulers:
+        platform = build_platform("adaptive", nodes=6, seed=seed,
+                                  scheduler=scheduler)
+        services = deploy_service_mix(platform)
+        batches = deploy_batch_churn(platform, start=0.25 * HOUR)
+        gangs = deploy_gang_rush(platform)
+        platform.run(duration)
+        result = platform.result()
+        metrics[f"svc_violations/{scheduler}"] = sum(
+            result.violation_fraction(s) for s in services) / len(services)
+        metrics[f"gangs_done/{scheduler}"] = sum(
+            1 for g in gangs if result.makespans[g] is not None)
+        metrics[f"usage/{scheduler}"] = result.utilization.overall_usage
+        rows[scheduler] = {
+            "worst_svc_violations": max(
+                result.violation_fraction(s) for s in services),
+            "batch_makespan": _mean([result.makespans[b] for b in batches]),
+            "gang_wait": _mean([result.hpc_waits[g] for g in gangs]),
+            "gangs": len(gangs),
+        }
+        events += platform.engine.events_executed
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "duration": duration,
+        "rows": rows,
+    }
 
-    def experiment():
-        for scheduler in SCHEDULERS:
-            if scheduler not in results:
-                results[scheduler] = run_scheduler(scheduler)
-        return results
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
+def check_case(case: dict) -> None:
+    m, rows = case["metrics"], case["rows"]
+    # Shape: converged runs every gang; silos strand them (4×8-core gangs
+    # cannot fit any 2-node pool).
+    assert m["gangs_done/converged"] == rows["converged"]["gangs"]
+    if "siloed" in rows:
+        assert m["gangs_done/siloed"] == 0
+    # Co-location does not wreck the services.
+    assert rows["converged"]["worst_svc_violations"] < 0.25
 
-    rows = []
-    for scheduler in SCHEDULERS:
-        services, batches, gangs, result = results[scheduler]
-        svc_violations = sum(
-            result.violation_fraction(s) for s in services
-        ) / len(services)
-        batch_makespan = _mean([result.makespans[b] for b in batches])
-        gang_wait = _mean([result.hpc_waits[g] for g in gangs])
-        gangs_done = sum(1 for g in gangs if result.makespans[g] is not None)
-        rows.append([
+
+def format_case(case: dict) -> list[str]:
+    m = case["metrics"]
+    rows = [
+        [
             scheduler,
-            f"{svc_violations:.1%}",
-            _fmt(batch_makespan, suffix=" s"),
-            _fmt(gang_wait, suffix=" s"),
-            f"{gangs_done}/{len(gangs)}",
-            f"{result.utilization.overall_usage:.1%}",
-        ])
-    report(
-        "",
-        f"R-T4: one mixed-worlds trace, three schedulers "
-        f"({DURATION / HOUR:.0f} h, 6 nodes)",
+            f"{m[f'svc_violations/{scheduler}']:.1%}",
+            _fmt(row["batch_makespan"], " s"),
+            _fmt(row["gang_wait"], " s"),
+            f"{m[f'gangs_done/{scheduler}']}/{row['gangs']}",
+            f"{m[f'usage/{scheduler}']:.1%}",
+        ]
+        for scheduler, row in case["rows"].items()
+    ]
+    return [
+        "R-T4: one mixed-worlds trace, three schedulers "
+        f"({case['duration'] / HOUR:g} h, 6 nodes)",
         format_table(
             ["scheduler", "svc violations", "batch makespan",
              "gang wait", "gangs done", "cluster usage"],
             rows,
         ),
-    )
-
-    conv = results["converged"][3]
-    silo = results["siloed"][3]
-    gangs = results["converged"][2]
-    benchmark.extra_info["converged_gangs_done"] = sum(
-        1 for g in gangs if conv.makespans[g] is not None
-    )
-
-    # Shape: converged runs every gang; silos strand them (4×8-core gangs
-    # cannot fit any 2-node pool).
-    assert all(conv.makespans[g] is not None for g in gangs)
-    assert all(silo.makespans[g] is None for g in results["siloed"][2])
-    # Co-location does not wreck the services.
-    services = results["converged"][0]
-    assert all(conv.violation_fraction(s) < 0.25 for s in services)
+    ]

@@ -7,67 +7,71 @@ controller cuts the tenants' allocation bill by several × versus static
 sizing at near-equal PLO compliance — the money version of reclaim.
 """
 
-import pytest
-
 from repro.analysis.cost import PriceSheet, app_cost, cluster_provisioned_cost
 from repro.analysis.report import format_table
 from benchmarks.scenarios import HOUR, build_platform
 from benchmarks.bench_t2_utilization import deploy_overprovisioned_mix
 
-POLICIES = ("static", "vpa", "adaptive")
-DURATION = 4 * HOUR
+SEED = 17
 
 
-def run_policy(policy: str):
-    platform = build_platform(policy, nodes=6, seed=17)
-    apps = deploy_overprovisioned_mix(platform)
-    platform.run(DURATION)
+def run_case(mode: str, seed: int = SEED) -> dict:
+    if mode == "smoke":
+        policies, duration = ("static", "adaptive"), HOUR
+    else:
+        policies, duration = ("static", "vpa", "adaptive"), 4 * HOUR
     prices = PriceSheet()
-    bill = sum(
-        app_cost(platform.collector, app, prices=prices).total for app in apps
+    events = 0
+    metrics: dict = {}
+    violations: dict = {}
+    for policy in policies:
+        platform = build_platform(policy, nodes=6, seed=seed)
+        apps = deploy_overprovisioned_mix(platform)
+        platform.run(duration)
+        metrics[f"bill/{policy}"] = sum(
+            app_cost(platform.collector, app, prices=prices).total
+            for app in apps)
+        violations[policy] = platform.result().total_violation_fraction()
+        events += platform.engine.events_executed
+    metrics["hardware_cost"] = cluster_provisioned_cost(
+        platform.api.total_allocatable(), duration, prices=prices)
+    metrics["bill_reduction"] = metrics["bill/static"] / max(
+        metrics["bill/adaptive"], 1e-9
     )
-    hardware = cluster_provisioned_cost(
-        platform.api.total_allocatable(), DURATION, prices=prices
-    )
-    return bill, hardware, platform.result()
+    return {
+        "seed": seed,
+        "events_executed": events,
+        "metrics": metrics,
+        "duration": duration,
+        "violations": violations,
+    }
 
 
-@pytest.mark.benchmark(group="t5-cost", min_rounds=1, max_time=1)
-def test_t5_cost(benchmark, report):
-    results = {}
+def check_case(case: dict) -> None:
+    m = case["metrics"]
+    # Shape: reclaim translates into a multi-x smaller bill at small
+    # violation cost.
+    assert m["bill/adaptive"] < m["bill/static"] / 2
+    assert case["violations"]["adaptive"] < 0.15
 
-    def experiment():
-        for policy in POLICIES:
-            if policy not in results:
-                results[policy] = run_policy(policy)
-        return results
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    rows = []
-    for policy in POLICIES:
-        bill, hardware, result = results[policy]
-        rows.append([
+def format_case(case: dict) -> list[str]:
+    m = case["metrics"]
+    hardware = m["hardware_cost"]
+    rows = [
+        [
             policy,
-            f"${bill:.2f}",
-            f"{bill / hardware:.1%}",
-            f"{result.total_violation_fraction():.1%}",
-        ])
-    hardware = results["static"][1]
-    report(
-        "",
-        f"R-T5: tenant allocation bill over {DURATION / HOUR:.0f} h "
+            f"${m[f'bill/{policy}']:.2f}",
+            f"{m[f'bill/{policy}'] / hardware:.1%}",
+            f"{violations:.1%}",
+        ]
+        for policy, violations in case["violations"].items()
+    ]
+    return [
+        f"R-T5: tenant allocation bill over {case['duration'] / HOUR:g} h "
         f"(cluster hardware cost ${hardware:.2f})",
         format_table(
             ["policy", "allocation bill", "of hardware cost", "violations"],
             rows,
         ),
-    )
-
-    static_bill = results["static"][0]
-    adaptive_bill = results["adaptive"][0]
-    benchmark.extra_info["bill_reduction"] = static_bill / adaptive_bill
-    # Shape: reclaim translates into a multi-x smaller bill at small
-    # violation cost.
-    assert adaptive_bill < static_bill / 2
-    assert results["adaptive"][2].total_violation_fraction() < 0.15
+    ]

@@ -14,12 +14,10 @@ against one workload world and asserts:
   (safe mode for scrape loss, retries for actuation faults).
 
 Printed per cell: episodes, MTTR, worst re-convergence time, and the
-resilience counters.
+resilience counters. Smoke runs the micro × crash cell only.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.analysis.recovery import fault_recovery_report, summarize
 from repro.cluster.resources import ResourceVector
@@ -35,6 +33,7 @@ INFRA_HEAL = 240.0
 PIPELINE_WINDOW = 120.0
 DURATION = 2400.0
 NODE = "node-01"
+SEED = 11
 
 FAULT_CLASSES = (
     "crash", "degradation", "scrape-drop", "stale-metrics", "actuation",
@@ -86,16 +85,16 @@ def _arm_fault(platform, fault: str, apps: list[str]) -> None:
                 platform.metrics_faults.freeze(f"app/{app}", now, PIPELINE_WINDOW)
         elif fault == "actuation":
             platform.actuation_faults.outage(now, PIPELINE_WINDOW)
-        else:  # pragma: no cover - parametrize guards this
+        else:
             raise ValueError(f"unknown fault class {fault!r}")
 
     engine.schedule(FAULT_AT, strike)
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("fault", FAULT_CLASSES)
-def test_fault_matrix(fault: str, workload: str, report) -> None:
-    platform = build_platform("adaptive", nodes=6, seed=11)
+
+
+def _run_cell(workload: str, fault: str, seed: int) -> dict:
+    platform = build_platform("adaptive", nodes=6, seed=seed)
     apps = _deploy(platform, workload)
     _arm_fault(platform, fault, apps)
 
@@ -103,7 +102,6 @@ def test_fault_matrix(fault: str, workload: str, report) -> None:
     platform.run(DURATION)
 
     manager = platform.policy.manager
-    stats = manager.resilience_stats()
     # Deadline errors drift in a wider band than latency errors while the
     # controller paces the job, so the settle threshold is looser there.
     threshold = 0.5 if workload == "bigdata" else 0.35
@@ -111,35 +109,87 @@ def test_fault_matrix(fault: str, workload: str, report) -> None:
         platform.fault_log, platform.collector, apps,
         threshold=threshold, settle=3,
     )
-    agg = summarize(episodes)
+    return {
+        "workload": workload,
+        "fault": fault,
+        "agg": summarize(episodes),
+        "reconvergence": [e.reconvergence for e in episodes],
+        "stats": manager.resilience_stats(),
+        "apps": {app: manager.entry_resilience(app) for app in apps},
+        "events": platform.engine.events_executed,
+    }
 
-    report(
-        f"T7 {workload:>7s} × {fault:<13s} "
-        f"episodes={agg.episodes} healed={agg.healed} "
-        f"mttr={agg.max_mttr:.0f}s "
-        f"reconverge={agg.max_reconvergence:.0f}s "
-        f"safe_mode={stats['safe_mode_entries']} "
-        f"retries={stats['retries']} "
-        f"act_fail={stats['actuation_failures']} "
-        f"breaker={stats['breaker_trips']}"
-    )
 
-    assert agg.episodes >= 1, "fault was never injected"
-    assert agg.healed == agg.episodes, "an episode never healed"
-    assert agg.unconverged == 0 and agg.max_reconvergence is not None, (
-        f"PLO error never re-converged: {[e.reconvergence for e in episodes]}"
-    )
+def run_case(mode: str, seed: int = SEED) -> dict:
+    if mode == "smoke":
+        grid = (("micro", "crash"),)
+    else:
+        grid = tuple(
+            (workload, fault)
+            for workload in WORKLOADS for fault in FAULT_CLASSES)
+    cells = [_run_cell(workload, fault, seed) for workload, fault in grid]
+    metrics: dict = {"cells": len(cells)}
+    for cell in cells:
+        agg = cell["agg"]
+        label = f"{cell['workload']}/{cell['fault']}"
+        metrics[f"healed/{label}"] = (
+            agg.episodes >= 1 and agg.healed == agg.episodes
+            and agg.unconverged == 0)
+        metrics[f"mttr/{label}"] = agg.max_mttr
+    metrics["cells_healed"] = sum(
+        1 for cell in cells
+        if metrics[f"healed/{cell['workload']}/{cell['fault']}"])
+    return {
+        "seed": seed,
+        "events_executed": sum(cell["events"] for cell in cells),
+        "metrics": metrics,
+        "cells": cells,
+    }
 
-    if fault == "scrape-drop":
-        # Signal loss must drive every managed app through safe mode and
-        # back out once scrapes resume.
-        for app in apps:
-            res = manager.entry_resilience(app)
-            assert res["safe_mode_entries"] >= 1, f"{app} never entered safe mode"
-            assert res["safe_mode_exits"] >= 1, f"{app} never exited safe mode"
-            assert not res["safe_mode"], f"{app} stuck in safe mode"
-    if fault == "actuation" and workload == "micro":
-        # The service mix actuates nearly every period, so the outage must
-        # surface as absorbed failures and backoff retries.
-        assert stats["actuation_failures"] > 0, "outage never hit an actuation"
-        assert stats["retries"] > 0, "failed actuations were never retried"
+
+def check_case(case: dict) -> None:
+    for cell in case["cells"]:
+        agg, stats = cell["agg"], cell["stats"]
+        where = f"{cell['workload']} × {cell['fault']}"
+        assert agg.episodes >= 1, f"{where}: fault was never injected"
+        assert agg.healed == agg.episodes, f"{where}: an episode never healed"
+        assert agg.unconverged == 0 and agg.max_reconvergence is not None, (
+            f"{where}: PLO error never re-converged: {cell['reconvergence']}"
+        )
+        if cell["fault"] == "scrape-drop":
+            # Signal loss must drive every managed app through safe mode
+            # and back out once scrapes resume.
+            for app, res in cell["apps"].items():
+                assert res["safe_mode_entries"] >= 1, (
+                    f"{where}: {app} never entered safe mode")
+                assert res["safe_mode_exits"] >= 1, (
+                    f"{where}: {app} never exited safe mode")
+                assert not res["safe_mode"], f"{where}: {app} stuck in safe mode"
+        if cell["fault"] == "actuation" and cell["workload"] == "micro":
+            # The service mix actuates nearly every period, so the outage
+            # must surface as absorbed failures and backoff retries.
+            assert stats["actuation_failures"] > 0, (
+                f"{where}: outage never hit an actuation")
+            assert stats["retries"] > 0, (
+                f"{where}: failed actuations were never retried")
+
+
+def _seconds(value: float | None) -> str:
+    return "never" if value is None else f"{value:.0f}s"
+
+
+def format_case(case: dict) -> list[str]:
+    lines = []
+    for cell in case["cells"]:
+        agg, stats = cell["agg"], cell["stats"]
+        lines.append(
+            f"T7 {cell['workload']:>7s} × {cell['fault']:<13s} "
+            f"episodes={agg.episodes} healed={agg.healed} "
+            f"mttr={_seconds(agg.max_mttr)} "
+            f"reconverge={_seconds(agg.max_reconvergence)} "
+            f"safe_mode={stats['safe_mode_entries']} "
+            f"retries={stats['retries']} "
+            f"act_fail={stats['actuation_failures']} "
+            f"breaker={stats['breaker_trips']}"
+        )
+    return lines

@@ -16,13 +16,11 @@ leader mid-run while load is climbing toward the diurnal peak:
 * a 1-replica plane with no snapshots (the same crash without a standby)
   must be measurably worse on PLO violations.
 
-Run standalone with ``python -m benchmarks.bench_t8_control_plane_outage``
-(``--smoke`` for the CI-sized variant).
+Smoke crashes the leader at 600 s, restarts it 200 s later and stops
+at 1500 s; the checks are the same.
 """
 
 from __future__ import annotations
-
-import argparse
 
 from repro.analysis.recovery import failover_stats, series_divergence
 from repro.cluster.events import PodResized
@@ -31,22 +29,23 @@ from repro.platform.evolve import EvolvePlatform
 
 from benchmarks.scenarios import deploy_service_mix, step_load_service
 
-#: Leader killed here: the web service is climbing toward its diurnal
-#: peak (t=1800), so a dead control plane visibly under-provisions.
-CRASH_AT = 1200.0
-#: Crashed replica restarts (as a standby) after this long.
-REPAIR = 300.0
-DURATION = 3000.0
 NODES = 6
 SEED = 42
+#: Control period the leader-gap bound is stated in.
+CONTROL_INTERVAL = 10.0
+#: (crash_at, repair, duration) per mode. Full: the leader dies while
+#: the web service climbs toward its diurnal peak (t=1800), so a dead
+#: control plane visibly under-provisions; the crashed replica restarts
+#: (as a standby) ``repair`` seconds later.
+TIMELINES = {"smoke": (600.0, 200.0, 1500.0), "full": (1200.0, 300.0, 3000.0)}
 
 
 def _build(
     replicas: int,
     *,
+    seed: int,
+    step_at: float,
     snapshot_interval: float | None = 60.0,
-    seed: int = SEED,
-    step_at: float = CRASH_AT + 60.0,
 ) -> tuple[EvolvePlatform, list[str]]:
     platform = EvolvePlatform(
         cluster_spec=ClusterSpec(node_count=NODES),
@@ -70,9 +69,9 @@ def _build(
 def _run_outage(
     platform: EvolvePlatform,
     *,
-    crash_at: float = CRASH_AT,
-    repair: float = REPAIR,
-    duration: float = DURATION,
+    crash_at: float,
+    repair: float,
+    duration: float,
 ) -> list[PodResized]:
     """Crash the leader at ``crash_at``, restart it ``repair`` later.
 
@@ -105,24 +104,20 @@ def _run_outage(
     return duplicates
 
 
-def run_outage_case(
-    *,
-    crash_at: float = CRASH_AT,
-    repair: float = REPAIR,
-    duration: float = DURATION,
-) -> dict:
-    """The full T8 comparison; returns everything the asserts consume."""
+def run_case(mode: str, seed: int = SEED) -> dict:
+    """The T8 comparison; returns everything the checks consume."""
+    crash_at, repair, duration = TIMELINES[mode]
     step_at = crash_at + 60.0
-    ha, apps = _build(3, step_at=step_at)
+    ha, apps = _build(3, seed=seed, step_at=step_at)
     duplicates = _run_outage(
         ha, crash_at=crash_at, repair=repair, duration=duration
     )
     stats = failover_stats(ha.control_plane.failovers)
 
-    clean, _ = _build(3, step_at=step_at)
+    clean, _ = _build(3, seed=seed, step_at=step_at)
     clean.run(duration)
 
-    single, _ = _build(1, snapshot_interval=None, step_at=step_at)
+    single, _ = _build(1, seed=seed, step_at=step_at, snapshot_interval=None)
     _run_outage(single, crash_at=crash_at, repair=repair, duration=duration)
 
     # Compare the settled tail, not the step transient: the two runs pass
@@ -137,26 +132,38 @@ def run_outage_case(
         )
         for app in apps
     }
+    violations = {
+        name: platform.result().total_violation_fraction()
+        for name, platform in (("ha", ha), ("clean", clean), ("single", single))
+    }
+    metrics = {
+        "failovers": stats.failovers,
+        "max_gap_s": stats.max_gap,
+        "snapshot_restores": stats.snapshot_restores,
+        "duplicate_actuations": len(duplicates),
+        "max_cpu_divergence": max(divergence.values()),
+        "violations/ha": violations["ha"],
+        "violations/clean": violations["clean"],
+        "violations/single": violations["single"],
+    }
     return {
+        "seed": seed,
+        "events_executed": sum(
+            p.engine.events_executed for p in (ha, clean, single)),
+        "metrics": metrics,
         "crash_at": crash_at,
         "repair": repair,
         "apps": apps,
-        "ha": ha,
-        "clean": clean,
-        "single": single,
         "stats": stats,
         "duplicates": duplicates,
         "divergence": divergence,
-        "ha_violations": ha.result().total_violation_fraction(),
-        "clean_violations": clean.result().total_violation_fraction(),
-        "single_violations": single.result().total_violation_fraction(),
     }
 
 
-def check_outage_case(case: dict, *, control_interval: float = 10.0) -> None:
-    stats = case["stats"]
+def check_case(case: dict) -> None:
+    stats, m = case["stats"], case["metrics"]
     assert stats.failovers >= 1, "the crash never triggered a failover"
-    assert stats.max_gap is not None and stats.max_gap < 3 * control_interval, (
+    assert stats.max_gap is not None and stats.max_gap < 3 * CONTROL_INTERVAL, (
         f"leader gap {stats.max_gap} exceeds 3 control periods"
     )
     assert stats.snapshot_restores >= 1, "successor never restored a snapshot"
@@ -168,15 +175,15 @@ def check_outage_case(case: dict, *, control_interval: float = 10.0) -> None:
     for app, drift in case["divergence"].items():
         assert drift is not None, f"{app}: no allocation series to compare"
         assert drift < 1.0, f"{app}: post-failover CPU drifted {drift:.2f} cores"
-    assert case["single_violations"] > case["ha_violations"], (
-        "a 300 s controller outage should cost more PLO time than a "
-        f"sub-30 s failover ({case['single_violations']:.4f} vs "
-        f"{case['ha_violations']:.4f})"
+    assert m["violations/single"] > m["violations/ha"], (
+        f"a {case['repair']:.0f} s controller outage should cost more PLO "
+        f"time than a sub-30 s failover ({m['violations/single']:.4f} vs "
+        f"{m['violations/ha']:.4f})"
     )
 
 
 def format_case(case: dict) -> list[str]:
-    stats = case["stats"]
+    stats, m = case["stats"], case["metrics"]
     lines = [
         "T8 control-plane outage "
         f"(crash leader @{case['crash_at']:.0f}s, restart +{case['repair']:.0f}s)",
@@ -190,37 +197,8 @@ def format_case(case: dict) -> list[str]:
         + " ".join(
             f"{app}={case['divergence'][app]:.3f}" for app in case["apps"]
         ),
-        f"  violations: ha-3rep={case['ha_violations']:.4f} "
-        f"crash-free={case['clean_violations']:.4f} "
-        f"single-no-snapshot={case['single_violations']:.4f}",
+        f"  violations: ha-3rep={m['violations/ha']:.4f} "
+        f"crash-free={m['violations/clean']:.4f} "
+        f"single-no-snapshot={m['violations/single']:.4f}",
     ]
     return lines
-
-
-def test_control_plane_outage(report) -> None:
-    case = run_outage_case()
-    report(*format_case(case))
-    check_outage_case(case)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized variant: shorter run, same assertions",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        case = run_outage_case(crash_at=600.0, repair=200.0, duration=1500.0)
-    else:
-        case = run_outage_case()
-    for line in format_case(case):
-        print(line)
-    check_outage_case(case)
-    print("T8 OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

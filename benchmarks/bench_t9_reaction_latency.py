@@ -18,13 +18,11 @@ Every applied actuation must be causally chained to the scrape that
 triggered it (actuate → decide → scrape) — the trace is only a valid
 measurement instrument if the chain is complete.
 
-``python -m benchmarks.bench_t9_reaction_latency`` runs it standalone
-(``--smoke`` for the CI-sized variant).
+Smoke steps the load at 15 min and stops at 45 min; the checks are the
+same.
 """
 
 from __future__ import annotations
-
-import argparse
 
 from repro.analysis.report import format_table
 from repro.analysis.traces import (
@@ -36,12 +34,14 @@ from repro.analysis.traces import (
 )
 from benchmarks.scenarios import HOUR, build_platform, step_load_service
 
-STEP_AT = HOUR / 2
-DURATION = 1.5 * HOUR
+SEED = 11
+#: (step_at, duration) per mode.
+TIMELINES = {"smoke": (HOUR / 4, 0.75 * HOUR), "full": (HOUR / 2, 1.5 * HOUR)}
 
 
-def run_case(*, duration: float = DURATION, step_at: float = STEP_AT) -> dict:
-    platform = build_platform("adaptive", seed=11, telemetry=True)
+def run_case(mode: str, seed: int = SEED) -> dict:
+    step_at, duration = TIMELINES[mode]
+    platform = build_platform("adaptive", seed=seed, telemetry=True)
     app = step_load_service(platform, factor=3.0, step_at=step_at)
     platform.run(duration)
 
@@ -51,35 +51,39 @@ def run_case(*, duration: float = DURATION, step_at: float = STEP_AT) -> dict:
         span for span in applied
         if triggering_scrape(trace, span) is not None
     ]
-    latencies = reaction_latencies(trace, app)
+    trace_quantiles = latency_quantiles(reaction_latencies(trace, app))
     hist = platform.telemetry.reaction_latency
-    return {
-        "app": app,
-        "step_at": step_at,
-        "platform": platform,
-        "trace": trace,
+    step_reaction = end_to_end_reaction(trace, step_at, app, action="grow")
+    metrics = {
         "applied": len(applied),
         "chained": len(chained),
-        "latencies": latencies,
-        "trace_quantiles": latency_quantiles(latencies),
+        "provenance": len(trace.provenance),
+        "reaction_p50_s": trace_quantiles["p50"],
+        "reaction_p99_s": trace_quantiles["p99"],
+        "step_reaction_s": step_reaction,
+        "violations": platform.result().violation_fraction(app),
+    }
+    return {
+        "seed": seed,
+        "events_executed": platform.engine.events_executed,
+        "metrics": metrics,
+        "app": app,
+        "step_at": step_at,
+        "trace_quantiles": trace_quantiles,
         "hist_quantiles": {
             f"p{q}": hist.quantile(q) for q in (50, 95, 99)
         },
-        "step_reaction": end_to_end_reaction(
-            trace, step_at, app, action="grow"
-        ),
-        "provenance": len(trace.provenance),
-        "violations": platform.result().violation_fraction(app),
     }
 
 
 def check_case(case: dict) -> None:
-    assert case["applied"] >= 1, "the step never produced an actuation"
-    assert case["chained"] == case["applied"], (
-        f"{case['applied'] - case['chained']} actuations lost their "
+    m = case["metrics"]
+    assert m["applied"] >= 1, "the step never produced an actuation"
+    assert m["chained"] == m["applied"], (
+        f"{m['applied'] - m['chained']} actuations lost their "
         "causal chain to a scrape"
     )
-    assert case["provenance"] >= 1
+    assert m["provenance"] >= 1
     # The per-actuation lag is bounded by the scrape/control cadence.
     assert case["trace_quantiles"]["p99"] <= 30.0, (
         f"p99 reaction latency {case['trace_quantiles']['p99']:.1f}s "
@@ -87,12 +91,13 @@ def check_case(case: dict) -> None:
     )
     # The step must be answered within a handful of control periods:
     # PLO window (30 s) + a couple of 10 s decisions, plus margin.
-    reaction = case["step_reaction"]
+    reaction = m["step_reaction_s"]
     assert reaction is not None, "no grow actuation after the load step"
     assert reaction <= 120.0, f"step reaction took {reaction:.0f}s"
 
 
 def format_case(case: dict) -> list[str]:
+    m = case["metrics"]
     tq, hq = case["trace_quantiles"], case["hist_quantiles"]
     rows = [
         ["trace-derived", f"{tq['p50']:.2f}", f"{tq['p95']:.2f}",
@@ -104,39 +109,10 @@ def format_case(case: dict) -> list[str]:
         "T9 reaction latency "
         f"(step ×3 @{case['step_at']:.0f}s, app={case['app']})",
         format_table(["scrape→actuation (s)", "p50", "p95", "p99"], rows),
-        f"  applied actuations={case['applied']} "
-        f"(all {case['chained']} chained actuate→decide→scrape), "
-        f"provenance records={case['provenance']}",
-        f"  end-to-end step reaction: {case['step_reaction']:.1f} s "
+        f"  applied actuations={m['applied']} "
+        f"({m['chained']} chained actuate→decide→scrape), "
+        f"provenance records={m['provenance']}",
+        f"  end-to-end step reaction: {m['step_reaction_s']:.1f} s "
         f"(load step → first applied grow)",
-        f"  PLO violations: {case['violations']:.1%}",
+        f"  PLO violations: {m['violations']:.1%}",
     ]
-
-
-def test_t9_reaction_latency(report) -> None:
-    case = run_case()
-    report("", *format_case(case))
-    check_case(case)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized variant: shorter run, same assertions",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        case = run_case(duration=0.75 * HOUR, step_at=HOUR / 4)
-    else:
-        case = run_case()
-    for line in format_case(case):
-        print(line)
-    check_case(case)
-    print("T9 OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -23,13 +23,11 @@ Three claims keep ``PlatformConfig(telemetry=True)`` honest:
    and event counts with telemetry on or off. Tracing must observe the
    simulation, never perturb it: no extra RNG draws, no extra events.
 
-``python -m benchmarks.bench_telemetry_overhead`` runs it standalone
-(``--smoke`` for the CI-sized variant).
+Smoke runs four services for half an hour; the gates are the same.
 """
 
 from __future__ import annotations
 
-import argparse
 import cProfile
 import pstats
 import time
@@ -41,14 +39,15 @@ from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import DiurnalTrace
 from benchmarks.scenarios import HOUR, build_platform
 
-APPS = 8
-DURATION = HOUR
+SEED = 3
+#: (managed services, simulated seconds) per mode.
+SIZES = {"smoke": (4, HOUR / 2), "full": (8, HOUR)}
 
 ENABLED_BUDGET = 0.05
 DISABLED_BUDGET = 0.02
 
 
-def _build(*, telemetry: bool, apps: int, seed: int = 3):
+def _build(*, telemetry: bool, apps: int, seed: int):
     platform = build_platform(
         "adaptive", nodes=max(4, apps // 2), seed=seed, telemetry=telemetry
     )
@@ -66,9 +65,9 @@ def _build(*, telemetry: bool, apps: int, seed: int = 3):
     return platform
 
 
-def _profiled_run(*, telemetry: bool, apps: int, duration: float):
+def _profiled_run(*, telemetry: bool, apps: int, duration: float, seed: int):
     """(total function calls, platform) for one seeded run."""
-    platform = _build(telemetry=telemetry, apps=apps)
+    platform = _build(telemetry=telemetry, apps=apps, seed=seed)
     profiler = cProfile.Profile()
     profiler.enable()
     platform.run(duration)
@@ -76,8 +75,8 @@ def _profiled_run(*, telemetry: bool, apps: int, duration: float):
     return pstats.Stats(profiler).total_calls, platform
 
 
-def _timed_run(*, telemetry: bool, apps: int, duration: float) -> float:
-    platform = _build(telemetry=telemetry, apps=apps)
+def _timed_run(*, telemetry: bool, apps: int, duration: float, seed: int) -> float:
+    platform = _build(telemetry=telemetry, apps=apps, seed=seed)
     t0 = time.perf_counter()
     platform.run(duration)
     return time.perf_counter() - t0
@@ -116,13 +115,13 @@ def _series_fingerprint(platform, apps: int):
     return out
 
 
-def run_case(*, apps: int = APPS, duration: float = DURATION) -> dict:
-    calls_off, off_platform = _profiled_run(
-        telemetry=False, apps=apps, duration=duration)
-    calls_on, on_platform = _profiled_run(
-        telemetry=True, apps=apps, duration=duration)
-    wall_off = _timed_run(telemetry=False, apps=apps, duration=duration)
-    wall_on = _timed_run(telemetry=True, apps=apps, duration=duration)
+def run_case(mode: str, seed: int = SEED) -> dict:
+    apps, duration = SIZES[mode]
+    run = {"apps": apps, "duration": duration, "seed": seed}
+    calls_off, off_platform = _profiled_run(telemetry=False, **run)
+    calls_on, on_platform = _profiled_run(telemetry=True, **run)
+    wall_off = _timed_run(telemetry=False, **run)
+    wall_on = _timed_run(telemetry=True, **run)
 
     identical = (
         _series_fingerprint(off_platform, apps)
@@ -138,83 +137,63 @@ def run_case(*, apps: int = APPS, duration: float = DURATION) -> dict:
         guard * guards_per_event * off_platform.engine.events_executed
         / wall_off
     )
-    return {
-        "apps": apps,
+    metrics = {
         "calls_off": calls_off,
         "calls_on": calls_on,
-        "enabled_overhead": calls_on / calls_off - 1.0,
-        "wall_off": wall_off,
-        "wall_on": wall_on,
-        "disabled_overhead": disabled_overhead,
+        "enabled_call_overhead": calls_on / calls_off - 1.0,
         "identical": identical,
-        "events": off_platform.engine.events_executed,
         "spans": len(on_platform.telemetry.trace),
         "provenance": len(on_platform.telemetry.trace.provenance),
+    }
+    timing = {
+        "wall_off_s": wall_off,
+        "wall_on_s": wall_on,
+        "disabled_overhead": disabled_overhead,
+    }
+    return {
+        "seed": seed,
+        "events_executed": off_platform.engine.events_executed,
+        "metrics": metrics,
+        "timing": timing,
+        "apps": apps,
     }
 
 
 def check_case(case: dict) -> None:
-    assert case["identical"], (
+    m, timing = case["metrics"], case["timing"]
+    assert m["identical"], (
         "telemetry perturbed the seeded run: sample streams or event "
         "counts differ with tracing on"
     )
-    assert case["enabled_overhead"] <= ENABLED_BUDGET, (
-        f"telemetry-enabled run costs {case['enabled_overhead']:+.2%} "
+    assert m["enabled_call_overhead"] <= ENABLED_BUDGET, (
+        f"telemetry-enabled run costs {m['enabled_call_overhead']:+.2%} "
         f"function calls vs disabled (budget {ENABLED_BUDGET:.0%})"
     )
-    assert case["disabled_overhead"] <= DISABLED_BUDGET, (
-        f"disabled guard residual {case['disabled_overhead']:.3%} "
+    assert timing["disabled_overhead"] <= DISABLED_BUDGET, (
+        f"disabled guard residual {timing['disabled_overhead']:.3%} "
         f"(budget {DISABLED_BUDGET:.0%})"
     )
-    assert case["spans"] >= 1 and case["provenance"] >= 1
+    assert m["spans"] >= 1 and m["provenance"] >= 1
 
 
 def format_case(case: dict) -> list[str]:
+    m, timing = case["metrics"], case["timing"]
     rows = [
-        ["telemetry off", f"{case['calls_off']:,}", f"{case['wall_off']:.3f}",
-         "—"],
-        ["telemetry on", f"{case['calls_on']:,}", f"{case['wall_on']:.3f}",
-         f"{case['enabled_overhead']:+.2%}"],
+        ["telemetry off", f"{m['calls_off']:,}",
+         f"{timing['wall_off_s']:.3f}", "—"],
+        ["telemetry on", f"{m['calls_on']:,}",
+         f"{timing['wall_on_s']:.3f}", f"{m['enabled_call_overhead']:+.2%}"],
     ]
     return [
         f"Telemetry overhead ({case['apps']} services, "
-        f"{case['events']:,} engine events)",
+        f"{case['events_executed']:,} engine events)",
         format_table(
             ["configuration", "function calls", "wall s",
              "call overhead"], rows
         ),
-        f"  disabled guard residual: {case['disabled_overhead']:.4%} "
+        f"  disabled guard residual: {timing['disabled_overhead']:.4%} "
         "of runtime",
-        f"  seeded streams bit-identical on/off: {case['identical']}",
-        f"  enabled run recorded {case['spans']:,} spans, "
-        f"{case['provenance']:,} provenance records",
+        f"  seeded streams bit-identical on/off: {m['identical']}",
+        f"  enabled run recorded {m['spans']:,} spans, "
+        f"{m['provenance']:,} provenance records",
     ]
-
-
-def test_telemetry_overhead(report) -> None:
-    case = run_case()
-    report("", *format_case(case))
-    check_case(case)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized variant: fewer services, shorter run, same gates",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        case = run_case(apps=4, duration=HOUR / 2)
-    else:
-        case = run_case()
-    for line in format_case(case):
-        print(line)
-    check_case(case)
-    print("OVERHEAD OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -7,7 +7,9 @@ an installed distribution (the ``benchmarks/`` package only exists in a
 source checkout) and guarantees both surfaces exercise bit-identical
 platforms.
 
-Three presets, each mirroring an EXPERIMENTS.md scenario:
+Three presets, each built from an EXPERIMENTS.md scenario. The R-T10
+and R-T11 builders (:func:`build_overload`, :func:`build_data_fault`)
+live here too, so their benchmarks and presets share one definition:
 
 * ``calm`` — the R-F5 control-plane mix at four services: diurnal load,
   no faults, no overload. Every SLO should attain 100 % and no
@@ -104,11 +106,13 @@ def _build_calm(duration: float, seed: int) -> EvolvePlatform:
     return platform
 
 
-# -- overload: the R-T10 resilient build at 4x -------------------------------
+# -- overload: the R-T10 mix, resilient, at 4x --------------------------------
 
+OVERLOAD_NODES = 6
+OVERLOAD_ZONES = 3
+#: Web offered load at 1×; demands are 100 rps/core so this is ~6 cores.
+OVERLOAD_BASE_RATE = 600.0
 _OVERLOAD_SEED = 42
-_OVERLOAD_FACTOR = 4.0
-_OVERLOAD_BASE_RATE = 600.0
 _OVERLOAD_SLOS = (
     SLOSpec(
         name="web_latency",
@@ -141,50 +145,77 @@ _OVERLOAD_SLOS = (
         description="no service running in a browned-out tier",
     ),
 )
+_WEB_DEMANDS = ServiceDemands(
+    cpu_seconds=0.01, disk_mb=0.02, net_mb=0.05, base_latency=0.008
+)
+_FILLER_DEMANDS = ServiceDemands(cpu_seconds=0.01, base_latency=0.01)
 
 
-def _build_overload(duration: float, seed: int) -> EvolvePlatform:
-    web_demands = ServiceDemands(cpu_seconds=0.01, disk_mb=0.02,
-                                 net_mb=0.05, base_latency=0.008)
-    filler = ServiceDemands(cpu_seconds=0.01, base_latency=0.01)
+def build_overload(
+    *,
+    seed: int,
+    factor: float = 4.0,
+    resilient: bool = True,
+    slos: tuple[SLOSpec, ...] = (),
+) -> EvolvePlatform:
+    """The R-T10 mix: a web service at ``factor`` × its sized load.
+
+    The cluster's spare room is already claimed by batch and best-effort
+    fillers. ``resilient`` turns admission control + load shedding,
+    control-loop backpressure and brownout on; ``slos`` attaches SLOs
+    (and the telemetry they need).
+    """
     platform = EvolvePlatform(
-        cluster_spec=ClusterSpec(node_count=6, zones=3),
+        cluster_spec=ClusterSpec(node_count=OVERLOAD_NODES, zones=OVERLOAD_ZONES),
         config=PlatformConfig(
             seed=seed,
-            telemetry=True,
-            slos=_OVERLOAD_SLOS,
+            telemetry=bool(slos),
+            slos=slos,
+            # Watermarks tuned to this topology: fillers strand ~3 cores
+            # per node, so node pressure saturates near 0.8 and a 4x
+            # surge shows up mostly as pending-queue depth.
             overload=OverloadConfig(
-                admission=True, backpressure=True, brownout=True,
+                admission=resilient, backpressure=resilient,
+                brownout=resilient,
                 high_watermark=0.8, low_watermark=0.65, pending_high=12,
             ),
+            # Per-pod ceiling. Web starts at the rail so overload shows
+            # up as horizontal scale-out (pending pods the scheduler must
+            # place), which is the pressure admission control manages —
+            # not as node-blocked vertical resizes.
             max_allocation=ResourceVector(cpu=4, memory=16, disk_bw=200,
                                           net_bw=500),
         ),
         scheduler="converged",
         policy="adaptive",
     )
+    # The latency-sensitive service under test: its offered load is the
+    # swept axis; everything else in the mix stays fixed.
     platform.deploy_microservice(
         "web",
-        trace=ScaledTrace(ConstantTrace(_OVERLOAD_BASE_RATE),
-                          _OVERLOAD_FACTOR),
-        demands=web_demands,
+        trace=ScaledTrace(ConstantTrace(OVERLOAD_BASE_RATE), factor),
+        demands=_WEB_DEMANDS,
         allocation=ResourceVector(cpu=4, memory=4, disk_bw=20, net_bw=40),
         plo=LatencyPLO(0.05, window=30),
         replicas=2,
     )
+    # A stream-class consumer: protected like latency work, never shed.
     platform.deploy_microservice(
         "stream",
         trace=ConstantTrace(300.0),
-        demands=filler,
+        demands=_FILLER_DEMANDS,
         allocation=ResourceVector(cpu=1.5, memory=2, disk_bw=10, net_bw=40),
         plo=LatencyPLO(0.08, window=30),
         labels={"shed-class": "stream"},
     )
+    # Unmanaged fillers sized to claim the cluster's spare room, so the
+    # web service's 4× scale-out has nowhere to go unless the admission
+    # controller reclaims it from the sheddable tiers.
     for i in range(3):
         platform.deploy_microservice(
             f"batch-{i}",
             trace=ConstantTrace(200.0),
-            demands=filler,
+            demands=_FILLER_DEMANDS,
             allocation=ResourceVector(cpu=4, memory=4, disk_bw=10, net_bw=20),
             replicas=3,
             managed=False,
@@ -194,13 +225,17 @@ def _build_overload(duration: float, seed: int) -> EvolvePlatform:
         platform.deploy_microservice(
             f"be-{i}",
             trace=ConstantTrace(150.0),
-            demands=filler,
+            demands=_FILLER_DEMANDS,
             allocation=ResourceVector(cpu=4, memory=4, disk_bw=10, net_bw=20),
             replicas=3,
             managed=False,
             labels={"shed-class": "best-effort"},
         )
     return platform
+
+
+def _build_overload(duration: float, seed: int) -> EvolvePlatform:
+    return build_overload(seed=seed, slos=_OVERLOAD_SLOS)
 
 
 # -- data-fault: the R-T11 ft build under the harsh schedule -----------------
@@ -283,14 +318,22 @@ def schedule_fault_cycle(
         i += 1
 
 
-def _build_datafault(duration: float, seed: int) -> EvolvePlatform:
+def build_data_fault(
+    *, seed: int, ft: bool = True, slos: tuple[SLOSpec, ...] = ()
+) -> EvolvePlatform:
+    """The R-T11 mix: an analytics job over a replicated dataset + a stream.
+
+    ``ft`` turns data-plane fault tolerance on; ``slos`` attaches SLOs
+    (and the telemetry they need). No faults are scheduled — see
+    :func:`schedule_fault_cycle`.
+    """
     platform = EvolvePlatform(
         cluster_spec=ClusterSpec(node_count=6),
         config=PlatformConfig(
             seed=seed,
-            telemetry=True,
-            slos=_DATAFAULT_SLOS,
-            data_plane=DataPlaneConfig(enabled=True),
+            telemetry=bool(slos),
+            slos=slos,
+            data_plane=DataPlaneConfig(enabled=ft),
         ),
         scheduler="converged",
         policy="adaptive",
@@ -323,6 +366,11 @@ def _build_datafault(duration: float, seed: int) -> EvolvePlatform:
         plo=LatencyPLO(5.0, window=30),
         workers=2,
     )
+    return platform
+
+
+def _build_datafault(duration: float, seed: int) -> EvolvePlatform:
+    platform = build_data_fault(seed=seed, slos=_DATAFAULT_SLOS)
     schedule_fault_cycle(platform, _DATAFAULT_PERIOD, duration)
     return platform
 
