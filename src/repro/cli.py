@@ -459,9 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--list", action="store_true",
                        help="list registered experiments and exit")
     bench.add_argument("--seed", type=int, default=None,
-                       help="override every experiment's run seed (budget "
-                            "gates are skipped: they are calibrated at the "
-                            "default seeds; see docs/testing.md)")
+                       help="override every experiment's run seed (budgets "
+                            "and shape checks are skipped: they are "
+                            "calibrated at the default seeds; see "
+                            "docs/testing.md)")
     bench.set_defaults(func=cmd_bench)
 
     ar = sub.add_parser(
