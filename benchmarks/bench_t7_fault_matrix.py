@@ -91,8 +91,6 @@ def _arm_fault(platform, fault: str, apps: list[str]) -> None:
     engine.schedule(FAULT_AT, strike)
 
 
-
-
 def _run_cell(workload: str, fault: str, seed: int) -> dict:
     platform = build_platform("adaptive", nodes=6, seed=seed)
     apps = _deploy(platform, workload)
