@@ -101,9 +101,12 @@ class ConvergedScheduler(SchedulerBase):
         # locality_fraction read in _locality_bonus). Both can only
         # change between engine events, never inside one scheduling
         # cycle, so entries are valid for the duration of a cycle and
-        # the cache is cleared on entry to schedule_cycle. If store
-        # replication is ever triggered mid-cycle (e.g. from a bind),
-        # a store generation/epoch must be folded into the cache key.
+        # the cache is cleared on entry to schedule_cycle. The locality
+        # read itself is served from the store's cache, which is keyed
+        # on ObjectStore.epoch and so stays exact at any time; a score
+        # cached here does not. If store replication is ever triggered
+        # mid-cycle (e.g. from a bind), the store epoch must be folded
+        # into this cache's key.
         # Bit-identical by construction: a hit returns the float the
         # scorer would have recomputed.
         # score_cache=False recomputes every score — the reference mode

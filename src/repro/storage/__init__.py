@@ -9,13 +9,12 @@ exploits.
 """
 
 from repro.storage.objectstore import ObjectStore, StorageObject
-from repro.storage.placement import DatasetPlacement, spread_blocks
+from repro.storage.placement import spread_blocks
 from repro.storage.repair import StorageRepairService
 
 __all__ = [
     "ObjectStore",
     "StorageObject",
-    "DatasetPlacement",
     "spread_blocks",
     "StorageRepairService",
 ]

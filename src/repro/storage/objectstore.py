@@ -18,7 +18,7 @@ everything), preserving seed behaviour bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 
 #: Sentinel distinguishing "not passed" from an explicit ``live=None``.
@@ -86,9 +86,11 @@ class ObjectStore:
         #: The platform wires this to "node not dark" only when data-plane
         #: fault tolerance is enabled.
         self.node_liveness: LivenessFn | None = None
-        #: Bumped on every replica-set mutation; schedulers may fold it
-        #: into score-cache keys if replication ever changes mid-cycle.
+        #: Bumped on every put, delete and replica-set mutation.
         self.epoch = 0
+        #: Per bucket: the epoch its locality fractions were computed at,
+        #: and the fraction per node. Filled by reads only.
+        self._locality: dict[str, tuple[int, dict[str, float]]] = {}
 
     # -- bucket/object CRUD ---------------------------------------------------
 
@@ -104,6 +106,12 @@ class ObjectStore:
         """Bucket names in sorted (deterministic) order."""
         return sorted(self._buckets)
 
+    def _bucket(self, bucket: str) -> dict[str, StorageObject]:
+        try:
+            return self._buckets[bucket]
+        except KeyError:
+            raise StorageError(f"unknown bucket {bucket!r}") from None
+
     def put(
         self,
         bucket: str,
@@ -114,14 +122,13 @@ class ObjectStore:
         target_replicas: int | None = None,
     ) -> StorageObject:
         """Store object metadata; replicas are node names holding the data."""
-        if bucket not in self._buckets:
-            raise StorageError(f"unknown bucket {bucket!r}")
+        objects = self._bucket(bucket)
         if target_replicas is None:
             target_replicas = max(1, len(replicas))
         obj = StorageObject(
             bucket, key, size_mb, frozenset(replicas), target_replicas=target_replicas
         )
-        self._buckets[bucket][key] = obj
+        objects[key] = obj
         self.epoch += 1
         return obj
 
@@ -139,9 +146,7 @@ class ObjectStore:
         self.epoch += 1
 
     def list_objects(self, bucket: str) -> list[StorageObject]:
-        if bucket not in self._buckets:
-            raise StorageError(f"unknown bucket {bucket!r}")
-        return list(self._buckets[bucket].values())
+        return list(self._bucket(bucket).values())
 
     # -- replica mutation (repair / data-loss paths) -------------------------------
 
@@ -186,16 +191,24 @@ class ObjectStore:
         ``live`` is a node-liveness predicate; when it rejects
         ``node_name`` itself the fraction is 0 (a dark node serves no
         local reads). Defaults to :attr:`node_liveness`.
+
+        Fractions are cached per bucket until the next :attr:`epoch`
+        bump. Liveness is tested on every call: it changes without one.
         """
         live = self._resolve_live(live)
         if live is not None and not live(node_name):
             return 0.0
-        objects = self.list_objects(bucket)
-        total = sum(o.size_mb for o in objects)
-        if total <= 0:
-            return 0.0
-        local = sum(o.size_mb for o in objects if o.is_local_to(node_name))
-        return local / total
+        cached = self._locality.get(bucket)
+        if cached is None or cached[0] != self.epoch:
+            cached = (self.epoch, {})
+        fractions = cached[1]
+        if node_name not in fractions:
+            objects = self.list_objects(bucket)
+            total = sum(o.size_mb for o in objects)
+            local = sum(o.size_mb for o in objects if o.is_local_to(node_name))
+            fractions[node_name] = local / total if total > 0 else 0.0
+            self._locality[bucket] = cached
+        return fractions[node_name]
 
     def replica_nodes(self, bucket: str, *, live=_UNSET) -> set[str]:
         """All live nodes holding at least one block of the bucket."""
@@ -215,29 +228,29 @@ class ObjectStore:
                 nodes |= obj.replicas
         return nodes
 
+    def _sorted_objects(self, bucket: str | None) -> Iterator[StorageObject]:
+        """Objects of ``bucket``, or of every bucket, in bucket then key order."""
+        for name in self.buckets() if bucket is None else [bucket]:
+            objects = self._bucket(name)
+            for key in sorted(objects):
+                yield objects[key]
+
     def under_replicated(
         self, bucket: str | None = None, *, live=_UNSET
     ) -> list[StorageObject]:
         """Objects whose live replica count is below target, sorted by key."""
         live = self._resolve_live(live)
-        buckets = [bucket] if bucket is not None else self.buckets()
-        found: list[StorageObject] = []
-        for name in buckets:
-            for key in sorted(self._buckets.get(name, ())):
-                obj = self._buckets[name][key]
-                if len(obj.live_replicas(live)) < obj.target:
-                    found.append(obj)
-        return found
+        return [
+            obj
+            for obj in self._sorted_objects(bucket)
+            if len(obj.live_replicas(live)) < obj.target
+        ]
 
     def lost_objects(
         self, bucket: str | None = None, *, live=_UNSET
     ) -> list[StorageObject]:
         """Objects with zero live replicas (data unrecoverable by repair)."""
         live = self._resolve_live(live)
-        buckets = [bucket] if bucket is not None else self.buckets()
         return [
-            obj
-            for name in buckets
-            for key in sorted(self._buckets.get(name, ()))
-            if not (obj := self._buckets[name][key]).live_replicas(live)
+            obj for obj in self._sorted_objects(bucket) if not obj.live_replicas(live)
         ]

@@ -46,32 +46,3 @@ def spread_blocks(
         store.put(bucket, f"block-{i:06d}", block_mb, replicas)
     return n_blocks
 
-
-class DatasetPlacement:
-    """Cached locality view of one dataset, consumed by schedulers.
-
-    Wraps :meth:`ObjectStore.locality_fraction` with memoization so the
-    scheduler's scoring loop does not rescan object metadata per pod.
-    """
-
-    def __init__(self, store: ObjectStore, bucket: str):
-        self.store = store
-        self.bucket = bucket
-        self._cache: dict[str, float] = {}
-
-    def locality(self, node_name: str) -> float:
-        """Fraction of dataset bytes local to ``node_name``."""
-        if node_name not in self._cache:
-            self._cache[node_name] = self.store.locality_fraction(
-                self.bucket, node_name
-            )
-        return self._cache[node_name]
-
-    def invalidate(self) -> None:
-        """Drop cached fractions after placement changes."""
-        self._cache.clear()
-
-    def best_nodes(self, node_names: Sequence[str], count: int) -> list[str]:
-        """The ``count`` nodes with the highest locality, descending."""
-        ranked = sorted(node_names, key=self.locality, reverse=True)
-        return ranked[:count]

@@ -338,40 +338,42 @@ class BigDataJob(Application):
         done = sum(s.work_cpu_seconds - s.remaining_work for s in self.stages)
         return min(1.0, done / self._total_work)
 
-    def _input_bandwidth(self, pod: Pod, stage: Stage) -> float:
-        """Effective MB/s this executor can read for ``stage``."""
-        is_source = not stage.deps
-        if is_source and self.dataset is not None and self.store is not None:
+    def _input_locality(self, pod: Pod, stage: Stage) -> tuple[float, float]:
+        """Locality fraction and effective input MB/s of this executor.
+
+        Source stages read the dataset: the local fraction over disk
+        bandwidth, the rest over network bandwidth discounted by the
+        store's ``remote_penalty``. Shuffle input, or a job without a
+        dataset, is all local and charged against disk bandwidth.
+        """
+        if not stage.deps and self.dataset is not None and self.store is not None:
             assert pod.node_name is not None
             local = self.store.locality_fraction(self.dataset, pod.node_name)
             remote_bw = pod.allocation.net_bw * self.store.remote_penalty
-            return local * pod.allocation.disk_bw + (1 - local) * remote_bw
-        # Shuffle input / no dataset: charged against disk bandwidth.
-        return pod.allocation.disk_bw
+            return local, local * pod.allocation.disk_bw + (1 - local) * remote_bw
+        return 1.0, pod.allocation.disk_bw
 
     def _assign_executors(
         self, stages: list[Stage], executors: list[Pod]
     ) -> dict[str, Stage]:
         """Distribute executors over runnable stages.
 
-        Round-robin in topological order, honoring each stage's
-        ``max_parallelism``; leftover executors idle. Returns a map from
-        pod name to its stage.
+        Round-robin in topological order, one executor per open stage
+        per round, honoring each stage's ``max_parallelism``; leftover
+        executors idle. Returns a map from pod name to its stage.
         """
         assignment: dict[str, Stage] = {}
-        counts = {stage.name: 0 for stage in stages}
-        pending = list(executors)
-        while pending:
-            open_stages = [
-                s for s in stages if counts[s.name] < s.max_parallelism
-            ]
-            if not open_stages:
-                break
-            # Fill the emptiest open stage first (topo order breaks ties).
-            target = min(open_stages, key=lambda s: counts[s.name])
-            pod = pending.pop(0)
-            assignment[pod.name] = target
-            counts[target.name] += 1
+        pods = iter(executors)
+        open_stages = stages
+        rounds = 0
+        while open_stages:
+            for stage in open_stages:
+                pod = next(pods, None)
+                if pod is None:
+                    return assignment
+                assignment[pod.name] = stage
+            rounds += 1
+            open_stages = [s for s in open_stages if s.max_parallelism > rounds]
         return assignment
 
     def _advance_executor(self, pod: Pod, stage: Stage, dt: float) -> float:
@@ -390,8 +392,8 @@ class BigDataJob(Application):
             == self.accelerator
         ):
             cpu_rate *= stage.accel_speedup
+        local_frac, in_bw = self._input_locality(pod, stage)
         if stage.input_mb > 0 and stage.remaining_input > 0:
-            in_bw = self._input_bandwidth(pod, stage)
             work_frac_rate = cpu_rate / stage.work_cpu_seconds
             input_frac_rate = (
                 in_bw / stage.input_mb if stage.input_mb > 0 else math.inf
@@ -410,12 +412,6 @@ class BigDataJob(Application):
         stage_input = min(stage_input, stage.remaining_input)
         stage.remaining_work = max(0.0, stage.remaining_work - stage_work)
         stage.remaining_input = max(0.0, stage.remaining_input - stage_input)
-
-        is_source = not stage.deps
-        local_frac = 1.0
-        if is_source and self.dataset is not None and self.store is not None:
-            assert pod.node_name is not None
-            local_frac = self.store.locality_fraction(self.dataset, pod.node_name)
         pod.record_usage(
             ResourceVector(
                 cpu=min(cpu_used, pod.allocation.cpu),
@@ -749,7 +745,7 @@ class BigDataJob(Application):
         if cpu_rate <= 0:
             pod.record_usage(ResourceVector(memory=min(0.25, pod.allocation.memory)))
             return 0.0
-        in_bw = self._input_bandwidth(pod, stage)
+        local_frac, in_bw = self._input_locality(pod, stage)
         budget = dt
         retired = 0.0
         io_mb = 0.0
@@ -793,11 +789,6 @@ class BigDataJob(Application):
             self.ft_retired_work += dw
             if finished:
                 self._finish_task(t, primary, pod)
-        is_source = not stage.deps
-        local_frac = 1.0
-        if is_source and self.dataset is not None and self.store is not None:
-            assert pod.node_name is not None
-            local_frac = self.store.locality_fraction(self.dataset, pod.node_name)
         io_rate = io_mb / dt
         pod.record_usage(
             ResourceVector(

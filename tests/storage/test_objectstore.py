@@ -3,7 +3,7 @@
 import pytest
 
 from repro.storage.objectstore import ObjectStore, StorageError, StorageObject
-from repro.storage.placement import DatasetPlacement, spread_blocks
+from repro.storage.placement import spread_blocks
 
 
 class TestObjectStore:
@@ -148,6 +148,23 @@ class TestReplicaMutation:
         dead = lambda n: n != "node-0"  # noqa: E731
         assert [o.key for o in fresh.under_replicated(live=dead)] == ["k1", "k2"]
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "locality_fraction",
+            "replica_nodes",
+            "bucket_size_mb",
+            "under_replicated",
+            "lost_objects",
+        ],
+    )
+    def test_dataset_queries_reject_unknown_bucket(self, query):
+        store = self._store()
+        store.locality_fraction("b", "node-0")  # with another bucket cached
+        args = ("ghost", "node-0") if query == "locality_fraction" else ("ghost",)
+        with pytest.raises(StorageError):
+            getattr(store, query)(*args)
+
     def test_nodes_with_data(self):
         store = self._store()
         assert store.nodes_with_data() == {"node-0", "node-1", "node-2"}
@@ -214,22 +231,3 @@ class TestSpreadBlocks:
         with pytest.raises(ValueError):
             spread_blocks(ObjectStore(), "d", **defaults)
 
-
-class TestDatasetPlacement:
-    def test_caches_locality(self):
-        store = ObjectStore()
-        spread_blocks(store, "d", total_mb=100, block_mb=10, nodes=["a", "b"])
-        placement = DatasetPlacement(store, "d")
-        first = placement.locality("a")
-        store.put("d", "extra", 1000.0, {"b"})
-        assert placement.locality("a") == first  # cached
-        placement.invalidate()
-        assert placement.locality("a") < first
-
-    def test_best_nodes(self):
-        store = ObjectStore()
-        store.create_bucket("d")
-        store.put("d", "k1", 80.0, {"a"})
-        store.put("d", "k2", 20.0, {"b"})
-        placement = DatasetPlacement(store, "d")
-        assert placement.best_nodes(["a", "b", "c"], 2) == ["a", "b"]

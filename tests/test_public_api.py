@@ -47,8 +47,8 @@ PUBLIC_SURFACE = {
     "repro.scheduler": ["KubeScheduler", "ConvergedScheduler",
                         "SiloedScheduler", "GangAdmission",
                         "PreemptionPlan", "plan_gang"],
-    "repro.storage": ["ObjectStore", "StorageObject", "DatasetPlacement",
-                      "spread_blocks", "StorageRepairService"],
+    "repro.storage": ["ObjectStore", "StorageObject", "spread_blocks",
+                      "StorageRepairService"],
     "repro.platform": ["EvolvePlatform", "ClusterSpec", "PlatformConfig",
                        "build_nodes", "DataPlaneConfig"],
     "repro.analysis": ["PLOMonitor", "utilization_summary", "settling_time",

@@ -10,7 +10,9 @@ task-granular engine, so its invariants are load-bearing twice over:
 * filling is balanced — stages that never hit their cap end within one
   executor of each other;
 * the result is a pure function of its inputs (determinism is what the
-  seeded-replay contract of the whole simulator rests on).
+  seeded-replay contract of the whole simulator rests on);
+* it is exactly the assignment of the original min-first loop, kept
+  below as the reference: pod → stage mapping and insertion order.
 """
 
 from hypothesis import given, settings
@@ -30,6 +32,23 @@ def _assign(stages, pods):
     # _assign_executors never touches self: call it unbound so the
     # property holds for any job configuration.
     return BigDataJob._assign_executors(None, stages, pods)
+
+
+def _min_first(stages, pods):
+    """Reference: give each pod, in order, to the open stage holding the
+    fewest executors; topological order breaks ties."""
+    assignment = {}
+    counts = {stage.name: 0 for stage in stages}
+    pending = list(pods)
+    while pending:
+        open_stages = [s for s in stages if counts[s.name] < s.max_parallelism]
+        if not open_stages:
+            break
+        target = min(open_stages, key=lambda s: counts[s.name])
+        pod = pending.pop(0)
+        assignment[pod.name] = target
+        counts[target.name] += 1
+    return assignment
 
 
 def _make_stages(caps):
@@ -71,7 +90,7 @@ def test_assignment_invariants(stages, pods):
     assert sorted(assignment) == sorted(expected)
 
     # Balance: stages still below their cap at the end were available
-    # to every round of the fill, so min-first keeps them within one.
+    # to every round of the fill, so round-robin keeps them within one.
     open_counts = [
         counts[s.name] for s in stages if counts[s.name] < s.max_parallelism
     ]
@@ -83,3 +102,11 @@ def test_assignment_invariants(stages, pods):
     assert {p: s.name for p, s in again.items()} == {
         p: s.name for p, s in assignment.items()
     }
+
+
+@settings(max_examples=200, deadline=None)
+@given(stages=stage_lists, pods=pod_lists)
+def test_assignment_matches_min_first_reference(stages, pods):
+    got = [(pod, stage.name) for pod, stage in _assign(stages, pods).items()]
+    want = [(pod, stage.name) for pod, stage in _min_first(stages, pods).items()]
+    assert got == want
