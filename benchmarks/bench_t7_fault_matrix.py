@@ -115,6 +115,7 @@ def _run_cell(workload: str, fault: str, seed: int) -> dict:
         "stats": manager.resilience_stats(),
         "apps": {app: manager.entry_resilience(app) for app in apps},
         "events": platform.engine.events_executed,
+        "fault_log": platform.fault_log,
     }
 
 

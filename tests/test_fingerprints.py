@@ -12,8 +12,11 @@ domains); every arena cell at horizon 450 s; the three ``repro report``
 presets; the ``events_executed`` and ``metrics`` blocks of every runner
 smoke experiment except ``telemetry_overhead`` (its call counts depend
 on how the interpreter was started) and ``micro_timeseries`` (its
-metrics are constants); and one ``enable_chaos`` run striking every
-fault kind the monkey drives on the platform from
+metrics are constants); every cell of the R-T7 full fault matrix (the
+only runs that enter safe mode or meet an actuation outage: events,
+resilience counters in total and per app, re-convergence times and
+FaultLog episodes); and one ``enable_chaos`` run striking every fault
+kind the monkey drives on the platform from
 :func:`tests.conftest.make_chaos_platform`.
 
 Digests are recorded on one interpreter (the file's ``python`` field)
@@ -53,6 +56,9 @@ RUNNER_EXPERIMENTS = (
     "t12", "arena", "trace_realism",
     "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10", "f11", "f12",
 )
+#: The R-T7 full grid, one digest per (workload, fault class) cell.
+T7_WORKLOADS = ("micro", "bigdata")
+T7_FAULTS = ("crash", "degradation", "scrape-drop", "stale-metrics", "actuation")
 #: Every fault kind the chaos monkey can drive through ``enable_chaos``.
 MONKEY_KINDS = ("crash", "degrade", "partition", "executor-kill", "data-loss")
 MONKEY_HORIZON = 900.0
@@ -143,6 +149,19 @@ def _runner(name: str) -> dict:
     return {"events_executed": out["events_executed"], "metrics": out["metrics"]}
 
 
+def _t7_cell(workload: str, fault: str) -> dict:
+    from benchmarks import bench_t7_fault_matrix as t7
+
+    cell = t7._run_cell(workload, fault, t7.SEED)
+    return {
+        "events": cell["events"],
+        "stats": cell["stats"],
+        "apps": cell["apps"],
+        "reconvergence": cell["reconvergence"],
+        "faults": _episodes(cell["fault_log"]),
+    }
+
+
 def _monkey() -> dict:
     platform, monkey = make_chaos_platform(list(MONKEY_KINDS))
     placements = _record_placements(platform)
@@ -169,6 +188,11 @@ def runs() -> dict:
         table[f"report/{name}"] = lambda n=name: _report(n)
     for name in RUNNER_EXPERIMENTS:
         table[f"runner/{name}"] = lambda n=name: _runner(n)
+    for workload in T7_WORKLOADS:
+        for fault in T7_FAULTS:
+            table[f"runner/t7-full/{workload}/{fault}"] = (
+                lambda w=workload, f=fault: _t7_cell(w, f)
+            )
     table["monkey/" + "+".join(MONKEY_KINDS)] = _monkey
     return table
 
