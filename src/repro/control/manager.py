@@ -1,18 +1,24 @@
 """The control loop: evaluate PLOs, decide, actuate — and degrade gracefully.
 
 One :class:`ControlLoopManager` runs per experiment. Every control period
-it, for each registered application:
+it steps each registered application through evaluate → decide → write →
+record:
 
-1. evaluates the application's PLO against the metrics pipeline and
-   checks the signal is *fresh* (recent samples, not a stalled scrape),
-2. builds the saturation snapshot from scraped usage/allocation,
-3. asks the application's :class:`~repro.control.multiresource.MultiResourceController`
-   for a decision,
-4. actuates vertically (in-place pod resizes) and, through an optional
+1. **evaluate** the application's PLO against the metrics pipeline and
+   check the signal is *fresh* (recent samples, not a stalled scrape),
+2. **decide**: build the saturation snapshot from scraped usage/allocation
+   and ask the application's
+   :class:`~repro.control.multiresource.MultiResourceController` for a
+   decision,
+3. **write** it vertically (in-place pod resizes) and, through an optional
    horizontal policy, by adding/removing replicas when vertical scaling
-   rails out,
-5. records the loop's internals as metrics series for the evaluation
+   rails out — every write goes through one path that logs it to the
+   write-ahead hook before actuating,
+4. **record** the loop's internals as metrics series for the evaluation
    harness (error, output, gain scale, decisions, safe mode, breaker).
+
+The step returns its verdict and decision; with telemetry on, the loop
+turns them into one decision-provenance record per application and period.
 
 The loop is hardened against the fault taxonomy in
 :mod:`repro.cluster.chaos` / :mod:`repro.metrics.faults`:
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Protocol
 
 import numpy as np
@@ -129,44 +136,57 @@ class ResilienceConfig:
             raise ValueError("breaker_open_duration must be positive")
 
 
+#: The resilience counters every application keeps, in report order.
+COUNTERS = (
+    "safe_mode_entries",
+    "safe_mode_exits",
+    "actuation_failures",
+    "retries",
+    "breaker_trips",
+    "breaker_skips",
+    "breaker_probes",
+    "breaker_reopens",
+    "brownout_entries",
+    "brownout_exits",
+)
+#: The counters a durable snapshot carries across controller failover.
+DURABLE_COUNTERS = (
+    "safe_mode_entries", "safe_mode_exits", "breaker_trips", "breaker_skips"
+)
+
+
 @dataclass
 class _Entry:
     app: Application
     controller: MultiResourceController
     horizontal: HorizontalPolicy | None
     feedforward: object | None = None  # optional FeedforwardScaler
-    last_decision: ControlDecision | None = None
     skipped: int = 0
     stats: dict[str, int] = field(
         default_factory=lambda: {"grow": 0, "reclaim": 0, "hold": 0}
+    )
+    #: One count per name in :data:`COUNTERS`.
+    counters: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(COUNTERS, 0)
     )
     # -- resilience state ----------------------------------------------------
     stale_periods: int = 0
     last_signal_time: float | None = None
     safe_mode: bool = False
-    safe_mode_entries: int = 0
-    safe_mode_exits: int = 0
     last_good_allocation: ResourceVector | None = None
-    actuation_failures: int = 0
     consecutive_failures: int = 0
-    retries: int = 0
     retry_attempts: int = 0
     retry_action: Callable[[], None] | None = None
     retry_handle: EventHandle | None = None
     breaker_open_until: float = 0.0
-    breaker_trips: int = 0
-    breaker_skips: int = 0
     # Half-open: the open window elapsed and the next actuation is a
     # probe — success closes the breaker, failure re-opens it.
     breaker_half_open: bool = False
-    breaker_probes: int = 0
-    breaker_reopens: int = 0
-    directions: deque = field(default_factory=lambda: deque(maxlen=6))
+    # Last ``breaker_flap_window`` non-hold directions (+1 grow, -1 reclaim).
+    directions: deque = field(default_factory=deque)
     # -- brownout hysteresis (only advanced when brownout is enabled) --------
     brownout_high_periods: int = 0
     brownout_low_periods: int = 0
-    brownout_entries: int = 0
-    brownout_exits: int = 0
     brownout_episode: object | None = None
     # Span id of the current period's decide span (telemetry only), so
     # actuations — including delayed retries — parent to their decision.
@@ -179,10 +199,8 @@ class ControlLoopManager:
     Parameters
     ----------
     interval:
-        Control period in seconds (the dt fed to each PID).
-    usage_window:
-        Trailing window for usage averaging when building saturation
-        snapshots; defaults to the control period.
+        Control period in seconds (the dt fed to each PID, and the
+        trailing window usage is averaged over for saturation snapshots).
     resilience:
         Safe-mode / retry / breaker knobs; defaults to
         :class:`ResilienceConfig` (hardening always on).
@@ -201,7 +219,6 @@ class ControlLoopManager:
         collector: MetricsCollector,
         *,
         interval: float = 10.0,
-        usage_window: float | None = None,
         resilience: ResilienceConfig | None = None,
         rng: np.random.Generator | None = None,
         fault_log=None,
@@ -212,8 +229,9 @@ class ControlLoopManager:
         self.engine = engine
         self.collector = collector
         self.interval = interval
-        self.usage_window = usage_window or interval
         self.resilience = resilience or ResilienceConfig()
+        #: Max age (s) of the newest PLO sample before the signal is stale.
+        self.freshness_timeout = self.resilience.freshness_timeout or 2.5 * interval
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.fault_log = fault_log
         self.backpressure: BackpressureState | None = (
@@ -224,12 +242,6 @@ class ControlLoopManager:
         self.brownout_cfg = (
             overload if overload is not None and overload.brownout else None
         )
-        # Aggregate brownout counters across all entries, maintained at
-        # the enter/exit sites so telemetry can sync ``sched/brownout/*``
-        # with plain attribute reads per scrape.
-        self.brownout_entries_total = 0
-        self.brownout_exits_total = 0
-        self.brownout_active_total = 0
         # HA hooks (see repro.control.ha). ``partition_guard`` runs at the
         # top of every actuation and may raise ActuationError (a partitioned
         # leader cannot reach the API, so its writes fail like any other
@@ -247,11 +259,6 @@ class ControlLoopManager:
         self._handle: PeriodicHandle | None = None
         self.loops = 0
 
-    @property
-    def freshness_timeout(self) -> float:
-        timeout = self.resilience.freshness_timeout
-        return timeout if timeout is not None else 2.5 * self.interval
-
     # -- registration ------------------------------------------------------------
 
     def register(
@@ -267,9 +274,10 @@ class ControlLoopManager:
             raise ValueError(f"application {app.name!r} has no PLO attached")
         if app.name in self._entries:
             raise ValueError(f"application {app.name!r} already registered")
-        entry = _Entry(app, controller, horizontal, feedforward)
-        entry.directions = deque(maxlen=max(2, self.resilience.breaker_flap_window))
-        self._entries[app.name] = entry
+        self._entries[app.name] = _Entry(
+            app, controller, horizontal, feedforward,
+            directions=deque(maxlen=max(2, self.resilience.breaker_flap_window)),
+        )
 
     def unregister(self, app_name: str) -> None:
         entry = self._entries.pop(app_name, None)
@@ -285,61 +293,25 @@ class ControlLoopManager:
         return dict(self._entries[app_name].stats)
 
     def entry_resilience(self, app_name: str) -> dict[str, int | bool]:
-        """Resilience counters for one application (for tests/reports)."""
+        """Resilience state and counters for one application (for tests/reports)."""
         entry = self._entries[app_name]
         return {
             "safe_mode": entry.safe_mode,
-            "safe_mode_entries": entry.safe_mode_entries,
-            "safe_mode_exits": entry.safe_mode_exits,
             "stale_periods": entry.stale_periods,
-            "actuation_failures": entry.actuation_failures,
-            "retries": entry.retries,
-            "breaker_trips": entry.breaker_trips,
-            "breaker_skips": entry.breaker_skips,
-            "breaker_probes": entry.breaker_probes,
-            "breaker_reopens": entry.breaker_reopens,
-            "brownout_entries": entry.brownout_entries,
-            "brownout_exits": entry.brownout_exits,
+            **entry.counters,
         }
 
     def resilience_stats(self) -> dict[str, int]:
         """Aggregate resilience counters over all registered applications."""
-        totals = {
-            "safe_mode_entries": 0,
-            "safe_mode_exits": 0,
-            "actuation_failures": 0,
-            "retries": 0,
-            "breaker_trips": 0,
-            "breaker_skips": 0,
-            "breaker_probes": 0,
-            "breaker_reopens": 0,
-            "brownout_entries": 0,
-            "brownout_exits": 0,
-        }
+        totals = dict.fromkeys(COUNTERS, 0)
         for entry in self._entries.values():
-            totals["safe_mode_entries"] += entry.safe_mode_entries
-            totals["safe_mode_exits"] += entry.safe_mode_exits
-            totals["actuation_failures"] += entry.actuation_failures
-            totals["retries"] += entry.retries
-            totals["breaker_trips"] += entry.breaker_trips
-            totals["breaker_skips"] += entry.breaker_skips
-            totals["breaker_probes"] += entry.breaker_probes
-            totals["breaker_reopens"] += entry.breaker_reopens
-            totals["brownout_entries"] += entry.brownout_entries
-            totals["brownout_exits"] += entry.brownout_exits
+            for name, count in entry.counters.items():
+                totals[name] += count
         return totals
 
     def backpressure_stats(self) -> dict[str, int]:
         """Deferred scale-up ledger counters (zeros when disabled)."""
-        if self.backpressure is None:
-            return {
-                "queued": 0,
-                "deferrals": 0,
-                "coalesced": 0,
-                "releases": 0,
-                "dropped": 0,
-            }
-        return self.backpressure.stats()
+        return (self.backpressure or BackpressureState()).stats()
 
     # -- state export / restore (control-plane HA) ----------------------------------
 
@@ -348,10 +320,10 @@ class ControlLoopManager:
 
         Captures everything a standby replica needs to resume each loop
         mid-transient: controller internals (PID integrator, adaptive gain
-        scale), safe-mode and breaker latches, and the last-known-good
-        allocation. In-flight retry closures are deliberately *not*
-        exported — they die with the process; the WAL covers re-issuing
-        whatever was lost.
+        scale), safe-mode and breaker latches, the last-known-good
+        allocation and the :data:`DURABLE_COUNTERS`. In-flight retry
+        closures are deliberately *not* exported — they die with the
+        process; the WAL covers re-issuing whatever was lost.
         """
         state: dict[str, dict] = {}
         for name, entry in self._entries.items():
@@ -361,19 +333,16 @@ class ControlLoopManager:
                 "stale_periods": entry.stale_periods,
                 "last_signal_time": entry.last_signal_time,
                 "safe_mode": entry.safe_mode,
-                "safe_mode_entries": entry.safe_mode_entries,
-                "safe_mode_exits": entry.safe_mode_exits,
                 "last_good_allocation": (
                     entry.last_good_allocation.as_dict()
                     if entry.last_good_allocation is not None
                     else None
                 ),
                 "breaker_open_until": entry.breaker_open_until,
-                "breaker_trips": entry.breaker_trips,
-                "breaker_skips": entry.breaker_skips,
                 "breaker_half_open": entry.breaker_half_open,
                 "directions": list(entry.directions),
                 "controller": entry.controller.export_state(),
+                **{key: entry.counters[key] for key in DURABLE_COUNTERS},
             }
         return state
 
@@ -393,21 +362,19 @@ class ControlLoopManager:
             entry.stale_periods = int(app_state["stale_periods"])
             entry.last_signal_time = app_state["last_signal_time"]
             entry.safe_mode = bool(app_state["safe_mode"])
-            entry.safe_mode_entries = int(app_state["safe_mode_entries"])
-            entry.safe_mode_exits = int(app_state["safe_mode_exits"])
             good = app_state["last_good_allocation"]
             entry.last_good_allocation = (
                 ResourceVector.from_dict(good) if good is not None else None
             )
             entry.breaker_open_until = float(app_state["breaker_open_until"])
-            entry.breaker_trips = int(app_state["breaker_trips"])
-            entry.breaker_skips = int(app_state["breaker_skips"])
             entry.breaker_half_open = bool(
                 app_state.get("breaker_half_open", False)
             )
             entry.directions.clear()
             entry.directions.extend(app_state["directions"])
             entry.controller.restore_state(app_state["controller"])
+            for key in DURABLE_COUNTERS:
+                entry.counters[key] = int(app_state[key])
 
     def reset_entries(self) -> None:
         """Discard all in-memory control state (simulated process restart).
@@ -419,7 +386,6 @@ class ControlLoopManager:
         for entry in self._entries.values():
             self._cancel_retry(entry)
             entry.controller.reset()
-            entry.last_decision = None
             entry.stale_periods = 0
             entry.last_signal_time = None
             entry.safe_mode = False
@@ -459,7 +425,7 @@ class ControlLoopManager:
 
     def _enter_safe_mode(self, entry: _Entry, now: float) -> None:
         entry.safe_mode = True
-        entry.safe_mode_entries += 1
+        entry.counters["safe_mode_entries"] += 1
         if self.telemetry is not None:
             self.telemetry.safe_mode_entries.inc()
             self.telemetry.tracer.instant(
@@ -480,7 +446,7 @@ class ControlLoopManager:
 
     def _exit_safe_mode(self, entry: _Entry) -> None:
         entry.safe_mode = False
-        entry.safe_mode_exits += 1
+        entry.counters["safe_mode_exits"] += 1
         # The PID integrated against a signal that then went dark; start
         # the loop clean rather than acting on pre-outage momentum.
         entry.controller.reset()
@@ -496,7 +462,7 @@ class ControlLoopManager:
 
     def _trip_breaker(self, entry: _Entry, now: float) -> None:
         entry.breaker_open_until = now + self.resilience.breaker_open_duration
-        entry.breaker_trips += 1
+        entry.counters["breaker_trips"] += 1
         entry.breaker_half_open = False
         if self.telemetry is not None:
             self.telemetry.breaker_trips.inc()
@@ -567,7 +533,8 @@ class ControlLoopManager:
                         "breaker_close", "control", app=entry.app.name,
                     )
             entry.consecutive_failures = 0
-            self._cancel_retry(entry)
+            if entry.retry_attempts:  # retry state left by an earlier failure
+                self._cancel_retry(entry)
             if sp is not None:
                 sp.args["outcome"] = "applied"
                 tel.actuations.inc()
@@ -585,13 +552,13 @@ class ControlLoopManager:
         on_success: Callable[[], None] | None,
     ) -> None:
         cfg = self.resilience
-        entry.actuation_failures += 1
+        entry.counters["actuation_failures"] += 1
         if self.telemetry is not None:
             self.telemetry.actuation_failures.inc()
         if entry.breaker_half_open:
             # Failed probe: re-open immediately for another full window
             # rather than counting toward the failure threshold.
-            entry.breaker_reopens += 1
+            entry.counters["breaker_reopens"] += 1
             self._trip_breaker(entry, self.engine.now)
             return
         entry.consecutive_failures += 1
@@ -609,7 +576,7 @@ class ControlLoopManager:
         if cfg.retry_jitter > 0:
             delay *= 1.0 + cfg.retry_jitter * (2.0 * float(self.rng.random()) - 1.0)
         entry.retry_attempts += 1
-        entry.retries += 1
+        entry.counters["retries"] += 1
         if self.telemetry is not None:
             self.telemetry.actuation_retries.inc()
         entry.retry_action = action
@@ -714,9 +681,7 @@ class ControlLoopManager:
                     factor=cfg.brownout_demand_factor,
                     latency_penalty=cfg.brownout_latency_penalty,
                 )
-                entry.brownout_entries += 1
-                self.brownout_entries_total += 1
-                self.brownout_active_total += 1
+                entry.counters["brownout_entries"] += 1
                 if self.fault_log is not None:
                     entry.brownout_episode = self.fault_log.open(
                         "brownout", app.name, now,
@@ -741,9 +706,7 @@ class ControlLoopManager:
             if entry.brownout_low_periods >= cfg.brownout_exit_periods:
                 entry.brownout_low_periods = 0
                 app.exit_brownout()
-                entry.brownout_exits += 1
-                self.brownout_exits_total += 1
-                self.brownout_active_total -= 1
+                entry.counters["brownout_exits"] += 1
                 if self.fault_log is not None and entry.brownout_episode is not None:
                     self.fault_log.close(entry.brownout_episode, now)
                     entry.brownout_episode = None
@@ -761,137 +724,56 @@ class ControlLoopManager:
     def _saturation(self, app: Application) -> SaturationSnapshot:
         """Saturation from scraped series, falling back to live pods."""
         prefix = app.metric_prefix()
-        usage = {}
-        alloc = {}
+        fractions = {}
         for name in RESOURCES:
-            usage[name] = self.collector.window_mean(
-                f"{prefix}/usage/{name}", self.usage_window
+            usage = self.collector.window_mean(
+                f"{prefix}/usage/{name}", self.interval
             )
-            alloc[name] = self.collector.latest(f"{prefix}/alloc/{name}")
-        if any(v is None for v in usage.values()) or any(
-            v is None or v <= 0 for v in alloc.values()
-        ):
-            total_usage = ResourceVector.zero()
-            total_alloc = ResourceVector.zero()
-            for pod in app.running_pods():
-                total_usage = total_usage + pod.usage
-                total_alloc = total_alloc + pod.allocation
-            return SaturationSnapshot.from_vectors(total_usage, total_alloc)
-        fractions = {
-            name: (usage[name] / alloc[name] if alloc[name] else 0.0)
-            for name in RESOURCES
-        }
-        return SaturationSnapshot(fractions)
+            alloc = self.collector.latest(f"{prefix}/alloc/{name}")
+            if usage is None or alloc is None or alloc <= 0:
+                break
+            fractions[name] = usage / alloc
+        else:  # every resource has a usable scraped sample
+            return SaturationSnapshot(fractions)
+        total_usage = ResourceVector.zero()
+        total_alloc = ResourceVector.zero()
+        for pod in app.running_pods():
+            total_usage = total_usage + pod.usage
+            total_alloc = total_alloc + pod.allocation
+        return SaturationSnapshot.from_vectors(total_usage, total_alloc)
 
     def run_once(self) -> None:
         """Execute one control period over all registered applications."""
         now = self.engine.now
         self.loops += 1
+        tel = self.telemetry
         for entry in list(self._entries.values()):
             if entry.app.finished:
                 continue
-            self._run_entry(entry, now)
+            if tel is None:
+                self._step(entry, now)
+                continue
+            sp = tel.tracer.begin("decide", "control", app=entry.app.name)
+            entry.decision_span_id = sp.id
+            try:
+                verdict, decision = self._step(entry, now)
+                self._emit_provenance(entry, now, verdict, decision, sp)
+            finally:
+                tel.tracer.end(sp)
 
-    def _run_entry(self, entry: _Entry, now: float) -> None:
-        tel = self.telemetry
-        if tel is None:
-            entry.decision_span_id = None
-            self._run_entry_inner(entry, now, None)
-            return
-        sp = tel.tracer.begin("decide", "control", app=entry.app.name)
-        entry.decision_span_id = sp.id
-        try:
-            self._run_entry_inner(entry, now, sp)
-        finally:
-            tel.tracer.end(sp)
-
-    def _emit_provenance(
-        self,
-        entry: _Entry,
-        now: float,
-        verdict: str,
-        *,
-        decision: ControlDecision | None = None,
-        action: str | None = None,
-        target: ResourceVector | None = None,
-        sp=None,
-    ) -> None:
-        """Append one decision-provenance record (telemetry only).
-
-        Links the decide span back to the scrape that stored the newest
-        PLO sample this evaluation read, and snapshots controller
-        internals at decision time.
-        """
-        tel = self.telemetry
-        if tel is None:
-            return
-        app = entry.app
-        metric = app.plo.metric_name(app.name)
-        signal_time = self.collector.latest_time(metric)
-        signal_age = now - signal_time if signal_time is not None else None
-        scrape_span = (
-            self.collector.scrape_span_at(signal_time)
-            if signal_time is not None
-            else None
-        )
-        if sp is not None and scrape_span is not None:
-            sp.parent_id = scrape_span
-        controller = entry.controller
-        pid = getattr(controller, "pid", None)
-        tuner = getattr(controller, "tuner", None)
-        if action is None:
-            action = decision.action if decision is not None else "none"
-        if target is None and decision is not None and decision.changed:
-            target = decision.new_allocation
-        active: tuple[int, ...] = ()
-        if self.fault_log is not None:
-            active = tuple(ep.eid for ep in self.fault_log.active_at(now))
-        tel.tracer.trace.provenance.append(DecisionProvenance(
-            app=app.name,
-            time=now,
-            verdict=verdict,
-            action=action,
-            error=decision.error if decision is not None else None,
-            output=decision.output if decision is not None else None,
-            gain_scale=decision.gain_scale if decision is not None else None,
-            terms=(
-                getattr(pid, "last_terms", None)
-                if decision is not None
-                else None
-            ),
-            inputs={metric: self.collector.latest(metric)},
-            signal_age=signal_age,
-            stale_periods=entry.stale_periods,
-            safe_mode=entry.safe_mode,
-            deadband=getattr(controller, "deadband", 0.0),
-            clamped=decision.clamped if decision is not None else False,
-            weights=dict(decision.weights) if decision is not None else {},
-            target=target.as_dict() if target is not None else None,
-            replicas=app.replica_count,
-            lease_generation=self.lease_generation,
-            scrape_span_id=scrape_span,
-            span_id=sp.id if sp is not None else None,
-            active_faults=active,
-            tuner_event=(
-                getattr(tuner, "last_event", None)
-                if decision is not None
-                else None
-            ),
-        ))
-        if sp is not None:
-            sp.args["verdict"] = verdict
-            sp.args["action"] = action
-        if verdict == "actuated" and signal_age is not None:
-            tel.reaction_latency.observe(signal_age)
-
-    def _run_entry_inner(self, entry: _Entry, now: float, sp) -> None:
+    def _step(
+        self, entry: _Entry, now: float
+    ) -> tuple[str, ControlDecision | None]:
+        """One control period for one application: evaluate → decide →
+        write → record. Returns the provenance verdict and the decision
+        (None when the period ended before the controller was asked)."""
         app = entry.app
         prefix = f"control/{app.name}"
         status = app.plo.evaluate(self.collector, app.name, now)
 
         if not self._signal_fresh(entry, status.error, now):
             entry.skipped += 1
-            entered = False
+            verdict = "safe-mode-hold" if entry.safe_mode else "stale-skip"
             # Before the first signal ever arrives there is no last-known-
             # good state to protect; stay in the plain skip path.
             if entry.last_signal_time is not None:
@@ -901,21 +783,11 @@ class ControlLoopManager:
                     and entry.stale_periods >= self.resilience.safe_mode_after
                 ):
                     self._enter_safe_mode(entry, now)
-                    entered = True
+                    verdict = "safe-mode-entry"
             self.collector.record(
                 f"{prefix}/safe_mode", 1.0 if entry.safe_mode else 0.0
             )
-            if self.telemetry is not None:
-                if entered:
-                    self._emit_provenance(
-                        entry, now, "safe-mode-entry", action="freeze",
-                        target=entry.last_good_allocation, sp=sp,
-                    )
-                elif entry.safe_mode:
-                    self._emit_provenance(entry, now, "safe-mode-hold", sp=sp)
-                else:
-                    self._emit_provenance(entry, now, "stale-skip", sp=sp)
-            return
+            return verdict, None
 
         entry.stale_periods = 0
         entry.last_signal_time = now
@@ -933,7 +805,7 @@ class ControlLoopManager:
             # closing — the next actuation is a probe (success closes the
             # breaker, failure re-opens it for another full window).
             entry.breaker_half_open = True
-            entry.breaker_probes += 1
+            entry.counters["breaker_probes"] += 1
             entry.breaker_open_until = 0.0
             if self.telemetry is not None:
                 self.telemetry.tracer.instant(
@@ -943,9 +815,8 @@ class ControlLoopManager:
             f"{prefix}/breaker_open", 1.0 if breaker_open else 0.0
         )
         if breaker_open:
-            entry.breaker_skips += 1
-            self._emit_provenance(entry, now, "breaker-skip", sp=sp)
-            return
+            entry.counters["breaker_skips"] += 1
+            return "breaker-skip", None
 
         saturation = self._saturation(app)
         ff = 0.0
@@ -957,60 +828,36 @@ class ControlLoopManager:
         )
         if self.telemetry is not None:
             self.telemetry.decisions.inc()
-        suppressed = False
         if (
             decision.action == "reclaim"
             and entry.feedforward is not None
             and entry.feedforward.reclaim_suppressed(app.name, now)
         ):
-            suppressed = True
             decision = ControlDecision(
                 "hold", app.current_allocation(), decision.error,
                 decision.output, decision.gain_scale, decision.weights,
                 reason="reclaim-suppressed",
             )
-        entry.last_decision = decision
         entry.stats[decision.action] += 1
 
         if self._record_direction(entry, decision):
             # Flapping tripped the breaker: suppress this actuation too.
             self.collector.record(f"{prefix}/breaker_open", 1.0)
-            self._emit_provenance(entry, now, "flap-breaker",
-                                  decision=decision, sp=sp)
-            return
+            return "flap-breaker", decision
 
         if decision.changed:
-            target = decision.new_allocation
-
-            def apply_vertical(app=app, target=target) -> None:
-                app.set_target_allocation(target)
-
-            def mark_good(entry=entry, target=target) -> None:
-                entry.last_good_allocation = target
-
-            if self.actuation_sink is not None:
-                self.actuation_sink(app.name, "resize", target)
-            self._actuate(
-                entry, apply_vertical, on_success=mark_good, kind="resize"
-            )
+            self._write(entry, "resize", decision.new_allocation)
         elif entry.last_good_allocation is None:
             entry.last_good_allocation = app.current_allocation()
 
         if entry.horizontal is not None and now >= entry.breaker_open_until:
             desired = entry.horizontal.adjust(app, decision, entry.controller)
-            bp = self.backpressure
-            if bp is not None:
+            if self.backpressure is not None:
                 desired = self._apply_backpressure(
                     entry, desired, app.replica_count, now
                 )
             if desired != app.replica_count:
-
-                def apply_horizontal(app=app, desired=desired) -> None:
-                    app.scale_to(desired)
-
-                if self.actuation_sink is not None:
-                    self.actuation_sink(app.name, "scale", desired)
-                self._actuate(entry, apply_horizontal, kind="scale")
+                self._write(entry, "scale", desired)
 
         if self.brownout_cfg is not None:
             self._update_brownout(entry, decision.error, now)
@@ -1024,13 +871,94 @@ class ControlLoopManager:
         )
         self.collector.record(f"{prefix}/replicas", float(app.replica_count))
 
-        if self.telemetry is not None:
-            if decision.changed:
-                verdict = "actuated"
-            elif suppressed:
-                verdict = "reclaim-suppressed"
-            elif decision.reason == "deadband":
-                verdict = "deadband"
-            else:
-                verdict = "hold"
-            self._emit_provenance(entry, now, verdict, decision=decision, sp=sp)
+        if decision.changed:
+            return "actuated", decision
+        if decision.reason in ("reclaim-suppressed", "deadband"):
+            return decision.reason, decision
+        return "hold", decision
+
+    def _write(self, entry: _Entry, kind: str, target) -> None:
+        """Log one scaling write to the write-ahead hook, then actuate it.
+
+        ``kind`` is ``"resize"`` (``target`` is the new per-pod allocation,
+        last-known-good once applied) or ``"scale"`` (``target`` is the
+        replica count). The record goes first so that a crash
+        mid-actuation still leaves it for the successor.
+        """
+        app = entry.app
+        if self.actuation_sink is not None:
+            self.actuation_sink(app.name, kind, target)
+        if kind == "resize":
+            action = partial(app.set_target_allocation, target)
+            on_success = partial(setattr, entry, "last_good_allocation", target)
+        else:
+            action, on_success = partial(app.scale_to, target), None
+        self._actuate(entry, action, on_success=on_success, kind=kind)
+
+    def _emit_provenance(
+        self,
+        entry: _Entry,
+        now: float,
+        verdict: str,
+        decision: ControlDecision | None,
+        sp,
+    ) -> None:
+        """Append one decision-provenance record for the decide span ``sp``.
+
+        Links the decide span back to the scrape that stored the newest
+        PLO sample this evaluation read, and snapshots controller
+        internals at decision time.
+        """
+        tel = self.telemetry
+        app = entry.app
+        metric = app.plo.metric_name(app.name)
+        signal_time = self.collector.latest_time(metric)
+        signal_age = scrape_span = None
+        if signal_time is not None:
+            signal_age = now - signal_time
+            scrape_span = self.collector.scrape_span_at(signal_time)
+            if scrape_span is not None:
+                sp.parent_id = scrape_span
+        controller = entry.controller
+        pid = tuner = None  # internals are snapshot only for decided periods
+        if decision is not None:
+            pid = getattr(controller, "pid", None)
+            tuner = getattr(controller, "tuner", None)
+        if verdict == "safe-mode-entry":
+            action, target = "freeze", entry.last_good_allocation
+        elif decision is None:
+            action, target = "none", None
+        else:
+            action = decision.action
+            target = decision.new_allocation if decision.changed else None
+        active: tuple[int, ...] = ()
+        if self.fault_log is not None:
+            active = tuple(ep.eid for ep in self.fault_log.active_at(now))
+        tel.tracer.trace.provenance.append(DecisionProvenance(
+            app=app.name,
+            time=now,
+            verdict=verdict,
+            action=action,
+            error=decision.error if decision is not None else None,
+            output=decision.output if decision is not None else None,
+            gain_scale=decision.gain_scale if decision is not None else None,
+            terms=getattr(pid, "last_terms", None),
+            inputs={metric: self.collector.latest(metric)},
+            signal_age=signal_age,
+            stale_periods=entry.stale_periods,
+            safe_mode=entry.safe_mode,
+            deadband=getattr(controller, "deadband", 0.0),
+            clamped=decision.clamped if decision is not None else False,
+            weights=dict(decision.weights) if decision is not None else {},
+            target=target.as_dict() if target is not None else None,
+            replicas=app.replica_count,
+            lease_generation=self.lease_generation,
+            scrape_span_id=scrape_span,
+            span_id=sp.id,
+            active_faults=active,
+            tuner_event=getattr(tuner, "last_event", None),
+        ))
+        sp.args["verdict"] = verdict
+        sp.args["action"] = action
+        if verdict == "actuated" and signal_age is not None:
+            tel.reaction_latency.observe(signal_age)

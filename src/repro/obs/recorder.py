@@ -116,9 +116,10 @@ def _backpressure_ledger(managers) -> dict:
 
 
 def _brownout_ledger(managers) -> dict:
-    entries = sum(m.brownout_entries_total for m in managers)
-    exits = sum(m.brownout_exits_total for m in managers)
-    active = sum(m.brownout_active_total for m in managers)
+    stats = [m.resilience_stats() for m in managers]
+    entries = sum(s["brownout_entries"] for s in stats)
+    exits = sum(s["brownout_exits"] for s in stats)
+    active = entries - exits
     residual = entries - (exits + active)
     return {
         "entries": entries,

@@ -156,7 +156,8 @@ class Telemetry:
         registry. Sync-at-scrape, like ``engine_events``: the components
         maintain these counts anyway, so telemetry reads them instead of
         charging every occurrence an instrument call. Plain attribute
-        arithmetic throughout — the overhead gate counts function calls.
+        arithmetic plus one ``resilience_stats()`` per attached manager —
+        the overhead gate counts function calls.
         """
         adm = self._admission
         if adm is not None:
@@ -172,7 +173,7 @@ class Telemetry:
             self.sched_aged.value = float(adm.aged_admissions)
         if self._managers:
             deferrals = coalesced = releases = dropped = queued = 0
-            entries = exits = active = 0
+            entries = exits = 0
             for manager in self._managers:
                 bp = manager.backpressure
                 if bp is not None:
@@ -181,9 +182,9 @@ class Telemetry:
                     releases += bp.releases
                     dropped += bp.dropped
                     queued += len(bp.deferred)
-                entries += manager.brownout_entries_total
-                exits += manager.brownout_exits_total
-                active += manager.brownout_active_total
+                stats = manager.resilience_stats()
+                entries += stats["brownout_entries"]
+                exits += stats["brownout_exits"]
             self.bp_deferrals.value = float(deferrals)
             self.bp_coalesced.value = float(coalesced)
             self.bp_releases.value = float(releases)
@@ -191,7 +192,7 @@ class Telemetry:
             self.bp_queued.value = float(queued)
             self.brownout_entries.value = float(entries)
             self.brownout_exits.value = float(exits)
-            self.brownout_active.value = float(active)
+            self.brownout_active.value = float(entries - exits)
         if self._dp_jobs:
             retired = reopened = wasted = 0.0
             recomputes = losses = launched = wins = quarantined = 0

@@ -77,10 +77,11 @@ class TestHalfOpenBreaker:
         # The window elapsed: the loop went half-open (one probe), the
         # probe actuation succeeded, and the breaker closed through the
         # probe path — never by timeout alone.
-        assert entry.breaker_probes == 1
+        res = manager.entry_resilience("svc")
+        assert res["breaker_probes"] == 1
         assert entry.breaker_open_until == 0.0
         assert not entry.breaker_half_open
-        assert entry.breaker_trips == 1
+        assert res["breaker_trips"] == 1
 
     def test_successful_probe_closes_breaker(self, engine, api, collector):
         svc = deploy(engine, api, collector)
@@ -90,16 +91,17 @@ class TestHalfOpenBreaker:
         assert manager._actuate(entry, lambda: applied.append(1))
         assert applied == [1]
         assert not entry.breaker_half_open
-        assert entry.breaker_reopens == 0
+        assert manager.entry_resilience("svc")["breaker_reopens"] == 0
 
     def test_failed_probe_reopens_full_window(self, engine, api, collector):
         svc = deploy(engine, api, collector)
         manager, entry = self.make_manager(engine, collector, svc)
         entry.breaker_half_open = True
-        trips_before = entry.breaker_trips
+        trips_before = manager.entry_resilience("svc")["breaker_trips"]
         assert not manager._actuate(entry, failing_action)
-        assert entry.breaker_reopens == 1
-        assert entry.breaker_trips == trips_before + 1
+        res = manager.entry_resilience("svc")
+        assert res["breaker_reopens"] == 1
+        assert res["breaker_trips"] == trips_before + 1
         assert not entry.breaker_half_open
         assert entry.breaker_open_until == pytest.approx(engine.now + 50.0)
         # A failed probe re-opens directly; it never counts toward the
@@ -264,7 +266,7 @@ class TestBrownoutHysteresis:
         assert not svc.brownout_active
         manager._update_brownout(entry, 1.0, 20.0)
         assert svc.brownout_active
-        assert entry.brownout_entries == 1
+        assert manager.entry_resilience("svc")["brownout_entries"] == 1
         episodes = manager.fault_log.by_kind("brownout")
         assert len(episodes) == 1 and episodes[0].active
 
@@ -284,7 +286,7 @@ class TestBrownoutHysteresis:
         assert svc.brownout_active  # one low period is not enough
         manager._update_brownout(entry, 0.0, 40.0)
         assert not svc.brownout_active
-        assert entry.brownout_exits == 1
+        assert manager.entry_resilience("svc")["brownout_exits"] == 1
         assert not manager.fault_log.active()  # episode closed on exit
 
     def test_exit_threshold_compensates_latency_penalty(
@@ -310,4 +312,4 @@ class TestBrownoutHysteresis:
         manager._update_brownout(other, 1.0, 10.0)
         manager._update_brownout(other, 1.0, 20.0)
         assert not probe.brownout_active
-        assert other.brownout_entries == 0
+        assert manager.entry_resilience("other")["brownout_entries"] == 0

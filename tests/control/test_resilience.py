@@ -247,8 +247,9 @@ class TestRetries:
             engine.run_until(entry.retry_handle.time)
         # 2, 4, 8 then capped at 16 for the remaining retries.
         assert delays == pytest.approx([2.0, 4.0, 8.0, 16.0, 16.0, 16.0])
-        assert entry.retries == 6
-        assert entry.actuation_failures == 7  # initial try + 6 retries
+        res = manager.entry_resilience("svc")
+        assert res["retries"] == 6
+        assert res["actuation_failures"] == 7  # initial try + 6 retries
 
     def test_gives_up_after_max_retries(self, engine, api, collector):
         svc = deploy(engine, api, collector)
@@ -258,7 +259,7 @@ class TestRetries:
         )
         manager._actuate(entry, failing_action)
         engine.run_until(1000.0)
-        assert entry.retries == 2
+        assert manager.entry_resilience("svc")["retries"] == 2
         assert entry.retry_handle is None
         assert entry.retry_action is None
 
@@ -363,7 +364,7 @@ class TestCircuitBreaker:
         entry = manager._entries["svc"]
         for _ in range(3):
             manager._actuate(entry, failing_action)
-        assert entry.breaker_trips == 1
+        assert manager.entry_resilience("svc")["breaker_trips"] == 1
         assert entry.breaker_open_until == pytest.approx(engine.now + 120.0)
         assert entry.retry_handle is None  # pending retries cancelled
 
@@ -381,11 +382,11 @@ class TestCircuitBreaker:
         entry = manager._entries["svc"]
         manager._trip_breaker(entry, engine.now)
         engine.run_until(190.0)
-        assert entry.breaker_skips >= 1
-        skips_at_close = entry.breaker_skips
+        skips_at_close = manager.entry_resilience("svc")["breaker_skips"]
+        assert skips_at_close >= 1
         engine.run_until(400.0)
         # Breaker closed by timeout: the loop decides again.
-        assert entry.breaker_skips == skips_at_close
+        assert manager.entry_resilience("svc")["breaker_skips"] == skips_at_close
         assert collector.series("control/svc/breaker_open").last() == 0.0
 
     def test_trips_on_grow_reclaim_flapping(self, engine, api, collector):
@@ -407,7 +408,7 @@ class TestCircuitBreaker:
         for action in ("grow", "reclaim", "grow", "reclaim", "grow"):
             tripped.append(manager._record_direction(entry, decision(action)))
         assert tripped == [False, False, False, False, True]
-        assert entry.breaker_trips == 1
+        assert manager.entry_resilience("svc")["breaker_trips"] == 1
 
     def test_holds_do_not_count_as_flaps(self, engine, api, collector):
         svc = deploy(engine, api, collector)
@@ -421,7 +422,7 @@ class TestCircuitBreaker:
 
         for action in ("grow", "hold", "grow", "hold", "grow", "hold"):
             assert not manager._record_direction(entry, decision(action))
-        assert entry.breaker_trips == 0
+        assert manager.entry_resilience("svc")["breaker_trips"] == 0
 
 
 class TestLifecycle:
