@@ -615,10 +615,13 @@ class ControlLoopManager:
     # -- backpressure and brownout ---------------------------------------------------
 
     def _distressed(self, now: float) -> bool:
-        """Whether any registered loop shows distress right now: a retry
+        """Whether any running app's loop shows distress right now: a retry
         pending, a breaker open or probing, safe mode, or unresolved
-        actuation failures."""
+        actuation failures. Finished apps are skipped, as in
+        :meth:`run_once`: nothing could ever clear their distress."""
         for entry in self._entries.values():
+            if entry.app.finished:
+                continue
             if (
                 entry.retry_handle is not None
                 or entry.safe_mode
