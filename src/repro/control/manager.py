@@ -57,6 +57,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import pairwise
 from typing import Callable, Protocol
 
 import numpy as np
@@ -94,8 +95,8 @@ class ResilienceConfig:
     safe_mode_after:
         Consecutive stale control periods before an app enters safe mode.
     freshness_timeout:
-        Max age (s) of the newest PLO-metric sample before the signal
-        counts as stale; None derives ``2.5 × interval``.
+        Max age (s, positive) of the newest PLO-metric sample before the
+        signal counts as stale; None derives ``2.5 × interval``.
     retry_base_delay / retry_max_delay / retry_jitter / max_retries:
         Exponential-backoff schedule for failed actuations: attempt *n*
         waits ``base · 2ⁿ`` seconds (capped at ``retry_max_delay``),
@@ -104,8 +105,9 @@ class ResilienceConfig:
     breaker_failure_threshold:
         Consecutive actuation failures that trip the circuit breaker.
     breaker_flap_window / breaker_flap_threshold:
-        Trip the breaker when the last ``flap_window`` non-hold decisions
-        contain at least ``flap_threshold`` grow↔reclaim direction flips.
+        Trip the breaker when the last ``flap_window`` (≥ 2) non-hold
+        decisions contain at least ``flap_threshold`` (≥ 1) grow↔reclaim
+        direction flips.
     breaker_open_duration:
         Seconds scaling stays suppressed once the breaker opens.
     """
@@ -124,6 +126,8 @@ class ResilienceConfig:
     def __post_init__(self) -> None:
         if self.safe_mode_after < 1:
             raise ValueError("safe_mode_after must be ≥ 1")
+        if self.freshness_timeout is not None and self.freshness_timeout <= 0:
+            raise ValueError("freshness_timeout must be positive")
         if self.retry_base_delay <= 0 or self.retry_max_delay <= 0:
             raise ValueError("retry delays must be positive")
         if not 0.0 <= self.retry_jitter < 1.0:
@@ -132,22 +136,19 @@ class ResilienceConfig:
             raise ValueError("max_retries must be ≥ 0")
         if self.breaker_failure_threshold < 1:
             raise ValueError("breaker_failure_threshold must be ≥ 1")
+        if self.breaker_flap_window < 2:
+            raise ValueError("breaker_flap_window must be ≥ 2")
+        if self.breaker_flap_threshold < 1:
+            raise ValueError("breaker_flap_threshold must be ≥ 1")
         if self.breaker_open_duration <= 0:
             raise ValueError("breaker_open_duration must be positive")
 
 
 #: The resilience counters every application keeps, in report order.
 COUNTERS = (
-    "safe_mode_entries",
-    "safe_mode_exits",
-    "actuation_failures",
-    "retries",
-    "breaker_trips",
-    "breaker_skips",
-    "breaker_probes",
-    "breaker_reopens",
-    "brownout_entries",
-    "brownout_exits",
+    "safe_mode_entries", "safe_mode_exits", "actuation_failures", "retries",
+    "breaker_trips", "breaker_skips", "breaker_probes", "breaker_reopens",
+    "brownout_entries", "brownout_exits",
 )
 #: The counters a durable snapshot carries across controller failover.
 DURABLE_COUNTERS = (
@@ -276,7 +277,7 @@ class ControlLoopManager:
             raise ValueError(f"application {app.name!r} already registered")
         self._entries[app.name] = _Entry(
             app, controller, horizontal, feedforward,
-            directions=deque(maxlen=max(2, self.resilience.breaker_flap_window)),
+            directions=deque(maxlen=self.resilience.breaker_flap_window),
         )
 
     def unregister(self, app_name: str) -> None:
@@ -479,15 +480,8 @@ class ControlLoopManager:
         if decision.action == "hold":
             return False
         entry.directions.append(1 if decision.action == "grow" else -1)
-        flips = sum(
-            1
-            for a, b in zip(entry.directions, list(entry.directions)[1:])
-            if a != b
-        )
-        if (
-            len(entry.directions) >= 2
-            and flips >= self.resilience.breaker_flap_threshold
-        ):
+        flips = sum(1 for a, b in pairwise(entry.directions) if a != b)
+        if flips >= self.resilience.breaker_flap_threshold:
             self._trip_breaker(entry, self.engine.now)
             return True
         return False

@@ -76,6 +76,32 @@ class TestResilienceConfig:
         with pytest.raises(ValueError):
             ResilienceConfig(breaker_open_duration=0)
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"breaker_flap_threshold": 0},
+            {"breaker_flap_threshold": -1},
+            {"breaker_flap_window": 0},
+            {"breaker_flap_window": 1},
+            {"freshness_timeout": 0.0},
+            {"freshness_timeout": -5.0},
+        ],
+    )
+    def test_knobs_that_break_the_loop_rejected(self, knobs):
+        """A flap threshold below 1 trips on every second non-hold
+        decision, a window below 2 can hold no flip, and a non-positive
+        freshness timeout marks every signal stale."""
+        with pytest.raises(ValueError):
+            ResilienceConfig(**knobs)
+
+    def test_smallest_valid_flap_knobs_accepted(self, engine, collector):
+        cfg = ResilienceConfig(
+            breaker_flap_window=2, breaker_flap_threshold=1,
+            freshness_timeout=0.5,
+        )
+        manager = ControlLoopManager(engine, collector, resilience=cfg)
+        assert manager.freshness_timeout == 0.5
+
 
 class TestSafeMode:
     def test_enters_after_k_stale_periods_and_exits_on_signal(
