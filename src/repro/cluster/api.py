@@ -158,10 +158,6 @@ class ClusterAPI:
         """Whether tenant quota permits binding all these pods together."""
         return self._cluster.quota_allows_bind_all(pod_names)
 
-    def set_quotas(self, manager) -> None:
-        """Install a :class:`~repro.cluster.quota.QuotaManager`."""
-        self._cluster.quotas = manager
-
     def patch_pod_allocation(self, pod_name: str, allocation: ResourceVector) -> bool:
         """Request an in-place vertical resize; False if it cannot fit.
 

@@ -44,14 +44,8 @@ class QuotaManager:
             raise ValueError(f"tenant {tenant!r}: negative quota")
         self._limits[tenant] = limit
 
-    def remove_quota(self, tenant: str) -> None:
-        self._limits.pop(tenant, None)
-
     def limit(self, tenant: str) -> ResourceVector | None:
         return self._limits.get(tenant)
-
-    def tenants(self) -> list[str]:
-        return sorted(self._limits)
 
     # -- queries ----------------------------------------------------------------
 
@@ -66,13 +60,6 @@ class QuotaManager:
             if pod.active and self.tenant_of(pod) == tenant:
                 total = total + pod.allocation
         return total
-
-    def headroom(self, tenant: str, pods) -> ResourceVector | None:
-        """Remaining quota, or None when the tenant is uncapped."""
-        limit = self._limits.get(tenant)
-        if limit is None:
-            return None
-        return (limit - self.usage(tenant, pods)).clamp_nonnegative()
 
     # -- enforcement ---------------------------------------------------------------
 

@@ -161,12 +161,6 @@ class ReplicatedControlPlane:
     def alive_indices(self) -> list[int]:
         return [i for i, r in enumerate(self.replicas) if r.alive]
 
-    def leader_manager(self) -> ControlLoopManager | None:
-        """The acting leader's manager (None during a leader gap)."""
-        if self._leader is None:
-            return None
-        return self.replicas[self._leader].manager
-
     def stats(self) -> dict[str, int | float | None]:
         return {
             "replicas": len(self.replicas),

@@ -144,17 +144,6 @@ class MetricsCollector:
         """Record an out-of-band sample (e.g. per-event observations)."""
         self.series(name).append(self.engine.now, value)
 
-    def _store(self, name: str, value: float, now: float) -> None:
-        """Append one scraped sample, subject to the fault filter."""
-        if self.faults is not None:
-            series = self._series.get(name)
-            value = self.faults.filter(
-                name, value, now, series.last() if series is not None else None
-            )
-            if value is None:
-                return
-        self.series(name).append(now, value)
-
     def scrape(self) -> None:
         """Sample every source and cluster-level gauges once."""
         now = self.engine.now

@@ -190,9 +190,6 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._register(Histogram(name, buckets))
 
-    def get(self, name: str):
-        return self._instruments.get(name)
-
     def names(self) -> list[str]:
         return sorted(self._instruments)
 

@@ -90,11 +90,6 @@ class Stage:
     def complete(self) -> bool:
         return self.remaining_work <= 1e-9 and self.remaining_input <= 1e-9
 
-    @property
-    def progress(self) -> float:
-        done_work = self.work_cpu_seconds - self.remaining_work
-        return done_work / self.work_cpu_seconds
-
 
 def _validate_dag(stages: Sequence[Stage]) -> list[Stage]:
     """Check the stage graph is a DAG and return topological order."""
@@ -156,10 +151,6 @@ class _Task:
     @property
     def speculating(self) -> bool:
         return self.spec_runner is not None
-
-    def progress(self) -> float:
-        """Primary-copy retired work (cpu-seconds)."""
-        return 0.0 if self.done else self.work - self.work_left
 
     def spec_progress(self) -> float:
         return (self.work - self.spec_work_left) if self.speculating else 0.0
