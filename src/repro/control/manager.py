@@ -917,7 +917,7 @@ class ControlLoopManager:
             if scrape_span is not None:
                 sp.parent_id = scrape_span
         controller = entry.controller
-        pid = tuner = None  # internals are snapshot only for decided periods
+        pid = tuner = None  # only a decided period has internals to record
         if decision is not None:
             pid = getattr(controller, "pid", None)
             tuner = getattr(controller, "tuner", None)

@@ -209,35 +209,26 @@ class TestManagerBackpressure:
     ):
         """A finished app's unresolved failure can never clear (run_once
         skips finished apps), so it must not defer other apps' grows."""
-
-        def service(name):
-            app = Microservice(
-                name, engine, api,
-                trace=ConstantTrace(100.0), demands=DEMANDS,
-                initial_allocation=ResourceVector(
-                    cpu=0.5, memory=1, disk_bw=20, net_bw=20
-                ),
-                initial_replicas=1,
-            )
-            app.plo = LatencyPLO(0.05, window=20)
-            return app
-
-        a, b = service("a"), service("b")
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(retry_jitter=0.0, max_retries=0),
-            overload=OverloadConfig(backpressure=True),
+        svc = deploy(engine, api, collector)
+        manager, entry = self.make_manager(engine, collector, svc)
+        other = Microservice(
+            "other", engine, api,
+            trace=ConstantTrace(100.0), demands=DEMANDS,
+            initial_allocation=ResourceVector(
+                cpu=0.5, memory=1, disk_bw=20, net_bw=20
+            ),
+            initial_replicas=1,
         )
-        manager.register(a, controller())
-        manager.register(b, controller())
-        manager._actuate(manager._entries["a"], failing_action)
+        other.plo = LatencyPLO(0.05, window=20)
+        manager.register(other, controller())
+        manager._actuate(entry, failing_action)
         assert manager._distressed(engine.now)
-        a.stop()
+        svc.stop()
         desired = manager._apply_backpressure(
-            manager._entries["b"], 3, 1, engine.now
+            manager._entries["other"], 3, 1, engine.now
         )
         assert desired == 3
-        assert not manager.backpressure.pending("b")
+        assert not manager.backpressure.pending("other")
 
     def test_distress_signals(self, engine, api, collector):
         svc = deploy(engine, api, collector)

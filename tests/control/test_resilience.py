@@ -77,22 +77,22 @@ class TestResilienceConfig:
             ResilienceConfig(breaker_open_duration=0)
 
     @pytest.mark.parametrize(
-        "knobs",
+        "knob, value",
         [
-            {"breaker_flap_threshold": 0},
-            {"breaker_flap_threshold": -1},
-            {"breaker_flap_window": 0},
-            {"breaker_flap_window": 1},
-            {"freshness_timeout": 0.0},
-            {"freshness_timeout": -5.0},
+            ("breaker_flap_threshold", 0),
+            ("breaker_flap_threshold", -1),
+            ("breaker_flap_window", 0),
+            ("breaker_flap_window", 1),
+            ("freshness_timeout", 0.0),
+            ("freshness_timeout", -5.0),
         ],
     )
-    def test_knobs_that_break_the_loop_rejected(self, knobs):
+    def test_knobs_that_break_the_loop_rejected(self, knob, value):
         """A flap threshold below 1 trips on every second non-hold
         decision, a window below 2 can hold no flip, and a non-positive
         freshness timeout marks every signal stale."""
-        with pytest.raises(ValueError):
-            ResilienceConfig(**knobs)
+        with pytest.raises(ValueError, match=knob):
+            ResilienceConfig(**{knob: value})
 
     def test_smallest_valid_flap_knobs_accepted(self, engine, collector):
         cfg = ResilienceConfig(
