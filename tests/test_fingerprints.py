@@ -17,7 +17,10 @@ only runs that enter safe mode or meet an actuation outage: events,
 resilience counters in total and per app, re-convergence times and
 FaultLog episodes); and one ``enable_chaos`` run striking every fault
 kind the monkey drives on the platform from
-:func:`tests.conftest.make_chaos_platform`.
+:func:`tests.conftest.make_chaos_platform`; and one fault-tolerant
+big-data job whose straggler makes the task engine launch speculative
+copies (events, the job's FT ledger, speculation and lineage counters,
+makespan).
 
 Digests are recorded on one interpreter (the file's ``python`` field)
 and the test skips on any other: float formatting and library numerics
@@ -43,7 +46,13 @@ from repro.cluster.events import PodScheduled
 from repro.obs.recorder import build_run_report
 from repro.platform.presets import PRESETS, build_scenario
 from repro.scenarios import load_scenario, scenario_names
-from repro.verify.fuzzer import generate_scenario, run_episode
+from repro.verify.fuzzer import (
+    ChaosEvent,
+    ScenarioSpec,
+    WorkloadSpec,
+    generate_scenario,
+    run_episode,
+)
 from tests.conftest import make_chaos_platform
 
 FINGERPRINTS = Path(__file__).parent / "data" / "fingerprints.json"
@@ -62,6 +71,31 @@ T7_FAULTS = ("crash", "degradation", "scrape-drop", "stale-metrics", "actuation"
 #: Every fault kind the chaos monkey can drive through ``enable_chaos``.
 MONKEY_KINDS = ("crash", "degrade", "partition", "executor-kill", "data-loss")
 MONKEY_HORIZON = 900.0
+#: A straggler on one executor of an FT big-data job: the only digested
+#: run whose task engine launches (and wins with) speculative copies.
+SPECULATION_SPEC = ScenarioSpec(
+    seed=11,
+    horizon=600.0,
+    nodes=4,
+    ft=True,
+    workloads=(
+        WorkloadSpec(
+            "bigdata",
+            "etl",
+            {
+                "scan_cpu": 400.0,
+                "agg_cpu": 200.0,
+                "input_mb": 4000.0,
+                "executors": 3,
+                "delay": 0.0,
+                "cpu": 1.0,
+                "memory": 4.0,
+                "dataset": True,
+            },
+        ),
+    ),
+    chaos=(ChaosEvent("straggler", 40.0, 300.0, 0),),
+)
 
 
 def _interpreter() -> str:
@@ -174,6 +208,21 @@ def _monkey() -> dict:
     }
 
 
+def _speculation() -> dict:
+    built: list = []
+    result = run_episode(SPECULATION_SPEC, every=1, inject=built.append)
+    job = built[0].apps["etl"]
+    return {
+        "events_executed": result.events_executed,
+        "violations": [str(v) for v in result.violations],
+        "ledger": job.ft_accounting(),
+        "speculative_launched": job.speculative_launched,
+        "speculative_wins": job.speculative_wins,
+        "lineage_recomputes": job.lineage_recomputes,
+        "makespan": job.makespan(),
+    }
+
+
 def runs() -> dict:
     """Fingerprint key → zero-argument function producing its payload."""
     table = {}
@@ -194,6 +243,7 @@ def runs() -> dict:
                 lambda w=workload, f=fault: _t7_cell(w, f)
             )
     table["monkey/" + "+".join(MONKEY_KINDS)] = _monkey
+    table["speculation/etl"] = _speculation
     return table
 
 
