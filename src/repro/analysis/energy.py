@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 from repro.metrics.collector import MetricsCollector
 
+#: Allocation fraction at or below which a node counts as parked.
+PARK_THRESHOLD = 1e-6
+
 
 @dataclass(frozen=True)
 class PowerModel:
@@ -28,14 +31,11 @@ class PowerModel:
         Draw of an active node at 0% CPU.
     peak_watts:
         Draw at 100% CPU.
-    park_threshold:
-        Allocation fraction below which a node counts as parked.
     """
 
     parked_watts: float = 15.0
     idle_watts: float = 120.0
     peak_watts: float = 300.0
-    park_threshold: float = 1e-6
 
     def __post_init__(self) -> None:
         if not 0 <= self.parked_watts <= self.idle_watts <= self.peak_watts:
@@ -45,7 +45,7 @@ class PowerModel:
 
     def node_power(self, alloc_frac: float, cpu_usage_frac: float) -> float:
         """Instantaneous node draw in watts."""
-        if alloc_frac <= self.park_threshold:
+        if alloc_frac <= PARK_THRESHOLD:
             return self.parked_watts
         dynamic = self.peak_watts - self.idle_watts
         return self.idle_watts + dynamic * max(0.0, min(1.0, cpu_usage_frac))

@@ -147,7 +147,6 @@ class AdaptiveAutoscaler:
         min_replicas: int = 1,
         max_replicas: int = 32,
         deadband: float = 0.1,
-        controller_kwargs: dict | None = None,
         feedforward: bool = False,
         resilience: ResilienceConfig | None = None,
         rng=None,
@@ -161,7 +160,6 @@ class AdaptiveAutoscaler:
         self.adaptive = adaptive
         self.dimensions = dimensions
         self.deadband = deadband
-        self.controller_kwargs = dict(controller_kwargs or {})
         self.feedforward = (
             FeedforwardScaler(collector) if feedforward else None
         )
@@ -180,7 +178,7 @@ class AdaptiveAutoscaler:
 
     def attach(self, app: Application) -> MultiResourceController:
         """Create a controller for ``app`` and register it with the loop."""
-        kwargs = dict(self.controller_kwargs)
+        kwargs = {}
         if self.dimensions is not None:
             kwargs["dimensions"] = self.dimensions
         controller = MultiResourceController(

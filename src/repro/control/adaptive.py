@@ -16,6 +16,10 @@ from __future__ import annotations
 
 from collections import deque
 
+#: Gain-scale multipliers for the two diagnoses.
+SHRINK = 0.7
+GROW = 1.3
+
 
 class AdaptiveGainTuner:
     """Heuristic gain scheduler driven by the error history.
@@ -31,9 +35,8 @@ class AdaptiveGainTuner:
         Minimum sign flips within the window to diagnose oscillation.
     sluggish_periods:
         Consecutive same-sign, out-of-deadband periods to diagnose a
-        too-slow loop.
-    shrink / grow:
-        Multiplicative scale adjustments for the two diagnoses.
+        too-slow loop; the scale is multiplied by :data:`SHRINK` on
+        oscillation and by :data:`GROW` on sluggishness.
     bounds:
         Inclusive (min, max) clamp on the scale.
     relax:
@@ -47,15 +50,11 @@ class AdaptiveGainTuner:
         deadband: float = 0.05,
         oscillation_flips: int = 3,
         sluggish_periods: int = 4,
-        shrink: float = 0.7,
-        grow: float = 1.3,
         bounds: tuple[float, float] = (0.2, 5.0),
         relax: float = 0.02,
     ):
         if window < 2:
             raise ValueError("window must be ≥ 2")
-        if not 0 < shrink < 1 or grow <= 1:
-            raise ValueError("need 0 < shrink < 1 and grow > 1")
         lo, hi = bounds
         if not 0 < lo <= 1 <= hi:
             raise ValueError("bounds must bracket 1.0 with lo > 0")
@@ -65,8 +64,6 @@ class AdaptiveGainTuner:
         self.deadband = deadband
         self.oscillation_flips = oscillation_flips
         self.sluggish_periods = sluggish_periods
-        self.shrink = shrink
-        self.grow = grow
         self.bounds = (lo, hi)
         self.relax = relax
         self.scale = 1.0
@@ -104,12 +101,12 @@ class AdaptiveGainTuner:
         self._errors.append(float(error))
         lo, hi = self.bounds
         if self._sign_flips() >= self.oscillation_flips:
-            self.scale *= self.shrink
+            self.scale *= SHRINK
             self.oscillation_events += 1
             self.last_event = "oscillation"
             self._errors.clear()  # re-observe under the new gains
         elif self._sluggish():
-            self.scale *= self.grow
+            self.scale *= GROW
             self.sluggish_events += 1
             self.last_event = "sluggish"
             self._errors.clear()

@@ -40,6 +40,9 @@ from repro.control.manager import ControlLoopManager
 from repro.control.statestore import ControllerStateStore
 from repro.sim.engine import Engine, PeriodicHandle, Watchdog
 
+#: The one leader lease; replica ``i`` acts as ``control-plane-<i>``.
+LEASE_NAME = "control-plane"
+
 
 @dataclass(frozen=True)
 class FailoverEvent:
@@ -88,10 +91,6 @@ class ReplicatedControlPlane:
         ``manager`` attribute, e.g. ``AdaptiveAutoscaler``) or bare
         :class:`ControlLoopManager` instances. All replicas must have the
         same applications registered.
-    lease_ttl:
-        Lease TTL in seconds; defaults to twice the control interval, so
-        one missed renewal is tolerated and failover completes within
-        three control periods.
     store:
         Shared durable statestore; a default one (60 s snapshots) is
         created when omitted.
@@ -107,8 +106,6 @@ class ReplicatedControlPlane:
         api: ClusterAPI,
         replicas: list,
         *,
-        lease_name: str = "control-plane",
-        lease_ttl: float | None = None,
         store: ControllerStateStore | None = None,
         rng: np.random.Generator | None = None,
         fault_log=None,
@@ -117,22 +114,20 @@ class ReplicatedControlPlane:
             raise ValueError("need at least one control-plane replica")
         self.engine = engine
         self.api = api
-        self.lease_name = lease_name
         self.store = store or ControllerStateStore(engine)
         self.rng = rng
         self.fault_log = fault_log
         self.replicas: list[_Replica] = [
             _Replica(
                 policy,
-                f"{lease_name}-{i}",
-                api.for_controller(f"{lease_name}-{i}"),
+                f"{LEASE_NAME}-{i}",
+                api.for_controller(f"{LEASE_NAME}-{i}"),
             )
             for i, policy in enumerate(replicas)
         ]
-        interval = self.replicas[0].manager.interval
-        self.lease_ttl = lease_ttl if lease_ttl is not None else 2.0 * interval
-        if self.lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive")
+        # Twice the control interval: one missed renewal is tolerated and
+        # failover completes within three control periods.
+        self.lease_ttl = 2.0 * self.replicas[0].manager.interval
         self.renew_interval = self.lease_ttl / 3.0
         self.watch_interval = self.lease_ttl / 4.0
         self._leader: int | None = None
@@ -183,7 +178,7 @@ class ReplicatedControlPlane:
         for index in self.alive_indices():
             if self._leader is None:
                 lease = self.replicas[index].api.try_acquire_lease(
-                    self.lease_name, self.replicas[index].identity, self.lease_ttl
+                    LEASE_NAME, self.replicas[index].identity, self.lease_ttl
                 )
                 if lease is not None:
                     self._become_leader(index, lease, previous=None)
@@ -197,7 +192,7 @@ class ReplicatedControlPlane:
             self._demote(index)
             try:
                 self.replicas[index].api.release_lease(
-                    self.lease_name, self.replicas[index].identity
+                    LEASE_NAME, self.replicas[index].identity
                 )
             except PartitionError:
                 pass
@@ -260,11 +255,11 @@ class ReplicatedControlPlane:
         if not replica.alive or self._leader == index:
             return
         try:
-            lease = replica.api.get_lease(self.lease_name)
+            lease = replica.api.get_lease(LEASE_NAME)
             if lease is not None and not lease.expired(replica.api.now):
                 return
             acquired = replica.api.try_acquire_lease(
-                self.lease_name, replica.identity, self.lease_ttl
+                LEASE_NAME, replica.identity, self.lease_ttl
             )
         except PartitionError:
             return  # cut off from the API server; keep watching
@@ -351,7 +346,7 @@ class ReplicatedControlPlane:
         if self._leader != index:
             return
         try:
-            lease = replica.api.renew_lease(self.lease_name, replica.identity)
+            lease = replica.api.renew_lease(LEASE_NAME, replica.identity)
         except PartitionError:
             replica.renew_failures += 1
             return  # keep trying; the watchdog fences us at the TTL

@@ -22,6 +22,17 @@ from repro.control.adaptive import AdaptiveGainTuner
 from repro.control.estimator import BottleneckEstimator, SaturationSnapshot
 from repro.control.pid import PIDController, PIDGains
 
+#: An allocation is "near the floor" when every dimension sits within
+#: this multiple of its minimum.
+NEAR_FLOOR_SLACK = 1.25
+
+#: Inclusive (lo, hi) clamp applied to the raw PLO error before the PID
+#: and tuner see it. Latency ratios explode once a service is saturated
+#: (queues make measured/target unbounded), and an unbounded error would
+#: make every controller slam its output rail regardless of gains; a
+#: bounded error keeps the loop in its linear regime.
+ERROR_CLAMP = (-1.0, 3.0)
+
 
 @dataclass(frozen=True)
 class AllocationBounds:
@@ -44,13 +55,14 @@ class AllocationBounds:
         """Whether ``dimension`` is pinned at the ceiling."""
         return allocation[dimension] >= self.maximum[dimension] - tolerance
 
-    def near_floor(self, allocation: ResourceVector, *, slack: float = 1.25) -> bool:
-        """Whether every dimension is within ``slack``× of the floor."""
+    def near_floor(self, allocation: ResourceVector) -> bool:
+        """Whether every dimension is within :data:`NEAR_FLOOR_SLACK`× of
+        the floor."""
         for name in RESOURCES:
             floor = self.minimum[name]
             if floor <= 0:
                 continue
-            if allocation[name] > floor * slack:
+            if allocation[name] > floor * NEAR_FLOOR_SLACK:
                 return False
         return True
 
@@ -97,13 +109,6 @@ class MultiResourceController:
         Multiplier < 1 damping scale-down relative to scale-up, because
         under-shooting an allocation hurts users while over-shooting only
         costs efficiency.
-    error_clamp:
-        Inclusive (lo, hi) clamp applied to the raw PLO error before the
-        PID and tuner see it. Latency ratios explode once a service is
-        saturated (queues make measured/target unbounded), and an
-        unbounded error would make every controller slam its output rail
-        regardless of gains; a bounded error keeps the loop in its linear
-        regime.
     """
 
     def __init__(
@@ -115,10 +120,7 @@ class MultiResourceController:
         adaptive: bool = True,
         dimensions: Sequence[str] = RESOURCES,
         reclaim_caution: float = 0.5,
-        estimator: BottleneckEstimator | None = None,
-        tuner: AdaptiveGainTuner | None = None,
         output_limits: tuple[float, float] = (-0.5, 1.0),
-        error_clamp: tuple[float, float] = (-1.0, 3.0),
     ):
         unknown = set(dimensions) - set(RESOURCES)
         if unknown:
@@ -129,17 +131,14 @@ class MultiResourceController:
             raise ValueError("deadband must be non-negative")
         if not 0 < reclaim_caution <= 1:
             raise ValueError("reclaim_caution must be in (0, 1]")
-        if not error_clamp[0] < 0 < error_clamp[1]:
-            raise ValueError("error_clamp must bracket zero")
         self.pid = PIDController(gains, output_limits=output_limits)
         self.bounds = bounds
         self.deadband = deadband
         self.adaptive = adaptive
         self.dimensions = tuple(dimensions)
         self.reclaim_caution = reclaim_caution
-        self.estimator = estimator or BottleneckEstimator()
-        self.tuner = tuner or AdaptiveGainTuner(deadband=deadband)
-        self.error_clamp = error_clamp
+        self.estimator = BottleneckEstimator()
+        self.tuner = AdaptiveGainTuner(deadband=deadband)
         self.decisions = 0
 
     def reset(self) -> None:
@@ -178,7 +177,7 @@ class MultiResourceController:
         self.decisions += 1
         if feedforward < 0:
             raise ValueError("feedforward must be non-negative")
-        error = max(self.error_clamp[0], min(self.error_clamp[1], error))
+        error = max(ERROR_CLAMP[0], min(ERROR_CLAMP[1], error))
         if self.adaptive:
             self.pid.gain_scale = self.tuner.update(error)
         output = self.pid.update(error, dt)

@@ -18,24 +18,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Ceiling (s) of the exponential re-dispatch backoff.
+RETRY_BACKOFF_CAP = 120.0
+
 
 @dataclass(frozen=True)
 class DataPlaneConfig:
     """Knobs for data-plane fault tolerance. Frozen; safe to share."""
 
-    #: Master switch. Off → fluid big-data model, no stream checkpoints,
-    #: no storage repair, liveness-blind locality (seed behaviour).
+    #: Master switch. On → the task engine (lineage recompute of lost
+    #: outputs, speculative copies of straggler-held tasks), stream
+    #: checkpoints and the storage repair loop. Off → fluid big-data
+    #: model, no stream checkpoints, no storage repair, liveness-blind
+    #: locality (seed behaviour).
     enabled: bool = False
 
     # -- BigDataJob task engine ------------------------------------------------
-    #: Re-open completed upstream tasks whose output node went dark.
-    lineage: bool = True
-    #: Launch duplicate copies of straggler-held tasks (first finish wins).
-    speculation: bool = True
-    #: An executor is a straggler when its retired-work rate stays below
-    #: ``straggler_factor`` × the stage median rate…
-    straggler_factor: float = 0.5
-    #: …for this many consecutive ticks.
+    #: Consecutive ticks an executor's retired-work rate must stay below
+    #: :data:`~repro.workloads.bigdata.STRAGGLER_RATE` × the stage median
+    #: rate before it counts as a straggler.
     straggler_patience: int = 3
     #: Speculate only once this fraction of the stage's tasks are done
     #: (tail phase), mirroring the classic speculative-execution gate.
@@ -44,50 +45,38 @@ class DataPlaneConfig:
     #: with a poison-stage quarantine.
     stage_max_attempts: int = 4
     #: Exponential re-dispatch backoff after a fault: base · 2^(attempt−1),
-    #: capped.
+    #: capped at :data:`RETRY_BACKOFF_CAP`.
     retry_backoff_base: float = 5.0
-    retry_backoff_cap: float = 120.0
 
     # -- StreamJob checkpoints -------------------------------------------------
-    #: Seconds between checkpoint barriers.
-    checkpoint_interval: float = 30.0
     #: Seconds a restarted operator spends restoring state before it
     #: processes events again (replayed backlog accrues meanwhile).
     restore_delay: float = 5.0
 
     # -- ObjectStore repair ----------------------------------------------------
-    #: Run the background re-replication loop.
-    repair: bool = True
-    #: Seconds between repair scans.
-    repair_interval: float = 15.0
     #: Repair copy bandwidth; each scan moves at most
-    #: ``repair_bandwidth_mbps × repair_interval`` MB (the last object may
-    #: overshoot and borrow from the next scan's budget).
+    #: ``repair_bandwidth_mbps`` × :data:`~repro.storage.repair.REPAIR_INTERVAL`
+    #: MB (the last object may overshoot and borrow from the next scan's
+    #: budget).
     repair_bandwidth_mbps: float = 200.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.straggler_factor < 1.0:
-            raise ValueError("straggler_factor must be in (0, 1)")
         if self.straggler_patience < 1:
             raise ValueError("straggler_patience must be >= 1")
         if not 0.0 <= self.speculation_quantile <= 1.0:
             raise ValueError("speculation_quantile must be in [0, 1]")
         if self.stage_max_attempts < 1:
             raise ValueError("stage_max_attempts must be >= 1")
-        if self.retry_backoff_base <= 0 or self.retry_backoff_cap <= 0:
-            raise ValueError("retry backoff parameters must be positive")
-        if self.checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be positive")
+        if self.retry_backoff_base <= 0:
+            raise ValueError("retry_backoff_base must be positive")
         if self.restore_delay < 0:
             raise ValueError("restore_delay must be >= 0")
-        if self.repair_interval <= 0:
-            raise ValueError("repair_interval must be positive")
         if self.repair_bandwidth_mbps <= 0:
             raise ValueError("repair_bandwidth_mbps must be positive")
 
     def backoff(self, attempt: int) -> float:
         """Re-dispatch delay after the ``attempt``-th fault (1-based)."""
         return min(
-            self.retry_backoff_cap,
+            RETRY_BACKOFF_CAP,
             self.retry_backoff_base * (2.0 ** max(0, attempt - 1)),
         )

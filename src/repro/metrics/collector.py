@@ -17,6 +17,9 @@ from repro.cluster.resources import RESOURCES
 from repro.metrics.timeseries import ChangePointSeries, TimeSeries
 from repro.sim.engine import Engine, PeriodicHandle
 
+#: Samples each series keeps before its oldest are dropped.
+SERIES_MAXLEN = 100_000
+
 
 class MetricsSource(Protocol):
     """Anything that can be scraped for named float metrics."""
@@ -47,7 +50,6 @@ class MetricsCollector:
         api: ClusterAPI,
         *,
         scrape_interval: float = 5.0,
-        series_maxlen: int = 100_000,
         faults=None,
     ):
         if scrape_interval <= 0:
@@ -55,7 +57,6 @@ class MetricsCollector:
         self.engine = engine
         self.api = api
         self.scrape_interval = scrape_interval
-        self._series_maxlen = series_maxlen
         self._sources: list[MetricsSource] = []
         self._internal_sources: list[MetricsSource] = []
         self._series: dict[str, TimeSeries] = {}
@@ -131,7 +132,7 @@ class MetricsCollector:
     def series(self, name: str) -> TimeSeries:
         """Get (creating if needed) the series with the given full name."""
         if name not in self._series:
-            self._series[name] = TimeSeries(maxlen=self._series_maxlen)
+            self._series[name] = TimeSeries(maxlen=SERIES_MAXLEN)
         return self._series[name]
 
     def has_series(self, name: str) -> bool:
@@ -195,7 +196,7 @@ class MetricsCollector:
         if faults is not None and not faults.distorts_samples(now):
             faults = None
         series_map = self._series
-        maxlen = self._series_maxlen
+        maxlen = SERIES_MAXLEN
 
         def store_batch(prefix: str, samples) -> None:
             for metric, value in samples.items():

@@ -79,7 +79,7 @@ class SLOSpec:
         (fast window).
     warmup:
         Seconds of run start excluded from evaluation (cold-start
-        grace, mirroring ``PlatformConfig.plo_warmup``).
+        grace, mirroring :data:`repro.platform.evolve.PLO_WARMUP`).
     kind:
         Label from :data:`SLO_KINDS`, reporting only.
     description:

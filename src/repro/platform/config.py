@@ -123,12 +123,6 @@ class PlatformConfig:
     seed: int = 0
     scrape_interval: float = 5.0
     control_interval: float = 10.0
-    schedule_interval: float = 1.0
-    plo_eval_interval: float = 5.0
-    #: Seconds before PLO violation accounting begins (cold-start grace).
-    plo_warmup: float = 60.0
-    startup_delay: float = 10.0
-    resize_delay: float = 1.0
     min_allocation: ResourceVector = field(
         default_factory=lambda: ResourceVector(
             cpu=0.1, memory=0.25, disk_bw=5, net_bw=5
@@ -146,12 +140,8 @@ class PlatformConfig:
     #: Force the replicated plane even with one replica — the crash-visible
     #: baseline of R-T8 (a sole replica that can die and restart).
     controller_ha: bool = False
-    #: Leader lease TTL in seconds; None derives 2 × control_interval.
-    lease_ttl: float | None = None
     #: Seconds between controller-state snapshots; None disables them.
     snapshot_interval: float | None = 60.0
-    #: Delay before a statestore write is durable (fsync analogue).
-    fsync_latency: float = 0.005
     # -- overload resilience (repro.scheduler.admission) ----------------------
     #: Admission control / load shedding, control-loop backpressure, and
     #: brownout degradation. Every feature defaults off, keeping seeded
@@ -173,41 +163,16 @@ class PlatformConfig:
     #: Observation-only: seeded runs are bit-identical with SLOs on or
     #: off.
     slos: tuple[SLOSpec, ...] = ()
-    # -- correctness harness (repro.verify) ----------------------------------
-    #: Attach the cluster-wide invariant checker to the engine's cycle
-    #: hook. Observation-only: seeded runs are bit-identical with the
-    #: checker on or off; violations are recorded on
-    #: ``platform.checker.violations``.
-    verify: bool = False
-    #: Check every N-th cycle boundary when ``verify`` is set. The
-    #: registry's invariants detect *persistent* corruption (a
-    #: double-bind or allocation drift stays wrong until released), so a
-    #: stride trades detection latency for overhead; the default holds
-    #: the checker within a ~5% profiled-call budget on the benchmark
-    #: scenarios (tests/verify/test_checker.py gates this). The fuzzer
-    #: overrides to 1 on its short episodes.
-    verify_every: int = 32
 
     def __post_init__(self) -> None:
-        for name in (
-            "scrape_interval",
-            "control_interval",
-            "schedule_interval",
-            "plo_eval_interval",
-        ):
+        for name in ("scrape_interval", "control_interval"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not self.min_allocation.fits_within(self.max_allocation):
             raise ValueError("min_allocation must fit within max_allocation")
         if self.controller_replicas < 1:
             raise ValueError("controller_replicas must be ≥ 1")
-        if self.lease_ttl is not None and self.lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive")
         if self.snapshot_interval is not None and self.snapshot_interval <= 0:
             raise ValueError("snapshot_interval must be positive")
-        if self.fsync_latency < 0:
-            raise ValueError("fsync_latency must be non-negative")
-        if self.verify_every < 1:
-            raise ValueError("verify_every must be ≥ 1")
         if self.slos and not self.telemetry:
             raise ValueError("slos require telemetry=True")

@@ -39,7 +39,7 @@ from repro.autoscaler.registry import (
     registered_policies,
 )
 from repro.cluster.api import ClusterAPI
-from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
 from repro.cluster.pod import WorkloadClass
 from repro.cluster.resources import ResourceVector
 from repro.control.ha import ReplicatedControlPlane
@@ -71,6 +71,9 @@ POLICIES = registered_policies()
 
 #: Schedulers selectable by name.
 SCHEDULERS = ("kube", "converged", "siloed")
+
+#: Seconds before PLO violation accounting begins (cold-start grace).
+PLO_WARMUP = 60.0
 
 #: Chaos fault kinds selectable by name in :meth:`EvolvePlatform.enable_chaos`,
 #: each built against a platform and logging into its FaultLog.
@@ -117,8 +120,8 @@ class EvolvePlatform:
     cluster_spec / config:
         Cluster shape and control-plane cadences.
     scheduler:
-        ``"kube"``, ``"converged"``, or ``"siloed"`` (the latter requires
-        ``silo_pools``).
+        ``"kube"``, ``"converged"``, or ``"siloed"`` (the latter splits
+        the nodes one-third per world).
     policy:
         Autoscaling policy for *managed* microservices: ``"static"``,
         ``"hpa"``, ``"vpa"``, or ``"adaptive"``.
@@ -136,7 +139,6 @@ class EvolvePlatform:
         policy: str = "adaptive",
         policy_kwargs: dict | None = None,
         scheduler_kwargs: dict | None = None,
-        silo_pools: dict[WorkloadClass, list[str]] | None = None,
     ):
         self._scheduler_kwargs = dict(scheduler_kwargs or {})
         self.config = config or PlatformConfig()
@@ -145,14 +147,7 @@ class EvolvePlatform:
         self.rng = RngRegistry(self.config.seed)
         self.store = ObjectStore()
         nodes = build_nodes(self.cluster_spec)
-        self.cluster = Cluster(
-            self.engine,
-            nodes,
-            config=ClusterConfig(
-                startup_delay=self.config.startup_delay,
-                resize_delay=self.config.resize_delay,
-            ),
-        )
+        self.cluster = Cluster(self.engine, nodes)
         self.api = ClusterAPI(self.cluster)
         # Shared fault bookkeeping: every injector logs episodes here so
         # repro.analysis.recovery can compute MTTR across fault classes.
@@ -172,10 +167,8 @@ class EvolvePlatform:
             scrape_interval=self.config.scrape_interval,
             faults=self.metrics_faults,
         )
-        self.monitor = PLOMonitor(
-            self.engine, self.collector, interval=self.config.plo_eval_interval
-        )
-        self.scheduler = self._build_scheduler(scheduler, silo_pools)
+        self.monitor = PLOMonitor(self.engine, self.collector)
+        self.scheduler = self._build_scheduler(scheduler)
         # -- overload resilience (ISSUE 6) -----------------------------------
         # Admission control attaches to the scheduler's pending queue; it
         # is only built when asked for, so default configs keep the
@@ -214,14 +207,12 @@ class EvolvePlatform:
             self.statestore = ControllerStateStore(
                 self.engine,
                 snapshot_interval=self.config.snapshot_interval,
-                fsync_latency=self.config.fsync_latency,
                 log=self.fault_log,
             )
             self.control_plane = ReplicatedControlPlane(
                 self.engine,
                 self.api,
                 self.replica_policies,
-                lease_ttl=self.config.lease_ttl,
                 store=self.statestore,
                 rng=self.rng.stream("ha/election"),
                 fault_log=self.fault_log,
@@ -239,14 +230,13 @@ class EvolvePlatform:
         self.repair: StorageRepairService | None = None
         if self.config.data_plane.enabled:
             self.store.node_liveness = self._node_live
-            if self.config.data_plane.repair:
-                self.repair = StorageRepairService(
-                    self.engine,
-                    self.store,
-                    self.api,
-                    config=self.config.data_plane,
-                    log=self.fault_log,
-                )
+            self.repair = StorageRepairService(
+                self.engine,
+                self.store,
+                self.api,
+                config=self.config.data_plane,
+                log=self.fault_log,
+            )
         self.telemetry: Telemetry | None = None
         if self.config.telemetry:
             self._enable_telemetry()
@@ -263,15 +253,6 @@ class EvolvePlatform:
                 registry=self.telemetry.registry,
             )
             self.collector.add_scrape_hook(self.slo_engine.on_scrape)
-        self.checker = None
-        if self.config.verify:
-            # Imported lazily: repro.verify imports cluster/control/sim
-            # modules, and a module-level import would be cyclic.
-            from repro.verify.invariants import InvariantChecker
-
-            self.checker = InvariantChecker.attach(
-                self, every=self.config.verify_every
-            )
         self._started = False
         self._run_until = 0.0
 
@@ -387,28 +368,18 @@ class EvolvePlatform:
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_scheduler(self, name: str, silo_pools):
+    def _build_scheduler(self, name: str):
         if name == "kube":
-            return KubeScheduler(
-                self.engine, self.api, interval=self.config.schedule_interval,
-                **self._scheduler_kwargs,
-            )
+            return KubeScheduler(self.engine, self.api, **self._scheduler_kwargs)
         if name == "converged":
             return ConvergedScheduler(
-                self.engine,
-                self.api,
-                store=self.store,
-                interval=self.config.schedule_interval,
-                **self._scheduler_kwargs,
+                self.engine, self.api, store=self.store, **self._scheduler_kwargs
             )
         if name == "siloed":
-            if silo_pools is None:
-                silo_pools = self._default_silos()
             return SiloedScheduler(
                 self.engine,
                 self.api,
-                pools=silo_pools,
-                interval=self.config.schedule_interval,
+                pools=self._default_silos(),
                 **self._scheduler_kwargs,
             )
         raise ValueError(f"unknown scheduler {name!r}; choose from {SCHEDULERS}")
@@ -661,10 +632,7 @@ class EvolvePlatform:
             self.control_plane.start()
         else:
             self.policy.start()
-        if self.config.plo_warmup > 0:
-            self.engine.schedule(self.config.plo_warmup, self.monitor.start)
-        else:
-            self.monitor.start()
+        self.engine.schedule(PLO_WARMUP, self.monitor.start)
 
     def run(self, duration: float) -> None:
         """Advance the simulation by ``duration`` seconds."""

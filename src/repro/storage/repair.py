@@ -30,6 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.chaos import FaultLog
     from repro.sim.engine import Engine
 
+#: Seconds between repair scans.
+REPAIR_INTERVAL = 15.0
+
 
 class StorageRepairService:
     """Periodic under-replication scanner and re-replicator."""
@@ -73,7 +76,7 @@ class StorageRepairService:
     def start(self) -> None:
         if self._handle is None:
             self._handle = self.engine.every(
-                self.config.repair_interval, self.scan, priority=-3
+                REPAIR_INTERVAL, self.scan, priority=-3
             )
 
     def stop(self) -> None:
@@ -102,7 +105,7 @@ class StorageRepairService:
         repaired_before = self.repaired_objects
         self._drain(now)
         # Only cycles that moved data are traced — an idle scan every
-        # repair_interval would bury the timeline in no-op spans.
+        # REPAIR_INTERVAL would bury the timeline in no-op spans.
         if self.telemetry is not None and (
             self.repaired_objects > repaired_before or self._queue
         ):
@@ -137,7 +140,7 @@ class StorageRepairService:
                 self._dark.discard(node.name)
 
     def _drain(self, now: float) -> None:
-        budget = self.config.repair_bandwidth_mbps * self.config.repair_interval
+        budget = self.config.repair_bandwidth_mbps * REPAIR_INTERVAL
         budget -= self._debt_mb
         self._debt_mb = 0.0
         deferred: list[tuple[str, str]] = []

@@ -97,6 +97,8 @@ DATA_DOMAINS = ("executor-kill", "straggler", "data-loss")
 #: Shrinking never reduces the horizon below this (the control loops
 #: need a few intervals to do anything at all).
 MIN_HORIZON = 60.0
+#: Candidate specs one shrink may evaluate.
+MAX_SHRINK_EVALS = 64
 
 
 # -- scenario specs ------------------------------------------------------------
@@ -772,8 +774,6 @@ def telemetry_identity_violation(
 def shrink(
     spec: ScenarioSpec,
     still_fails: Callable[[ScenarioSpec], bool],
-    *,
-    max_evals: int = 64,
 ) -> ScenarioSpec:
     """Greedily minimize a failing spec.
 
@@ -784,20 +784,21 @@ def shrink(
     arrivals — in that order, most-composite first), halve the horizon.
     A candidate is kept only if ``still_fails`` — so the result is
     1-minimal with respect to these moves (dropping any single remaining
-    element makes the failure disappear), within an evaluation budget.
+    element makes the failure disappear), within :data:`MAX_SHRINK_EVALS`
+    evaluations.
     """
     evals = 0
 
     def attempt(candidate: ScenarioSpec) -> bool:
         nonlocal evals
-        if evals >= max_evals:
+        if evals >= MAX_SHRINK_EVALS:
             return False
         evals += 1
         return still_fails(candidate)
 
     current = spec
     improved = True
-    while improved and evals < max_evals:
+    while improved and evals < MAX_SHRINK_EVALS:
         improved = False
         for i in range(len(current.workloads)):
             candidate = replace(
@@ -927,7 +928,6 @@ def fuzz(
     *,
     every: int = 1,
     out_dir: str | Path | None = "fuzz-repros",
-    shrink_failures: bool = True,
     differential: bool = False,
     inject: Callable[[EvolvePlatform], None] | None = None,
     log: Callable[[str], None] | None = None,
@@ -951,27 +951,23 @@ def fuzz(
             )
             continue
         say(f"episode {index}: VIOLATION {violations[0]}")
-        shrunk = spec
-        if shrink_failures:
 
-            def still_fails(candidate: ScenarioSpec) -> bool:
-                if not run_episode(
-                    candidate, every=every, inject=inject
-                ).ok:
-                    return True
-                if differential:
-                    return (
-                        telemetry_identity_violation(candidate, every=every)
-                        is not None
-                    )
-                return False
+        def still_fails(candidate: ScenarioSpec) -> bool:
+            if not run_episode(candidate, every=every, inject=inject).ok:
+                return True
+            if differential:
+                return (
+                    telemetry_identity_violation(candidate, every=every)
+                    is not None
+                )
+            return False
 
-            shrunk = shrink(spec, still_fails)
-            say(
-                f"episode {index}: shrunk to {len(shrunk.workloads)} "
-                f"workload(s), {len(shrunk.chaos)} chaos event(s), "
-                f"horizon {shrunk.horizon:g}s"
-            )
+        shrunk = shrink(spec, still_fails)
+        say(
+            f"episode {index}: shrunk to {len(shrunk.workloads)} "
+            f"workload(s), {len(shrunk.chaos)} chaos event(s), "
+            f"horizon {shrunk.horizon:g}s"
+        )
         repro_path = None
         if out_dir is not None:
             repro_path = str(

@@ -53,6 +53,8 @@ from repro.sim.engine import Engine
 
 #: Accounting tolerance for float drift, matching Node.verify_invariants.
 _TOLERANCE = 1e-6
+#: Distinct violations a checker keeps; later ones are only returned.
+MAX_VIOLATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -644,7 +646,6 @@ class InvariantChecker:
         every: int = 1,
         on_violation: str = "record",
         stop_on_violation: bool = False,
-        max_violations: int = 1000,
     ):
         if every < 1:
             raise ValueError("every must be ≥ 1")
@@ -666,7 +667,6 @@ class InvariantChecker:
         self.every = every
         self.on_violation = on_violation
         self.stop_on_violation = stop_on_violation
-        self.max_violations = max_violations
         self.violations: list[Violation] = []
         #: Duplicate (invariant, detail) observations after the first.
         self.suppressed = 0
@@ -676,10 +676,8 @@ class InvariantChecker:
         self._installed = False
 
     @classmethod
-    def attach(cls, platform, *, every: int | None = None, **kwargs):
+    def attach(cls, platform, *, every: int = 1, **kwargs):
         """Build a checker over a built platform and install its hook."""
-        if every is None:
-            every = getattr(platform.config, "verify_every", 1)
         checker = cls(
             platform.engine,
             platform.cluster,
@@ -736,7 +734,7 @@ class InvariantChecker:
                     self.suppressed += 1
                     continue
                 self._seen.add(key)
-                if len(self.violations) < self.max_violations:
+                if len(self.violations) < MAX_VIOLATIONS:
                     self.violations.append(violation)
                 fresh.append(violation)
         if fresh and self.stop_on_violation:

@@ -95,14 +95,17 @@ class ArrivalProcess(Protocol):
     def window(self, t0: float, t1: float) -> np.ndarray: ...
 
 
-def _estimate_bound(
-    trace: LoadTrace, t0: float, t1: float, *, samples: int, margin: float
-) -> float:
+#: Safety factor on a window's grid-scanned peak rate when
+#: :class:`PoissonArrivals` estimates its thinning bound.
+BOUND_MARGIN = 1.25
+
+
+def _estimate_bound(trace: LoadTrace, t0: float, t1: float, samples: int) -> float:
     """Upper bound on ``trace.rate`` over ``[t0, t1]`` from a grid scan."""
     if samples < 2:
         samples = 2
     peak = float(np.max(trace.rates(np.linspace(t0, t1, samples))))
-    return peak * margin
+    return peak * BOUND_MARGIN
 
 
 class PoissonArrivals:
@@ -111,7 +114,7 @@ class PoissonArrivals:
     Thinning: candidates arrive homogeneously at an upper bound
     ``rate_bound`` and are accepted with probability
     ``rate(t) / rate_bound``. When ``rate_bound`` is ``None`` the bound
-    is estimated per window from a grid scan with a safety margin —
+    is estimated per window from a grid scan times :data:`BOUND_MARGIN` —
     exact for traces whose within-window peak the grid sees (constant,
     monotone, or slowly-varying over a tick); pass an explicit bound
     for spiky traces. A window evaluates the trace through
@@ -135,25 +138,18 @@ class PoissonArrivals:
         *,
         rate_bound: float | None = None,
         bound_samples: int = 9,
-        bound_margin: float = 1.25,
     ):
         if rate_bound is not None and rate_bound <= 0:
             raise ValueError("rate_bound must be positive")
-        if bound_margin < 1.0:
-            raise ValueError("bound_margin must be ≥ 1")
         self.trace = trace
         self.rng = rng
         self.rate_bound = rate_bound
         self.bound_samples = int(bound_samples)
-        self.bound_margin = float(bound_margin)
 
     def _bound(self, t0: float, t1: float) -> float:
         if self.rate_bound is not None:
             return self.rate_bound
-        return _estimate_bound(
-            self.trace, t0, t1,
-            samples=self.bound_samples, margin=self.bound_margin,
-        )
+        return _estimate_bound(self.trace, t0, t1, self.bound_samples)
 
     def window(self, t0: float, t1: float) -> np.ndarray:
         if t1 <= t0:

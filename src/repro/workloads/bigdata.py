@@ -42,6 +42,11 @@ from repro.sim.engine import Engine
 from repro.storage.objectstore import ObjectStore
 from repro.workloads.base import Application
 
+#: An FT executor is a straggler when its retired-work rate stays below
+#: this fraction of its stage's median rate for
+#: ``DataPlaneConfig.straggler_patience`` consecutive ticks.
+STRAGGLER_RATE = 0.5
+
 
 @dataclass
 class Stage:
@@ -459,8 +464,7 @@ class BigDataJob(Application):
         if self.done or self.failed:
             return
         self._detect_executor_loss(now)
-        if self.ft.lineage:
-            self._reopen_lost_outputs(now)
+        self._reopen_lost_outputs(now)
         if self._check_quarantine(now):
             return
         runnable = self.runnable_stages()
@@ -680,10 +684,7 @@ class BigDataJob(Application):
                 t.runner = pod_name
                 t.started_at = now
                 return t, True
-        if (
-            self.ft.speculation
-            and rt.done_count() >= self.ft.speculation_quantile * len(rt.tasks)
-        ):
+        if rt.done_count() >= self.ft.speculation_quantile * len(rt.tasks):
             candidates = [
                 t
                 for t in rt.tasks
@@ -825,7 +826,7 @@ class BigDataJob(Application):
             median = statistics.median(rates.values())
             if median <= 0:
                 continue
-            threshold = self.ft.straggler_factor * median
+            threshold = STRAGGLER_RATE * median
             for pod_name, rate in rates.items():
                 if rate < threshold:
                     self._slow_ticks[pod_name] = self._slow_ticks.get(pod_name, 0) + 1

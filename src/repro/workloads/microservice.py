@@ -126,14 +126,15 @@ class Microservice(Application):
     tail_factor:
         Multiplier turning mean response time into the reported latency
         sample (≈ p99/mean for the modelled service).
-    max_latency:
-        Reported-latency ceiling (s); stands in for client timeouts.
     queue_limit_seconds:
         Admission control: each replica sheds arrivals beyond
         ``capacity × queue_limit_seconds`` of backlog, as client timeouts
         and load shedders do — so an overloaded service recovers once
         load drops instead of draining an unbounded queue forever.
     """
+
+    #: Reported-latency ceiling (s); stands in for client timeouts.
+    max_latency = 30.0
 
     def __init__(
         self,
@@ -148,7 +149,6 @@ class Microservice(Application):
         initial_replicas: int = 1,
         tick_interval: float = 1.0,
         tail_factor: float = 1.0,
-        max_latency: float = 30.0,
         queue_limit_seconds: float = 60.0,
         priority: int = 10,
         labels: Mapping[str, str] | None = None,
@@ -182,7 +182,6 @@ class Microservice(Application):
         if queue_limit_seconds <= 0:
             raise ValueError("queue_limit_seconds must be positive")
         self.tail_factor = tail_factor
-        self.max_latency = max_latency
         self.queue_limit_seconds = queue_limit_seconds
         # -- brownout: the degraded PLO tier -------------------------------
         # While browned out, per-request demand is multiplied by

@@ -44,6 +44,9 @@ from repro.sim.engine import Engine
 from repro.workloads.base import Application
 from repro.workloads.traces import LoadTrace
 
+#: Seconds between checkpoint barriers of an FT stream job.
+CHECKPOINT_INTERVAL = 30.0
+
 
 @dataclass(frozen=True)
 class Operator:
@@ -90,9 +93,10 @@ class StreamJob(Application):
         Network bytes (MB) ingested per source event.
     mem_base:
         Fixed per-worker memory (GiB).
-    max_lag_seconds:
-        Reported watermark-delay ceiling.
     """
+
+    #: Reported watermark-delay ceiling (s).
+    max_lag_seconds = 600.0
 
     def __init__(
         self,
@@ -106,7 +110,6 @@ class StreamJob(Application):
         initial_workers: int = 1,
         event_mb: float = 0.01,
         mem_base: float = 0.5,
-        max_lag_seconds: float = 600.0,
         ft: DataPlaneConfig | None = None,
         tick_interval: float = 1.0,
         priority: int = 8,
@@ -131,13 +134,12 @@ class StreamJob(Application):
         names = [op.name for op in ops]
         if len(set(names)) != len(names):
             raise ValueError("duplicate operator names")
-        if event_mb < 0 or mem_base < 0 or max_lag_seconds <= 0:
+        if event_mb < 0 or mem_base < 0:
             raise ValueError("invalid stream parameters")
         self.trace = trace
         self.operators = ops
         self.event_mb = event_mb
         self.mem_base = mem_base
-        self.max_lag_seconds = max_lag_seconds
         # Fused-chain cost per *source* event, and state per event/s.
         reach = 1.0
         cpu = 0.0
@@ -220,7 +222,7 @@ class StreamJob(Application):
         restoring = now < self._restore_until
         if (
             not restoring
-            and now - self.last_checkpoint_at >= self.ft.checkpoint_interval
+            and now - self.last_checkpoint_at >= CHECKPOINT_INTERVAL
         ):
             self._ckpt_processed = self.total_processed
             self.last_checkpoint_at = now

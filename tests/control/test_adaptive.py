@@ -87,8 +87,6 @@ def test_reset():
     "kwargs",
     [
         {"window": 1},
-        {"shrink": 1.0},
-        {"grow": 1.0},
         {"bounds": (0.0, 2.0)},
         {"bounds": (0.5, 0.9)},
         {"relax": 2.0},

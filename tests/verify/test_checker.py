@@ -1,10 +1,10 @@
 """Integration tests: the checker on a live platform.
 
-Covers the wiring half of the harness: `PlatformConfig(verify=True)`
-attaches the registry through the engine cycle hook, seeded runs are
-bit-identical with the checker on or off, the strided default stays
-within its profiled overhead budget, and a corruption planted mid-run
-is caught while the platform is driving real workloads.
+Covers the wiring half of the harness: `InvariantChecker.attach`
+installs the registry through the engine cycle hook, seeded runs are
+bit-identical with the checker on or off, a stride of 32 stays within
+its profiled overhead budget, and a corruption planted mid-run is
+caught while the platform is driving real workloads.
 """
 
 import cProfile
@@ -18,17 +18,17 @@ from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import DiurnalTrace
 
 
-def _build(seed=21, *, verify=False, verify_every=32, replicas=1):
+def _build(seed=21, *, every=None, replicas=1):
+    """The test platform, with a checker attached at stride ``every``
+    before any workload is deployed (None: no checker)."""
     platform = EvolvePlatform(
         cluster_spec=ClusterSpec(node_count=4),
-        config=PlatformConfig(
-            seed=seed,
-            verify=verify,
-            verify_every=verify_every,
-            controller_replicas=replicas,
-        ),
+        config=PlatformConfig(seed=seed, controller_replicas=replicas),
         policy="adaptive",
     )
+    checker = None
+    if every is not None:
+        checker = InvariantChecker.attach(platform, every=every)
     platform.deploy_microservice(
         "web",
         trace=DiurnalTrace(base=150, amplitude=90, period=600),
@@ -44,33 +44,37 @@ def _build(seed=21, *, verify=False, verify_every=32, replicas=1):
         allocation=ResourceVector(cpu=2, memory=4, disk_bw=5, net_bw=40),
         delay=30.0,
     )
-    return platform
+    return platform, checker
 
 
 class TestPlatformWiring:
     def test_config_attaches_checker(self):
-        platform = _build(verify=True)
-        assert platform.checker is not None
-        assert platform.checker.every == 32
+        platform, checker = _build(every=32)
+        assert checker is not None
+        assert checker.every == 32
         platform.run(300.0)
-        assert platform.checker.cycles_seen > 0
-        assert platform.checker.checks_run > 0
-        assert platform.checker.ok, platform.checker.report()
+        assert checker.cycles_seen > 0
+        assert checker.checks_run > 0
+        assert checker.ok, checker.report()
+
+    def test_attach_defaults_to_every_cycle(self):
+        platform, _ = _build()
+        assert InvariantChecker.attach(platform).every == 1
 
     def test_checker_off_by_default(self):
-        platform = _build()
-        assert platform.checker is None
+        platform, checker = _build()
+        assert checker is None
+        assert not platform.engine._cycle_hooks
 
     def test_clean_run_with_every_cycle_checking(self):
-        platform = _build(verify=True, verify_every=1, replicas=3)
+        platform, checker = _build(every=1, replicas=3)
         platform.run(400.0)
-        checker = platform.checker
         checker.final_check()
         assert checker.ok, checker.report()
         assert checker.checks_run == checker.cycles_seen + 1
 
     def test_injected_double_bind_caught_mid_run(self):
-        platform = _build(verify=True, verify_every=1)
+        platform, checker = _build(every=1)
         cluster = platform.cluster
 
         def corrupt():
@@ -85,7 +89,6 @@ class TestPlatformWiring:
 
         platform.engine.schedule_at(60.0, corrupt)
         platform.run(300.0)
-        checker = platform.checker
         assert not checker.ok
         assert any(
             v.invariant == "no-double-bind" and "bound to 2 nodes" in v.detail
@@ -98,14 +101,14 @@ class TestPlatformWiring:
     def test_final_check_covers_the_last_batch(self):
         # Cycle hooks fire *between* timestamps, so corruption in the
         # run's final events is only visible to an explicit final pass.
-        platform = _build(verify=True, verify_every=1)
+        platform, checker = _build(every=1)
         platform.run(120.0)
         node = platform.cluster.get_node("node-00")
         node._allocated = node._allocated + ResourceVector(
             cpu=1, memory=0, disk_bw=0, net_bw=0
         )
-        assert platform.checker.ok
-        fresh = platform.checker.final_check()
+        assert checker.ok
+        fresh = checker.final_check()
         assert any("allocation drift" in v.detail for v in fresh)
 
 
@@ -117,30 +120,29 @@ class TestBitIdentity:
         return platform.engine.events_executed, times, values
 
     def test_checker_on_off_bit_identical(self):
-        base = _build(seed=33)
+        base, _ = _build(seed=33)
         base.run(600.0)
-        checked = _build(seed=33, verify=True, verify_every=1)
+        checked, checker = _build(seed=33, every=1)
         checked.run(600.0)
-        assert checked.checker.checks_run > 0
+        assert checker.checks_run > 0
         assert self._fingerprint(base) == self._fingerprint(checked)
 
     def test_stride_does_not_change_the_run(self):
-        a = _build(seed=33, verify=True, verify_every=1)
+        a, _ = _build(seed=33, every=1)
         a.run(600.0)
-        b = _build(seed=33, verify=True, verify_every=64)
+        b, _ = _build(seed=33, every=64)
         b.run(600.0)
         assert self._fingerprint(a) == self._fingerprint(b)
 
 
 class TestOverheadBudget:
     def test_default_stride_within_five_percent_call_budget(self):
-        # The knob this gates: verify_every=32 (the PlatformConfig
-        # default) must keep the checker within a 5% profiled-call
+        # A stride of 32 must keep the checker within a 5% profiled-call
         # budget on a control-loop-heavy run. Call counts in a seeded
         # simulation are deterministic, so this is a stable gate, not a
         # wall-clock flake.
-        def calls(verify):
-            platform = _build(seed=21, verify=verify)
+        def calls(every):
+            platform, _ = _build(seed=21, every=every)
             profile = cProfile.Profile()
             profile.enable()
             platform.run(1800.0)
@@ -149,8 +151,8 @@ class TestOverheadBudget:
                 entry.callcount for entry in profile.getstats()
             )
 
-        baseline = calls(False)
-        checked = calls(True)
+        baseline = calls(None)
+        checked = calls(32)
         overhead = (checked - baseline) / baseline
         assert overhead < 0.05, f"checker call overhead {overhead:.1%}"
 
@@ -162,7 +164,7 @@ class TestWalReplayIdempotence:
         # second replay must deduplicate every record — re-issuing an
         # absolute resize target the cluster already reflects would
         # trample concurrent changes.
-        platform = _build(seed=5, verify=True, verify_every=1, replicas=3)
+        platform, checker = _build(seed=5, every=1, replicas=3)
         plane = platform.control_plane
         platform.run(400.0)
         assert platform.statestore.wal, "adaptive run should log actuations"
@@ -171,7 +173,7 @@ class TestWalReplayIdempotence:
         plane.crash_replica(leader)
         platform.run(200.0)
         assert plane.failovers, "crashing the leader should fail over"
-        assert platform.checker.ok, platform.checker.report()
+        assert checker.ok, checker.report()
         new_leader = plane.leader_index()
         assert new_leader is not None and new_leader != leader
         stats = plane._restore(plane.replicas[new_leader].manager)
