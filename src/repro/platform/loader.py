@@ -19,6 +19,7 @@ from repro.platform.evolve import EvolvePlatform
 from repro.workloads.bigdata import Stage
 from repro.workloads.microservice import DemandPhase, ServiceDemands
 from repro.workloads.plo import LatencyPLO, ThroughputPLO
+from repro.workloads.traceio import load_trace
 from repro.workloads.traces import (
     BurstyTrace,
     CompositeTrace,
@@ -86,7 +87,7 @@ def trace_from_dict(
         if kind == "replay":
             path = params.pop("path", None)
             if path is not None:
-                return ReplayTrace.from_csv(path, **params)
+                return load_trace(path).trace(**params)
             samples = [tuple(s) for s in _require(params, "samples", "replay")]
             rest = {k: v for k, v in params.items() if k != "samples"}
             return ReplayTrace(samples, **rest)

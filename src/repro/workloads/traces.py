@@ -402,32 +402,6 @@ class ReplayTrace:
         self._times_arr = np.array(self._times, dtype=float)
         self._table_arr = np.array(self._table, dtype=float)
 
-    @classmethod
-    def from_csv(
-        cls,
-        path: str,
-        *,
-        time_column: int = 0,
-        rate_column: int = 1,
-        delimiter: str = ",",
-        skip_header: bool = True,
-        **kwargs,
-    ) -> "ReplayTrace":
-        """Load ``time,rate`` rows from a CSV file."""
-        samples: list[tuple[float, float]] = []
-        with open(path) as handle:
-            for i, line in enumerate(handle):
-                if skip_header and i == 0:
-                    continue
-                line = line.strip()
-                if not line:
-                    continue
-                fields = line.split(delimiter)
-                samples.append(
-                    (float(fields[time_column]), float(fields[rate_column]))
-                )
-        return cls(samples, **kwargs)
-
     def rate(self, t: float) -> float:
         return self._table[bisect.bisect_right(self._times, t)]
 

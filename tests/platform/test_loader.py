@@ -64,6 +64,23 @@ class TestTraceFromDict:
         )
         assert trace.rate(60) == 20
 
+    def test_replay_csv_path(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("time,rate\n0,10\n50,20\n")
+        trace = trace_from_dict(
+            {"kind": "replay", "path": str(path), "time_scale": 2.0,
+             "rate_scale": 3.0},
+            RNG,
+        )
+        assert trace.rate(90) == 30
+        assert trace.rate(110) == 60
+
+    def test_replay_short_row_is_config_error(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("time,rate\n0,10\n50\n")
+        with pytest.raises(ConfigError, match="malformed row"):
+            trace_from_dict({"kind": "replay", "path": str(path)}, RNG)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown trace kind"):
             trace_from_dict({"kind": "wavelet"}, RNG)

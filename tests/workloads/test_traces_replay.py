@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.workloads.traceio import load_trace
 from repro.workloads.traces import OUTrace, ReplayTrace
 
 
@@ -75,20 +76,10 @@ class TestReplayTrace:
     def test_from_csv(self, tmp_path):
         csv = tmp_path / "trace.csv"
         csv.write_text("time,rate\n0,100\n60,150\n\n120,80\n")
-        trace = ReplayTrace.from_csv(str(csv))
+        trace = load_trace(csv).trace()
         assert trace.rate(30) == 100
         assert trace.rate(61) == 150
         assert trace.rate(500) == 80
-
-    def test_from_csv_custom_columns(self, tmp_path):
-        csv = tmp_path / "trace.tsv"
-        csv.write_text("100\t0\n200\t60\n")
-        trace = ReplayTrace.from_csv(
-            str(csv), time_column=1, rate_column=0,
-            delimiter="\t", skip_header=False,
-        )
-        assert trace.rate(0) == 100
-        assert trace.rate(60) == 200
 
     def test_drives_a_service(self, engine, api):
         """Replay traces plug into the workload model like any other."""
