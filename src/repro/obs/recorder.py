@@ -119,7 +119,9 @@ def _brownout_ledger(managers) -> dict:
     stats = [m.resilience_stats() for m in managers]
     entries = sum(s["brownout_entries"] for s in stats)
     exits = sum(s["brownout_exits"] for s in stats)
-    active = entries - exits
+    # Live state, not a counter: every replica manages the same apps.
+    apps = {name: app for m in managers for name, app in m.applications().items()}
+    active = sum(1 for app in apps.values() if getattr(app, "brownout_active", False))
     residual = entries - (exits + active)
     return {
         "entries": entries,

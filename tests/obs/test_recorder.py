@@ -101,6 +101,23 @@ class TestOverloadReport:
             adm["rejected_pending"] + adm["evicted_running"]
         )
 
+    def test_brownout_ledger_counts_live_brownouts(self):
+        # A brownout set behind the control loop's back has no entry to
+        # balance it, so the ledger must stop balancing.
+        platform, _ = build_scenario("overload", duration=120.0)
+        platform.run(120.0)
+        assert build_run_report(platform).ledgers["brownout"]["ok"]
+        app = next(
+            app for app in platform.apps.values()
+            if getattr(app, "brownout_capable", False)
+            and not app.brownout_active
+        )
+        app.brownout_active = True
+        ledger = build_run_report(platform).ledgers["brownout"]
+        assert ledger["active"] == 1 + ledger["entries"] - ledger["exits"]
+        assert ledger["residual"] == -1
+        assert not ledger["ok"]
+
     def test_critical_paths_reach_back_to_scrapes(self, overload_report):
         _, report = overload_report
         paths = report.as_dict()["critical_paths"]
