@@ -4,9 +4,18 @@ A downstream user's first contact is ``from repro.X import Y``; this
 test pins the advertised surface so refactors cannot silently drop it.
 """
 
+import dataclasses
 import importlib
 
 import pytest
+
+from repro.control import ResilienceConfig
+from repro.platform.config import (
+    ClusterSpec,
+    DataPlaneConfig,
+    OverloadConfig,
+    PlatformConfig,
+)
 
 
 PUBLIC_SURFACE = {
@@ -86,6 +95,43 @@ def test_all_lists_are_accurate():
             continue
         missing = [name for name in declared if not hasattr(module, name)]
         assert not missing, f"{module_name}.__all__ lies: {missing}"
+
+
+#: Every knob of the config dataclasses, in declaration order. A new
+#: option changes this pin, so it arrives as a reviewed edit.
+CONFIG_FIELDS = {
+    PlatformConfig: (
+        "seed", "scrape_interval", "control_interval", "min_allocation",
+        "max_allocation", "controller_replicas", "controller_ha",
+        "snapshot_interval", "overload", "data_plane", "telemetry", "slos",
+    ),
+    DataPlaneConfig: (
+        "enabled", "straggler_patience", "speculation_quantile",
+        "stage_max_attempts", "retry_backoff_base", "restore_delay",
+        "repair_bandwidth_mbps",
+    ),
+    OverloadConfig: (
+        "admission", "backpressure", "brownout", "high_watermark",
+        "low_watermark", "pending_high", "max_shed_per_cycle",
+        "starvation_timeout", "evict_running", "brownout_enter_error",
+        "brownout_exit_error", "brownout_enter_periods",
+        "brownout_exit_periods", "brownout_demand_factor",
+        "brownout_latency_penalty",
+    ),
+    ResilienceConfig: (
+        "safe_mode_after", "freshness_timeout", "retry_base_delay",
+        "retry_max_delay", "retry_jitter", "max_retries",
+        "breaker_failure_threshold", "breaker_flap_window",
+        "breaker_flap_threshold", "breaker_open_duration",
+    ),
+    ClusterSpec: ("node_count", "node_capacity", "system_reserved", "groups", "zones"),
+}
+
+
+@pytest.mark.parametrize("config", CONFIG_FIELDS, ids=lambda c: c.__name__)
+def test_config_fields_are_pinned(config):
+    fields = tuple(f.name for f in dataclasses.fields(config))
+    assert fields == CONFIG_FIELDS[config]
 
 
 def test_cli_module_importable():
