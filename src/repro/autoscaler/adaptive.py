@@ -178,9 +178,7 @@ class AdaptiveAutoscaler:
 
     def attach(self, app: Application) -> MultiResourceController:
         """Create a controller for ``app`` and register it with the loop."""
-        kwargs = {}
-        if self.dimensions is not None:
-            kwargs["dimensions"] = self.dimensions
+        kwargs = {} if self.dimensions is None else {"dimensions": self.dimensions}
         controller = MultiResourceController(
             self.gains,
             self.bounds,
