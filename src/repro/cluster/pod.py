@@ -38,8 +38,10 @@ class PodPhase(enum.Enum):
     EVICTED = "evicted"        # preempted or vertically resized via restart
 
 
-#: Phases in which a pod occupies node resources.
-ACTIVE_PHASES = frozenset({PodPhase.SCHEDULED, PodPhase.RUNNING})
+#: Phases in which a pod occupies node resources. A tuple, not a set:
+#: membership then compares by identity in C, while hashing a member
+#: calls the Python-level ``Enum.__hash__``.
+ACTIVE_PHASES = (PodPhase.SCHEDULED, PodPhase.RUNNING)
 
 
 @dataclass(frozen=True)

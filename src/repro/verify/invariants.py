@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.events import LeaderElected, PodEvicted
-from repro.cluster.pod import PodPhase
+from repro.cluster.pod import ACTIVE_PHASES, PodPhase
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine
 
@@ -142,31 +142,50 @@ class ResourceConservation(Invariant):
     def check(self, ctx: CheckContext) -> Iterable[str]:
         out: list[str] = []
         for node in ctx.cluster.nodes.values():
-            total = ResourceVector.zero()
+            # Float locals, added in the order a ResourceVector.zero() + ...
+            # chain would add them, so the sums are bit-identical to it
+            # without one vector per pod.
+            cpu = memory = disk_bw = net_bw = 0.0
             for pod in node.pods.values():
-                total = total + pod.allocation
-                if not pod.active:
+                alloc = pod.allocation
+                cpu += alloc.cpu
+                memory += alloc.memory
+                disk_bw += alloc.disk_bw
+                net_bw += alloc.net_bw
+                if pod.phase not in ACTIVE_PHASES:
                     out.append(
                         f"node {node.name}: pod {pod.name} holds resources "
                         f"in phase {pod.phase.value}"
                     )
-            if not total.approx_equal(node.allocated, tolerance=_TOLERANCE):
+            allocated = node.allocated
+            if not (
+                -_TOLERANCE <= cpu - allocated.cpu <= _TOLERANCE
+                and -_TOLERANCE <= memory - allocated.memory <= _TOLERANCE
+                and -_TOLERANCE <= disk_bw - allocated.disk_bw <= _TOLERANCE
+                and -_TOLERANCE <= net_bw - allocated.net_bw <= _TOLERANCE
+            ):
+                total = ResourceVector._from_fields(cpu, memory, disk_bw, net_bw)
                 out.append(
                     f"node {node.name}: allocation drift (tracked "
-                    f"{node.allocated!r}, actual {total!r})"
+                    f"{allocated!r}, actual {total!r})"
                 )
-            if not node.allocated.fits_within(
-                node.allocatable, tolerance=_TOLERANCE
-            ):
+            if not allocated.fits_within(node.allocatable, tolerance=_TOLERANCE):
                 out.append(
                     f"node {node.name}: over-allocated (allocated "
-                    f"{node.allocated!r}, allocatable {node.allocatable!r})"
+                    f"{allocated!r}, allocatable {node.allocatable!r})"
                 )
-            if node.allocated.any_negative():
-                out.append(
-                    f"node {node.name}: negative allocation {node.allocated!r}"
-                )
+            if allocated.any_negative():
+                out.append(f"node {node.name}: negative allocation {allocated!r}")
         return out
+
+
+def _holders(
+    pod_name: str, first: dict[str, str], shared: dict[str, list[str]]
+) -> list[str]:
+    """Sorted names of the nodes holding ``pod_name`` (see NoDoubleBind)."""
+    if pod_name in shared:
+        return sorted(shared[pod_name])
+    return [first[pod_name]] if pod_name in first else []
 
 
 class NoDoubleBind(Invariant):
@@ -176,32 +195,48 @@ class NoDoubleBind(Invariant):
 
     def check(self, ctx: CheckContext) -> Iterable[str]:
         out: list[str] = []
-        holders: dict[str, list[str]] = {}
-        for node in ctx.cluster.nodes.values():
+        cluster = ctx.cluster
+        # First holding node per pod; the full holder list only for pods
+        # held by two or more nodes.
+        first: dict[str, str] = {}
+        shared: dict[str, list[str]] = {}
+        for node in cluster.nodes.values():
+            node_name = node.name
             for pod_name in node.pods:
-                holders.setdefault(pod_name, []).append(node.name)
-        for pod_name, nodes in holders.items():
-            if len(nodes) > 1:
-                out.append(
-                    f"pod {pod_name} bound to {len(nodes)} nodes: "
-                    f"{sorted(nodes)}"
-                )
-        for pod in ctx.cluster.pods.values():
-            held = holders.get(pod.name, ())
-            if pod.active:
-                if pod.node_name is None:
-                    out.append(f"active pod {pod.name} has no node")
-                elif list(held) != [pod.node_name]:
+                if pod_name not in first:
+                    first[pod_name] = node_name
+                elif pod_name in shared:
+                    shared[pod_name].append(node_name)
+                else:
+                    shared[pod_name] = [first[pod_name], node_name]
+        if shared:
+            for pod_name in first:  # in the order the node scan met them
+                if pod_name in shared:
+                    nodes = shared[pod_name]
                     out.append(
-                        f"pod {pod.name} records node {pod.node_name} but is "
-                        f"held by {sorted(held)}"
+                        f"pod {pod_name} bound to {len(nodes)} nodes: "
+                        f"{sorted(nodes)}"
                     )
-            elif held:
+        for pod in cluster.pods.values():
+            name = pod.spec.name
+            if pod.phase in ACTIVE_PHASES:
+                if pod.node_name is None:
+                    out.append(f"active pod {name} has no node")
+                elif (
+                    name not in first
+                    or name in shared
+                    or first[name] != pod.node_name
+                ):
+                    out.append(
+                        f"pod {name} records node {pod.node_name} but is "
+                        f"held by {_holders(name, first, shared)}"
+                    )
+            elif name in first:
                 out.append(
-                    f"{pod.phase.value} pod {pod.name} still holds node "
-                    f"resources on {sorted(held)}"
+                    f"{pod.phase.value} pod {name} still holds node "
+                    f"resources on {_holders(name, first, shared)}"
                 )
-        for pod in ctx.cluster.pending_pods():
+        for pod in cluster.pending_pods():
             if pod.phase is not PodPhase.PENDING:
                 out.append(
                     f"non-pending pod {pod.name} ({pod.phase.value}) in the "
@@ -254,8 +289,12 @@ class GangAtomicity(Invariant):
                 continue
             gangs.setdefault(gang_id, []).append(pod)
         for gang_id, members in gangs.items():
-            bound = sum(1 for p in members if p.active)
-            pending = sum(1 for p in members if p.phase is PodPhase.PENDING)
+            bound = pending = 0
+            for p in members:
+                if p.phase in ACTIVE_PHASES:
+                    bound += 1
+                elif p.phase is PodPhase.PENDING:
+                    pending += 1
             size = max(self._size.get(gang_id, 0), bound + pending)
             self._size[gang_id] = size
             if bound and pending:
@@ -267,9 +306,13 @@ class GangAtomicity(Invariant):
             elif bound and not pending and bound >= size:
                 self._degraded.discard(gang_id)
         # Gangs with no live members left need no bookkeeping anymore.
-        self._degraded &= set(gangs)
-        for gone in [g for g in self._size if g not in gangs]:
-            del self._size[gone]
+        # Every live gang has a size entry by now, so a longer _size
+        # holds gangs that are gone.
+        if self._degraded:
+            self._degraded.intersection_update(gangs)
+        if len(self._size) > len(gangs):
+            for gone in [g for g in self._size if g not in gangs]:
+                del self._size[gone]
         return out
 
 
@@ -465,22 +508,23 @@ class ShedConservation(Invariant):
 
     def check(self, ctx: CheckContext) -> Iterable[str]:
         out: list[str] = []
-        for name in self._shed:
-            pod = ctx.cluster.pods.get(name)
-            if pod is not None and not pod.terminal:
-                out.append(
-                    f"shed pod {name} resurrected in phase {pod.phase.value}"
-                )
-        for pod in ctx.cluster.pending_pods():
-            if pod.name in self._shed:
-                out.append(f"shed pod {pod.name} back in the pending queue")
-        for node in ctx.cluster.nodes.values():
-            for pod_name in node.pods:
-                if pod_name in self._shed:
+        if self._shed:  # the three scans can only find pods shed so far
+            for name in self._shed:
+                pod = ctx.cluster.pods.get(name)
+                if pod is not None and not pod.terminal:
                     out.append(
-                        f"shed pod {pod_name} still holds resources on "
-                        f"node {node.name}"
+                        f"shed pod {name} resurrected in phase {pod.phase.value}"
                     )
+            for pod in ctx.cluster.pending_pods():
+                if pod.name in self._shed:
+                    out.append(f"shed pod {pod.name} back in the pending queue")
+            for node in ctx.cluster.nodes.values():
+                for pod_name in node.pods:
+                    if pod_name in self._shed:
+                        out.append(
+                            f"shed pod {pod_name} still holds resources on "
+                            f"node {node.name}"
+                        )
         admission = getattr(ctx.scheduler, "admission", None)
         if admission is not None:
             if admission.shed_total != self._observed:
@@ -554,7 +598,7 @@ class DataPlaneConservation(Invariant):
                         f"{ledger['wasted']:.6f} + reopened "
                         f"{ledger['reopened']:.6f}"
                     )
-                total_work = sum(s.work_cpu_seconds for s in app.stages)
+                total_work = app._total_work
                 if ledger["useful"] > total_work * (1 + _TOLERANCE) + _TOLERANCE:
                     out.append(
                         f"job {app.name}: useful work {ledger['useful']:.6f} "
@@ -568,7 +612,7 @@ class DataPlaneConservation(Invariant):
                             f"{rt.attempts} attempts (budget "
                             f"{app.ft.stage_max_attempts}) without quarantine"
                         )
-                    mirrored = sum(t.work_left for t in rt.tasks if not t.done)
+                    mirrored = sum([t.work_left for t in rt.tasks if not t.done])
                     if abs(stage.remaining_work - mirrored) > _TOLERANCE * max(
                         1.0, stage.work_cpu_seconds
                     ):

@@ -176,11 +176,20 @@ class _StageTasks:
     def done_count(self) -> int:
         return sum(1 for t in self.tasks if t.done)
 
+    # The ledger sums below run at every invariant audit. ``sum`` over a
+    # list adds the same floats in the same order as over a generator,
+    # without one generator resumption per task.
+
     def useful_work(self) -> float:
-        return sum(t.work if t.done else t.work - t.work_left for t in self.tasks)
+        return sum([t.work if t.done else t.work - t.work_left for t in self.tasks])
 
     def spec_inflight(self) -> float:
-        return sum(t.spec_progress() for t in self.tasks if not t.done)
+        """Progress of the live speculative copies (``spec_progress`` inlined)."""
+        return sum([
+            t.work - t.spec_work_left if t.spec_runner is not None else 0.0
+            for t in self.tasks
+            if not t.done
+        ])
 
     def sync_stage(self) -> None:
         """Mirror task state into the stage's fluid counters so
@@ -842,8 +851,9 @@ class BigDataJob(Application):
         """Work-conservation ledger: retired = useful + spec + waste + reopened."""
         if self.ft is None:
             return None
-        useful = sum(rt.useful_work() for rt in self._runtime.values())
-        spec_inflight = sum(rt.spec_inflight() for rt in self._runtime.values())
+        runtimes = self._runtime.values()
+        useful = sum([rt.useful_work() for rt in runtimes])
+        spec_inflight = sum([rt.spec_inflight() for rt in runtimes])
         return {
             "retired": self.ft_retired_work,
             "useful": useful,
