@@ -3,7 +3,8 @@
 Covers the wiring half of the harness: `InvariantChecker.attach`
 installs the registry through the engine cycle hook, seeded runs are
 bit-identical with the checker on or off, a stride of 32 stays within
-its profiled overhead budget, and a corruption planted mid-run is
+its profiled overhead budget, an every-cycle audit stays within its
+profiled calls-per-check budget, and a corruption planted mid-run is
 caught while the platform is driving real workloads.
 """
 
@@ -12,6 +13,7 @@ import cProfile
 from repro.cluster.resources import ResourceVector
 from repro.platform.config import ClusterSpec, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
+from repro.verify import fuzzer
 from repro.verify.invariants import InvariantChecker
 from repro.workloads.microservice import ServiceDemands
 from repro.workloads.plo import LatencyPLO
@@ -155,6 +157,28 @@ class TestOverheadBudget:
         checked = calls(32)
         overhead = (checked - baseline) / baseline
         assert overhead < 0.05, f"checker call overhead {overhead:.1%}"
+
+    def test_every_cycle_call_budget(self):
+        # Profiled calls per audit of the full registry at every=1 on
+        # seed-7 fuzz episode 7 (three FT big-data jobs under data-loss
+        # chaos): the episode's calls minus those of the same episode
+        # with an empty registry, per check. Measured 143 (Python 3.11);
+        # the budget is that plus ~25%. The run is seeded, so the count
+        # is the same on every machine.
+        spec = fuzzer.generate_scenario(7, 7)
+
+        def calls(invariants):
+            profile = cProfile.Profile()
+            result = profile.runcall(
+                fuzzer.run_episode, spec, every=1, invariants=invariants
+            )
+            return sum(entry.callcount for entry in profile.getstats()), result
+
+        fuzzer.run_episode(spec)  # first-run caches stay out of both counts
+        bare, _ = calls([])
+        audited, result = calls(None)
+        per_check = (audited - bare) / result.checks_run
+        assert per_check < 179, f"{per_check:.0f} profiled calls per check"
 
 
 class TestWalReplayIdempotence:
