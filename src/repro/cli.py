@@ -345,10 +345,23 @@ def cmd_arena(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.verify import fuzzer
 
-    if args.replay is not None:
-        result = fuzzer.replay(
-            args.replay, seed=args.seed, every=args.every
+    if args.every < 1:
+        print(f"error: --every must be ≥ 1, got {args.every}", file=sys.stderr)
+        return 2
+    if args.episodes < 0:
+        print(
+            f"error: --episodes must be ≥ 0, got {args.episodes}",
+            file=sys.stderr,
         )
+        return 2
+    if args.replay is not None:
+        try:
+            result = fuzzer.replay(
+                args.replay, seed=args.seed, every=args.every
+            )
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         spec = result.spec
         print(
             f"replayed {args.replay}: seed={spec.seed} "

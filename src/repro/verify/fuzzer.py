@@ -44,6 +44,7 @@ from repro.cluster.resources import ResourceVector
 from repro.dataplane import DataPlaneConfig
 from repro.platform.config import ClusterSpec, OverloadConfig, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
+from repro.platform.loader import ConfigError
 from repro.sim.rng import RngRegistry
 from repro.storage.placement import spread_blocks
 from repro.verify.invariants import Invariant, InvariantChecker, Violation
@@ -918,8 +919,25 @@ def write_repro(
 
 
 def load_spec(path: str | Path) -> ScenarioSpec:
-    """Load a spec from a repro file (extra keys like violations ignored)."""
-    return ScenarioSpec.from_dict(json.loads(Path(path).read_text()))
+    """Load a spec from a repro file (extra keys like violations ignored).
+
+    Raises :class:`~repro.platform.loader.ConfigError` when the file
+    cannot be read, is not JSON, or does not describe a spec.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top level must be an object")
+    try:
+        return ScenarioSpec.from_dict(data)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing required key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad spec: {exc}") from exc
 
 
 def fuzz(

@@ -136,3 +136,42 @@ def test_report_command_calm(tmp_path, capsys):
 def test_report_command_unknown_scenario():
     with pytest.raises(SystemExit):
         main(["report", "atlantis"])
+
+
+def _fuzz_error(argv, capsys):
+    """Run ``repro fuzz`` expecting a usage error; returns its stderr."""
+    assert main(["fuzz", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    return err
+
+
+def test_fuzz_replay_missing_file(tmp_path, capsys):
+    err = _fuzz_error(["--replay", str(tmp_path / "absent.json")], capsys)
+    assert "absent.json" in err
+
+
+def test_fuzz_replay_truncated_json(tmp_path, capsys):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"seed": 3, "horizon": 6')
+    assert "invalid JSON" in _fuzz_error(["--replay", str(path)], capsys)
+
+
+def test_fuzz_replay_spec_without_horizon(tmp_path, capsys):
+    path = tmp_path / "no-horizon.json"
+    path.write_text(json.dumps({"format": 4, "seed": 3, "nodes": 3}))
+    err = _fuzz_error(["--replay", str(path)], capsys)
+    assert "'horizon'" in err
+
+
+def test_fuzz_every_zero(tmp_path, capsys):
+    err = _fuzz_error(
+        ["--episodes", "1", "--every", "0", "--out", str(tmp_path)], capsys
+    )
+    assert "--every" in err
+
+
+def test_fuzz_negative_episodes(tmp_path, capsys):
+    err = _fuzz_error(["--episodes", "-2", "--out", str(tmp_path)], capsys)
+    assert "--episodes" in err
+    assert "fuzz:" not in capsys.readouterr().out

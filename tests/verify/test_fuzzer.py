@@ -7,6 +7,9 @@ and the repro JSON must replay to the same failure.
 
 import json
 
+import pytest
+
+from repro.platform.loader import ConfigError
 from repro.verify import fuzzer
 from repro.verify.fuzzer import (
     ChaosEvent,
@@ -89,6 +92,22 @@ class TestSpecSerialization:
         assert load_spec(path) == spec
         # The human-facing extras don't leak into the replayed spec.
         assert "violations" in json.loads(path.read_text())
+
+    def test_load_spec_errors_are_config_errors(self, tmp_path):
+        good = generate_scenario(7, 1).to_dict()
+        bad = {
+            "truncated.json": '{"seed": 1, "hor',
+            "list.json": "[]",
+            "no-horizon.json": json.dumps(
+                {k: v for k, v in good.items() if k != "horizon"}
+            ),
+            "bad-seed.json": json.dumps(dict(good, seed="seven")),
+        }
+        for name, text in bad.items():
+            (tmp_path / name).write_text(text)
+        for name in [*bad, "absent.json"]:
+            with pytest.raises(ConfigError, match=name):
+                load_spec(tmp_path / name)
 
 
 class TestEpisodes:
