@@ -23,6 +23,7 @@ from repro.verify.invariants import (
     LeaseDiscipline,
     NoDoubleBind,
     ResourceConservation,
+    ShedConservation,
     WalDiscipline,
     default_invariants,
 )
@@ -133,6 +134,15 @@ class TestNoDoubleBind:
         details = [v.detail for v in checker.check_now()]
         assert any("pending pod a still holds node resources" in d for d in details)
 
+    def test_active_pod_without_node_detected(self):
+        engine, cluster = _cluster()
+        cluster.submit(_spec("a"))
+        cluster.bind("a", "node-0")
+        cluster.get_pod("a").node_name = None  # forgets its node, still held
+        checker = _checker(engine, cluster, invariants=[NoDoubleBind()])
+        details = [v.detail for v in checker.check_now()]
+        assert details == ["active pod a has no node"]
+
     def test_non_pending_pod_in_queue_detected(self):
         engine, cluster = _cluster()
         cluster.submit(_spec("a"))
@@ -190,6 +200,105 @@ class TestGangAtomicity:
         details = [v.detail for v in checker.check_now()]
         assert any("partially scheduled" in d for d in details)
         checker.detach()
+
+
+class TestShedConservation:
+    """One planted breach per shed-conservation detail.
+
+    Each test sheds pod ``a`` the way the admission controller does
+    (a ``load-shed`` eviction plus one ledger entry), checks that the
+    clean state passes, then plants exactly one corruption.
+    """
+
+    def _shed(self, *, admission=True):
+        from types import SimpleNamespace
+
+        from repro.cluster.api import ClusterAPI
+        from repro.scheduler.admission import AdmissionController, OverloadConfig
+
+        engine, cluster = _cluster()
+        controller = None
+        if admission:
+            controller = AdmissionController(
+                engine, ClusterAPI(cluster), OverloadConfig(admission=True)
+            )
+        checker = _checker(
+            engine,
+            cluster,
+            scheduler=SimpleNamespace(admission=controller),
+            invariants=[ShedConservation()],
+        )
+        checker.install()  # subscribes the load-shed listener
+        cluster.submit(_spec("a"))
+        cluster.bind("a", "node-0")
+        cluster.evict("a", reason="load-shed")
+        if controller is not None:
+            controller.shed_total += 1
+            controller.shed_by_class["best-effort"] += 1
+            controller.evicted_running += 1
+        return cluster, controller, checker
+
+    def _details(self, checker):
+        details = [v.detail for v in checker.check_now()]
+        checker.detach()
+        return details
+
+    def test_clean_shed_passes(self):
+        *_, checker = self._shed()
+        assert self._details(checker) == []
+
+    def test_resurrected_shed_pod_detected(self):
+        cluster, _, checker = self._shed()
+        cluster.get_pod("a").phase = PodPhase.RUNNING
+        assert self._details(checker) == [
+            "shed pod a resurrected in phase running"
+        ]
+
+    def test_shed_pod_back_in_pending_queue_detected(self):
+        cluster, _, checker = self._shed()
+        cluster._pending["a"] = cluster.get_pod("a")
+        assert self._details(checker) == [
+            "shed pod a back in the pending queue"
+        ]
+
+    def test_shed_pod_still_holding_resources_detected(self):
+        cluster, _, checker = self._shed()
+        cluster.get_node("node-1").bind(cluster.get_pod("a"))
+        assert self._details(checker) == [
+            "shed pod a still holds resources on node node-1"
+        ]
+
+    def test_ledger_disagrees_with_published_evictions(self):
+        # A shed the controller booked but the cluster never published.
+        _, controller, checker = self._shed()
+        controller.shed_total += 1
+        controller.shed_by_class["batch"] += 1
+        controller.rejected_pending += 1
+        assert self._details(checker) == [
+            "admission ledger counts 2 sheds but the cluster published 1 "
+            "load-shed evictions"
+        ]
+
+    def test_class_tallies_disagree_with_total(self):
+        _, controller, checker = self._shed()
+        controller.shed_by_class["latency"] += 1
+        assert self._details(checker) == [
+            "per-class shed tallies sum to 2, not shed_total 1"
+        ]
+
+    def test_split_disagrees_with_total(self):
+        _, controller, checker = self._shed()
+        controller.rejected_pending += 1
+        assert self._details(checker) == [
+            "shed split 1 rejected + 1 evicted != shed_total 1"
+        ]
+
+    def test_shed_without_admission_controller_detected(self):
+        *_, checker = self._shed(admission=False)
+        assert self._details(checker) == [
+            "1 load-shed evictions published with no admission controller "
+            "attached"
+        ]
 
 
 class TestLeaseDiscipline:
