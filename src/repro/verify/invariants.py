@@ -53,6 +53,9 @@ from repro.sim.engine import Engine
 
 #: Accounting tolerance for float drift, matching Node.verify_invariants.
 _TOLERANCE = 1e-6
+#: How far below zero an allocation may read before it counts as
+#: negative (ResourceVector.any_negative's default).
+_NEGATIVE = 1e-9
 #: Distinct violations a checker keeps; later ones are only returned.
 MAX_VIOLATIONS = 1000
 
@@ -157,25 +160,38 @@ class ResourceConservation(Invariant):
                         f"node {node.name}: pod {pod.name} holds resources "
                         f"in phase {pod.phase.value}"
                     )
-            allocated = node.allocated
+            # The three node tests below are ResourceVector.approx_equal,
+            # fits_within and any_negative written out over the fields.
+            a = node.allocated
             if not (
-                -_TOLERANCE <= cpu - allocated.cpu <= _TOLERANCE
-                and -_TOLERANCE <= memory - allocated.memory <= _TOLERANCE
-                and -_TOLERANCE <= disk_bw - allocated.disk_bw <= _TOLERANCE
-                and -_TOLERANCE <= net_bw - allocated.net_bw <= _TOLERANCE
+                -_TOLERANCE <= cpu - a.cpu <= _TOLERANCE
+                and -_TOLERANCE <= memory - a.memory <= _TOLERANCE
+                and -_TOLERANCE <= disk_bw - a.disk_bw <= _TOLERANCE
+                and -_TOLERANCE <= net_bw - a.net_bw <= _TOLERANCE
             ):
                 total = ResourceVector._from_fields(cpu, memory, disk_bw, net_bw)
                 out.append(
                     f"node {node.name}: allocation drift (tracked "
-                    f"{allocated!r}, actual {total!r})"
+                    f"{a!r}, actual {total!r})"
                 )
-            if not allocated.fits_within(node.allocatable, tolerance=_TOLERANCE):
+            cap = node.allocatable
+            if not (
+                a.cpu <= cap.cpu + _TOLERANCE
+                and a.memory <= cap.memory + _TOLERANCE
+                and a.disk_bw <= cap.disk_bw + _TOLERANCE
+                and a.net_bw <= cap.net_bw + _TOLERANCE
+            ):
                 out.append(
                     f"node {node.name}: over-allocated (allocated "
-                    f"{allocated!r}, allocatable {node.allocatable!r})"
+                    f"{a!r}, allocatable {cap!r})"
                 )
-            if allocated.any_negative():
-                out.append(f"node {node.name}: negative allocation {allocated!r}")
+            if (
+                a.cpu < -_NEGATIVE
+                or a.memory < -_NEGATIVE
+                or a.disk_bw < -_NEGATIVE
+                or a.net_bw < -_NEGATIVE
+            ):
+                out.append(f"node {node.name}: negative allocation {a!r}")
         return out
 
 
