@@ -20,7 +20,10 @@ kind the monkey drives on the platform from
 :func:`tests.conftest.make_chaos_platform`; and one fault-tolerant
 big-data job whose straggler makes the task engine launch speculative
 copies (events, the job's FT ledger, speculation and lineage counters,
-makespan).
+makespan); and one R-T10 overload run whose HPC gang waits past the
+starvation timeout, the only digested run in which the admission
+controller admits aged pods (events, placements, invariant violations and
+the admission ledger).
 
 Digests are recorded on one interpreter (the file's ``python`` field)
 and the test skips on any other: float formatting and library numerics
@@ -43,8 +46,9 @@ import pytest
 from repro.arena import run_cell
 from repro.autoscaler.registry import registered_policies
 from repro.cluster.events import PodScheduled
+from repro.cluster.resources import ResourceVector
 from repro.obs.recorder import build_run_report
-from repro.platform.presets import PRESETS, build_scenario
+from repro.platform.presets import PRESETS, build_overload, build_scenario
 from repro.scenarios import load_scenario, scenario_names
 from repro.verify.fuzzer import (
     ChaosEvent,
@@ -53,6 +57,7 @@ from repro.verify.fuzzer import (
     generate_scenario,
     run_episode,
 )
+from repro.verify.invariants import InvariantChecker
 from tests.conftest import make_chaos_platform
 
 FINGERPRINTS = Path(__file__).parent / "data" / "fingerprints.json"
@@ -96,6 +101,9 @@ SPECULATION_SPEC = ScenarioSpec(
     ),
     chaos=(ChaosEvent("straggler", 40.0, 300.0, 0),),
 )
+#: An HPC gang submitted into the shedding R-T10 overload mix pends past
+#: the starvation timeout, so the admission controller admits aged pods.
+STARVATION_HORIZON = 900.0
 
 
 def _interpreter() -> str:
@@ -223,6 +231,36 @@ def _speculation() -> dict:
     }
 
 
+def _starvation() -> dict:
+    platform = build_overload(seed=42, factor=4.0, resilient=True)
+    checker = InvariantChecker.attach(platform, every=1)
+    placements = _record_placements(platform)
+    platform.submit_hpc(
+        "gang",
+        ranks=4,
+        duration=300.0,
+        allocation=ResourceVector(cpu=6, memory=8, disk_bw=5, net_bw=40),
+        delay=60.0,
+    )
+    platform.run(STARVATION_HORIZON)
+    checker.final_check()
+    stats = platform.admission.stats()
+    return {
+        "placements": placements,
+        "events_executed": platform.engine.events_executed,
+        "violations": [str(v) for v in checker.violations],
+        "admission": {
+            key: stats[key]
+            for key in (
+                "aged_admissions",
+                "rejected_pending",
+                "evicted_running",
+                "shed_by_class",
+            )
+        },
+    }
+
+
 def runs() -> dict:
     """Fingerprint key → zero-argument function producing its payload."""
     table = {}
@@ -244,6 +282,7 @@ def runs() -> dict:
             )
     table["monkey/" + "+".join(MONKEY_KINDS)] = _monkey
     table["speculation/etl"] = _speculation
+    table["starvation/gang"] = _starvation
     return table
 
 
