@@ -19,7 +19,7 @@ continuously instead of never).
 from __future__ import annotations
 
 from repro.control.feedforward import FeedforwardScaler
-from repro.control.manager import ControlLoopManager, ResilienceConfig
+from repro.control.manager import ControlLoopManager
 from repro.control.multiresource import (
     AllocationBounds,
     ControlDecision,
@@ -148,7 +148,6 @@ class AdaptiveAutoscaler:
         max_replicas: int = 32,
         deadband: float = 0.1,
         feedforward: bool = False,
-        resilience: ResilienceConfig | None = None,
         rng=None,
         fault_log=None,
         overload=None,
@@ -164,8 +163,8 @@ class AdaptiveAutoscaler:
             FeedforwardScaler(collector) if feedforward else None
         )
         self.manager = ControlLoopManager(
-            engine, collector, interval=interval, resilience=resilience,
-            rng=rng, fault_log=fault_log, overload=overload,
+            engine, collector, interval=interval, rng=rng,
+            fault_log=fault_log, overload=overload,
         )
         self.escape = (
             HorizontalEscapePolicy(

@@ -28,7 +28,7 @@ from repro.control.multiresource import (
     ControlDecision,
     MultiResourceController,
 )
-from repro.control.manager import ControlLoopManager, ResilienceConfig
+from repro.control.manager import ControlLoopManager
 from repro.control.feedforward import FeedforwardScaler
 from repro.control.statestore import (
     ControllerStateStore,
@@ -53,5 +53,4 @@ __all__ = [
     "AllocationBounds",
     "ControlDecision",
     "ControlLoopManager",
-    "ResilienceConfig",
 ]

@@ -24,7 +24,7 @@ The loop is hardened against the fault taxonomy in
 :mod:`repro.cluster.chaos` / :mod:`repro.metrics.faults`:
 
 * **Stale-signal holddown + safe mode** — a missing or stale PLO signal
-  never reaches the PID. After ``safe_mode_after`` consecutive stale
+  never reaches the PID. After :data:`SAFE_MODE_AFTER` consecutive stale
   periods the app enters *safe mode*: the loop freezes it at the
   last-known-good allocation and stops actuating until the signal
   returns, at which point the controller state is reset (stale integral
@@ -34,9 +34,10 @@ The loop is hardened against the fault taxonomy in
   exponential schedule instead of hot-looped.
 * **Circuit breaker** — an app whose actuations keep failing, or whose
   decisions flap between grow and reclaim, has scaling suppressed for
-  ``breaker_open_duration`` seconds. When the window elapses the breaker
-  goes *half-open*: the next actuation is a probe — success closes the
-  breaker, failure re-opens it immediately for another full window.
+  :data:`BREAKER_OPEN_DURATION` seconds. When the window elapses the
+  breaker goes *half-open*: the next actuation is a probe — success
+  closes the breaker, failure re-opens it immediately for another full
+  window.
 * **Backpressure** (opt-in via
   :class:`~repro.scheduler.admission.OverloadConfig`) — while any loop is
   distressed (pending retries, open/probing breakers, safe mode), grow
@@ -48,8 +49,9 @@ The loop is hardened against the fault taxonomy in
   to a cheaper PLO tier under sustained violation and restored once the
   error clears.
 
-All retry/breaker knobs live in :class:`ResilienceConfig`; overload
-features live in :class:`~repro.scheduler.admission.OverloadConfig`.
+The retry, breaker, safe-mode and brownout settings are the module
+constants below; which overload features run is chosen by
+:class:`~repro.scheduler.admission.OverloadConfig`.
 """
 
 from __future__ import annotations
@@ -86,62 +88,37 @@ class HorizontalPolicy(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Degradation/retry knobs of the control loop.
-
-    Parameters
-    ----------
-    safe_mode_after:
-        Consecutive stale control periods before an app enters safe mode.
-    freshness_timeout:
-        Max age (s, positive) of the newest PLO-metric sample before the
-        signal counts as stale; None derives ``2.5 × interval``.
-    retry_base_delay / retry_max_delay / retry_jitter / max_retries:
-        Exponential-backoff schedule for failed actuations: attempt *n*
-        waits ``base · 2ⁿ`` seconds (capped at ``retry_max_delay``),
-        multiplied by a uniform ``1 ± retry_jitter`` factor so synchronized
-        retries de-correlate. At most ``max_retries`` retries per decision.
-    breaker_failure_threshold:
-        Consecutive actuation failures that trip the circuit breaker.
-    breaker_flap_window / breaker_flap_threshold:
-        Trip the breaker when the last ``flap_window`` (≥ 2) non-hold
-        decisions contain at least ``flap_threshold`` (≥ 1) grow↔reclaim
-        direction flips.
-    breaker_open_duration:
-        Seconds scaling stays suppressed once the breaker opens.
-    """
-
-    safe_mode_after: int = 3
-    freshness_timeout: float | None = None
-    retry_base_delay: float = 2.0
-    retry_max_delay: float = 60.0
-    retry_jitter: float = 0.25
-    max_retries: int = 4
-    breaker_failure_threshold: int = 3
-    breaker_flap_window: int = 6
-    breaker_flap_threshold: int = 4
-    breaker_open_duration: float = 120.0
-
-    def __post_init__(self) -> None:
-        if self.safe_mode_after < 1:
-            raise ValueError("safe_mode_after must be ≥ 1")
-        if self.freshness_timeout is not None and self.freshness_timeout <= 0:
-            raise ValueError("freshness_timeout must be positive")
-        if self.retry_base_delay <= 0 or self.retry_max_delay <= 0:
-            raise ValueError("retry delays must be positive")
-        if not 0.0 <= self.retry_jitter < 1.0:
-            raise ValueError("retry_jitter must be in [0, 1)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be ≥ 0")
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker_failure_threshold must be ≥ 1")
-        if self.breaker_flap_window < 2:
-            raise ValueError("breaker_flap_window must be ≥ 2")
-        if self.breaker_flap_threshold < 1:
-            raise ValueError("breaker_flap_threshold must be ≥ 1")
-        if self.breaker_open_duration <= 0:
-            raise ValueError("breaker_open_duration must be positive")
+#: Consecutive stale control periods before an app enters safe mode.
+SAFE_MODE_AFTER = 3
+#: Retry schedule for failed actuations: attempt *n* waits
+#: ``RETRY_BASE_DELAY · 2ⁿ`` seconds (capped at ``RETRY_MAX_DELAY``),
+#: multiplied by a uniform ``1 ± RETRY_JITTER`` factor so synchronized
+#: retries de-correlate. At most ``MAX_RETRIES`` retries per decision.
+RETRY_BASE_DELAY = 2.0
+RETRY_MAX_DELAY = 60.0
+RETRY_JITTER = 0.25
+MAX_RETRIES = 4
+#: Consecutive actuation failures that trip the circuit breaker.
+BREAKER_FAILURE_THRESHOLD = 3
+#: Trip the breaker when the last ``BREAKER_FLAP_WINDOW`` non-hold
+#: decisions hold at least ``BREAKER_FLAP_THRESHOLD`` grow↔reclaim flips.
+BREAKER_FLAP_WINDOW = 6
+BREAKER_FLAP_THRESHOLD = 4
+#: Seconds scaling stays suppressed once the breaker opens.
+BREAKER_OPEN_DURATION = 120.0
+#: Brownout hysteresis: enter after ``BROWNOUT_ENTER_PERIODS`` consecutive
+#: periods with PLO error at or above ``BROWNOUT_ENTER_ERROR``, exit after
+#: ``BROWNOUT_EXIT_PERIODS`` at or below ``BROWNOUT_EXIT_ERROR`` (plus the
+#: latency penalty's share of a latency PLO's target).
+BROWNOUT_ENTER_ERROR = 0.5
+BROWNOUT_EXIT_ERROR = 0.05
+BROWNOUT_ENTER_PERIODS = 3
+BROWNOUT_EXIT_PERIODS = 6
+#: Multiplier on per-request demand while browned out.
+BROWNOUT_DEMAND_FACTOR = 0.6
+#: Seconds added to reported latency while browned out — the price of
+#: serving the degraded tier.
+BROWNOUT_LATENCY_PENALTY = 0.02
 
 
 #: The resilience counters every application keeps, in report order.
@@ -183,8 +160,10 @@ class _Entry:
     # Half-open: the open window elapsed and the next actuation is a
     # probe — success closes the breaker, failure re-opens it.
     breaker_half_open: bool = False
-    # Last ``breaker_flap_window`` non-hold directions (+1 grow, -1 reclaim).
-    directions: deque = field(default_factory=deque)
+    # Last ``BREAKER_FLAP_WINDOW`` non-hold directions (+1 grow, -1 reclaim).
+    directions: deque = field(
+        default_factory=lambda: deque(maxlen=BREAKER_FLAP_WINDOW)
+    )
     # -- brownout hysteresis (only advanced when brownout is enabled) --------
     brownout_high_periods: int = 0
     brownout_low_periods: int = 0
@@ -202,9 +181,7 @@ class ControlLoopManager:
     interval:
         Control period in seconds (the dt fed to each PID, and the
         trailing window usage is averaged over for saturation snapshots).
-    resilience:
-        Safe-mode / retry / breaker knobs; defaults to
-        :class:`ResilienceConfig` (hardening always on).
+        A PLO signal older than 2.5 periods counts as stale.
     rng:
         Source of retry jitter; seeded default keeps runs deterministic.
     overload:
@@ -220,7 +197,6 @@ class ControlLoopManager:
         collector: MetricsCollector,
         *,
         interval: float = 10.0,
-        resilience: ResilienceConfig | None = None,
         rng: np.random.Generator | None = None,
         fault_log=None,
         overload=None,
@@ -230,9 +206,8 @@ class ControlLoopManager:
         self.engine = engine
         self.collector = collector
         self.interval = interval
-        self.resilience = resilience or ResilienceConfig()
         #: Max age (s) of the newest PLO sample before the signal is stale.
-        self.freshness_timeout = self.resilience.freshness_timeout or 2.5 * interval
+        self.freshness_timeout = 2.5 * interval
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.fault_log = fault_log
         self.backpressure: BackpressureState | None = (
@@ -240,9 +215,7 @@ class ControlLoopManager:
             if overload is not None and overload.backpressure
             else None
         )
-        self.brownout_cfg = (
-            overload if overload is not None and overload.brownout else None
-        )
+        self.brownout = overload is not None and overload.brownout
         # HA hooks (see repro.control.ha). ``partition_guard`` runs at the
         # top of every actuation and may raise ActuationError (a partitioned
         # leader cannot reach the API, so its writes fail like any other
@@ -275,10 +248,7 @@ class ControlLoopManager:
             raise ValueError(f"application {app.name!r} has no PLO attached")
         if app.name in self._entries:
             raise ValueError(f"application {app.name!r} already registered")
-        self._entries[app.name] = _Entry(
-            app, controller, horizontal, feedforward,
-            directions=deque(maxlen=self.resilience.breaker_flap_window),
-        )
+        self._entries[app.name] = _Entry(app, controller, horizontal, feedforward)
 
     def unregister(self, app_name: str) -> None:
         entry = self._entries.pop(app_name, None)
@@ -462,7 +432,7 @@ class ControlLoopManager:
         entry.retry_attempts = 0
 
     def _trip_breaker(self, entry: _Entry, now: float) -> None:
-        entry.breaker_open_until = now + self.resilience.breaker_open_duration
+        entry.breaker_open_until = now + BREAKER_OPEN_DURATION
         entry.counters["breaker_trips"] += 1
         entry.breaker_half_open = False
         if self.telemetry is not None:
@@ -481,7 +451,7 @@ class ControlLoopManager:
             return False
         entry.directions.append(1 if decision.action == "grow" else -1)
         flips = sum(1 for a, b in pairwise(entry.directions) if a != b)
-        if flips >= self.resilience.breaker_flap_threshold:
+        if flips >= BREAKER_FLAP_THRESHOLD:
             self._trip_breaker(entry, self.engine.now)
             return True
         return False
@@ -497,7 +467,7 @@ class ControlLoopManager:
         """Run one actuation, absorbing injected transient failures.
 
         On failure the actuation is rescheduled with exponential backoff
-        and jitter (up to ``max_retries``); repeated failures trip the
+        and jitter (up to :data:`MAX_RETRIES`); repeated failures trip the
         circuit breaker instead of retrying forever.
         """
         tel = self.telemetry
@@ -545,7 +515,6 @@ class ControlLoopManager:
         action: Callable[[], None],
         on_success: Callable[[], None] | None,
     ) -> None:
-        cfg = self.resilience
         entry.counters["actuation_failures"] += 1
         if self.telemetry is not None:
             self.telemetry.actuation_failures.inc()
@@ -556,19 +525,15 @@ class ControlLoopManager:
             self._trip_breaker(entry, self.engine.now)
             return
         entry.consecutive_failures += 1
-        if entry.consecutive_failures >= cfg.breaker_failure_threshold:
+        if entry.consecutive_failures >= BREAKER_FAILURE_THRESHOLD:
             self._trip_breaker(entry, self.engine.now)
             return
-        if entry.retry_attempts >= cfg.max_retries:
+        if entry.retry_attempts >= MAX_RETRIES:
             # Give up on this decision; the next period re-decides.
             self._cancel_retry(entry)
             return
-        delay = min(
-            cfg.retry_max_delay,
-            cfg.retry_base_delay * (2.0 ** entry.retry_attempts),
-        )
-        if cfg.retry_jitter > 0:
-            delay *= 1.0 + cfg.retry_jitter * (2.0 * float(self.rng.random()) - 1.0)
+        delay = min(RETRY_MAX_DELAY, RETRY_BASE_DELAY * (2.0 ** entry.retry_attempts))
+        delay *= 1.0 + RETRY_JITTER * (2.0 * float(self.rng.random()) - 1.0)
         entry.retry_attempts += 1
         entry.counters["retries"] += 1
         if self.telemetry is not None:
@@ -657,32 +622,31 @@ class ControlLoopManager:
         return desired
 
     def _update_brownout(self, entry: _Entry, error: float | None, now: float) -> None:
-        """Hysteretic brownout: enter after ``brownout_enter_periods``
+        """Hysteretic brownout: enter after :data:`BROWNOUT_ENTER_PERIODS`
         consecutive periods above the enter error, exit after
-        ``brownout_exit_periods`` below the (penalty-compensated) exit
+        :data:`BROWNOUT_EXIT_PERIODS` below the (penalty-compensated) exit
         error. The application object is the source of truth for the
         active flag, so it survives controller failover.
         """
-        cfg = self.brownout_cfg
         app = entry.app
         if not getattr(app, "brownout_capable", False):
             return
         if not app.brownout_active:
-            if error is not None and error >= cfg.brownout_enter_error:
+            if error is not None and error >= BROWNOUT_ENTER_ERROR:
                 entry.brownout_high_periods += 1
             else:
                 entry.brownout_high_periods = 0
-            if entry.brownout_high_periods >= cfg.brownout_enter_periods:
+            if entry.brownout_high_periods >= BROWNOUT_ENTER_PERIODS:
                 entry.brownout_high_periods = 0
                 app.enter_brownout(
-                    factor=cfg.brownout_demand_factor,
-                    latency_penalty=cfg.brownout_latency_penalty,
+                    factor=BROWNOUT_DEMAND_FACTOR,
+                    latency_penalty=BROWNOUT_LATENCY_PENALTY,
                 )
                 entry.counters["brownout_entries"] += 1
                 if self.fault_log is not None:
                     entry.brownout_episode = self.fault_log.open(
                         "brownout", app.name, now,
-                        detail=f"factor={cfg.brownout_demand_factor}",
+                        detail=f"factor={BROWNOUT_DEMAND_FACTOR}",
                     )
                 if self.telemetry is not None:
                     self.telemetry.tracer.instant(
@@ -692,15 +656,15 @@ class ControlLoopManager:
             # The latency penalty keeps the measured error from ever
             # reaching zero; compensate the exit threshold so a service
             # that would be healthy un-degraded can actually leave.
-            threshold = cfg.brownout_exit_error
+            threshold = BROWNOUT_EXIT_ERROR
             plo = app.plo
             if getattr(plo, "kind", None) == "latency" and plo.target > 0:
-                threshold += cfg.brownout_latency_penalty / plo.target
+                threshold += BROWNOUT_LATENCY_PENALTY / plo.target
             if error is not None and error <= threshold:
                 entry.brownout_low_periods += 1
             else:
                 entry.brownout_low_periods = 0
-            if entry.brownout_low_periods >= cfg.brownout_exit_periods:
+            if entry.brownout_low_periods >= BROWNOUT_EXIT_PERIODS:
                 entry.brownout_low_periods = 0
                 app.exit_brownout()
                 entry.counters["brownout_exits"] += 1
@@ -777,7 +741,7 @@ class ControlLoopManager:
                 entry.stale_periods += 1
                 if (
                     not entry.safe_mode
-                    and entry.stale_periods >= self.resilience.safe_mode_after
+                    and entry.stale_periods >= SAFE_MODE_AFTER
                 ):
                     self._enter_safe_mode(entry, now)
                     verdict = "safe-mode-entry"
@@ -856,7 +820,7 @@ class ControlLoopManager:
             if desired != app.replica_count:
                 self._write(entry, "scale", desired)
 
-        if self.brownout_cfg is not None:
+        if self.brownout:
             self._update_brownout(entry, decision.error, now)
 
         self.collector.record(f"{prefix}/error", decision.error)

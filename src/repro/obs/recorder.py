@@ -275,7 +275,7 @@ def build_run_report(platform, *, top_k: int = 5) -> RunReport:
     ]
     if any(m.backpressure is not None for m in managers):
         ledgers["backpressure"] = _backpressure_ledger(managers)
-    if any(m.brownout_cfg is not None for m in managers):
+    if any(m.brownout for m in managers):
         ledgers["brownout"] = _brownout_ledger(managers)
     dp_jobs = [
         app for app in platform.apps.values()

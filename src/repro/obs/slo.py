@@ -14,14 +14,15 @@ Per spec the engine maintains
 * an **attainment ledger** — good/bad scrape ticks after warmup, the
   attainment fraction, and the error-budget spend in seconds (budget =
   ``(1 - target) × observed``, spend = bad seconds);
-* two **burn-rate windows** (fast and slow). The burn rate of a window
+* two **burn-rate windows** (:data:`FAST_WINDOW` and
+  :data:`SLOW_WINDOW` seconds). The burn rate of a window
   is ``bad_fraction / (1 - target)`` where the fraction is taken over
   the window's full span (unobserved ticks count as good — a window
   still filling after warmup under-reports rather than over-reports):
   burn 1.0 spends the budget exactly at the sustainable rate, burn N
   spends it N× too fast;
 * a **multi-window alert**: it *fires* when the fast AND slow windows
-  both burn at or above ``burn_threshold`` (the slow window proves the
+  both burn at or above :data:`BURN_THRESHOLD` (the slow window proves the
   problem is real, the fast window proves it is still happening) and
   *resolves* once the fast window drops back below the threshold.
   Fired/resolved times are recorded as :class:`SLOAlert` rows — the
@@ -48,6 +49,13 @@ _SLO_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 #: "series value vs threshold".
 SLO_KINDS = ("latency", "goodput", "lag", "repair_backlog", "custom")
 
+#: Burn-rate window lengths (s) of every SLO.
+FAST_WINDOW = 60.0
+SLOW_WINDOW = 600.0
+#: Burn rate at which an alert fires (both windows) / resolves (fast
+#: window).
+BURN_THRESHOLD = 2.0
+
 
 @dataclass(frozen=True)
 class SLOSpec:
@@ -72,11 +80,6 @@ class SLOSpec:
     target:
         Required fraction of good ticks in ``[0, 1)``; ``1 - target``
         is the error budget.
-    fast_window / slow_window:
-        Burn-rate window lengths in seconds, fast < slow.
-    burn_threshold:
-        Burn rate at which the alert fires (both windows) / resolves
-        (fast window).
     warmup:
         Seconds of run start excluded from evaluation (cold-start
         grace, mirroring :data:`repro.platform.evolve.PLO_WARMUP`).
@@ -91,9 +94,6 @@ class SLOSpec:
     objective: float
     comparator: str = "le"
     target: float = 0.99
-    fast_window: float = 60.0
-    slow_window: float = 600.0
-    burn_threshold: float = 2.0
     warmup: float = 60.0
     kind: str = "custom"
     description: str = ""
@@ -107,10 +107,6 @@ class SLOSpec:
             raise ValueError("comparator must be 'le' or 'ge'")
         if not 0.0 <= self.target < 1.0:
             raise ValueError("target must be in [0, 1)")
-        if not 0.0 < self.fast_window < self.slow_window:
-            raise ValueError("need 0 < fast_window < slow_window")
-        if self.burn_threshold <= 0:
-            raise ValueError("burn_threshold must be positive")
         if self.warmup < 0:
             raise ValueError("warmup must be non-negative")
         if self.kind not in SLO_KINDS:
@@ -198,8 +194,8 @@ class _SLOState:
     alerts: list[SLOAlert] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.fast = _WindowCounter(self.spec.fast_window, self.tick)
-        self.slow = _WindowCounter(self.spec.slow_window, self.tick)
+        self.fast = _WindowCounter(FAST_WINDOW, self.tick)
+        self.slow = _WindowCounter(SLOW_WINDOW, self.tick)
 
     @property
     def observed_ticks(self) -> int:
@@ -279,16 +275,13 @@ class SLOEngine:
             burn_fast = state.burn(state.fast)
             burn_slow = state.burn(state.slow)
             if not state.firing:
-                if (
-                    burn_fast >= spec.burn_threshold
-                    and burn_slow >= spec.burn_threshold
-                ):
+                if burn_fast >= BURN_THRESHOLD and burn_slow >= BURN_THRESHOLD:
                     state.firing = True
                     state.alerts.append(SLOAlert(
                         spec.name, now,
                         burn_fast=burn_fast, burn_slow=burn_slow,
                     ))
-            elif burn_fast < spec.burn_threshold:
+            elif burn_fast < BURN_THRESHOLD:
                 state.firing = False
                 state.alerts[-1].resolved_at = now
             gauges = self._gauges.get(spec.name)

@@ -21,6 +21,9 @@ __all__ = [
     "PlatformConfig",
 ]
 
+#: Per-replica allocation floor of every managed application.
+MIN_ALLOCATION = ResourceVector(cpu=0.1, memory=0.25, disk_bw=5, net_bw=5)
+
 
 @dataclass(frozen=True)
 class NodeGroup:
@@ -121,13 +124,8 @@ class PlatformConfig:
     """Cadences and defaults of the platform's control plane."""
 
     seed: int = 0
-    scrape_interval: float = 5.0
     control_interval: float = 10.0
-    min_allocation: ResourceVector = field(
-        default_factory=lambda: ResourceVector(
-            cpu=0.1, memory=0.25, disk_bw=5, net_bw=5
-        )
-    )
+    #: Per-replica allocation ceiling; the floor is :data:`MIN_ALLOCATION`.
     max_allocation: ResourceVector = field(
         default_factory=lambda: ResourceVector(
             cpu=8, memory=32, disk_bw=400, net_bw=1000
@@ -165,11 +163,10 @@ class PlatformConfig:
     slos: tuple[SLOSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("scrape_interval", "control_interval"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.min_allocation.fits_within(self.max_allocation):
-            raise ValueError("min_allocation must fit within max_allocation")
+        if self.control_interval <= 0:
+            raise ValueError("control_interval must be positive")
+        if not MIN_ALLOCATION.fits_within(self.max_allocation):
+            raise ValueError("MIN_ALLOCATION must fit within max_allocation")
         if self.controller_replicas < 1:
             raise ValueError("controller_replicas must be ≥ 1")
         if self.snapshot_interval is not None and self.snapshot_interval <= 0:

@@ -49,7 +49,12 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.faults import MetricsFaultInjector
 from repro.obs.slo import SLOEngine
 from repro.obs.telemetry import Telemetry
-from repro.platform.config import ClusterSpec, PlatformConfig, build_nodes
+from repro.platform.config import (
+    MIN_ALLOCATION,
+    ClusterSpec,
+    PlatformConfig,
+    build_nodes,
+)
 from repro.scheduler.admission import AdmissionController
 from repro.scheduler.converged import ConvergedScheduler, SiloedScheduler
 from repro.scheduler.kube import KubeScheduler
@@ -162,10 +167,7 @@ class EvolvePlatform:
         self.partition_faults = PartitionInjector(log=self.fault_log)
         self.api.partitions = self.partition_faults
         self.collector = MetricsCollector(
-            self.engine,
-            self.api,
-            scrape_interval=self.config.scrape_interval,
-            faults=self.metrics_faults,
+            self.engine, self.api, faults=self.metrics_faults
         )
         self.monitor = PLOMonitor(self.engine, self.collector)
         self.scheduler = self._build_scheduler(scheduler)
@@ -184,9 +186,7 @@ class EvolvePlatform:
                 self.engine, self.api, self.config.overload
             )
             self.scheduler.admission = self.admission
-        self.bounds = AllocationBounds(
-            self.config.min_allocation, self.config.max_allocation
-        )
+        self.bounds = AllocationBounds(MIN_ALLOCATION, self.config.max_allocation)
         self.policy_name = policy
         self.policy = self._build_policy(policy, dict(policy_kwargs or {}))
         # -- replicated control plane (R-T8) ---------------------------------
@@ -231,11 +231,7 @@ class EvolvePlatform:
         if self.config.data_plane.enabled:
             self.store.node_liveness = self._node_live
             self.repair = StorageRepairService(
-                self.engine,
-                self.store,
-                self.api,
-                config=self.config.data_plane,
-                log=self.fault_log,
+                self.engine, self.store, self.api, log=self.fault_log
             )
         self.telemetry: Telemetry | None = None
         if self.config.telemetry:
@@ -283,10 +279,7 @@ class EvolvePlatform:
                 # Only managers with backpressure or brownout armed have
                 # sched/* state to sync; attaching unarmed ones would
                 # add scrape-time work for nothing.
-                if (
-                    manager.backpressure is not None
-                    or manager.brownout_cfg is not None
-                ):
+                if manager.backpressure is not None or manager.brownout:
                     tel.attach_manager(manager)
         if self.admission is not None:
             self.admission.telemetry = tel

@@ -15,9 +15,9 @@ Shed classes, most- to least-protected::
 Classification derives from the pod's workload class and priority, with a
 ``shed-class`` pod label as an explicit override. Two guarantees hold:
 
-* **No starvation** — pods pending longer than ``starvation_timeout`` are
-  exempt from shedding and admitted ahead of fresh work, so every class
-  eventually makes progress even under sustained overload.
+* **No starvation** — pods pending longer than :data:`STARVATION_TIMEOUT`
+  seconds are exempt from shedding and admitted ahead of fresh work, so
+  every class eventually makes progress even under sustained overload.
 * **Gang atomicity** — gang members are never shed (a partial shed would
   strand their siblings).
 
@@ -43,6 +43,13 @@ CLASS_RANK = {cls: rank for rank, cls in enumerate(SHED_CLASSES)}
 
 #: Big-data pods at or above this priority are treated as streaming.
 STREAM_PRIORITY = 8
+
+#: Cap on pending-queue rejections per scheduling cycle.
+MAX_SHED_PER_CYCLE = 4
+
+#: Seconds after which a pending pod becomes exempt from shedding and is
+#: admitted ahead of fresh work.
+STARVATION_TIMEOUT = 300.0
 
 
 def classify_pod(pod: Pod) -> str:
@@ -81,32 +88,14 @@ class OverloadConfig:
         (pending retries, open breakers, safe mode).
     brownout:
         Enable hysteretic brownout degradation for services that support
-        it (reduced per-request demand at a latency penalty).
+        it (reduced per-request demand at a latency penalty; thresholds
+        are the ``BROWNOUT_*`` constants of :mod:`repro.control.manager`).
     high_watermark / low_watermark:
         Cluster allocation fraction (max over CPU and memory) that
         activates / deactivates shedding. The gap is the hysteresis band.
     pending_high:
         Pending-queue depth that activates shedding regardless of
         allocation pressure (queue blow-up from a flash crowd).
-    max_shed_per_cycle:
-        Cap on pending-queue rejections per scheduling cycle.
-    starvation_timeout:
-        Seconds after which a pending pod becomes exempt from shedding
-        and is admitted ahead of fresh work.
-    evict_running:
-        While shedding is active and latency/stream pods are stuck
-        pending, evict (at most one per cycle) the newest running
-        best-effort pod to free capacity.
-    brownout_enter_error / brownout_exit_error:
-        PLO error thresholds of the brownout hysteresis loop.
-    brownout_enter_periods / brownout_exit_periods:
-        Consecutive control periods beyond the threshold required to
-        enter / exit brownout.
-    brownout_demand_factor:
-        Multiplier on per-request demand while browned out (< 1).
-    brownout_latency_penalty:
-        Seconds added to reported latency while browned out — the price
-        of serving the degraded tier.
     """
 
     admission: bool = False
@@ -115,33 +104,12 @@ class OverloadConfig:
     high_watermark: float = 0.9
     low_watermark: float = 0.75
     pending_high: int = 64
-    max_shed_per_cycle: int = 4
-    starvation_timeout: float = 300.0
-    evict_running: bool = True
-    brownout_enter_error: float = 0.5
-    brownout_exit_error: float = 0.05
-    brownout_enter_periods: int = 3
-    brownout_exit_periods: int = 6
-    brownout_demand_factor: float = 0.6
-    brownout_latency_penalty: float = 0.02
 
     def __post_init__(self) -> None:
         if not 0.0 < self.low_watermark <= self.high_watermark:
             raise ValueError("need 0 < low_watermark <= high_watermark")
         if self.pending_high < 1:
             raise ValueError("pending_high must be >= 1")
-        if self.max_shed_per_cycle < 0:
-            raise ValueError("max_shed_per_cycle must be >= 0")
-        if self.starvation_timeout <= 0:
-            raise ValueError("starvation_timeout must be positive")
-        if self.brownout_exit_error >= self.brownout_enter_error:
-            raise ValueError("brownout_exit_error must be < brownout_enter_error")
-        if min(self.brownout_enter_periods, self.brownout_exit_periods) < 1:
-            raise ValueError("brownout periods must be >= 1")
-        if not 0.0 < self.brownout_demand_factor <= 1.0:
-            raise ValueError("brownout_demand_factor must be in (0, 1]")
-        if self.brownout_latency_penalty < 0:
-            raise ValueError("brownout_latency_penalty must be >= 0")
 
     @property
     def any_enabled(self) -> bool:
@@ -155,7 +123,7 @@ class AdmissionController:
     at the top of each cycle and :meth:`post_cycle` after binding. While
     the overload latch is clear both are near-free passthroughs; while it
     is set, ``admit_cycle`` sheds the newest low-class pending pods (up to
-    ``max_shed_per_cycle``) and reorders the remainder most-protected
+    :data:`MAX_SHED_PER_CYCLE`) and reorders the remainder most-protected
     class first, and ``post_cycle`` evicts-to-requeue at most one running
     best-effort pod per cycle while latency/stream work is stuck pending.
     """
@@ -255,15 +223,15 @@ class AdmissionController:
                 tel.tracer.end(cycle_span)
 
     def _shed_and_reorder(self, pending, now, tel, cycle_span):
-        timeout = self.config.starvation_timeout
         aged: list[Pod] = []
         fresh: list[Pod] = []
         for pod in pending:
-            (aged if now - pod.created_at >= timeout else fresh).append(pod)
+            waited = now - pod.created_at
+            (aged if waited >= STARVATION_TIMEOUT else fresh).append(pod)
         self.aged_admissions += len(aged)
 
         shed: set[str] = set()
-        budget = self.config.max_shed_per_cycle
+        budget = MAX_SHED_PER_CYCLE
         for cls in reversed(SHED_CLASSES):
             if budget <= 0 or CLASS_RANK[cls] <= CLASS_RANK["stream"]:
                 break
@@ -297,7 +265,7 @@ class AdmissionController:
     def post_cycle(self) -> None:
         """Evict-to-requeue one running best-effort pod if high-class
         work is still stuck pending under an active shed latch."""
-        if not (self.shedding_active and self.config.evict_running):
+        if not self.shedding_active:
             return
         stuck = any(
             CLASS_RANK[classify_pod(pod)] <= CLASS_RANK["stream"]

@@ -7,10 +7,10 @@ disk wipe) objects fall below their replication target. The
 1. detects newly-dark nodes (allocatable capacity zeroed by the failure
    injector) and drops their replicas — the node-local data is gone;
 2. queues every under-replicated object;
-3. drains the queue at a configured repair bandwidth, copying each
-   object to the live node carrying the fewest bytes of that bucket
-   (deterministic tie-break by node name) and charging the bytes moved
-   to ``repair_traffic_mb``.
+3. drains the queue at :data:`~repro.dataplane.REPAIR_BANDWIDTH_MBPS`,
+   copying each object to the live node carrying the fewest bytes of that
+   bucket (deterministic tie-break by node name) and charging the bytes
+   moved to ``repair_traffic_mb``.
 
 The service is only constructed when
 :class:`~repro.dataplane.DataPlaneConfig` is enabled, so default runs
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.dataplane import DataPlaneConfig
+from repro.dataplane import REPAIR_BANDWIDTH_MBPS
 from repro.storage.objectstore import ObjectStore, StorageError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,13 +43,11 @@ class StorageRepairService:
         store: ObjectStore,
         api: "ClusterAPI",
         *,
-        config: DataPlaneConfig | None = None,
         log: "FaultLog | None" = None,
     ):
         self.engine = engine
         self.store = store
         self.api = api
-        self.config = config or DataPlaneConfig(enabled=True)
         self.log = log
         # Accounting — the repair ledger checked by the data-plane
         # conservation invariant.
@@ -140,7 +138,7 @@ class StorageRepairService:
                 self._dark.discard(node.name)
 
     def _drain(self, now: float) -> None:
-        budget = self.config.repair_bandwidth_mbps * REPAIR_INTERVAL
+        budget = REPAIR_BANDWIDTH_MBPS * REPAIR_INTERVAL
         budget -= self._debt_mb
         self._debt_mb = 0.0
         deferred: list[tuple[str, str]] = []

@@ -49,6 +49,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.events import LeaderElected, PodEvicted
 from repro.cluster.pod import ACTIVE_PHASES, PodPhase
 from repro.cluster.resources import ResourceVector
+from repro.dataplane import STAGE_MAX_ATTEMPTS
 from repro.sim.engine import Engine
 
 #: Accounting tolerance for float drift, matching Node.verify_invariants.
@@ -622,11 +623,11 @@ class DataPlaneConservation(Invariant):
                     )
                 for stage in app.stages:
                     rt = app._runtime[stage.name]
-                    if rt.attempts > app.ft.stage_max_attempts and not app.failed:
+                    if rt.attempts > STAGE_MAX_ATTEMPTS and not app.failed:
                         out.append(
                             f"job {app.name}: stage {stage.name} at "
                             f"{rt.attempts} attempts (budget "
-                            f"{app.ft.stage_max_attempts}) without quarantine"
+                            f"{STAGE_MAX_ATTEMPTS}) without quarantine"
                         )
                     mirrored = sum([t.work_left for t in rt.tasks if not t.done])
                     if abs(stage.remaining_work - mirrored) > _TOLERANCE * max(

@@ -37,14 +37,20 @@ from repro.cluster.api import ClusterAPI
 from repro.cluster.cluster import NodeNotFound
 from repro.cluster.pod import Pod, WorkloadClass
 from repro.cluster.resources import ResourceVector
-from repro.dataplane import DataPlaneConfig
+from repro.dataplane import (
+    SPECULATION_QUANTILE,
+    STAGE_MAX_ATTEMPTS,
+    STRAGGLER_PATIENCE,
+    DataPlaneConfig,
+    backoff,
+)
 from repro.sim.engine import Engine
 from repro.storage.objectstore import ObjectStore
 from repro.workloads.base import Application
 
 #: An FT executor is a straggler when its retired-work rate stays below
 #: this fraction of its stage's median rate for
-#: ``DataPlaneConfig.straggler_patience`` consecutive ticks.
+#: :data:`~repro.dataplane.STRAGGLER_PATIENCE` consecutive ticks.
 STRAGGLER_RATE = 0.5
 
 
@@ -551,7 +557,7 @@ class BigDataJob(Application):
     def _charge_attempt(self, rt: _StageTasks, now: float) -> None:
         """One fault batch on a stage: bump attempts, back off re-dispatch."""
         rt.attempts += 1
-        backoff_until = now + self.ft.backoff(rt.attempts)
+        backoff_until = now + backoff(rt.attempts)
         for t in rt.tasks:
             if not t.done and t.runner is None:
                 t.dispatch_after = max(t.dispatch_after, backoff_until)
@@ -562,7 +568,7 @@ class BigDataJob(Application):
             return True
         for stage in self.stages:
             rt = self._runtime[stage.name]
-            if rt.attempts > self.ft.stage_max_attempts:
+            if rt.attempts > STAGE_MAX_ATTEMPTS:
                 self.quarantined_stage = stage.name
                 self.failed_at = now
                 if self.telemetry is not None:
@@ -693,7 +699,7 @@ class BigDataJob(Application):
                 t.runner = pod_name
                 t.started_at = now
                 return t, True
-        if rt.done_count() >= self.ft.speculation_quantile * len(rt.tasks):
+        if rt.done_count() >= SPECULATION_QUANTILE * len(rt.tasks):
             candidates = [
                 t
                 for t in rt.tasks
@@ -701,7 +707,7 @@ class BigDataJob(Application):
                 and t.runner is not None
                 and t.runner != pod_name
                 and not t.speculating
-                and self._slow_ticks.get(t.runner, 0) >= self.ft.straggler_patience
+                and self._slow_ticks.get(t.runner, 0) >= STRAGGLER_PATIENCE
             ]
             if candidates:
                 t = min(candidates, key=lambda t: (t.started_at, t.index))

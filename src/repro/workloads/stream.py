@@ -25,8 +25,8 @@ Fault tolerance (opt-in via :class:`~repro.dataplane.DataPlaneConfig`):
 with ``ft.enabled`` the job takes periodic checkpoint barriers. Losing a
 worker pod rolls processing back to the last checkpoint — everything
 processed since is replayed, accounted as extra backlog demand — and the
-restarted pipeline spends ``restore_delay`` seconds rebuilding operator
-state before it processes again. With ``ft`` unset the model is
+restarted pipeline spends :data:`~repro.dataplane.RESTORE_DELAY` seconds
+rebuilding operator state before it processes again. With ``ft`` unset the model is
 untouched and seeded runs are bit-identical to the seed.
 """
 
@@ -39,7 +39,7 @@ from repro.cluster.api import ClusterAPI
 from repro.cluster.cluster import NodeNotFound
 from repro.cluster.pod import Pod, WorkloadClass
 from repro.cluster.resources import ResourceVector
-from repro.dataplane import DataPlaneConfig
+from repro.dataplane import RESTORE_DELAY, DataPlaneConfig
 from repro.sim.engine import Engine
 from repro.workloads.base import Application
 from repro.workloads.traces import LoadTrace
@@ -213,7 +213,7 @@ class StreamJob(Application):
                 self.lag_events += replayed
                 self.replayed_total += replayed
                 self.total_processed = self._ckpt_processed
-            self._restore_until = now + self.ft.restore_delay
+            self._restore_until = now + RESTORE_DELAY
             if self.telemetry is not None:
                 self.telemetry.tracer.instant(
                     "stream_restart", "dp", job=self.name,

@@ -8,7 +8,13 @@ from repro.cluster.api import ActuationError
 from repro.cluster.chaos import FaultLog
 from repro.cluster.resources import ResourceVector
 from repro.control.backpressure import BackpressureState
-from repro.control.manager import ControlLoopManager, ResilienceConfig
+from repro.control.manager import (
+    BREAKER_OPEN_DURATION,
+    BROWNOUT_ENTER_PERIODS,
+    BROWNOUT_EXIT_PERIODS,
+    BROWNOUT_LATENCY_PENALTY,
+    ControlLoopManager,
+)
 from repro.control.multiresource import AllocationBounds, MultiResourceController
 from repro.control.pid import PIDGains
 from repro.scheduler.admission import OverloadConfig
@@ -51,16 +57,8 @@ def failing_action():
 
 
 class TestHalfOpenBreaker:
-    def make_manager(self, engine, collector, svc, **overrides):
-        kwargs = dict(
-            breaker_failure_threshold=1, breaker_open_duration=50.0,
-            retry_jitter=0.0, max_retries=0,
-        )
-        kwargs.update(overrides)
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(**kwargs),
-        )
+    def make_manager(self, engine, collector, svc):
+        manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         return manager, manager._entries["svc"]
 
@@ -73,7 +71,7 @@ class TestHalfOpenBreaker:
         engine.run_until(100.0)
         manager._trip_breaker(entry, engine.now)
         assert not entry.breaker_half_open
-        engine.run_until(engine.now + 60.0)
+        engine.run_until(engine.now + BREAKER_OPEN_DURATION + 10.0)
         # The window elapsed: the loop went half-open (one probe), the
         # probe actuation succeeded, and the breaker closed through the
         # probe path — never by timeout alone.
@@ -103,7 +101,9 @@ class TestHalfOpenBreaker:
         assert res["breaker_reopens"] == 1
         assert res["breaker_trips"] == trips_before + 1
         assert not entry.breaker_half_open
-        assert entry.breaker_open_until == pytest.approx(engine.now + 50.0)
+        assert entry.breaker_open_until == pytest.approx(
+            engine.now + BREAKER_OPEN_DURATION
+        )
         # A failed probe re-opens directly; it never counts toward the
         # consecutive-failure threshold.
         assert entry.consecutive_failures == 0
@@ -163,7 +163,6 @@ class TestManagerBackpressure:
     def make_manager(self, engine, collector, svc):
         manager = ControlLoopManager(
             engine, collector, interval=10.0,
-            resilience=ResilienceConfig(retry_jitter=0.0),
             overload=OverloadConfig(backpressure=True),
         )
         manager.register(svc, controller())
@@ -268,29 +267,31 @@ class BrownoutProbe:
 
 
 class TestBrownoutHysteresis:
-    def make_manager(self, engine, api, collector, **cfg):
+    def make_manager(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        defaults = dict(
-            brownout=True, brownout_enter_error=0.5, brownout_exit_error=0.05,
-            brownout_enter_periods=2, brownout_exit_periods=2,
-            brownout_latency_penalty=0.0,
-        )
-        defaults.update(cfg)
         manager = ControlLoopManager(
             engine, collector, interval=10.0,
-            overload=OverloadConfig(**defaults),
+            overload=OverloadConfig(brownout=True),
             fault_log=FaultLog(),
         )
         manager.register(svc, controller())
         return manager, manager._entries["svc"], svc
 
+    @staticmethod
+    def periods(manager, entry, error, count, start):
+        """Feed ``count`` control periods of PLO ``error`` from ``start``;
+        returns the time of the next period."""
+        for k in range(count):
+            manager._update_brownout(entry, error, start + 10.0 * k)
+        return start + 10.0 * count
+
     def test_enters_after_consecutive_high_periods(
         self, engine, api, collector
     ):
         manager, entry, svc = self.make_manager(engine, api, collector)
-        manager._update_brownout(entry, 1.0, 10.0)
+        now = self.periods(manager, entry, 1.0, BROWNOUT_ENTER_PERIODS - 1, 10.0)
         assert not svc.brownout_active
-        manager._update_brownout(entry, 1.0, 20.0)
+        self.periods(manager, entry, 1.0, 1, now)
         assert svc.brownout_active
         assert manager.entry_resilience("svc")["brownout_entries"] == 1
         episodes = manager.fault_log.by_kind("brownout")
@@ -298,19 +299,18 @@ class TestBrownoutHysteresis:
 
     def test_non_consecutive_highs_do_not_enter(self, engine, api, collector):
         manager, entry, svc = self.make_manager(engine, api, collector)
-        manager._update_brownout(entry, 1.0, 10.0)
-        manager._update_brownout(entry, 0.0, 20.0)  # resets the streak
-        manager._update_brownout(entry, 1.0, 30.0)
+        now = self.periods(manager, entry, 1.0, BROWNOUT_ENTER_PERIODS - 1, 10.0)
+        now = self.periods(manager, entry, 0.0, 1, now)  # resets the streak
+        self.periods(manager, entry, 1.0, BROWNOUT_ENTER_PERIODS - 1, now)
         assert not svc.brownout_active
 
     def test_exits_after_consecutive_low_periods(self, engine, api, collector):
         manager, entry, svc = self.make_manager(engine, api, collector)
-        for t in (10.0, 20.0):
-            manager._update_brownout(entry, 1.0, t)
+        now = self.periods(manager, entry, 1.0, BROWNOUT_ENTER_PERIODS, 10.0)
         assert svc.brownout_active
-        manager._update_brownout(entry, 0.0, 30.0)
-        assert svc.brownout_active  # one low period is not enough
-        manager._update_brownout(entry, 0.0, 40.0)
+        now = self.periods(manager, entry, 0.0, BROWNOUT_EXIT_PERIODS - 1, now)
+        assert svc.brownout_active  # one low period short of the exit
+        self.periods(manager, entry, 0.0, 1, now)
         assert not svc.brownout_active
         assert manager.entry_resilience("svc")["brownout_exits"] == 1
         assert not manager.fault_log.active()  # episode closed on exit
@@ -318,15 +318,12 @@ class TestBrownoutHysteresis:
     def test_exit_threshold_compensates_latency_penalty(
         self, engine, api, collector
     ):
-        manager, entry, svc = self.make_manager(
-            engine, api, collector, brownout_latency_penalty=0.02,
-        )
-        for t in (10.0, 20.0):
-            manager._update_brownout(entry, 1.0, t)
-        # The penalty (0.02) over the PLO target (0.05) floors the error
-        # at 0.4; the compensated threshold must still allow an exit.
-        for t in (30.0, 40.0):
-            manager._update_brownout(entry, 0.4, t)
+        manager, entry, svc = self.make_manager(engine, api, collector)
+        now = self.periods(manager, entry, 1.0, BROWNOUT_ENTER_PERIODS, 10.0)
+        # The penalty over the PLO target (0.05) floors the error while
+        # browned out; the compensated threshold must still allow an exit.
+        floor = BROWNOUT_LATENCY_PENALTY / svc.plo.target
+        self.periods(manager, entry, floor, BROWNOUT_EXIT_PERIODS, now)
         assert not svc.brownout_active
 
     def test_apps_without_surface_are_skipped(self, engine, api, collector):
@@ -335,7 +332,6 @@ class TestBrownoutHysteresis:
         probe.brownout_capable = False
         manager.register(probe, controller())
         other = manager._entries["other"]
-        manager._update_brownout(other, 1.0, 10.0)
-        manager._update_brownout(other, 1.0, 20.0)
+        self.periods(manager, other, 1.0, BROWNOUT_ENTER_PERIODS, 10.0)
         assert not probe.brownout_active
         assert manager.entry_resilience("other")["brownout_entries"] == 0

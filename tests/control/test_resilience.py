@@ -7,7 +7,17 @@ import pytest
 from repro.cluster.api import ActuationError
 from repro.cluster.chaos import FaultLog
 from repro.cluster.resources import ResourceVector
-from repro.control.manager import ControlLoopManager, ResilienceConfig
+from repro.control.manager import (
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_FLAP_THRESHOLD,
+    BREAKER_FLAP_WINDOW,
+    BREAKER_OPEN_DURATION,
+    MAX_RETRIES,
+    RETRY_BASE_DELAY,
+    RETRY_JITTER,
+    SAFE_MODE_AFTER,
+    ControlLoopManager,
+)
 from repro.control.multiresource import (
     AllocationBounds,
     ControlDecision,
@@ -52,62 +62,26 @@ def failing_action():
     raise ActuationError("injected")
 
 
-class TestResilienceConfig:
-    def test_freshness_defaults_to_interval_multiple(self, engine, collector):
-        manager = ControlLoopManager(engine, collector, interval=10.0)
-        assert manager.freshness_timeout == pytest.approx(25.0)
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(freshness_timeout=7.0),
-        )
-        assert manager.freshness_timeout == pytest.approx(7.0)
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(safe_mode_after=0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(retry_base_delay=0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(retry_jitter=1.0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            ResilienceConfig(breaker_failure_threshold=0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(breaker_open_duration=0)
-
-    @pytest.mark.parametrize(
-        "knob, value",
-        [
-            ("breaker_flap_threshold", 0),
-            ("breaker_flap_threshold", -1),
-            ("breaker_flap_window", 0),
-            ("breaker_flap_window", 1),
-            ("freshness_timeout", 0.0),
-            ("freshness_timeout", -5.0),
-        ],
-    )
-    def test_knobs_that_break_the_loop_rejected(self, knob, value):
-        """A flap threshold below 1 trips on every second non-hold
-        decision, a window below 2 can hold no flip, and a non-positive
-        freshness timeout marks every signal stale."""
-        with pytest.raises(ValueError, match=knob):
-            ResilienceConfig(**{knob: value})
-
-    def test_smallest_valid_flap_knobs_accepted(self):
-        cfg = ResilienceConfig(breaker_flap_window=2, breaker_flap_threshold=1)
-        assert (cfg.breaker_flap_window, cfg.breaker_flap_threshold) == (2, 1)
+def jittered(delays, seed=0):
+    """``delays`` scaled by the jitter factors that a manager whose rng is
+    ``default_rng(seed)`` (the default is seed 0) draws for them."""
+    twin = np.random.default_rng(seed)
+    return [
+        d * (1.0 + RETRY_JITTER * (2.0 * float(twin.random()) - 1.0))
+        for d in delays
+    ]
 
 
 class TestSafeMode:
+    def test_freshness_timeout_is_interval_multiple(self, engine, collector):
+        manager = ControlLoopManager(engine, collector, interval=10.0)
+        assert manager.freshness_timeout == pytest.approx(25.0)
+
     def test_enters_after_k_stale_periods_and_exits_on_signal(
         self, engine, api, collector
     ):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(safe_mode_after=3),
-        )
+        manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         engine.run_until(300.0)
@@ -115,10 +89,11 @@ class TestSafeMode:
 
         collector.stop()  # the whole scrape pipeline goes dark
         # The PLO's 20 s window empties first, so the signal is stale from
-        # the 320 s period on; safe mode needs 3 such periods (at 340 s).
-        engine.run_until(335.0)
+        # the 320 s period on; safe mode needs SAFE_MODE_AFTER such periods.
+        entry_at = 320.0 + 10.0 * (SAFE_MODE_AFTER - 1)
+        engine.run_until(entry_at - 5.0)
         assert not manager.entry_resilience("svc")["safe_mode"]
-        engine.run_until(345.0)
+        engine.run_until(entry_at + 5.0)
         res = manager.entry_resilience("svc")
         assert res["safe_mode"]
         assert res["safe_mode_entries"] == 1
@@ -141,10 +116,7 @@ class TestSafeMode:
         resets = []
         original_reset = ctrl.reset
         ctrl.reset = lambda: (resets.append(engine.now), original_reset())[-1]
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(safe_mode_after=2),
-        )
+        manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, ctrl)
         manager.start()
         engine.run_until(200.0)
@@ -162,10 +134,7 @@ class TestSafeMode:
         quietly instead of entering a meaningless safe mode."""
         svc = deploy(engine, api, collector)
         collector.stop()  # nothing ever scraped
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(safe_mode_after=1),
-        )
+        manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         engine.run_until(200.0)
@@ -178,25 +147,23 @@ class TestSafeMode:
         self, engine, api, collector
     ):
         """Staleness that keeps resolving one period short of
-        ``safe_mode_after`` must never trip safe mode: the counter resets
+        ``SAFE_MODE_AFTER`` must never trip safe mode: the counter resets
         on every fresh signal instead of accumulating across gaps."""
         svc = deploy(engine, api, collector)
         collector.stop()  # signal freshness is driven by hand below
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(safe_mode_after=3),
-        )
+        manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
-        # One latency sample every 40 s; with the PLO's 20 s window the
-        # periods at +10/+20 see a fresh signal and +30/+40 are stale —
-        # exactly safe_mode_after − 1 consecutive stale periods per cycle.
+        # One latency sample per gap; with the PLO's 20 s window the
+        # periods at +10/+20 see a fresh signal and the rest are stale —
+        # exactly SAFE_MODE_AFTER − 1 consecutive stale periods per gap.
+        gap = 10.0 * (2 + SAFE_MODE_AFTER - 1)
         for k in range(10):
             engine.schedule_at(
-                40.0 * k + 9.0,
+                gap * k + 9.0,
                 lambda: collector.record("app/svc/latency", 0.04),
             )
-        engine.run_until(400.0)
+        engine.run_until(gap * 10)
         res = manager.entry_resilience("svc")
         assert res["safe_mode_entries"] == 0
         assert not res["safe_mode"]
@@ -204,26 +171,25 @@ class TestSafeMode:
     def test_oscillation_at_boundary_enters_once_per_gap_without_thrash(
         self, engine, api, collector
     ):
-        """Exactly ``safe_mode_after`` stale periods per cycle: each gap
+        """Exactly ``SAFE_MODE_AFTER`` stale periods per cycle: each gap
         produces one clean entry/exit pair, never multiple entries (no
         thrashing while the signal stays dark)."""
         svc = deploy(engine, api, collector)
         collector.stop()
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(safe_mode_after=3),
-        )
+        manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
-        # One sample every 50 s: fresh at +10/+20, stale at +30/+40/+50 —
-        # safe mode entered on the third stale period, exited at +60.
+        # One sample per gap: fresh at +10/+20, then SAFE_MODE_AFTER stale
+        # periods — safe mode entered on the last of them, exited on the
+        # next sample.
+        gap = 10.0 * (2 + SAFE_MODE_AFTER)
         cycles = 8
         for k in range(cycles + 1):
             engine.schedule_at(
-                50.0 * k + 9.0,
+                gap * k + 9.0,
                 lambda: collector.record("app/svc/latency", 0.04),
             )
-        engine.run_until(50.0 * cycles + 25.0)
+        engine.run_until(gap * cycles + 25.0)
         res = manager.entry_resilience("svc")
         assert res["safe_mode_entries"] == cycles
         assert res["safe_mode_exits"] == cycles
@@ -231,10 +197,7 @@ class TestSafeMode:
 
     def test_safe_mode_series_recorded(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(safe_mode_after=2),
-        )
+        manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         engine.run_until(100.0)
@@ -245,68 +208,63 @@ class TestSafeMode:
 
 
 class TestRetries:
-    def make_manager(self, engine, api, collector, svc, **cfg_kwargs):
-        cfg_kwargs.setdefault("retry_jitter", 0.0)
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(**cfg_kwargs),
-        )
+    def make_manager(self, engine, collector, svc, **kwargs):
+        manager = ControlLoopManager(engine, collector, interval=10.0, **kwargs)
         manager.register(svc, controller())
         return manager, manager._entries["svc"]
 
-    def test_backoff_grows_exponentially_and_caps(self, engine, api, collector):
+    def test_backoff_doubles_until_the_breaker_trips(
+        self, engine, api, collector
+    ):
         svc = deploy(engine, api, collector)
-        manager, entry = self.make_manager(
-            engine, api, collector, svc,
-            retry_base_delay=2.0, retry_max_delay=16.0, max_retries=6,
-            breaker_failure_threshold=100,
-        )
+        manager, entry = self.make_manager(engine, collector, svc)
         manager._actuate(entry, failing_action)
         delays = []
         while entry.retry_handle is not None:
             scheduled_at = engine.now
             delays.append(entry.retry_handle.time - scheduled_at)
             engine.run_until(entry.retry_handle.time)
-        # 2, 4, 8 then capped at 16 for the remaining retries.
-        assert delays == pytest.approx([2.0, 4.0, 8.0, 16.0, 16.0, 16.0])
+        # Each failure short of the breaker threshold schedules one retry,
+        # its base delay doubling; the failure that reaches the threshold
+        # trips the breaker instead.
+        retries = BREAKER_FAILURE_THRESHOLD - 1
+        assert retries < MAX_RETRIES
+        base = [RETRY_BASE_DELAY * 2.0**n for n in range(retries)]
+        assert delays == pytest.approx(jittered(base))
         res = manager.entry_resilience("svc")
-        assert res["retries"] == 6
-        assert res["actuation_failures"] == 7  # initial try + 6 retries
+        assert res["retries"] == retries
+        assert res["actuation_failures"] == BREAKER_FAILURE_THRESHOLD
+        assert res["breaker_trips"] == 1
 
     def test_gives_up_after_max_retries(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager, entry = self.make_manager(
-            engine, api, collector, svc,
-            max_retries=2, breaker_failure_threshold=100,
-        )
+        manager, entry = self.make_manager(engine, collector, svc)
+        # A decision whose retry budget is already spent: the next failure
+        # drops it instead of scheduling another attempt.
+        entry.retry_attempts = MAX_RETRIES
         manager._actuate(entry, failing_action)
         engine.run_until(1000.0)
-        assert manager.entry_resilience("svc")["retries"] == 2
+        assert manager.entry_resilience("svc")["retries"] == 0
+        assert entry.retry_attempts == 0
         assert entry.retry_handle is None
         assert entry.retry_action is None
 
     def test_jitter_spreads_delays(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(
-                retry_base_delay=10.0, retry_jitter=0.25, max_retries=1,
-                breaker_failure_threshold=100,
-            ),
-            rng=np.random.default_rng(5),
+        manager, entry = self.make_manager(
+            engine, collector, svc, rng=np.random.default_rng(5)
         )
-        manager.register(svc, controller())
-        entry = manager._entries["svc"]
         manager._actuate(entry, failing_action)
         delay = entry.retry_handle.time - engine.now
-        assert 7.5 <= delay <= 12.5
-        assert delay != pytest.approx(10.0)
+        low = RETRY_BASE_DELAY * (1.0 - RETRY_JITTER)
+        high = RETRY_BASE_DELAY * (1.0 + RETRY_JITTER)
+        assert low <= delay <= high
+        assert delay != pytest.approx(RETRY_BASE_DELAY)
+        assert delay == pytest.approx(jittered([RETRY_BASE_DELAY], seed=5)[0])
 
     def test_retry_succeeds_and_clears_state(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager, entry = self.make_manager(
-            engine, api, collector, svc, breaker_failure_threshold=100,
-        )
+        manager, entry = self.make_manager(engine, collector, svc)
         outcomes = iter([ActuationError("boom"), None])
 
         def flaky():
@@ -327,35 +285,26 @@ class TestRetries:
     ):
         svc = deploy(engine, api, collector)
         log = FaultLog()
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(
-                retry_jitter=0.0, retry_base_delay=2.0, max_retries=3,
-                breaker_failure_threshold=100,
-            ),
-            fault_log=log,
-        )
-        manager.register(svc, controller())
-        entry = manager._entries["svc"]
+        manager, entry = self.make_manager(engine, collector, svc, fault_log=log)
         manager._actuate(entry, failing_action)
         engine.run_until(100.0)
         episodes = log.by_kind("actuation-retry")
-        # One structured episode per retry window, covering the backoff.
-        assert len(episodes) == 3
+        # One structured episode per retry window, covering the backoff,
+        # until the breaker trips.
+        retries = BREAKER_FAILURE_THRESHOLD - 1
+        assert len(episodes) == retries
         assert all(e.target == "svc" for e in episodes)
         assert [e.detail for e in episodes] == [
-            "attempt=1", "attempt=2", "attempt=3",
+            f"attempt={n + 1}" for n in range(retries)
         ]
         assert [e.duration() for e in episodes] == pytest.approx(
-            [2.0, 4.0, 8.0]
+            jittered([RETRY_BASE_DELAY * 2.0**n for n in range(retries)])
         )
         assert not log.active()  # recorded closed: MTTR joins stay simple
 
     def test_superseded_retry_is_dropped(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager, entry = self.make_manager(
-            engine, api, collector, svc, breaker_failure_threshold=100,
-        )
+        manager, entry = self.make_manager(engine, collector, svc)
         calls = []
 
         def first():
@@ -375,35 +324,31 @@ class TestRetries:
 class TestCircuitBreaker:
     def test_trips_on_consecutive_failures(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(
-                breaker_failure_threshold=3, retry_jitter=0.0, max_retries=0,
-                breaker_open_duration=120.0,
-            ),
-        )
+        manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         entry = manager._entries["svc"]
-        for _ in range(3):
+        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
             manager._actuate(entry, failing_action)
+        assert manager.entry_resilience("svc")["breaker_trips"] == 0
+        assert entry.retry_handle is not None
+        manager._actuate(entry, failing_action)
         assert manager.entry_resilience("svc")["breaker_trips"] == 1
-        assert entry.breaker_open_until == pytest.approx(engine.now + 120.0)
+        assert entry.breaker_open_until == pytest.approx(
+            engine.now + BREAKER_OPEN_DURATION
+        )
         assert entry.retry_handle is None  # pending retries cancelled
 
     def test_open_breaker_skips_loop_and_closes_by_timeout(
         self, engine, api, collector
     ):
         svc = deploy(engine, api, collector, rate=100.0, cpu=0.5)
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(breaker_open_duration=100.0),
-        )
+        manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         engine.run_until(100.0)
         entry = manager._entries["svc"]
         manager._trip_breaker(entry, engine.now)
-        engine.run_until(190.0)
+        engine.run_until(100.0 + BREAKER_OPEN_DURATION - 5.0)
         skips_at_close = manager.entry_resilience("svc")["breaker_skips"]
         assert skips_at_close >= 1
         engine.run_until(400.0)
@@ -413,12 +358,7 @@ class TestCircuitBreaker:
 
     def test_trips_on_grow_reclaim_flapping(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(
-                breaker_flap_window=6, breaker_flap_threshold=4,
-            ),
-        )
+        manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         entry = manager._entries["svc"]
         alloc = svc.current_allocation()
@@ -426,10 +366,16 @@ class TestCircuitBreaker:
         def decision(action):
             return ControlDecision(action, alloc, 0.0, 0.0, 1.0, {})
 
-        tripped = []
-        for action in ("grow", "reclaim", "grow", "reclaim", "grow"):
-            tripped.append(manager._record_direction(entry, decision(action)))
-        assert tripped == [False, False, False, False, True]
+        # Alternating decisions: the k-th one adds the (k-1)-th flip, so
+        # the threshold is reached one decision after that many flips —
+        # still inside the flap window.
+        decisions = BREAKER_FLAP_THRESHOLD + 1
+        assert decisions <= BREAKER_FLAP_WINDOW
+        tripped = [
+            manager._record_direction(entry, decision(("grow", "reclaim")[i % 2]))
+            for i in range(decisions)
+        ]
+        assert tripped == [False] * BREAKER_FLAP_THRESHOLD + [True]
         assert manager.entry_resilience("svc")["breaker_trips"] == 1
 
     def test_holds_do_not_count_as_flaps(self, engine, api, collector):
@@ -450,10 +396,7 @@ class TestCircuitBreaker:
 class TestLifecycle:
     def test_unregister_cancels_pending_retry(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(retry_jitter=0.0),
-        )
+        manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         entry = manager._entries["svc"]
         manager._actuate(entry, failing_action)
@@ -463,11 +406,7 @@ class TestLifecycle:
 
     def test_resilience_stats_aggregates(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(
-            engine, collector, interval=10.0,
-            resilience=ResilienceConfig(retry_jitter=0.0, max_retries=1,
-                                        breaker_failure_threshold=100),
-        )
+        manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         entry = manager._entries["svc"]
         manager._actuate(entry, failing_action)

@@ -6,7 +6,7 @@ turning telemetry on must never change what a seeded run does.
 """
 
 from repro.cluster.resources import ResourceVector
-from repro.control.manager import ControlLoopManager, ResilienceConfig
+from repro.control.manager import SAFE_MODE_AFTER, ControlLoopManager
 from repro.control.multiresource import AllocationBounds, MultiResourceController
 from repro.control.pid import PIDGains
 from repro.obs.telemetry import Telemetry
@@ -113,10 +113,7 @@ class TestActuatedProvenance:
 class TestSafeModeProvenance:
     def test_entry_freezes_at_last_good(self, engine, api, collector):
         svc = deploy(engine, api, collector, rate=100.0, cpu=0.5)
-        tel, manager = instrument(
-            engine, api, collector, interval=10.0,
-            resilience=ResilienceConfig(safe_mode_after=3),
-        )
+        tel, manager = instrument(engine, api, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         engine.run_until(100.0)
@@ -130,7 +127,7 @@ class TestSafeModeProvenance:
         assert entry.action == "freeze"
         assert entry.safe_mode is True
         assert entry.target is not None  # the frozen last-good allocation
-        assert entry.stale_periods >= 3
+        assert entry.stale_periods >= SAFE_MODE_AFTER
         # Subsequent stale periods audit as safe-mode holds.
         after = [p for p in records if p.time > entry.time]
         assert after and all(p.verdict == "safe-mode-hold" for p in after)
@@ -138,18 +135,20 @@ class TestSafeModeProvenance:
 
     def test_stale_skip_before_threshold(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        tel, manager = instrument(
-            engine, api, collector, interval=10.0,
-            resilience=ResilienceConfig(safe_mode_after=50),
-        )
+        tel, manager = instrument(engine, api, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         engine.run_until(100.0)
         collector.stop()
         engine.run_until(200.0)
-        verdicts = {p.verdict for p in tel.trace.provenance_for("svc")
-                    if p.time > 130.0}
-        assert verdicts == {"stale-skip"}
+        verdicts = [p.verdict for p in tel.trace.provenance_for("svc")
+                    if p.time > 100.0]
+        first = verdicts.index("stale-skip")
+        # The stale periods short of the threshold audit as plain skips;
+        # the one that reaches it enters safe mode.
+        assert verdicts[first:first + SAFE_MODE_AFTER] == (
+            ["stale-skip"] * (SAFE_MODE_AFTER - 1) + ["safe-mode-entry"]
+        )
 
 
 class TestSuppressedDecisions:

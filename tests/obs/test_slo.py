@@ -1,15 +1,32 @@
 """Unit tests for the SLO engine (specs, burn windows, alert lifecycle)."""
 
+import math
+
 import pytest
 
 from repro.obs.registry import MetricsRegistry, lint_names
-from repro.obs.slo import SLOEngine, SLOSpec
+from repro.obs.slo import (
+    BURN_THRESHOLD,
+    FAST_WINDOW,
+    SLOW_WINDOW,
+    SLOEngine,
+    SLOSpec,
+)
+
+TICK = 5.0
+TARGET = 0.9
+#: Scrape ticks each burn window holds.
+FAST_TICKS = round(FAST_WINDOW / TICK)
+SLOW_TICKS = round(SLOW_WINDOW / TICK)
+#: Consecutive bad ticks after which both windows burn at the threshold:
+#: the slow window is the last to get there.
+TICKS_TO_FIRE = math.ceil(BURN_THRESHOLD * (1 - TARGET) * SLOW_TICKS)
 
 
 class FakeCollector:
     """Minimal stand-in: the engine only reads scrape_interval/latest."""
 
-    scrape_interval = 5.0
+    scrape_interval = TICK
 
     def __init__(self):
         self.values: dict[str, float | None] = {}
@@ -24,10 +41,7 @@ def make_spec(**overrides) -> SLOSpec:
         series="app/web/latency",
         objective=0.05,
         comparator="le",
-        target=0.9,
-        fast_window=10.0,
-        slow_window=40.0,
-        burn_threshold=2.0,
+        target=TARGET,
         warmup=0.0,
         kind="latency",
     )
@@ -48,9 +62,6 @@ class TestSLOSpec:
         {"comparator": "lt"},
         {"target": 1.0},
         {"target": -0.1},
-        {"fast_window": 0.0},
-        {"fast_window": 600.0, "slow_window": 60.0},
-        {"burn_threshold": 0.0},
         {"warmup": -1.0},
         {"kind": "nonsense"},
     ])
@@ -100,14 +111,13 @@ class TestEvaluation:
         assert summary["first_bad_at"] == 15.0
 
     def test_burn_fraction_uses_window_capacity(self):
-        # fast window 10s at 5s ticks = capacity 2: one bad tick is a
-        # 0.5 bad fraction even while the window is still filling —
-        # never "1/1 = 100% bad".
+        # One bad tick is 1/capacity of each window even while the window
+        # is still filling — never "1/1 = 100% bad".
         collector, engine, state = self._engine()
         collector.values["app/web/latency"] = 1.0
         engine.on_scrape(5.0)
-        assert state.fast.bad_fraction() == pytest.approx(0.5)
-        assert state.slow.bad_fraction() == pytest.approx(1 / 8)
+        assert state.fast.bad_fraction() == pytest.approx(1 / FAST_TICKS)
+        assert state.slow.bad_fraction() == pytest.approx(1 / SLOW_TICKS)
 
 
 class TestAlertLifecycle:
@@ -123,31 +133,35 @@ class TestAlertLifecycle:
         collector = FakeCollector()
         engine = SLOEngine(collector, [make_spec()])
         state = engine.states["web_latency"]
-        # One bad tick: fast burn (0.5/0.1)=5 fires, but the slow
-        # window (1/8 → 1.25) holds the alert back.
-        self._run(engine, collector, [1.0])
+        # One tick short: the fast window burns past the threshold, but
+        # the slow window holds the alert back.
+        now = self._run(engine, collector, [1.0] * (TICKS_TO_FIRE - 1))
+        assert state.burn(state.fast) >= BURN_THRESHOLD
+        assert state.burn(state.slow) < BURN_THRESHOLD
         assert not state.firing and state.alerts == []
-        # A second consecutive bad tick pushes slow to 2/8 → burn 2.5.
-        self._run(engine, collector, [1.0], start=10.0)
+        # One more consecutive bad tick pushes slow to the threshold.
+        self._run(engine, collector, [1.0], start=now)
         assert state.firing
         assert len(state.alerts) == 1
         alert = state.alerts[0]
-        assert alert.fired_at == 10.0 and alert.active
-        assert alert.burn_fast >= 2.0 and alert.burn_slow >= 2.0
+        assert alert.fired_at == now and alert.active
+        assert alert.burn_fast >= BURN_THRESHOLD
+        assert alert.burn_slow >= BURN_THRESHOLD
 
     def test_resolves_when_fast_window_clears(self):
         collector = FakeCollector()
         engine = SLOEngine(collector, [make_spec()])
         state = engine.states["web_latency"]
-        now = self._run(engine, collector, [1.0, 1.0])  # fires at 10s
+        now = self._run(engine, collector, [1.0] * TICKS_TO_FIRE)
         assert state.firing
-        # Good ticks age the bad ones out of the 10s fast window; the
-        # slow window still burns but resolution follows fast only.
-        now = self._run(engine, collector, [0.01, 0.01, 0.01], start=now)
+        # Good ticks age the bad ones out of the fast window; the slow
+        # window still burns but resolution follows fast only.
+        now = self._run(engine, collector, [0.01] * FAST_TICKS, start=now)
         assert not state.firing
+        assert state.burn(state.slow) >= BURN_THRESHOLD
         assert state.alerts[0].resolved_at is not None
         # A fresh burst opens a second alert rather than reusing the old.
-        self._run(engine, collector, [1.0, 1.0], start=now)
+        self._run(engine, collector, [1.0] * FAST_TICKS, start=now)
         assert len(state.alerts) == 2
 
     def test_alerts_listing_sorted_across_slos(self):
@@ -157,11 +171,12 @@ class TestAlertLifecycle:
             make_spec(name="b", series="s/b"),
         ])
         collector.values = {"s/a": 1.0, "s/b": 1.0}
-        for now in (5.0, 10.0):
-            engine.on_scrape(now)
+        fire_at = TICK * TICKS_TO_FIRE
+        for k in range(TICKS_TO_FIRE):
+            engine.on_scrape(TICK * (k + 1))
         alerts = engine.alerts()
         assert [a.slo for a in alerts] == ["a", "b"]
-        assert all(a.fired_at == 10.0 for a in alerts)
+        assert all(a.fired_at == fire_at for a in alerts)
 
 
 class TestGaugeExport:
@@ -187,9 +202,9 @@ class TestGaugeExport:
         collector = FakeCollector()
         engine = SLOEngine(collector, [make_spec()], registry=registry)
         collector.values["app/web/latency"] = 1.0
-        for now in (5.0, 10.0):
-            engine.on_scrape(now)
-        out = registry.sample_metrics(10.0)
+        for k in range(TICKS_TO_FIRE):
+            engine.on_scrape(TICK * (k + 1))
+        out = registry.sample_metrics(TICK * TICKS_TO_FIRE)
         assert out["slo/web_latency/firing"] == 1.0
         assert out["slo/web_latency/attainment"] == 0.0
-        assert out["slo/web_latency/burn_fast"] >= 2.0
+        assert out["slo/web_latency/burn_fast"] >= BURN_THRESHOLD

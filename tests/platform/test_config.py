@@ -3,7 +3,12 @@
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.platform.config import ClusterSpec, PlatformConfig, build_nodes
+from repro.platform.config import (
+    MIN_ALLOCATION,
+    ClusterSpec,
+    PlatformConfig,
+    build_nodes,
+)
 
 
 def test_default_cluster_spec():
@@ -32,14 +37,11 @@ def test_custom_name_prefix():
 
 def test_platform_config_defaults_valid():
     config = PlatformConfig()
-    assert config.min_allocation.fits_within(config.max_allocation)
+    assert MIN_ALLOCATION.fits_within(config.max_allocation)
 
 
 def test_platform_config_validation():
     with pytest.raises(ValueError):
-        PlatformConfig(scrape_interval=0)
+        PlatformConfig(control_interval=0)
     with pytest.raises(ValueError):
-        PlatformConfig(
-            min_allocation=ResourceVector(cpu=100),
-            max_allocation=ResourceVector(cpu=1),
-        )
+        PlatformConfig(max_allocation=ResourceVector(cpu=0.05))

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from repro.cluster.pod import PodPhase, PodSpec, WorkloadClass
 from repro.cluster.resources import ResourceVector
 from repro.scheduler.admission import (
+    MAX_SHED_PER_CYCLE,
     SHED_CLASSES,
+    STARVATION_TIMEOUT,
     AdmissionController,
     OverloadConfig,
     classify_pod,
@@ -89,14 +91,6 @@ class TestOverloadConfig:
             OverloadConfig(low_watermark=0.95, high_watermark=0.9)
         with pytest.raises(ValueError):
             OverloadConfig(pending_high=0)
-        with pytest.raises(ValueError):
-            OverloadConfig(starvation_timeout=0)
-        with pytest.raises(ValueError):
-            OverloadConfig(brownout_enter_error=0.1, brownout_exit_error=0.2)
-        with pytest.raises(ValueError):
-            OverloadConfig(brownout_demand_factor=0.0)
-        with pytest.raises(ValueError):
-            OverloadConfig(brownout_latency_penalty=-1)
 
 
 class TestLatch:
@@ -144,19 +138,25 @@ class TestShedPolicy:
         return make_controller(engine, api, **overrides)
 
     def test_sheds_newest_best_effort_first(self, engine, cluster, api):
-        ctl = self.hot_controller(engine, api, max_shed_per_cycle=1)
-        pending = [
-            cluster.submit(spec_for("be-old", "best-effort")),
-            cluster.submit(spec_for("be-new", "best-effort")),
-            cluster.submit(spec_for("batch-0", "batch")),
+        ctl = self.hot_controller(engine, api)
+        # One best-effort pod more than a cycle may shed: the oldest stays.
+        best_effort = [
+            cluster.submit(spec_for(f"be-{i}", "best-effort"))
+            for i in range(MAX_SHED_PER_CYCLE + 1)
         ]
+        pending = best_effort + [cluster.submit(spec_for("batch-0", "batch"))]
         admitted = ctl.admit_cycle(pending)
-        assert [p.name for p in admitted] == ["batch-0", "be-old"]
-        assert cluster.get_pod("be-new").phase is PodPhase.EVICTED
-        assert ctl.shed_by_class["best-effort"] == 1
+        assert [p.name for p in admitted] == ["batch-0", "be-0"]
+        assert all(
+            cluster.get_pod(p.name).phase is PodPhase.EVICTED
+            for p in best_effort[1:]
+        )
+        assert ctl.shed_by_class["best-effort"] == MAX_SHED_PER_CYCLE
 
     def test_batch_shed_only_after_best_effort(self, engine, cluster, api):
-        ctl = self.hot_controller(engine, api, max_shed_per_cycle=3)
+        ctl = self.hot_controller(engine, api)
+        # Three sheddable pods, within one cycle's budget.
+        assert MAX_SHED_PER_CYCLE >= 3
         pending = [
             cluster.submit(spec_for("ba-0", "batch")),
             cluster.submit(spec_for("be-0", "best-effort")),
@@ -170,7 +170,7 @@ class TestShedPolicy:
         }
 
     def test_latency_and_stream_never_shed(self, engine, cluster, api):
-        ctl = self.hot_controller(engine, api, max_shed_per_cycle=100)
+        ctl = self.hot_controller(engine, api)
         pending = [
             cluster.submit(spec_for("lat-0", "latency")),
             cluster.submit(spec_for("st-0", "stream")),
@@ -180,7 +180,7 @@ class TestShedPolicy:
         assert ctl.shed_total == 0
 
     def test_gang_members_exempt(self, engine, cluster, api):
-        ctl = self.hot_controller(engine, api, max_shed_per_cycle=100)
+        ctl = self.hot_controller(engine, api)
         pending = [
             cluster.submit(spec_for("g-0", "best-effort", gang_id="g")),
             cluster.submit(spec_for("solo", "best-effort")),
@@ -190,12 +190,17 @@ class TestShedPolicy:
         assert ctl.shed_total == 1
 
     def test_admitted_ordered_most_protected_first(self, engine, cluster, api):
-        ctl = self.hot_controller(engine, api, max_shed_per_cycle=0)
+        ctl = self.hot_controller(engine, api)
         pending = [
             cluster.submit(spec_for("ba-0", "batch")),
             cluster.submit(spec_for("lat-0", "latency")),
             cluster.submit(spec_for("be-0", "best-effort")),
             cluster.submit(spec_for("st-0", "stream")),
+        ]
+        # Newer best-effort pods take the whole shed budget.
+        pending += [
+            cluster.submit(spec_for(f"be-new-{i}", "best-effort"))
+            for i in range(MAX_SHED_PER_CYCLE)
         ]
         admitted = ctl.admit_cycle(pending)
         assert [p.name for p in admitted] == ["lat-0", "st-0", "ba-0", "be-0"]
@@ -211,12 +216,9 @@ class TestNonStarvation:
     def test_aged_pods_admitted_first_and_never_shed(
         self, engine, cluster, api
     ):
-        ctl = make_controller(
-            engine, api, pending_high=1, starvation_timeout=300.0,
-            max_shed_per_cycle=100,
-        )
+        ctl = make_controller(engine, api, pending_high=1)
         old = cluster.submit(spec_for("be-old", "best-effort"))
-        engine.run_until(400.0)  # past the starvation timeout
+        engine.run_until(STARVATION_TIMEOUT + 100.0)  # past the timeout
         fresh = [
             cluster.submit(spec_for("lat-0", "latency")),
             cluster.submit(spec_for("be-new", "best-effort")),
@@ -233,31 +235,31 @@ class TestNonStarvation:
     ):
         """Under a permanently hot latch, batch and best-effort work
         still gets admitted once it ages past the starvation timeout."""
-        ctl = make_controller(
-            engine, api, pending_high=1, starvation_timeout=100.0,
-            max_shed_per_cycle=1,
-        )
+        ctl = make_controller(engine, api, pending_high=1)
         survivors = {
             cls: cluster.submit(spec_for(f"{cls}-seed", cls))
             for cls in SHED_CLASSES
         }
         admitted_classes: set[str] = set()
-        for cycle in range(12):
+        for cycle in range(int(STARVATION_TIMEOUT // 20.0) + 2):
             engine.run_until(engine.now + 20.0)
             pending = [
                 pod for pod in survivors.values()
                 if pod.phase is PodPhase.PENDING
             ]
-            # Fresh churn arriving every cycle keeps the queue deep.
-            churn = cluster.submit(
-                spec_for(f"churn-{cycle}", "best-effort")
-            )
-            result = ctl.admit_cycle(pending + [churn])
+            # Fresh churn arriving every cycle keeps the queue deep and
+            # takes the whole shed budget.
+            churn = [
+                cluster.submit(spec_for(f"churn-{cycle}-{i}", "best-effort"))
+                for i in range(MAX_SHED_PER_CYCLE)
+            ]
+            result = ctl.admit_cycle(pending + churn)
             admitted_classes.update(
                 classify_pod(p) for p in result if p.name in
                 {pod.name for pod in survivors.values()}
             )
         assert admitted_classes == set(SHED_CLASSES)
+        assert ctl.aged_admissions > 0
 
 
 class TestRunningEviction:
@@ -288,15 +290,6 @@ class TestRunningEviction:
         ctl.post_cycle()
         assert ctl.evicted_running == 0
 
-    def test_disabled_by_config(self, engine, cluster, api):
-        ctl = make_controller(engine, api, pending_high=1, evict_running=False)
-        cluster.submit(spec_for("be-run", "best-effort"))
-        cluster.bind("be-run", "node-0")
-        stuck = cluster.submit(spec_for("lat-0", "latency"))
-        ctl.admit_cycle([stuck])
-        ctl.post_cycle()
-        assert ctl.evicted_running == 0
-
 
 # -- conservation properties ---------------------------------------------------
 
@@ -308,10 +301,8 @@ gang_flags = st.lists(st.booleans(), min_size=16, max_size=16)
 
 class TestConservationProperties:
     @settings(max_examples=40, deadline=None)
-    @given(classes=pod_classes, gangs=gang_flags, budget=st.integers(0, 8))
-    def test_every_pod_admitted_or_shed_exactly_once(
-        self, classes, gangs, budget
-    ):
+    @given(classes=pod_classes, gangs=gang_flags)
+    def test_every_pod_admitted_or_shed_exactly_once(self, classes, gangs):
         from repro.cluster.api import ClusterAPI
         from repro.sim.engine import Engine
         from tests.conftest import make_cluster
@@ -319,9 +310,7 @@ class TestConservationProperties:
         engine = Engine()
         cluster = make_cluster(engine)
         api = ClusterAPI(cluster)
-        ctl = make_controller(
-            engine, api, pending_high=1, max_shed_per_cycle=budget,
-        )
+        ctl = make_controller(engine, api, pending_high=1)
         pending = [
             cluster.submit(
                 spec_for(
@@ -344,7 +333,7 @@ class TestConservationProperties:
         assert ctl.shed_total == len(shed_names)
         assert ctl.shed_total == sum(ctl.shed_by_class.values())
         assert ctl.shed_total == ctl.rejected_pending + ctl.evicted_running
-        assert ctl.shed_total <= budget
+        assert ctl.shed_total <= MAX_SHED_PER_CYCLE
         # Shed victims only ever come from the two lowest classes, and
         # never from gangs.
         for pod in pending:
@@ -363,9 +352,7 @@ class TestConservationProperties:
             engine = Engine()
             cluster = make_cluster(engine)
             api = ClusterAPI(cluster)
-            ctl = make_controller(
-                engine, api, pending_high=1, max_shed_per_cycle=4,
-            )
+            ctl = make_controller(engine, api, pending_high=1)
             pending = [
                 cluster.submit(spec_for(f"p{i}", cls))
                 for i, cls in enumerate(classes)

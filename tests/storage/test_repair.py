@@ -3,23 +3,22 @@
 import pytest
 
 from repro.cluster.chaos import FailureInjector, FaultLog
-from repro.dataplane import DataPlaneConfig
+from repro.dataplane import REPAIR_BANDWIDTH_MBPS
 from repro.storage.objectstore import ObjectStore
 from repro.storage.placement import spread_blocks
-from repro.storage.repair import StorageRepairService
+from repro.storage.repair import REPAIR_INTERVAL, StorageRepairService
 
 
-def make_service(engine, api, store, **cfg):
-    config = DataPlaneConfig(enabled=True, **cfg)
-    service = StorageRepairService(engine, store, api, config=config)
+def make_service(engine, api, store):
+    service = StorageRepairService(engine, store, api)
     service.start()
     return service
 
 
-def seeded_store(replication=2):
+def seeded_store(replication=2, block_mb=10):
     store = ObjectStore()
     spread_blocks(
-        store, "data", total_mb=120, block_mb=10,
+        store, "data", total_mb=12 * block_mb, block_mb=block_mb,
         nodes=["node-0", "node-1", "node-2"], replication=replication,
     )
     return store
@@ -49,10 +48,11 @@ class TestRepairLoop:
         assert service.dropped_replicas == 0
 
     def test_bandwidth_budget_spreads_repair_over_scans(self, engine, cluster, api):
-        store = seeded_store()
-        # 1 MB/s × 15 s = 15 MB per scan → at most 2 of the 10 MB blocks
-        # (the second overshoots and borrows from the next scan's budget).
-        service = make_service(engine, api, store, repair_bandwidth_mbps=1.0)
+        # Blocks of 2/3 of a scan's budget: at most 2 per scan (the second
+        # overshoots and borrows from the next scan's budget).
+        budget_mb = REPAIR_BANDWIDTH_MBPS * REPAIR_INTERVAL
+        store = seeded_store(block_mb=budget_mb * 2 / 3)
+        service = make_service(engine, api, store)
         FailureInjector(cluster).fail_node("node-0")
         engine.run_until(16.0)
         assert 0 < service.repaired_objects <= 2
@@ -100,8 +100,7 @@ class TestRepairLoop:
     def test_replica_loss_recorded_in_fault_log(self, engine, cluster, api):
         store = seeded_store()
         log = FaultLog()
-        config = DataPlaneConfig(enabled=True)
-        service = StorageRepairService(engine, store, api, config=config, log=log)
+        service = StorageRepairService(engine, store, api, log=log)
         service.start()
         FailureInjector(cluster).fail_node("node-1")
         engine.run_until(16.0)

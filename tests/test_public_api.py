@@ -9,12 +9,12 @@ import importlib
 
 import pytest
 
-from repro.control import ResilienceConfig
 from repro.platform.config import (
     ClusterSpec,
     DataPlaneConfig,
     OverloadConfig,
     PlatformConfig,
+    SLOSpec,
 )
 
 
@@ -46,8 +46,7 @@ PUBLIC_SURFACE = {
     "repro.control": ["PIDController", "PIDGains", "AdaptiveGainTuner",
                       "BottleneckEstimator", "MultiResourceController",
                       "AllocationBounds", "ControlDecision",
-                      "ControlLoopManager", "ResilienceConfig",
-                      "FeedforwardScaler", "ControllerStateStore",
+                      "ControlLoopManager", "FeedforwardScaler", "ControllerStateStore",
                       "ReplicatedControlPlane", "FailoverEvent",
                       "StateSnapshot", "WalRecord"],
     "repro.autoscaler": ["StaticPolicy", "HorizontalPodAutoscaler",
@@ -101,30 +100,20 @@ def test_all_lists_are_accurate():
 #: option changes this pin, so it arrives as a reviewed edit.
 CONFIG_FIELDS = {
     PlatformConfig: (
-        "seed", "scrape_interval", "control_interval", "min_allocation",
-        "max_allocation", "controller_replicas", "controller_ha",
-        "snapshot_interval", "overload", "data_plane", "telemetry", "slos",
+        "seed", "control_interval", "max_allocation", "controller_replicas",
+        "controller_ha", "snapshot_interval", "overload", "data_plane",
+        "telemetry", "slos",
     ),
-    DataPlaneConfig: (
-        "enabled", "straggler_patience", "speculation_quantile",
-        "stage_max_attempts", "retry_backoff_base", "restore_delay",
-        "repair_bandwidth_mbps",
-    ),
+    DataPlaneConfig: ("enabled",),
     OverloadConfig: (
         "admission", "backpressure", "brownout", "high_watermark",
-        "low_watermark", "pending_high", "max_shed_per_cycle",
-        "starvation_timeout", "evict_running", "brownout_enter_error",
-        "brownout_exit_error", "brownout_enter_periods",
-        "brownout_exit_periods", "brownout_demand_factor",
-        "brownout_latency_penalty",
-    ),
-    ResilienceConfig: (
-        "safe_mode_after", "freshness_timeout", "retry_base_delay",
-        "retry_max_delay", "retry_jitter", "max_retries",
-        "breaker_failure_threshold", "breaker_flap_window",
-        "breaker_flap_threshold", "breaker_open_duration",
+        "low_watermark", "pending_high",
     ),
     ClusterSpec: ("node_count", "node_capacity", "system_reserved", "groups", "zones"),
+    SLOSpec: (
+        "name", "series", "objective", "comparator", "target", "warmup",
+        "kind", "description",
+    ),
 }
 
 

@@ -14,6 +14,7 @@ from repro.cluster.node import Node
 from repro.cluster.pod import PodPhase, PodSpec, WorkloadClass
 from repro.cluster.resources import ResourceVector
 from repro.control.statestore import StateSnapshot, WalRecord
+from repro.dataplane import STAGE_MAX_ATTEMPTS
 from repro.sim.engine import Engine
 from repro.verify.invariants import (
     GangAtomicity,
@@ -551,7 +552,7 @@ class TestDataPlaneConservation:
 
     def test_quarantine_budget_breach_detected(self, engine, cluster, api):
         job = self._ft_job(engine, api)
-        job._runtime["map"].attempts = job.ft.stage_max_attempts + 1
+        job._runtime["map"].attempts = STAGE_MAX_ATTEMPTS + 1
         violations = self._check(engine, cluster, apps={"job": job})
         assert any("without quarantine" in v for v in violations)
 

@@ -30,6 +30,7 @@ import pytest
 
 from repro.cluster.pod import Pod, PodPhase
 from repro.cluster.resources import ResourceVector
+from repro.dataplane import STAGE_MAX_ATTEMPTS
 from repro.verify import fuzzer
 from repro.verify.invariants import (
     _TOLERANCE,
@@ -240,11 +241,11 @@ def ref_data_plane_conservation(self, ctx):
                 )
             for stage in app.stages:
                 rt = app._runtime[stage.name]
-                if rt.attempts > app.ft.stage_max_attempts and not app.failed:
+                if rt.attempts > STAGE_MAX_ATTEMPTS and not app.failed:
                     out.append(
                         f"job {app.name}: stage {stage.name} at "
                         f"{rt.attempts} attempts (budget "
-                        f"{app.ft.stage_max_attempts}) without quarantine"
+                        f"{STAGE_MAX_ATTEMPTS}) without quarantine"
                     )
                 mirrored = sum(t.work_left for t in rt.tasks if not t.done)
                 if abs(stage.remaining_work - mirrored) > _TOLERANCE * max(
@@ -445,7 +446,7 @@ def test_several_breaches_at_once(engine, cluster, api, monkeypatch):
     # Data plane: unbalanced ledger, an exhausted retry budget, a fluid
     # counter off its tasks, and repair traffic that never moved.
     job.ft_retired_work += 7.0
-    job._runtime["map"].attempts = job.ft.stage_max_attempts + 1
+    job._runtime["map"].attempts = STAGE_MAX_ATTEMPTS + 1
     job.stages[0].remaining_work += 5.0
     repair.repaired_mb += 4.0
 

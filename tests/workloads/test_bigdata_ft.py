@@ -11,7 +11,7 @@ import pytest
 
 from repro.cluster.chaos import FailureInjector
 from repro.cluster.resources import ResourceVector
-from repro.dataplane import DataPlaneConfig
+from repro.dataplane import STAGE_MAX_ATTEMPTS, DataPlaneConfig, backoff
 from repro.workloads.bigdata import BigDataJob, Stage
 
 from tests.conftest import make_cluster
@@ -119,8 +119,7 @@ class TestExecutorLoss:
         assert ledger["retired"] == pytest.approx(400.0 + job.ft_reopened_work)
 
     def test_backoff_delays_redispatch(self, engine, api):
-        ft = DataPlaneConfig(enabled=True, retry_backoff_base=20.0)
-        job = submit(engine, api, stages=[Stage("map", 400.0)], ft=ft)
+        job = submit(engine, api, stages=[Stage("map", 400.0)])
         engine.run_until(29.0)
         victim = job.running_pods()[0]
         api.delete_pod(victim.name, reason="executor-kill")
@@ -128,10 +127,11 @@ class TestExecutorLoss:
         rt = job._runtime["map"]
         assert rt.attempts == 1
         # Unclaimed tasks of the struck stage wait out the backoff
-        # (loss detected on the tick after eviction, so ≥ 29 + 20).
+        # (loss detected on the tick after eviction, so ≥ 29 + backoff).
         waiting = [t for t in rt.tasks if not t.done and t.runner is None]
         assert waiting
-        assert all(t.dispatch_after >= 49.0 for t in waiting)
+        assert all(t.dispatch_after >= 29.0 + backoff(1) for t in waiting)
+        assert all(t.dispatch_after > engine.now for t in waiting)
 
 
 class TestLineage:
@@ -183,13 +183,10 @@ class TestLineage:
 
 class TestSpeculation:
     def test_straggler_triggers_winning_duplicate(self, engine, cluster, api):
-        ft = DataPlaneConfig(
-            enabled=True, straggler_patience=2, speculation_quantile=0.25
-        )
         job = BigDataJob(
             "job", engine, api,
             stages=[Stage("map", 600.0, max_parallelism=4)],
-            initial_allocation=ALLOC, initial_executors=4, ft=ft,
+            initial_allocation=ALLOC, initial_executors=4, ft=FT,
         )
         job.start()
         pods = sorted(api.pending_pods(), key=lambda p: p.name)
@@ -220,19 +217,19 @@ class TestSpeculation:
 
 class TestQuarantine:
     def test_retry_budget_exhaustion_fails_job(self, engine, api):
-        ft = DataPlaneConfig(
-            enabled=True, stage_max_attempts=1, retry_backoff_base=1.0
-        )
-        job = submit(engine, api, stages=[Stage("map", 5000.0)], ft=ft)
-        for _ in range(3):
-            if job.failed:
-                break
-            running = job.running_pods()
-            if running:
-                api.delete_pod(running[0].name, reason="executor-kill")
+        job = submit(engine, api, stages=[Stage("map", 5000.0)])
+        rt = job._runtime["map"]
+        for _ in range(STAGE_MAX_ATTEMPTS + 1):
+            assert not job.failed
+            # Strike an executor mid-task: one fault batch on the stage.
+            busy = sorted({t.runner for t in rt.tasks if t.runner and not t.done})
+            api.delete_pod(busy[0], reason="executor-kill")
             engine.run_until(engine.now + 3.0)
             bind_pending(api, "node-0")
-            engine.run_until(engine.now + 8.0)
+            # Wait out the re-dispatch backoff so that the next strike
+            # again finds an executor holding a task.
+            engine.run_until(engine.now + backoff(rt.attempts) + 8.0)
+        assert rt.attempts == STAGE_MAX_ATTEMPTS + 1
         assert job.failed
         assert job.finished
         assert job.quarantined_stage == "map"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.dataplane import DataPlaneConfig
+from repro.dataplane import RESTORE_DELAY, DataPlaneConfig
 from repro.workloads.stream import Operator, StreamJob
 from repro.workloads.traces import ConstantTrace
 
@@ -72,12 +72,11 @@ def test_worker_loss_rolls_back_to_checkpoint(engine, api):
 
 
 def test_restore_window_stalls_processing(engine, api):
-    ft = DataPlaneConfig(enabled=True, restore_delay=10.0)
-    job = deploy(engine, api, ft=ft)
+    job = deploy(engine, api)
     engine.run_until(100.0)
     victim = job.running_pods()[0]
     api.delete_pod(victim.name, reason="worker-kill")
-    engine.run_until(105.0)
+    engine.run_until(100.0 + RESTORE_DELAY / 2)
     # Mid-restore: workers are up but rebuilding operator state.
     assert engine.now < job._restore_until
     assert job.current_rate == 0.0
