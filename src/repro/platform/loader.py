@@ -9,13 +9,15 @@ run it from the CLI without writing Python. Every ``kind`` value maps
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from contextlib import contextmanager
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
 from repro.cluster.resources import ResourceVector
 from repro.platform.config import ClusterSpec, NodeGroup, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
+from repro.storage.objectstore import StorageError
 from repro.workloads.bigdata import Stage
 from repro.workloads.microservice import DemandPhase, ServiceDemands
 from repro.workloads.plo import LatencyPLO, ThroughputPLO
@@ -39,7 +41,21 @@ class ConfigError(ValueError):
     """Raised for malformed experiment configs."""
 
 
+@contextmanager
+def _section(name: str) -> Iterator[None]:
+    """Report what the library rejects while wiring ``name`` as a
+    :class:`ConfigError` naming that section of the config."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, StorageError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def _require(data: Mapping[str, Any], key: str, context: str) -> Any:
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{context}: expected an object, got {data!r}")
     if key not in data:
         raise ConfigError(f"{context}: missing required key {key!r}")
     return data[key]
@@ -58,7 +74,7 @@ def trace_from_dict(
     """Build a load trace from its ``kind`` + parameters."""
     kind = _require(data, "kind", "trace")
     params = {k: v for k, v in data.items() if k != "kind"}
-    try:
+    with _section(f"trace kind {kind!r}"):
         if kind == "constant":
             return ConstantTrace(**params)
         if kind == "step":
@@ -91,16 +107,12 @@ def trace_from_dict(
             samples = [tuple(s) for s in _require(params, "samples", "replay")]
             rest = {k: v for k, v in params.items() if k != "samples"}
             return ReplayTrace(samples, **rest)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"trace kind {kind!r}: {exc}") from exc
     raise ConfigError(f"unknown trace kind {kind!r}")
 
 
 def demands_from_dict(data: Any):
     """A single demand profile, or a list of phased profiles."""
-    try:
+    with _section("bad demands"):
         if isinstance(data, Mapping):
             return ServiceDemands(**data)
         phases = []
@@ -109,20 +121,16 @@ def demands_from_dict(data: Any):
             profile = {k: v for k, v in entry.items() if k != "start_time"}
             phases.append(DemandPhase(start, ServiceDemands(**profile)))
         return phases
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad demands: {exc}") from exc
 
 
 def plo_from_dict(data: Mapping[str, Any]):
     kind = _require(data, "kind", "plo")
     params = {k: v for k, v in data.items() if k != "kind"}
-    try:
+    with _section(f"plo kind {kind!r}"):
         if kind == "latency":
             return LatencyPLO(**params)
         if kind == "throughput":
             return ThroughputPLO(**params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"plo kind {kind!r}: {exc}") from exc
     raise ConfigError(f"unknown plo kind {kind!r}")
 
 
@@ -148,73 +156,82 @@ def cluster_spec_from_dict(data: Mapping[str, Any]) -> ClusterSpec:
                 )
             )
         kwargs["groups"] = tuple(groups)
-    try:
+    with _section("bad cluster spec"):
         return ClusterSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad cluster spec: {exc}") from exc
 
 
 def platform_from_dict(config: Mapping[str, Any]) -> tuple[EvolvePlatform, float]:
     """Wire a platform from a config dict; returns (platform, duration)."""
-    duration = float(config.get("duration", 3600.0))
+    with _section("duration"):
+        duration = float(config.get("duration", 3600.0))
     if duration <= 0:
         raise ConfigError("duration must be positive")
-    platform_config = PlatformConfig(seed=int(config.get("seed", 0)))
-    platform = EvolvePlatform(
-        cluster_spec=cluster_spec_from_dict(config.get("cluster", {})),
-        config=platform_config,
-        scheduler=config.get("scheduler", "converged"),
-        policy=config.get("policy", "adaptive"),
-        policy_kwargs=config.get("policy_kwargs"),
-        scheduler_kwargs=config.get("scheduler_kwargs"),
-    )
+    with _section("seed"):
+        platform_config = PlatformConfig(seed=int(config.get("seed", 0)))
+    with _section("platform"):
+        platform = EvolvePlatform(
+            cluster_spec=cluster_spec_from_dict(config.get("cluster", {})),
+            config=platform_config,
+            scheduler=config.get("scheduler", "converged"),
+            policy=config.get("policy", "adaptive"),
+            policy_kwargs=config.get("policy_kwargs"),
+            scheduler_kwargs=config.get("scheduler_kwargs"),
+        )
 
     for i, svc in enumerate(config.get("services", [])):
         name = _require(svc, "name", f"services[{i}]")
-        plo = plo_from_dict(svc["plo"]) if "plo" in svc else None
-        platform.deploy_microservice(
-            name,
-            trace=trace_from_dict(
-                _require(svc, "trace", name), platform.rng.stream(f"trace/{name}")
-            ),
-            demands=demands_from_dict(_require(svc, "demands", name)),
-            allocation=resources_from_dict(_require(svc, "allocation", name)),
-            plo=plo,
-            replicas=int(svc.get("replicas", 1)),
-            managed=bool(svc.get("managed", plo is not None)),
-            labels=svc.get("labels", {}),
-            node_selector=svc.get("node_selector", {}),
-        )
+        with _section(f"service {name!r}"):
+            plo = plo_from_dict(svc["plo"]) if "plo" in svc else None
+            platform.deploy_microservice(
+                name,
+                trace=trace_from_dict(
+                    _require(svc, "trace", name), platform.rng.stream(f"trace/{name}")
+                ),
+                demands=demands_from_dict(_require(svc, "demands", name)),
+                allocation=resources_from_dict(_require(svc, "allocation", name)),
+                plo=plo,
+                replicas=int(svc.get("replicas", 1)),
+                managed=bool(svc.get("managed", plo is not None)),
+                labels=svc.get("labels", {}),
+                node_selector=svc.get("node_selector", {}),
+            )
 
     for i, job in enumerate(config.get("bigdata", [])):
         name = _require(job, "name", f"bigdata[{i}]")
-        stages = [
-            Stage(
-                name=_require(s, "name", f"{name} stage"),
-                work_cpu_seconds=_require(s, "work", f"{name} stage"),
-                input_mb=s.get("input_mb", 0.0),
-                deps=tuple(s.get("deps", ())),
-                max_parallelism=s.get("max_parallelism", 64),
-                accel_speedup=s.get("accel_speedup", 1.0),
+        with _section(f"bigdata job {name!r}"):
+            stages = [
+                Stage(
+                    name=_require(s, "name", f"{name} stage"),
+                    work_cpu_seconds=_require(s, "work", f"{name} stage"),
+                    input_mb=s.get("input_mb", 0.0),
+                    deps=tuple(s.get("deps", ())),
+                    max_parallelism=s.get("max_parallelism", 64),
+                    accel_speedup=s.get("accel_speedup", 1.0),
+                )
+                for s in _require(job, "stages", name)
+            ]
+            # A config cannot create buckets: a dataset the store does not
+            # hold would only fail the job at its first executor tick.
+            dataset = job.get("dataset")
+            if dataset is not None and not platform.store.has_bucket(dataset):
+                raise ConfigError(f"bigdata job {name!r}: unknown dataset {dataset!r}")
+            platform.submit_bigdata(
+                name,
+                stages=stages,
+                allocation=resources_from_dict(_require(job, "allocation", name)),
+                executors=int(job.get("executors", 2)),
+                dataset=dataset,
+                deadline=job.get("deadline"),
+                delay=float(job.get("delay", 0.0)),
+                accelerator=job.get("accelerator"),
+                labels=job.get("labels", {}),
             )
-            for s in _require(job, "stages", name)
-        ]
-        platform.submit_bigdata(
-            name,
-            stages=stages,
-            allocation=resources_from_dict(_require(job, "allocation", name)),
-            executors=int(job.get("executors", 2)),
-            dataset=job.get("dataset"),
-            deadline=job.get("deadline"),
-            delay=float(job.get("delay", 0.0)),
-            accelerator=job.get("accelerator"),
-            labels=job.get("labels", {}),
-        )
 
     for i, job in enumerate(config.get("streams", [])):
         name = _require(job, "name", f"streams[{i}]")
-        from repro.workloads.stream import Operator
-        try:
+        with _section(f"stream {name!r}"):
+            from repro.workloads.stream import Operator
+
             operators = [
                 Operator(
                     name=_require(op, "name", f"{name} operator"),
@@ -224,47 +241,48 @@ def platform_from_dict(config: Mapping[str, Any]) -> tuple[EvolvePlatform, float
                 )
                 for op in _require(job, "operators", name)
             ]
-        except ValueError as exc:
-            raise ConfigError(f"stream {name!r}: {exc}") from exc
-        plo = plo_from_dict(job["plo"]) if "plo" in job else None
-        platform.deploy_stream(
-            name,
-            trace=trace_from_dict(
-                _require(job, "trace", name), platform.rng.stream(f"trace/{name}")
-            ),
-            operators=operators,
-            allocation=resources_from_dict(_require(job, "allocation", name)),
-            plo=plo,
-            workers=int(job.get("workers", 1)),
-            managed=bool(job.get("managed", plo is not None)),
-            event_mb=float(job.get("event_mb", 0.01)),
-            labels=job.get("labels", {}),
-        )
+            plo = plo_from_dict(job["plo"]) if "plo" in job else None
+            platform.deploy_stream(
+                name,
+                trace=trace_from_dict(
+                    _require(job, "trace", name), platform.rng.stream(f"trace/{name}")
+                ),
+                operators=operators,
+                allocation=resources_from_dict(_require(job, "allocation", name)),
+                plo=plo,
+                workers=int(job.get("workers", 1)),
+                managed=bool(job.get("managed", plo is not None)),
+                event_mb=float(job.get("event_mb", 0.01)),
+                labels=job.get("labels", {}),
+            )
 
     for i, job in enumerate(config.get("hpc", [])):
         name = _require(job, "name", f"hpc[{i}]")
-        platform.submit_hpc(
-            name,
-            ranks=int(_require(job, "ranks", name)),
-            duration=float(_require(job, "job_duration", name)),
-            allocation=resources_from_dict(_require(job, "allocation", name)),
-            delay=float(job.get("delay", 0.0)),
-            comm_fraction=float(job.get("comm_fraction", 0.2)),
-            zone_penalty=float(job.get("zone_penalty", 0.0)),
-            checkpoint_interval=job.get("checkpoint_interval"),
-            labels=job.get("labels", {}),
-        )
+        with _section(f"hpc job {name!r}"):
+            platform.submit_hpc(
+                name,
+                ranks=int(_require(job, "ranks", name)),
+                duration=float(_require(job, "job_duration", name)),
+                allocation=resources_from_dict(_require(job, "allocation", name)),
+                delay=float(job.get("delay", 0.0)),
+                comm_fraction=float(job.get("comm_fraction", 0.2)),
+                zone_penalty=float(job.get("zone_penalty", 0.0)),
+                checkpoint_interval=job.get("checkpoint_interval"),
+                labels=job.get("labels", {}),
+            )
 
-    for tenant, limit in config.get("quotas", {}).items():
-        platform.set_tenant_quota(tenant, resources_from_dict(limit))
+    with _section("quotas"):
+        for tenant, limit in config.get("quotas", {}).items():
+            platform.set_tenant_quota(tenant, resources_from_dict(limit))
 
     if "chaos" in config:
         chaos = config["chaos"]
-        platform.enable_chaos(
-            mtbf=float(chaos.get("mtbf", 3600.0)),
-            repair_time=float(chaos.get("repair_time", 300.0)),
-            max_concurrent_failures=int(chaos.get("max_concurrent_failures", 1)),
-        )
+        with _section("chaos"):
+            platform.enable_chaos(
+                mtbf=float(chaos.get("mtbf", 3600.0)),
+                repair_time=float(chaos.get("repair_time", 300.0)),
+                max_concurrent_failures=int(chaos.get("max_concurrent_failures", 1)),
+            )
     return platform, duration
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the declarative config loader."""
 
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -191,7 +193,53 @@ FULL_CONFIG = {
 }
 
 
+STREAM = {
+    "name": "ingest",
+    "trace": {"kind": "constant", "value": 50},
+    "operators": [{"name": "parse", "cpu_seconds": 0.001}],
+    "allocation": {"cpu": 1, "memory": 1, "disk_bw": 10, "net_bw": 10},
+}
+
+#: One-line faults in an otherwise valid config: (path to the value, bad
+#: value, the section the ConfigError must name).
+MALFORMED = {
+    "seed": (("seed",), "abc", "seed"),
+    "duration": (("duration",), "x", "duration"),
+    "replicas": (("services", 0, "replicas"), "two", "service 'web'"),
+    "scheduler": (("scheduler",), "nope", "platform"),
+    "policy": (("policy",), "nope", "platform"),
+    "policy-kwargs": (("policy_kwargs",), {"bogus": 1}, "platform"),
+    "scheduler-kwargs": (("scheduler_kwargs",), {"bogus": 1}, "platform"),
+    "service-not-object": (("services", 0), 42, "services[0]"),
+    "unknown-dep": (
+        ("bigdata", 0, "stages", 0, "deps"), ["nope"], "bigdata job 'etl'"
+    ),
+    "zero-ranks": (("hpc", 0, "ranks"), 0, "hpc job 'sim'"),
+    "allocation": (
+        ("services", 0, "allocation", "cpu"), "x", "service 'web'"
+    ),
+    "quota": (("quotas",), {"team": {"cpu": "x"}}, "quotas"),
+    "duplicate-name": (("hpc", 0, "name"), "web", "hpc job 'web'"),
+    "negative-mtbf": (("chaos",), {"mtbf": -1}, "chaos"),
+    "no-operators": (("streams", 0, "operators"), [], "stream 'ingest'"),
+    "unknown-dataset": (
+        ("bigdata", 0, "dataset"), "lake", "bigdata job 'etl'"
+    ),
+}
+
+
 class TestPlatformFromDict:
+    @pytest.mark.parametrize("fault", MALFORMED)
+    def test_malformed_config_is_config_error(self, fault):
+        path, value, section = MALFORMED[fault]
+        config = copy.deepcopy(dict(FULL_CONFIG, streams=[STREAM]))
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(section)}: "):
+            platform_from_dict(config)
+
     def test_full_config_runs(self):
         platform, duration = platform_from_dict(FULL_CONFIG)
         assert duration == 900
