@@ -345,15 +345,6 @@ def cmd_arena(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.verify import fuzzer
 
-    if args.every < 1:
-        print(f"error: --every must be ≥ 1, got {args.every}", file=sys.stderr)
-        return 2
-    if args.episodes < 0:
-        print(
-            f"error: --episodes must be ≥ 0, got {args.episodes}",
-            file=sys.stderr,
-        )
-        return 2
     if args.replay is not None:
         try:
             result = fuzzer.replay(
@@ -523,9 +514,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_argument(args: argparse.Namespace) -> str | None:
+    """Why a numeric argument is out of range, or None if all are valid.
+    ``main`` checks this before any command runs a simulation."""
+    duration = getattr(args, "duration", None)
+    if duration is not None and not duration > 0:
+        return f"--duration must be > 0, got {duration:g}"
+    for name, low in (("seed", 0), ("episodes", 0), ("every", 1), ("top_k", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            return f"--{name.replace('_', '-')} must be ≥ {low}, got {value}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _bad_argument(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -175,3 +175,37 @@ def test_fuzz_negative_episodes(tmp_path, capsys):
     err = _fuzz_error(["--episodes", "-2", "--out", str(tmp_path)], capsys)
     assert "--episodes" in err
     assert "fuzz:" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["run", "{config}", "--duration", "0"], "--duration",
+                     id="run-duration"),
+        pytest.param(["demo", "--duration", "-60"], "--duration",
+                     id="demo-duration"),
+        pytest.param(["trace", "{tmp}/t.json", "--duration", "0"],
+                     "--duration", id="trace-duration"),
+        pytest.param(["report", "calm", "--duration", "0"], "--duration",
+                     id="report-duration"),
+        pytest.param(["report", "calm", "--seed", "-1"], "--seed",
+                     id="report-seed"),
+        pytest.param(["arena", "--policies", "static", "--scenarios", "calm",
+                      "--seed", "-1"], "--seed", id="arena-seed"),
+        pytest.param(["fuzz", "--episodes", "1", "--out", "{tmp}",
+                      "--seed", "-1"], "--seed", id="fuzz-seed"),
+        pytest.param(["bench", "--only", "t1", "--seed", "-1"], "--seed",
+                     id="bench-seed"),
+        pytest.param(["report", "calm", "--duration", "60", "--top-k", "0"],
+                     "--top-k", id="report-top-k"),
+    ],
+)
+def test_out_of_range_argument_exits_2(argv, flag, tmp_path, capsys):
+    """A bad numeric argument is a usage error caught before any run."""
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"duration": 60, "cluster": {"nodes": 2}}))
+    argv = [a.format(config=config, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} must be")
+    assert captured.out == ""
