@@ -4,8 +4,12 @@ A downstream user's first contact is ``from repro.X import Y``; this
 test pins the advertised surface so refactors cannot silently drop it.
 """
 
+import ast
 import dataclasses
+import functools
 import importlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,71 @@ CONFIG_FIELDS = {
 def test_config_fields_are_pinned(config):
     fields = tuple(f.name for f in dataclasses.fields(config))
     assert fields == CONFIG_FIELDS[config]
+
+
+REPO = Path(__file__).resolve().parent.parent
+#: Where a caller counts: program code, not tests or examples.
+PROGRAM_DIRS = ("src", "benchmarks", "bench")
+
+
+def _passes_through(name: str, value: ast.expr) -> bool:
+    """``name=name`` or ``name=<obj>.name``: forwarding, not choosing."""
+    if isinstance(value, ast.Name):
+        return value.id == name
+    return isinstance(value, ast.Attribute) and value.attr == name
+
+
+def _json_keys(value) -> set[str]:
+    if isinstance(value, dict):
+        keys = set(value)
+        for item in value.values():
+            keys |= _json_keys(item)
+        return keys
+    if isinstance(value, list):
+        return set().union(*map(_json_keys, value))
+    return set()
+
+
+@functools.lru_cache(maxsize=None)
+def program_setters() -> frozenset[str]:
+    """Names program code sets: keyword arguments, string dict keys and
+    string subscript-assignment targets under :data:`PROGRAM_DIRS`, minus
+    same-name pass-throughs, plus every key of the JSON under ``src/``."""
+    names: set[str] = set()
+    for top in PROGRAM_DIRS:
+        for path in sorted((REPO / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                pairs = []
+                if isinstance(node, ast.keyword) and node.arg is not None:
+                    pairs.append((node.arg, node.value))
+                elif isinstance(node, ast.Dict):
+                    pairs.extend(zip(node.keys, node.values))
+                elif isinstance(node, ast.Assign):
+                    pairs.extend(
+                        (target.slice, node.value)
+                        for target in node.targets
+                        if isinstance(target, ast.Subscript)
+                    )
+                for key, value in pairs:
+                    if isinstance(key, ast.Constant):
+                        key = key.value
+                    if isinstance(key, str) and not _passes_through(key, value):
+                        names.add(key)
+    for path in sorted((REPO / "src").rglob("*.json")):
+        names |= _json_keys(json.loads(path.read_text()))
+    return frozenset(names)
+
+
+def test_every_config_field_has_a_program_setter():
+    """An option no program sets is a constant: each field of the config
+    dataclasses must be set somewhere outside tests and examples."""
+    unset = [
+        f"{config.__name__}.{f.name}"
+        for config in CONFIG_FIELDS
+        for f in dataclasses.fields(config)
+        if f.name not in program_setters()
+    ]
+    assert not unset, f"fields only tests set (make them constants): {unset}"
 
 
 def test_cli_module_importable():
