@@ -23,7 +23,11 @@ copies (events, the job's FT ledger, speculation and lineage counters,
 makespan); and one R-T10 overload run whose HPC gang waits past the
 starvation timeout, the only digested run in which the admission
 controller admits aged pods (events, placements, invariant violations and
-the admission ledger).
+the admission ledger); and one run whose metrics faults draw RNG per
+sample (continuous outliers and an outlier window overlapping a
+blackout and a freeze) over managed services and an unmanaged app whose
+samples nothing reads (events, placements, the fault filter's counters
+and scale events).
 
 Digests are recorded on one interpreter (the file's ``python`` field)
 and the test skips on any other: float formatting and library numerics
@@ -104,6 +108,9 @@ SPECULATION_SPEC = ScenarioSpec(
 #: An HPC gang submitted into the shedding R-T10 overload mix pends past
 #: the starvation timeout, so the admission controller admits aged pods.
 STARVATION_HORIZON = 900.0
+#: Per-sample metrics faults: every scraped sample, read or not, passes
+#: through the fault filter, whose outlier draws share one RNG stream.
+NOISE_HORIZON = 600.0
 
 
 def _interpreter() -> str:
@@ -261,6 +268,60 @@ def _starvation() -> dict:
     }
 
 
+def _noise() -> dict:
+    from repro.platform.config import ClusterSpec, PlatformConfig
+    from repro.platform.evolve import EvolvePlatform
+    from repro.workloads.microservice import ServiceDemands
+    from repro.workloads.plo import LatencyPLO
+    from repro.workloads.traces import DiurnalTrace
+
+    platform = EvolvePlatform(
+        cluster_spec=ClusterSpec(node_count=4),
+        config=PlatformConfig(seed=17),
+        scheduler="converged",
+        policy="adaptive",
+    )
+    placements = _record_placements(platform)
+    allocation = ResourceVector(cpu=0.6, memory=1, disk_bw=15, net_bw=15)
+    for i in range(3):
+        platform.deploy_microservice(
+            f"svc-{i}",
+            trace=DiurnalTrace(base=70, amplitude=40, period=900, phase=i * 150),
+            demands=ServiceDemands(
+                cpu_seconds=0.008, disk_mb=0.1, net_mb=0.05, base_latency=0.01
+            ),
+            allocation=allocation,
+            plo=LatencyPLO(0.06, window=30),
+        )
+    platform.deploy_microservice(
+        "batch",
+        trace=DiurnalTrace(base=40, amplitude=20, period=600),
+        demands=ServiceDemands(cpu_seconds=0.01, base_latency=0.02),
+        allocation=allocation,
+        managed=False,
+    )
+    faults = platform.metrics_faults
+    engine = platform.engine
+
+    def at(time: float, action) -> None:
+        engine.schedule(time, lambda: action(engine.now))
+
+    at(120.0, lambda now: setattr(faults, "outlier_probability", 0.05))
+    at(450.0, lambda now: setattr(faults, "outlier_probability", 0.0))
+    at(180.0, lambda now: faults.inject_noise(now, 180.0, probability=0.3, factor=6.0))
+    at(200.0, lambda now: faults.blackout("app/svc-0", now, 120.0))
+    at(240.0, lambda now: faults.freeze("app/svc-1", now, 150.0))
+    platform.run(NOISE_HORIZON)
+    return {
+        "placements": placements,
+        "events_executed": engine.events_executed,
+        "outliers_injected": faults.outliers_injected,
+        "samples_dropped": faults.samples_dropped,
+        "samples_frozen": faults.samples_frozen,
+        "scale_events": platform.result().scale_events,
+    }
+
+
 def runs() -> dict:
     """Fingerprint key → zero-argument function producing its payload."""
     table = {}
@@ -283,6 +344,7 @@ def runs() -> dict:
     table["monkey/" + "+".join(MONKEY_KINDS)] = _monkey
     table["speculation/etl"] = _speculation
     table["starvation/gang"] = _starvation
+    table["metrics-faults/noise"] = _noise
     return table
 
 
