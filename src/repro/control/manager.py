@@ -91,13 +91,13 @@ class HorizontalPolicy(Protocol):
 #: Consecutive stale control periods before an app enters safe mode.
 SAFE_MODE_AFTER = 3
 #: Retry schedule for failed actuations: attempt *n* waits
-#: ``RETRY_BASE_DELAY · 2ⁿ`` seconds (capped at ``RETRY_MAX_DELAY``),
-#: multiplied by a uniform ``1 ± RETRY_JITTER`` factor so synchronized
-#: retries de-correlate. At most ``MAX_RETRIES`` retries per decision.
+#: ``RETRY_BASE_DELAY · 2ⁿ`` seconds, multiplied by a uniform
+#: ``1 ± RETRY_JITTER`` factor so synchronized retries de-correlate. The
+#: breaker bounds the retries: it trips on the
+#: ``BREAKER_FAILURE_THRESHOLD``-th consecutive failure, so a decision is
+#: retried at most ``BREAKER_FAILURE_THRESHOLD - 1`` times.
 RETRY_BASE_DELAY = 2.0
-RETRY_MAX_DELAY = 60.0
 RETRY_JITTER = 0.25
-MAX_RETRIES = 4
 #: Consecutive actuation failures that trip the circuit breaker.
 BREAKER_FAILURE_THRESHOLD = 3
 #: Trip the breaker when the last ``BREAKER_FLAP_WINDOW`` non-hold
@@ -467,8 +467,8 @@ class ControlLoopManager:
         """Run one actuation, absorbing injected transient failures.
 
         On failure the actuation is rescheduled with exponential backoff
-        and jitter (up to :data:`MAX_RETRIES`); repeated failures trip the
-        circuit breaker instead of retrying forever.
+        and jitter; the :data:`BREAKER_FAILURE_THRESHOLD`-th consecutive
+        failure trips the circuit breaker instead of retrying again.
         """
         tel = self.telemetry
         sp = None
@@ -528,11 +528,7 @@ class ControlLoopManager:
         if entry.consecutive_failures >= BREAKER_FAILURE_THRESHOLD:
             self._trip_breaker(entry, self.engine.now)
             return
-        if entry.retry_attempts >= MAX_RETRIES:
-            # Give up on this decision; the next period re-decides.
-            self._cancel_retry(entry)
-            return
-        delay = min(RETRY_MAX_DELAY, RETRY_BASE_DELAY * (2.0 ** entry.retry_attempts))
+        delay = RETRY_BASE_DELAY * (2.0 ** entry.retry_attempts)
         delay *= 1.0 + RETRY_JITTER * (2.0 * float(self.rng.random()) - 1.0)
         entry.retry_attempts += 1
         entry.counters["retries"] += 1

@@ -12,7 +12,6 @@ from repro.control.manager import (
     BREAKER_FLAP_THRESHOLD,
     BREAKER_FLAP_WINDOW,
     BREAKER_OPEN_DURATION,
-    MAX_RETRIES,
     RETRY_BASE_DELAY,
     RETRY_JITTER,
     SAFE_MODE_AFTER,
@@ -228,26 +227,14 @@ class TestRetries:
         # its base delay doubling; the failure that reaches the threshold
         # trips the breaker instead.
         retries = BREAKER_FAILURE_THRESHOLD - 1
-        assert retries < MAX_RETRIES
+        # The breaker is what bounds the retries of one decision.
+        assert len(delays) == retries < BREAKER_FAILURE_THRESHOLD
         base = [RETRY_BASE_DELAY * 2.0**n for n in range(retries)]
         assert delays == pytest.approx(jittered(base))
         res = manager.entry_resilience("svc")
         assert res["retries"] == retries
         assert res["actuation_failures"] == BREAKER_FAILURE_THRESHOLD
         assert res["breaker_trips"] == 1
-
-    def test_gives_up_after_max_retries(self, engine, api, collector):
-        svc = deploy(engine, api, collector)
-        manager, entry = self.make_manager(engine, collector, svc)
-        # A decision whose retry budget is already spent: the next failure
-        # drops it instead of scheduling another attempt.
-        entry.retry_attempts = MAX_RETRIES
-        manager._actuate(entry, failing_action)
-        engine.run_until(1000.0)
-        assert manager.entry_resilience("svc")["retries"] == 0
-        assert entry.retry_attempts == 0
-        assert entry.retry_handle is None
-        assert entry.retry_action is None
 
     def test_jitter_spreads_delays(self, engine, api, collector):
         svc = deploy(engine, api, collector)
