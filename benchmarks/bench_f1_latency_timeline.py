@@ -21,6 +21,7 @@ def run_policy(policy: str, seed: int, duration: float):
     """Worst web latency per SAMPLE bucket, plus the finished platform."""
     platform = build_platform(policy, nodes=6, seed=seed)
     deploy_service_mix(platform)
+    platform.collector.declare("app/web/latency")
     platform.run(duration)
     times, values = platform.collector.series("app/web/latency").to_lists()
     buckets: dict[float, float] = {}

@@ -24,6 +24,7 @@ def run_step(factor: float, adaptive: bool, seed: int) -> dict:
         policy_kwargs={"horizontal": False, "adaptive": adaptive},
     )
     app = step_load_service(platform, factor=factor, step_at=STEP_AT)
+    platform.collector.declare(f"plo/{app}/ratio")
     platform.run(DURATION)
     series = platform.collector.series(f"plo/{app}/ratio")
     times, values = series.to_lists()

@@ -7,6 +7,7 @@ afterwards, plus the same run with the CPU-only ablation flatlining.
 Smoke runs the full controller only.
 """
 
+from repro.analysis.cost import cost_series
 from repro.analysis.report import format_table
 from repro.cluster.resources import RESOURCES
 from benchmarks.scenarios import (
@@ -26,9 +27,9 @@ def run_variant(dimensions, seed: int) -> dict:
         kwargs["dimensions"] = dimensions
     platform = build_platform("adaptive", nodes=4, seed=seed, policy_kwargs=kwargs)
     app = phase_shift_service(platform)
+    platform.collector.declare(*cost_series(app))
     platform.run(DURATION)
-    series = {r: platform.collector.series(f"app/{app}/alloc/{r}")
-              for r in RESOURCES}
+    series = dict(zip(RESOURCES, map(platform.collector.series, cost_series(app))))
     samples = [
         (t, {r: series[r].value_at(t) for r in RESOURCES})
         for t in (SAMPLE * i for i in range(1, int(DURATION // SAMPLE) + 1))

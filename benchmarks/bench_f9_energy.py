@@ -10,7 +10,7 @@ violation penalty for consolidation (less headroom per node). Smoke
 compares consolidate and spread over 1.5 h.
 """
 
-from repro.analysis.energy import PowerModel, cluster_energy
+from repro.analysis.energy import PowerModel, cluster_energy, energy_series
 from repro.analysis.report import format_table
 from benchmarks.scenarios import HOUR, build_platform, deploy_service_mix
 
@@ -32,6 +32,8 @@ def run_config(label: str, seed: int, duration: float) -> dict:
         scheduler=scheduler, scheduler_kwargs=scheduler_kwargs,
     )
     deploy_service_mix(platform)
+    for node in platform.cluster.nodes:
+        platform.collector.declare(*energy_series(node))
     platform.run(duration)
     model = PowerModel()
     energy = cluster_energy(

@@ -31,7 +31,7 @@ the ``overload`` report preset shares.
 
 from __future__ import annotations
 
-from repro.analysis.recovery import fault_recovery_report, summarize
+from repro.analysis.recovery import error_series, fault_recovery_report, summarize
 from repro.cluster.chaos import ZoneOutageInjector
 from repro.platform.presets import (
     OVERLOAD_BASE_RATE,
@@ -87,6 +87,7 @@ def _run_zone_outage(*, duration: float, seed: int) -> dict:
 
     platform.engine.schedule(strike_at, lambda: token.append(dom.strike_zone("z0")))
     platform.engine.schedule(heal_at, lambda: dom.heal(token[0]))
+    platform.collector.declare(error_series("web"), error_series("stream"))
     platform.run(duration)
     platform.result()  # closes any danglers before the recovery report
 

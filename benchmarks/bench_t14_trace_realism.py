@@ -178,6 +178,7 @@ def _platform_cell(sizes: dict, seed: int) -> dict:
         allocation=ResourceVector(cpu=1.2, memory=2, disk_bw=10, net_bw=30),
         plo=LatencyPLO(0.08, window=30),
     )
+    platform.collector.declare("app/frontend/offered", "app/frontend/size_factor")
     platform.run(horizon)
     times, offered = platform.collector.series("app/frontend/offered").to_lists()
     dt = times[1] - times[0] if len(times) > 1 else 0.0

@@ -7,7 +7,12 @@ controller cuts the tenants' allocation bill by several × versus static
 sizing at near-equal PLO compliance — the money version of reclaim.
 """
 
-from repro.analysis.cost import PriceSheet, app_cost, cluster_provisioned_cost
+from repro.analysis.cost import (
+    PriceSheet,
+    app_cost,
+    cluster_provisioned_cost,
+    cost_series,
+)
 from repro.analysis.report import format_table
 from benchmarks.scenarios import HOUR, build_platform
 from benchmarks.bench_t2_utilization import deploy_overprovisioned_mix
@@ -27,6 +32,8 @@ def run_case(mode: str, seed: int = SEED) -> dict:
     for policy in policies:
         platform = build_platform(policy, nodes=6, seed=seed)
         apps = deploy_overprovisioned_mix(platform)
+        for app in apps:
+            platform.collector.declare(*cost_series(app))
         platform.run(duration)
         metrics[f"bill/{policy}"] = sum(
             app_cost(platform.collector, app, prices=prices).total

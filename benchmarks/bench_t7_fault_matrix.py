@@ -19,7 +19,7 @@ resilience counters. Smoke runs the micro × crash cell only.
 
 from __future__ import annotations
 
-from repro.analysis.recovery import fault_recovery_report, summarize
+from repro.analysis.recovery import error_series, fault_recovery_report, summarize
 from repro.cluster.resources import ResourceVector
 from repro.workloads.bigdata import Stage
 
@@ -95,6 +95,7 @@ def _run_cell(workload: str, fault: str, seed: int) -> dict:
     platform = build_platform("adaptive", nodes=6, seed=seed)
     apps = _deploy(platform, workload)
     _arm_fault(platform, fault, apps)
+    platform.collector.declare(*map(error_series, apps))
 
     # Zero-unhandled-exceptions criterion: any escape fails the cell.
     platform.run(DURATION)

@@ -63,6 +63,8 @@ def _build(
     # with a standby re-provisions within a couple of control periods; a
     # dead single controller eats violations until its replica restarts.
     apps.append(step_load_service(platform, factor=3.0, step_at=step_at))
+    # run_case compares the CPU allocations of two runs.
+    platform.collector.declare(*(f"app/{app}/alloc/cpu" for app in apps))
     return platform, apps
 
 

@@ -62,6 +62,7 @@ def _build(*, telemetry: bool, apps: int, seed: int):
                                       net_bw=15),
             plo=LatencyPLO(0.06, window=30),
         )
+    platform.collector.declare(*_fingerprint_series(apps))
     return platform
 
 
@@ -101,17 +102,24 @@ def _guard_cost_per_check() -> float:
     return (time.perf_counter() - t0) / n
 
 
-def _series_fingerprint(platform, apps: int):
+def _fingerprint_series(apps: int) -> list[str]:
     """The seeded sample streams whose bit-identity we assert."""
+    return [
+        metric
+        for i in range(apps)
+        for metric in (f"app/svc-{i}/latency", f"app/svc-{i}/alloc/cpu",
+                       f"control/svc-{i}/output")
+    ]
+
+
+def _series_fingerprint(platform, apps: int):
     out = {}
     collector = platform.collector
-    for i in range(apps):
-        for metric in (f"app/svc-{i}/latency", f"app/svc-{i}/alloc/cpu",
-                       f"control/svc-{i}/output"):
-            out[metric] = (
-                collector.series(metric).to_lists()
-                if collector.has_series(metric) else None
-            )
+    for metric in _fingerprint_series(apps):
+        out[metric] = (
+            collector.series(metric).to_lists()
+            if collector.has_series(metric) else None
+        )
     return out
 
 

@@ -47,6 +47,7 @@ def run(dimensions):
         plo=LatencyPLO(0.05, window=30),
     )
     collector = platform.collector
+    collector.declare("app/pipeline/latency")
     samples = []
     for end in range(300, int(3 * PHASE) + 1, 300):
         platform.run(end - platform.engine.now)

@@ -1,6 +1,7 @@
 """Evaluation support: PLO monitoring, summary statistics, table output."""
 
 from repro.analysis.stats import (
+    UTILIZATION_SERIES,
     PLOMonitor,
     UtilizationSummary,
     overshoot,
@@ -8,18 +9,25 @@ from repro.analysis.stats import (
     settling_time,
     utilization_summary,
 )
-from repro.analysis.report import format_table, series_to_rows
+from repro.analysis.report import format_table
 from repro.analysis.cost import (
     CostReport,
     PriceSheet,
     app_cost,
     cluster_provisioned_cost,
+    cost_series,
 )
-from repro.analysis.energy import EnergyReport, PowerModel, cluster_energy
+from repro.analysis.energy import (
+    EnergyReport,
+    PowerModel,
+    cluster_energy,
+    energy_series,
+)
 from repro.analysis.recovery import (
     EpisodeRecovery,
     FailoverStats,
     RecoveryStats,
+    error_series,
     failover_stats,
     fault_recovery_report,
     reconvergence_time,
@@ -40,20 +48,23 @@ __all__ = [
     "CostReport",
     "app_cost",
     "cluster_provisioned_cost",
+    "cost_series",
     "PowerModel",
     "EnergyReport",
     "cluster_energy",
+    "energy_series",
     "PLOMonitor",
     "UtilizationSummary",
     "utilization_summary",
+    "UTILIZATION_SERIES",
     "settling_time",
     "recovery_time",
     "overshoot",
     "format_table",
-    "series_to_rows",
     "EpisodeRecovery",
     "FailoverStats",
     "RecoveryStats",
+    "error_series",
     "failover_stats",
     "fault_recovery_report",
     "reconvergence_time",

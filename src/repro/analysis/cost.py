@@ -1,11 +1,12 @@
 """Cost accounting over allocation time-series.
 
 Computes what each application's reserved resources would cost at
-cloud-style unit prices, entirely offline from the collector's
-``app/<name>/alloc/<resource>`` series — the platform needs no runtime
-hooks. The evaluation uses it to translate reclaimed allocation (R-T2)
-into money, the argument the paper's converged platform makes to
-operators.
+cloud-style unit prices, offline from the collector's
+``app/<name>/alloc/<resource>`` series. The collector stores only
+declared series, so the caller declares :func:`cost_series` for each app
+it will bill before the run. The evaluation uses it to translate
+reclaimed allocation (R-T2) into money, the argument the paper's
+converged platform makes to operators.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ class CostReport:
         return sum(self.per_resource.values())
 
 
+def cost_series(app: str) -> tuple[str, ...]:
+    """The allocation series :func:`app_cost` integrates for ``app``."""
+    return tuple(f"app/{app}/alloc/{resource}" for resource in RESOURCES)
+
+
 def app_cost(
     collector: MetricsCollector,
     app: str,
@@ -83,8 +89,7 @@ def app_cost(
         raise ValueError("end must be after start")
     price_vec = prices.as_vector()
     per_resource = {}
-    for resource in RESOURCES:
-        series_name = f"app/{app}/alloc/{resource}"
+    for resource, series_name in zip(RESOURCES, cost_series(app)):
         if not collector.has_series(series_name):
             per_resource[resource] = 0.0
             continue

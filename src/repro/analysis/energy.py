@@ -69,6 +69,11 @@ class EnergyReport:
         return self.total_kwh * 3.6e6 / self.window
 
 
+def energy_series(node: str) -> tuple[str, str]:
+    """The CPU gauges :func:`cluster_energy` walks for ``node``."""
+    return f"node/{node}/alloc_frac/cpu", f"node/{node}/usage_frac/cpu"
+
+
 def cluster_energy(
     collector: MetricsCollector,
     node_names: list[str],
@@ -88,8 +93,9 @@ def cluster_energy(
         raise ValueError("end must be after start")
     per_node: dict[str, float] = {}
     for name in node_names:
-        alloc_series = collector.series(f"node/{name}/alloc_frac/cpu")
-        usage_series = collector.series(f"node/{name}/usage_frac/cpu")
+        alloc_name, usage_name = energy_series(name)
+        alloc_series = collector.series(alloc_name)
+        usage_series = collector.series(usage_name)
         times, allocs = alloc_series.to_lists()
         _times2, usages = usage_series.to_lists()
         joules = 0.0

@@ -5,7 +5,8 @@ injectors against the control loop's recorded ``control/<app>/error``
 series to answer, per episode: how long did the fault last (MTTR at the
 infrastructure level), and how long after injection did each managed
 application's PLO error settle back inside the deadband (re-convergence
-at the control level)?
+at the control level)? The caller declares :func:`error_series` for each
+app before the run, so the collector stores it.
 
 Used by ``benchmarks/bench_t7_fault_matrix.py`` and the robustness tests.
 """
@@ -17,6 +18,11 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.cluster.chaos import FaultEpisode, FaultLog
 from repro.metrics.collector import MetricsCollector
+
+
+def error_series(app: str) -> str:
+    """The control-loop error series :func:`reconvergence_time` reads."""
+    return f"control/{app}/error"
 
 
 def reconvergence_time(
@@ -40,7 +46,7 @@ def reconvergence_time(
     """
     if settle < 1:
         raise ValueError("settle must be ≥ 1")
-    name = f"control/{app}/error"
+    name = error_series(app)
     if not collector.has_series(name):
         return None
     end = start + horizon if horizon is not None else float("inf")

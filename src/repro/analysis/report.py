@@ -1,14 +1,12 @@
-"""Plain-text tables and series dumps for the benchmark harness.
+"""Plain-text tables for the benchmark harness.
 
-Every benchmark prints its table/figure data through these helpers so the
-outputs in EXPERIMENTS.md regenerate byte-comparably.
+Every benchmark prints its table data through this helper so the outputs
+in EXPERIMENTS.md regenerate byte-comparably.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-from repro.metrics.timeseries import TimeSeries
 
 
 def _format_cell(value: object) -> str:
@@ -37,18 +35,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def series_to_rows(
-    series: TimeSeries, *, step: float, start: float, end: float
-) -> list[tuple[float, float]]:
-    """Resample a series at fixed steps (step interpolation) for figures."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    rows = []
-    t = start
-    while t <= end + 1e-9:
-        value = series.value_at(t)
-        if value is not None:
-            rows.append((t, value))
-        t += step
-    return rows

@@ -22,6 +22,7 @@ __all__ = [
     "PLOMonitor",
     "UtilizationSummary",
     "utilization_summary",
+    "UTILIZATION_SERIES",
     "settling_time",
     "recovery_time",
     "overshoot",
@@ -33,7 +34,8 @@ class PLOMonitor:
 
     Tracks a :class:`~repro.workloads.plo.ViolationTracker` per
     application and records ``plo/<app>/ratio`` and ``plo/<app>/violated``
-    series for the figure benchmarks.
+    series for the figure benchmarks; like any series, they are stored
+    only once a reader declares them.
     """
 
     def __init__(
@@ -49,11 +51,12 @@ class PLOMonitor:
         self._handle: PeriodicHandle | None = None
 
     def track(self, app: Application) -> ViolationTracker:
-        """Start judging ``app`` (must carry a PLO)."""
+        """Start judging ``app`` (must carry a PLO); declares its PLO metric."""
         if app.plo is None:
             raise ValueError(f"application {app.name!r} has no PLO attached")
         if app.name in self.trackers:
             raise ValueError(f"application {app.name!r} already tracked")
+        self.collector.declare(app.plo.metric_name(app.name))
         self._apps.append(app)
         tracker = ViolationTracker()
         self.trackers[app.name] = tracker
@@ -100,10 +103,21 @@ class UtilizationSummary:
         return sum(self.mean_alloc.values()) / len(self.mean_alloc)
 
 
+#: The cluster gauges :func:`utilization_summary` integrates.
+UTILIZATION_SERIES = tuple(
+    f"cluster/{kind}/{name}"
+    for name in RESOURCES
+    for kind in ("usage_frac", "alloc_frac")
+)
+
+
 def utilization_summary(
     collector: MetricsCollector, start: float, end: float
 ) -> UtilizationSummary:
-    """Integrate the cluster gauge series over ``[start, end]``."""
+    """Integrate the cluster gauge series over ``[start, end]``.
+
+    Reads :data:`UTILIZATION_SERIES`, which must have been declared.
+    """
     if end <= start:
         raise ValueError("end must be after start")
     span = end - start

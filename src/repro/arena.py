@@ -51,8 +51,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from repro.analysis.cost import app_cost
-from repro.analysis.recovery import fault_recovery_report, summarize
+from repro.analysis.cost import app_cost, cost_series
+from repro.analysis.recovery import (
+    error_series,
+    fault_recovery_report,
+    summarize,
+)
 from repro.analysis.report import format_table
 from repro.analysis.stats import recovery_time
 from repro.autoscaler.registry import registered_policies
@@ -206,10 +210,7 @@ def _convergence(platform, spec: ScenarioSpec) -> float:
     )
     worst = 0.0
     for name in sorted(platform.monitor.trackers):
-        try:
-            series = platform.collector.series(f"plo/{name}/ratio")
-        except KeyError:
-            continue
+        series = platform.collector.series(f"plo/{name}/ratio")
         for anchor in anchors:
             settled = recovery_time(
                 series, after=anchor, threshold=1.0, hold=CONVERGE_HOLD
@@ -239,6 +240,12 @@ def run_cell(
     ledger = _ActuationLedger()
     for app in platform.apps.values():
         ledger.instrument(app)
+    # The series the scorecard reads after the run: cost, recovery and
+    # convergence.
+    collector = platform.collector
+    for name in platform.apps:
+        collector.declare(*cost_series(name), error_series(name))
+    collector.declare(*(f"plo/{name}/ratio" for name in platform.monitor.trackers))
     platform.run(spec.horizon)
     result = platform.result()
     util = result.utilization

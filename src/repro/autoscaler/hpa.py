@@ -63,6 +63,11 @@ class HorizontalPodAutoscaler(AutoscalerBase):
         # app name -> (pending lower desired count, since-time)
         self._pending_down: dict[str, tuple[int, float]] = {}
 
+    def attach(self, app: Application) -> None:
+        super().attach(app)
+        prefix = app.metric_prefix()
+        self.collector.declare(f"{prefix}/usage/cpu", f"{prefix}/alloc/cpu")
+
     def _observed_utilization(self, app: Application) -> float | None:
         """Mean CPU usage/allocation over the last interval, from metrics."""
         prefix = app.metric_prefix()

@@ -65,6 +65,11 @@ class VerticalPodAutoscaler(AutoscalerBase):
         self.change_threshold = change_threshold
         self.resizes = 0
 
+    def attach(self, app: Application) -> None:
+        super().attach(app)
+        prefix = app.metric_prefix()
+        self.collector.declare(*(f"{prefix}/usage/{name}" for name in RESOURCES))
+
     def recommend(self, app: Application) -> ResourceVector | None:
         """Current recommendation from the usage history, or None."""
         prefix = app.metric_prefix()

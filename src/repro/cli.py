@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.cost import PriceSheet, app_cost
+from repro.analysis.cost import PriceSheet, app_cost, cost_series
 from repro.analysis.report import format_table
 from repro.cluster.resources import ResourceVector
 from repro.platform.config import PlatformConfig
@@ -37,6 +37,12 @@ from repro.workloads.hpc import HPCJob
 from repro.workloads.microservice import ServiceDemands
 from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import DiurnalTrace
+
+
+def declare_summary(platform: EvolvePlatform) -> None:
+    """Declare the series :func:`summarize` reads; call before the run."""
+    for name in platform.apps:
+        platform.collector.declare(*cost_series(name))
 
 
 def summarize(platform: EvolvePlatform) -> str:
@@ -86,6 +92,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     if args.duration is not None:
         duration = args.duration
+    declare_summary(platform)
     platform.run(duration)
     print(summarize(platform))
     return 0
@@ -107,6 +114,7 @@ def _deploy_demo_service(platform: EvolvePlatform, policy: str) -> None:
 def cmd_demo(args: argparse.Namespace) -> int:
     platform = EvolvePlatform(policy=args.policy, scheduler=args.scheduler)
     _deploy_demo_service(platform, args.policy)
+    declare_summary(platform)
     platform.run(args.duration)
     print(summarize(platform))
     return 0

@@ -60,6 +60,10 @@ class FeedforwardScaler:
         self.activations = 0
         self._last_activation: dict[str, float] = {}
 
+    def watch(self, app: Application) -> None:
+        """Declare the offered-load series :meth:`signal` reads for ``app``."""
+        self.collector.declare(f"{app.metric_prefix()}/offered")
+
     def reclaim_suppressed(self, app_name: str, now: float) -> bool:
         """Whether a recent activation should block reclaiming."""
         last = self._last_activation.get(app_name)

@@ -243,11 +243,23 @@ class ControlLoopManager:
         horizontal: HorizontalPolicy | None = None,
         feedforward=None,
     ) -> None:
-        """Manage ``app`` (which must carry a ``plo``) with ``controller``."""
+        """Manage ``app`` (which must carry a ``plo``) with ``controller``.
+
+        Declares the series the loop reads for ``app``: its PLO metric
+        and its scraped usage and allocation per resource.
+        """
         if app.plo is None:
             raise ValueError(f"application {app.name!r} has no PLO attached")
         if app.name in self._entries:
             raise ValueError(f"application {app.name!r} already registered")
+        prefix = app.metric_prefix()
+        self.collector.declare(
+            app.plo.metric_name(app.name),
+            *(f"{prefix}/usage/{name}" for name in RESOURCES),
+            *(f"{prefix}/alloc/{name}" for name in RESOURCES),
+        )
+        if feedforward is not None:
+            feedforward.watch(app)
         self._entries[app.name] = _Entry(app, controller, horizontal, feedforward)
 
     def unregister(self, app_name: str) -> None:

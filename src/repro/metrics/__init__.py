@@ -7,12 +7,17 @@ monitoring stack — including the staleness a scrape interval introduces.
 """
 
 from repro.metrics.timeseries import TimeSeries
-from repro.metrics.collector import MetricsCollector, MetricsSource
+from repro.metrics.collector import (
+    MetricsCollector,
+    MetricsSource,
+    UndeclaredSeriesError,
+)
 from repro.metrics.faults import MetricsFaultInjector
 
 __all__ = [
     "TimeSeries",
     "MetricsCollector",
     "MetricsSource",
+    "UndeclaredSeriesError",
     "MetricsFaultInjector",
 ]

@@ -2,9 +2,14 @@
 
 Workload models register as :class:`MetricsSource`; every scrape interval
 the collector samples each source plus cluster-wide allocation/usage, and
-stores everything in named :class:`~repro.metrics.timeseries.TimeSeries`.
+stores the samples in named :class:`~repro.metrics.timeseries.TimeSeries`.
 Controllers read only from the collector, so they see metrics at scrape
 granularity — the same staleness a real PID loop fights.
+
+Only *declared* series are stored: each consumer names the series it
+reads with :meth:`MetricsCollector.declare` when it is wired up, before
+the run, and a read of any other name raises
+:class:`UndeclaredSeriesError` rather than reading as "no data".
 """
 
 from __future__ import annotations
@@ -19,6 +24,20 @@ from repro.sim.engine import Engine, PeriodicHandle
 
 #: Samples each series keeps before its oldest are dropped.
 SERIES_MAXLEN = 100_000
+
+
+class UndeclaredSeriesError(KeyError):
+    """A series was read that no consumer declared to the collector."""
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.name = name
+
+    def __str__(self) -> str:
+        return (
+            f"series {self.name!r} was never declared: call "
+            "MetricsCollector.declare() with it before the run"
+        )
 
 
 class MetricsSource(Protocol):
@@ -59,7 +78,13 @@ class MetricsCollector:
         self.scrape_interval = scrape_interval
         self._sources: list[MetricsSource] = []
         self._internal_sources: list[MetricsSource] = []
+        # Stored series, created on first append: always declared names.
         self._series: dict[str, TimeSeries] = {}
+        self._declared: set[str] = set()
+        # Every proper prefix of a declared name ("app", "app/web" for
+        # "app/web/latency"), so a scrape can skip a source whose prefix
+        # leads to nothing declared without building its sample names.
+        self._declared_prefixes: set[str] = set()
         self._handle: PeriodicHandle | None = None
         self.scrapes = 0
         #: Scrape rounds that produced no samples (dropped by a fault) or
@@ -80,6 +105,27 @@ class MetricsCollector:
         self._scrape_hooks: list = []
 
     # -- registration -------------------------------------------------------
+
+    def declare(self, *names: str) -> None:
+        """Store the series ``names`` from now on, and allow reading them.
+
+        Consumers declare what they read when they are wired up, before
+        the run: samples of a name scraped or recorded before its
+        declaration are not kept.
+        """
+        declared = self._declared
+        prefixes = self._declared_prefixes
+        for name in names:
+            if name in declared:
+                continue
+            declared.add(name)
+            cut = name.rfind("/")
+            while cut > 0:
+                prefix = name[:cut]
+                if prefix in prefixes:
+                    break
+                prefixes.add(prefix)
+                cut = name.rfind("/", 0, cut)
 
     def register(self, source: MetricsSource) -> None:
         """Add a source to the scrape set."""
@@ -129,21 +175,39 @@ class MetricsCollector:
 
     # -- scraping ---------------------------------------------------------------
 
+    def _stored(self, name: str) -> TimeSeries | None:
+        """The stored series ``name``; None when declared but never sampled."""
+        series = self._series.get(name)
+        if series is None and name not in self._declared:
+            raise UndeclaredSeriesError(name)
+        return series
+
     def series(self, name: str) -> TimeSeries:
-        """Get (creating if needed) the series with the given full name."""
-        if name not in self._series:
-            self._series[name] = TimeSeries(maxlen=SERIES_MAXLEN)
-        return self._series[name]
+        """The declared series with the given full name (empty if unsampled)."""
+        series = self._stored(name)
+        if series is None:
+            series = self._series[name] = TimeSeries(maxlen=SERIES_MAXLEN)
+        return series
 
     def has_series(self, name: str) -> bool:
-        return name in self._series
+        """Whether the declared series ``name`` holds at least one sample."""
+        series = self._stored(name)
+        return series is not None and len(series) > 0
 
     def series_names(self) -> list[str]:
         return sorted(self._series)
 
     def record(self, name: str, value: float) -> None:
-        """Record an out-of-band sample (e.g. per-event observations)."""
-        self.series(name).append(self.engine.now, value)
+        """Record an out-of-band sample (e.g. per-event observations).
+
+        Samples of an undeclared name are not stored.
+        """
+        series = self._series.get(name)
+        if series is None:
+            if name not in self._declared:
+                return
+            series = self._series[name] = TimeSeries(maxlen=SERIES_MAXLEN)
+        series.append(self.engine.now, value)
 
     def scrape(self) -> None:
         """Sample every source and cluster-level gauges once."""
@@ -188,14 +252,19 @@ class MetricsCollector:
 
     def _scrape_all(self, now: float) -> None:
         # Batched store path: the fault filter is consulted once per
-        # round; on a quiescent pipeline (no active per-sample faults —
-        # the common case) every sample appends straight into its series
-        # without the per-sample filter/match machinery. Sample order is
-        # identical either way, so seeded runs are unchanged.
+        # round. On a quiescent pipeline (no active per-sample faults —
+        # the common case) a source, node or gauge family whose prefix
+        # leads to nothing declared is not even sampled, and the other
+        # samples append straight into their declared series. While a
+        # per-sample fault is active every sample still passes through
+        # the filter in the same order, because its RNG draws are part
+        # of the seeded stream; only the append is skipped.
         faults = self.faults
         if faults is not None and not faults.distorts_samples(now):
             faults = None
         series_map = self._series
+        declared = self._declared
+        wanted = self._declared_prefixes
         maxlen = SERIES_MAXLEN
 
         def store_batch(prefix: str, samples) -> None:
@@ -210,49 +279,64 @@ class MetricsCollector:
                     if value is None:
                         continue
                 if series is None:
+                    if name not in declared:
+                        continue
                     series = series_map[name] = TimeSeries(maxlen=maxlen)
                 series.append(now, value)
 
         for source in list(self._sources):
-            store_batch(source.metric_prefix(), source.sample_metrics(now))
-        allocatable = self.api.total_allocatable()
-        allocated = self.api.total_allocated()
-        usage = self.api.total_usage()
-        cluster_gauges: dict[str, float] = {}
-        for name in RESOURCES:
-            cap = allocatable[name]
-            cluster_gauges[f"alloc_frac/{name}"] = (
-                allocated[name] / cap if cap > 0 else 0.0
-            )
-            cluster_gauges[f"usage_frac/{name}"] = (
-                usage[name] / cap if cap > 0 else 0.0
-            )
-        # Preserve the historical interleaved order (alloc, usage per
-        # resource) — it only matters under a fault filter drawing RNG
-        # per sample, where order is part of the seeded stream.
-        store_batch("cluster", cluster_gauges)
-        for node in self.api.list_nodes():
-            fractions = node.usage_fraction()
-            alloc_fractions = node.allocation_fraction()
-            node_gauges: dict[str, float] = {}
+            prefix = source.metric_prefix()
+            if faults is not None or prefix in wanted:
+                store_batch(prefix, source.sample_metrics(now))
+        if faults is not None or "cluster" in wanted:
+            allocatable = self.api.total_allocatable()
+            allocated = self.api.total_allocated()
+            usage = self.api.total_usage()
+            cluster_gauges: dict[str, float] = {}
             for name in RESOURCES:
-                node_gauges[f"usage_frac/{name}"] = fractions[name]
-                node_gauges[f"alloc_frac/{name}"] = alloc_fractions[name]
-            store_batch(f"node/{node.name}", node_gauges)
-        store_batch(
-            "cluster",
-            {"pending_pods": float(len(self.api.pending_pods()))},
-        )
+                cap = allocatable[name]
+                cluster_gauges[f"alloc_frac/{name}"] = (
+                    allocated[name] / cap if cap > 0 else 0.0
+                )
+                cluster_gauges[f"usage_frac/{name}"] = (
+                    usage[name] / cap if cap > 0 else 0.0
+                )
+            # Preserve the historical interleaved order (alloc, usage per
+            # resource) — it only matters under a fault filter drawing RNG
+            # per sample, where order is part of the seeded stream.
+            store_batch("cluster", cluster_gauges)
+        if faults is not None or "node" in wanted:
+            for node in self.api.list_nodes():
+                prefix = f"node/{node.name}"
+                if faults is None and prefix not in wanted:
+                    continue
+                fractions = node.usage_fraction()
+                alloc_fractions = node.allocation_fraction()
+                node_gauges: dict[str, float] = {}
+                for name in RESOURCES:
+                    node_gauges[f"usage_frac/{name}"] = fractions[name]
+                    node_gauges[f"alloc_frac/{name}"] = alloc_fractions[name]
+                store_batch(prefix, node_gauges)
+        if faults is not None or "cluster/pending_pods" in declared:
+            store_batch(
+                "cluster",
+                {"pending_pods": float(len(self.api.pending_pods()))},
+            )
         # Control-plane self-metrics bypass the fault filter: see
-        # register_internal. Inline the series lookup — this loop runs
-        # every scrape and the telemetry overhead gate counts its calls.
+        # register_internal. They are sampled every round, because their
+        # delta export keeps state. Inline the series lookup — this loop
+        # runs every scrape and the telemetry overhead gate counts its
+        # calls.
         for source in list(self._internal_sources):
             prefix = source.metric_prefix()
-            for metric, value in source.sample_metrics(now).items():
+            samples = source.sample_metrics(now)
+            if prefix not in wanted:
+                continue
+            for metric, value in samples.items():
                 name = f"{prefix}/{metric}"
                 if name in series_map:
                     series = series_map[name]
-                else:
+                elif name in declared:
                     # Internal sources delta-suppress their exports, so
                     # their series hold change points, not uniform
                     # ticks; ChangePointSeries rejects windowed
@@ -260,33 +344,25 @@ class MetricsCollector:
                     series = series_map[name] = ChangePointSeries(
                         maxlen=maxlen
                     )
+                else:
+                    continue
                 series.append(now, value)
 
     # -- convenience queries ------------------------------------------------------
 
     def latest(self, name: str) -> float | None:
-        """Most recent value of a series, or None if absent/empty."""
-        series = self._series.get(name)
+        """Most recent value of a declared series, or None if empty."""
+        series = self._stored(name)
         return series.last() if series is not None else None
 
     def latest_time(self, name: str) -> float | None:
-        """Timestamp of the most recent sample, or None if absent/empty.
+        """Timestamp of the most recent sample, or None if empty.
 
         Freshness probe: consumers compare this against ``engine.now`` to
         detect a stalled scrape pipeline before acting on old data.
         """
-        series = self._series.get(name)
+        series = self._stored(name)
         return series.last_time() if series is not None else None
-
-    def last_scrape_age(self, name: str) -> float | None:
-        """Seconds since the series last received a sample, or None.
-
-        The per-series staleness signal: diverges from the global scrape
-        cadence when a blackout or freeze fault hits one series while the
-        rest keep flowing.
-        """
-        last = self.latest_time(name)
-        return self.engine.now - last if last is not None else None
 
     def scrape_span_at(self, time: float) -> int | None:
         """Span id of the last completed scrape at or before ``time``."""
@@ -294,44 +370,13 @@ class MetricsCollector:
         return self._scrape_span_ids[idx] if idx >= 0 else None
 
     def window_mean(self, name: str, span: float) -> float | None:
-        series = self._series.get(name)
+        series = self._stored(name)
         if series is None:
             return None
         return series.mean_over(self.engine.now, span)
 
     def window_percentile(self, name: str, span: float, q: float) -> float | None:
-        series = self._series.get(name)
+        series = self._stored(name)
         if series is None:
             return None
         return series.percentile_over(self.engine.now, span, q)
-
-    # -- export --------------------------------------------------------------------
-
-    def export_csv(self, path: str, names: list[str], *, step: float = 60.0,
-                   start: float = 0.0, end: float | None = None) -> int:
-        """Write selected series to a CSV (one time column, one column per
-        series, step-interpolated at ``step`` resolution).
-
-        The figure-regeneration path: every plot in EXPERIMENTS.md can be
-        exported for external tooling. Returns the number of data rows.
-        """
-        if step <= 0:
-            raise ValueError("step must be positive")
-        missing = [n for n in names if n not in self._series]
-        if missing:
-            raise KeyError(f"unknown series: {missing}")
-        if end is None:
-            end = self.engine.now
-        rows = 0
-        with open(path, "w") as handle:
-            handle.write(",".join(["time"] + names) + "\n")
-            t = start
-            while t <= end + 1e-9:
-                values = [self._series[n].value_at(t) for n in names]
-                cells = [f"{t:g}"] + [
-                    "" if v is None else f"{v:g}" for v in values
-                ]
-                handle.write(",".join(cells) + "\n")
-                rows += 1
-                t += step
-        return rows

@@ -217,7 +217,8 @@ class SLOEngine:
     ----------
     collector:
         The :class:`~repro.metrics.collector.MetricsCollector` whose
-        series are evaluated; the engine reads ``latest()`` only.
+        series are evaluated; the engine declares each spec's series and
+        reads ``latest()`` only.
     specs:
         The SLOs to track; names must be unique.
     registry:
@@ -231,6 +232,7 @@ class SLOEngine:
         names = [s.name for s in self.specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names: {names}")
+        collector.declare(*(s.series for s in self.specs))
         self.tick = float(collector.scrape_interval)
         self.states: dict[str, _SLOState] = {
             s.name: _SLOState(s, self.tick) for s in self.specs

@@ -17,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.analysis.stats import PLOMonitor, UtilizationSummary, utilization_summary
+from repro.analysis.stats import (
+    UTILIZATION_SERIES,
+    PLOMonitor,
+    UtilizationSummary,
+    utilization_summary,
+)
 from repro.autoscaler.adaptive import AdaptiveAutoscaler
 from repro.cluster.chaos import (
     ActuationFaultInjector,
@@ -169,6 +174,8 @@ class EvolvePlatform:
         self.collector = MetricsCollector(
             self.engine, self.api, faults=self.metrics_faults
         )
+        # result() integrates the cluster gauges.
+        self.collector.declare(*UTILIZATION_SERIES)
         self.monitor = PLOMonitor(self.engine, self.collector)
         self.scheduler = self._build_scheduler(scheduler)
         # -- overload resilience (ISSUE 6) -----------------------------------

@@ -6,6 +6,7 @@ from repro.analysis.cost import (
     PriceSheet,
     app_cost,
     cluster_provisioned_cost,
+    cost_series,
 )
 from repro.cluster.resources import ResourceVector
 
@@ -30,6 +31,10 @@ class TestPriceSheet:
 
 
 class TestAppCost:
+    @pytest.fixture(autouse=True)
+    def declared(self, collector):
+        collector.declare(*cost_series("svc"), *cost_series("ghost"))
+
     def test_constant_allocation(self, engine, collector):
         # 2 cores held for one hour at $1/core-hour = $2.
         collector.record("app/svc/alloc/cpu", 2.0)
@@ -108,6 +113,7 @@ def test_integration_cost_tracks_reclaim(engine, api, collector):
             allocation=ResourceVector(cpu=4, memory=8, disk_bw=200, net_bw=200),
             plo=LatencyPLO(0.1, window=30),
         )
+        platform.collector.declare(*cost_series("svc"))
         platform.run(3600.0)
         return app_cost(platform.collector, "svc").total
 

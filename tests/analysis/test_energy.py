@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.analysis.energy import EnergyReport, PowerModel, cluster_energy
+from repro.analysis.energy import (
+    EnergyReport,
+    PowerModel,
+    cluster_energy,
+    energy_series,
+)
 from tests.conftest import make_spec
 
 
@@ -30,6 +35,10 @@ class TestPowerModel:
 
 
 class TestClusterEnergy:
+    @pytest.fixture(autouse=True)
+    def declared(self, collector):
+        collector.declare(*energy_series("node-0"), *energy_series("node-1"))
+
     def test_parked_cluster_energy(self, engine, api, collector):
         collector.start()
         engine.run_until(3600.0)
@@ -89,6 +98,8 @@ def test_consolidation_saves_energy(engine):
                 allocation=ResourceVector(cpu=1, memory=2, disk_bw=10, net_bw=10),
                 managed=False,
             )
+        for node in platform.cluster.nodes:
+            platform.collector.declare(*energy_series(node))
         platform.run(3600.0)
         report = cluster_energy(
             platform.collector, list(platform.cluster.nodes),

@@ -3,11 +3,17 @@
 import pytest
 
 from repro.analysis.recovery import (
+    error_series,
     fault_recovery_report,
     reconvergence_time,
     summarize,
 )
 from repro.cluster.chaos import FaultLog
+
+
+@pytest.fixture(autouse=True)
+def declared(collector):
+    collector.declare(*map(error_series, ("svc", "ghost", "a", "b")))
 
 
 def put(collector, app, samples):

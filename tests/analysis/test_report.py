@@ -1,9 +1,8 @@
-"""Unit tests for table formatting and series export."""
+"""Unit tests for table formatting."""
 
 import pytest
 
-from repro.analysis.report import format_table, series_to_rows
-from repro.metrics.timeseries import TimeSeries
+from repro.analysis.report import format_table
 
 
 class TestFormatTable:
@@ -37,22 +36,3 @@ class TestFormatTable:
         text = format_table(["a"], [])
         assert "a" in text
 
-
-class TestSeriesToRows:
-    def test_resamples_at_step(self):
-        ts = TimeSeries()
-        for t in range(0, 100, 10):
-            ts.append(float(t), float(t))
-        rows = series_to_rows(ts, step=20.0, start=0.0, end=80.0)
-        assert [t for t, _v in rows] == [0.0, 20.0, 40.0, 60.0, 80.0]
-        assert all(v == t for t, v in rows)
-
-    def test_skips_before_first_sample(self):
-        ts = TimeSeries()
-        ts.append(50.0, 1.0)
-        rows = series_to_rows(ts, step=20.0, start=0.0, end=100.0)
-        assert rows[0][0] >= 50.0
-
-    def test_invalid_step(self):
-        with pytest.raises(ValueError):
-            series_to_rows(TimeSeries(), step=0.0, start=0.0, end=10.0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.stats import (
+    UTILIZATION_SERIES,
     PLOMonitor,
     overshoot,
     settling_time,
@@ -35,6 +36,7 @@ class TestPLOMonitor:
 
     def test_tracks_violations(self, engine, api, collector):
         svc = self._deploy(engine, api, collector, cpu=0.2, rate=100.0)
+        collector.declare("plo/svc/ratio", "plo/svc/violated")
         monitor = PLOMonitor(engine, collector, interval=5.0)
         tracker = monitor.track(svc)
         monitor.start()
@@ -75,6 +77,7 @@ class TestUtilizationSummary:
     def test_integrates_cluster_series(self, engine, api, collector):
         api.create_pod(make_spec("p0", cpu=12))  # quarter of 48 cpu
         api.bind_pod("p0", "node-0")
+        collector.declare(*UTILIZATION_SERIES)
         collector.start()
         engine.run_until(100.0)
         summary = utilization_summary(collector, 0.0, 100.0)

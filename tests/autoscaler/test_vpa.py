@@ -71,6 +71,7 @@ def test_no_history_no_recommendation(engine, api, collector):
         initial_allocation=ResourceVector(cpu=1, memory=1),
     )
     vpa = VerticalPodAutoscaler(engine, collector, bounds=BOUNDS)
+    vpa.attach(svc)  # declares the usage series it reads
     assert vpa.recommend(svc) is None
     vpa.reconcile(svc)  # no crash, no change
 

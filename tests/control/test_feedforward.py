@@ -20,6 +20,10 @@ BOUNDS = AllocationBounds(
 
 
 class TestFeedforwardScaler:
+    @pytest.fixture(autouse=True)
+    def declared(self, collector):
+        collector.declare("app/svc/offered")
+
     def _app(self, engine, api):
         app = Microservice(
             "svc", engine, api, trace=ConstantTrace(1),

@@ -85,6 +85,9 @@ def test_loop_reclaims_overprovisioned_service(engine, api, collector):
 
 def test_loop_records_control_series(engine, api, collector):
     svc = deploy(engine, api, collector)
+    collector.declare(
+        "control/svc/error", "control/svc/output", "control/svc/gain_scale"
+    )
     manager = ControlLoopManager(engine, collector, interval=10.0)
     manager.register(svc, controller())
     manager.start()

@@ -257,6 +257,9 @@ class BrownoutProbe:
         self.entered = 0
         self.exited = 0
 
+    def metric_prefix(self):
+        return f"app/{self.name}"
+
     def enter_brownout(self, *, factor, latency_penalty):
         self.brownout_active = True
         self.entered += 1

@@ -196,6 +196,7 @@ class TestSafeMode:
 
     def test_safe_mode_series_recorded(self, engine, api, collector):
         svc = deploy(engine, api, collector)
+        collector.declare("control/svc/safe_mode")
         manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
@@ -329,6 +330,7 @@ class TestCircuitBreaker:
         self, engine, api, collector
     ):
         svc = deploy(engine, api, collector, rate=100.0, cpu=0.5)
+        collector.declare("control/svc/breaker_open")
         manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()

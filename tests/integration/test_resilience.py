@@ -115,6 +115,7 @@ def test_safe_mode_engages_and_releases_on_scrape_loss():
         allocation=ResourceVector(cpu=1, memory=1, disk_bw=20, net_bw=20),
         plo=LatencyPLO(0.05, window=30), replicas=3,
     )
+    platform.collector.declare("control/svc/safe_mode")
     platform.run(300.0)
     manager = platform.policy.manager
     assert manager.resilience_stats()["safe_mode_entries"] == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import MetricsCollector, UndeclaredSeriesError
 from tests.conftest import make_spec
 
 
@@ -22,6 +22,7 @@ class FakeSource:
 
 def test_scrape_records_source_metrics(engine, collector):
     source = FakeSource()
+    collector.declare("app/fake/latency", "app/fake/throughput")
     collector.register(source)
     collector.start()
     engine.run_until(11.0)
@@ -34,6 +35,7 @@ def test_scrape_records_source_metrics(engine, collector):
 def test_scrape_records_cluster_gauges(engine, api, collector):
     api.create_pod(make_spec("p0", cpu=12))
     api.bind_pod("p0", "node-0")
+    collector.declare("cluster/alloc_frac/cpu", "cluster/pending_pods")
     collector.start()
     engine.run_until(6.0)
     assert collector.latest("cluster/alloc_frac/cpu") == pytest.approx(12 / 48)
@@ -42,6 +44,7 @@ def test_scrape_records_cluster_gauges(engine, api, collector):
 
 def test_pending_pods_gauge(engine, api, collector):
     api.create_pod(make_spec("p0"))
+    collector.declare("cluster/pending_pods")
     collector.start()
     engine.run_until(6.0)
     assert collector.latest("cluster/pending_pods") == 1.0
@@ -49,6 +52,7 @@ def test_pending_pods_gauge(engine, api, collector):
 
 def test_unregister_stops_sampling(engine, collector):
     source = FakeSource()
+    collector.declare("app/fake/latency")
     collector.register(source)
     collector.start()
     engine.run_until(6.0)
@@ -63,12 +67,14 @@ def test_unregister_missing_is_safe(collector):
 
 def test_record_out_of_band(engine, collector):
     engine.run_until(3.0)
+    collector.declare("custom/metric")
     collector.record("custom/metric", 42.0)
     assert collector.latest("custom/metric") == 42.0
 
 
 def test_window_queries(engine, collector):
     source = FakeSource()
+    collector.declare("app/fake/latency")
     collector.register(source)
     collector.start()
     engine.run_until(5.0)
@@ -79,12 +85,14 @@ def test_window_queries(engine, collector):
 
 
 def test_missing_series_queries_return_none(collector):
+    collector.declare("nope")
     assert collector.latest("nope") is None
     assert collector.window_mean("nope", 10) is None
     assert collector.window_percentile("nope", 10, 99) is None
 
 
 def test_series_names_and_has_series(engine, collector):
+    collector.declare("a/b", "a/c")
     collector.record("a/b", 1.0)
     assert collector.has_series("a/b")
     assert not collector.has_series("a/c")
@@ -110,19 +118,6 @@ def test_invalid_interval(engine, api):
         MetricsCollector(engine, api, scrape_interval=0)
 
 
-def test_last_scrape_age_tracks_per_series_staleness(engine, collector):
-    source = FakeSource()
-    collector.register(source)
-    collector.start()
-    engine.run_until(10.0)
-    assert collector.last_scrape_age("app/fake/latency") == pytest.approx(0.0)
-    collector.unregister(source)
-    engine.run_until(22.0)
-    # The series went stale while the scrape loop kept running.
-    assert collector.last_scrape_age("app/fake/latency") == pytest.approx(12.0)
-    assert collector.last_scrape_age("never/scraped") is None
-
-
 def test_scrape_gap_counted_when_rounds_are_missed(engine, collector):
     collector.start()
     engine.run_until(10.0)
@@ -144,6 +139,7 @@ def test_internal_source_bypasses_fault_filter(engine, api):
     collector = MetricsCollector(engine, api, scrape_interval=5.0,
                                  faults=faults)
     internal = FakeSource(prefix="ctrl")
+    collector.declare("ctrl/latency")
     collector.register_internal(internal)
     collector.start()
     engine.run_until(20.0)
@@ -175,3 +171,136 @@ def test_scrape_span_at_returns_covering_round(engine, api):
     assert span_at_7 != span_at_20
     assert tel.trace.get(span_at_20).start == 20.0
     assert collector.scrape_span_at(1.0) is None  # before the first round
+
+
+# -- declared series ------------------------------------------------------------
+
+READS = (
+    ("series", ()),
+    ("latest", ()),
+    ("latest_time", ()),
+    ("window_mean", (10.0,)),
+    ("window_percentile", (10.0, 99.0)),
+    ("has_series", ()),
+)
+
+
+@pytest.mark.parametrize("method, args", READS, ids=[r[0] for r in READS])
+def test_reading_an_undeclared_series_raises(engine, collector, method, args):
+    collector.declare("app/fake/latency")
+    source = FakeSource()
+    collector.register(source)
+    collector.start()
+    engine.run_until(11.0)
+    # Sampled and stored under the declared name, so the refusal is about
+    # the declaration, not about missing data.
+    assert collector.latest("app/fake/latency") == 1.0
+    with pytest.raises(UndeclaredSeriesError) as info:
+        getattr(collector, method)("app/fake/throughput", *args)
+    assert isinstance(info.value, KeyError)
+    assert info.value.name == "app/fake/throughput"
+
+
+def test_record_of_an_undeclared_name_stores_nothing(engine, collector):
+    engine.run_until(3.0)
+    collector.record("custom/metric", 42.0)
+    assert collector.series_names() == []
+    # Declaring afterwards does not bring the sample back.
+    collector.declare("custom/metric")
+    assert not collector.has_series("custom/metric")
+    assert collector.latest("custom/metric") is None
+
+
+def test_has_series_means_at_least_one_sample(engine, collector):
+    collector.declare("custom/metric")
+    assert not collector.has_series("custom/metric")
+    assert len(collector.series("custom/metric")) == 0
+    assert not collector.has_series("custom/metric")
+    collector.record("custom/metric", 1.0)
+    assert collector.has_series("custom/metric")
+
+
+def test_source_with_nothing_declared_is_not_sampled(engine, collector):
+    read, unread = FakeSource("app/read"), FakeSource("app/unread")
+    collector.declare("app/read/latency")
+    collector.register(read)
+    collector.register(unread)
+    collector.start()
+    engine.run_until(11.0)
+    assert read.samples == 2
+    assert unread.samples == 0
+    assert collector.series_names() == ["app/read/latency"]
+
+
+def test_distorting_faults_filter_undeclared_samples_too(engine, api):
+    from repro.metrics.faults import MetricsFaultInjector
+
+    def run(declared):
+        faults = MetricsFaultInjector()
+        faults.outlier_probability = 0.5
+        collector = MetricsCollector(engine, api, scrape_interval=5.0,
+                                     faults=faults)
+        collector.declare(*declared)
+        source = FakeSource()
+        collector.register(source)
+        collector.scrape()
+        return source, faults, collector
+
+    _, all_faults, all_collector = run(
+        ["app/fake/latency", "app/fake/throughput"]
+    )
+    source, faults, collector = run(["app/fake/latency"])
+    # Every sample still passes through the filter in the same order, so
+    # the outlier draws (one per sample, stored or not) line up.
+    assert source.samples == 1
+    assert faults.outliers_injected == all_faults.outliers_injected > 0
+    assert faults.rng.random() == all_faults.rng.random()
+    assert collector.latest("app/fake/latency") == all_collector.latest(
+        "app/fake/latency"
+    )
+    assert collector.series_names() == ["app/fake/latency"]
+
+
+def test_append_budget_on_the_fleet_smoke_shape(monkeypatch):
+    # TimeSeries.append calls over six adaptive services on three nodes
+    # for 300 s (the shape of the host benchmark's fleet workload at smoke
+    # size). Measured 3,720: the nine series the control loop and the PLO
+    # monitor read per app plus the eight cluster gauges result()
+    # integrates, at 60 scrapes. The budget is that plus ~25%. Storing
+    # every scraped and recorded sample makes 9,936.
+    from repro.metrics.timeseries import TimeSeries
+    from repro.platform.config import ClusterSpec, PlatformConfig
+    from repro.platform.evolve import EvolvePlatform
+    from repro.cluster.resources import ResourceVector
+    from repro.workloads.microservice import ServiceDemands
+    from repro.workloads.plo import LatencyPLO
+    from repro.workloads.traces import DiurnalTrace
+
+    appends = [0]
+    append = TimeSeries.append
+
+    def counting(self, time, value):
+        appends[0] += 1
+        append(self, time, value)
+
+    monkeypatch.setattr(TimeSeries, "append", counting)
+    platform = EvolvePlatform(
+        cluster_spec=ClusterSpec(node_count=3),
+        config=PlatformConfig(seed=3),
+        scheduler="converged",
+        policy="adaptive",
+    )
+    for i in range(6):
+        platform.deploy_microservice(
+            f"svc-{i}",
+            trace=DiurnalTrace(base=60, amplitude=40, period=3600.0,
+                               phase=i * 120.0),
+            demands=ServiceDemands(cpu_seconds=0.008, disk_mb=0.1,
+                                   net_mb=0.05, base_latency=0.01),
+            allocation=ResourceVector(cpu=0.6, memory=1, disk_bw=15,
+                                      net_bw=15),
+            plo=LatencyPLO(0.06, window=30),
+        )
+    platform.run(300.0)
+    assert platform.result().utilization.overall_alloc > 0
+    assert appends[0] <= 4650, f"{appends[0]} TimeSeries.append calls"

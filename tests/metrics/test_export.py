@@ -1,42 +1,8 @@
-"""Unit tests for CSV export and fairness index."""
+"""Unit tests for the fairness index."""
 
 import pytest
 
 from repro.analysis.stats import jains_index
-
-
-class TestExportCsv:
-    def test_export_roundtrip(self, engine, collector, tmp_path):
-        for t in (0.0, 60.0, 120.0):
-            engine.run_until(t)
-            collector.record("a/x", t)
-            collector.record("a/y", 2 * t)
-        path = tmp_path / "out.csv"
-        rows = collector.export_csv(str(path), ["a/x", "a/y"], step=60.0,
-                                    start=0.0, end=120.0)
-        assert rows == 3
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time,a/x,a/y"
-        assert lines[1] == "0,0,0"
-        assert lines[3] == "120,120,240"
-
-    def test_missing_series_rejected(self, collector, tmp_path):
-        with pytest.raises(KeyError):
-            collector.export_csv(str(tmp_path / "x.csv"), ["ghost"])
-
-    def test_empty_cells_before_first_sample(self, engine, collector, tmp_path):
-        engine.run_until(100.0)
-        collector.record("late", 5.0)
-        path = tmp_path / "out.csv"
-        collector.export_csv(str(path), ["late"], step=50.0, start=0.0,
-                             end=100.0)
-        lines = path.read_text().strip().splitlines()
-        assert lines[1] == "0,"
-        assert lines[3] == "100,5"
-
-    def test_invalid_step(self, collector, tmp_path):
-        with pytest.raises(ValueError):
-            collector.export_csv(str(tmp_path / "x.csv"), [], step=0)
 
 
 class TestJainsIndex:

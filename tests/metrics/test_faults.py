@@ -94,9 +94,16 @@ class TestFilter:
 
 class TestCollectorIntegration:
     def make_collector(self, engine, api, faults):
-        return MetricsCollector(
+        collector = MetricsCollector(
             engine, api, scrape_interval=5.0, faults=faults
         )
+        collector.declare(
+            "cluster/pending_pods",
+            "node/node-0/usage_frac/cpu",
+            "node/node-1/usage_frac/cpu",
+            "control/svc/error",
+        )
+        return collector
 
     def test_dropped_scrapes_age_timestamps(self, engine, api):
         faults = make()

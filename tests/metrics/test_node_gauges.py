@@ -2,8 +2,15 @@
 
 import pytest
 
+from repro.analysis.energy import energy_series
 from repro.cluster.resources import ResourceVector
 from tests.conftest import make_spec
+
+
+@pytest.fixture(autouse=True)
+def declared(api, collector):
+    for node in api.list_nodes():
+        collector.declare(*energy_series(node.name))
 
 
 def test_per_node_series_created(engine, api, collector):

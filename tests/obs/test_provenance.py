@@ -100,6 +100,7 @@ class TestActuatedProvenance:
                                                     collector):
         svc = deploy(engine, api, collector, rate=100.0, cpu=0.5)
         tel, manager = instrument(engine, api, collector, interval=10.0)
+        collector.declare("ctrl/decisions_total")
         manager.register(svc, controller())
         manager.start()
         engine.run_until(200.0)
@@ -216,6 +217,7 @@ class TestBitIdentity:
                                       net_bw=20),
             plo=LatencyPLO(0.05, window=30),
         )
+        platform.collector.declare("control/svc/output")
         platform.run(600.0)
         return platform
 
@@ -265,6 +267,7 @@ class TestPlatformWiring:
                                       net_bw=10),
             plo=LatencyPLO(0.1, window=30),
         )
+        platform.collector.declare("ctrl/engine_events_total")
         platform.run(120.0)
         exported = platform.collector.latest("ctrl/engine_events_total")
         assert exported is not None

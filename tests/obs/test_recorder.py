@@ -21,6 +21,12 @@ from repro.platform.presets import PRESETS, build_scenario
 @pytest.fixture(scope="module")
 def overload_report():
     platform, _ = build_scenario("overload", duration=420.0)
+    platform.collector.declare(
+        "ctrl/sched/shed_total",
+        "ctrl/sched/shed/best_effort",
+        "ctrl/sched/shed_pending_age/count",
+        "ctrl/sched/brownout/entries_total",
+    )
     platform.run(420.0)
     return platform, build_run_report(platform)
 
@@ -28,6 +34,11 @@ def overload_report():
 @pytest.fixture(scope="module")
 def datafault_report():
     platform, _ = build_scenario("data-fault", duration=420.0)
+    platform.collector.declare(
+        "ctrl/dp/executor_losses_total",
+        "ctrl/dp/stream/checkpoints_total",
+        "ctrl/store/repair_traffic_mb",
+    )
     platform.run(420.0)
     return platform, build_run_report(platform)
 

@@ -24,14 +24,20 @@ TICKS_TO_FIRE = math.ceil(BURN_THRESHOLD * (1 - TARGET) * SLOW_TICKS)
 
 
 class FakeCollector:
-    """Minimal stand-in: the engine only reads scrape_interval/latest."""
+    """Minimal stand-in: the engine declares its series, then reads
+    scrape_interval/latest."""
 
     scrape_interval = TICK
 
     def __init__(self):
         self.values: dict[str, float | None] = {}
+        self.declared: set[str] = set()
+
+    def declare(self, *names: str) -> None:
+        self.declared.update(names)
 
     def latest(self, series: str):
+        assert series in self.declared, f"{series} read but never declared"
         return self.values.get(series)
 
 

@@ -194,13 +194,14 @@ class TestDanglingEpisodes:
         assert episodes[-1].duration() == pytest.approx(200.0)
 
     def test_recovery_report_sees_closed_episodes(self):
-        from repro.analysis.recovery import fault_recovery_report
+        from repro.analysis.recovery import error_series, fault_recovery_report
 
         platform = small_platform(policy="adaptive")
         platform.deploy_microservice(
             "svc", trace=ConstantTrace(100), demands=DEMANDS,
             allocation=ALLOC, plo=LatencyPLO(0.05), replicas=2,
         )
+        platform.collector.declare(error_series("svc"))
         platform.run(100.0)
         platform.injector.fail_node("node-00")
         platform.run(200.0)

@@ -38,7 +38,7 @@ PUBLIC_SURFACE = {
                       "ExecutorKillInjector", "StragglerInjector",
                       "DataLossInjector", "LeaderElected", "LeaderDeposed"],
     "repro.metrics": ["TimeSeries", "MetricsCollector", "MetricsSource",
-                      "MetricsFaultInjector"],
+                      "MetricsFaultInjector", "UndeclaredSeriesError"],
     "repro.workloads": ["Application", "Microservice", "ServiceDemands",
                         "BigDataJob", "Stage", "HPCJob", "StreamJob",
                         "Operator", "LatencyPLO",
@@ -67,6 +67,8 @@ PUBLIC_SURFACE = {
                        "recovery_time", "overshoot", "format_table",
                        "PriceSheet", "app_cost", "PowerModel",
                        "cluster_energy", "EpisodeRecovery", "RecoveryStats",
+                       "UTILIZATION_SERIES", "cost_series", "energy_series",
+                       "error_series",
                        "fault_recovery_report", "reconvergence_time",
                        "summarize", "FailoverStats", "failover_stats",
                        "series_divergence", "actuations", "critical_path",

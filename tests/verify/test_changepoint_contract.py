@@ -48,6 +48,10 @@ def telemetry_platform():
         allocation=ResourceVector(cpu=1, memory=2, disk_bw=10, net_bw=30),
         plo=LatencyPLO(0.05, window=30),
     )
+    # Every scalar instrument: each exports one ctrl/<name> series.
+    platform.collector.declare(
+        *(f"ctrl/{name}" for name in platform.telemetry.registry.names())
+    )
     platform.run(300.0)
     return platform
 

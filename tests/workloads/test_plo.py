@@ -11,6 +11,11 @@ from repro.workloads.plo import (
 )
 
 
+@pytest.fixture(autouse=True)
+def declared(collector):
+    collector.declare("app/svc/latency", "app/svc/throughput", "app/job/progress")
+
+
 class TestLatencyPLO:
     def test_unknown_without_series(self, engine, collector):
         plo = LatencyPLO(0.1)
