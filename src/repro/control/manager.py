@@ -121,6 +121,12 @@ BROWNOUT_DEMAND_FACTOR = 0.6
 BROWNOUT_LATENCY_PENALTY = 0.02
 
 
+#: The scraped series :meth:`ControlLoopManager._saturation` reads per
+#: app, under the app's metric prefix.
+_SCRAPED = tuple(
+    f"{kind}/{name}" for kind in ("usage", "alloc") for name in RESOURCES
+)
+
 #: The resilience counters every application keeps, in report order.
 COUNTERS = (
     "safe_mode_entries", "safe_mode_exits", "actuation_failures", "retries",
@@ -255,8 +261,7 @@ class ControlLoopManager:
         prefix = app.metric_prefix()
         self.collector.declare(
             app.plo.metric_name(app.name),
-            *(f"{prefix}/usage/{name}" for name in RESOURCES),
-            *(f"{prefix}/alloc/{name}" for name in RESOURCES),
+            *[f"{prefix}/{metric}" for metric in _SCRAPED],
         )
         if feedforward is not None:
             feedforward.watch(app)

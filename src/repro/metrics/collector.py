@@ -40,6 +40,21 @@ class UndeclaredSeriesError(KeyError):
         )
 
 
+def _proper_prefixes(names) -> set[str]:
+    """Every proper prefix of each name: "app" and "app/web" for
+    "app/web/latency"."""
+    prefixes: set[str] = set()
+    for name in names:
+        cut = name.rfind("/")
+        while cut > 0:
+            prefix = name[:cut]
+            if prefix in prefixes:
+                break  # its own prefixes are in already
+            prefixes.add(prefix)
+            cut = name.rfind("/", 0, cut)
+    return prefixes
+
+
 class MetricsSource(Protocol):
     """Anything that can be scraped for named float metrics."""
 
@@ -81,10 +96,11 @@ class MetricsCollector:
         # Stored series, created on first append: always declared names.
         self._series: dict[str, TimeSeries] = {}
         self._declared: set[str] = set()
-        # Every proper prefix of a declared name ("app", "app/web" for
-        # "app/web/latency"), so a scrape can skip a source whose prefix
-        # leads to nothing declared without building its sample names.
-        self._declared_prefixes: set[str] = set()
+        # Every proper prefix of a declared name, so a scrape can skip a
+        # source whose prefix leads to nothing declared without building
+        # its sample names. Rebuilt at the first scrape after a
+        # declaration, which keeps declare() a set update.
+        self._wanted: set[str] | None = set()
         self._handle: PeriodicHandle | None = None
         self.scrapes = 0
         #: Scrape rounds that produced no samples (dropped by a fault) or
@@ -113,19 +129,8 @@ class MetricsCollector:
         the run: samples of a name scraped or recorded before its
         declaration are not kept.
         """
-        declared = self._declared
-        prefixes = self._declared_prefixes
-        for name in names:
-            if name in declared:
-                continue
-            declared.add(name)
-            cut = name.rfind("/")
-            while cut > 0:
-                prefix = name[:cut]
-                if prefix in prefixes:
-                    break
-                prefixes.add(prefix)
-                cut = name.rfind("/", 0, cut)
+        self._declared.update(names)
+        self._wanted = None
 
     def register(self, source: MetricsSource) -> None:
         """Add a source to the scrape set."""
@@ -264,7 +269,9 @@ class MetricsCollector:
             faults = None
         series_map = self._series
         declared = self._declared
-        wanted = self._declared_prefixes
+        wanted = self._wanted
+        if wanted is None:
+            wanted = self._wanted = _proper_prefixes(declared)
         maxlen = SERIES_MAXLEN
 
         def store_batch(prefix: str, samples) -> None:
