@@ -29,7 +29,8 @@ def run_variant(dimensions, seed: int) -> dict:
     app = phase_shift_service(platform)
     platform.collector.declare(*cost_series(app))
     platform.run(DURATION)
-    series = dict(zip(RESOURCES, map(platform.collector.series, cost_series(app))))
+    series = {r: platform.collector.series(f"app/{app}/alloc/{r}")
+              for r in RESOURCES}
     samples = [
         (t, {r: series[r].value_at(t) for r in RESOURCES})
         for t in (SAMPLE * i for i in range(1, int(DURATION // SAMPLE) + 1))

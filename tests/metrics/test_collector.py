@@ -241,24 +241,25 @@ def test_distorting_faults_filter_undeclared_samples_too(engine, api):
         collector = MetricsCollector(engine, api, scrape_interval=5.0,
                                      faults=faults)
         collector.declare(*declared)
-        source = FakeSource()
-        collector.register(source)
+        unread = FakeSource("app/unread")
+        collector.register(FakeSource("app/read"))
+        collector.register(unread)
         collector.scrape()
-        return source, faults, collector
+        return unread, faults, collector
 
-    _, all_faults, all_collector = run(
-        ["app/fake/latency", "app/fake/throughput"]
-    )
-    source, faults, collector = run(["app/fake/latency"])
-    # Every sample still passes through the filter in the same order, so
-    # the outlier draws (one per sample, stored or not) line up.
-    assert source.samples == 1
+    everything = [f"app/{p}/{m}" for p in ("read", "unread")
+                  for m in ("latency", "throughput")]
+    _, all_faults, all_collector = run(everything)
+    unread, faults, collector = run(["app/read/latency"])
+    # Every sample, stored or not, still passes through the filter in the
+    # same order, so the outlier draws (one per sample) line up.
+    assert unread.samples == 1
     assert faults.outliers_injected == all_faults.outliers_injected > 0
     assert faults.rng.random() == all_faults.rng.random()
-    assert collector.latest("app/fake/latency") == all_collector.latest(
-        "app/fake/latency"
+    assert collector.latest("app/read/latency") == all_collector.latest(
+        "app/read/latency"
     )
-    assert collector.series_names() == ["app/fake/latency"]
+    assert collector.series_names() == ["app/read/latency"]
 
 
 def test_append_budget_on_the_fleet_smoke_shape(monkeypatch):
