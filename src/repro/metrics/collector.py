@@ -93,7 +93,8 @@ class MetricsCollector:
         self.scrape_interval = scrape_interval
         self._sources: list[MetricsSource] = []
         self._internal_sources: list[MetricsSource] = []
-        # Stored series, created on first append: always declared names.
+        # Stored series, all under declared names, created by the first
+        # append or read.
         self._series: dict[str, TimeSeries] = {}
         self._declared: set[str] = set()
         # Every proper prefix of a declared name, so a scrape can skip a
@@ -181,7 +182,7 @@ class MetricsCollector:
     # -- scraping ---------------------------------------------------------------
 
     def _stored(self, name: str) -> TimeSeries | None:
-        """The stored series ``name``; None when declared but never sampled."""
+        """The stored series ``name``; None when declared but not stored yet."""
         series = self._series.get(name)
         if series is None and name not in self._declared:
             raise UndeclaredSeriesError(name)
