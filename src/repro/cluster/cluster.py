@@ -109,9 +109,6 @@ class Cluster:
         except KeyError:
             raise NodeNotFound(f"unknown node {name!r}") from None
 
-    def pods_of_app(self, app: str) -> list[Pod]:
-        return [p for p in self.pods.values() if p.app == app]
-
     def running_pods_of_app(self, app: str) -> list[Pod]:
         return [
             p

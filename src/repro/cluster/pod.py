@@ -43,6 +43,9 @@ class PodPhase(enum.Enum):
 #: calls the Python-level ``Enum.__hash__``.
 ACTIVE_PHASES = (PodPhase.SCHEDULED, PodPhase.RUNNING)
 
+#: Phases a pod never leaves (a tuple for the same reason).
+TERMINAL_PHASES = (PodPhase.SUCCEEDED, PodPhase.FAILED, PodPhase.EVICTED)
+
 
 @dataclass(frozen=True)
 class PodSpec:
@@ -155,7 +158,7 @@ class Pod:
 
     @property
     def terminal(self) -> bool:
-        return self.phase in (PodPhase.SUCCEEDED, PodPhase.FAILED, PodPhase.EVICTED)
+        return self.phase in TERMINAL_PHASES
 
     def record_usage(self, usage: ResourceVector) -> None:
         """Record measured usage, enforced at the current allocation.

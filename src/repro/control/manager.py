@@ -894,10 +894,10 @@ class ControlLoopManager:
             if scrape_span is not None:
                 sp.parent_id = scrape_span
         controller = entry.controller
-        pid = tuner = None  # only a decided period has internals to record
+        terms = tuner_event = None  # only a decided period has internals
         if decision is not None:
-            pid = getattr(controller, "pid", None)
-            tuner = getattr(controller, "tuner", None)
+            terms = controller.pid.last_terms
+            tuner_event = controller.tuner.last_event
         if verdict == "safe-mode-entry":
             action, target = "freeze", entry.last_good_allocation
         elif decision is None:
@@ -916,12 +916,12 @@ class ControlLoopManager:
             error=decision.error if decision is not None else None,
             output=decision.output if decision is not None else None,
             gain_scale=decision.gain_scale if decision is not None else None,
-            terms=getattr(pid, "last_terms", None),
+            terms=terms,
             inputs={metric: self.collector.latest(metric)},
             signal_age=signal_age,
             stale_periods=entry.stale_periods,
             safe_mode=entry.safe_mode,
-            deadband=getattr(controller, "deadband", 0.0),
+            deadband=controller.deadband,
             clamped=decision.clamped if decision is not None else False,
             weights=dict(decision.weights) if decision is not None else {},
             target=target.as_dict() if target is not None else None,
@@ -930,7 +930,7 @@ class ControlLoopManager:
             scrape_span_id=scrape_span,
             span_id=sp.id,
             active_faults=active,
-            tuner_event=getattr(tuner, "last_event", None),
+            tuner_event=tuner_event,
         ))
         sp.args["verdict"] = verdict
         sp.args["action"] = action

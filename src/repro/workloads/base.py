@@ -14,7 +14,7 @@ from collections import deque
 from typing import Mapping
 
 from repro.cluster.api import ActuationError, ClusterAPI
-from repro.cluster.pod import Pod, PodPhase, PodSpec, WorkloadClass
+from repro.cluster.pod import TERMINAL_PHASES, Pod, PodPhase, PodSpec, WorkloadClass
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine, PeriodicHandle
 
@@ -92,7 +92,10 @@ class Application:
         self._replacement_rounds: deque[float] = deque(maxlen=32)
         self._resubmit_backoff_until = 0.0
         self._next_index = 0
-        self._pod_names: list[str] = []
+        # Live pod objects, oldest first. The cluster never replaces or
+        # drops a pod it has submitted, so holding the objects is the same
+        # as looking their names up on every read.
+        self._pods: list[Pod] = []
         self._tick_handle: PeriodicHandle | None = None
         self._last_tick: float | None = None
         self.started = False
@@ -125,7 +128,7 @@ class Application:
             u_disk += usage.disk_bw
             u_net += usage.net_bw
         return {
-            "replicas": float(len(self._pod_names)),
+            "replicas": float(len(self._pods)),
             "running_replicas": float(len(running)),
             "alloc/cpu": a_cpu,
             "alloc/memory": a_mem,
@@ -156,11 +159,10 @@ class Application:
         if self._tick_handle is not None:
             self._tick_handle.cancel()
             self._tick_handle = None
-        for name in list(self._pod_names):
-            pod = self.api.get_pod(name)
+        for pod in self.pods():
             if not pod.terminal:
-                self.api.delete_pod(name, reason="app-stopped")
-        self._pod_names.clear()
+                self.api.delete_pod(pod.name, reason="app-stopped")
+        self._pods.clear()
         self.finished = True
 
     def _on_tick(self) -> None:
@@ -184,13 +186,13 @@ class Application:
         Transient actuation faults on the resubmit path are absorbed and
         retried on a later tick.
         """
-        if len(self._pod_names) >= self._desired_replicas:
+        if len(self._pods) >= self._desired_replicas:
             return
         if now < self._resubmit_backoff_until:
             return
         resubmitted = 0
         try:
-            while len(self._pod_names) < self._desired_replicas:
+            while len(self._pods) < self._desired_replicas:
                 self._submit_replica()
                 self.replacements += 1
                 resubmitted += 1
@@ -217,12 +219,7 @@ class Application:
 
     def _prune_terminal_pods(self) -> None:
         """Drop externally-evicted/finished pods from the replica list."""
-        kept = []
-        for name in self._pod_names:
-            pod = self.api.get_pod(name)
-            if not pod.terminal:
-                kept.append(name)
-        self._pod_names = kept
+        self._pods = [pod for pod in self._pods if pod.phase not in TERMINAL_PHASES]
 
     # -- replica management ----------------------------------------------------------
 
@@ -240,20 +237,25 @@ class Application:
         )
         self._next_index += 1
         pod = self.api.create_pod(spec)
-        self._pod_names.append(pod.name)
+        self._pods.append(pod)
         return pod
 
     def pods(self) -> list[Pod]:
-        """All live (non-terminal) pods of this app, oldest first."""
-        return [self.api.get_pod(name) for name in self._pod_names]
+        """Every pod kept since the last prune, oldest first.
+
+        The replica list is pruned at the start of each tick and in
+        :meth:`scale_to`, so a pod evicted or finished since then is
+        still listed, in its terminal phase.
+        """
+        return list(self._pods)
 
     def running_pods(self) -> list[Pod]:
-        return [p for p in self.pods() if p.phase == PodPhase.RUNNING]
+        return [p for p in self._pods if p.phase == PodPhase.RUNNING]
 
     @property
     def replica_count(self) -> int:
         """Desired replica count (live pods, running or pending)."""
-        return len(self._pod_names)
+        return len(self._pods)
 
     def scale_to(self, replicas: int) -> None:
         """Horizontal scaling verb: grow by submitting, shrink newest-first."""
@@ -261,13 +263,12 @@ class Application:
             raise ValueError("replicas must be ≥ 0")
         self._desired_replicas = replicas
         self._prune_terminal_pods()
-        while len(self._pod_names) < replicas:
+        while len(self._pods) < replicas:
             self._submit_replica()
-        while len(self._pod_names) > replicas:
-            victim = self._pod_names.pop()
-            pod = self.api.get_pod(victim)
-            if not pod.terminal:
-                self.api.delete_pod(victim, reason="scaled-down")
+        while len(self._pods) > replicas:
+            victim = self._pods.pop()
+            if not victim.terminal:
+                self.api.delete_pod(victim.name, reason="scaled-down")
 
     def set_target_allocation(self, allocation: ResourceVector) -> int:
         """Vertical scaling verb: resize every live pod toward ``allocation``.

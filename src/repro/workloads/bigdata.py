@@ -26,10 +26,9 @@ builds without any of this.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import networkx as nx
 
@@ -124,6 +123,22 @@ def _validate_dag(stages: Sequence[Stage]) -> list[Stage]:
 
 
 _TASK_EPS = 1e-9
+
+
+class _Plan(NamedTuple):
+    """One fluid executor step, fixed while its inputs are.
+
+    ``key`` is every value the step reads except the stage's remaining
+    work and input: (stage, allocation, accelerated CPU rate, locality
+    fraction, input bandwidth, whether input remains, dt). ``work`` and
+    ``input_mb`` are what the step drains before the clamp to what
+    remains; ``usage`` is the vector ``Pod.record_usage`` stored.
+    """
+
+    key: tuple
+    work: float
+    input_mb: float
+    usage: ResourceVector
 
 
 @dataclass
@@ -274,6 +289,12 @@ class BigDataJob(Application):
         self.completed_at: float | None = None
         self.current_throughput = 0.0  # cpu-seconds of work retired per second
         self._total_work = sum(s.work_cpu_seconds for s in self.stages)
+        # -- fluid tick reuse (see tick) --
+        self._runnable: list[Stage] | None = None
+        self._assigned_to: list[Stage] | None = None
+        self._assigned_pods: list[Pod] = []
+        self._assigned_stages: list[Stage | None] = []
+        self._plans: dict[Pod, _Plan] = {}
         # -- fault-tolerant task engine (None → fluid model, seed behaviour) --
         self.ft = ft if ft is not None and ft.enabled else None
         self.quarantined_stage: str | None = None
@@ -288,7 +309,7 @@ class BigDataJob(Application):
             for stage in self.stages:
                 for dep in stage.deps:
                     self._dependents[dep].append(stage)
-            self._prev_executor_names: set[str] = set()
+            self._prev_executors: set[Pod] = set()
             self._dark_nodes: set[str] = set()
             self._node_wipes: dict[str, int] = {}
             self._slow_ticks: dict[str, int] = {}
@@ -337,11 +358,6 @@ class BigDataJob(Application):
             if not stage.complete and all(d in done for d in stage.deps)
         ]
 
-    def current_stage(self) -> Stage | None:
-        """First runnable stage (kept for single-branch DAGs and tests)."""
-        runnable = self.runnable_stages()
-        return runnable[0] if runnable else None
-
     def progress(self) -> float:
         """Work-weighted completion fraction across all stages."""
         if self._total_work <= 0:
@@ -387,14 +403,25 @@ class BigDataJob(Application):
             open_stages = [s for s in open_stages if s.max_parallelism > rounds]
         return assignment
 
-    def _advance_executor(self, pod: Pod, stage: Stage, dt: float) -> float:
-        """Run one executor on one stage for ``dt``; returns retired work.
+    def _advance_executor(
+        self, pod: Pod, stage: Stage, dt: float, plan: _Plan | None
+    ) -> tuple[_Plan, float]:
+        """Run one executor on one stage for ``dt``.
 
-        Input and work drain proportionally: an executor that has read
-        fraction f of its input share can have completed at most f of its
-        work share; the fluid model couples them via the min() below.
+        Returns the plan the executor stepped with and the work it
+        retired. Input and work drain proportionally: an executor that
+        has read fraction f of its input share can have completed at most
+        f of its work share; the fluid model couples them via the min()
+        below.
+
+        ``plan`` is the one this executor stepped with on the previous
+        tick. It is reused when its key, every value the step reads but
+        the stage's remaining work and input, is unchanged; otherwise a
+        new plan is computed. Either way the stage drains by the same
+        four min/max updates, so the floats do not depend on reuse.
         """
-        cpu_rate = pod.allocation.cpu  # cpu-seconds per second
+        alloc = pod.allocation
+        cpu_rate = alloc.cpu  # cpu-seconds per second
         if (
             stage.accel_speedup > 1.0
             and self.accelerator is not None
@@ -404,34 +431,38 @@ class BigDataJob(Application):
         ):
             cpu_rate *= stage.accel_speedup
         local_frac, in_bw = self._input_locality(pod, stage)
-        if stage.input_mb > 0 and stage.remaining_input > 0:
-            work_frac_rate = cpu_rate / stage.work_cpu_seconds
-            input_frac_rate = (
-                in_bw / stage.input_mb if stage.input_mb > 0 else math.inf
-            )
-            frac_rate = min(work_frac_rate, input_frac_rate)
-            stage_work = frac_rate * stage.work_cpu_seconds * dt
-            stage_input = frac_rate * stage.input_mb * dt
-            cpu_used = stage_work / dt
-            io_used = min(in_bw, stage_input / dt)
+        has_input = stage.input_mb > 0 and stage.remaining_input > 0
+        key = (stage, alloc, cpu_rate, local_frac, in_bw, has_input, dt)
+        if plan is not None and plan.key == key:
+            pod.usage = plan.usage
         else:
-            stage_work = cpu_rate * dt
-            stage_input = 0.0
-            cpu_used = cpu_rate
-            io_used = 0.0
-        stage_work = min(stage_work, stage.remaining_work)
-        stage_input = min(stage_input, stage.remaining_input)
+            if has_input:
+                work_frac_rate = cpu_rate / stage.work_cpu_seconds
+                input_frac_rate = in_bw / stage.input_mb
+                frac_rate = min(work_frac_rate, input_frac_rate)
+                stage_work = frac_rate * stage.work_cpu_seconds * dt
+                stage_input = frac_rate * stage.input_mb * dt
+                cpu_used = stage_work / dt
+                io_used = min(in_bw, stage_input / dt)
+            else:
+                stage_work = cpu_rate * dt
+                stage_input = 0.0
+                cpu_used = cpu_rate
+                io_used = 0.0
+            pod.record_usage(
+                ResourceVector(
+                    cpu=min(cpu_used, alloc.cpu),
+                    memory=min(alloc.memory, 0.5 + 0.1 * alloc.cpu),
+                    disk_bw=io_used * local_frac,
+                    net_bw=io_used * (1 - local_frac),
+                )
+            )
+            plan = _Plan(key, stage_work, stage_input, pod.usage)
+        stage_work = min(plan.work, stage.remaining_work)
+        stage_input = min(plan.input_mb, stage.remaining_input)
         stage.remaining_work = max(0.0, stage.remaining_work - stage_work)
         stage.remaining_input = max(0.0, stage.remaining_input - stage_input)
-        pod.record_usage(
-            ResourceVector(
-                cpu=min(cpu_used, pod.allocation.cpu),
-                memory=min(pod.allocation.memory, 0.5 + 0.1 * pod.allocation.cpu),
-                disk_bw=io_used * local_frac,
-                net_bw=io_used * (1 - local_frac),
-            )
-        )
-        return stage_work
+        return plan, stage_work
 
     def tick(self, dt: float, now: float) -> None:
         if self.ft is not None:
@@ -439,24 +470,40 @@ class BigDataJob(Application):
             return
         if self.done:
             return
-        runnable = self.runnable_stages()
+        # The runnable list holds while none of its stages is complete;
+        # the tick in which one completes recomputes it below.
+        runnable = self._runnable
+        if runnable is None:
+            runnable = self._runnable = self.runnable_stages()
         if not runnable:
             self._complete(now)
             return
         executors = self.running_pods()
-        assignment = self._assign_executors(runnable, executors)
+        if runnable is not self._assigned_to or executors != self._assigned_pods:
+            assignment = self._assign_executors(runnable, executors)
+            self._assigned_to = runnable
+            self._assigned_pods = executors
+            self._assigned_stages = [assignment.get(pod.name) for pod in executors]
+        plans = self._plans
+        self._plans = stepped = {}
         work_retired = 0.0
-        for pod in executors:
-            stage = assignment.get(pod.name)
+        for pod, stage in zip(executors, self._assigned_stages):
             if stage is None:
                 pod.record_usage(
                     ResourceVector(memory=min(0.25, pod.allocation.memory))
                 )
                 continue
-            work_retired += self._advance_executor(pod, stage, dt)
+            plan, retired = self._advance_executor(pod, stage, dt, plans.get(pod))
+            stepped[pod] = plan
+            work_retired += retired
         self.current_throughput = work_retired / dt
-        if all(s.complete for s in self.stages):
-            self._complete(now)
+        for stage in runnable:
+            if stage.complete:
+                # Empty exactly when every stage is complete.
+                self._runnable = self.runnable_stages()
+                if not self._runnable:
+                    self._complete(now)
+                break
 
     def _complete(self, now: float) -> None:
         if self.completed_at is not None:
@@ -466,7 +513,7 @@ class BigDataJob(Application):
         for pod in self.pods():
             if not pod.terminal:
                 self.api.mark_finished(pod.name, succeeded=True)
-        self._pod_names.clear()
+        self._pods.clear()
         if self._tick_handle is not None:
             self._tick_handle.cancel()
             self._tick_handle = None
@@ -505,7 +552,7 @@ class BigDataJob(Application):
         for rt in self._runtime.values():
             rt.sync_stage()
         self.current_throughput = work_retired / dt
-        self._prev_executor_names = set(self._pod_names)
+        self._prev_executors = set(self._pods)
         if all(s.complete for s in self.stages):
             self._complete(now)
 
@@ -513,10 +560,10 @@ class BigDataJob(Application):
 
     def _detect_executor_loss(self, now: float) -> None:
         """Re-open the in-flight share of executors that disappeared."""
-        current = set(self._pod_names)
-        lost = self._prev_executor_names - current
-        if not lost:
+        gone = self._prev_executors - set(self._pods)
+        if not gone:
             return
+        lost = {pod.name for pod in gone}
         self.executor_losses += len(lost)
         if self.telemetry is not None:
             self.telemetry.tracer.instant(
@@ -580,7 +627,7 @@ class BigDataJob(Application):
                 for pod in self.pods():
                     if not pod.terminal:
                         self.api.mark_finished(pod.name, succeeded=False)
-                self._pod_names.clear()
+                self._pods.clear()
                 if self._tick_handle is not None:
                     self._tick_handle.cancel()
                     self._tick_handle = None

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.cluster.api import ClusterAPI
-from repro.cluster.pod import PodPhase, WorkloadClass
+from repro.cluster.pod import Pod, WorkloadClass
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine
 from repro.workloads.base import Application
@@ -96,7 +96,7 @@ class HPCJob(Application):
         self.progress = 0.0
         self.last_checkpoint = 0.0
         self.rollbacks = 0
-        self._prev_rank_names: set[str] = set()
+        self._prev_ranks: set[Pod] = set()
         self.submitted_at: float | None = None
         self.gang_started_at: float | None = None
         self.completed_at: float | None = None
@@ -161,9 +161,9 @@ class HPCJob(Application):
 
     def _detect_rank_loss(self) -> None:
         """Roll back to the last checkpoint when a rank disappeared."""
-        current = {p.name for p in self.pods()}
-        lost = self._prev_rank_names - current
-        self._prev_rank_names = current
+        current = set(self._pods)
+        lost = self._prev_ranks - current
+        self._prev_ranks = current
         if not lost or self.progress <= 0.0:
             return
         restore = self.last_checkpoint if self.checkpoint_interval else 0.0
@@ -175,8 +175,7 @@ class HPCJob(Application):
         if self.done:
             return
         self._detect_rank_loss()
-        pods = self.pods()
-        running = [p for p in pods if p.phase == PodPhase.RUNNING]
+        running = self.running_pods()
         if len(running) < self.ranks:
             # Gang incomplete: ranks that are up spin at the barrier,
             # burning a trickle of CPU but making no progress.
@@ -226,7 +225,7 @@ class HPCJob(Application):
         for pod in self.pods():
             if not pod.terminal:
                 self.api.mark_finished(pod.name, succeeded=True)
-        self._pod_names.clear()
+        self._pods.clear()
         if self._tick_handle is not None:
             self._tick_handle.cancel()
             self._tick_handle = None

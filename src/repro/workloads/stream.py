@@ -171,7 +171,7 @@ class StreamJob(Application):
             self.last_checkpoint_at = 0.0
             self._ckpt_processed = 0.0
             self._restore_until = 0.0
-            self._prev_worker_names: set[str] = set()
+            self._prev_workers: set[Pod] = set()
 
     # -- model ------------------------------------------------------------------
 
@@ -201,9 +201,9 @@ class StreamJob(Application):
     def _ft_pre_tick(self, now: float) -> bool:
         """Checkpoint/rollback bookkeeping; True while restoring state."""
         assert self.ft is not None
-        current = set(self._pod_names)
-        lost = self._prev_worker_names - current
-        self._prev_worker_names = current
+        current = set(self._pods)
+        lost = self._prev_workers - current
+        self._prev_workers = current
         if lost:
             # Restart from the last checkpoint barrier: everything
             # processed since is replayed as fresh backlog.

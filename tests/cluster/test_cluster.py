@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.api import ClusterAPI
 from repro.cluster.cluster import Cluster, ClusterError, NodeNotFound, PodNotFound
 from repro.cluster.events import (
     PodEvicted,
@@ -213,7 +214,7 @@ def test_pods_of_app_and_gang(engine, cluster):
     cluster.submit(make_spec("a-0", app="a"))
     cluster.submit(make_spec("a-1", app="a"))
     cluster.submit(make_spec("g-0", app="g", gang_id="g"))
-    assert len(cluster.pods_of_app("a")) == 2
+    assert len(ClusterAPI(cluster).list_pods(app="a")) == 2
     assert len(cluster.pods_of_gang("g")) == 1
 
 

@@ -76,9 +76,9 @@ class TestExecution:
         stages = [Stage("map", 200.0), Stage("reduce", 200.0, deps=("map",))]
         job = submit(engine, api, stages=stages)
         engine.run_until(30.0)
-        assert job.current_stage().name == "map"
+        assert job.runnable_stages()[0].name == "map"
         engine.run_until(80.0)
-        assert job.current_stage().name == "reduce"
+        assert job.runnable_stages()[0].name == "reduce"
         engine.run_until(300.0)
         assert job.done
 
