@@ -514,6 +514,7 @@ class BigDataJob(Application):
             if not pod.terminal:
                 self.api.mark_finished(pod.name, succeeded=True)
         self._pods.clear()
+        self._plans = {}  # nothing steps any more
         if self._tick_handle is not None:
             self._tick_handle.cancel()
             self._tick_handle = None
