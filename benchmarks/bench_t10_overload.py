@@ -25,37 +25,59 @@ zone dark for five minutes via
 (blast radius) plus time-to-recover from the fault-recovery report.
 
 Smoke runs 1× and 4× for 900 s per point; the checks are the same. The
-scenario itself is :func:`repro.platform.presets.build_overload`, which
-the ``overload`` report preset shares.
+scenario itself is the ``overload`` report scenario
+(``src/repro/scenarios/report/overload.json``) without its SLOs.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis.recovery import error_series, fault_recovery_report, summarize
 from repro.cluster.chaos import ZoneOutageInjector
-from repro.platform.presets import (
-    OVERLOAD_BASE_RATE,
-    OVERLOAD_NODES,
-    OVERLOAD_ZONES,
-    build_overload,
-)
+from repro.scenarios import load_report
+from repro.scenarios.spec import build_platform
 from repro.scheduler.admission import SHED_CLASSES
 
 SEED = 42
+#: Web offered load at 1×; demands are 100 rps/core so this is ~6 cores.
+BASE_RATE = 600.0
 #: (duration per point, load factors) per mode.
 GRIDS = {"smoke": (900.0, (1.0, 4.0)), "full": (1800.0, (1.0, 2.0, 4.0))}
 
 
+def _build(*, seed: int, factor: float, resilient: bool = True):
+    """The ``overload`` mix with web at ``factor`` × its sized load.
+
+    The cluster's spare room is already claimed by batch and best-effort
+    fillers; ``resilient`` keeps admission control + load shedding,
+    control-loop backpressure and brownout on.
+    """
+    spec = load_report("overload").spec
+    web = {"kind": "constant", "value": BASE_RATE * factor}
+    workloads = tuple(
+        replace(w, params={**w.params, "trace": web}) if w.name == "web" else w
+        for w in spec.workloads
+    )
+    return build_platform(replace(
+        spec,
+        seed=seed,
+        workloads=workloads,
+        overload=spec.overload if resilient else False,
+        slos=(),
+    ))
+
+
 def _goodput(platform, factor: float, duration: float) -> float:
     """Served / offered for the web service over the whole run."""
-    offered = OVERLOAD_BASE_RATE * factor * duration
+    offered = BASE_RATE * factor * duration
     return platform.apps["web"].total_served / offered
 
 
 def _run_point(
     *, factor: float, resilient: bool, duration: float, seed: int
 ) -> dict:
-    platform = build_overload(seed=seed, factor=factor, resilient=resilient)
+    platform = _build(seed=seed, factor=factor, resilient=resilient)
     platform.run(duration)
     web = platform.apps["web"]
     admission = platform.admission
@@ -79,7 +101,7 @@ def _run_point(
 
 def _run_zone_outage(*, duration: float, seed: int) -> dict:
     """Resilient build riding out a five-minute zone outage at 2× load."""
-    platform = build_overload(seed=seed, factor=2.0)
+    platform = _build(seed=seed, factor=2.0)
     dom = ZoneOutageInjector(platform.injector)
     strike_at = duration / 3.0
     heal_at = strike_at + 300.0
@@ -181,7 +203,8 @@ def check_case(case: dict) -> None:
     assert base_peak["brownout_duty"] == 0.0
 
     outage = case["outage"]
-    assert outage["zone_nodes_failed"] == OVERLOAD_NODES // OVERLOAD_ZONES, (
+    spec = load_report("overload").spec
+    assert outage["zone_nodes_failed"] == spec.nodes // spec.zones, (
         f"blast radius {outage['zone_nodes_failed']} nodes is not one zone"
     )
     assert outage["mttr_s"] is not None and outage["mttr_s"] >= 300.0

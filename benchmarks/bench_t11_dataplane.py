@@ -25,17 +25,20 @@ through the same schedule on its optimistic fluid model, which simply
 cannot see most of these faults — the fidelity gap ft mode closes.
 
 Smoke runs calm and harsh for 900 s per cell; the checks are the same.
-The mix itself is :func:`repro.platform.presets.build_data_fault`,
-which the ``data-fault`` report preset shares.
+The mix itself is the ``data-fault`` report scenario
+(``src/repro/scenarios/report/data-fault.json``) without its SLOs.
 """
 
 from __future__ import annotations
 
-from repro.platform.presets import build_data_fault, schedule_fault_cycle
+from dataclasses import replace
+
+from repro.scenarios import load_report
+from repro.scenarios.spec import build_platform
 
 SEED = 47
 #: Fault levels: seconds between consecutive faults of the deterministic
-#: cycle (:func:`repro.platform.presets.schedule_fault_cycle`); None = no
+#: cycle (:func:`repro.scenarios.spec.schedule_fault_cycle`); None = no
 #: faults.
 LEVELS: dict[str, float | None] = {
     "calm": None,
@@ -50,9 +53,14 @@ GRIDS = {
 
 
 def _run_cell(*, level: str, ft: bool, duration: float, seed: int) -> dict:
-    platform = build_data_fault(seed=seed, ft=ft)
-    if LEVELS[level] is not None:
-        schedule_fault_cycle(platform, LEVELS[level], duration)
+    platform = build_platform(replace(
+        load_report("data-fault").spec,
+        seed=seed,
+        horizon=duration,
+        ft=ft,
+        fault_cycle=LEVELS[level],
+        slos=(),
+    ))
     platform.run(duration)
     job = platform.apps["t11-job"]
     stream = platform.apps["t11-stream"]

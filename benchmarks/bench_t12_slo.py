@@ -6,28 +6,31 @@ its objectives with zero alerts, an overloaded platform burns its
 shed/brownout error budgets and raises burn-rate alerts that *resolve*
 once the degradation machinery catches up, and a fault-ridden data
 plane shows its lag burn while every conservation ledger still
-balances. T12 checks all three against the preset scenarios in
-:mod:`repro.platform.presets` — the same seeded platforms the
+balances. T12 checks all three against the report scenarios in
+``src/repro/scenarios/report/`` — the same seeded platforms the
 ``repro report`` CLI runs — and measures **alert latency**: the time
 from an SLO's first bad tick to its first multi-window burn-rate alert
 firing (the fast window must accumulate enough evidence, so detection
 trails onset by design).
 
 Smoke trims the calm horizon to 900 s; the overload and data-fault
-presets are already CI-sized. A seed override replaces every preset's
-seed.
+scenarios are already CI-sized. A seed override replaces every
+scenario's seed.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.obs.recorder import build_run_report
-from repro.platform.presets import PRESETS, build_scenario
+from repro.scenarios import load_report
+from repro.scenarios.spec import build_platform
 
 SCENARIOS = ("calm", "overload", "data-fault")
-#: The seed a default run reports; each preset keeps its own seed
+#: The seed a default run reports; each scenario keeps its own seed
 #: unless ``run_case`` is given one.
-SEED = PRESETS["overload"].seed
-#: Smoke trims only the calm horizon; overload/data-fault presets are
+SEED = load_report("overload").spec.seed
+#: Smoke trims only the calm horizon; overload/data-fault scenarios are
 #: already CI-sized and shortening them would cut the alert lifecycle.
 SMOKE_CALM_DURATION = 900.0
 
@@ -40,8 +43,13 @@ def _alert_latency(slo: dict) -> float | None:
 
 
 def _run_scenario(name: str, duration: float | None, seed: int | None) -> dict:
-    platform, horizon = build_scenario(name, duration=duration, seed=seed)
-    platform.run(horizon)
+    spec = load_report(name).spec
+    if duration is not None:
+        spec = replace(spec, horizon=duration)
+    if seed is not None:
+        spec = replace(spec, seed=seed)
+    platform = build_platform(spec)
+    platform.run(spec.horizon)
     report = build_run_report(platform)
     slos = report.slos
     resolved = sum(
@@ -49,7 +57,7 @@ def _run_scenario(name: str, duration: float | None, seed: int | None) -> dict:
     )
     return {
         "scenario": name,
-        "duration": horizon,
+        "duration": spec.horizon,
         "report": report.as_dict(),
         "overall_attainment": report.overall_attainment(),
         "attainment": {n: s["attainment"] for n, s in slos.items()},
@@ -63,7 +71,7 @@ def _run_scenario(name: str, duration: float | None, seed: int | None) -> dict:
 
 
 def run_case(mode: str, seed: int | None = None) -> dict:
-    """``seed=None`` runs each preset at its own seed."""
+    """``seed=None`` runs each scenario at its own seed."""
     calm_duration = SMOKE_CALM_DURATION if mode == "smoke" else None
     cells = {
         name: _run_scenario(

@@ -69,11 +69,11 @@ from repro.scenarios import (
     load_scenario,
     scenario_names,
 )
-from repro.verify.fuzzer import ScenarioSpec, build_platform
+from repro.scenarios.spec import ScenarioSpec, build_platform
 
 #: Headroom multiplier between a workload's PLO and its derived SLO
 #: objective: the PLO tracker owns marginal excursions, the SLO watches
-#: for real degradation (same idea as the presets' calm scenario).
+#: for real degradation (same idea as the calm report scenario).
 SLO_MARGIN = 1.4
 
 #: Required good-tick fraction for derived SLOs.
@@ -116,31 +116,34 @@ class Scorecard:
 
 
 def derive_slos(spec: ScenarioSpec) -> tuple[SLOSpec, ...]:
-    """Latency/lag SLOs for every PLO-carrying workload in ``spec``.
+    """Latency/lag SLOs for every micro and stream workload with a
+    latency PLO in ``spec``.
 
-    Micro and stream workloads always carry a latency PLO in the pack
-    format; the SLO watches the same series with :data:`SLO_MARGIN`
-    headroom so attainment measures degradation, not controller jitter.
+    The SLO watches the PLO's series with :data:`SLO_MARGIN` headroom so
+    attainment measures degradation, not controller jitter.
     """
     slos = []
     for workload in spec.workloads:
         if workload.kind not in ("micro", "stream"):
             continue
-        plo = float(workload.params["plo"])
+        plo = workload.general().get("plo")
+        if plo is None or plo["kind"] != "latency":
+            continue
+        target = float(plo["target"])
         kind = "latency" if workload.kind == "micro" else "lag"
         slug = workload.name.replace("-", "_")
         slos.append(
             SLOSpec(
                 name=f"{slug}_latency",
                 series=f"app/{workload.name}/latency",
-                objective=plo * SLO_MARGIN,
+                objective=target * SLO_MARGIN,
                 comparator="le",
                 target=SLO_TARGET,
                 warmup=60.0,
                 kind=kind,
                 description=(
                     f"{workload.name} latency within "
-                    f"{SLO_MARGIN:g}x its {plo:g}s PLO"
+                    f"{SLO_MARGIN:g}x its {target:g}s PLO"
                 ),
             )
         )
@@ -234,9 +237,8 @@ def run_cell(
         spec = replace(spec, seed=seed)
     if horizon is not None:
         spec = replace(spec, horizon=horizon)
-    platform = build_platform(
-        spec, telemetry=True, policy=policy, slos=derive_slos(spec)
-    )
+    spec = replace(spec, policy=policy, slos=derive_slos(spec))
+    platform = build_platform(spec, telemetry=True)
     ledger = _ActuationLedger()
     for app in platform.apps.values():
         ledger.instrument(app)

@@ -8,14 +8,15 @@ Run declarative experiments without writing Python::
     python -m repro report overload --output report.json
     python -m repro policies
 
-``run`` executes a JSON experiment config (see
-:mod:`repro.platform.loader` for the schema) and prints the standard
-summary: per-app PLO violations, utilization, makespans, and costs.
+``run`` builds and runs any scenario spec file (see
+:mod:`repro.scenarios.spec` and docs/scenarios.md) and prints the
+standard summary: per-app PLO violations, utilization, makespans, and
+costs.
 ``trace`` runs the demo scenario with telemetry enabled and exports the
 causal run timeline (Chrome ``trace_event`` JSON or JSONL); ``--filter``
 and ``--since`` slice the export to a span-name prefix and a start
-time. ``report`` runs one of the canonical SLO scenarios
-(:mod:`repro.platform.presets`) and prints the flight recorder's
+time. ``report`` runs one of the report scenarios with SLOs attached
+(``src/repro/scenarios/report/``) and prints the flight recorder's
 ``RunReport``: per-SLO attainment and error-budget burn, the merged
 alert/fault timeline, ledger conservation verdicts, and the slowest
 scrape-to-actuation critical paths.
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro.analysis.cost import PriceSheet, app_cost, cost_series
 from repro.analysis.report import format_table
 from repro.cluster.resources import ResourceVector
 from repro.platform.config import PlatformConfig
 from repro.platform.evolve import POLICIES, SCHEDULERS, EvolvePlatform
-from repro.platform.loader import ConfigError, platform_from_json
+from repro.scenarios.spec import ConfigError, build_platform, load_spec
 from repro.workloads.bigdata import BigDataJob
 from repro.workloads.hpc import HPCJob
 from repro.workloads.microservice import ServiceDemands
@@ -86,14 +88,15 @@ def summarize(platform: EvolvePlatform) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        platform, duration = platform_from_json(args.config)
-    except (ConfigError, OSError) as exc:
+        spec = load_spec(args.config)
+        if args.duration is not None:
+            spec = replace(spec, horizon=args.duration)
+        platform = build_platform(spec)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.duration is not None:
-        duration = args.duration
     declare_summary(platform)
-    platform.run(duration)
+    platform.run(spec.horizon)
     print(summarize(platform))
     return 0
 
@@ -172,12 +175,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.recorder import build_run_report, write_run_report
-    from repro.platform.presets import build_scenario
+    from repro.scenarios import load_report
 
-    platform, duration = build_scenario(
-        args.scenario, duration=args.duration, seed=args.seed
-    )
-    platform.run(duration)
+    spec = load_report(args.scenario).spec
+    if args.duration is not None:
+        spec = replace(spec, horizon=args.duration)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
+    platform = build_platform(spec)
+    platform.run(spec.horizon)
     report = build_run_report(platform, top_k=args.top_k)
 
     meta = report.as_dict()["meta"]
@@ -398,10 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a JSON experiment config")
-    run.add_argument("config", help="path to the experiment config")
+    run = sub.add_parser("run", help="run a scenario spec file")
+    run.add_argument("config", help="path to the scenario spec")
     run.add_argument("--duration", type=float, default=None,
-                     help="override the config's duration (seconds)")
+                     help="override the spec's horizon (seconds)")
     run.set_defaults(func=cmd_run)
 
     demo = sub.add_parser("demo", help="run the built-in demo scenario")
@@ -430,20 +436,20 @@ def build_parser() -> argparse.ArgumentParser:
                             "simulated time (seconds)")
     trace.set_defaults(func=cmd_trace)
 
-    from repro.platform.presets import PRESETS
+    from repro.scenarios import report_names
 
     rep = sub.add_parser(
         "report",
         help="run a canonical SLO scenario and print the flight-recorder "
              "RunReport (attainment, burn, alerts, ledgers, critical paths)",
     )
-    rep.add_argument("scenario", choices=sorted(PRESETS),
-                     help="which preset scenario to run "
-                          "(see repro.platform.presets)")
+    rep.add_argument("scenario", choices=report_names(),
+                     help="which report scenario to run "
+                          "(src/repro/scenarios/report/)")
     rep.add_argument("--duration", type=float, default=None,
-                     help="override the preset's horizon (seconds)")
+                     help="override the scenario's horizon (seconds)")
     rep.add_argument("--seed", type=int, default=None,
-                     help="override the preset's seed")
+                     help="override the scenario's seed")
     rep.add_argument("--output", metavar="FILE", default=None,
                      help="also write the RunReport JSON here")
     rep.add_argument("--top-k", type=int, default=5,

@@ -39,7 +39,7 @@ Choosing the victim is the only decision the drivers own: the
 :class:`ChaosMonkey` draws uniformly from its seeded RNG on a Poisson
 clock, the scenario fuzzer resolves ``candidates()[target % len]`` for
 an explicit schedule, and the R-T11 deterministic cycle
-(:func:`repro.platform.presets.schedule_fault_cycle`) uses a running
+(:func:`repro.scenarios.spec.schedule_fault_cycle`) uses a running
 strike counter.
 
 :class:`ActuationFaultInjector` (transient resize / pod-creation

@@ -72,7 +72,7 @@ def test_multi_tenant(capsys):
 
 
 def test_experiment_json_is_loadable():
-    from repro.platform.loader import platform_from_json
-    platform, duration = platform_from_json(str(EXAMPLES_DIR / "experiment.json"))
-    assert duration > 0
-    assert platform.apps
+    from repro.scenarios.spec import build_platform, load_spec
+    spec = load_spec(EXAMPLES_DIR / "experiment.json")
+    assert spec.horizon > 0
+    assert build_platform(spec).apps

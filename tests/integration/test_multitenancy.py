@@ -3,7 +3,7 @@
 from repro.cluster.resources import ResourceVector
 from repro.platform.config import ClusterSpec, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
-from repro.platform.loader import platform_from_dict
+from repro.scenarios.spec import ScenarioSpec, build_platform
 from repro.workloads.microservice import ServiceDemands
 from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import ConstantTrace
@@ -80,24 +80,28 @@ def test_quota_isolation_protects_neighbours():
 
 
 def test_quotas_via_loader():
-    config = {
-        "duration": 300,
-        "cluster": {"nodes": 3},
+    spec = ScenarioSpec.from_dict({
+        "seed": 0,
+        "horizon": 300,
+        "nodes": 3,
         "quotas": {"acme": {"cpu": 1, "memory": 4, "disk_bw": 50, "net_bw": 50}},
-        "services": [
+        "workloads": [
             {
+                "kind": "micro",
                 "name": "svc",
-                "trace": {"kind": "constant", "value": 10},
-                "demands": {"cpu_seconds": 0.01},
-                "allocation": {"cpu": 2, "memory": 1, "disk_bw": 10,
-                               "net_bw": 10},
-                "labels": {"tenant": "acme"},
-                "managed": False,
+                "params": {
+                    "trace": {"kind": "constant", "value": 10},
+                    "demands": {"cpu_seconds": 0.01},
+                    "allocation": {"cpu": 2, "memory": 1, "disk_bw": 10,
+                                   "net_bw": 10},
+                    "labels": {"tenant": "acme"},
+                    "managed": False,
+                },
             }
         ],
-    }
-    platform, duration = platform_from_dict(config)
-    platform.run(duration)
+    })
+    platform = build_platform(spec)
+    platform.run(spec.horizon)
     # The 2-cpu pod exceeds the 1-cpu quota: never bound.
     assert platform.apps["svc"].running_pods() == []
     assert platform.quotas.denials > 0

@@ -1,12 +1,13 @@
 """Flight-recorder tests: RunReport assembly, ledgers, instrumentation.
 
-Uses the preset scenarios (:mod:`repro.platform.presets`) at shortened
+Uses the report scenarios (``src/repro/scenarios/report/``) at shortened
 horizons — the same platforms ``repro report`` and R-T12 run — so the
 report is exercised against real admission/brownout/data-plane state,
 not mocks.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,15 @@ from repro.obs.recorder import (
     build_run_report,
     write_run_report,
 )
-from repro.platform.presets import PRESETS, build_scenario
+from repro.scenarios import build_platform, load_report, report_names
+
+
+def build_scenario(name: str, duration: float | None = None):
+    """A report scenario's platform (not yet run) and its horizon."""
+    spec = load_report(name).spec
+    if duration is not None:
+        spec = replace(spec, horizon=duration)
+    return build_platform(spec), spec.horizon
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +58,7 @@ class TestPresets:
             build_scenario("nope")
 
     def test_presets_wire_slo_engine_and_telemetry(self):
-        for name in PRESETS:
+        for name in report_names():
             platform, duration = build_scenario(name)
             assert duration > 0
             assert platform.telemetry is not None, name
@@ -67,7 +76,7 @@ class TestRunReportSchema:
             "ledgers", "critical_paths",
         }
         meta = data["meta"]
-        assert meta["seed"] == PRESETS["overload"].seed
+        assert meta["seed"] == load_report("overload").spec.seed
         assert meta["duration"] == pytest.approx(420.0)
         assert meta["telemetry"] is True
         assert "web" in meta["apps"]

@@ -28,17 +28,21 @@ def test_demo_static_policy(capsys):
 
 def test_run_command(tmp_path, capsys):
     config = {
+        "format": 5,
         "seed": 1,
-        "duration": 600,
-        "cluster": {"nodes": 3},
-        "services": [
+        "horizon": 600,
+        "nodes": 3,
+        "workloads": [
             {
+                "kind": "micro",
                 "name": "api",
-                "trace": {"kind": "constant", "value": 50},
-                "demands": {"cpu_seconds": 0.01},
-                "allocation": {"cpu": 1, "memory": 1, "disk_bw": 10,
-                               "net_bw": 10},
-                "plo": {"kind": "latency", "target": 0.1},
+                "params": {
+                    "trace": {"kind": "constant", "value": 50},
+                    "demands": {"cpu_seconds": 0.01},
+                    "allocation": {"cpu": 1, "memory": 1, "disk_bw": 10,
+                                   "net_bw": 10},
+                    "plo": {"kind": "latency", "target": 0.1},
+                },
             }
         ],
     }
@@ -51,7 +55,7 @@ def test_run_command(tmp_path, capsys):
 
 
 def test_run_duration_override(tmp_path, capsys):
-    config = {"duration": 86_400, "cluster": {"nodes": 2}}
+    config = {"seed": 0, "horizon": 86_400, "nodes": 2}
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(config))
     assert main(["run", str(path), "--duration", "60"]) == 0
@@ -65,7 +69,7 @@ def test_run_missing_file(capsys):
 
 def test_run_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{\"services\": [{}]}")
+    path.write_text('{"seed": 0, "horizon": 60, "nodes": 2, "workloads": [{}]}')
     assert main(["run", str(path)]) == 2
 
 
@@ -203,9 +207,77 @@ def test_fuzz_negative_episodes(tmp_path, capsys):
 def test_out_of_range_argument_exits_2(argv, flag, tmp_path, capsys):
     """A bad numeric argument is a usage error caught before any run."""
     config = tmp_path / "exp.json"
-    config.write_text(json.dumps({"duration": 60, "cluster": {"nodes": 2}}))
+    config.write_text(json.dumps({"seed": 0, "horizon": 60, "nodes": 2}))
     argv = [a.format(config=config, tmp=tmp_path) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {flag} must be")
     assert captured.out == ""
+
+
+#: A valid format-5 spec with one short-form service; each case below
+#: breaks one key of it.
+SPEC = {
+    "format": 5,
+    "seed": 1,
+    "horizon": 60.0,
+    "nodes": 2,
+    "workloads": [
+        {
+            "kind": "micro",
+            "name": "web",
+            "params": {
+                "base": 50.0, "amplitude": 10.0, "period": 600.0,
+                "cpu_seconds": 0.004, "cpu": 1.0, "memory": 2.0,
+                "plo": 0.05, "replicas": 1,
+            },
+        }
+    ],
+}
+
+
+def _without_amplitude(spec):
+    del spec["workloads"][0]["params"]["amplitude"]
+
+
+@pytest.mark.parametrize(
+    "command, fault, named",
+    [
+        pytest.param("replay", {"scheduler": "bogus"},
+                     "unknown scheduler 'bogus'", id="replay-scheduler"),
+        pytest.param("replay", _without_amplitude,
+                     "missing required key 'amplitude'",
+                     id="replay-short-micro-amplitude"),
+        pytest.param("replay", {"chaos": [{"domain": "meteor", "at": 10.0,
+                                           "duration": 5.0, "target": 0}]},
+                     "unknown chaos domain 'meteor'", id="replay-chaos-domain"),
+        pytest.param("replay", {"workloads": [{"kind": "quantum", "name": "q",
+                                               "params": {}}]},
+                     "unknown workload kind 'quantum'",
+                     id="replay-workload-kind"),
+        pytest.param("replay", {"horizon": -5}, "horizon must be positive",
+                     id="replay-negative-horizon"),
+        pytest.param("replay", {"nodes": 0}, "cluster: ", id="replay-no-nodes"),
+        pytest.param("run", {"quotas": []}, "quotas: ", id="run-quotas-list"),
+        pytest.param("run", {"monkey": []}, "monkey: ", id="run-monkey-list"),
+        pytest.param("run", {"groups": {}}, "groups: ",
+                     id="run-groups-object"),
+    ],
+)
+def test_malformed_spec_exits_2(command, fault, named, tmp_path, capsys):
+    """A malformed spec is a usage error naming the fault, not a
+    traceback and not a replay verdict."""
+    spec = json.loads(json.dumps(SPEC))
+    if callable(fault):
+        fault(spec)
+    else:
+        spec.update(fault)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = ["fuzz", "--replay", str(path)] if command == "replay" else [
+        "run", str(path)
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err

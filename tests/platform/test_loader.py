@@ -1,4 +1,4 @@
-"""Unit tests for the declarative config loader."""
+"""Unit tests for the scenario spec loader and its general-form parts."""
 
 import copy
 import json
@@ -7,12 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from repro.platform.loader import (
+from repro.scenarios.spec import (
     ConfigError,
-    cluster_spec_from_dict,
+    ScenarioSpec,
+    build_platform,
     demands_from_dict,
-    platform_from_dict,
-    platform_from_json,
+    load_spec,
     plo_from_dict,
     trace_from_dict,
 )
@@ -23,19 +23,29 @@ from repro.workloads.plo import LatencyPLO, ThroughputPLO
 RNG = np.random.default_rng(0)
 
 
+def stream():
+    """The RNG a drawing trace kind asks for."""
+    return RNG
+
+
+def _build(config: dict):
+    return build_platform(ScenarioSpec.from_dict(config))
+
+
 class TestTraceFromDict:
     def test_constant(self):
-        assert trace_from_dict({"kind": "constant", "value": 5}, RNG).rate(0) == 5
+        assert trace_from_dict({"kind": "constant", "value": 5}, stream).rate(0) == 5
 
     def test_step(self):
         trace = trace_from_dict(
-            {"kind": "step", "steps": [[10, 5]], "initial": 1}, RNG
+            {"kind": "step", "steps": [[10, 5]], "initial": 1}, stream
         )
         assert trace.rate(0) == 1 and trace.rate(20) == 5
 
     def test_diurnal(self):
         trace = trace_from_dict(
-            {"kind": "diurnal", "base": 100, "amplitude": 50, "period": 100}, RNG
+            {"kind": "diurnal", "base": 100, "amplitude": 50, "period": 100},
+            stream,
         )
         assert trace.rate(25) == pytest.approx(150)
 
@@ -48,7 +58,7 @@ class TestTraceFromDict:
                     {"kind": "constant", "value": 2},
                 ],
             },
-            RNG,
+            stream,
         )
         assert trace.rate(0) == 3
 
@@ -56,13 +66,13 @@ class TestTraceFromDict:
         trace = trace_from_dict(
             {"kind": "noisy", "base": {"kind": "constant", "value": 100},
              "rel_std": 0.0, "horizon": 100},
-            RNG,
+            stream,
         )
         assert trace.rate(0) == pytest.approx(100)
 
     def test_replay_inline(self):
         trace = trace_from_dict(
-            {"kind": "replay", "samples": [[0, 10], [50, 20]]}, RNG
+            {"kind": "replay", "samples": [[0, 10], [50, 20]]}, stream
         )
         assert trace.rate(60) == 20
 
@@ -72,7 +82,7 @@ class TestTraceFromDict:
         trace = trace_from_dict(
             {"kind": "replay", "path": str(path), "time_scale": 2.0,
              "rate_scale": 3.0},
-            RNG,
+            stream,
         )
         assert trace.rate(90) == 30
         assert trace.rate(110) == 60
@@ -81,19 +91,34 @@ class TestTraceFromDict:
         path = tmp_path / "trace.csv"
         path.write_text("time,rate\n0,10\n50\n")
         with pytest.raises(ConfigError, match="malformed row"):
-            trace_from_dict({"kind": "replay", "path": str(path)}, RNG)
+            trace_from_dict({"kind": "replay", "path": str(path)}, stream)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown trace kind"):
-            trace_from_dict({"kind": "wavelet"}, RNG)
+            trace_from_dict({"kind": "wavelet"}, stream)
 
     def test_missing_kind(self):
         with pytest.raises(ConfigError, match="missing required key"):
-            trace_from_dict({}, RNG)
+            trace_from_dict({}, stream)
 
     def test_bad_params_reported(self):
         with pytest.raises(ConfigError, match="constant"):
-            trace_from_dict({"kind": "constant", "value": -1}, RNG)
+            trace_from_dict({"kind": "constant", "value": -1}, stream)
+
+
+#: A general-form HPC job on the two-node cluster of ``_cluster``.
+HPC = {
+    "kind": "hpc",
+    "name": "sim",
+    "params": {
+        "ranks": 1, "duration": 30, "allocation": {"cpu": 2, "memory": 2},
+    },
+}
+CAPACITY = {"cpu": 8, "memory": 32, "disk_bw": 100, "net_bw": 100}
+
+
+def _cluster(**keys) -> dict:
+    return {"seed": 0, "horizon": 60, "nodes": 2, **keys}
 
 
 class TestOtherBuilders:
@@ -121,109 +146,121 @@ class TestOtherBuilders:
         assert all(isinstance(p, DemandPhase) for p in phases)
 
     def test_cluster_spec_homogeneous(self):
-        spec = cluster_spec_from_dict({"nodes": 4, "capacity": {"cpu": 8}})
-        assert spec.node_count == 4
-        assert spec.node_capacity.cpu == 8
+        platform = _build(_cluster(nodes=4, node_capacity=CAPACITY))
+        assert len(platform.cluster.nodes) == 4
+        assert platform.cluster_spec.node_capacity.cpu == 8
 
     def test_cluster_spec_groups(self):
-        spec = cluster_spec_from_dict({
-            "groups": [
-                {"name": "w", "count": 2, "capacity": {"cpu": 8}},
-                {"name": "f", "count": 1, "capacity": {"cpu": 4},
-                 "labels": {"accelerator": "fpga"}},
-            ]
-        })
-        assert spec.total_nodes == 3
+        platform = _build(_cluster(nodes=3, groups=[
+            {"name": "w", "count": 2, "capacity": CAPACITY},
+            {"name": "f", "count": 1, "capacity": CAPACITY,
+             "labels": {"accelerator": "fpga"}},
+        ]))
+        assert platform.cluster_spec.total_nodes == 3
+        assert platform.cluster.nodes["f-00"].labels["accelerator"] == "fpga"
 
     def test_bad_resource_key(self):
         with pytest.raises(ConfigError):
-            cluster_spec_from_dict({"capacity": {"gpu": 1}})
+            _build(_cluster(node_capacity={"gpu": 1}))
 
     def test_zones(self):
-        spec = cluster_spec_from_dict({"nodes": 4, "zones": 2})
-        assert spec.zones == 2
+        platform = _build(_cluster(nodes=4, zones=2))
+        assert platform.cluster_spec.zones == 2
 
     def test_hpc_resilience_knobs(self):
-        config = {
-            "duration": 60,
-            "cluster": {"nodes": 2},
-            "hpc": [{
-                "name": "sim", "ranks": 1, "job_duration": 30,
-                "allocation": {"cpu": 2, "memory": 2},
-                "zone_penalty": 0.5, "checkpoint_interval": 10,
-            }],
-        }
-        platform, _d = platform_from_dict(config)
-        job = platform.apps["sim"]
+        hpc = copy.deepcopy(HPC)
+        hpc["params"].update(zone_penalty=0.5, checkpoint_interval=10)
+        job = _build(_cluster(workloads=[hpc])).apps["sim"]
         assert job.zone_penalty == 0.5
         assert job.checkpoint_interval == 10
 
 
 FULL_CONFIG = {
+    "format": 5,
     "seed": 11,
-    "duration": 900,
-    "cluster": {"nodes": 4},
+    "horizon": 900,
+    "nodes": 4,
     "scheduler": "converged",
     "policy": "adaptive",
-    "services": [
+    "workloads": [
         {
+            "kind": "micro",
             "name": "web",
-            "trace": {"kind": "constant", "value": 80},
-            "demands": {"cpu_seconds": 0.01, "base_latency": 0.01},
-            "allocation": {"cpu": 1, "memory": 1, "disk_bw": 20, "net_bw": 20},
-            "plo": {"kind": "latency", "target": 0.05},
-        }
-    ],
-    "bigdata": [
+            "params": {
+                "trace": {"kind": "constant", "value": 80},
+                "demands": {"cpu_seconds": 0.01, "base_latency": 0.01},
+                "allocation": {"cpu": 1, "memory": 1, "disk_bw": 20,
+                               "net_bw": 20},
+                "plo": {"kind": "latency", "target": 0.05},
+            },
+        },
         {
+            "kind": "bigdata",
             "name": "etl",
-            "stages": [{"name": "map", "work": 200}],
-            "allocation": {"cpu": 2, "memory": 4, "disk_bw": 50, "net_bw": 50},
-            "executors": 2,
-        }
-    ],
-    "hpc": [
+            "params": {
+                "stages": [{"name": "map", "work": 200}],
+                "allocation": {"cpu": 2, "memory": 4, "disk_bw": 50,
+                               "net_bw": 50},
+                "executors": 2,
+            },
+        },
         {
+            "kind": "hpc",
             "name": "sim",
-            "ranks": 2,
-            "job_duration": 120,
-            "allocation": {"cpu": 4, "memory": 4, "disk_bw": 5, "net_bw": 50},
-        }
+            "params": {
+                "ranks": 2,
+                "duration": 120,
+                "allocation": {"cpu": 4, "memory": 4, "disk_bw": 5,
+                               "net_bw": 50},
+            },
+        },
     ],
 }
 
 
-STREAM = {
+STREAM_WORKLOAD = {
+    "kind": "stream",
     "name": "ingest",
-    "trace": {"kind": "constant", "value": 50},
-    "operators": [{"name": "parse", "cpu_seconds": 0.001}],
-    "allocation": {"cpu": 1, "memory": 1, "disk_bw": 10, "net_bw": 10},
+    "params": {
+        "trace": {"kind": "constant", "value": 50},
+        "operators": [{"name": "parse", "cpu_seconds": 0.001}],
+        "allocation": {"cpu": 1, "memory": 1, "disk_bw": 10, "net_bw": 10},
+    },
 }
 
-#: One-line faults in an otherwise valid config: (path to the value, bad
+#: One-line faults in an otherwise valid spec: (path to the value, bad
 #: value, the section the ConfigError must name).
 MALFORMED = {
     "seed": (("seed",), "abc", "seed"),
-    "duration": (("duration",), "x", "duration"),
-    "replicas": (("services", 0, "replicas"), "two", "service 'web'"),
+    "duration": (("horizon",), "x", "horizon"),
+    "replicas": (
+        ("workloads", 0, "params", "replicas"), "two", "micro 'web'"
+    ),
     "scheduler": (("scheduler",), "nope", "platform"),
     "policy": (("policy",), "nope", "platform"),
     "policy-kwargs": (("policy_kwargs",), {"bogus": 1}, "platform"),
     "scheduler-kwargs": (("scheduler_kwargs",), {"bogus": 1}, "platform"),
-    "service-not-object": (("services", 0), 42, "services[0]"),
+    "service-not-object": (("workloads", 0), 42, "workloads"),
     "unknown-dep": (
-        ("bigdata", 0, "stages", 0, "deps"), ["nope"], "bigdata job 'etl'"
+        ("workloads", 1, "params", "stages", 0, "deps"), ["nope"],
+        "bigdata 'etl'",
     ),
-    "zero-ranks": (("hpc", 0, "ranks"), 0, "hpc job 'sim'"),
+    "zero-ranks": (("workloads", 2, "params", "ranks"), 0, "hpc 'sim'"),
     "allocation": (
-        ("services", 0, "allocation", "cpu"), "x", "service 'web'"
+        ("workloads", 0, "params", "allocation", "cpu"), "x", "micro 'web'"
     ),
     "quota": (("quotas",), {"team": {"cpu": "x"}}, "quotas"),
-    "duplicate-name": (("hpc", 0, "name"), "web", "hpc job 'web'"),
-    "negative-mtbf": (("chaos",), {"mtbf": -1}, "chaos"),
-    "no-operators": (("streams", 0, "operators"), [], "stream 'ingest'"),
+    "duplicate-name": (("workloads", 2, "name"), "web", "hpc 'web'"),
+    "negative-mtbf": (("monkey",), {"mtbf": -1}, "monkey"),
+    "no-operators": (
+        ("workloads", 3, "params", "operators"), [], "stream 'ingest'"
+    ),
     "unknown-dataset": (
-        ("bigdata", 0, "dataset"), "lake", "bigdata job 'etl'"
+        ("workloads", 1, "params", "dataset"), "lake", "bigdata 'etl'"
+    ),
+    "bad-dataset": (
+        ("workloads", 1, "params", "dataset"), {"total_mb": 0, "block_mb": 1},
+        "bigdata 'etl'",
     ),
 }
 
@@ -232,51 +269,55 @@ class TestPlatformFromDict:
     @pytest.mark.parametrize("fault", MALFORMED)
     def test_malformed_config_is_config_error(self, fault):
         path, value, section = MALFORMED[fault]
-        config = copy.deepcopy(dict(FULL_CONFIG, streams=[STREAM]))
+        config = copy.deepcopy(FULL_CONFIG)
+        config["workloads"].append(copy.deepcopy(STREAM_WORKLOAD))
         node = config
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
         with pytest.raises(ConfigError, match=rf"^{re.escape(section)}: "):
-            platform_from_dict(config)
+            _build(config)
 
     def test_full_config_runs(self):
-        platform, duration = platform_from_dict(FULL_CONFIG)
-        assert duration == 900
+        spec = ScenarioSpec.from_dict(FULL_CONFIG)
+        assert spec.horizon == 900
+        platform = build_platform(spec)
         assert set(platform.apps) == {"web", "etl", "sim"}
-        platform.run(duration)
+        platform.run(spec.horizon)
         result = platform.result()
         assert result.makespans["etl"] is not None
         assert result.makespans["sim"] is not None
         assert result.violation_fraction("web") < 0.2
 
     def test_chaos_section(self):
-        config = dict(FULL_CONFIG, chaos={"mtbf": 100, "repair_time": 50})
-        platform, _d = platform_from_dict(config)
-        assert platform.chaos is not None
+        config = dict(FULL_CONFIG, monkey={"mtbf": 100, "repair_time": 50})
+        assert _build(config).chaos is not None
 
     def test_invalid_duration(self):
-        with pytest.raises(ConfigError):
-            platform_from_dict({"duration": 0})
+        with pytest.raises(ConfigError, match="horizon"):
+            ScenarioSpec.from_dict(dict(FULL_CONFIG, horizon=0))
 
     def test_missing_service_name(self):
         with pytest.raises(ConfigError, match="name"):
-            platform_from_dict({"services": [{}]})
+            ScenarioSpec.from_dict(
+                dict(FULL_CONFIG, workloads=[{"kind": "micro", "params": {}}])
+            )
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(FULL_CONFIG))
-        platform, duration = platform_from_json(str(path))
-        assert duration == 900
+        spec = load_spec(path)
+        assert spec.horizon == 900
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="invalid JSON"):
-            platform_from_json(str(path))
+            load_spec(path)
 
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="top level"):
-            platform_from_json(str(path))
+            load_spec(path)

@@ -1,11 +1,11 @@
-"""Platform + loader integration for stream jobs."""
+"""Platform + scenario-spec integration for stream jobs."""
 
 import pytest
 
 from repro.cluster.resources import ResourceVector
 from repro.platform.config import ClusterSpec, PlatformConfig
 from repro.platform.evolve import EvolvePlatform
-from repro.platform.loader import ConfigError, platform_from_dict
+from repro.scenarios.spec import ConfigError, ScenarioSpec, build_platform
 from repro.workloads.plo import LatencyPLO
 from repro.workloads.stream import Operator, StreamJob
 from repro.workloads.traces import ConstantTrace
@@ -32,11 +32,11 @@ def test_deploy_stream_managed_end_to_end():
 
 
 def test_stream_via_loader():
-    config = {
-        "duration": 600,
-        "cluster": {"nodes": 3},
-        "streams": [{
-            "name": "clicks",
+    spec = ScenarioSpec.from_dict({
+        "seed": 0,
+        "horizon": 600,
+        "nodes": 3,
+        "workloads": [{"kind": "stream", "name": "clicks", "params": {
             "trace": {"kind": "constant", "value": 100},
             "operators": [
                 {"name": "parse", "cpu_seconds": 0.002},
@@ -44,23 +44,25 @@ def test_stream_via_loader():
             ],
             "allocation": {"cpu": 1, "memory": 2, "disk_bw": 10, "net_bw": 40},
             "plo": {"kind": "latency", "target": 5.0},
-        }],
-    }
-    platform, duration = platform_from_dict(config)
-    platform.run(duration)
+        }}],
+    })
+    platform = build_platform(spec)
+    platform.run(spec.horizon)
     job = platform.apps["clicks"]
     assert job.output_selectivity == pytest.approx(0.5)
     assert job.current_rate == pytest.approx(100, rel=0.1)
 
 
 def test_stream_loader_validation():
-    config = {
-        "streams": [{
-            "name": "bad",
+    spec = ScenarioSpec.from_dict({
+        "seed": 0,
+        "horizon": 60,
+        "nodes": 2,
+        "workloads": [{"kind": "stream", "name": "bad", "params": {
             "trace": {"kind": "constant", "value": 1},
             "operators": [{"name": "x", "cpu_seconds": -1}],
             "allocation": {"cpu": 1},
-        }],
-    }
+        }}],
+    })
     with pytest.raises(ConfigError, match="stream 'bad'"):
-        platform_from_dict(config)
+        build_platform(spec)

@@ -9,7 +9,7 @@ kept the decisions of every covered run.
 
 Covered runs: fuzz run seed 7, episodes 0-35 (all nine fuzzer chaos
 domains); every arena cell at horizon 450 s; the three ``repro report``
-presets; the ``events_executed`` and ``metrics`` blocks of every runner
+scenarios; the ``events_executed`` and ``metrics`` blocks of every runner
 smoke experiment except ``telemetry_overhead`` (its call counts depend
 on how the interpreter was started) and ``micro_timeseries`` (its
 metrics are constants); every cell of the R-T7 full fault matrix (the
@@ -42,6 +42,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +53,13 @@ from repro.autoscaler.registry import registered_policies
 from repro.cluster.events import PodScheduled
 from repro.cluster.resources import ResourceVector
 from repro.obs.recorder import build_run_report
-from repro.platform.presets import PRESETS, build_overload, build_scenario
-from repro.scenarios import load_scenario, scenario_names
+from repro.scenarios import (
+    build_platform,
+    load_report,
+    load_scenario,
+    report_names,
+    scenario_names,
+)
 from repro.verify.fuzzer import (
     ChaosEvent,
     ScenarioSpec,
@@ -179,9 +185,10 @@ def _arena(policy: str, scenario: str) -> dict:
 
 
 def _report(name: str) -> dict:
-    platform, duration = build_scenario(name)
+    spec = load_report(name).spec
+    platform = build_platform(spec)
     placements = _record_placements(platform)
-    platform.run(duration)
+    platform.run(spec.horizon)
     report = build_run_report(platform).as_dict()
     return {
         "placements": placements,
@@ -239,7 +246,7 @@ def _speculation() -> dict:
 
 
 def _starvation() -> dict:
-    platform = build_overload(seed=42, factor=4.0, resilient=True)
+    platform = build_platform(replace(load_report("overload").spec, slos=()))
     checker = InvariantChecker.attach(platform, every=1)
     placements = _record_placements(platform)
     platform.submit_hpc(
@@ -332,7 +339,7 @@ def runs() -> dict:
             table[f"arena/{policy}/{scenario}"] = (
                 lambda p=policy, s=scenario: _arena(p, s)
             )
-    for name in sorted(PRESETS):
+    for name in report_names():
         table[f"report/{name}"] = lambda n=name: _report(n)
     for name in RUNNER_EXPERIMENTS:
         table[f"runner/{name}"] = lambda n=name: _runner(n)

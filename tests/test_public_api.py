@@ -74,6 +74,17 @@ PUBLIC_SURFACE = {
                        "series_divergence", "actuations", "critical_path",
                        "end_to_end_reaction", "latency_quantiles",
                        "reaction_latencies", "triggering_scrape"],
+    "repro.scenarios": ["ConfigError", "PACK_VERSION", "PackEntry",
+                        "ScenarioSpec", "UnknownScenarioError",
+                        "build_platform", "load_pack", "load_report",
+                        "load_scenario", "load_spec", "report_names",
+                        "scenario_names"],
+    "repro.scenarios.spec": ["ScenarioSpec", "WorkloadSpec", "ChaosEvent",
+                             "ConfigError", "FORMAT_VERSION",
+                             "SUPPORTED_FORMATS", "build_platform",
+                             "load_spec", "schedule_fault_cycle",
+                             "trace_from_dict", "demands_from_dict",
+                             "plo_from_dict"],
     "repro.obs": ["Telemetry", "Tracer", "Trace", "Span",
                   "DecisionProvenance", "MetricsRegistry", "Counter",
                   "Gauge", "Histogram", "NAME_PATTERN", "lint_names",

@@ -9,15 +9,19 @@ import json
 
 import pytest
 
-from repro.platform.loader import ConfigError
-from repro.verify import fuzzer
-from repro.verify.fuzzer import (
+from repro.scenarios.spec import (
+    DATA_DOMAINS,
+    WORKLOAD_KINDS,
     ChaosEvent,
+    ConfigError,
     ScenarioSpec,
     WorkloadSpec,
+    load_spec,
+)
+from repro.verify import fuzzer
+from repro.verify.fuzzer import (
     fuzz,
     generate_scenario,
-    load_spec,
     replay,
     run_episode,
     shrink,
@@ -64,7 +68,7 @@ class TestScenarioGeneration:
             # v3: ft episodes append 1-3 data-plane events to the ≤ 3 base.
             assert len(spec.chaos) <= (6 if spec.ft else 3)
             for workload in spec.workloads:
-                assert workload.kind in fuzzer.WORKLOAD_KINDS
+                assert workload.kind in WORKLOAD_KINDS
             for event in spec.chaos:
                 assert event.at >= 30.0
                 assert event.duration >= 30.0
@@ -73,7 +77,7 @@ class TestScenarioGeneration:
 class TestSpecSerialization:
     def test_json_round_trip(self):
         spec = generate_scenario(7, 2)
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_format_version_rejected(self):
         payload = generate_scenario(7, 0).to_dict()
@@ -221,7 +225,7 @@ class TestFormatV3:
 
     def test_ft_round_trips_through_json(self):
         spec = ScenarioSpec(seed=1, horizon=120.0, nodes=3, workloads=(), ft=True)
-        loaded = ScenarioSpec.from_json(spec.to_json())
+        loaded = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert loaded == spec
         assert loaded.ft is True
 
@@ -241,7 +245,7 @@ class TestFormatV3:
             e
             for s in ft_specs
             for e in s.chaos
-            if e.domain in fuzzer.DATA_DOMAINS
+            if e.domain in DATA_DOMAINS
         ]
         assert data_events
         for event in data_events:
@@ -250,7 +254,7 @@ class TestFormatV3:
         for spec in specs:
             if not spec.ft:
                 assert all(
-                    e.domain not in fuzzer.DATA_DOMAINS for e in spec.chaos
+                    e.domain not in DATA_DOMAINS for e in spec.chaos
                 )
 
     def test_ft_episode_runs_clean(self):
@@ -258,7 +262,7 @@ class TestFormatV3:
             generate_scenario(23, i) for i in range(25)
             if generate_scenario(23, i).ft
         )
-        assert any(e.domain in fuzzer.DATA_DOMAINS for e in spec.chaos)
+        assert any(e.domain in DATA_DOMAINS for e in spec.chaos)
         result = run_episode(spec)
         assert result.ok, [v.detail for v in result.violations]
 

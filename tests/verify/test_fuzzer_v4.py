@@ -1,5 +1,6 @@
 """ScenarioSpec format-v4 tests: trace-model fields, draw-order
-discipline, and byte-identical v3 replay.
+discipline, byte-identical v3 replay, and the format-5 version
+constants.
 
 The versioning contract: a v4 parser must replay any v3 spec with a
 bit-identical trajectory (the new fields default off and their RNG
@@ -13,15 +14,13 @@ import json
 
 import pytest
 
-from repro.verify.fuzzer import (
+from repro.scenarios.spec import (
     ARRIVAL_MODELS,
     FORMAT_VERSION,
     SUPPORTED_FORMATS,
     ScenarioSpec,
-    generate_scenario,
-    run_episode,
-    shrink,
 )
+from repro.verify.fuzzer import generate_scenario, run_episode, shrink
 
 #: Two seeded v3 episodes captured before the v4 fields existed, with
 #: the sha256 of their placement fingerprints. If parsing a v3 payload
@@ -95,8 +94,8 @@ def _fingerprint_hash(spec: ScenarioSpec) -> tuple[int, str]:
 
 class TestFormatV4:
     def test_version_constants(self):
-        assert FORMAT_VERSION == 4
-        assert SUPPORTED_FORMATS == (1, 2, 3, 4)
+        assert FORMAT_VERSION == 5
+        assert SUPPORTED_FORMATS == (1, 2, 3, 4, 5)
         assert ARRIVAL_MODELS == ("rate", "poisson", "mmpp")
 
     def test_v3_payload_defaults_new_fields_off(self):
@@ -117,9 +116,8 @@ class TestFormatV4:
         armed = dataclasses.replace(
             spec, arrival_model="mmpp", heavy_tail=True, surge=True
         )
-        recovered = ScenarioSpec.from_json(armed.to_json())
-        assert recovered == armed
-        data = json.loads(armed.to_json())
+        data = json.loads(json.dumps(armed.to_dict()))
+        assert ScenarioSpec.from_dict(data) == armed
         assert data["format"] == 4
         assert data["arrival_model"] == "mmpp"
 
