@@ -10,7 +10,10 @@ Three claims keep ``PlatformConfig(telemetry=True)`` honest:
    wall-clock ratio does (and the proxy over-counts telemetry, whose
    extra calls are mostly trivial increments — the bound is
    conservative). Wall time for both configurations is reported
-   alongside for context.
+   alongside for context. The reading is a ratio, so a cheaper
+   telemetry-off path raises it with telemetry unchanged: a change that
+   cuts calls on the simulation's hot path must cut telemetry's own
+   calls as well.
 2. **Disabled overhead ≤2%** — with telemetry off the only residual
    cost is ``if self.telemetry is not None`` guards on the hot paths.
    The guard cost is measured directly and scaled by the number of

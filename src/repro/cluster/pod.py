@@ -163,16 +163,26 @@ class Pod:
     def record_usage(self, usage: ResourceVector) -> None:
         """Record measured usage, enforced at the current allocation.
 
-        Fused elementwise ``min`` + nonnegative clamp: this runs once per
-        replica per model tick, making it one of the hottest call sites
-        in long simulations.
+        Fused elementwise ``max(0.0, min(usage, allocation))``: this runs
+        once per replica per model tick, making it one of the hottest
+        call sites in long simulations, so each ``min(a, b)`` is written
+        ``b if b < a else a`` and each ``max(a, b)`` ``b if b > a else a``.
+        Both return the operand the builtin returns, ties and NaN included.
         """
         alloc = self.allocation
+        cpu, cap = usage.cpu, alloc.cpu
+        cpu = cap if cap < cpu else cpu
+        memory, cap = usage.memory, alloc.memory
+        memory = cap if cap < memory else memory
+        disk_bw, cap = usage.disk_bw, alloc.disk_bw
+        disk_bw = cap if cap < disk_bw else disk_bw
+        net_bw, cap = usage.net_bw, alloc.net_bw
+        net_bw = cap if cap < net_bw else net_bw
         self.usage = ResourceVector._from_fields(
-            max(0.0, min(usage.cpu, alloc.cpu)),
-            max(0.0, min(usage.memory, alloc.memory)),
-            max(0.0, min(usage.disk_bw, alloc.disk_bw)),
-            max(0.0, min(usage.net_bw, alloc.net_bw)),
+            cpu if cpu > 0.0 else 0.0,
+            memory if memory > 0.0 else 0.0,
+            disk_bw if disk_bw > 0.0 else 0.0,
+            net_bw if net_bw > 0.0 else 0.0,
         )
 
     def scheduling_latency(self) -> float | None:

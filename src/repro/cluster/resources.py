@@ -90,7 +90,12 @@ class ResourceVector:
 
     def as_dict(self) -> dict[str, float]:
         """Plain-dict view, keyed by :data:`RESOURCES` names."""
-        return {name: getattr(self, name) for name in RESOURCES}
+        return {
+            "cpu": self.cpu,
+            "memory": self.memory,
+            "disk_bw": self.disk_bw,
+            "net_bw": self.net_bw,
+        }
 
     def __iter__(self) -> Iterator[float]:
         return (getattr(self, name) for name in RESOURCES)

@@ -886,9 +886,10 @@ class ControlLoopManager:
         tel = self.telemetry
         app = entry.app
         metric = app.plo.metric_name(app.name)
-        signal_time = self.collector.latest_time(metric)
-        signal_age = scrape_span = None
-        if signal_time is not None:
+        sample = self.collector.latest_sample(metric)
+        signal = signal_age = scrape_span = None
+        if sample is not None:
+            signal_time, signal = sample
             signal_age = now - signal_time
             scrape_span = self.collector.scrape_span_at(signal_time)
             if scrape_span is not None:
@@ -906,7 +907,7 @@ class ControlLoopManager:
             action = decision.action
             target = decision.new_allocation if decision.changed else None
         active: tuple[int, ...] = ()
-        if self.fault_log is not None:
+        if self.fault_log is not None and self.fault_log.episodes:
             active = tuple(ep.eid for ep in self.fault_log.active_at(now))
         tel.tracer.trace.provenance.append(DecisionProvenance(
             app=app.name,
@@ -917,7 +918,7 @@ class ControlLoopManager:
             output=decision.output if decision is not None else None,
             gain_scale=decision.gain_scale if decision is not None else None,
             terms=terms,
-            inputs={metric: self.collector.latest(metric)},
+            inputs={metric: signal},
             signal_age=signal_age,
             stale_periods=entry.stale_periods,
             safe_mode=entry.safe_mode,

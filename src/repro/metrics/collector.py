@@ -372,6 +372,11 @@ class MetricsCollector:
         series = self._stored(name)
         return series.last_time() if series is not None else None
 
+    def latest_sample(self, name: str) -> tuple[float, float] | None:
+        """Newest ``(time, value)`` of a declared series, or None if empty."""
+        series = self._stored(name)
+        return series.last_sample() if series is not None else None
+
     def scrape_span_at(self, time: float) -> int | None:
         """Span id of the last completed scrape at or before ``time``."""
         idx = bisect.bisect_right(self._scrape_span_times, time) - 1

@@ -79,6 +79,13 @@ class TimeSeries:
         times = self._times
         return times[-1] if len(times) > self._start else None
 
+    def last_sample(self) -> tuple[float, float] | None:
+        """Most recent ``(time, value)``, or None when empty."""
+        times = self._times
+        if len(times) > self._start:
+            return times[-1], self._values[-1]
+        return None
+
     def value_at(self, time: float) -> float | None:
         """Last value at or before ``time`` (step interpolation)."""
         idx = bisect.bisect_right(self._times, time, self._start) - 1

@@ -27,6 +27,8 @@ from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.base import Application
 from repro.workloads.traces import LoadTrace
 
+_ZERO = ResourceVector.zero()
+
 
 @dataclass(frozen=True)
 class ServiceDemands:
@@ -197,7 +199,7 @@ class Microservice(Application):
         self._brownout_cache: tuple | None = None
         self.total_dropped = 0.0
         self.current_drop_rate = 0.0
-        self._replica_state: dict[str, _ReplicaState] = {}
+        self._replica_state: dict[Pod, _ReplicaState] = {}
         # Last-tick aggregates, exported on scrape.
         self.current_latency = self._phases[0].demands.base_latency
         self.current_throughput = 0.0
@@ -289,6 +291,12 @@ class Microservice(Application):
     # -- dynamics -----------------------------------------------------------------
 
     def tick(self, dt: float, now: float) -> None:
+        """Advance every running replica by ``dt`` in one loop on locals.
+
+        ``b if b < a else a`` and ``b if b > a else a`` stand for
+        ``min(a, b)`` and ``max(a, b)``: they return the same operand as
+        the builtins, so ties, signed zeros and NaN give the same floats.
+        """
         demands = self.demands_at(now)
         if self.brownout_active:
             demands = self._degraded_demands(demands)
@@ -299,109 +307,125 @@ class Microservice(Application):
             if size_factor != 1.0:
                 demands = self._sized_demands(demands, size_factor)
         else:
-            offered = max(0.0, self.trace.rate(now))
+            offered = self.trace.rate(now)
+            offered = offered if offered > 0.0 else 0.0
         running = self.running_pods()
         self.current_offered = offered
 
-        # Drop state of replicas that went away.
-        live = {p.name for p in running}
-        for name in list(self._replica_state):
-            if name not in live:
-                del self._replica_state[name]
+        # Rebuilt from the running pods, so a replica that stopped
+        # running since the last tick loses its state.
+        old_states = self._replica_state
+        states: dict[Pod, _ReplicaState] = {}
+        self._replica_state = states
+        max_latency = self.max_latency
 
         if not running:
             # Nothing serving: queue at the front door, report timeout-level
             # latency whenever there is load.
             self.current_throughput = 0.0
             self.current_latency = (
-                self.max_latency if offered > 0 else demands.base_latency
+                max_latency if offered > 0 else demands.base_latency
             )
             self.current_backlog = 0.0
             return
 
-        per_replica = offered / len(running)
+        n = len(running)
+        arrival_rate = offered / n
+        arrivals = arrival_rate * dt
+        cpu_seconds = demands.cpu_seconds
+        disk_mb = demands.disk_mb
+        net_mb = demands.net_mb
+        mem_base = demands.mem_base
+        mem_per_inflight = demands.mem_per_inflight
+        base_latency = demands.base_latency
+        queue_limit = self.queue_limit_seconds
+        from_fields = ResourceVector._from_fields
         served_total = 0.0
         dropped_total = 0.0
         wait_sum = 0.0
         backlog_total = 0.0
-        bottleneck_votes: dict[str, int] = {}
+        votes: dict[str, int] = {}
+        cap_alloc = None
 
         for pod in running:
-            state = self._replica_state.setdefault(pod.name, _ReplicaState())
-            wait, served, dropped, bottleneck = self._step_replica(
-                state, pod, per_replica, demands, dt
-            )
+            alloc = pod.allocation
+            # Replicas usually share one allocation object: compute its
+            # capacity once, and again only where the object changes.
+            if alloc is not cap_alloc:
+                mu_raw, cap_which = demands.capacity(alloc)
+                cap_alloc = alloc
+            which = cap_which
+            state = old_states[pod] if pod in old_states else _ReplicaState()
+            states[pod] = state
+            backlog = state.backlog
+            if mu_raw <= 0:
+                dropped = backlog + arrivals
+                backlog = 0.0
+                served = 0.0
+                wait = max_latency
+                pod.record_usage(_ZERO)
+            else:
+                # Memory pressure from in-flight requests (Little's law on
+                # the previous tick's wait, bounded to keep the fixed point
+                # stable).
+                last_wait = state.last_wait
+                inflight = arrival_rate * (5.0 if 5.0 < last_wait else last_wait)
+                required_mem = mem_base + mem_per_inflight * inflight
+                memory = alloc.memory
+                pressure = required_mem / (1e-9 if 1e-9 > memory else memory)
+                if pressure > 1.0:
+                    which = "memory"
+                else:
+                    pressure = 1.0
+                mu = mu_raw / pressure
+
+                queued = backlog + arrivals
+                served = mu * dt
+                served = served if served < queued else queued
+                backlog = queued - served
+                backlog = backlog if backlog > 0.0 else 0.0
+                # Shed whatever exceeds the admission-control window.
+                dropped = backlog - mu * queue_limit
+                dropped = dropped if dropped > 0.0 else 0.0
+                backlog -= dropped
+
+                rho = arrival_rate / mu
+                rho = 0.995 if 0.995 < rho else rho
+                service_time = base_latency * pressure
+                wait = service_time / (1.0 - rho) + (backlog / mu if mu > 0 else 0.0)
+                wait = max_latency if max_latency < wait else wait
+
+                served_rate = served / dt
+                pod.record_usage(
+                    from_fields(
+                        served_rate * cpu_seconds,
+                        memory if memory < required_mem else required_mem,
+                        served_rate * disk_mb,
+                        served_rate * net_mb,
+                    )
+                )
+            state.backlog = backlog
+            state.last_wait = wait
             served_total += served
             dropped_total += dropped
             wait_sum += wait
-            backlog_total += state.backlog
-            bottleneck_votes[bottleneck] = bottleneck_votes.get(bottleneck, 0) + 1
+            backlog_total += backlog
+            if which in votes:
+                votes[which] += 1
+            else:
+                votes[which] = 1
 
         self.total_dropped += dropped_total
         self.current_drop_rate = dropped_total / dt
         self.current_throughput = served_total / dt
-        self.current_latency = min(
-            self.max_latency, (wait_sum / len(running)) * self.tail_factor
-        )
+        latency = (wait_sum / n) * self.tail_factor
+        self.current_latency = latency if latency < max_latency else max_latency
         self.current_backlog = backlog_total
-        self.current_bottleneck = max(bottleneck_votes, key=bottleneck_votes.get)
+        self.current_bottleneck = max(votes, key=votes.get)
         self.total_served += served_total
         if self.brownout_active and self.brownout_penalty > 0:
-            self.current_latency = min(
-                self.max_latency, self.current_latency + self.brownout_penalty
-            )
-
-    def _step_replica(
-        self,
-        state: _ReplicaState,
-        pod: Pod,
-        arrival_rate: float,
-        demands: ServiceDemands,
-        dt: float,
-    ) -> tuple[float, float, float, str]:
-        """Advance one replica; returns (wait, served, dropped, bottleneck)."""
-        mu_raw, bottleneck = demands.capacity(pod.allocation)
-        if mu_raw <= 0:
-            dropped = state.backlog + arrival_rate * dt
-            state.backlog = 0.0
-            state.last_wait = self.max_latency
-            pod.record_usage(ResourceVector.zero())
-            return self.max_latency, 0.0, dropped, bottleneck
-
-        # Memory pressure from in-flight requests (Little's law on the
-        # previous tick's wait, bounded to keep the fixed point stable).
-        inflight = arrival_rate * min(state.last_wait, 5.0)
-        required_mem = demands.mem_base + demands.mem_per_inflight * inflight
-        mem = max(pod.allocation.memory, 1e-9)
-        pressure = max(1.0, required_mem / mem)
-        if pressure > 1.0:
-            bottleneck = "memory"
-        mu = mu_raw / pressure
-
-        arrivals = arrival_rate * dt
-        served = min(state.backlog + arrivals, mu * dt)
-        state.backlog = max(0.0, state.backlog + arrivals - served)
-        # Shed whatever exceeds the admission-control window.
-        backlog_cap = mu * self.queue_limit_seconds
-        dropped = max(0.0, state.backlog - backlog_cap)
-        state.backlog -= dropped
-
-        rho = min(arrival_rate / mu, 0.995)
-        service_time = demands.base_latency * pressure
-        wait = service_time / (1.0 - rho) + (state.backlog / mu if mu > 0 else 0.0)
-        wait = min(wait, self.max_latency)
-        state.last_wait = wait
-
-        served_rate = served / dt
-        pod.record_usage(
-            ResourceVector._from_fields(
-                served_rate * demands.cpu_seconds,
-                min(required_mem, pod.allocation.memory),
-                served_rate * demands.disk_mb,
-                served_rate * demands.net_mb,
-            )
-        )
-        return wait, served, dropped, bottleneck
+            latency = self.current_latency + self.brownout_penalty
+            self.current_latency = latency if latency < max_latency else max_latency
 
     # -- metrics --------------------------------------------------------------------
 

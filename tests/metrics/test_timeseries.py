@@ -19,6 +19,7 @@ class TestAppend:
         assert len(ts) == 0
         assert ts.last() is None
         assert ts.last_time() is None
+        assert ts.last_sample() is None
         assert ts.mean_over(10, 5) is None
         assert ts.value_at(1.0) is None
 
@@ -45,6 +46,7 @@ class TestPointQueries:
         ts = series_from([(1, 10), (2, 20)])
         assert ts.last() == 20
         assert ts.last_time() == 2
+        assert ts.last_sample() == (2.0, 20.0)
 
     def test_value_at_step_interpolation(self):
         ts = series_from([(1, 10), (3, 30)])
@@ -222,6 +224,7 @@ class TestCompaction:
             ts.append(float(i), float(i))
         assert len(ts) == 1
         assert ts.last() == 4.0
+        assert ts.last_sample() == (4.0, 4.0)
         assert ts.value_at(4.0) == 4.0
 
     def test_ewma_ignores_evicted_samples(self):
