@@ -141,6 +141,13 @@ class ClusterAPI:
     def pending_pods(self) -> list[Pod]:
         return self._cluster.pending_pods()
 
+    @property
+    def phase_epoch(self) -> int:
+        """A counter that moves whenever any pod changes phase (bind,
+        start, finish, evict); a list filtered by pod phase stays current
+        while it holds."""
+        return self._cluster.phase_epoch
+
     def running_pods(self, app: str) -> list[Pod]:
         return self._cluster.running_pods_of_app(app)
 

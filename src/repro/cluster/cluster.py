@@ -86,6 +86,10 @@ class Cluster:
         self.events = EventBus()
         self.quotas = None  # optional QuotaManager, set by the operator
         self._pending: dict[str, Pod] = {}  # insertion-ordered queue
+        #: Bumped at each of the four pod phase writes (bind, start,
+        #: finish, evict): a list filtered by pod phase stays current
+        #: while this holds.
+        self.phase_epoch = 0
 
     # -- queries ----------------------------------------------------------------
 
@@ -195,6 +199,7 @@ class Cluster:
         node.bind(pod)  # raises NodeError if it does not fit
         del self._pending[pod_name]
         pod.phase = PodPhase.SCHEDULED
+        self.phase_epoch += 1
         pod.node_name = node_name
         pod.scheduled_at = self.now
         self.events.publish(PodScheduled(self.now, pod_name, node_name))
@@ -207,6 +212,7 @@ class Cluster:
         if pod is None or pod.phase != PodPhase.SCHEDULED:
             return  # evicted or finished while starting
         pod.phase = PodPhase.RUNNING
+        self.phase_epoch += 1
         pod.started_at = self.now
         assert pod.node_name is not None
         self.events.publish(PodStarted(self.now, pod_name, pod.node_name))
@@ -221,6 +227,7 @@ class Cluster:
         self._release_if_bound(pod)
         self._pending.pop(pod_name, None)
         pod.phase = PodPhase.SUCCEEDED if succeeded else PodPhase.FAILED
+        self.phase_epoch += 1
         pod.finished_at = self.now
         pod.usage = ResourceVector.zero()
         self.events.publish(PodFinished(self.now, pod_name, succeeded))
@@ -233,6 +240,7 @@ class Cluster:
         self._release_if_bound(pod)
         self._pending.pop(pod_name, None)
         pod.phase = PodPhase.EVICTED
+        self.phase_epoch += 1
         pod.finished_at = self.now
         pod.usage = ResourceVector.zero()
         self.events.publish(PodEvicted(self.now, pod_name, reason))

@@ -187,15 +187,6 @@ class ResourceVector:
         """Clamp each dimension into ``[lo, hi]``."""
         return self.elementwise_max(lo).elementwise_min(hi)
 
-    def scale(self, factors: Mapping[str, float]) -> "ResourceVector":
-        """Scale named dimensions by per-dimension factors; others unchanged."""
-        values = self.as_dict()
-        for name, factor in factors.items():
-            if name not in RESOURCES:
-                raise KeyError(f"unknown resource dimension: {name!r}")
-            values[name] *= factor
-        return ResourceVector(**values)
-
     def replace(self, **updates: float) -> "ResourceVector":
         """Return a copy with the given dimensions overwritten."""
         values = self.as_dict()

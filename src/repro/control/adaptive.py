@@ -55,6 +55,8 @@ class AdaptiveGainTuner:
     ):
         if window < 2:
             raise ValueError("window must be ≥ 2")
+        if sluggish_periods < 1:
+            raise ValueError("sluggish_periods must be ≥ 1")
         lo, hi = bounds
         if not 0 < lo <= 1 <= hi:
             raise ValueError("bounds must bracket 1.0 with lo > 0")
@@ -74,46 +76,50 @@ class AdaptiveGainTuner:
         #: "sluggish", or None (provenance introspection).
         self.last_event: str | None = None
 
-    # -- diagnostics -------------------------------------------------------------
-
-    def _sign_flips(self) -> int:
-        """Sign changes among out-of-deadband errors in the window."""
-        significant = [e for e in self._errors if abs(e) > self.deadband]
-        flips = 0
-        for prev, cur in zip(significant, significant[1:]):
-            if prev * cur < 0:
-                flips += 1
-        return flips
-
-    def _sluggish(self) -> bool:
-        """True when the last N errors sit on the same side, out of band."""
-        if len(self._errors) < self.sluggish_periods:
-            return False
-        recent = list(self._errors)[-self.sluggish_periods:]
-        if any(abs(e) <= self.deadband for e in recent):
-            return False
-        return all(e > 0 for e in recent) or all(e < 0 for e in recent)
-
     # -- update ----------------------------------------------------------------------
 
     def update(self, error: float) -> float:
-        """Feed one control-period error; returns the new gain scale."""
-        self._errors.append(float(error))
-        lo, hi = self.bounds
-        if self._sign_flips() >= self.oscillation_flips:
+        """Feed one control-period error; returns the new gain scale.
+
+        One pass over the window diagnoses both conditions: sign flips
+        between consecutive out-of-deadband errors, and whether the last
+        ``sluggish_periods`` errors all sit out of band on one side.
+        """
+        errors = self._errors
+        errors.append(float(error))
+        deadband = self.deadband
+        floor = -deadband
+        periods = self.sluggish_periods
+        recent = len(errors) - periods  # index of the first recent error
+        flips = above = below = 0
+        prev = 0.0  # 0.0 × e is never < 0, so the first error flips nothing
+        for i, e in enumerate(errors):
+            if e > deadband or e < floor:
+                if prev * e < 0:
+                    flips += 1
+                prev = e
+                if i >= recent:
+                    if e > 0:
+                        above += 1
+                    elif e < 0:
+                        below += 1
+        if flips >= self.oscillation_flips:
             self.scale *= SHRINK
             self.oscillation_events += 1
             self.last_event = "oscillation"
-            self._errors.clear()  # re-observe under the new gains
-        elif self._sluggish():
+            errors.clear()  # re-observe under the new gains
+        elif recent >= 0 and (above == periods or below == periods):
             self.scale *= GROW
             self.sluggish_events += 1
             self.last_event = "sluggish"
-            self._errors.clear()
+            errors.clear()
         else:
             self.scale += (1.0 - self.scale) * self.relax
             self.last_event = None
-        self.scale = max(lo, min(hi, self.scale))
+        lo, hi = self.bounds
+        scale = self.scale
+        scale = scale if scale < hi else hi
+        self.scale = scale if scale > lo else lo
         return self.scale
 
     def reset(self) -> None:

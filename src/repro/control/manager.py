@@ -121,11 +121,8 @@ BROWNOUT_DEMAND_FACTOR = 0.6
 BROWNOUT_LATENCY_PENALTY = 0.02
 
 
-#: The scraped series :meth:`ControlLoopManager._saturation` reads per
-#: app, under the app's metric prefix.
-_SCRAPED = tuple(
-    f"{kind}/{name}" for kind in ("usage", "alloc") for name in RESOURCES
-)
+#: The value the ``control/<app>/action`` series records per action.
+_ACTION_VALUES = {"hold": 0.0, "grow": 1.0, "reclaim": -1.0}
 
 #: The resilience counters every application keeps, in report order.
 COUNTERS = (
@@ -139,12 +136,41 @@ DURABLE_COUNTERS = (
 )
 
 
+class _Series:
+    """The series names one application's loop reads and records, built
+    once at registration so a control period formats no strings."""
+
+    __slots__ = (
+        "signal", "usage", "alloc", "safe_mode", "breaker_open", "error",
+        "output", "gain_scale", "action", "replicas", "backpressure", "brownout",
+    )
+
+    def __init__(self, app: Application):
+        #: The PLO metric.
+        self.signal = app.plo.metric_name(app.name)
+        prefix = app.metric_prefix()
+        #: The scraped usage and allocation series, in :data:`RESOURCES` order.
+        self.usage = [f"{prefix}/usage/{name}" for name in RESOURCES]
+        self.alloc = [f"{prefix}/alloc/{name}" for name in RESOURCES]
+        control = f"control/{app.name}"
+        self.safe_mode = f"{control}/safe_mode"
+        self.breaker_open = f"{control}/breaker_open"
+        self.error = f"{control}/error"
+        self.output = f"{control}/output"
+        self.gain_scale = f"{control}/gain_scale"
+        self.action = f"{control}/action"
+        self.replicas = f"{control}/replicas"
+        self.backpressure = f"{control}/backpressure"
+        self.brownout = f"{control}/brownout"
+
+
 @dataclass
 class _Entry:
     app: Application
     controller: MultiResourceController
     horizontal: HorizontalPolicy | None
     feedforward: object | None = None  # optional FeedforwardScaler
+    series: _Series = field(init=False)
     skipped: int = 0
     stats: dict[str, int] = field(
         default_factory=lambda: {"grow": 0, "reclaim": 0, "hold": 0}
@@ -177,6 +203,9 @@ class _Entry:
     # Span id of the current period's decide span (telemetry only), so
     # actuations — including delayed retries — parent to their decision.
     decision_span_id: int | None = None
+
+    def __post_init__(self) -> None:
+        self.series = _Series(self.app)
 
 
 class ControlLoopManager:
@@ -258,14 +287,12 @@ class ControlLoopManager:
             raise ValueError(f"application {app.name!r} has no PLO attached")
         if app.name in self._entries:
             raise ValueError(f"application {app.name!r} already registered")
-        prefix = app.metric_prefix()
-        self.collector.declare(
-            app.plo.metric_name(app.name),
-            *[f"{prefix}/{metric}" for metric in _SCRAPED],
-        )
+        entry = _Entry(app, controller, horizontal, feedforward)
+        series = entry.series
+        self.collector.declare(series.signal, *series.usage, *series.alloc)
         if feedforward is not None:
             feedforward.watch(app)
-        self._entries[app.name] = _Entry(app, controller, horizontal, feedforward)
+        self._entries[app.name] = entry
 
     def unregister(self, app_name: str) -> None:
         entry = self._entries.pop(app_name, None)
@@ -407,8 +434,7 @@ class ControlLoopManager:
         """Whether the PLO signal is present *and* recently scraped."""
         if error is None:
             return False
-        app = entry.app
-        last_t = self.collector.latest_time(app.plo.metric_name(app.name))
+        last_t = self.collector.latest_time(entry.series.signal)
         return last_t is not None and now - last_t <= self.freshness_timeout
 
     def _enter_safe_mode(self, entry: _Entry, now: float) -> None:
@@ -518,7 +544,9 @@ class ControlLoopManager:
                 self._cancel_retry(entry)
             if sp is not None:
                 sp.args["outcome"] = "applied"
-                tel.actuations.inc()
+                # inc(1.0) inlined: the telemetry overhead gate counts
+                # every call on the decision path.
+                tel.actuations.value += 1.0
             if on_success is not None:
                 on_success()
             return True
@@ -629,8 +657,7 @@ class ControlLoopManager:
             if held is not None and desired >= current:
                 desired = max(desired, held)
         self.collector.record(
-            f"control/{app_name}/backpressure",
-            1.0 if bp.pending(app_name) else 0.0,
+            entry.series.backpressure, 1.0 if bp.pending(app_name) else 0.0
         )
         return desired
 
@@ -689,21 +716,22 @@ class ControlLoopManager:
                         "brownout_exit", "control", app=app.name,
                     )
         self.collector.record(
-            f"control/{app.name}/brownout",
-            1.0 if app.brownout_active else 0.0,
+            entry.series.brownout, 1.0 if app.brownout_active else 0.0
         )
 
     # -- the loop ----------------------------------------------------------------------
 
-    def _saturation(self, app: Application) -> SaturationSnapshot:
+    def _saturation(self, entry: _Entry) -> SaturationSnapshot:
         """Saturation from scraped series, falling back to live pods."""
-        prefix = app.metric_prefix()
+        collector = self.collector
+        interval = self.interval
         fractions = {}
-        for name in RESOURCES:
-            usage = self.collector.window_mean(
-                f"{prefix}/usage/{name}", self.interval
-            )
-            alloc = self.collector.latest(f"{prefix}/alloc/{name}")
+        series = entry.series
+        for name, usage_series, alloc_series in zip(
+            RESOURCES, series.usage, series.alloc
+        ):
+            usage = collector.window_mean(usage_series, interval)
+            alloc = collector.latest(alloc_series)
             if usage is None or alloc is None or alloc <= 0:
                 break
             fractions[name] = usage / alloc
@@ -711,7 +739,7 @@ class ControlLoopManager:
             return SaturationSnapshot(fractions)
         total_usage = ResourceVector.zero()
         total_alloc = ResourceVector.zero()
-        for pod in app.running_pods():
+        for pod in entry.app.running_pods():
             total_usage = total_usage + pod.usage
             total_alloc = total_alloc + pod.allocation
         return SaturationSnapshot.from_vectors(total_usage, total_alloc)
@@ -730,19 +758,20 @@ class ControlLoopManager:
             sp = tel.tracer.begin("decide", "control", app=entry.app.name)
             entry.decision_span_id = sp.id
             try:
-                verdict, decision = self._step(entry, now)
-                self._emit_provenance(entry, now, verdict, decision, sp)
+                self._emit_provenance(entry, now, sp, *self._step(entry, now))
             finally:
                 tel.tracer.end(sp)
 
     def _step(
         self, entry: _Entry, now: float
-    ) -> tuple[str, ControlDecision | None]:
+    ) -> tuple[str, ControlDecision | None, int | None]:
         """One control period for one application: evaluate → decide →
-        write → record. Returns the provenance verdict and the decision
-        (None when the period ended before the controller was asked)."""
+        write → record. Returns the provenance verdict, the decision
+        (None when the period ended before the controller was asked) and
+        the replica count it recorded (None when it recorded none)."""
         app = entry.app
-        prefix = f"control/{app.name}"
+        series = entry.series
+        record = self.collector.record
         status = app.plo.evaluate(self.collector, app.name, now)
 
         if not self._signal_fresh(entry, status.error, now):
@@ -758,16 +787,14 @@ class ControlLoopManager:
                 ):
                     self._enter_safe_mode(entry, now)
                     verdict = "safe-mode-entry"
-            self.collector.record(
-                f"{prefix}/safe_mode", 1.0 if entry.safe_mode else 0.0
-            )
-            return verdict, None
+            record(series.safe_mode, 1.0 if entry.safe_mode else 0.0)
+            return verdict, None, None
 
         entry.stale_periods = 0
         entry.last_signal_time = now
         if entry.safe_mode:
             self._exit_safe_mode(entry)
-        self.collector.record(f"{prefix}/safe_mode", 0.0)
+        record(series.safe_mode, 0.0)
 
         breaker_open = now < entry.breaker_open_until
         if (
@@ -785,14 +812,12 @@ class ControlLoopManager:
                 self.telemetry.tracer.instant(
                     "breaker_half_open", "control", app=app.name,
                 )
-        self.collector.record(
-            f"{prefix}/breaker_open", 1.0 if breaker_open else 0.0
-        )
+        record(series.breaker_open, 1.0 if breaker_open else 0.0)
         if breaker_open:
             entry.counters["breaker_skips"] += 1
-            return "breaker-skip", None
+            return "breaker-skip", None, None
 
-        saturation = self._saturation(app)
+        saturation = self._saturation(entry)
         ff = 0.0
         if entry.feedforward is not None:
             ff = entry.feedforward.signal(app, now)
@@ -801,9 +826,10 @@ class ControlLoopManager:
             self.interval, feedforward=ff,
         )
         if self.telemetry is not None:
-            self.telemetry.decisions.inc()
+            self.telemetry.decisions.value += 1.0  # inc(1.0), as above
+        action = decision.action
         if (
-            decision.action == "reclaim"
+            action == "reclaim"
             and entry.feedforward is not None
             and entry.feedforward.reclaim_suppressed(app.name, now)
         ):
@@ -812,44 +838,45 @@ class ControlLoopManager:
                 decision.output, decision.gain_scale, decision.weights,
                 reason="reclaim-suppressed",
             )
-        entry.stats[decision.action] += 1
+            action = "hold"
+        entry.stats[action] += 1
 
         if self._record_direction(entry, decision):
             # Flapping tripped the breaker: suppress this actuation too.
-            self.collector.record(f"{prefix}/breaker_open", 1.0)
-            return "flap-breaker", decision
+            record(series.breaker_open, 1.0)
+            return "flap-breaker", decision, None
 
-        if decision.changed:
+        changed = action != "hold"
+        if changed:
             self._write(entry, "resize", decision.new_allocation)
         elif entry.last_good_allocation is None:
             entry.last_good_allocation = app.current_allocation()
 
         if entry.horizontal is not None and now >= entry.breaker_open_until:
             desired = entry.horizontal.adjust(app, decision, entry.controller)
+            replicas = app.replica_count
             if self.backpressure is not None:
-                desired = self._apply_backpressure(
-                    entry, desired, app.replica_count, now
-                )
-            if desired != app.replica_count:
+                desired = self._apply_backpressure(entry, desired, replicas, now)
+            if desired != replicas:
                 self._write(entry, "scale", desired)
+                replicas = app.replica_count
+        else:
+            replicas = app.replica_count
 
         if self.brownout:
             self._update_brownout(entry, decision.error, now)
 
-        self.collector.record(f"{prefix}/error", decision.error)
-        self.collector.record(f"{prefix}/output", decision.output)
-        self.collector.record(f"{prefix}/gain_scale", decision.gain_scale)
-        self.collector.record(
-            f"{prefix}/action",
-            {"hold": 0.0, "grow": 1.0, "reclaim": -1.0}[decision.action],
-        )
-        self.collector.record(f"{prefix}/replicas", float(app.replica_count))
+        record(series.error, decision.error)
+        record(series.output, decision.output)
+        record(series.gain_scale, decision.gain_scale)
+        record(series.action, _ACTION_VALUES[action])
+        record(series.replicas, float(replicas))
 
-        if decision.changed:
-            return "actuated", decision
+        if changed:
+            return "actuated", decision, replicas
         if decision.reason in ("reclaim-suppressed", "deadband"):
-            return decision.reason, decision
-        return "hold", decision
+            return decision.reason, decision, replicas
+        return "hold", decision, replicas
 
     def _write(self, entry: _Entry, kind: str, target) -> None:
         """Log one scaling write to the write-ahead hook, then actuate it.
@@ -873,19 +900,20 @@ class ControlLoopManager:
         self,
         entry: _Entry,
         now: float,
+        sp,
         verdict: str,
         decision: ControlDecision | None,
-        sp,
+        replicas: int | None,
     ) -> None:
         """Append one decision-provenance record for the decide span ``sp``.
 
-        Links the decide span back to the scrape that stored the newest
-        PLO sample this evaluation read, and snapshots controller
-        internals at decision time.
+        Takes what :meth:`_step` returned. Links the decide span back to
+        the scrape that stored the newest PLO sample this evaluation read,
+        and snapshots controller internals at decision time.
         """
         tel = self.telemetry
         app = entry.app
-        metric = app.plo.metric_name(app.name)
+        metric = entry.series.signal
         sample = self.collector.latest_sample(metric)
         signal = signal_age = scrape_span = None
         if sample is not None:
@@ -905,7 +933,7 @@ class ControlLoopManager:
             action, target = "none", None
         else:
             action = decision.action
-            target = decision.new_allocation if decision.changed else None
+            target = decision.new_allocation if action != "hold" else None
         active: tuple[int, ...] = ()
         if self.fault_log is not None and self.fault_log.episodes:
             active = tuple(ep.eid for ep in self.fault_log.active_at(now))
@@ -926,7 +954,7 @@ class ControlLoopManager:
             clamped=decision.clamped if decision is not None else False,
             weights=dict(decision.weights) if decision is not None else {},
             target=target.as_dict() if target is not None else None,
-            replicas=app.replica_count,
+            replicas=replicas if replicas is not None else app.replica_count,
             lease_generation=self.lease_generation,
             scrape_span_id=scrape_span,
             span_id=sp.id,

@@ -84,10 +84,6 @@ class ControlDecision:
     #: proposed allocation.
     clamped: bool = False
 
-    @property
-    def changed(self) -> bool:
-        return self.action != "hold"
-
 
 class MultiResourceController:
     """Per-application adaptive multi-resource PID controller.
@@ -173,24 +169,32 @@ class MultiResourceController:
         ``feedforward`` is an additive, non-negative output contribution
         (load anticipation); it can trigger a grow even inside the error
         deadband.
+
+        ``b if b < a else a`` and ``b if b > a else a`` stand for
+        ``min(a, b)`` and ``max(a, b)``: they return the same operand as
+        the builtins, so ties, signed zeros and NaN give the same floats.
         """
-        self.decisions += 1
         if feedforward < 0:
             raise ValueError("feedforward must be non-negative")
-        error = max(ERROR_CLAMP[0], min(ERROR_CLAMP[1], error))
+        self.decisions += 1
+        error_lo, error_hi = ERROR_CLAMP
+        error = error if error < error_hi else error_hi
+        error = error if error > error_lo else error_lo
+        pid = self.pid
         if self.adaptive:
-            self.pid.gain_scale = self.tuner.update(error)
-        output = self.pid.update(error, dt)
+            pid.gain_scale = self.tuner.update(error)
+        output = pid.update(error, dt)
         if feedforward > 0:
             # An anticipated surge invalidates the feedback's "overachieving"
             # reading (it is about to be stale): suppress reclaim and add
             # the anticipatory growth on top.
-            output = min(
-                self.pid.output_limits[1], max(0.0, output) + feedforward
-            )
-        gain_scale = self.pid.gain_scale
+            boosted = (output if output > 0.0 else 0.0) + feedforward
+            top = pid.output_limits[1]
+            output = boosted if boosted < top else top
+        gain_scale = pid.gain_scale
 
-        if feedforward <= 0 and abs(error) <= self.deadband:
+        deadband = self.deadband
+        if feedforward <= 0 and -deadband <= error <= deadband:
             return ControlDecision(
                 "hold", current, error, output, gain_scale, {},
                 reason="deadband",
@@ -211,29 +215,49 @@ class MultiResourceController:
             )
 
         # Restrict actuation to the controlled dimensions.
+        dims = self.dimensions
+        weight = weights.get
+        w_cpu = weight("cpu", 0.0) if "cpu" in dims else 0.0
+        w_memory = weight("memory", 0.0) if "memory" in dims else 0.0
+        w_disk = weight("disk_bw", 0.0) if "disk_bw" in dims else 0.0
+        w_net = weight("net_bw", 0.0) if "net_bw" in dims else 0.0
         weights = {
-            name: (weights.get(name, 0.0) if name in self.dimensions else 0.0)
-            for name in RESOURCES
+            "cpu": w_cpu, "memory": w_memory, "disk_bw": w_disk, "net_bw": w_net,
         }
-        if all(w == 0.0 for w in weights.values()):
+        if w_cpu == 0.0 and w_memory == 0.0 and w_disk == 0.0 and w_net == 0.0:
             return ControlDecision(
                 "hold", current, error, output, gain_scale, weights,
                 reason="no-dimensions",
             )
 
-        factors = {
-            name: max(0.05, 1.0 + effort * weight)
-            for name, weight in weights.items()
-        }
-        proposed = current.scale(factors)
-        clamped = self.bounds.clamp(proposed)
-        was_clamped = not clamped.approx_equal(proposed, tolerance=1e-9)
-        if clamped.approx_equal(current, tolerance=1e-9):
+        # Per dimension: scale by max(0.05, 1 + effort × weight), clamp
+        # into the bounds, and test closeness within 1e-9 to the proposal
+        # (was it clamped?) and to the current allocation (any change?).
+        low, high = self.bounds.minimum, self.bounds.maximum
+        target = []
+        was_clamped = False
+        unchanged = True
+        for w, cur, lo, hi in zip(
+            (w_cpu, w_memory, w_disk, w_net),
+            (current.cpu, current.memory, current.disk_bw, current.net_bw),
+            (low.cpu, low.memory, low.disk_bw, low.net_bw),
+            (high.cpu, high.memory, high.disk_bw, high.net_bw),
+        ):
+            factor = 1.0 + effort * w
+            proposed = cur * (factor if factor > 0.05 else 0.05)
+            value = lo if lo > proposed else proposed
+            value = hi if hi < value else value
+            if not -1e-9 <= value - proposed <= 1e-9:
+                was_clamped = True
+            if not -1e-9 <= value - cur <= 1e-9:
+                unchanged = False
+            target.append(value)
+        if unchanged:
             return ControlDecision(
                 "hold", current, error, output, gain_scale, weights,
                 reason="clamped", clamped=True,
             )
         return ControlDecision(
-            action, clamped, error, output, gain_scale, weights,
-            clamped=was_clamped,
+            action, ResourceVector._from_fields(*target), error, output,
+            gain_scale, weights, clamped=was_clamped,
         )

@@ -27,12 +27,6 @@ class PIDGains:
         if self.kp < 0 or self.ki < 0 or self.kd < 0:
             raise ValueError("gains must be non-negative")
 
-    def scaled(self, factor: float) -> "PIDGains":
-        """Gains multiplied by ``factor`` (adaptive tuning hook)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return PIDGains(self.kp * factor, self.ki * factor, self.kd * factor)
-
 
 class PIDController:
     """Classic discrete PID on an externally-computed error signal.
@@ -84,13 +78,6 @@ class PIDController:
         self.last_terms: tuple[float, float, float] = (0.0, 0.0, 0.0)
         self.updates = 0
 
-    # -- runtime gain access --------------------------------------------------
-
-    @property
-    def effective_gains(self) -> PIDGains:
-        """Baseline gains × current adaptive scale."""
-        return self.gains.scaled(self.gain_scale)
-
     # -- state -----------------------------------------------------------------
 
     def reset(self) -> None:
@@ -129,51 +116,64 @@ class PIDController:
     @property
     def integral_term(self) -> float:
         """Current integral contribution (ki × ∫e dt, clamped)."""
-        ki = self.effective_gains.ki
-        return self._clamp_integral(ki * self._integral)
-
-    def _clamp_integral(self, value: float) -> float:
-        return max(-self.integral_limit, min(self.integral_limit, value))
+        scale = self.gain_scale
+        if scale <= 0:
+            raise ValueError("scale factor must be positive")
+        limit = self.integral_limit
+        return max(-limit, min(limit, self.gains.ki * scale * self._integral))
 
     # -- update --------------------------------------------------------------------
 
     def update(self, error: float, dt: float) -> float:
         """Advance the controller by ``dt`` seconds with measured ``error``.
 
-        Returns the clamped control output.
+        Returns the clamped control output. The gains are the baseline
+        gains times :attr:`gain_scale`, which must be positive.
+
+        ``b if b < a else a`` and ``b if b > a else a`` stand for
+        ``min(a, b)`` and ``max(a, b)``: they return the same operand as
+        the builtins, so ties, signed zeros and NaN give the same floats.
         """
         if dt <= 0:
             raise ValueError("dt must be positive")
-        gains = self.effective_gains
+        scale = self.gain_scale
+        if scale <= 0:
+            raise ValueError("scale factor must be positive")
+        gains = self.gains
+        kp = gains.kp * scale
+        ki = gains.ki * scale
+        kd = gains.kd * scale
         self.updates += 1
 
         # Derivative on filtered error.
-        if self._filtered_error is None:
-            self._filtered_error = error
+        prev = self._filtered_error
+        if prev is None:
+            filtered = error
         else:
             a = self.derivative_alpha
-            self._filtered_error = a * error + (1 - a) * self._filtered_error
+            filtered = a * error + (1 - a) * prev
+        self._filtered_error = filtered
         if self._prev_filtered is None:
             derivative = 0.0
         else:
-            derivative = (self._filtered_error - self._prev_filtered) / dt
-        self._prev_filtered = self._filtered_error
+            derivative = (filtered - self._prev_filtered) / dt
+        self._prev_filtered = filtered
 
         # Tentative integral step with conditional anti-windup below.
         proposed_integral = self._integral + error * dt
-        if gains.ki > 0:
-            proposed_integral = self._clamp_integral(
-                gains.ki * proposed_integral
-            ) / gains.ki
+        if ki > 0:
+            limit = self.integral_limit
+            term = ki * proposed_integral
+            term = term if term < limit else limit
+            term = term if term > -limit else -limit
+            proposed_integral = term / ki
 
-        self.last_terms = (
-            gains.kp * error,
-            gains.ki * proposed_integral,
-            gains.kd * derivative,
-        )
-        unclamped = sum(self.last_terms)
+        terms = (kp * error, ki * proposed_integral, kd * derivative)
+        self.last_terms = terms
+        unclamped = sum(terms)
         lo, hi = self.output_limits
-        output = max(lo, min(hi, unclamped))
+        output = unclamped if unclamped < hi else hi
+        output = output if output > lo else lo
 
         # Conditional integration: only accept the integral step when the
         # output is not saturated, or when the error pushes away from the

@@ -181,8 +181,12 @@ class MetricsCollector:
 
     # -- scraping ---------------------------------------------------------------
 
-    def _stored(self, name: str) -> TimeSeries | None:
-        """The stored series ``name``; None when declared but not stored yet."""
+    def stored(self, name: str) -> TimeSeries | None:
+        """The stored series ``name``; None when declared but not stored yet.
+
+        Unlike :meth:`series`, a read of a name with no samples stores
+        nothing.
+        """
         series = self._series.get(name)
         if series is None and name not in self._declared:
             raise UndeclaredSeriesError(name)
@@ -190,14 +194,14 @@ class MetricsCollector:
 
     def series(self, name: str) -> TimeSeries:
         """The declared series with the given full name (empty if unsampled)."""
-        series = self._stored(name)
+        series = self.stored(name)
         if series is None:
             series = self._series[name] = TimeSeries(maxlen=SERIES_MAXLEN)
         return series
 
     def has_series(self, name: str) -> bool:
         """Whether the declared series ``name`` holds at least one sample."""
-        series = self._stored(name)
+        series = self.stored(name)
         return series is not None and len(series) > 0
 
     def series_names(self) -> list[str]:
@@ -360,7 +364,7 @@ class MetricsCollector:
 
     def latest(self, name: str) -> float | None:
         """Most recent value of a declared series, or None if empty."""
-        series = self._stored(name)
+        series = self.stored(name)
         return series.last() if series is not None else None
 
     def latest_time(self, name: str) -> float | None:
@@ -369,12 +373,12 @@ class MetricsCollector:
         Freshness probe: consumers compare this against ``engine.now`` to
         detect a stalled scrape pipeline before acting on old data.
         """
-        series = self._stored(name)
+        series = self.stored(name)
         return series.last_time() if series is not None else None
 
     def latest_sample(self, name: str) -> tuple[float, float] | None:
         """Newest ``(time, value)`` of a declared series, or None if empty."""
-        series = self._stored(name)
+        series = self.stored(name)
         return series.last_sample() if series is not None else None
 
     def scrape_span_at(self, time: float) -> int | None:
@@ -383,13 +387,13 @@ class MetricsCollector:
         return self._scrape_span_ids[idx] if idx >= 0 else None
 
     def window_mean(self, name: str, span: float) -> float | None:
-        series = self._stored(name)
+        series = self.stored(name)
         if series is None:
             return None
         return series.mean_over(self.engine.now, span)
 
     def window_percentile(self, name: str, span: float, q: float) -> float | None:
-        series = self._stored(name)
+        series = self.stored(name)
         if series is None:
             return None
         return series.percentile_over(self.engine.now, span, q)

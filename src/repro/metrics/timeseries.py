@@ -112,8 +112,12 @@ class TimeSeries:
 
     def mean_over(self, now: float, span: float) -> float | None:
         """Arithmetic mean of samples in the trailing window."""
-        values = self._window_values(now, span)
-        return sum(values) / len(values) if values else None
+        times, start = self._times, self._start
+        lo = bisect.bisect_right(times, now - span, start)
+        hi = bisect.bisect_right(times, now, start)
+        if hi <= lo:
+            return None
+        return sum(self._values[lo:hi]) / (hi - lo)
 
     def max_over(self, now: float, span: float) -> float | None:
         values = self._window_values(now, span)
@@ -135,9 +139,12 @@ class TimeSeries:
         """q-th percentile (0–100, nearest-rank) over the trailing window."""
         if not 0 <= q <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        values = self._window_values(now, span)
-        if not values:
+        times, start = self._times, self._start
+        lo = bisect.bisect_right(times, now - span, start)
+        hi = bisect.bisect_right(times, now, start)
+        if hi <= lo:
             return None
+        values = self._values[lo:hi]
         rank = max(0, math.ceil(q / 100 * len(values)) - 1)
         if len(values) >= _VECTORIZE_MIN:
             # np.partition selects the k-th smallest — the same value

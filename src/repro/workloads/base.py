@@ -96,6 +96,14 @@ class Application:
         # drops a pod it has submitted, so holding the objects is the same
         # as looking their names up on every read.
         self._pods: list[Pod] = []
+        # The running pods of ``_pods``, kept until the cluster's phase
+        # epoch moves or ``_pods`` changes (which sets the epoch to None).
+        # Replaced, never edited: callers may hold an earlier list.
+        self._running: list[Pod] = []
+        self._running_epoch: int | None = None
+        # Phase epoch of the last prune: pods turn terminal only at a
+        # phase write, so none has since while the epoch holds.
+        self._pruned_epoch: int | None = None
         self._tick_handle: PeriodicHandle | None = None
         self._last_tick: float | None = None
         self.started = False
@@ -162,14 +170,15 @@ class Application:
         for pod in self.pods():
             if not pod.terminal:
                 self.api.delete_pod(pod.name, reason="app-stopped")
-        self._pods.clear()
+        self._drop_pods()
         self.finished = True
 
     def _on_tick(self) -> None:
         now = self.engine.now
         dt = now - (self._last_tick if self._last_tick is not None else now)
         self._last_tick = now
-        self._prune_terminal_pods()
+        if self.api.phase_epoch != self._pruned_epoch:
+            self._prune_terminal_pods()
         if self.maintain_replicas and not self.finished:
             self._heal_replicas(now)
         if dt > 0:
@@ -220,6 +229,13 @@ class Application:
     def _prune_terminal_pods(self) -> None:
         """Drop externally-evicted/finished pods from the replica list."""
         self._pods = [pod for pod in self._pods if pod.phase not in TERMINAL_PHASES]
+        self._pruned_epoch = self.api.phase_epoch
+        self._running_epoch = None
+
+    def _drop_pods(self) -> None:
+        """Forget every replica (the app stopped or finished)."""
+        self._pods.clear()
+        self._running_epoch = None
 
     # -- replica management ----------------------------------------------------------
 
@@ -238,6 +254,7 @@ class Application:
         self._next_index += 1
         pod = self.api.create_pod(spec)
         self._pods.append(pod)
+        self._running_epoch = None
         return pod
 
     def pods(self) -> list[Pod]:
@@ -250,7 +267,16 @@ class Application:
         return list(self._pods)
 
     def running_pods(self) -> list[Pod]:
-        return [p for p in self._pods if p.phase == PodPhase.RUNNING]
+        """The running replicas, oldest first.
+
+        The same list object is returned until a pod changes phase or
+        the replica list changes; callers must not modify it.
+        """
+        epoch = self.api.phase_epoch
+        if epoch != self._running_epoch:
+            self._running = [p for p in self._pods if p.phase == PodPhase.RUNNING]
+            self._running_epoch = epoch
+        return self._running
 
     @property
     def replica_count(self) -> int:
@@ -267,6 +293,7 @@ class Application:
             self._submit_replica()
         while len(self._pods) > replicas:
             victim = self._pods.pop()
+            self._running_epoch = None
             if not victim.terminal:
                 self.api.delete_pod(victim.name, reason="scaled-down")
 

@@ -513,7 +513,7 @@ class BigDataJob(Application):
         for pod in self.pods():
             if not pod.terminal:
                 self.api.mark_finished(pod.name, succeeded=True)
-        self._pods.clear()
+        self._drop_pods()
         self._plans = {}  # nothing steps any more
         if self._tick_handle is not None:
             self._tick_handle.cancel()
@@ -628,7 +628,7 @@ class BigDataJob(Application):
                 for pod in self.pods():
                     if not pod.terminal:
                         self.api.mark_finished(pod.name, succeeded=False)
-                self._pods.clear()
+                self._drop_pods()
                 if self._tick_handle is not None:
                     self._tick_handle.cancel()
                     self._tick_handle = None

@@ -225,7 +225,7 @@ class HPCJob(Application):
         for pod in self.pods():
             if not pod.terminal:
                 self.api.mark_finished(pod.name, succeeded=True)
-        self._pods.clear()
+        self._drop_pods()
         if self._tick_handle is not None:
             self._tick_handle.cancel()
             self._tick_handle = None

@@ -74,12 +74,10 @@ class LatencyPLO:
         return f"app/{app}/latency"
 
     def evaluate(self, collector: MetricsCollector, app: str, now: float) -> PLOStatus:
-        series_name = self.metric_name(app)
-        if not collector.has_series(series_name):
+        series = collector.stored(self.metric_name(app))
+        if series is None:
             return PLOStatus.unknown(self.target)
-        measured = collector.series(series_name).percentile_over(
-            now, self.window, self.percentile
-        )
+        measured = series.percentile_over(now, self.window, self.percentile)
         if measured is None:
             return PLOStatus.unknown(self.target)
         ratio = measured / self.target
@@ -101,10 +99,10 @@ class ThroughputPLO:
         return f"app/{app}/throughput"
 
     def evaluate(self, collector: MetricsCollector, app: str, now: float) -> PLOStatus:
-        series_name = self.metric_name(app)
-        if not collector.has_series(series_name):
+        series = collector.stored(self.metric_name(app))
+        if series is None:
             return PLOStatus.unknown(self.target)
-        measured = collector.series(series_name).mean_over(now, self.window)
+        measured = series.mean_over(now, self.window)
         if measured is None:
             return PLOStatus.unknown(self.target)
         # Higher is better: ratio > 1 means under-delivering.
@@ -136,10 +134,10 @@ class DeadlinePLO:
         return f"app/{app}/progress"
 
     def evaluate(self, collector: MetricsCollector, app: str, now: float) -> PLOStatus:
-        series_name = self.metric_name(app)
-        if not collector.has_series(series_name):
+        series = collector.stored(self.metric_name(app))
+        if series is None:
             return PLOStatus.unknown(self.deadline)
-        progress = collector.series(series_name).last()
+        progress = series.last()
         if progress is None:
             return PLOStatus.unknown(self.deadline)
         elapsed = max(1e-9, now - self.start_time)

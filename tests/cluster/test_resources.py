@@ -81,15 +81,6 @@ class TestArithmetic:
         hi = ResourceVector(4, 4, 4, 4)
         assert v.clamp(lo, hi) == ResourceVector(0, 4, 4, 1)
 
-    def test_scale_named_dims(self):
-        v = ResourceVector(2, 2, 2, 2)
-        scaled = v.scale({"cpu": 2.0, "net_bw": 0.5})
-        assert scaled == ResourceVector(4, 2, 2, 1)
-
-    def test_scale_unknown_dim(self):
-        with pytest.raises(KeyError):
-            ResourceVector().scale({"gpu": 2.0})
-
     def test_replace(self):
         v = ResourceVector(1, 2, 3, 4).replace(memory=9)
         assert v == ResourceVector(1, 9, 3, 4)

@@ -126,6 +126,17 @@ class TestDecide:
         ctrl.decide(0.5, snap(cpu=1.0), CURRENT, dt=10.0)
         assert ctrl.decisions == 2
 
+    def test_rejected_call_is_not_counted(self):
+        # HA snapshots export the counter, so a call that raises must not
+        # move it.
+        ctrl = make()
+        ctrl.decide(0.5, snap(cpu=1.0), CURRENT, dt=10.0)
+        with pytest.raises(ValueError, match="feedforward"):
+            ctrl.decide(0.5, snap(cpu=1.0), CURRENT, dt=10.0, feedforward=-0.1)
+        assert ctrl.decisions == 1
+        assert ctrl.export_state()["decisions"] == 1
+        assert ctrl.pid.updates == 1
+
     def test_reset(self):
         ctrl = make()
         ctrl.decide(1.0, snap(cpu=1.0), CURRENT, dt=10.0)

@@ -11,14 +11,6 @@ class TestGains:
         with pytest.raises(ValueError):
             PIDGains(kp=-1)
 
-    def test_scaled(self):
-        gains = PIDGains(kp=1, ki=0.5, kd=0.2).scaled(2.0)
-        assert (gains.kp, gains.ki, gains.kd) == (2.0, 1.0, 0.4)
-
-    def test_scale_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            PIDGains(kp=1).scaled(0)
-
 
 class TestProportional:
     def test_pure_p_output(self):
@@ -104,6 +96,16 @@ class TestClampingAndValidation:
         pid = PIDController(PIDGains(kp=1), output_limits=(-10, 10))
         pid.gain_scale = 2.0
         assert pid.update(1.0, dt=1.0) == pytest.approx(2.0)
+
+    def test_nonpositive_gain_scale_rejected(self):
+        for scale in (0.0, -1.0):
+            pid = PIDController(PIDGains(kp=1, ki=0.5))
+            pid.gain_scale = scale
+            with pytest.raises(ValueError, match="scale factor must be positive"):
+                pid.update(1.0, dt=1.0)
+            assert pid.updates == 0  # rejected before any state moved
+            with pytest.raises(ValueError, match="scale factor must be positive"):
+                pid.integral_term
 
 
 class TestClosedLoop:
