@@ -9,7 +9,7 @@ kills, node crashes, data loss, and stragglers). Two platform builds run
 every cell:
 
 * **ft** — data-plane fault tolerance enabled
-  (:class:`repro.dataplane.DataPlaneConfig`): task-granular execution
+  (``PlatformConfig.data_plane``): task-granular execution
   with lineage recompute and speculation, stream checkpoint/replay, and
   the storage repair loop;
 * **baseline** — the seed-identical default (fluid big-data model, no

@@ -46,11 +46,14 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
+
+from repro.cli import unwritable, write_error
 
 
 @dataclass(frozen=True)
@@ -323,6 +326,10 @@ def main(argv: list[str] | None = None) -> int:
                              "calibrated at the default seeds — see "
                              "docs/testing.md)")
     args = parser.parse_args(argv)
+    problem = args.json and unwritable(args.json, directory=True)
+    if problem:
+        print(problem, file=sys.stderr)
+        return 2
 
     if args.list:
         for exp in EXPERIMENTS:
@@ -366,7 +373,11 @@ def main(argv: list[str] | None = None) -> int:
             if "error" in payload:
                 print(f"{'':>18s}  {payload['error']}")
         if args.json:
-            write_result(payload, args.json)
+            try:
+                write_result(payload, args.json)
+            except OSError as exc:
+                print(write_error(exc.filename or args.json, exc), file=sys.stderr)
+                return 2
         if not payload["ok"]:
             failed.append(exp.name)
 

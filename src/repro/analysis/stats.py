@@ -28,24 +28,22 @@ __all__ = [
     "overshoot",
 ]
 
+#: Seconds between PLO evaluations.
+PLO_INTERVAL = 5.0
+
 
 class PLOMonitor:
     """Policy-independent PLO evaluation loop.
 
-    Tracks a :class:`~repro.workloads.plo.ViolationTracker` per
-    application and records ``plo/<app>/ratio`` and ``plo/<app>/violated``
-    series for the figure benchmarks; like any series, they are stored
-    only once a reader declares them.
+    Every :data:`PLO_INTERVAL` seconds it feeds a
+    :class:`~repro.workloads.plo.ViolationTracker` per application and
+    records the ``plo/<app>/ratio`` series; like any series, it is stored
+    only once a reader declares it.
     """
 
-    def __init__(
-        self, engine: Engine, collector: MetricsCollector, *, interval: float = 5.0
-    ):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+    def __init__(self, engine: Engine, collector: MetricsCollector):
         self.engine = engine
         self.collector = collector
-        self.interval = interval
         self._apps: list[Application] = []
         self.trackers: dict[str, ViolationTracker] = {}
         self._handle: PeriodicHandle | None = None
@@ -65,7 +63,7 @@ class PLOMonitor:
     def start(self) -> None:
         if self._handle is not None:
             raise RuntimeError("monitor already started")
-        self._handle = self.engine.every(self.interval, self._loop, priority=10)
+        self._handle = self.engine.every(PLO_INTERVAL, self._loop, priority=10)
 
     def stop(self) -> None:
         if self._handle is not None:
@@ -81,9 +79,6 @@ class PLOMonitor:
             self.trackers[app.name].observe(now, status)
             if status.ratio is not None:
                 self.collector.record(f"plo/{app.name}/ratio", status.ratio)
-                self.collector.record(
-                    f"plo/{app.name}/violated", 1.0 if status.violated else 0.0
-                )
 
 
 @dataclass(frozen=True)

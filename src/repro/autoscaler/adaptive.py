@@ -30,50 +30,30 @@ from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
 from repro.workloads.base import Application
 
+#: Replica clamp of the escape valve.
+MIN_REPLICAS = 1
+MAX_REPLICAS = 32
+#: Minimum PLO error before adding a replica (prevents scale-out on
+#: marginal violations vertical scaling can still absorb).
+SCALE_OUT_ERROR = 0.2
+#: Maximum (negative) error before removing a replica.
+SCALE_IN_ERROR = -0.4
+#: Seconds between replica changes for one application.
+COOLDOWN = 60.0
+
 
 class HorizontalEscapePolicy:
-    """Replica changes when vertical scaling saturates.
+    """Replica changes when vertical scaling saturates."""
 
-    Parameters
-    ----------
-    min_replicas / max_replicas:
-        Replica clamp.
-    scale_out_error:
-        Minimum PLO error before adding a replica (prevents scale-out on
-        marginal violations vertical scaling can still absorb).
-    scale_in_error:
-        Maximum (negative) error before removing a replica.
-    cooldown:
-        Seconds between replica changes for one application.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        *,
-        min_replicas: int = 1,
-        max_replicas: int = 32,
-        scale_out_error: float = 0.2,
-        scale_in_error: float = -0.4,
-        cooldown: float = 60.0,
-    ):
-        if not 1 <= min_replicas <= max_replicas:
-            raise ValueError("need 1 ≤ min_replicas ≤ max_replicas")
-        if scale_out_error <= 0 or scale_in_error >= 0:
-            raise ValueError("scale_out_error > 0 and scale_in_error < 0 required")
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.min_replicas = min_replicas
-        self.max_replicas = max_replicas
-        self.scale_out_error = scale_out_error
-        self.scale_in_error = scale_in_error
-        self.cooldown = cooldown
         self._last_change: dict[str, float] = {}
         self.scale_outs = 0
         self.scale_ins = 0
 
     def _in_cooldown(self, app_name: str) -> bool:
         last = self._last_change.get(app_name)
-        return last is not None and (self.engine.now - last) < self.cooldown
+        return last is not None and (self.engine.now - last) < COOLDOWN
 
     def adjust(
         self,
@@ -89,7 +69,7 @@ class HorizontalEscapePolicy:
 
         # Scale out: still violating hard, and every bottleneck dimension
         # the controller wanted to grow is already pinned at its ceiling.
-        if decision.error >= self.scale_out_error and current < self.max_replicas:
+        if decision.error >= SCALE_OUT_ERROR and current < MAX_REPLICAS:
             grow_dims = [d for d, w in decision.weights.items() if w > 0]
             railed = grow_dims and all(
                 bounds.at_ceiling(allocation, d) for d in grow_dims
@@ -102,8 +82,8 @@ class HorizontalEscapePolicy:
         # Scale in: comfortably overachieving with allocations near the
         # floor — a whole replica of slack exists.
         if (
-            decision.error <= self.scale_in_error
-            and current > self.min_replicas
+            decision.error <= SCALE_IN_ERROR
+            and current > MIN_REPLICAS
             and bounds.near_floor(allocation)
         ):
             self._last_change[app.name] = self.engine.now
@@ -144,8 +124,6 @@ class AdaptiveAutoscaler:
         adaptive: bool = True,
         dimensions: tuple[str, ...] | None = None,
         horizontal: bool = True,
-        min_replicas: int = 1,
-        max_replicas: int = 32,
         deadband: float = 0.1,
         feedforward: bool = False,
         rng=None,
@@ -166,13 +144,7 @@ class AdaptiveAutoscaler:
             engine, collector, interval=interval, rng=rng,
             fault_log=fault_log, overload=overload,
         )
-        self.escape = (
-            HorizontalEscapePolicy(
-                engine, min_replicas=min_replicas, max_replicas=max_replicas
-            )
-            if horizontal
-            else None
-        )
+        self.escape = HorizontalEscapePolicy(engine) if horizontal else None
         self.controllers: dict[str, MultiResourceController] = {}
 
     def attach(self, app: Application) -> MultiResourceController:

@@ -11,25 +11,18 @@ from repro.workloads.base import Application
 class AutoscalerBase:
     """Base class: a named policy ticking at a fixed interval.
 
-    Subclasses implement :meth:`reconcile`, called once per interval with
-    each attached application.
+    Subclasses implement :meth:`reconcile`, called once per
+    :attr:`interval` with each attached application.
     """
 
     #: Policy name used in reports.
     policy_name = "base"
+    #: Seconds between reconciles (kube's HPA sync period).
+    interval = 15.0
 
-    def __init__(
-        self,
-        engine: Engine,
-        collector: MetricsCollector,
-        *,
-        interval: float = 15.0,
-    ):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+    def __init__(self, engine: Engine, collector: MetricsCollector):
         self.engine = engine
         self.collector = collector
-        self.interval = interval
         self._apps: list[Application] = []
         self._handle: PeriodicHandle | None = None
         self.reconciles = 0

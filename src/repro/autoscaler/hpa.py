@@ -16,50 +16,27 @@ from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
 from repro.workloads.base import Application
 
+#: Desired usage/request CPU fraction (kube's range is 0.5–0.8).
+TARGET_UTILIZATION = 0.6
+#: Relative band around the target inside which no action is taken
+#: (kube default 0.1).
+TOLERANCE = 0.1
+#: Replica clamp.
+MIN_REPLICAS = 1
+MAX_REPLICAS = 32
+#: Seconds a lower desired count must persist before shrinking (kube
+#: default 300 s).
+SCALE_DOWN_STABILIZATION = 300.0
+
 
 class HorizontalPodAutoscaler(AutoscalerBase):
-    """Threshold-driven horizontal scaler on CPU utilization.
-
-    Parameters
-    ----------
-    target_utilization:
-        Desired usage/request CPU fraction (kube default 0.5–0.8 range).
-    tolerance:
-        Relative band around the target inside which no action is taken
-        (kube default 0.1).
-    min_replicas / max_replicas:
-        Replica clamp.
-    scale_down_stabilization:
-        Seconds a lower desired count must persist before shrinking
-        (kube default 300 s).
-    """
+    """Threshold-driven horizontal scaler on CPU utilization, at kube's
+    defaults."""
 
     policy_name = "k8s-hpa"
 
-    def __init__(
-        self,
-        engine: Engine,
-        collector: MetricsCollector,
-        *,
-        target_utilization: float = 0.6,
-        tolerance: float = 0.1,
-        min_replicas: int = 1,
-        max_replicas: int = 32,
-        interval: float = 15.0,
-        scale_down_stabilization: float = 300.0,
-    ):
-        super().__init__(engine, collector, interval=interval)
-        if not 0 < target_utilization < 1:
-            raise ValueError("target_utilization must be in (0, 1)")
-        if tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
-        if not 1 <= min_replicas <= max_replicas:
-            raise ValueError("need 1 ≤ min_replicas ≤ max_replicas")
-        self.target_utilization = target_utilization
-        self.tolerance = tolerance
-        self.min_replicas = min_replicas
-        self.max_replicas = max_replicas
-        self.scale_down_stabilization = scale_down_stabilization
+    def __init__(self, engine: Engine, collector: MetricsCollector):
+        super().__init__(engine, collector)
         # app name -> (pending lower desired count, since-time)
         self._pending_down: dict[str, tuple[int, float]] = {}
 
@@ -82,12 +59,12 @@ class HorizontalPodAutoscaler(AutoscalerBase):
         if utilization is None:
             return
         current = max(1, app.replica_count)
-        ratio = utilization / self.target_utilization
-        if abs(ratio - 1.0) <= self.tolerance:
+        ratio = utilization / TARGET_UTILIZATION
+        if abs(ratio - 1.0) <= TOLERANCE:
             self._pending_down.pop(app.name, None)
             return
         desired = math.ceil(current * ratio)
-        desired = max(self.min_replicas, min(self.max_replicas, desired))
+        desired = max(MIN_REPLICAS, min(MAX_REPLICAS, desired))
 
         if desired > current:
             self._pending_down.pop(app.name, None)
@@ -101,6 +78,6 @@ class HorizontalPodAutoscaler(AutoscalerBase):
                 self._pending_down[app.name] = (desired, now)
                 return
             since = pending[1]
-            if now - since >= self.scale_down_stabilization:
+            if now - since >= SCALE_DOWN_STABILIZATION:
                 app.scale_to(pending[0])
                 self._pending_down.pop(app.name, None)

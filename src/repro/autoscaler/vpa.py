@@ -18,26 +18,26 @@ from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
 from repro.workloads.base import Application
 
+#: Usage percentile the recommendation tracks (VPA default ~p90).
+PERCENTILE = 90.0
+#: Multiplicative safety margin over the percentile (VPA ~1.15).
+MARGIN = 1.15
+#: Seconds of usage history per recommendation.
+HISTORY_WINDOW = 300.0
+#: Minimum relative change per dimension before a resize is issued
+#: (suppresses churn from noisy usage).
+CHANGE_THRESHOLD = 0.1
+
 
 class VerticalPodAutoscaler(AutoscalerBase):
     """Percentile-of-usage vertical recommender.
 
-    Parameters
-    ----------
-    bounds:
-        Per-replica recommendation clamp.
-    percentile:
-        Usage percentile the recommendation tracks (VPA default ~p90).
-    margin:
-        Multiplicative safety margin over the percentile (VPA ~1.15).
-    history_window:
-        Seconds of usage history per recommendation.
-    change_threshold:
-        Minimum relative change per dimension before a resize is issued
-        (suppresses churn from noisy usage).
+    ``bounds`` clamps each per-replica recommendation.
     """
 
     policy_name = "vpa"
+    #: Seconds between recommendations.
+    interval = 60.0
 
     def __init__(
         self,
@@ -45,24 +45,9 @@ class VerticalPodAutoscaler(AutoscalerBase):
         collector: MetricsCollector,
         *,
         bounds: AllocationBounds,
-        percentile: float = 90.0,
-        margin: float = 1.15,
-        history_window: float = 300.0,
-        change_threshold: float = 0.1,
-        interval: float = 60.0,
     ):
-        super().__init__(engine, collector, interval=interval)
-        if not 0 < percentile <= 100:
-            raise ValueError("percentile must be in (0, 100]")
-        if margin < 1:
-            raise ValueError("margin must be ≥ 1")
-        if change_threshold < 0:
-            raise ValueError("change_threshold must be non-negative")
+        super().__init__(engine, collector)
         self.bounds = bounds
-        self.percentile = percentile
-        self.margin = margin
-        self.history_window = history_window
-        self.change_threshold = change_threshold
         self.resizes = 0
 
     def attach(self, app: Application) -> None:
@@ -77,12 +62,12 @@ class VerticalPodAutoscaler(AutoscalerBase):
         values: dict[str, float] = {}
         for name in RESOURCES:
             observed = self.collector.window_percentile(
-                f"{prefix}/usage/{name}", self.history_window, self.percentile
+                f"{prefix}/usage/{name}", HISTORY_WINDOW, PERCENTILE
             )
             if observed is None:
                 return None
             # The series is app-aggregate usage; recommend per replica.
-            values[name] = (observed / replicas) * self.margin
+            values[name] = (observed / replicas) * MARGIN
         return self.bounds.clamp(ResourceVector.from_dict(values))
 
     def _materially_different(
@@ -94,7 +79,7 @@ class VerticalPodAutoscaler(AutoscalerBase):
                 if proposed[name] > 0:
                     return True
                 continue
-            if abs(proposed[name] - base) / base > self.change_threshold:
+            if abs(proposed[name] - base) / base > CHANGE_THRESHOLD:
                 return True
         return False
 

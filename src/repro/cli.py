@@ -25,8 +25,11 @@ scrape-to-actuation critical paths.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from repro.analysis.cost import PriceSheet, app_cost, cost_series
 from repro.analysis.report import format_table
@@ -39,6 +42,34 @@ from repro.workloads.hpc import HPCJob
 from repro.workloads.microservice import ServiceDemands
 from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import DiurnalTrace
+
+
+def unwritable(path: str, *, directory: bool = False) -> str | None:
+    """Why ``path`` cannot take a command's output, or None.
+
+    A directory output is created with its parents; a file output needs
+    an existing directory as its parent and must not be a directory.
+    Commands check their outputs with this before any simulation runs.
+    """
+    target = Path(path)
+    try:
+        if directory:
+            target.mkdir(parents=True, exist_ok=True)
+            return None
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        parent = target.parent
+        if not parent.is_dir():
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code))
+    except OSError as exc:
+        return write_error(path, exc)
+    return None
+
+
+def write_error(path: str | Path, exc: OSError) -> str:
+    """The ``error:`` line for an output that could not be written."""
+    return f"error: cannot write {path}: {exc.strerror or exc}"
 
 
 def declare_summary(platform: EvolvePlatform) -> None:
@@ -143,16 +174,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
         trace = filter_trace(
             trace, name_prefix=args.filter, since=args.since
         )
-    if args.format == "chrome":
-        count = write_chrome_trace(
-            trace, args.output, fault_log=platform.fault_log
-        )
-        what = "trace events"
-    else:
-        count = write_trace_jsonl(
-            trace, args.output, fault_log=platform.fault_log
-        )
-        what = "JSONL lines"
+    write, what = (
+        (write_chrome_trace, "trace events") if args.format == "chrome"
+        else (write_trace_jsonl, "JSONL lines")
+    )
+    try:
+        count = write(trace, args.output, fault_log=platform.fault_log)
+    except OSError as exc:
+        print(write_error(args.output, exc), file=sys.stderr)
+        return 2
     applied = [
         s for s in trace.by_name("actuate")
         if s.args.get("outcome") == "applied"
@@ -245,7 +275,11 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"{p['actuated_at']:.0f}s  ({chain})"
             )
     if args.output is not None:
-        write_run_report(report, args.output)
+        try:
+            write_run_report(report, args.output)
+        except OSError as exc:
+            print(write_error(args.output, exc), file=sys.stderr)
+            return 2
         print()
         print(f"wrote RunReport to {args.output}")
     return 0 if report.ledgers_ok() else 1
@@ -334,25 +368,23 @@ def cmd_arena(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(arena.leaderboard_text(payload))
+    outputs = []
     if args.json is not None:
-        from pathlib import Path
-
-        outdir = Path(args.json)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / "BENCH_arena.json"
         body = dict(payload)
         body["experiment"] = "arena"
-        path.write_text(
-            _json.dumps(body, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"\nwrote {path}")
+        path = Path(args.json) / "BENCH_arena.json"
+        text = _json.dumps(body, indent=2, sort_keys=True) + "\n"
+        outputs.append((path, text, f"\nwrote {path}"))
     if args.markdown is not None:
-        from pathlib import Path
-
-        Path(args.markdown).write_text(
-            arena.leaderboard_markdown(payload) + "\n"
-        )
-        print(f"wrote {args.markdown}")
+        text = arena.leaderboard_markdown(payload) + "\n"
+        outputs.append((args.markdown, text, f"wrote {args.markdown}"))
+    for path, text, message in outputs:
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            print(write_error(path, exc), file=sys.stderr)
+            return 2
+        print(message)
     return 0
 
 
@@ -434,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--since", type=float, metavar="T", default=None,
                        help="export only spans starting at or after this "
                             "simulated time (seconds)")
-    trace.set_defaults(func=cmd_trace)
+    trace.set_defaults(func=cmd_trace, outputs=(("output", False),))
 
     from repro.scenarios import report_names
 
@@ -454,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write the RunReport JSON here")
     rep.add_argument("--top-k", type=int, default=5,
                      help="how many critical paths to include")
-    rep.set_defaults(func=cmd_report)
+    rep.set_defaults(func=cmd_report, outputs=(("output", False),))
 
     policies = sub.add_parser("policies", help="list policies and schedulers")
     policies.set_defaults(func=cmd_policies)
@@ -503,7 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "(for $GITHUB_STEP_SUMMARY)")
     ar.add_argument("--list", action="store_true",
                     help="list registered policies and pack scenarios")
-    ar.set_defaults(func=cmd_arena)
+    ar.set_defaults(
+        func=cmd_arena, outputs=(("json", True), ("markdown", False))
+    )
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -548,6 +582,12 @@ def main(argv: list[str] | None = None) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
+    for name, directory in getattr(args, "outputs", ()):
+        path = getattr(args, name)
+        problem = path is not None and unwritable(path, directory=directory)
+        if problem:
+            print(problem, file=sys.stderr)
+            return 2
     return args.func(args)
 
 

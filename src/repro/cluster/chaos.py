@@ -198,9 +198,6 @@ class FailureInjector:
     def is_failed(self, node_name: str) -> bool:
         return node_name in self._down
 
-    def failed_nodes(self) -> list[str]:
-        return sorted(self._down)
-
     def fail_node(self, node_name: str) -> NodeFailure:
         """Crash a node, evicting everything on it."""
         if self.is_failed(node_name):
@@ -276,9 +273,6 @@ class DegradationInjector:
 
     def is_degraded(self, node_name: str) -> bool:
         return node_name in self._degraded
-
-    def degraded_nodes(self) -> list[str]:
-        return sorted(self._degraded)
 
     def degrade_node(self, node_name: str, factor: float) -> FaultEpisode:
         """Shrink a node's allocatable to ``factor`` of its current value."""

@@ -9,7 +9,6 @@ resize delay), which is what makes the control loop's job non-trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro.cluster.events import (
@@ -49,34 +48,18 @@ class NodeNotFound(ClusterError, KeyError):
         return self.args[0] if self.args else ""
 
 
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Actuation-latency knobs, mirroring real-cluster behaviour.
-
-    Parameters
-    ----------
-    startup_delay:
-        Seconds from binding to RUNNING (image pull + container start).
-    resize_delay:
-        Seconds for an in-place vertical resize to take effect.
-    """
-
-    startup_delay: float = 10.0
-    resize_delay: float = 1.0
+#: Actuation latencies, mirroring real-cluster behaviour: seconds from
+#: binding to RUNNING (image pull + container start), and for an in-place
+#: vertical resize to take effect.
+STARTUP_DELAY = 10.0
+RESIZE_DELAY = 1.0
 
 
 class Cluster:
     """The simulated cluster: nodes + pods + lifecycle transitions."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        nodes: Iterable[Node],
-        *,
-        config: ClusterConfig | None = None,
-    ):
+    def __init__(self, engine: Engine, nodes: Iterable[Node]):
         self.engine = engine
-        self.config = config or ClusterConfig()
         self.nodes: dict[str, Node] = {}
         for node in nodes:
             if node.name in self.nodes:
@@ -119,9 +102,6 @@ class Cluster:
             for p in self.pods.values()
             if p.app == app and p.phase == PodPhase.RUNNING
         ]
-
-    def pods_of_gang(self, gang_id: str) -> list[Pod]:
-        return [p for p in self.pods.values() if p.spec.gang_id == gang_id]
 
     def total_allocatable(self) -> ResourceVector:
         return total_capacity(self.nodes.values())
@@ -185,7 +165,7 @@ class Cluster:
         return True
 
     def bind(self, pod_name: str, node_name: str) -> None:
-        """Bind a pending pod to a node; it starts after ``startup_delay``."""
+        """Bind a pending pod to a node; it starts after :data:`STARTUP_DELAY`."""
         pod = self.get_pod(pod_name)
         node = self.get_node(node_name)
         if pod.phase != PodPhase.PENDING:
@@ -204,7 +184,7 @@ class Cluster:
         pod.scheduled_at = self.now
         self.events.publish(PodScheduled(self.now, pod_name, node_name))
         self.engine.schedule(
-            self.config.startup_delay, lambda: self._start(pod_name)
+            STARTUP_DELAY, lambda: self._start(pod_name)
         )
 
     def _start(self, pod_name: str) -> None:
@@ -265,7 +245,7 @@ class Cluster:
         return self.get_node(pod.node_name).headroom_for_resize(pod, new_allocation)
 
     def resize_pod(self, pod_name: str, new_allocation: ResourceVector) -> bool:
-        """In-place vertical resize; takes ``resize_delay`` to apply.
+        """In-place vertical resize; takes :data:`RESIZE_DELAY` to apply.
 
         Returns True if the resize was accepted (fits on the node at
         request time). The new allocation is applied after the delay,
@@ -292,7 +272,7 @@ class Cluster:
                 PodResized(self.now, pod_name, old, new_allocation)
             )
 
-        self.engine.schedule(self.config.resize_delay, apply)
+        self.engine.schedule(RESIZE_DELAY, apply)
         return True
 
     # -- invariants ---------------------------------------------------------------

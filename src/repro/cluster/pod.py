@@ -185,12 +185,6 @@ class Pod:
             net_bw if net_bw > 0.0 else 0.0,
         )
 
-    def scheduling_latency(self) -> float | None:
-        """Seconds from submission to binding, if scheduled."""
-        if self.scheduled_at is None:
-            return None
-        return self.scheduled_at - self.created_at
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Pod({self.name!r}, app={self.app!r}, phase={self.phase.value}, "

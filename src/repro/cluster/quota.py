@@ -14,10 +14,6 @@ from repro.cluster.pod import Pod
 from repro.cluster.resources import ResourceVector
 
 
-class QuotaExceededError(RuntimeError):
-    """Raised when an operation would push a tenant past its quota."""
-
-
 #: Pod label carrying the tenant name.
 TENANT_LABEL = "tenant"
 

@@ -156,15 +156,6 @@ class ResourceVector:
             self.net_bw / scalar,
         )
 
-    def elementwise_mul(self, other: "ResourceVector") -> "ResourceVector":
-        """Hadamard product, e.g. scaling each dimension by its own factor."""
-        return ResourceVector._from_fields(
-            self.cpu * other.cpu,
-            self.memory * other.memory,
-            self.disk_bw * other.disk_bw,
-            self.net_bw * other.net_bw,
-        )
-
     def elementwise_min(self, other: "ResourceVector") -> "ResourceVector":
         return self._combine(other, min)
 

@@ -19,57 +19,32 @@ from collections import deque
 #: Gain-scale multipliers for the two diagnoses.
 SHRINK = 0.7
 GROW = 1.3
+#: Number of recent control periods inspected.
+WINDOW = 8
+#: Minimum sign flips within the window to diagnose oscillation.
+OSCILLATION_FLIPS = 3
+#: Consecutive same-sign, out-of-deadband periods to diagnose a too-slow
+#: loop.
+SLUGGISH_PERIODS = 4
+#: Inclusive (min, max) clamp on the scale.
+SCALE_BOUNDS = (0.2, 5.0)
+#: Per-update pull of the scale back toward 1.0.
+RELAX = 0.02
 
 
 class AdaptiveGainTuner:
     """Heuristic gain scheduler driven by the error history.
 
-    Parameters
-    ----------
-    window:
-        Number of recent control periods inspected.
-    deadband:
-        |error| below this is treated as converged (no adaptation
-        pressure in either direction).
-    oscillation_flips:
-        Minimum sign flips within the window to diagnose oscillation.
-    sluggish_periods:
-        Consecutive same-sign, out-of-deadband periods to diagnose a
-        too-slow loop; the scale is multiplied by :data:`SHRINK` on
-        oscillation and by :data:`GROW` on sluggishness.
-    bounds:
-        Inclusive (min, max) clamp on the scale.
-    relax:
-        Per-update pull of the scale back toward 1.0 in [0, 1].
+    ``deadband``: |error| below this is treated as converged (no
+    adaptation pressure in either direction). The scale is multiplied by
+    :data:`SHRINK` on oscillation and by :data:`GROW` on sluggishness,
+    over the last :data:`WINDOW` periods.
     """
 
-    def __init__(
-        self,
-        *,
-        window: int = 8,
-        deadband: float = 0.05,
-        oscillation_flips: int = 3,
-        sluggish_periods: int = 4,
-        bounds: tuple[float, float] = (0.2, 5.0),
-        relax: float = 0.02,
-    ):
-        if window < 2:
-            raise ValueError("window must be ≥ 2")
-        if sluggish_periods < 1:
-            raise ValueError("sluggish_periods must be ≥ 1")
-        lo, hi = bounds
-        if not 0 < lo <= 1 <= hi:
-            raise ValueError("bounds must bracket 1.0 with lo > 0")
-        if not 0 <= relax <= 1:
-            raise ValueError("relax must be in [0, 1]")
-        self.window = window
+    def __init__(self, *, deadband: float = 0.05):
         self.deadband = deadband
-        self.oscillation_flips = oscillation_flips
-        self.sluggish_periods = sluggish_periods
-        self.bounds = (lo, hi)
-        self.relax = relax
         self.scale = 1.0
-        self._errors: deque[float] = deque(maxlen=window)
+        self._errors: deque[float] = deque(maxlen=WINDOW)
         self.oscillation_events = 0
         self.sluggish_events = 0
         #: Diagnosis of the most recent update: "oscillation",
@@ -83,13 +58,13 @@ class AdaptiveGainTuner:
 
         One pass over the window diagnoses both conditions: sign flips
         between consecutive out-of-deadband errors, and whether the last
-        ``sluggish_periods`` errors all sit out of band on one side.
+        :data:`SLUGGISH_PERIODS` errors all sit out of band on one side.
         """
         errors = self._errors
         errors.append(float(error))
         deadband = self.deadband
         floor = -deadband
-        periods = self.sluggish_periods
+        periods = SLUGGISH_PERIODS
         recent = len(errors) - periods  # index of the first recent error
         flips = above = below = 0
         prev = 0.0  # 0.0 × e is never < 0, so the first error flips nothing
@@ -103,7 +78,7 @@ class AdaptiveGainTuner:
                         above += 1
                     elif e < 0:
                         below += 1
-        if flips >= self.oscillation_flips:
+        if flips >= OSCILLATION_FLIPS:
             self.scale *= SHRINK
             self.oscillation_events += 1
             self.last_event = "oscillation"
@@ -114,9 +89,9 @@ class AdaptiveGainTuner:
             self.last_event = "sluggish"
             errors.clear()
         else:
-            self.scale += (1.0 - self.scale) * self.relax
+            self.scale += (1.0 - self.scale) * RELAX
             self.last_event = None
-        lo, hi = self.bounds
+        lo, hi = SCALE_BOUNDS
         scale = self.scale
         scale = scale if scale < hi else hi
         self.scale = scale if scale > lo else lo

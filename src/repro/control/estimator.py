@@ -21,6 +21,15 @@ from dataclasses import dataclass
 
 from repro.cluster.resources import RESOURCES, ResourceVector
 
+#: Saturation above which a dimension is a bottleneck candidate for
+#: scale-up.
+GROW_THRESHOLD = 0.85
+#: Saturation below which a dimension is reclaimable.
+RECLAIM_THRESHOLD = 0.6
+#: Extra caution multiplier on memory reclaim weights (shrinking memory
+#: too eagerly causes thrashing before the controller can recover).
+MEMORY_HEADROOM = 0.5
+
 
 @dataclass(frozen=True)
 class SaturationSnapshot:
@@ -43,39 +52,7 @@ class SaturationSnapshot:
 
 
 class BottleneckEstimator:
-    """Attribute control effort to resource dimensions.
-
-    Parameters
-    ----------
-    grow_threshold:
-        Saturation above which a dimension is considered a bottleneck
-        candidate for scale-up.
-    reclaim_threshold:
-        Saturation below which a dimension is considered reclaimable.
-    memory_headroom:
-        Extra caution multiplier on memory reclaim weights (shrinking
-        memory too eagerly causes thrashing before the controller can
-        recover).
-    """
-
-    def __init__(
-        self,
-        *,
-        grow_threshold: float = 0.85,
-        reclaim_threshold: float = 0.6,
-        memory_headroom: float = 0.5,
-    ):
-        if not 0 < grow_threshold < 1:
-            raise ValueError("grow_threshold must be in (0, 1)")
-        if not 0 < reclaim_threshold < 1:
-            raise ValueError("reclaim_threshold must be in (0, 1)")
-        if grow_threshold <= reclaim_threshold:
-            raise ValueError("grow_threshold must exceed reclaim_threshold")
-        if not 0 <= memory_headroom <= 1:
-            raise ValueError("memory_headroom must be in [0, 1]")
-        self.grow_threshold = grow_threshold
-        self.reclaim_threshold = reclaim_threshold
-        self.memory_headroom = memory_headroom
+    """Attribute control effort to resource dimensions."""
 
     def grow_weights(self, snapshot: SaturationSnapshot) -> dict[str, float]:
         """Weights in [0, 1] per dimension for distributing scale-up.
@@ -88,10 +65,10 @@ class BottleneckEstimator:
         weights: dict[str, float] = {}
         for name in RESOURCES:
             sat = snapshot.fractions[name]
-            if sat >= self.grow_threshold:
+            if sat >= GROW_THRESHOLD:
                 weights[name] = min(
                     1.0,
-                    (sat - self.grow_threshold) / (1 - self.grow_threshold) + 0.25,
+                    (sat - GROW_THRESHOLD) / (1 - GROW_THRESHOLD) + 0.25,
                 )
             else:
                 weights[name] = 0.0
@@ -103,15 +80,15 @@ class BottleneckEstimator:
         """Weights in [0, 1] per dimension for distributing scale-down.
 
         Only dimensions with comfortable headroom shrink; memory shrinks
-        more cautiously (see ``memory_headroom``).
+        more cautiously (see :data:`MEMORY_HEADROOM`).
         """
         weights: dict[str, float] = {}
         for name in RESOURCES:
             sat = snapshot.fractions[name]
-            if sat <= self.reclaim_threshold:
-                weight = 1.0 - sat / self.reclaim_threshold
+            if sat <= RECLAIM_THRESHOLD:
+                weight = 1.0 - sat / RECLAIM_THRESHOLD
                 if name == "memory":
-                    weight *= self.memory_headroom
+                    weight *= MEMORY_HEADROOM
                 weights[name] = weight
             else:
                 weights[name] = 0.0

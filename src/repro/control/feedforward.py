@@ -8,7 +8,7 @@ queueing model has translated the surge into latency.
 
 Conservative by design: it only ever adds scale-up (never reclaim —
 load drops are left to feedback, which is already cautious), ignores
-changes below ``threshold``, and clamps its contribution.
+changes below :data:`THRESHOLD`, and clamps its contribution.
 """
 
 from __future__ import annotations
@@ -16,47 +16,28 @@ from __future__ import annotations
 from repro.metrics.collector import MetricsCollector
 from repro.workloads.base import Application
 
+#: Output per unit relative load increase (a doubling of load adds +0.5
+#: to the controller output).
+GAIN = 0.5
+#: Relative increase below which nothing is added (noise guard).
+THRESHOLD = 0.15
+#: Maximum additive contribution per control period.
+LIMIT = 1.0
+#: Seconds over which "previous" load is measured.
+WINDOW = 30.0
+#: Seconds after an activation during which *reclaim* decisions are
+#: suppressed. Without this hysteresis the feedback loop hands the
+#: anticipatory allocation back the moment the latency percentile looks
+#: healthy — right before the surge crests — and the violation the
+#: feedforward prevented happens anyway.
+HOLD = 180.0
+
 
 class FeedforwardScaler:
-    """Offered-load delta → additive controller output.
+    """Offered-load delta → additive controller output."""
 
-    Parameters
-    ----------
-    gain:
-        Output per unit relative load increase (e.g. a doubling of load
-        with gain 0.5 adds +0.5 to the controller output).
-    threshold:
-        Relative increase below which nothing is added (noise guard).
-    limit:
-        Maximum additive contribution per control period.
-    window:
-        Seconds over which "previous" load is measured.
-    hold:
-        Seconds after an activation during which *reclaim* decisions are
-        suppressed. Without this hysteresis the feedback loop hands the
-        anticipatory allocation back the moment the latency percentile
-        looks healthy — right before the surge crests — and the violation
-        the feedforward prevented happens anyway.
-    """
-
-    def __init__(
-        self,
-        collector: MetricsCollector,
-        *,
-        gain: float = 0.5,
-        threshold: float = 0.15,
-        limit: float = 1.0,
-        window: float = 30.0,
-        hold: float = 180.0,
-    ):
-        if gain < 0 or threshold < 0 or limit <= 0 or window <= 0 or hold < 0:
-            raise ValueError("invalid feedforward parameters")
+    def __init__(self, collector: MetricsCollector):
         self.collector = collector
-        self.gain = gain
-        self.threshold = threshold
-        self.limit = limit
-        self.window = window
-        self.hold = hold
         self.activations = 0
         self._last_activation: dict[str, float] = {}
 
@@ -67,7 +48,7 @@ class FeedforwardScaler:
     def reclaim_suppressed(self, app_name: str, now: float) -> bool:
         """Whether a recent activation should block reclaiming."""
         last = self._last_activation.get(app_name)
-        return last is not None and (now - last) < self.hold
+        return last is not None and (now - last) < HOLD
 
     def signal(self, app: Application, now: float) -> float:
         """Additive output for this control period (≥ 0)."""
@@ -80,12 +61,12 @@ class FeedforwardScaler:
         if current is None or last_time is None:
             return 0.0
         # Baseline: trailing window just before the newest sample.
-        previous = series.mean_over(last_time - 1e-6, self.window)
+        previous = series.mean_over(last_time - 1e-6, WINDOW)
         if previous is None or previous <= 0:
             return 0.0
         delta = (current - previous) / previous
-        if delta <= self.threshold:
+        if delta <= THRESHOLD:
             return 0.0
         self.activations += 1
         self._last_activation[app.name] = now
-        return min(self.limit, self.gain * delta)
+        return min(LIMIT, GAIN * delta)

@@ -303,10 +303,6 @@ class ControlLoopManager:
         """Registered applications by name (HA replay needs the objects)."""
         return {name: entry.app for name, entry in self._entries.items()}
 
-    def entry_stats(self, app_name: str) -> dict[str, int]:
-        """Decision counts for one application (for tests/reports)."""
-        return dict(self._entries[app_name].stats)
-
     def entry_resilience(self, app_name: str) -> dict[str, int | bool]:
         """Resilience state and counters for one application (for tests/reports)."""
         entry = self._entries[app_name]
@@ -323,10 +319,6 @@ class ControlLoopManager:
             for name, count in entry.counters.items():
                 totals[name] += count
         return totals
-
-    def backpressure_stats(self) -> dict[str, int]:
-        """Deferred scale-up ledger counters (zeros when disabled)."""
-        return (self.backpressure or BackpressureState()).stats()
 
     # -- state export / restore (control-plane HA) ----------------------------------
 

@@ -20,7 +20,7 @@ from typing import Sequence
 from repro.cluster.resources import RESOURCES, ResourceVector
 from repro.control.adaptive import AdaptiveGainTuner
 from repro.control.estimator import BottleneckEstimator, SaturationSnapshot
-from repro.control.pid import PIDController, PIDGains
+from repro.control.pid import OUTPUT_LIMITS, PIDController, PIDGains
 
 #: An allocation is "near the floor" when every dimension sits within
 #: this multiple of its minimum.
@@ -32,6 +32,11 @@ NEAR_FLOOR_SLACK = 1.25
 #: make every controller slam its output rail regardless of gains; a
 #: bounded error keeps the loop in its linear regime.
 ERROR_CLAMP = (-1.0, 3.0)
+
+#: Multiplier < 1 damping scale-down relative to scale-up, because
+#: under-shooting an allocation hurts users while over-shooting only
+#: costs efficiency.
+RECLAIM_CAUTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -101,10 +106,8 @@ class MultiResourceController:
     dimensions:
         Resource dimensions this controller may actuate; others are left
         untouched (``("cpu",)`` gives the single-resource ablation).
-    reclaim_caution:
-        Multiplier < 1 damping scale-down relative to scale-up, because
-        under-shooting an allocation hurts users while over-shooting only
-        costs efficiency.
+
+    Reclaim effort is damped by :data:`RECLAIM_CAUTION`.
     """
 
     def __init__(
@@ -115,8 +118,6 @@ class MultiResourceController:
         deadband: float = 0.1,
         adaptive: bool = True,
         dimensions: Sequence[str] = RESOURCES,
-        reclaim_caution: float = 0.5,
-        output_limits: tuple[float, float] = (-0.5, 1.0),
     ):
         unknown = set(dimensions) - set(RESOURCES)
         if unknown:
@@ -125,14 +126,11 @@ class MultiResourceController:
             raise ValueError("need at least one controlled dimension")
         if deadband < 0:
             raise ValueError("deadband must be non-negative")
-        if not 0 < reclaim_caution <= 1:
-            raise ValueError("reclaim_caution must be in (0, 1]")
-        self.pid = PIDController(gains, output_limits=output_limits)
+        self.pid = PIDController(gains)
         self.bounds = bounds
         self.deadband = deadband
         self.adaptive = adaptive
         self.dimensions = tuple(dimensions)
-        self.reclaim_caution = reclaim_caution
         self.estimator = BottleneckEstimator()
         self.tuner = AdaptiveGainTuner(deadband=deadband)
         self.decisions = 0
@@ -189,7 +187,7 @@ class MultiResourceController:
             # reading (it is about to be stale): suppress reclaim and add
             # the anticipatory growth on top.
             boosted = (output if output > 0.0 else 0.0) + feedforward
-            top = pid.output_limits[1]
+            top = OUTPUT_LIMITS[1]
             output = boosted if boosted < top else top
         gain_scale = pid.gain_scale
 
@@ -207,7 +205,7 @@ class MultiResourceController:
         elif output < 0:
             weights = self.estimator.reclaim_weights(saturation)
             action = "reclaim"
-            effort = output * self.reclaim_caution
+            effort = output * RECLAIM_CAUTION
         else:
             return ControlDecision(
                 "hold", current, error, output, gain_scale, {},

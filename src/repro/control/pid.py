@@ -14,6 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Inclusive (lo, hi) clamp on the control signal.
+OUTPUT_LIMITS = (-0.5, 1.0)
+#: Absolute clamp on the integral term's contribution (after ki).
+INTEGRAL_LIMIT = 1.0
+#: Smoothing factor in (0, 1] of the derivative's error filter.
+DERIVATIVE_ALPHA = 0.3
+
 
 @dataclass(frozen=True)
 class PIDGains:
@@ -36,39 +43,15 @@ class PIDController:
     push allocations *up*; negative error means overachievement and the
     output may reclaim.
 
-    Parameters
-    ----------
-    gains:
-        Baseline gains; :attr:`gain_scale` multiplies them at runtime.
-    output_limits:
-        Inclusive (lo, hi) clamp on the control signal.
-    integral_limit:
-        Absolute clamp on the integral term's *contribution* (after ki).
-    derivative_alpha:
-        Smoothing factor in (0, 1] of the derivative's error filter;
-        1.0 disables filtering.
+    ``gains`` are the baseline gains; :attr:`gain_scale` multiplies them
+    at runtime. The output is clamped to :data:`OUTPUT_LIMITS`, the
+    integral term's contribution to :data:`INTEGRAL_LIMIT`, and the
+    derivative acts on the error filtered with :data:`DERIVATIVE_ALPHA`.
     """
 
-    def __init__(
-        self,
-        gains: PIDGains,
-        *,
-        output_limits: tuple[float, float] = (-1.0, 1.0),
-        integral_limit: float = 1.0,
-        derivative_alpha: float = 0.3,
-    ):
-        lo, hi = output_limits
-        if lo >= hi:
-            raise ValueError("output_limits must satisfy lo < hi")
-        if integral_limit < 0:
-            raise ValueError("integral_limit must be non-negative")
-        if not 0 < derivative_alpha <= 1:
-            raise ValueError("derivative_alpha must be in (0, 1]")
+    def __init__(self, gains: PIDGains):
         self.gains = gains
         self.gain_scale = 1.0
-        self.output_limits = (float(lo), float(hi))
-        self.integral_limit = float(integral_limit)
-        self.derivative_alpha = float(derivative_alpha)
         self._integral = 0.0          # ∫ error dt (before ki)
         self._filtered_error: float | None = None
         self._prev_filtered: float | None = None
@@ -113,15 +96,6 @@ class PIDController:
         self.last_output = float(state["last_output"])
         self.updates = int(state["updates"])
 
-    @property
-    def integral_term(self) -> float:
-        """Current integral contribution (ki × ∫e dt, clamped)."""
-        scale = self.gain_scale
-        if scale <= 0:
-            raise ValueError("scale factor must be positive")
-        limit = self.integral_limit
-        return max(-limit, min(limit, self.gains.ki * scale * self._integral))
-
     # -- update --------------------------------------------------------------------
 
     def update(self, error: float, dt: float) -> float:
@@ -150,7 +124,7 @@ class PIDController:
         if prev is None:
             filtered = error
         else:
-            a = self.derivative_alpha
+            a = DERIVATIVE_ALPHA
             filtered = a * error + (1 - a) * prev
         self._filtered_error = filtered
         if self._prev_filtered is None:
@@ -162,7 +136,7 @@ class PIDController:
         # Tentative integral step with conditional anti-windup below.
         proposed_integral = self._integral + error * dt
         if ki > 0:
-            limit = self.integral_limit
+            limit = INTEGRAL_LIMIT
             term = ki * proposed_integral
             term = term if term < limit else limit
             term = term if term > -limit else -limit
@@ -171,7 +145,7 @@ class PIDController:
         terms = (kp * error, ki * proposed_integral, kd * derivative)
         self.last_terms = terms
         unclamped = sum(terms)
-        lo, hi = self.output_limits
+        lo, hi = OUTPUT_LIMITS
         output = unclamped if unclamped < hi else hi
         output = output if output > lo else lo
 

@@ -14,7 +14,7 @@ models the durable side of the control plane:
   write and the apply still leaves the successor enough to reconcile.
 
 Durability is not instantaneous. Every write carries a ``durable_at``
-timestamp ``now + fsync_latency``; a successor restoring at crash time
+timestamp ``now + FSYNC_LATENCY``; a successor restoring at crash time
 ``T`` only observes records with ``durable_at <= T``, which models the
 small window in which a crash loses the most recent writes. Snapshot
 corruption (a chaos-injectable fault) marks the newest snapshot
@@ -31,6 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.sim.engine import Engine
+
+#: Delay (s) before a write becomes durable. A crash inside this window
+#: loses the write, exactly like an un-fsynced page.
+FSYNC_LATENCY = 0.005
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,6 @@ class ControllerStateStore:
         Seconds between periodic snapshots (consumed by the control
         plane's scheduler); ``None`` disables snapshotting, leaving WAL
         replay from scratch as the only recovery path.
-    fsync_latency:
-        Delay (s) before a write becomes durable. A crash inside this
-        window loses the write, exactly like an un-fsynced page.
     """
 
     def __init__(
@@ -82,16 +83,12 @@ class ControllerStateStore:
         engine: Engine,
         *,
         snapshot_interval: float | None = 60.0,
-        fsync_latency: float = 0.005,
         log=None,
     ):
         if snapshot_interval is not None and snapshot_interval <= 0:
             raise ValueError("snapshot_interval must be positive or None")
-        if fsync_latency < 0:
-            raise ValueError("fsync_latency must be non-negative")
         self.engine = engine
         self.snapshot_interval = snapshot_interval
-        self.fsync_latency = fsync_latency
         self.log = log  # optional FaultLog for corruption episodes
         self.snapshots: list[StateSnapshot] = []
         self.wal: list[WalRecord] = []
@@ -110,7 +107,7 @@ class ControllerStateStore:
         self._wal_seq += 1
         now = self.engine.now
         record = WalRecord(
-            self._wal_seq, now, now + self.fsync_latency, app, kind, target
+            self._wal_seq, now, now + FSYNC_LATENCY, app, kind, target
         )
         self.wal.append(record)
         if self.telemetry is not None:
@@ -128,7 +125,7 @@ class ControllerStateStore:
         snap = StateSnapshot(
             self._snapshot_seq,
             now,
-            now + self.fsync_latency,
+            now + FSYNC_LATENCY,
             self._wal_seq,
             state,
         )

@@ -1,22 +1,19 @@
-"""Data-plane fault-tolerance configuration.
+"""Data-plane fault-tolerance settings.
 
-One switch and the settings shared by the three data-plane recovery
-mechanisms: the :class:`~repro.workloads.bigdata.BigDataJob` task
+The settings shared by the three data-plane recovery mechanisms, which
+``PlatformConfig.data_plane`` switches on together: the :class:`~repro.workloads.bigdata.BigDataJob` task
 engine (lineage recompute, speculative execution, retry budgets), the
 :class:`~repro.workloads.stream.StreamJob` checkpoint/replay path, and
 the :class:`~repro.storage.repair.StorageRepairService` re-replication
 loop.  This module is a dependency leaf — workloads, storage, and the
 platform all import it without cycles.
 
-Discipline (same as ``OverloadConfig``): every feature defaults *off*,
-and with ``enabled=False`` seeded runs are bit-identical to a build
-without this module — no extra RNG draws, no extra engine events, no
-changed metric streams.
+Discipline (same as ``OverloadConfig``): the switch defaults *off*, and
+off, seeded runs are bit-identical to a build without this module — no
+extra RNG draws, no extra engine events, no changed metric streams.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 # -- BigDataJob task engine ----------------------------------------------------
 #: Consecutive ticks an executor's retired-work rate must stay below
@@ -44,18 +41,6 @@ RESTORE_DELAY = 5.0
 #: :data:`~repro.storage.repair.REPAIR_INTERVAL` MB (the last object may
 #: overshoot and borrow from the next scan's budget).
 REPAIR_BANDWIDTH_MBPS = 200.0
-
-
-@dataclass(frozen=True)
-class DataPlaneConfig:
-    """The data-plane fault-tolerance switch. Frozen; safe to share."""
-
-    #: Master switch. On → the task engine (lineage recompute of lost
-    #: outputs, speculative copies of straggler-held tasks), stream
-    #: checkpoints and the storage repair loop. Off → fluid big-data
-    #: model, no stream checkpoints, no storage repair, liveness-blind
-    #: locality (seed behaviour).
-    enabled: bool = False
 
 
 def backoff(attempt: int) -> float:

@@ -22,6 +22,9 @@ from repro.cluster.resources import RESOURCES
 from repro.metrics.timeseries import ChangePointSeries, TimeSeries
 from repro.sim.engine import Engine, PeriodicHandle
 
+#: Seconds between scrapes (Prometheus default order: 5–15 s).
+SCRAPE_INTERVAL = 5.0
+
 #: Samples each series keeps before its oldest are dropped.
 SERIES_MAXLEN = 100_000
 
@@ -70,27 +73,13 @@ class MetricsSource(Protocol):
 class MetricsCollector:
     """Periodic scraper storing all series for an experiment.
 
-    Parameters
-    ----------
-    engine, api:
-        Simulation engine and the cluster to scrape.
-    scrape_interval:
-        Seconds between scrapes (Prometheus default order: 5–15 s).
+    ``engine`` and ``api`` are the simulation engine and the cluster to
+    scrape, every :data:`SCRAPE_INTERVAL` seconds.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        api: ClusterAPI,
-        *,
-        scrape_interval: float = 5.0,
-        faults=None,
-    ):
-        if scrape_interval <= 0:
-            raise ValueError("scrape_interval must be positive")
+    def __init__(self, engine: Engine, api: ClusterAPI, *, faults=None):
         self.engine = engine
         self.api = api
-        self.scrape_interval = scrape_interval
         self._sources: list[MetricsSource] = []
         self._internal_sources: list[MetricsSource] = []
         # Stored series, all under declared names, created by the first
@@ -170,9 +159,7 @@ class MetricsCollector:
         """Begin periodic scraping (first scrape one interval from now)."""
         if self._handle is not None:
             raise RuntimeError("collector already started")
-        self._handle = self.engine.every(
-            self.scrape_interval, self.scrape, priority=-10
-        )
+        self._handle = self.engine.every(SCRAPE_INTERVAL, self.scrape, priority=-10)
 
     def stop(self) -> None:
         if self._handle is not None:
@@ -204,9 +191,6 @@ class MetricsCollector:
         series = self.stored(name)
         return series is not None and len(series) > 0
 
-    def series_names(self) -> list[str]:
-        return sorted(self._series)
-
     def record(self, name: str, value: float) -> None:
         """Record an out-of-band sample (e.g. per-event observations).
 
@@ -230,8 +214,8 @@ class MetricsCollector:
         # below, which count rounds that ran but produced nothing.
         if self._last_attempt is not None:
             elapsed = now - self._last_attempt
-            if elapsed > 1.5 * self.scrape_interval:
-                missed = max(1, round(elapsed / self.scrape_interval) - 1)
+            if elapsed > 1.5 * SCRAPE_INTERVAL:
+                missed = max(1, round(elapsed / SCRAPE_INTERVAL) - 1)
                 self.scrape_gaps += missed
                 if tel is not None:
                     tel.scrape_gaps.inc(missed)

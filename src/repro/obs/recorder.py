@@ -279,8 +279,7 @@ def build_run_report(platform, *, top_k: int = 5) -> RunReport:
         ledgers["brownout"] = _brownout_ledger(managers)
     dp_jobs = [
         app for app in platform.apps.values()
-        if getattr(app, "ft", None) is not None
-        and hasattr(app, "ft_accounting")
+        if getattr(app, "ft", False) and hasattr(app, "ft_accounting")
     ]
     if dp_jobs:
         ledgers["dataplane"] = _dataplane_ledger(dp_jobs)

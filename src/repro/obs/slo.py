@@ -41,6 +41,8 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.metrics.collector import SCRAPE_INTERVAL
+
 #: SLO names must be single path segments: they are interpolated into
 #: ``slo/<name>/<gauge>`` metric names, which the registry lints.
 _SLO_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
@@ -233,7 +235,7 @@ class SLOEngine:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names: {names}")
         collector.declare(*(s.series for s in self.specs))
-        self.tick = float(collector.scrape_interval)
+        self.tick = SCRAPE_INTERVAL
         self.states: dict[str, _SLOState] = {
             s.name: _SLOState(s, self.tick) for s in self.specs
         }

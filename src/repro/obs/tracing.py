@@ -190,12 +190,6 @@ class Trace:
             current = parent
         return chain
 
-    def roots(self) -> list[Span]:
-        return [s for s in self.spans if s.parent_id is None]
-
-    def provenance_for(self, app: str) -> list[DecisionProvenance]:
-        return [p for p in self.provenance if p.app == app]
-
 
 class Tracer:
     """Span factory bound to an engine clock, with a context stack.
@@ -211,10 +205,6 @@ class Tracer:
         self.trace = Trace()
         self._stack: list[Span] = []
         self._next_id = 1
-
-    def current_id(self) -> int | None:
-        """Id of the innermost open span, or None outside any span."""
-        return self._stack[-1].id if self._stack else None
 
     # begin/instant inline parent resolution, span registration, and the
     # engine-clock read (``_now`` is the attribute behind ``Engine.now``):

@@ -9,7 +9,6 @@ submit an HPC job.
 
 from repro.platform.config import (
     ClusterSpec,
-    DataPlaneConfig,
     PlatformConfig,
     build_nodes,
 )
@@ -17,7 +16,6 @@ from repro.platform.evolve import EvolvePlatform, ExperimentResult
 
 __all__ = [
     "ClusterSpec",
-    "DataPlaneConfig",
     "PlatformConfig",
     "build_nodes",
     "EvolvePlatform",

@@ -7,7 +7,6 @@ from typing import Mapping
 
 from repro.cluster.node import Node
 from repro.cluster.resources import ResourceVector
-from repro.dataplane import DataPlaneConfig
 from repro.obs.slo import SLOSpec
 from repro.scheduler.admission import OverloadConfig
 
@@ -15,7 +14,6 @@ __all__ = [
     "NodeGroup",
     "ClusterSpec",
     "build_nodes",
-    "DataPlaneConfig",
     "OverloadConfig",
     "SLOSpec",
     "PlatformConfig",
@@ -76,12 +74,6 @@ class ClusterSpec:
             raise ValueError("node_count must be ≥ 1")
         if self.zones < 1:
             raise ValueError("zones must be ≥ 1")
-
-    @property
-    def total_nodes(self) -> int:
-        if self.groups:
-            return sum(g.count for g in self.groups)
-        return self.node_count
 
 
 def build_nodes(spec: ClusterSpec, *, name_prefix: str = "node") -> list[Node]:
@@ -146,10 +138,12 @@ class PlatformConfig:
     #: runs byte-identical to the pre-resilience platform.
     overload: OverloadConfig = field(default_factory=OverloadConfig)
     # -- data-plane fault tolerance (repro.dataplane) --------------------------
-    #: Big-data task engine (lineage recompute, speculation, retry
-    #: budgets), stream checkpoint/replay, and the object-store repair
-    #: loop. Defaults off; disabled runs are bit-identical to the seed.
-    data_plane: DataPlaneConfig = field(default_factory=DataPlaneConfig)
+    #: On → the big-data task engine (lineage recompute of lost outputs,
+    #: speculative copies of straggler-held tasks, retry budgets), stream
+    #: checkpoint/replay, the object-store repair loop and liveness-aware
+    #: locality. Off → fluid big-data model, no stream checkpoints, no
+    #: storage repair, liveness-blind locality (seed behaviour).
+    data_plane: bool = False
     # -- observability (repro.obs) -------------------------------------------
     #: Enable causal decision tracing and the ``ctrl/*`` self-metrics
     #: registry. Observation-only: seeded runs are bit-identical with

@@ -235,7 +235,7 @@ class EvolvePlatform:
         # Only built when enabled: default runs keep the store liveness-
         # blind and schedule no repair events, staying byte-identical.
         self.repair: StorageRepairService | None = None
-        if self.config.data_plane.enabled:
+        if self.config.data_plane:
             self.store.node_liveness = self._node_live
             self.repair = StorageRepairService(
                 self.engine, self.store, self.api, log=self.fault_log
@@ -590,7 +590,7 @@ class EvolvePlatform:
         app.maintain_replicas = True  # survive preemption and node failure
         self.collector.register(app)
         tel = self.telemetry
-        if tel is not None and getattr(app, "ft", None) is not None:
+        if tel is not None and getattr(app, "ft", False):
             # FT-enabled data-plane workloads trace their recovery events
             # and feed the dp/* aggregate instruments.
             app.telemetry = tel

@@ -27,7 +27,6 @@ from repro.cluster.chaos import (
     ZoneOutageInjector,
 )
 from repro.cluster.resources import ResourceVector
-from repro.dataplane import DataPlaneConfig
 from repro.obs.slo import SLOSpec
 from repro.platform.config import (
     ClusterSpec,
@@ -548,7 +547,7 @@ def build_platform(spec: ScenarioSpec, *, telemetry: bool = False) -> EvolvePlat
                     brownout=armed,
                     **watermarks,
                 ),
-                data_plane=DataPlaneConfig(enabled=spec.ft),
+                data_plane=spec.ft,
                 **ceiling,
             ),
             scheduler=spec.scheduler,

@@ -111,10 +111,6 @@ class OverloadConfig:
         if self.pending_high < 1:
             raise ValueError("pending_high must be >= 1")
 
-    @property
-    def any_enabled(self) -> bool:
-        return self.admission or self.backpressure or self.brownout
-
 
 class AdmissionController:
     """Class-aware admission control over the scheduler pending queue.

@@ -7,9 +7,12 @@ from repro.cluster.node import Node
 from repro.cluster.pod import Pod
 from repro.sim.engine import Engine, PeriodicHandle
 
+#: Seconds between scheduling cycles.
+SCHEDULE_INTERVAL = 1.0
+
 
 class SchedulerBase:
-    """Periodic scheduling loop.
+    """Periodic scheduling loop, one cycle per :data:`SCHEDULE_INTERVAL`.
 
     Each cycle walks the pending queue in submission order and asks the
     policy (:meth:`schedule_cycle` / :meth:`select_node`) to place pods.
@@ -24,19 +27,9 @@ class SchedulerBase:
 
     policy_name = "base"
 
-    def __init__(
-        self,
-        engine: Engine,
-        api: ClusterAPI,
-        *,
-        interval: float = 1.0,
-        admission=None,
-    ):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+    def __init__(self, engine: Engine, api: ClusterAPI, *, admission=None):
         self.engine = engine
         self.api = api
-        self.interval = interval
         self.admission = admission
         self._handle: PeriodicHandle | None = None
         self.cycles = 0
@@ -46,7 +39,7 @@ class SchedulerBase:
     def start(self) -> None:
         if self._handle is not None:
             raise RuntimeError("scheduler already started")
-        self._handle = self.engine.every(self.interval, self._cycle, priority=0)
+        self._handle = self.engine.every(SCHEDULE_INTERVAL, self._cycle, priority=0)
 
     def stop(self) -> None:
         if self._handle is not None:

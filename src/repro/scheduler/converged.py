@@ -28,6 +28,9 @@ from repro.scheduler.preemption import plan_cheapest_single, plan_gang
 from repro.sim.engine import Engine
 from repro.storage.objectstore import ObjectStore
 
+#: Score bonus of a node that matches a pod's node preference.
+PREFERENCE_WEIGHT = 1.0
+
 
 class ConvergedScheduler(SchedulerBase):
     """Class-aware scheduler over the whole shared cluster.
@@ -36,10 +39,12 @@ class ConvergedScheduler(SchedulerBase):
     ----------
     store:
         Shared object store, used for big-data locality scoring; optional
-        (without it big-data pods fall back to plain packing scores).
-    locality_weight / interference_weight:
-        Relative strength of the two class-aware score terms against the
-        packing score.
+        (without it big-data pods fall back to plain packing scores). A
+        big-data pod's locality fraction adds to its packing score as it
+        is, and a node matching its preference adds
+        :data:`PREFERENCE_WEIGHT`.
+    interference_weight:
+        Strength of the interference penalty against the packing score.
     preemption:
         Allow evicting strictly-lower-priority pods to place pods (and
         whole gangs) that otherwise cannot fit. Victims re-queue through
@@ -69,26 +74,20 @@ class ConvergedScheduler(SchedulerBase):
         api: ClusterAPI,
         *,
         store: ObjectStore | None = None,
-        interval: float = 1.0,
-        locality_weight: float = 1.0,
         interference_weight: float = 0.5,
-        preference_weight: float = 1.0,
         preemption: bool = False,
         packing: str = "spread",
         zone_aware_gangs: bool = True,
-        score_cache: bool = True,
         admission: "AdmissionController | None" = None,
     ):
         if packing not in ("spread", "consolidate"):
             raise ValueError(f"unknown packing mode {packing!r}")
-        super().__init__(engine, api, interval=interval, admission=admission)
+        super().__init__(engine, api, admission=admission)
         self.packing = packing
         self.zone_aware_gangs = zone_aware_gangs
         self.single_zone_gangs = 0
         self.store = store
-        self.locality_weight = locality_weight
         self.interference_weight = interference_weight
-        self.preference_weight = preference_weight
         self.preemption = preemption
         self.gang_admission = GangAdmission()
         self.gangs_admitted = 0
@@ -108,10 +107,8 @@ class ConvergedScheduler(SchedulerBase):
         # mid-cycle (e.g. from a bind), the store epoch must be folded
         # into this cache's key.
         # Bit-identical by construction: a hit returns the float the
-        # scorer would have recomputed.
-        # score_cache=False recomputes every score — the reference mode
-        # the differential test in tests/verify compares against.
-        self.score_cache_enabled = score_cache
+        # scorer would have recomputed; tests/verify/test_differential.py
+        # compares against a scorer without the cache.
         self._score_cache: dict[tuple, float] = {}
         self.score_cache_hits = 0
 
@@ -225,9 +222,9 @@ class ConvergedScheduler(SchedulerBase):
         else:
             score = least_allocated_score(node, pod)
         if pod.spec.workload_class == WorkloadClass.BIGDATA:
-            score += self.locality_weight * self._locality_bonus(node, pod)
+            score += self._locality_bonus(node, pod)
         if pod.spec.preference_matches(node.labels):
-            score += self.preference_weight
+            score += PREFERENCE_WEIGHT
         score -= self.interference_weight * interference_penalty(node, pod)
         return score
 
@@ -254,21 +251,18 @@ class ConvergedScheduler(SchedulerBase):
         feasible = self.feasible_nodes(pod)
         if not feasible:
             return None
-        cache = self._score_cache if self.score_cache_enabled else None
+        cache = self._score_cache
         pod_key = self._pod_score_key(pod)
         best = None
         best_rank: tuple[float, str] | None = None
         for node in feasible:
-            if cache is None:
+            key = (node.name, node.generation, pod_key)
+            score = cache.get(key)
+            if score is None:
                 score = self.score(node, pod)
+                cache[key] = score
             else:
-                key = (node.name, node.generation, pod_key)
-                score = cache.get(key)
-                if score is None:
-                    score = self.score(node, pod)
-                    cache[key] = score
-                else:
-                    self.score_cache_hits += 1
+                self.score_cache_hits += 1
             rank = (score, node.name)
             if best_rank is None or rank > best_rank:
                 best = node
@@ -294,9 +288,8 @@ class SiloedScheduler(SchedulerBase):
         api: ClusterAPI,
         *,
         pools: dict[WorkloadClass, list[str]],
-        interval: float = 1.0,
     ):
-        super().__init__(engine, api, interval=interval)
+        super().__init__(engine, api)
         all_nodes = {n.name for n in api.list_nodes()}
         for cls, names in pools.items():
             missing = set(names) - all_nodes

@@ -148,10 +148,7 @@ class Watchdog:
 class Engine:
     """Discrete-event engine with deterministic execution order.
 
-    Parameters
-    ----------
-    start_time:
-        Initial simulated time (seconds). Defaults to 0.
+    Simulated time starts at 0.
     """
 
     #: Lazy-cancel compaction thresholds: rebuild the heap once at least
@@ -160,8 +157,8 @@ class Engine:
     #: ~2× the live event count.
     _COMPACT_MIN = 64
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+    def __init__(self):
+        self._now = 0.0
         self._heap: list[tuple[float, int, int, EventHandle]] = []
         self._counter = itertools.count()
         self._running = False

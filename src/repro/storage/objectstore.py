@@ -4,7 +4,7 @@ Objects are block-replicated across node-local devices. The store tracks
 metadata only (sizes and replica locations); data movement costs are
 charged by the workload models through their disk/network bandwidth
 allocations. Remote reads are additionally discounted by
-``remote_penalty`` to reflect protocol and cross-rack overheads.
+:data:`REMOTE_PENALTY` to reflect protocol and cross-rack overheads.
 
 Liveness: replica sets are mutated only explicitly (``drop_node`` /
 ``add_replica``), so after a node failure dead replicas keep counting
@@ -23,6 +23,9 @@ from typing import Callable, Iterator
 
 #: Sentinel distinguishing "not passed" from an explicit ``live=None``.
 _UNSET = object()
+
+#: Multiplier (0, 1] applied to network bandwidth for remote reads.
+REMOTE_PENALTY = 0.7
 
 LivenessFn = Callable[[str], bool]
 
@@ -68,18 +71,9 @@ class StorageObject:
 
 
 class ObjectStore:
-    """Bucket/object metadata service.
+    """Bucket/object metadata service."""
 
-    Parameters
-    ----------
-    remote_penalty:
-        Multiplier (0, 1] applied to network bandwidth for remote reads.
-    """
-
-    def __init__(self, *, remote_penalty: float = 0.7):
-        if not 0 < remote_penalty <= 1:
-            raise ValueError("remote_penalty must be in (0, 1]")
-        self.remote_penalty = remote_penalty
+    def __init__(self):
         self._buckets: dict[str, dict[str, StorageObject]] = {}
         #: Default node-liveness predicate for dataset-level queries.
         #: ``None`` (the default) counts every replica — seed behaviour.

@@ -12,9 +12,9 @@ disk wipe) objects fall below their replication target. The
    bucket (deterministic tie-break by node name) and charging the bytes
    moved to ``repair_traffic_mb``.
 
-The service is only constructed when
-:class:`~repro.dataplane.DataPlaneConfig` is enabled, so default runs
-schedule no repair events and stay bit-identical to the seed.
+The service is only constructed when ``PlatformConfig.data_plane`` is
+set, so default runs schedule no repair events and stay bit-identical
+to the seed.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from repro.verify.invariants import (
     CheckContext,
     Invariant,
     InvariantChecker,
-    InvariantViolation,
     Violation,
     default_invariants,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "CheckContext",
     "Invariant",
     "InvariantChecker",
-    "InvariantViolation",
     "Violation",
     "default_invariants",
 ]

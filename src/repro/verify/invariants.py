@@ -73,14 +73,6 @@ class Violation:
         return f"[{self.invariant}] t={self.time:g}: {self.detail}"
 
 
-class InvariantViolation(AssertionError):
-    """Raised in ``on_violation="raise"`` mode; carries the violation."""
-
-    def __init__(self, violation: Violation):
-        super().__init__(str(violation))
-        self.violation = violation
-
-
 class CheckContext:
     """What invariants are allowed to see (read-only by contract)."""
 
@@ -684,12 +676,11 @@ class InvariantChecker:
         persistent states (a double-bind or allocation drift stays wrong
         until someone releases it), so a strided audit still catches
         them, just a few cycles later.
-    on_violation:
-        ``"record"`` appends to :attr:`violations`; ``"raise"`` raises
-        :class:`InvariantViolation` at the offending boundary.
     stop_on_violation:
-        In record mode, stop the engine run at the first violation (the
-        fuzzer's episode-abort knob).
+        Stop the engine run at the first violation (the fuzzer's
+        episode-abort knob).
+
+    Violations are appended to :attr:`violations`.
     """
 
     def __init__(
@@ -705,13 +696,10 @@ class InvariantChecker:
         repair=None,
         invariants: Sequence[Invariant] | None = None,
         every: int = 1,
-        on_violation: str = "record",
         stop_on_violation: bool = False,
     ):
         if every < 1:
             raise ValueError("every must be ≥ 1")
-        if on_violation not in ("record", "raise"):
-            raise ValueError("on_violation must be 'record' or 'raise'")
         self.ctx = CheckContext(
             engine,
             cluster,
@@ -726,7 +714,6 @@ class InvariantChecker:
             list(invariants) if invariants is not None else default_invariants()
         )
         self.every = every
-        self.on_violation = on_violation
         self.stop_on_violation = stop_on_violation
         self.violations: list[Violation] = []
         #: Duplicate (invariant, detail) observations after the first.
@@ -788,8 +775,6 @@ class InvariantChecker:
         for invariant in self.invariants:
             for detail in invariant.check(self.ctx):
                 violation = Violation(invariant.name, now, detail)
-                if self.on_violation == "raise":
-                    raise InvariantViolation(violation)
                 key = (violation.invariant, violation.detail)
                 if key in self._seen:
                     self.suppressed += 1

@@ -8,7 +8,7 @@
 
 Plus the pieces they share: load-trace generators
 (:mod:`repro.workloads.traces`), open-loop arrival processes and
-modulators (:mod:`repro.workloads.arrivals`), versioned trace files and
+correlated surges (:mod:`repro.workloads.arrivals`), versioned trace files and
 the event replayer (:mod:`repro.workloads.traceio`), performance-level
 objectives (:mod:`repro.workloads.plo`), and the replica-managing
 application driver base (:mod:`repro.workloads.base`).
@@ -17,14 +17,11 @@ application driver base (:mod:`repro.workloads.base`).
 from repro.workloads.arrivals import (
     ArrivalProcess,
     CorrelatedSurge,
-    DiurnalModulator,
-    LognormalSizes,
     MarkedArrivals,
     MMPPArrivals,
     ParetoSizes,
     PoissonArrivals,
     SizeDistribution,
-    SpikeModulator,
     trace_integral,
 )
 from repro.workloads.base import Application
@@ -102,10 +99,7 @@ __all__ = [
     "MMPPArrivals",
     "SizeDistribution",
     "ParetoSizes",
-    "LognormalSizes",
     "MarkedArrivals",
-    "DiurnalModulator",
-    "SpikeModulator",
     "CorrelatedSurge",
     "trace_integral",
     "LoadedTrace",

@@ -1,4 +1,4 @@
-"""Open-loop arrival processes and load modulators.
+"""Open-loop arrival processes and correlated load surges.
 
 :mod:`repro.workloads.traces` models *offered rate* as a function of
 time; this module models the **arrival process** itself — the discrete,
@@ -18,12 +18,8 @@ The pieces compose:
   continuous-time Markov chain multiplies the driving trace's rate by a
   per-state factor, producing the over-dispersed (CV > 1) arrival
   streams real front-ends exhibit.
-* :class:`ParetoSizes` / :class:`LognormalSizes` — heavy-tailed
-  request-size marks; :class:`MarkedArrivals` staples them onto any
-  arrival process.
-* :class:`DiurnalModulator` / :class:`SpikeModulator` — multiplicative
-  rate modulators (day/night cycles, flash-crowd spikes) that wrap an
-  existing trace instead of replacing it.
+* :class:`ParetoSizes` — heavy-tailed request-size marks;
+  :class:`MarkedArrivals` staples them onto any arrival process.
 * :class:`CorrelatedSurge` — a coordinator that couples surge windows
   across *many* apps: one shared, seeded surge schedule, per-app lags
   and factors, so a "front page links everything" event hits the whole
@@ -44,7 +40,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.workloads.traces import LoadTrace, _elementwise
+from repro.workloads.traces import LoadTrace
 
 __all__ = [
     "ArrivalProcess",
@@ -52,13 +48,13 @@ __all__ = [
     "MMPPArrivals",
     "SizeDistribution",
     "ParetoSizes",
-    "LognormalSizes",
     "MarkedArrivals",
-    "DiurnalModulator",
-    "SpikeModulator",
     "CorrelatedSurge",
     "trace_integral",
 ]
+
+#: Mean seconds an MMPP state holds before the chain jumps.
+MEAN_DWELL = 60.0
 
 
 def trace_integral(
@@ -187,7 +183,6 @@ class MMPPArrivals:
         rng: np.random.Generator,
         *,
         factors: Sequence[float] = (0.4, 1.0, 2.4),
-        mean_dwell: float = 60.0,
         horizon: float = 86_400.0,
         rate_bound: float | None = None,
     ):
@@ -195,19 +190,18 @@ class MMPPArrivals:
             raise ValueError("need at least two MMPP states")
         if any(f < 0 for f in factors):
             raise ValueError("state factors must be non-negative")
-        if mean_dwell <= 0 or horizon <= 0:
-            raise ValueError("mean_dwell and horizon must be positive")
+        if horizon <= 0:
+            raise ValueError("horizon must be positive")
         self.trace = trace
         self.rng = rng
         self.factors = tuple(float(f) for f in factors)
-        self.mean_dwell = float(mean_dwell)
         self.horizon = float(horizon)
         # Pre-draw the state path: (switch_times, state_index_after).
         switch_times = [0.0]
         states = [int(rng.integers(len(self.factors)))]
         t = 0.0
         while t < horizon:
-            t += float(rng.exponential(mean_dwell))
+            t += float(rng.exponential(MEAN_DWELL))
             # Jump to a uniformly-chosen *other* state.
             step = 1 + int(rng.integers(len(self.factors) - 1))
             states.append((states[-1] + step) % len(self.factors))
@@ -251,45 +245,23 @@ class SizeDistribution(Protocol):
 
 
 class ParetoSizes:
-    """Pareto(α, x_min) request sizes — the heavy tail of the web.
+    """Pareto(α, 1) request sizes — the heavy tail of the web.
 
     ``alpha`` is the tail index (smaller = heavier; α ≤ 1 has infinite
-    mean and is rejected). ``x_min`` is the scale. The statistical
+    mean and is rejected); the smallest size is 1. The statistical
     suite recovers ``alpha`` from samples with a Hill estimator.
     """
 
-    def __init__(self, alpha: float = 1.6, x_min: float = 1.0):
+    def __init__(self, alpha: float = 1.6):
         if alpha <= 1.0:
             raise ValueError("alpha must exceed 1 (finite mean)")
-        if x_min <= 0:
-            raise ValueError("x_min must be positive")
         self.alpha = float(alpha)
-        self.x_min = float(x_min)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.x_min * (1.0 + rng.pareto(self.alpha, size=n))
+        return 1.0 + rng.pareto(self.alpha, size=n)
 
     def mean(self) -> float:
-        return self.alpha * self.x_min / (self.alpha - 1.0)
-
-
-class LognormalSizes:
-    """Lognormal request sizes parametrized by mean and coefficient of
-    variation — the moderate-tail alternative to Pareto."""
-
-    def __init__(self, mean: float = 1.0, cv: float = 1.0):
-        if mean <= 0 or cv <= 0:
-            raise ValueError("mean and cv must be positive")
-        self._mean = float(mean)
-        self.cv = float(cv)
-        self.sigma = math.sqrt(math.log(1.0 + cv * cv))
-        self.mu = math.log(mean) - self.sigma**2 / 2.0
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.lognormal(mean=self.mu, sigma=self.sigma, size=n)
-
-    def mean(self) -> float:
-        return self._mean
+        return self.alpha / (self.alpha - 1.0)
 
 
 class MarkedArrivals:
@@ -323,91 +295,6 @@ class MarkedArrivals:
 
     def mean_size(self) -> float:
         return self.sizes.mean()
-
-
-# -- compositional modulators ---------------------------------------------------
-
-
-class DiurnalModulator:
-    """Multiplicative day/night cycle over another trace.
-
-    ``rate(t) = base.rate(t) · max(0, 1 + amplitude·sin(2π(t−phase)/period))``
-
-    Unlike :class:`~repro.workloads.traces.DiurnalTrace` (an *additive*
-    standalone shape), this modulates an arbitrary base — a replayed
-    production trace keeps its fine structure while gaining a cycle.
-    """
-
-    def __init__(
-        self,
-        base: LoadTrace,
-        *,
-        amplitude: float = 0.5,
-        period: float = 86_400.0,
-        phase: float = 0.0,
-    ):
-        if not 0.0 <= amplitude:
-            raise ValueError("amplitude must be non-negative")
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.base = base
-        self.amplitude = float(amplitude)
-        self.period = float(period)
-        self.phase = float(phase)
-
-    def rate(self, t: float) -> float:
-        cycle = 1.0 + self.amplitude * math.sin(
-            2.0 * math.pi * (t - self.phase) / self.period
-        )
-        return max(0.0, self.base.rate(t) * max(0.0, cycle))
-
-    def rates(self, ts: np.ndarray) -> np.ndarray:
-        # Same operation order as ``rate``; np.sin matches libm's sin.
-        cycle = 1.0 + self.amplitude * np.sin(
-            2.0 * math.pi * (ts - self.phase) / self.period
-        )
-        return np.maximum(self.base.rates(ts) * np.maximum(cycle, 0.0), 0.0)
-
-
-class SpikeModulator:
-    """Flash-crowd spikes layered multiplicatively on another trace.
-
-    Each spike is ``(start, peak_factor, rise, decay)``: the base rate
-    is multiplied by ``1 + (peak_factor − 1)·shape(t)`` with the same
-    fast-rise / slow-decay shape as
-    :class:`~repro.workloads.traces.FlashCrowdTrace`. Spikes sum, so
-    overlapping crowds compound.
-    """
-
-    def __init__(
-        self,
-        base: LoadTrace,
-        spikes: Sequence[tuple[float, float, float, float]],
-    ):
-        for start, factor, rise, decay in spikes:
-            if factor < 1.0 or rise <= 0 or decay <= 0:
-                raise ValueError(
-                    "spikes need peak_factor ≥ 1 and rise/decay > 0"
-                )
-        self.base = base
-        self.spikes = [tuple(map(float, s)) for s in spikes]
-
-    def multiplier(self, t: float) -> float:
-        m = 1.0
-        for start, factor, rise, decay in self.spikes:
-            if t < start:
-                continue
-            dt = t - start
-            shape = (1.0 - math.exp(-dt / rise)) * math.exp(-dt / decay)
-            m += (factor - 1.0) * shape
-        return m
-
-    def rate(self, t: float) -> float:
-        return max(0.0, self.base.rate(t) * self.multiplier(t))
-
-    def rates(self, ts: np.ndarray) -> np.ndarray:
-        mult = _elementwise(self.multiplier, ts)
-        return np.maximum(self.base.rates(ts) * mult, 0.0)
 
 
 # -- correlated multi-app surges ------------------------------------------------

@@ -18,6 +18,9 @@ from repro.cluster.pod import TERMINAL_PHASES, Pod, PodPhase, PodSpec, WorkloadC
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine, PeriodicHandle
 
+#: Seconds between model updates of every application.
+TICK_INTERVAL = 1.0
+
 
 class Application:
     """Base class for all workload drivers.
@@ -34,16 +37,12 @@ class Application:
         Per-replica resource grant at submission.
     initial_replicas:
         Pods submitted by :meth:`start`.
-    tick_interval:
-        Seconds between model updates.
-    priority:
-        Pod priority for preemption ordering.
-    maintain_replicas:
-        Self-healing: when pods are lost to preemption or node failure,
-        resubmit replacements on the next tick until the desired count is
-        restored. Off by default so unit tests observe raw lifecycle;
-        the platform enables it for all deployments.
+
+    The model advances every :data:`TICK_INTERVAL` seconds.
     """
+
+    #: Pod priority for preemption ordering.
+    priority = 0
 
     def __init__(
         self,
@@ -54,31 +53,28 @@ class Application:
         workload_class: WorkloadClass,
         initial_allocation: ResourceVector,
         initial_replicas: int = 1,
-        tick_interval: float = 1.0,
-        priority: int = 0,
         labels: Mapping[str, str] | None = None,
         node_selector: Mapping[str, str] | None = None,
         node_preference: Mapping[str, str] | None = None,
-        maintain_replicas: bool = False,
     ):
         if initial_replicas < 0:
             raise ValueError("initial_replicas must be ≥ 0")
-        if tick_interval <= 0:
-            raise ValueError("tick_interval must be positive")
         self.name = name
         self.engine = engine
         self.api = api
         self.workload_class = workload_class
         self.target_allocation = initial_allocation
         self.initial_replicas = initial_replicas
-        self.tick_interval = tick_interval
-        self.priority = priority
         self.labels = dict(labels or {})
         self.node_selector = dict(node_selector or {})
         self.node_preference = dict(node_preference or {})
         self.plo = None  # set by callers that attach an objective
         self.gang_id: str | None = None  # set by gang workloads (HPC)
-        self.maintain_replicas = maintain_replicas
+        #: Self-healing: when pods are lost to preemption or node failure,
+        #: resubmit replacements on the next tick until the desired count
+        #: is restored. Off so unit tests observe the raw lifecycle; the
+        #: platform turns it on for every deployment.
+        self.maintain_replicas = False
         self._desired_replicas = initial_replicas
         self.replacements = 0
         # Crash-loop backoff for self-healing: repeated replacement rounds
@@ -158,9 +154,7 @@ class Application:
         self._last_tick = self.engine.now
         for _ in range(self.initial_replicas):
             self._submit_replica()
-        self._tick_handle = self.engine.every(
-            self.tick_interval, self._on_tick, priority=-5
-        )
+        self._tick_handle = self.engine.every(TICK_INTERVAL, self._on_tick, priority=-5)
 
     def stop(self) -> None:
         """Stop ticking and delete all non-terminal pods."""

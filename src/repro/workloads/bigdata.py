@@ -11,15 +11,15 @@ Stages execute in topological order, one at a time (the common Spark
 shape where a shuffle barrier separates stages); parallelism within a
 stage is capped by its task count.
 
-Fault tolerance (opt-in via :class:`~repro.dataplane.DataPlaneConfig`):
-with ``ft.enabled`` the fluid model is replaced by a task-granular
+Fault tolerance (opt-in via ``ft=True``, which the platform passes when
+``PlatformConfig.data_plane`` is set): the fluid model is replaced by a task-granular
 engine — each stage splits into ``max_parallelism`` tasks, in-flight
 task progress is lost when its executor dies (only that share re-opens),
 completed tasks remember which node holds their shuffle output so losing
 that node re-opens exactly the upstream work (lineage recompute),
 stragglers get speculative duplicate copies (first finish wins), and
 each stage carries a retry budget with exponential backoff before the
-job is failed with a poison-stage quarantine. With ``ft`` unset the
+job is failed with a poison-stage quarantine. With ``ft`` off the
 fluid path runs untouched and seeded results are bit-identical to
 builds without any of this.
 """
@@ -40,11 +40,10 @@ from repro.dataplane import (
     SPECULATION_QUANTILE,
     STAGE_MAX_ATTEMPTS,
     STRAGGLER_PATIENCE,
-    DataPlaneConfig,
     backoff,
 )
 from repro.sim.engine import Engine
-from repro.storage.objectstore import ObjectStore
+from repro.storage.objectstore import REMOTE_PENALTY, ObjectStore
 from repro.workloads.base import Application
 
 #: An FT executor is a straggler when its retired-work rate stays below
@@ -241,7 +240,12 @@ class BigDataJob(Application):
         node label ``accelerator``). Sets a soft scheduling preference on
         the executors; stages with ``accel_speedup > 1`` retire CPU work
         faster on matching nodes.
+    ft:
+        Data-plane fault tolerance: the task engine replaces the fluid
+        model.
     """
+
+    priority = 5
 
     def __init__(
         self,
@@ -256,9 +260,7 @@ class BigDataJob(Application):
         dataset: str | None = None,
         deadline: float | None = None,
         accelerator: str | None = None,
-        ft: DataPlaneConfig | None = None,
-        tick_interval: float = 1.0,
-        priority: int = 5,
+        ft: bool = False,
         labels: Mapping[str, str] | None = None,
         **kwargs,
     ):
@@ -271,8 +273,6 @@ class BigDataJob(Application):
             workload_class=WorkloadClass.BIGDATA,
             initial_allocation=initial_allocation,
             initial_replicas=initial_executors,
-            tick_interval=tick_interval,
-            priority=priority,
             labels=labels,
             **kwargs,
         )
@@ -295,15 +295,15 @@ class BigDataJob(Application):
         self._assigned_pods: list[Pod] = []
         self._assigned_stages: list[Stage | None] = []
         self._plans: dict[Pod, _Plan] = {}
-        # -- fault-tolerant task engine (None → fluid model, seed behaviour) --
-        self.ft = ft if ft is not None and ft.enabled else None
+        # -- fault-tolerant task engine (off → fluid model, seed behaviour) --
+        self.ft = ft
         self.quarantined_stage: str | None = None
         self.failed_at: float | None = None
         #: Optional :class:`~repro.obs.telemetry.Telemetry` bundle; when
         #: set, FT events (executor loss, lineage recompute, speculation,
         #: quarantine) are traced under the ``dp`` category.
         self.telemetry = None
-        if self.ft is not None:
+        if self.ft:
             self._runtime = {s.name: _StageTasks(s) for s in self.stages}
             self._dependents: dict[str, list[Stage]] = {s.name: [] for s in self.stages}
             for stage in self.stages:
@@ -370,13 +370,13 @@ class BigDataJob(Application):
 
         Source stages read the dataset: the local fraction over disk
         bandwidth, the rest over network bandwidth discounted by the
-        store's ``remote_penalty``. Shuffle input, or a job without a
+        store's :data:`~repro.storage.objectstore.REMOTE_PENALTY`. Shuffle input, or a job without a
         dataset, is all local and charged against disk bandwidth.
         """
         if not stage.deps and self.dataset is not None and self.store is not None:
             assert pod.node_name is not None
             local = self.store.locality_fraction(self.dataset, pod.node_name)
-            remote_bw = pod.allocation.net_bw * self.store.remote_penalty
+            remote_bw = pod.allocation.net_bw * REMOTE_PENALTY
             return local, local * pod.allocation.disk_bw + (1 - local) * remote_bw
         return 1.0, pod.allocation.disk_bw
 
@@ -465,7 +465,7 @@ class BigDataJob(Application):
         return plan, stage_work
 
     def tick(self, dt: float, now: float) -> None:
-        if self.ft is not None:
+        if self.ft:
             self._tick_ft(dt, now)
             return
         if self.done:
@@ -523,7 +523,7 @@ class BigDataJob(Application):
     # -- fault-tolerant task engine --------------------------------------------
 
     def _tick_ft(self, dt: float, now: float) -> None:
-        assert self.ft is not None
+        assert self.ft
         if self.done or self.failed:
             return
         self._detect_executor_loss(now)
@@ -903,7 +903,7 @@ class BigDataJob(Application):
 
     def ft_accounting(self) -> dict[str, float] | None:
         """Work-conservation ledger: retired = useful + spec + waste + reopened."""
-        if self.ft is None:
+        if not self.ft:
             return None
         runtimes = self._runtime.values()
         useful = sum([rt.useful_work() for rt in runtimes])
@@ -927,7 +927,7 @@ class BigDataJob(Application):
                 "stages_done": float(sum(1 for s in self.stages if s.complete)),
             }
         )
-        if self.ft is not None:
+        if self.ft:
             metrics.update(
                 {
                     "ft_reopened_work": self.ft_reopened_work,
@@ -1077,14 +1077,6 @@ class RecurringPipeline:
         self.jobs: list[BigDataJob] = [
             submit(f"{name}-r{i}", stages_factory(i), i) for i in range(runs)
         ]
-
-    @property
-    def completed_runs(self) -> int:
-        return sum(1 for j in self.jobs if j.done)
-
-    @property
-    def failed_runs(self) -> int:
-        return sum(1 for j in self.jobs if j.failed)
 
     def makespans(self) -> list[float]:
         """Per-run submission-to-completion times for finished runs."""

@@ -47,6 +47,8 @@ class HPCJob(Application):
         communication phase stretched by ``1 + zone_penalty × (z − 1)``.
     """
 
+    priority = 20
+
     def __init__(
         self,
         name: str,
@@ -59,8 +61,6 @@ class HPCJob(Application):
         comm_fraction: float = 0.2,
         zone_penalty: float = 0.0,
         checkpoint_interval: float | None = None,
-        tick_interval: float = 1.0,
-        priority: int = 20,
         labels: Mapping[str, str] | None = None,
         **kwargs,
     ):
@@ -81,8 +81,6 @@ class HPCJob(Application):
             workload_class=WorkloadClass.HPC,
             initial_allocation=allocation,
             initial_replicas=ranks,
-            tick_interval=tick_interval,
-            priority=priority,
             labels=labels,
             **kwargs,
         )

@@ -125,18 +125,18 @@ class Microservice(Application):
     demands:
         Per-request demand profile, or a sequence of :class:`DemandPhase`
         for workloads whose bottleneck shifts over time.
-    tail_factor:
-        Multiplier turning mean response time into the reported latency
-        sample (≈ p99/mean for the modelled service).
-    queue_limit_seconds:
-        Admission control: each replica sheds arrivals beyond
-        ``capacity × queue_limit_seconds`` of backlog, as client timeouts
-        and load shedders do — so an overloaded service recovers once
-        load drops instead of draining an unbounded queue forever.
+
+    The reported latency is the mean response time over the replicas.
     """
 
     #: Reported-latency ceiling (s); stands in for client timeouts.
     max_latency = 30.0
+    #: Admission control: each replica sheds arrivals beyond
+    #: ``capacity × queue_limit_seconds`` of backlog, as client timeouts
+    #: and load shedders do — so an overloaded service recovers once
+    #: load drops instead of draining an unbounded queue forever.
+    queue_limit_seconds = 60.0
+    priority = 10
 
     def __init__(
         self,
@@ -149,10 +149,6 @@ class Microservice(Application):
         demands: ServiceDemands | Sequence[DemandPhase],
         initial_allocation: ResourceVector,
         initial_replicas: int = 1,
-        tick_interval: float = 1.0,
-        tail_factor: float = 1.0,
-        queue_limit_seconds: float = 60.0,
-        priority: int = 10,
         labels: Mapping[str, str] | None = None,
         **kwargs,
     ):
@@ -163,8 +159,6 @@ class Microservice(Application):
             workload_class=WorkloadClass.MICROSERVICE,
             initial_allocation=initial_allocation,
             initial_replicas=initial_replicas,
-            tick_interval=tick_interval,
-            priority=priority,
             labels=labels,
             **kwargs,
         )
@@ -179,12 +173,6 @@ class Microservice(Application):
             if not phases:
                 raise ValueError("need at least one demand phase")
             self._phases = phases
-        if tail_factor < 1.0:
-            raise ValueError("tail_factor must be ≥ 1")
-        if queue_limit_seconds <= 0:
-            raise ValueError("queue_limit_seconds must be positive")
-        self.tail_factor = tail_factor
-        self.queue_limit_seconds = queue_limit_seconds
         # -- brownout: the degraded PLO tier -------------------------------
         # While browned out, per-request demand is multiplied by
         # ``brownout_factor`` (serving a cheaper response) and the reported
@@ -418,7 +406,7 @@ class Microservice(Application):
         self.total_dropped += dropped_total
         self.current_drop_rate = dropped_total / dt
         self.current_throughput = served_total / dt
-        latency = (wait_sum / n) * self.tail_factor
+        latency = wait_sum / n
         self.current_latency = latency if latency < max_latency else max_latency
         self.current_backlog = backlog_total
         self.current_bottleneck = max(votes, key=votes.get)

@@ -47,27 +47,24 @@ class PLOStatus:
 
 
 class LatencyPLO:
-    """Tail-latency objective: ``p<percentile> latency ≤ target`` seconds.
+    """Tail-latency objective: ``p99 latency ≤ target`` seconds.
 
     Parameters
     ----------
     target:
         Latency bound in seconds.
-    percentile:
-        Which tail to control (default p99).
     window:
         Trailing window (s) over which the tail is computed.
     """
 
     kind = "latency"
+    #: Which tail the objective controls.
+    percentile = 99.0
 
-    def __init__(
-        self, target: float, *, percentile: float = 99.0, window: float = 30.0
-    ):
+    def __init__(self, target: float, *, window: float = 30.0):
         if target <= 0:
             raise ValueError("latency target must be positive")
         self.target = float(target)
-        self.percentile = float(percentile)
         self.window = float(window)
 
     def metric_name(self, app: str) -> str:
@@ -159,8 +156,8 @@ class ViolationTracker:
     """Integrates PLO violations over time for the evaluation harness.
 
     Call :meth:`observe` at a fixed cadence; the tracker accumulates
-    violation time, total observed time, and the worst/mean violation
-    ratio — the quantities reconstructed tables R-T1/R-T3 report.
+    violation time, total observed time, and the worst violation ratio —
+    the quantities reconstructed tables R-T1/R-T3 report.
     """
 
     def __init__(self) -> None:
@@ -169,8 +166,6 @@ class ViolationTracker:
         self.violation_seconds = 0.0
         self.observed_seconds = 0.0
         self.worst_ratio = 0.0
-        self._ratio_sum = 0.0
-        self._ratio_count = 0
         self._last_time: float | None = None
 
     def observe(self, now: float, status: PLOStatus) -> None:
@@ -182,8 +177,6 @@ class ViolationTracker:
         self.observed_seconds += dt
         self.observations += 1
         if status.ratio is not None:
-            self._ratio_sum += status.ratio
-            self._ratio_count += 1
             self.worst_ratio = max(self.worst_ratio, status.ratio)
         if status.violated:
             self.violations += 1
@@ -196,8 +189,3 @@ class ViolationTracker:
             return 0.0
         return self.violation_seconds / self.observed_seconds
 
-    @property
-    def mean_ratio(self) -> float | None:
-        if self._ratio_count == 0:
-            return None
-        return self._ratio_sum / self._ratio_count

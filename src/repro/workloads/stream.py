@@ -21,12 +21,12 @@ A :class:`~repro.workloads.plo.LatencyPLO` attached to a stream job
 targets the watermark delay (exported as the ``latency`` metric), so the
 standard controller manages stream jobs unmodified.
 
-Fault tolerance (opt-in via :class:`~repro.dataplane.DataPlaneConfig`):
-with ``ft.enabled`` the job takes periodic checkpoint barriers. Losing a
+Fault tolerance (opt-in via ``ft=True``, which the platform passes when
+``PlatformConfig.data_plane`` is set): the job takes periodic checkpoint barriers. Losing a
 worker pod rolls processing back to the last checkpoint — everything
 processed since is replayed, accounted as extra backlog demand — and the
 restarted pipeline spends :data:`~repro.dataplane.RESTORE_DELAY` seconds
-rebuilding operator state before it processes again. With ``ft`` unset the model is
+rebuilding operator state before it processes again. With ``ft`` off the model is
 untouched and seeded runs are bit-identical to the seed.
 """
 
@@ -39,7 +39,7 @@ from repro.cluster.api import ClusterAPI
 from repro.cluster.cluster import NodeNotFound
 from repro.cluster.pod import Pod, WorkloadClass
 from repro.cluster.resources import ResourceVector
-from repro.dataplane import RESTORE_DELAY, DataPlaneConfig
+from repro.dataplane import RESTORE_DELAY
 from repro.sim.engine import Engine
 from repro.workloads.base import Application
 from repro.workloads.traces import LoadTrace
@@ -91,12 +91,15 @@ class StreamJob(Application):
         The chain, source side first.
     event_mb:
         Network bytes (MB) ingested per source event.
-    mem_base:
-        Fixed per-worker memory (GiB).
+    ft:
+        Data-plane fault tolerance: checkpoint barriers and replay.
     """
 
     #: Reported watermark-delay ceiling (s).
     max_lag_seconds = 600.0
+    #: Fixed per-worker memory (GiB).
+    mem_base = 0.5
+    priority = 8
 
     def __init__(
         self,
@@ -109,10 +112,7 @@ class StreamJob(Application):
         initial_allocation: ResourceVector,
         initial_workers: int = 1,
         event_mb: float = 0.01,
-        mem_base: float = 0.5,
-        ft: DataPlaneConfig | None = None,
-        tick_interval: float = 1.0,
-        priority: int = 8,
+        ft: bool = False,
         labels: Mapping[str, str] | None = None,
         **kwargs,
     ):
@@ -123,8 +123,6 @@ class StreamJob(Application):
             workload_class=WorkloadClass.BIGDATA,
             initial_allocation=initial_allocation,
             initial_replicas=initial_workers,
-            tick_interval=tick_interval,
-            priority=priority,
             labels=labels,
             **kwargs,
         )
@@ -134,12 +132,11 @@ class StreamJob(Application):
         names = [op.name for op in ops]
         if len(set(names)) != len(names):
             raise ValueError("duplicate operator names")
-        if event_mb < 0 or mem_base < 0:
+        if event_mb < 0:
             raise ValueError("invalid stream parameters")
         self.trace = trace
         self.operators = ops
         self.event_mb = event_mb
-        self.mem_base = mem_base
         # Fused-chain cost per *source* event, and state per event/s.
         reach = 1.0
         cpu = 0.0
@@ -162,9 +159,9 @@ class StreamJob(Application):
         #: set, checkpoint barriers and rollback/replay restarts are
         #: traced under the ``dp`` category.
         self.telemetry = None
-        # -- checkpoint/replay state (None → seed behaviour) --
-        self.ft = ft if ft is not None and ft.enabled else None
-        if self.ft is not None:
+        # -- checkpoint/replay state (off → seed behaviour) --
+        self.ft = ft
+        if self.ft:
             self.checkpoints = 0
             self.restarts = 0
             self.replayed_total = 0.0
@@ -200,7 +197,7 @@ class StreamJob(Application):
 
     def _ft_pre_tick(self, now: float) -> bool:
         """Checkpoint/rollback bookkeeping; True while restoring state."""
-        assert self.ft is not None
+        assert self.ft
         current = set(self._pods)
         lost = self._prev_workers - current
         self._prev_workers = current
@@ -240,7 +237,7 @@ class StreamJob(Application):
         workers = self.running_pods()
         arrivals = offered * dt
         self.total_arrived += arrivals
-        restoring = self._ft_pre_tick(now) if self.ft is not None else False
+        restoring = self._ft_pre_tick(now) if self.ft else False
         if not workers or restoring:
             self.lag_events += arrivals
             self.current_rate = 0.0
@@ -261,7 +258,7 @@ class StreamJob(Application):
         share = (self.lag_events + arrivals) / len(workers)
         for pod in workers:
             capacity = self._worker_capacity(pod)
-            if self.ft is not None:
+            if self.ft:
                 capacity *= self._node_speed(pod)
             total_capacity += capacity
             processed_rate = min(capacity, share / dt)
@@ -304,7 +301,7 @@ class StreamJob(Application):
                 "output_rate": self.current_rate * self.output_selectivity,
             }
         )
-        if self.ft is not None:
+        if self.ft:
             metrics.update(
                 {
                     "checkpoints": float(self.checkpoints),

@@ -23,18 +23,15 @@ sorted by time, finite, and non-negative; violations are load errors,
 never silent clamps. ``SCHEMA_VERSIONS`` lists the formats this build
 reads; bump :data:`SCHEMA` when the layout changes incompatibly.
 
-## Replay modes
+## Replay
 
-``TraceReplayer`` turns the rate curve into arrival events two ways:
-
-* ``deterministic`` — inverts the cumulative rate integral Λ(t): one
-  event each time Λ crosses an integer. No RNG, so a given file always
-  produces byte-identical events; the golden-replay test pins a
-  fingerprint of exactly this stream to catch silent schema or
-  integration drift.
-* ``poisson`` — a non-homogeneous Poisson draw
-  (:class:`~repro.workloads.arrivals.PoissonArrivals`) driven by the
-  replayed curve, for statistically-realistic jitter.
+``TraceReplayer`` turns a rate curve into arrival events by inverting
+the cumulative rate integral Λ(t): one event each time Λ crosses an
+integer. No RNG, so a given file always produces byte-identical events;
+the golden-replay test pins a fingerprint of exactly this stream to
+catch silent schema or integration drift. For statistically-realistic
+jitter, drive :class:`~repro.workloads.arrivals.PoissonArrivals` with
+the replayed curve instead.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.traces import LoadTrace, ReplayTrace
 
 __all__ = [
@@ -66,6 +62,8 @@ __all__ = [
 SCHEMA = "repro.trace/v1"
 #: Schemas this build reads.
 SCHEMA_VERSIONS = (SCHEMA,)
+#: Integration grid (s) of a replayed curve that is not a step curve.
+REPLAY_STEP = 1.0
 
 
 class TraceSchemaError(ValueError):
@@ -194,54 +192,14 @@ def event_fingerprint(times: Sequence[float], *, digits: int = 6) -> str:
 
 
 class TraceReplayer:
-    """Replay a rate curve as discrete arrival events.
-
-    Parameters
-    ----------
-    source:
-        A :class:`LoadedTrace` (file contents) or any
-        :class:`~repro.workloads.traces.LoadTrace`.
-    time_scale / rate_scale:
-        Stretch the recording and rescale its amplitude (only applied
-        when ``source`` is a :class:`LoadedTrace`; a raw trace is
-        replayed as-is).
-    mode:
-        ``"deterministic"`` (integral inversion, no RNG) or
-        ``"poisson"`` (NHPP thinning; requires ``rng``).
-    step:
-        Integration resolution for the deterministic mode when the
-        driving curve is not piecewise-constant.
+    """Replay a rate curve (any :class:`~repro.workloads.traces.LoadTrace`;
+    a file's is ``load_trace(path).trace()``) as discrete arrival events.
     """
 
-    def __init__(
-        self,
-        source: "LoadedTrace | LoadTrace",
-        *,
-        time_scale: float = 1.0,
-        rate_scale: float = 1.0,
-        mode: str = "deterministic",
-        rng: np.random.Generator | None = None,
-        step: float = 1.0,
-    ):
-        if mode not in ("deterministic", "poisson"):
-            raise ValueError("mode must be 'deterministic' or 'poisson'")
-        if mode == "poisson" and rng is None:
-            raise ValueError("poisson mode needs an rng")
-        if step <= 0:
-            raise ValueError("step must be positive")
-        if isinstance(source, LoadedTrace):
-            self.trace: LoadTrace = source.trace(
-                time_scale=time_scale, rate_scale=rate_scale
-            )
-        else:
-            self.trace = source
-        self.mode = mode
-        self.step = float(step)
-        self._poisson = (
-            PoissonArrivals(self.trace, rng) if mode == "poisson" else None
-        )
-        # Deterministic mode carries the integral's fractional phase
-        # across windows so contiguous windows stitch into one stream.
+    def __init__(self, trace: LoadTrace):
+        self.trace = trace
+        # The replay carries the integral's fractional phase across
+        # windows so contiguous windows stitch into one stream.
         self._det_t: float | None = None
         self._det_phase = 0.0
 
@@ -250,9 +208,9 @@ class TraceReplayer:
     def _segments(self, t0: float, t1: float):
         """Yield ``(a, b, rate)`` pieces covering ``[t0, t1)``.
 
-        Exact for :class:`ReplayTrace` step curves; a ``step``-grid
-        left-constant approximation otherwise. The rate within each
-        yielded piece is constant.
+        Exact for :class:`ReplayTrace` step curves; a left-constant
+        approximation on a :data:`REPLAY_STEP` grid otherwise. The rate
+        within each yielded piece is constant.
         """
         trace = self.trace
         if isinstance(trace, ReplayTrace):
@@ -266,21 +224,19 @@ class TraceReplayer:
             return
         a = t0
         while a < t1:
-            b = min(a + self.step, t1)
+            b = min(a + REPLAY_STEP, t1)
             yield a, b, max(0.0, trace.rate(a))
             a = b
 
     def window(self, t0: float, t1: float) -> np.ndarray:
         """Sorted event times in ``[t0, t1)``.
 
-        In deterministic mode, calling with contiguous windows yields
-        the same stream as one big window (the integral phase carries
-        over); a non-contiguous call resets the phase at ``t0``.
+        Calling with contiguous windows yields the same stream as one big
+        window (the integral phase carries over); a non-contiguous call
+        resets the phase at ``t0``.
         """
         if t1 <= t0:
             return np.empty(0)
-        if self._poisson is not None:
-            return self._poisson.window(t0, t1)
         if self._det_t is None or not math.isclose(
             self._det_t, t0, rel_tol=0.0, abs_tol=1e-9
         ):

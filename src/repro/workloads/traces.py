@@ -14,6 +14,9 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+#: Resolution (s) of a pre-simulated :class:`OUTrace` path.
+OU_STEP = 10.0
+
 
 class LoadTrace(Protocol):
     """Offered load as a function of time.
@@ -56,25 +59,23 @@ class ConstantTrace:
 class StepTrace:
     """Piecewise-constant rate defined by ``(start_time, rate)`` steps.
 
-    Before the first step the rate is ``initial``. Steps must be sorted by
-    time.
+    Before the first step the rate is 0. Steps must be sorted by time.
     """
 
-    def __init__(self, steps: Sequence[tuple[float, float]], *, initial: float = 0.0):
+    def __init__(self, steps: Sequence[tuple[float, float]]):
         times = [s[0] for s in steps]
         if not all(math.isfinite(t) for t in times):
             raise ValueError("step times must be finite")
         if any(a > b for a, b in zip(times, times[1:])):
             raise ValueError("steps must be sorted by time")
-        if any(not math.isfinite(r) or r < 0 for _t, r in steps) or initial < 0:
+        if any(not math.isfinite(r) or r < 0 for _t, r in steps):
             raise ValueError("rates must be non-negative")
         self.steps = list(steps)
-        self.initial = float(initial)
         self._times = [float(t) for t in times]
         # _table[bisect_right(_times, t)]: the rate before the first step,
         # then one per step. Duplicate step times: the last one wins,
         # matching the linear scan this replaced.
-        self._table = [self.initial] + [float(r) for _t, r in steps]
+        self._table = [0.0] + [float(r) for _t, r in steps]
         self._times_arr = np.array(self._times, dtype=float)
         self._table_arr = np.array(self._table, dtype=float)
 
@@ -313,8 +314,8 @@ class OUTrace:
     that — a mean level, a relaxation time, and a volatility — and is the
     standard synthetic stand-in when production traces are unavailable.
 
-    The path is pre-simulated at ``step`` resolution over ``horizon`` so
-    ``rate()`` stays a pure function of time.
+    The path is pre-simulated at :data:`OU_STEP` resolution over
+    ``horizon`` so ``rate()`` stays a pure function of time.
 
     Parameters
     ----------
@@ -332,14 +333,13 @@ class OUTrace:
         *,
         relaxation: float = 600.0,
         volatility: float = 2.0,
-        step: float = 10.0,
         horizon: float = 86_400.0,
         rng: np.random.Generator | None = None,
     ):
-        if mean < 0 or relaxation <= 0 or volatility < 0 or step <= 0:
+        if mean < 0 or relaxation <= 0 or volatility < 0:
             raise ValueError("invalid OU parameters")
         self.mean = float(mean)
-        self.step = float(step)
+        step = OU_STEP
         rng = rng or np.random.default_rng(0)
         n = int(math.ceil(horizon / step)) + 1
         theta = 1.0 / relaxation
@@ -353,7 +353,7 @@ class OUTrace:
         self._path = np.maximum(path, 0.0)
 
     def rate(self, t: float) -> float:
-        idx = int(t // self.step)
+        idx = int(t // OU_STEP)
         if idx < 0:
             return self._path[0]
         if idx >= len(self._path):
@@ -361,7 +361,7 @@ class OUTrace:
         return float(self._path[idx])
 
     def rates(self, ts: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.floor_divide(ts, self.step), 0, len(self._path) - 1)
+        idx = np.clip(np.floor_divide(ts, OU_STEP), 0, len(self._path) - 1)
         return self._path[idx.astype(np.intp)]
 
 

@@ -36,19 +36,18 @@ class TestPLOMonitor:
 
     def test_tracks_violations(self, engine, api, collector):
         svc = self._deploy(engine, api, collector, cpu=0.2, rate=100.0)
-        collector.declare("plo/svc/ratio", "plo/svc/violated")
-        monitor = PLOMonitor(engine, collector, interval=5.0)
+        collector.declare("plo/svc/ratio")
+        monitor = PLOMonitor(engine, collector)
         tracker = monitor.track(svc)
         monitor.start()
         engine.run_until(120.0)
         assert tracker.observations > 10
         assert tracker.violation_fraction > 0.5  # starved service violates
         assert collector.has_series("plo/svc/ratio")
-        assert collector.has_series("plo/svc/violated")
 
     def test_healthy_service_no_violations(self, engine, api, collector):
         svc = self._deploy(engine, api, collector, cpu=4.0, rate=50.0)
-        monitor = PLOMonitor(engine, collector, interval=5.0)
+        monitor = PLOMonitor(engine, collector)
         tracker = monitor.track(svc)
         # Skip the cold-start transient (pod startup reports timeouts).
         engine.run_until(60.0)

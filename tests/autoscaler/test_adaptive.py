@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.autoscaler.adaptive import AdaptiveAutoscaler, HorizontalEscapePolicy
+from repro.autoscaler.adaptive import (
+    COOLDOWN,
+    MAX_REPLICAS,
+    MIN_REPLICAS,
+    SCALE_OUT_ERROR,
+    AdaptiveAutoscaler,
+    HorizontalEscapePolicy,
+)
 from repro.autoscaler.static import StaticPolicy
 from repro.cluster.resources import ResourceVector
 from repro.control.multiresource import (
@@ -52,51 +59,51 @@ class FakeApp:
 
 class TestEscapePolicy:
     def test_scale_out_when_railed(self, engine):
-        policy = HorizontalEscapePolicy(engine, cooldown=0.0)
+        policy = HorizontalEscapePolicy(engine)
         app = FakeApp(replicas=1, allocation=BOUNDS.maximum)
         d = decision("hold", error=0.5, weights={"cpu": 1.0})
         assert policy.adjust(app, d, controller()) == 2
         assert policy.scale_outs == 1
 
     def test_no_scale_out_with_vertical_headroom(self, engine):
-        policy = HorizontalEscapePolicy(engine, cooldown=0.0)
+        policy = HorizontalEscapePolicy(engine)
         app = FakeApp(replicas=1)  # allocation well below ceiling
         d = decision("grow", error=0.5, weights={"cpu": 1.0})
         assert policy.adjust(app, d, controller()) == 1
 
     def test_no_scale_out_on_small_error(self, engine):
-        policy = HorizontalEscapePolicy(engine, scale_out_error=0.3, cooldown=0.0)
+        policy = HorizontalEscapePolicy(engine)
         app = FakeApp(replicas=1, allocation=BOUNDS.maximum)
-        d = decision("hold", error=0.1, weights={"cpu": 1.0})
+        d = decision("hold", error=SCALE_OUT_ERROR / 2, weights={"cpu": 1.0})
         assert policy.adjust(app, d, controller()) == 1
 
     def test_scale_in_near_floor(self, engine):
-        policy = HorizontalEscapePolicy(engine, cooldown=0.0)
+        policy = HorizontalEscapePolicy(engine)
         app = FakeApp(replicas=3, allocation=BOUNDS.minimum * 1.1)
         d = decision("hold", error=-0.6)
         assert policy.adjust(app, d, controller()) == 2
         assert policy.scale_ins == 1
 
     def test_no_scale_in_below_min_replicas(self, engine):
-        policy = HorizontalEscapePolicy(engine, min_replicas=2, cooldown=0.0)
-        app = FakeApp(replicas=2, allocation=BOUNDS.minimum)
+        policy = HorizontalEscapePolicy(engine)
+        app = FakeApp(replicas=MIN_REPLICAS, allocation=BOUNDS.minimum)
         d = decision("hold", error=-0.9)
-        assert policy.adjust(app, d, controller()) == 2
+        assert policy.adjust(app, d, controller()) == MIN_REPLICAS
 
     def test_max_replicas_cap(self, engine):
-        policy = HorizontalEscapePolicy(engine, max_replicas=2, cooldown=0.0)
-        app = FakeApp(replicas=2, allocation=BOUNDS.maximum)
+        policy = HorizontalEscapePolicy(engine)
+        app = FakeApp(replicas=MAX_REPLICAS, allocation=BOUNDS.maximum)
         d = decision("hold", error=0.9, weights={"cpu": 1.0})
-        assert policy.adjust(app, d, controller()) == 2
+        assert policy.adjust(app, d, controller()) == MAX_REPLICAS
 
     def test_cooldown_blocks_consecutive_changes(self, engine):
-        policy = HorizontalEscapePolicy(engine, cooldown=60.0)
+        policy = HorizontalEscapePolicy(engine)
         app = FakeApp(replicas=1, allocation=BOUNDS.maximum)
         d = decision("hold", error=0.9, weights={"cpu": 1.0})
         assert policy.adjust(app, d, controller()) == 2
         app.replica_count = 2
         assert policy.adjust(app, d, controller()) == 2  # cooling down
-        engine.run_until(61.0)
+        engine.run_until(COOLDOWN + 1.0)
         assert policy.adjust(app, d, controller()) == 3
 
     @pytest.mark.parametrize(
@@ -109,7 +116,8 @@ class TestEscapePolicy:
         ],
     )
     def test_invalid_params(self, engine, kwargs):
-        with pytest.raises(ValueError):
+        # The clamp, thresholds and cooldown are constants, not options.
+        with pytest.raises(TypeError):
             HorizontalEscapePolicy(engine, **kwargs)
 
 

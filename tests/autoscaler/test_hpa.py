@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.autoscaler.hpa import HorizontalPodAutoscaler
+from repro.autoscaler.hpa import MAX_REPLICAS, HorizontalPodAutoscaler
+from repro.cluster.api import ClusterAPI
 from repro.cluster.resources import ResourceVector
+from repro.metrics.collector import MetricsCollector
 from repro.workloads.microservice import Microservice, ServiceDemands
 from repro.workloads.traces import ConstantTrace, StepTrace
+from tests.conftest import make_cluster
 
 
 DEMANDS = ServiceDemands(cpu_seconds=0.01, base_latency=0.01)
@@ -40,9 +43,7 @@ def autobind(engine, api, until):
 def test_scales_out_under_high_utilization(engine, api, collector):
     # 1 core serves 100 rps; offered 90 rps ⇒ ~90% utilization > 60% target.
     svc = deploy(engine, api, collector, ConstantTrace(90))
-    hpa = HorizontalPodAutoscaler(
-        engine, collector, target_utilization=0.6, interval=15.0
-    )
+    hpa = HorizontalPodAutoscaler(engine, collector)
     hpa.attach(svc)
     hpa.start()
     autobind(engine, api, 300.0)
@@ -52,9 +53,7 @@ def test_scales_out_under_high_utilization(engine, api, collector):
 def test_within_tolerance_no_action(engine, api, collector):
     # 60 rps on 1 core = 60% utilization = target exactly.
     svc = deploy(engine, api, collector, ConstantTrace(60))
-    hpa = HorizontalPodAutoscaler(
-        engine, collector, target_utilization=0.6, tolerance=0.15
-    )
+    hpa = HorizontalPodAutoscaler(engine, collector)
     hpa.attach(svc)
     hpa.start()
     autobind(engine, api, 300.0)
@@ -64,10 +63,7 @@ def test_within_tolerance_no_action(engine, api, collector):
 def test_scale_down_waits_for_stabilization(engine, api, collector):
     trace = StepTrace([(0, 150), (100, 20)])
     svc = deploy(engine, api, collector, trace, replicas=2)
-    hpa = HorizontalPodAutoscaler(
-        engine, collector, target_utilization=0.6, interval=15.0,
-        scale_down_stabilization=120.0,
-    )
+    hpa = HorizontalPodAutoscaler(engine, collector)
     hpa.attach(svc)
     hpa.start()
     autobind(engine, api, 150.0)
@@ -80,15 +76,17 @@ def test_scale_down_waits_for_stabilization(engine, api, collector):
     assert svc.replica_count < replicas_at_drop
 
 
-def test_respects_max_replicas(engine, api, collector):
-    svc = deploy(engine, api, collector, ConstantTrace(1000))
-    hpa = HorizontalPodAutoscaler(
-        engine, collector, target_utilization=0.6, max_replicas=3, interval=15.0
-    )
+def test_respects_max_replicas(engine):
+    # 24 one-core replicas near saturation want 40; four nodes hold 40
+    # pods, so only the clamp stops the scale-out at MAX_REPLICAS.
+    api = ClusterAPI(make_cluster(engine, nodes=4))
+    collector = MetricsCollector(engine, api)
+    svc = deploy(engine, api, collector, ConstantTrace(2400), replicas=24)
+    hpa = HorizontalPodAutoscaler(engine, collector)
     hpa.attach(svc)
     hpa.start()
     autobind(engine, api, 600.0)
-    assert svc.replica_count <= 3
+    assert svc.replica_count == MAX_REPLICAS
 
 
 def test_no_metrics_no_action(engine, api, collector):
@@ -125,5 +123,6 @@ def test_attach_twice_rejected(engine, api, collector):
     ],
 )
 def test_invalid_params(engine, collector, kwargs):
-    with pytest.raises(ValueError):
+    # The HPA runs at kube's defaults, which are constants, not options.
+    with pytest.raises(TypeError):
         HorizontalPodAutoscaler(engine, collector, **kwargs)

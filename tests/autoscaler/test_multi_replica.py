@@ -3,7 +3,7 @@
 import pytest
 
 from repro.autoscaler.hpa import HorizontalPodAutoscaler
-from repro.autoscaler.vpa import VerticalPodAutoscaler
+from repro.autoscaler.vpa import MARGIN, VerticalPodAutoscaler
 from repro.cluster.resources import ResourceVector
 from repro.control.multiresource import AllocationBounds
 from repro.workloads.microservice import Microservice, ServiceDemands
@@ -37,20 +37,17 @@ def deploy(engine, api, collector, *, rate, replicas, cpu=1.0):
 def test_vpa_recommends_per_replica(engine, api, collector):
     # 120 rps over 3 replicas = 40 rps each = 0.4 cores used per replica.
     svc = deploy(engine, api, collector, rate=120, replicas=3, cpu=2.0)
-    vpa = VerticalPodAutoscaler(
-        engine, collector, bounds=BOUNDS, margin=1.0, history_window=120.0
-    )
+    vpa = VerticalPodAutoscaler(engine, collector, bounds=BOUNDS)
     vpa.attach(svc)
     engine.run_until(150.0)
     rec = vpa.recommend(svc)
-    assert rec.cpu == pytest.approx(0.4, rel=0.15)
+    assert rec.cpu == pytest.approx(0.4 * MARGIN, rel=0.15)
 
 
 def test_hpa_utilization_is_aggregate(engine, api, collector):
     # 3 replicas × 1 core, 240 rps total ⇒ 2.4/3 = 80% aggregate.
     svc = deploy(engine, api, collector, rate=240, replicas=3)
-    hpa = HorizontalPodAutoscaler(engine, collector, target_utilization=0.8,
-                                  tolerance=0.1)
+    hpa = HorizontalPodAutoscaler(engine, collector)
     hpa.attach(svc)
     engine.run_until(60.0)
     utilization = hpa._observed_utilization(svc)
@@ -59,10 +56,9 @@ def test_hpa_utilization_is_aggregate(engine, api, collector):
 
 def test_hpa_desired_scales_with_ratio(engine, api, collector):
     svc = deploy(engine, api, collector, rate=240, replicas=2)
-    # Utilization 2.4/2 → capped near 100%; target 0.4 ⇒ desired ~5-6.
-    hpa = HorizontalPodAutoscaler(engine, collector, target_utilization=0.4,
-                                  interval=15.0, max_replicas=10)
+    # Utilization 2.4/2 → capped near 100%; target 0.6 ⇒ desired ~4.
+    hpa = HorizontalPodAutoscaler(engine, collector)
     hpa.attach(svc)
     hpa.start()
-    engine.run_until(31.0)
+    engine.run_until(37.0)  # two reconciles; the first still sees startup
     assert svc.replica_count >= 4

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.autoscaler.vpa import VerticalPodAutoscaler
+from repro.autoscaler.vpa import CHANGE_THRESHOLD, MARGIN, VerticalPodAutoscaler
 from repro.cluster.resources import ResourceVector
 from repro.control.multiresource import AllocationBounds
 from repro.workloads.microservice import Microservice, ServiceDemands
@@ -32,21 +32,17 @@ def deploy(engine, api, collector, *, rate=50.0, cpu=4.0):
 
 def test_recommendation_tracks_usage_percentile(engine, api, collector):
     svc = deploy(engine, api, collector, rate=50.0, cpu=4.0)
-    vpa = VerticalPodAutoscaler(
-        engine, collector, bounds=BOUNDS, margin=1.2, history_window=120.0
-    )
+    vpa = VerticalPodAutoscaler(engine, collector, bounds=BOUNDS)
     vpa.attach(svc)
     engine.run_until(120.0)
     rec = vpa.recommend(svc)
-    # 50 rps × 0.01 cpu-s = 0.5 cores used; rec ≈ 0.5 × 1.2.
-    assert rec.cpu == pytest.approx(0.6, rel=0.15)
+    # 50 rps × 0.01 cpu-s = 0.5 cores used; rec ≈ 0.5 × MARGIN.
+    assert rec.cpu == pytest.approx(0.5 * MARGIN, rel=0.15)
 
 
 def test_reconcile_shrinks_overprovisioned(engine, api, collector):
     svc = deploy(engine, api, collector, rate=50.0, cpu=4.0)
-    vpa = VerticalPodAutoscaler(
-        engine, collector, bounds=BOUNDS, interval=60.0, history_window=120.0
-    )
+    vpa = VerticalPodAutoscaler(engine, collector, bounds=BOUNDS)
     vpa.attach(svc)
     vpa.start()
     engine.run_until(600.0)
@@ -56,8 +52,7 @@ def test_reconcile_shrinks_overprovisioned(engine, api, collector):
 
 def test_recommendation_clamped_to_bounds(engine, api, collector):
     svc = deploy(engine, api, collector, rate=1.0, cpu=4.0)
-    vpa = VerticalPodAutoscaler(engine, collector, bounds=BOUNDS,
-                                history_window=120.0)
+    vpa = VerticalPodAutoscaler(engine, collector, bounds=BOUNDS)
     vpa.attach(svc)
     engine.run_until(120.0)
     rec = vpa.recommend(svc)
@@ -76,17 +71,13 @@ def test_no_history_no_recommendation(engine, api, collector):
     vpa.reconcile(svc)  # no crash, no change
 
 
-def test_small_changes_suppressed(engine, api, collector):
-    svc = deploy(engine, api, collector, rate=50.0, cpu=4.0)
-    vpa = VerticalPodAutoscaler(
-        engine, collector, bounds=BOUNDS, interval=60.0,
-        history_window=120.0, change_threshold=100.0,  # everything suppressed
-    )
-    vpa.attach(svc)
-    vpa.start()
-    engine.run_until(600.0)
-    assert vpa.resizes == 0
-    assert svc.current_allocation().cpu == 4.0
+def test_small_changes_suppressed(engine, collector):
+    vpa = VerticalPodAutoscaler(engine, collector, bounds=BOUNDS)
+    current = ResourceVector(cpu=1, memory=2, disk_bw=50, net_bw=50)
+    small = current * (1 + CHANGE_THRESHOLD / 2)
+    large = current.replace(cpu=1 + 2 * CHANGE_THRESHOLD)
+    assert not vpa._materially_different(current, small)
+    assert vpa._materially_different(current, large)
 
 
 @pytest.mark.parametrize(
@@ -99,5 +90,6 @@ def test_small_changes_suppressed(engine, api, collector):
     ],
 )
 def test_invalid_params(engine, collector, kwargs):
-    with pytest.raises(ValueError):
+    # The recommender's tuning is constants, not options.
+    with pytest.raises(TypeError):
         VerticalPodAutoscaler(engine, collector, bounds=BOUNDS, **kwargs)

@@ -21,6 +21,14 @@ from repro.storage.objectstore import ObjectStore
 from tests.conftest import make_spec
 
 
+def failed(injector: FailureInjector) -> list[str]:
+    return [n for n in sorted(injector.cluster.nodes) if injector.is_failed(n)]
+
+
+def degraded(degrader: DegradationInjector) -> list[str]:
+    return [n for n in sorted(degrader.cluster.nodes) if degrader.is_degraded(n)]
+
+
 @pytest.fixture
 def injector(cluster):
     return FailureInjector(cluster)
@@ -78,7 +86,7 @@ class TestFailureInjector:
     def test_healthy_nodes_listing(self, cluster, injector):
         injector.fail_node("node-1")
         assert [n.name for n in injector.healthy_nodes()] == ["node-0", "node-2"]
-        assert injector.failed_nodes() == ["node-1"]
+        assert failed(injector) == ["node-1"]
 
     def test_failure_log(self, engine, cluster, injector):
         engine.run_until(42.0)
@@ -143,7 +151,7 @@ class TestDegradationInjector:
         degrader.degrade_node("node-0", 0.25)
         assert node.allocatable.cpu == pytest.approx(4.0)
         assert degrader.is_degraded("node-0")
-        assert degrader.degraded_nodes() == ["node-0"]
+        assert degraded(degrader) == ["node-0"]
 
     def test_degrade_evicts_lowest_priority_first(self, engine, cluster, degrader):
         cluster.submit(make_spec("low", cpu=6, priority=0))
@@ -230,7 +238,7 @@ class TestChaosMonkey:
         )
         monkey.start()
         engine.run_until(500.0)
-        assert len(injector.failed_nodes()) <= 2
+        assert len(failed(injector)) <= 2
 
     def test_stop_halts_strikes(self, engine, cluster, injector):
         monkey = ChaosMonkey(
@@ -283,7 +291,7 @@ class TestChaosMonkey:
             engine.run_until(float(t))
             assert monkey.active_faults() <= 2
             assert (
-                len(injector.failed_nodes()) + len(degrader.degraded_nodes()) <= 2
+                len(failed(injector)) + len(degraded(degrader)) <= 2
             )
         assert monkey.strikes >= 1
 
@@ -295,11 +303,11 @@ class TestChaosMonkey:
             mtbf=20.0, repair_time=100.0,
         )
         monkey.start()
-        while not injector.failed_nodes():
+        while not failed(injector):
             engine.run_until(engine.now + 10.0)
         monkey.stop()
         engine.run_until(engine.now + 200.0)
-        assert injector.failed_nodes() == []
+        assert failed(injector) == []
         assert injector.recoveries == len(injector.failures)
         assert monkey.active_faults() == 0
 
@@ -311,9 +319,9 @@ class TestChaosMonkey:
             mtbf=20.0, repair_time=500.0,
         )
         monkey.start()
-        while not injector.failed_nodes():
+        while not failed(injector):
             engine.run_until(engine.now + 10.0)
-        injector.recover_node(injector.failed_nodes()[0])
+        injector.recover_node(failed(injector)[0])
         engine.run_until(engine.now + 1000.0)  # monkey heal fires harmlessly
         assert injector.recoveries >= 1
 
@@ -384,7 +392,7 @@ class TestChaosMonkey:
 
 @pytest.fixture
 def zoned_cluster(engine):
-    from repro.cluster.cluster import Cluster, ClusterConfig
+    from repro.cluster.cluster import Cluster
     from repro.cluster.node import Node
 
     nodes = [
@@ -396,7 +404,7 @@ def zoned_cluster(engine):
         for z in range(3)
         for i in range(2)
     ]
-    return Cluster(engine, nodes, config=ClusterConfig(startup_delay=5.0))
+    return Cluster(engine, nodes)
 
 
 class TestZoneOutageDomain:
@@ -413,7 +421,7 @@ class TestZoneOutageDomain:
         zoned_cluster.bind("b", "node-1-1")
         engine.run_until(10.0)
         token = dom.strike_zone("z1")
-        assert injector.failed_nodes() == ["node-1-0", "node-1-1"]
+        assert failed(injector) == ["node-1-0", "node-1-1"]
         assert zoned_cluster.get_pod("a").phase == PodPhase.EVICTED
         assert zoned_cluster.get_pod("b").phase == PodPhase.EVICTED
         assert dom.outages == 1 and dom.pods_displaced == 2
@@ -434,7 +442,7 @@ class TestZoneOutageDomain:
         token = dom.strike_zone("z0")
         engine.run_until(50.0)
         dom.heal(token)
-        assert injector.failed_nodes() == []
+        assert failed(injector) == []
         episode = injector.log.by_kind("zone-outage")[0]
         assert not episode.active
         assert episode.duration() == pytest.approx(40.0)
@@ -445,7 +453,7 @@ class TestZoneOutageDomain:
         token = dom.strike_zone("z2")
         injector.recover_node("node-2-0")  # operator beat the domain to it
         dom.heal(token)  # must not raise on the already-healthy node
-        assert injector.failed_nodes() == []
+        assert failed(injector) == []
 
     def test_zones_lists_only_healthy_zones(self, engine, zoned_cluster):
         injector = FailureInjector(zoned_cluster)

@@ -16,7 +16,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster.chaos import FailureInjector
-from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.pod import PodPhase, PodSpec, WorkloadClass
 from repro.cluster.resources import ResourceVector
@@ -31,9 +31,7 @@ class ClusterMachine(RuleBasedStateMachine):
         super().__init__()
         self.engine = Engine()
         self.cluster = Cluster(
-            self.engine,
-            [Node(f"node-{i}", CAPACITY) for i in range(3)],
-            config=ClusterConfig(startup_delay=2.0, resize_delay=1.0),
+            self.engine, [Node(f"node-{i}", CAPACITY) for i in range(3)]
         )
         self.injector = FailureInjector(self.cluster)
         self.counter = 0
@@ -125,7 +123,7 @@ class ClusterMachine(RuleBasedStateMachine):
 
     @invariant()
     def failed_nodes_are_empty(self):
-        for name in self.injector.failed_nodes():
+        for name in [n for n in self.cluster.nodes if self.injector.is_failed(n)]:
             assert not self.cluster.get_node(name).pods
 
 

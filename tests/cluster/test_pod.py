@@ -43,13 +43,6 @@ def test_record_usage_clamps_negative():
     assert not pod.usage.any_negative(tolerance=0)
 
 
-def test_scheduling_latency():
-    pod = Pod(make_spec(), created_at=2.0)
-    assert pod.scheduling_latency() is None
-    pod.scheduled_at = 7.5
-    assert pod.scheduling_latency() == 5.5
-
-
 @pytest.mark.parametrize(
     "phase,active,terminal",
     [

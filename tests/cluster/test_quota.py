@@ -124,7 +124,7 @@ class TestSchedulerIntegration:
     def test_scheduler_skips_quota_blocked_pods(self, engine, cluster, api, quotas):
         quotas.set_quota("acme", ResourceVector(cpu=2, memory=10,
                                                 disk_bw=100, net_bw=100))
-        scheduler = KubeScheduler(engine, api, interval=1.0)
+        scheduler = KubeScheduler(engine, api)
         scheduler.start()
         cluster.submit(tenant_spec("a", "acme", cpu=2))
         cluster.submit(tenant_spec("b", "acme", cpu=2))

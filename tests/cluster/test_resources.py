@@ -71,10 +71,6 @@ class TestArithmetic:
         assert a.elementwise_min(b) == ResourceVector(1, 4, 3, 1)
         assert a.elementwise_max(b) == ResourceVector(2, 5, 6, 7)
 
-    def test_elementwise_mul(self):
-        a = ResourceVector(1, 2, 3, 4)
-        assert a.elementwise_mul(ResourceVector(2, 2, 2, 2)) == a * 2
-
     def test_clamp(self):
         v = ResourceVector(-1, 5, 10, 0.5)
         lo = ResourceVector(0, 0, 0, 1)

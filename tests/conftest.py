@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.api import ClusterAPI
-from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.pod import PodSpec, WorkloadClass
 from repro.cluster.resources import ResourceVector
@@ -26,14 +26,8 @@ def make_cluster(
     *,
     nodes: int = 3,
     capacity: ResourceVector = NODE_CAPACITY,
-    startup_delay: float = 5.0,
-    resize_delay: float = 1.0,
 ) -> Cluster:
-    return Cluster(
-        engine,
-        [Node(f"node-{i}", capacity) for i in range(nodes)],
-        config=ClusterConfig(startup_delay=startup_delay, resize_delay=resize_delay),
-    )
+    return Cluster(engine, [Node(f"node-{i}", capacity) for i in range(nodes)])
 
 
 @pytest.fixture
@@ -48,7 +42,7 @@ def api(cluster: Cluster) -> ClusterAPI:
 
 @pytest.fixture
 def collector(engine: Engine, api: ClusterAPI) -> MetricsCollector:
-    return MetricsCollector(engine, api, scrape_interval=5.0)
+    return MetricsCollector(engine, api)
 
 
 def make_chaos_platform(domains, *, seed: int = 5):
@@ -60,7 +54,6 @@ def make_chaos_platform(domains, *, seed: int = 5):
     strikes every ~40 s, heals after 30 s, and keeps at most two faults
     active. Returns ``(platform, monkey)``; neither has run yet.
     """
-    from repro.dataplane import DataPlaneConfig
     from repro.platform.config import ClusterSpec, PlatformConfig
     from repro.platform.evolve import EvolvePlatform
     from repro.storage.placement import spread_blocks
@@ -71,7 +64,7 @@ def make_chaos_platform(domains, *, seed: int = 5):
         config=PlatformConfig(
             seed=seed,
             controller_replicas=3,
-            data_plane=DataPlaneConfig(enabled=True),
+            data_plane=True,
         ),
     )
     spread_blocks(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control.adaptive import AdaptiveGainTuner
+from repro.control.adaptive import SCALE_BOUNDS, SLUGGISH_PERIODS, AdaptiveGainTuner
 
 
 def test_initial_scale_is_one():
@@ -10,7 +10,7 @@ def test_initial_scale_is_one():
 
 
 def test_oscillation_shrinks_gains():
-    tuner = AdaptiveGainTuner(window=8, oscillation_flips=3, deadband=0.05)
+    tuner = AdaptiveGainTuner(deadband=0.05)
     for e in [0.5, -0.5, 0.5, -0.5, 0.5]:
         tuner.update(e)
     assert tuner.scale < 1.0
@@ -18,16 +18,16 @@ def test_oscillation_shrinks_gains():
 
 
 def test_sluggishness_grows_gains():
-    tuner = AdaptiveGainTuner(sluggish_periods=4, deadband=0.05)
-    for _ in range(4):
+    tuner = AdaptiveGainTuner(deadband=0.05)
+    for _ in range(SLUGGISH_PERIODS):
         tuner.update(0.5)
     assert tuner.scale > 1.0
     assert tuner.sluggish_events == 1
 
 
 def test_persistent_negative_error_also_sluggish():
-    tuner = AdaptiveGainTuner(sluggish_periods=4, deadband=0.05)
-    for _ in range(4):
+    tuner = AdaptiveGainTuner(deadband=0.05)
+    for _ in range(SLUGGISH_PERIODS):
         tuner.update(-0.5)
     assert tuner.scale > 1.0
 
@@ -42,21 +42,22 @@ def test_deadband_errors_cause_no_adaptation():
 
 
 def test_scale_bounded():
-    tuner = AdaptiveGainTuner(bounds=(0.5, 2.0), sluggish_periods=2)
+    lo, hi = SCALE_BOUNDS
+    tuner = AdaptiveGainTuner()
     for _ in range(100):
         tuner.update(1.0)
-    assert tuner.scale <= 2.0
+    assert tuner.scale == hi
 
-    tuner2 = AdaptiveGainTuner(bounds=(0.5, 2.0), oscillation_flips=2, window=4)
+    tuner2 = AdaptiveGainTuner()
     for i in range(100):
         tuner2.update(0.5 if i % 2 == 0 else -0.5)
-    assert tuner2.scale >= 0.5
+    assert tuner2.scale == lo
 
 
 def test_relaxes_toward_one():
-    tuner = AdaptiveGainTuner(relax=0.5, sluggish_periods=2)
-    tuner.update(1.0)
-    tuner.update(1.0)  # sluggish → grow
+    tuner = AdaptiveGainTuner()
+    for _ in range(SLUGGISH_PERIODS):
+        tuner.update(1.0)  # sluggish → grow
     grown = tuner.scale
     assert grown > 1.0
     # Now converged: small errors relax the scale back down.
@@ -66,19 +67,19 @@ def test_relaxes_toward_one():
 
 
 def test_window_cleared_after_adaptation():
-    tuner = AdaptiveGainTuner(sluggish_periods=3)
-    for _ in range(3):
+    tuner = AdaptiveGainTuner()
+    for _ in range(SLUGGISH_PERIODS):
         tuner.update(1.0)
     assert tuner.sluggish_events == 1
-    # One more big error isn't 3-in-a-row in the fresh window.
+    # One more big error isn't a full run in the fresh window.
     tuner.update(1.0)
     assert tuner.sluggish_events == 1
 
 
 def test_reset():
-    tuner = AdaptiveGainTuner(sluggish_periods=2)
-    tuner.update(1.0)
-    tuner.update(1.0)
+    tuner = AdaptiveGainTuner()
+    for _ in range(SLUGGISH_PERIODS):
+        tuner.update(1.0)
     tuner.reset()
     assert tuner.scale == 1.0
 
@@ -93,5 +94,6 @@ def test_reset():
     ],
 )
 def test_invalid_params(kwargs):
-    with pytest.raises(ValueError):
+    # Window, bounds and relax are constants, not options.
+    with pytest.raises(TypeError):
         AdaptiveGainTuner(**kwargs)

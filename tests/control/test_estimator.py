@@ -3,7 +3,11 @@
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.control.estimator import BottleneckEstimator, SaturationSnapshot
+from repro.control.estimator import (
+    MEMORY_HEADROOM,
+    BottleneckEstimator,
+    SaturationSnapshot,
+)
 
 
 def snapshot(cpu=0.0, memory=0.0, disk_bw=0.0, net_bw=0.0):
@@ -34,7 +38,7 @@ class TestSnapshot:
 
 class TestGrowWeights:
     def test_saturated_dim_gets_weight(self):
-        est = BottleneckEstimator(grow_threshold=0.85)
+        est = BottleneckEstimator()
         weights = est.grow_weights(snapshot(cpu=0.95, memory=0.3))
         assert weights["cpu"] > 0
         assert weights["memory"] == 0.0
@@ -50,7 +54,7 @@ class TestGrowWeights:
         assert weights["cpu"] == 1.0
 
     def test_fallback_to_most_saturated(self):
-        est = BottleneckEstimator(grow_threshold=0.85)
+        est = BottleneckEstimator()
         weights = est.grow_weights(snapshot(cpu=0.5, net_bw=0.6))
         assert weights["net_bw"] == 1.0
         assert sum(1 for w in weights.values() if w > 0) == 1
@@ -65,7 +69,7 @@ class TestGrowWeights:
 
 class TestReclaimWeights:
     def test_idle_dim_reclaims(self):
-        est = BottleneckEstimator(reclaim_threshold=0.6)
+        est = BottleneckEstimator()
         weights = est.reclaim_weights(snapshot(cpu=0.1, disk_bw=0.9))
         assert weights["cpu"] > 0
         assert weights["disk_bw"] == 0.0
@@ -77,9 +81,9 @@ class TestReclaimWeights:
         assert all(w == 0.0 for w in weights.values())
 
     def test_memory_reclaims_more_cautiously(self):
-        est = BottleneckEstimator(memory_headroom=0.5)
+        est = BottleneckEstimator()
         weights = est.reclaim_weights(snapshot(cpu=0.1, memory=0.1))
-        assert weights["memory"] == pytest.approx(weights["cpu"] * 0.5)
+        assert weights["memory"] == pytest.approx(weights["cpu"] * MEMORY_HEADROOM)
 
     def test_totally_idle_dim_full_weight(self):
         est = BottleneckEstimator()
@@ -98,5 +102,6 @@ class TestValidation:
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        # The thresholds and the memory headroom are constants.
+        with pytest.raises(TypeError):
             BottleneckEstimator(**kwargs)

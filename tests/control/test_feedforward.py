@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.control.feedforward import FeedforwardScaler
+from repro.control.feedforward import LIMIT, THRESHOLD, FeedforwardScaler
 from repro.control.multiresource import AllocationBounds, MultiResourceController
 from repro.control.pid import PIDGains
 from repro.platform.config import ClusterSpec, PlatformConfig
@@ -37,33 +37,33 @@ class TestFeedforwardScaler:
         assert ff.signal(self._app(engine, api), 100.0) == 0.0
 
     def test_flat_load_no_signal(self, engine, api, collector):
-        ff = FeedforwardScaler(collector, window=30.0)
+        ff = FeedforwardScaler(collector)
         for t in (10.0, 20.0, 30.0):
             engine.run_until(t)
             collector.record("app/svc/offered", 100.0)
         assert ff.signal(self._app(engine, api), 30.0) == 0.0
 
     def test_surge_produces_signal(self, engine, api, collector):
-        ff = FeedforwardScaler(collector, gain=0.5, threshold=0.15, window=30.0)
+        ff = FeedforwardScaler(collector)
         for t in (10.0, 20.0):
             engine.run_until(t)
             collector.record("app/svc/offered", 100.0)
         engine.run_until(30.0)
         collector.record("app/svc/offered", 200.0)
         signal = ff.signal(self._app(engine, api), 30.0)
-        assert signal > 0.15
+        assert signal > THRESHOLD
         assert ff.activations == 1
 
     def test_signal_clamped(self, engine, api, collector):
-        ff = FeedforwardScaler(collector, gain=10.0, limit=0.4, window=30.0)
+        ff = FeedforwardScaler(collector)
         engine.run_until(10.0)
         collector.record("app/svc/offered", 10.0)
         engine.run_until(20.0)
         collector.record("app/svc/offered", 1000.0)
-        assert ff.signal(self._app(engine, api), 20.0) == 0.4
+        assert ff.signal(self._app(engine, api), 20.0) == LIMIT
 
     def test_load_drop_ignored(self, engine, api, collector):
-        ff = FeedforwardScaler(collector, window=30.0)
+        ff = FeedforwardScaler(collector)
         engine.run_until(10.0)
         collector.record("app/svc/offered", 200.0)
         engine.run_until(20.0)
@@ -71,9 +71,10 @@ class TestFeedforwardScaler:
         assert ff.signal(self._app(engine, api), 20.0) == 0.0
 
     def test_invalid_params(self, collector):
-        with pytest.raises(ValueError):
+        # Gain, threshold, limit, window and hold are constants.
+        with pytest.raises(TypeError):
             FeedforwardScaler(collector, gain=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             FeedforwardScaler(collector, limit=0)
 
 

@@ -68,8 +68,7 @@ def test_loop_grows_starved_service(engine, api, collector):
     engine.run_until(600.0)
     assert svc.current_allocation().cpu > 1.0
     assert svc.current_latency <= 0.05 * 1.5
-    stats = manager.entry_stats("svc")
-    assert stats["grow"] >= 1
+    assert manager._entries["svc"].stats["grow"] >= 1
 
 
 def test_loop_reclaims_overprovisioned_service(engine, api, collector):

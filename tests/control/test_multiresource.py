@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.resources import RESOURCES, ResourceVector
 from repro.control.estimator import SaturationSnapshot
 from repro.control.multiresource import (
+    RECLAIM_CAUTION,
     AllocationBounds,
     MultiResourceController,
 )
@@ -96,11 +97,12 @@ class TestDecide:
         assert decision.new_allocation.cpu > CURRENT.cpu
 
     def test_reclaim_caution_damps_shrink(self):
-        eager = make(adaptive=False, reclaim_caution=1.0)
-        cautious = make(adaptive=False, reclaim_caution=0.2)
-        d1 = eager.decide(-0.8, snap(), CURRENT, dt=10.0)
-        d2 = cautious.decide(-0.8, snap(), CURRENT, dt=10.0)
-        assert d2.new_allocation.cpu > d1.new_allocation.cpu
+        d = make(adaptive=False).decide(-0.8, snap(), CURRENT, dt=10.0)
+        assert d.action == "reclaim"
+        effort = d.output * RECLAIM_CAUTION * d.weights["cpu"]
+        assert d.new_allocation.cpu == pytest.approx(CURRENT.cpu * (1 + effort))
+        # An undamped reclaim would have shrunk further.
+        assert d.new_allocation.cpu > CURRENT.cpu * (1 + effort / RECLAIM_CAUTION)
 
     def test_adaptive_scales_gains_on_persistent_error(self):
         ctrl = make(adaptive=True)
@@ -115,7 +117,7 @@ class TestDecide:
         assert decision.gain_scale == 1.0
 
     def test_grow_factor_floor_prevents_collapse(self):
-        ctrl = make(adaptive=False, output_limits=(-5.0, 5.0), reclaim_caution=1.0)
+        ctrl = make(adaptive=False)
         decision = ctrl.decide(-10.0, snap(), CURRENT, dt=10.0)
         for name in RESOURCES:
             assert decision.new_allocation[name] >= CURRENT[name] * 0.05 - 1e-9
@@ -159,5 +161,6 @@ class TestValidation:
             make(deadband=-0.1)
 
     def test_invalid_reclaim_caution(self):
-        with pytest.raises(ValueError):
+        # Reclaim caution is the constant RECLAIM_CAUTION.
+        with pytest.raises(TypeError):
             make(reclaim_caution=0.0)

@@ -4,8 +4,12 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.cluster.resources import RESOURCES, ResourceVector
-from repro.control.adaptive import AdaptiveGainTuner
-from repro.control.estimator import BottleneckEstimator, SaturationSnapshot
+from repro.control.adaptive import SCALE_BOUNDS, AdaptiveGainTuner
+from repro.control.estimator import (
+    GROW_THRESHOLD,
+    BottleneckEstimator,
+    SaturationSnapshot,
+)
 from repro.control.multiresource import AllocationBounds, MultiResourceController
 from repro.control.pid import PIDGains
 
@@ -70,10 +74,11 @@ class TestControllerProperties:
     @settings(max_examples=50, deadline=None)
     @given(seq=st.lists(errors, min_size=1, max_size=40))
     def test_tuner_scale_always_within_bounds(self, seq):
-        tuner = AdaptiveGainTuner(bounds=(0.2, 5.0))
+        tuner = AdaptiveGainTuner()
+        lo, hi = SCALE_BOUNDS
         for error in seq:
             scale = tuner.update(error)
-            assert 0.2 <= scale <= 5.0
+            assert lo <= scale <= hi
 
 
 class TestEstimatorProperties:
@@ -104,7 +109,7 @@ class TestEstimatorProperties:
         same control period, so overlap there is harmless by design."""
         estimator = BottleneckEstimator()
         if all(
-            f < estimator.grow_threshold for f in snapshot.fractions.values()
+            f < GROW_THRESHOLD for f in snapshot.fractions.values()
         ):
             return
         grow = estimator.grow_weights(snapshot)

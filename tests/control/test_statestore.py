@@ -4,24 +4,20 @@ import pytest
 
 from repro.cluster.chaos import FaultLog
 from repro.cluster.resources import ResourceVector
+from repro.control.statestore import FSYNC_LATENCY as FSYNC
 from repro.control.statestore import ControllerStateStore
 from repro.sim.engine import Engine
 
 
-FSYNC = 0.5  # exaggerated so durability windows are easy to hit in tests
-
-
 @pytest.fixture
 def store(engine: Engine) -> ControllerStateStore:
-    return ControllerStateStore(engine, fsync_latency=FSYNC)
+    return ControllerStateStore(engine)
 
 
 class TestValidation:
     def test_bad_knobs_rejected(self, engine):
         with pytest.raises(ValueError):
             ControllerStateStore(engine, snapshot_interval=0.0)
-        with pytest.raises(ValueError):
-            ControllerStateStore(engine, fsync_latency=-1.0)
 
     def test_unknown_wal_kind_rejected(self, engine, store):
         with pytest.raises(ValueError):

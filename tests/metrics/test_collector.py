@@ -96,7 +96,7 @@ def test_series_names_and_has_series(engine, collector):
     collector.record("a/b", 1.0)
     assert collector.has_series("a/b")
     assert not collector.has_series("a/c")
-    assert "a/b" in collector.series_names()
+    assert "a/b" in sorted(collector._series)
 
 
 def test_double_start_rejected(collector):
@@ -114,7 +114,8 @@ def test_stop_halts_scraping(engine, collector):
 
 
 def test_invalid_interval(engine, api):
-    with pytest.raises(ValueError):
+    # The scrape interval is the constant SCRAPE_INTERVAL.
+    with pytest.raises(TypeError):
         MetricsCollector(engine, api, scrape_interval=0)
 
 
@@ -136,8 +137,7 @@ def test_internal_source_bypasses_fault_filter(engine, api):
 
     faults = MetricsFaultInjector()
     faults.drop_scrape_probability = 1.0
-    collector = MetricsCollector(engine, api, scrape_interval=5.0,
-                                 faults=faults)
+    collector = MetricsCollector(engine, api, faults=faults)
     internal = FakeSource(prefix="ctrl")
     collector.declare("ctrl/latency")
     collector.register_internal(internal)
@@ -160,7 +160,7 @@ def test_scrape_span_at_without_telemetry_is_none(engine, collector):
 def test_scrape_span_at_returns_covering_round(engine, api):
     from repro.obs.telemetry import Telemetry
 
-    collector = MetricsCollector(engine, api, scrape_interval=5.0)
+    collector = MetricsCollector(engine, api)
     tel = Telemetry(engine)
     collector.telemetry = tel
     collector.start()
@@ -205,7 +205,7 @@ def test_reading_an_undeclared_series_raises(engine, collector, method, args):
 def test_record_of_an_undeclared_name_stores_nothing(engine, collector):
     engine.run_until(3.0)
     collector.record("custom/metric", 42.0)
-    assert collector.series_names() == []
+    assert sorted(collector._series) == []
     # Declaring afterwards does not bring the sample back.
     collector.declare("custom/metric")
     assert not collector.has_series("custom/metric")
@@ -232,7 +232,7 @@ def test_source_with_nothing_declared_is_not_sampled(engine, collector):
     engine.run_until(11.0)
     assert read.samples == 2
     assert unread.samples == 0
-    assert collector.series_names() == ["app/read/latency"]
+    assert sorted(collector._series) == ["app/read/latency"]
 
 
 def test_distorting_faults_filter_undeclared_samples_too(engine, api):
@@ -241,8 +241,7 @@ def test_distorting_faults_filter_undeclared_samples_too(engine, api):
     def run(declared):
         faults = MetricsFaultInjector()
         faults.outlier_probability = 0.5
-        collector = MetricsCollector(engine, api, scrape_interval=5.0,
-                                     faults=faults)
+        collector = MetricsCollector(engine, api, faults=faults)
         collector.declare(*declared)
         unread = FakeSource("app/unread")
         collector.register(FakeSource("app/read"))
@@ -262,7 +261,7 @@ def test_distorting_faults_filter_undeclared_samples_too(engine, api):
     assert collector.latest("app/read/latency") == all_collector.latest(
         "app/read/latency"
     )
-    assert collector.series_names() == ["app/read/latency"]
+    assert sorted(collector._series) == ["app/read/latency"]
 
 
 def test_append_budget_on_the_fleet_smoke_shape(monkeypatch):

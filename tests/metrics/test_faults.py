@@ -94,9 +94,7 @@ class TestFilter:
 
 class TestCollectorIntegration:
     def make_collector(self, engine, api, faults):
-        collector = MetricsCollector(
-            engine, api, scrape_interval=5.0, faults=faults
-        )
+        collector = MetricsCollector(engine, api, faults=faults)
         collector.declare(
             "cluster/pending_pods",
             "node/node-0/usage_frac/cpu",

@@ -23,6 +23,10 @@ BOUNDS = AllocationBounds(
 DEMANDS = ServiceDemands(cpu_seconds=0.01, base_latency=0.01)
 
 
+def provenance_for(trace, app):
+    return [p for p in trace.provenance if p.app == app]
+
+
 def controller(*, bounds=BOUNDS, deadband=0.1, **kwargs):
     return MultiResourceController(
         PIDGains(kp=0.8, ki=0.08), bounds, deadband=deadband, **kwargs
@@ -66,7 +70,7 @@ class TestActuatedProvenance:
         engine.run_until(300.0)
 
         trace = tel.trace
-        actuated = [p for p in trace.provenance_for("svc")
+        actuated = [p for p in provenance_for(trace, "svc")
                     if p.verdict == "actuated"]
         assert actuated, "starved service never actuated"
         for record in actuated:
@@ -87,7 +91,7 @@ class TestActuatedProvenance:
         manager.start()
         engine.run_until(120.0)
 
-        record = next(p for p in tel.trace.provenance_for("svc")
+        record = next(p for p in provenance_for(tel.trace, "svc")
                       if p.verdict == "actuated")
         assert record.terms is not None and len(record.terms) == 3
         assert record.error is not None
@@ -121,7 +125,7 @@ class TestSafeModeProvenance:
         collector.stop()  # scrape pipeline goes dark; signal goes stale
         engine.run_until(250.0)
 
-        records = tel.trace.provenance_for("svc")
+        records = provenance_for(tel.trace, "svc")
         entries = [p for p in records if p.verdict == "safe-mode-entry"]
         assert len(entries) == 1
         entry = entries[0]
@@ -142,7 +146,7 @@ class TestSafeModeProvenance:
         engine.run_until(100.0)
         collector.stop()
         engine.run_until(200.0)
-        verdicts = [p.verdict for p in tel.trace.provenance_for("svc")
+        verdicts = [p.verdict for p in provenance_for(tel.trace, "svc")
                     if p.time > 100.0]
         first = verdicts.index("stale-skip")
         # The stale periods short of the threshold audit as plain skips;
@@ -162,7 +166,7 @@ class TestSuppressedDecisions:
         manager.start()
         engine.run_until(200.0)
 
-        records = [p for p in tel.trace.provenance_for("svc")
+        records = [p for p in provenance_for(tel.trace, "svc")
                    if p.verdict in ("deadband", "hold", "actuated")]
         assert records
         deadbands = [p for p in records if p.verdict == "deadband"]
@@ -188,7 +192,7 @@ class TestSuppressedDecisions:
         manager.start()
         engine.run_until(300.0)
 
-        clamped = [p for p in tel.trace.provenance_for("svc") if p.clamped]
+        clamped = [p for p in provenance_for(tel.trace, "svc") if p.clamped]
         assert clamped, "no clamped decision audited"
         # Once pinned at the ceiling the clamp suppresses actuation
         # entirely; those records are clamped holds.

@@ -79,7 +79,7 @@ class TestCounterGauge:
         g = MetricsRegistry().gauge("depth")
         g.set(5)
         g.inc(2)
-        g.dec(4)
+        g.inc(-4)
         assert g.value == 3.0
 
     def test_duplicate_registration_rejected(self):

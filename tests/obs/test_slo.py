@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.metrics.collector import SCRAPE_INTERVAL
 from repro.obs.registry import MetricsRegistry, lint_names
 from repro.obs.slo import (
     BURN_THRESHOLD,
@@ -13,7 +14,7 @@ from repro.obs.slo import (
     SLOSpec,
 )
 
-TICK = 5.0
+TICK = SCRAPE_INTERVAL
 TARGET = 0.9
 #: Scrape ticks each burn window holds.
 FAST_TICKS = round(FAST_WINDOW / TICK)
@@ -25,9 +26,7 @@ TICKS_TO_FIRE = math.ceil(BURN_THRESHOLD * (1 - TARGET) * SLOW_TICKS)
 
 class FakeCollector:
     """Minimal stand-in: the engine declares its series, then reads
-    scrape_interval/latest."""
-
-    scrape_interval = TICK
+    latest."""
 
     def __init__(self):
         self.values: dict[str, float | None] = {}

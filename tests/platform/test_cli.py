@@ -281,3 +281,87 @@ def test_malformed_spec_exits_2(command, fault, named, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert named in err
+
+
+#: A general-form service whose trace sets a parameter that is now a
+#: constant (``OUTrace``'s path resolution, ``OU_STEP``).
+_OU_STEP_SERVICE = {
+    "kind": "micro",
+    "name": "web",
+    "params": {
+        "trace": {"kind": "ou", "mean": 50.0, "step": 10.0, "horizon": 60.0},
+        "demands": {"cpu_seconds": 0.004},
+        "allocation": {"cpu": 1.0, "memory": 2.0, "disk_bw": 10, "net_bw": 30},
+        "plo": {"kind": "latency", "target": 0.05},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "fault, section",
+    [
+        pytest.param({"workloads": [_OU_STEP_SERVICE]}, "trace kind 'ou'",
+                     id="ou-trace-step"),
+        pytest.param({"policy": "hpa",
+                      "policy_kwargs": {"target_utilization": 0.7}},
+                     "platform", id="hpa-target-utilization"),
+        pytest.param({"scheduler_kwargs": {"locality_weight": 2}},
+                     "platform", id="scheduler-locality-weight"),
+    ],
+)
+def test_spec_setting_a_deleted_option_exits_2(fault, section, tmp_path, capsys):
+    """A spec that sets an option which is now a constant is rejected at
+    the boundary, naming the section, instead of running."""
+    spec = json.loads(json.dumps(SPEC))
+    spec.update(fault)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {section}: ")
+    assert "unexpected keyword argument" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["trace", "{out}", "--duration", "10"], id="trace"),
+        pytest.param(["report", "calm", "--duration", "60", "--output", "{out}"],
+                     id="report-output"),
+        pytest.param(["arena", "--scenarios", "calm", "--policies", "static",
+                      "--json", "{out}"], id="arena-json"),
+        pytest.param(["arena", "--scenarios", "calm", "--policies", "static",
+                      "--markdown", "{out}"], id="arena-markdown"),
+        pytest.param(["bench", "--smoke", "--only", "t1", "--json", "{out}"],
+                     id="bench-json"),
+    ],
+)
+def test_unwritable_output_exits_2_before_the_run(argv, tmp_path, capsys):
+    """An output under a regular file is a usage error caught before any
+    simulation runs, not a traceback after it."""
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    out = regular / "sub"
+    assert main([a.format(out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
+
+
+def test_write_failure_exits_2(tmp_path, capsys, monkeypatch):
+    """An OSError while writing an output is an ``error:`` line, exit 2."""
+    from pathlib import Path
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    out = tmp_path / "board.md"
+    argv = ["arena", "--scenarios", "calm", "--policies", "static",
+            "--markdown", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: Permission denied\n"
+    )
+

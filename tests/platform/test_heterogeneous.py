@@ -31,10 +31,6 @@ class TestNodeGroups:
         assert nodes[3].labels == {"accelerator": "fpga"}
         assert nodes[3].capacity == FPGA
 
-    def test_total_nodes(self):
-        assert hetero_spec().total_nodes == 5
-        assert ClusterSpec(node_count=4).total_nodes == 4
-
     def test_invalid_group(self):
         with pytest.raises(ValueError):
             NodeGroup("g", 0, GENERAL)

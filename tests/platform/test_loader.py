@@ -38,7 +38,7 @@ class TestTraceFromDict:
 
     def test_step(self):
         trace = trace_from_dict(
-            {"kind": "step", "steps": [[10, 5]], "initial": 1}, stream
+            {"kind": "step", "steps": [[0, 1], [10, 5]]}, stream
         )
         assert trace.rate(0) == 1 and trace.rate(20) == 5
 
@@ -156,7 +156,7 @@ class TestOtherBuilders:
             {"name": "f", "count": 1, "capacity": CAPACITY,
              "labels": {"accelerator": "fpga"}},
         ]))
-        assert platform.cluster_spec.total_nodes == 3
+        assert len(platform.cluster.nodes) == 3
         assert platform.cluster.nodes["f-00"].labels["accelerator"] == "fpga"
 
     def test_bad_resource_key(self):

@@ -84,7 +84,6 @@ class TestOverloadConfig:
     def test_defaults_are_inert(self):
         cfg = OverloadConfig()
         assert not cfg.admission and not cfg.backpressure and not cfg.brownout
-        assert not cfg.any_enabled
 
     def test_validation(self):
         with pytest.raises(ValueError):

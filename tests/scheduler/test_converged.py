@@ -13,7 +13,7 @@ from tests.conftest import make_spec
 
 class TestConvergedGangs:
     def test_gang_admitted_atomically(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, interval=1.0)
+        scheduler = ConvergedScheduler(engine, api)
         scheduler.start()
         for i in range(3):
             api.create_pod(
@@ -25,7 +25,7 @@ class TestConvergedGangs:
         assert scheduler.gangs_admitted == 1
 
     def test_oversized_gang_fully_deferred(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, interval=1.0)
+        scheduler = ConvergedScheduler(engine, api)
         scheduler.start()
         for i in range(8):
             api.create_pod(
@@ -37,7 +37,7 @@ class TestConvergedGangs:
         assert scheduler.gangs_deferred >= 1
 
     def test_backfill_behind_blocked_gang(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, interval=1.0)
+        scheduler = ConvergedScheduler(engine, api)
         scheduler.start()
         for i in range(8):
             api.create_pod(
@@ -49,7 +49,7 @@ class TestConvergedGangs:
         assert api.get_pod("small").node_name is not None
 
     def test_gangs_admitted_fifo(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, interval=1.0)
+        scheduler = ConvergedScheduler(engine, api)
         for i in range(2):
             api.create_pod(
                 make_spec(f"a-{i}", cpu=8, gang_id="first",
@@ -70,8 +70,7 @@ class TestConvergedLocality:
     def test_bigdata_pod_follows_dataset(self, engine, api):
         store = ObjectStore()
         spread_blocks(store, "sales", total_mb=100, block_mb=10, nodes=["node-2"])
-        scheduler = ConvergedScheduler(engine, api, store=store, interval=1.0,
-                                       locality_weight=5.0)
+        scheduler = ConvergedScheduler(engine, api, store=store)
         spec = make_spec("exec-0", cpu=2, workload_class=WorkloadClass.BIGDATA)
         pod = api.create_pod(spec)
         pod.spec.labels["dataset"] = "sales"  # type: ignore[index]
@@ -116,8 +115,7 @@ class TestInterference:
         assert interference_penalty(node, svc) > interference_penalty(node, batch)
 
     def test_converged_spreads_sensitive_pods(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, interval=1.0,
-                                       interference_weight=2.0)
+        scheduler = ConvergedScheduler(engine, api, interference_weight=2.0)
         noisy = api.create_pod(
             make_spec("batch-0", cpu=4, workload_class=WorkloadClass.BIGDATA)
         )
@@ -145,7 +143,7 @@ class TestSiloed:
         }
 
     def test_pods_confined_to_pools(self, engine, api):
-        scheduler = SiloedScheduler(engine, api, pools=self.pools(), interval=1.0)
+        scheduler = SiloedScheduler(engine, api, pools=self.pools())
         scheduler.start()
         api.create_pod(make_spec("svc-0"))
         api.create_pod(make_spec("exec-0", workload_class=WorkloadClass.BIGDATA))
@@ -156,7 +154,7 @@ class TestSiloed:
     def test_full_pool_strands_despite_cluster_capacity(self, engine, api):
         """The silo pathology: microservice pool is full while other pools
         sit idle, so the pod stays pending."""
-        scheduler = SiloedScheduler(engine, api, pools=self.pools(), interval=1.0)
+        scheduler = SiloedScheduler(engine, api, pools=self.pools())
         scheduler.start()
         api.create_pod(make_spec("svc-0", cpu=12))
         api.create_pod(make_spec("svc-1", cpu=12))
@@ -166,7 +164,7 @@ class TestSiloed:
         assert pending[0].name == "svc-1"
 
     def test_gang_within_pool(self, engine, api):
-        scheduler = SiloedScheduler(engine, api, pools=self.pools(), interval=1.0)
+        scheduler = SiloedScheduler(engine, api, pools=self.pools())
         scheduler.start()
         for i in range(2):
             api.create_pod(
@@ -186,7 +184,7 @@ class TestSiloed:
 
     def test_class_without_pool_uses_any_node(self, engine, api):
         scheduler = SiloedScheduler(
-            engine, api, pools={WorkloadClass.HPC: ["node-2"]}, interval=1.0
+            engine, api, pools={WorkloadClass.HPC: ["node-2"]}
         )
         scheduler.start()
         api.create_pod(make_spec("svc-0"))

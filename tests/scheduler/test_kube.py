@@ -17,7 +17,7 @@ def test_least_allocated_prefers_empty_node(engine, api):
 
 
 def test_binds_pending_pods_each_cycle(engine, api):
-    scheduler = KubeScheduler(engine, api, interval=1.0)
+    scheduler = KubeScheduler(engine, api)
     scheduler.start()
     api.create_pod(make_spec("p0"))
     api.create_pod(make_spec("p1"))
@@ -27,7 +27,7 @@ def test_binds_pending_pods_each_cycle(engine, api):
 
 
 def test_unschedulable_pod_retried(engine, api):
-    scheduler = KubeScheduler(engine, api, interval=1.0)
+    scheduler = KubeScheduler(engine, api)
     scheduler.start()
     api.create_pod(make_spec("huge", cpu=1000))
     engine.run_until(3.0)
@@ -36,7 +36,7 @@ def test_unschedulable_pod_retried(engine, api):
 
 
 def test_spreads_across_nodes(engine, api):
-    scheduler = KubeScheduler(engine, api, interval=1.0)
+    scheduler = KubeScheduler(engine, api)
     scheduler.start()
     for i in range(6):
         api.create_pod(make_spec(f"p{i}", cpu=2))
@@ -57,7 +57,7 @@ def test_score_is_deterministic_tiebreak(engine, api):
 def test_gang_pods_bound_individually_can_strand(engine, api):
     """Vanilla scheduler has no gang awareness: it happily binds a partial
     gang — the pathology the converged scheduler fixes."""
-    scheduler = KubeScheduler(engine, api, interval=1.0)
+    scheduler = KubeScheduler(engine, api)
     scheduler.start()
     # Gang of 8 × 8-cpu ranks: cluster fits only 6 (3 nodes × 16 cpu).
     for i in range(8):
@@ -68,7 +68,8 @@ def test_gang_pods_bound_individually_can_strand(engine, api):
 
 
 def test_invalid_interval(engine, api):
-    with pytest.raises(ValueError):
+    # The cycle interval is the constant SCHEDULE_INTERVAL.
+    with pytest.raises(TypeError):
         KubeScheduler(engine, api, interval=0)
 
 
@@ -80,7 +81,7 @@ def test_double_start_rejected(engine, api):
 
 
 def test_stop_halts_cycles(engine, api):
-    scheduler = KubeScheduler(engine, api, interval=1.0)
+    scheduler = KubeScheduler(engine, api)
     scheduler.start()
     engine.run_until(2.0)
     scheduler.stop()

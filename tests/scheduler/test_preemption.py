@@ -111,7 +111,7 @@ class TestPlanGang:
 
 class TestPreemptingScheduler:
     def test_service_preempts_batch(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, interval=1.0, preemption=True)
+        scheduler = ConvergedScheduler(engine, api, preemption=True)
         scheduler.start()
         # Fill every node with low-priority batch.
         for i in range(3):
@@ -129,7 +129,7 @@ class TestPreemptingScheduler:
         assert len(evicted) == 1
 
     def test_gang_preempts_batch_atomically(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, interval=1.0, preemption=True)
+        scheduler = ConvergedScheduler(engine, api, preemption=True)
         scheduler.start()
         for i in range(3):
             api.create_pod(
@@ -147,7 +147,7 @@ class TestPreemptingScheduler:
         assert scheduler.preemptions == 3
 
     def test_no_preemption_when_disabled(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, interval=1.0, preemption=False)
+        scheduler = ConvergedScheduler(engine, api, preemption=False)
         scheduler.start()
         for i in range(3):
             api.create_pod(
@@ -160,7 +160,7 @@ class TestPreemptingScheduler:
         assert api.get_pod("svc").phase == PodPhase.PENDING
 
     def test_equal_priority_never_preempts(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, interval=1.0, preemption=True)
+        scheduler = ConvergedScheduler(engine, api, preemption=True)
         scheduler.start()
         for i in range(3):
             api.create_pod(make_spec(f"svc-{i}", cpu=14, priority=10))

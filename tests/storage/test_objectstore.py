@@ -59,7 +59,8 @@ class TestObjectStore:
         assert store.replica_nodes("b") == {"node-0", "node-2"}
 
     def test_invalid_remote_penalty(self):
-        with pytest.raises(ValueError):
+        # The remote-read discount is the constant REMOTE_PENALTY.
+        with pytest.raises(TypeError):
             ObjectStore(remote_penalty=0.0)
 
 

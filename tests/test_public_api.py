@@ -15,7 +15,6 @@ import pytest
 
 from repro.platform.config import (
     ClusterSpec,
-    DataPlaneConfig,
     OverloadConfig,
     PlatformConfig,
     SLOSpec,
@@ -62,7 +61,7 @@ PUBLIC_SURFACE = {
     "repro.storage": ["ObjectStore", "StorageObject", "spread_blocks",
                       "StorageRepairService"],
     "repro.platform": ["EvolvePlatform", "ClusterSpec", "PlatformConfig",
-                       "build_nodes", "DataPlaneConfig"],
+                       "build_nodes"],
     "repro.analysis": ["PLOMonitor", "utilization_summary", "settling_time",
                        "recovery_time", "overshoot", "format_table",
                        "PriceSheet", "app_cost", "PowerModel",
@@ -121,7 +120,6 @@ CONFIG_FIELDS = {
         "controller_ha", "snapshot_interval", "overload", "data_plane",
         "telemetry", "slos",
     ),
-    DataPlaneConfig: ("enabled",),
     OverloadConfig: (
         "admission", "backpressure", "brownout", "high_watermark",
         "low_watermark", "pending_high",
@@ -203,6 +201,84 @@ def test_every_config_field_has_a_program_setter():
         if f.name not in program_setters()
     ]
     assert not unset, f"fields only tests set (make them constants): {unset}"
+
+
+def _literal(node: ast.expr) -> bool:
+    """A number, bool or string constant, or a tuple of them."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    if isinstance(node, ast.Tuple):
+        return all(map(_literal, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(
+        node.value, (bool, int, float, str)
+    )
+
+
+def constructor_options() -> dict[str, tuple[list[str], list[str]]]:
+    """Per public class under ``src/repro``: its ``__init__`` parameters
+    in positional order, and those with a literal default."""
+    options = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for init in cls.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                    continue
+                args = init.args
+                positional = [a.arg for a in args.posonlyargs + args.args][1:]
+                defaults = list(zip(positional[::-1], args.defaults[::-1]))
+                defaults += zip((a.arg for a in args.kwonlyargs), args.kw_defaults)
+                literal = [name for name, d in defaults if d is not None and _literal(d)]
+                options[cls.name] = (positional, literal)
+    return options
+
+
+def call_setters(options) -> tuple[set[str], set[tuple[str, str]]]:
+    """What program code passes besides :func:`program_setters`: the
+    strings of key tuples and ``setdefault`` calls plus the keys of the
+    spec files under ``examples/``, and each (class, parameter) a call
+    of the class sets by position."""
+    names: set[str] = set()
+    positional: set[tuple[str, str]] = set()
+    for top in PROGRAM_DIRS:
+        for path in sorted((REPO / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Tuple):
+                    names.update(
+                        e.value for e in node.elts
+                        if isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    )
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                callee = getattr(func, "id", getattr(func, "attr", None))
+                first = node.args[0] if node.args else None
+                if callee == "setdefault" and isinstance(first, ast.Constant):
+                    names.add(first.value)
+                params = options.get(callee, ((), ()))[0]
+                for param, arg in zip(params, node.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    positional.add((callee, param))
+    for path in sorted((REPO / "examples").rglob("*.json")):
+        names |= _json_keys(json.loads(path.read_text()))
+    return names, positional
+
+
+def test_every_constructor_option_has_a_program_setter():
+    """A keyword parameter with a literal default that no program passes
+    is a constant: make it one where it is read."""
+    options = constructor_options()
+    names, positional = call_setters(options)
+    names |= program_setters()
+    unset = [
+        f"{cls}({param})"
+        for cls, (_positional, literal) in sorted(options.items())
+        for param in literal
+        if param not in names and (cls, param) not in positional
+    ]
+    assert not unset, f"options only tests set (make them constants): {unset}"
 
 
 def test_cli_module_importable():

@@ -59,7 +59,7 @@ def telemetry_platform():
 class TestCollectorStoresCtrlAsChangePoints:
     def test_ctrl_series_are_change_point_encoded(self, telemetry_platform):
         collector = telemetry_platform.collector
-        ctrl = [n for n in collector.series_names() if n.startswith("ctrl/")]
+        ctrl = [n for n in sorted(collector._series) if n.startswith("ctrl/")]
         assert ctrl, "telemetry run should export ctrl/* series"
         for name in ctrl:
             assert isinstance(collector.series(name), ChangePointSeries), name
@@ -76,7 +76,7 @@ class TestCollectorStoresCtrlAsChangePoints:
         collector = telemetry_platform.collector
         name = next(
             n
-            for n in collector.series_names()
+            for n in sorted(collector._series)
             if n.startswith("ctrl/") and len(collector.series(n)) > 0
         )
         series = collector.series(name)
@@ -89,7 +89,7 @@ class TestCollectorStoresCtrlAsChangePoints:
         # series methods, so the contract holds there as well.
         collector = telemetry_platform.collector
         name = next(
-            n for n in collector.series_names() if n.startswith("ctrl/")
+            n for n in sorted(collector._series) if n.startswith("ctrl/")
         )
         with pytest.raises(ChangePointQueryError):
             collector.window_mean(name, 100.0)
@@ -100,7 +100,7 @@ class TestCollectorStoresCtrlAsChangePoints:
         collector = telemetry_platform.collector
         name = next(
             n
-            for n in collector.series_names()
+            for n in sorted(collector._series)
             if n.startswith("ctrl/") and len(collector.series(n)) > 0
         )
         series = collector.series(name)

@@ -1,10 +1,14 @@
-"""Differential tests: optimized paths vs their disabled-reference twins.
+"""Differential tests: optimized paths vs their reference twins.
 
 Satellite of the correctness harness: the converged scheduler's
 per-cycle score cache must be invisible — a seeded run with the cache
-produces bit-identical placements to one that recomputes every score —
-and telemetry on/off must not change a single decision.
+produces bit-identical placements to one whose scheduler recomputes
+every score (:func:`reference_select_node`, the uncached scorer kept
+here as the reference) — and telemetry on/off must not change a single
+decision.
 """
+
+import types
 
 from repro.cluster.events import PodScheduled
 from repro.cluster.resources import ResourceVector
@@ -18,6 +22,21 @@ from repro.storage.placement import spread_blocks
 from repro.workloads.traces import DiurnalTrace
 
 
+def reference_select_node(scheduler, pod):
+    """``ConvergedScheduler.select_node`` without the score cache."""
+    feasible = scheduler.feasible_nodes(pod)
+    if not feasible:
+        return None
+    best = None
+    best_rank = None
+    for node in feasible:
+        rank = (scheduler.score(node, pod), node.name)
+        if best_rank is None or rank > best_rank:
+            best = node
+            best_rank = rank
+    return best
+
+
 def _run_mixed(score_cache: bool):
     """A 300-cycle mixed-worlds run with chaos, placements recorded."""
     platform = EvolvePlatform(
@@ -25,8 +44,11 @@ def _run_mixed(score_cache: bool):
         config=PlatformConfig(seed=13),
         scheduler="converged",
         policy="adaptive",
-        scheduler_kwargs={"score_cache": score_cache},
     )
+    if not score_cache:
+        platform.scheduler.select_node = types.MethodType(
+            reference_select_node, platform.scheduler
+        )
     platform.deploy_microservice(
         "web",
         trace=DiurnalTrace(base=180, amplitude=120, period=400),

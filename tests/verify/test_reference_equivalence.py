@@ -55,7 +55,7 @@ def ref_spec_inflight(rt):
 
 
 def ref_ft_accounting(job):
-    if job.ft is None:
+    if not job.ft:
         return None
     useful = sum(ref_useful_work(rt) for rt in job._runtime.values())
     spec_inflight = sum(ref_spec_inflight(rt) for rt in job._runtime.values())
@@ -369,7 +369,6 @@ def test_planted_corruption_matches_reference(cls, name, monkeypatch, request):
 def test_several_breaches_at_once(engine, cluster, api, monkeypatch):
     """Every rewritten invariant finds two or more breaches in one state,
     and the rewrites report them exactly as the reference does."""
-    from repro.dataplane import DataPlaneConfig
     from repro.scheduler.admission import AdmissionController, OverloadConfig
     from repro.storage.objectstore import ObjectStore
     from repro.storage.repair import StorageRepairService
@@ -380,7 +379,7 @@ def test_several_breaches_at_once(engine, cluster, api, monkeypatch):
         "job", engine, api,
         stages=[Stage("map", 200.0), Stage("reduce", 80.0, deps=("map",))],
         initial_allocation=alloc, initial_executors=2,
-        ft=DataPlaneConfig(enabled=True),
+        ft=True,
     )
     job.start()
     for pod in api.pending_pods():

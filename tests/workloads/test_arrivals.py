@@ -5,16 +5,13 @@ import pytest
 
 from repro.workloads.arrivals import (
     CorrelatedSurge,
-    DiurnalModulator,
-    LognormalSizes,
     MarkedArrivals,
     MMPPArrivals,
     ParetoSizes,
     PoissonArrivals,
-    SpikeModulator,
     trace_integral,
 )
-from repro.workloads.traces import ConstantTrace, DiurnalTrace, StepTrace
+from repro.workloads.traces import ConstantTrace, StepTrace
 
 
 def _rng(seed: int = 0) -> np.random.Generator:
@@ -28,7 +25,7 @@ class TestTraceIntegral:
         )
 
     def test_step(self):
-        trace = StepTrace([(50.0, 10.0)], initial=2.0)
+        trace = StepTrace([(0.0, 2.0), (50.0, 10.0)])
         assert trace_integral(trace, 0.0, 100.0) == pytest.approx(
             600.0, rel=0.02
         )
@@ -57,7 +54,7 @@ class TestPoissonArrivals:
 
     def test_thinning_tracks_nonhomogeneous_rate(self):
         # Twice as many events land in the high-rate half of a step.
-        trace = StepTrace([(500.0, 40.0)], initial=20.0)
+        trace = StepTrace([(0.0, 20.0), (500.0, 40.0)])
         proc = PoissonArrivals(trace, _rng(2))
         events = proc.window(0.0, 1000.0)
         low = np.sum(events < 500.0)
@@ -77,7 +74,7 @@ class TestMMPPArrivals:
         with pytest.raises(ValueError):
             MMPPArrivals(ConstantTrace(1.0), _rng(), factors=(-1.0, 1.0))
         with pytest.raises(ValueError):
-            MMPPArrivals(ConstantTrace(1.0), _rng(), mean_dwell=0.0)
+            MMPPArrivals(ConstantTrace(1.0), _rng(), horizon=0.0)
 
     def test_factor_path_piecewise_constant(self):
         proc = MMPPArrivals(
@@ -101,22 +98,13 @@ class TestSizeDistributions:
     def test_pareto_validation(self):
         with pytest.raises(ValueError):
             ParetoSizes(alpha=1.0)
-        with pytest.raises(ValueError):
-            ParetoSizes(x_min=0.0)
 
     def test_pareto_support_and_mean(self):
-        sizes = ParetoSizes(alpha=2.5, x_min=2.0)
+        sizes = ParetoSizes(alpha=2.5)
         draws = sizes.sample(_rng(7), 5000)
-        assert np.all(draws >= 2.0)
+        assert np.all(draws >= 1.0)
         assert np.mean(draws) == pytest.approx(sizes.mean(), rel=0.1)
-        assert sizes.mean() == pytest.approx(2.5 * 2.0 / 1.5)
-
-    def test_lognormal_mean_and_cv(self):
-        sizes = LognormalSizes(mean=4.0, cv=0.5)
-        draws = sizes.sample(_rng(8), 20000)
-        assert sizes.mean() == 4.0
-        assert np.mean(draws) == pytest.approx(4.0, rel=0.05)
-        assert np.std(draws) / np.mean(draws) == pytest.approx(0.5, rel=0.1)
+        assert sizes.mean() == pytest.approx(2.5 / 1.5)
 
 
 class TestMarkedArrivals:
@@ -139,28 +127,6 @@ class TestMarkedArrivals:
         np.testing.assert_array_equal(
             marked.window(0.0, 50.0), twin.window(0.0, 50.0)
         )
-
-
-class TestModulators:
-    def test_diurnal_modulator_scales_base_trace(self):
-        mod = DiurnalModulator(
-            ConstantTrace(100.0), amplitude=0.5, period=1000.0
-        )
-        rates = [mod.rate(t) for t in np.arange(0.0, 1000.0, 10.0)]
-        assert max(rates) == pytest.approx(150.0, rel=0.05)
-        assert min(rates) == pytest.approx(50.0, rel=0.05)
-
-    def test_spike_modulator_rises_and_decays(self):
-        mod = SpikeModulator(
-            ConstantTrace(10.0), [(100.0, 5.0, 10.0, 50.0)]
-        )
-        assert mod.rate(50.0) == pytest.approx(10.0)
-        assert mod.rate(115.0) > 30.0  # deep inside the spike
-        assert mod.rate(1000.0) == pytest.approx(10.0, rel=0.05)
-
-    def test_spike_modulator_validation(self):
-        with pytest.raises(ValueError):
-            SpikeModulator(ConstantTrace(1.0), [(0.0, 0.5, 10.0, 50.0)])
 
 
 class TestCorrelatedSurge:

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.cluster.cluster import STARTUP_DELAY
 from repro.cluster.pod import PodPhase, WorkloadClass
 from repro.cluster.resources import ResourceVector
-from repro.workloads.base import Application
+from repro.workloads.base import TICK_INTERVAL, Application
 
 
 ALLOC = ResourceVector(cpu=1, memory=1, disk_bw=10, net_bw=10)
@@ -26,7 +27,7 @@ class TickCounter(Application):
 def bind_all(api, engine):
     for pod in api.pending_pods():
         api.bind_pod(pod.name, "node-0")
-    engine.run_until(engine.now + 6.0)
+    engine.run_until(engine.now + STARTUP_DELAY + 1.0)
 
 
 def test_start_submits_initial_replicas(engine, api):
@@ -45,11 +46,11 @@ def test_double_start_rejected(engine, api):
 
 
 def test_tick_cadence_and_dt(engine, api):
-    app = TickCounter("svc", engine, api, tick_interval=2.0)
+    app = TickCounter("svc", engine, api)
     app.start()
-    engine.run_until(6.0)
-    assert len(app.ticks) == 3
-    assert all(dt == 2.0 for dt, _now in app.ticks)
+    engine.run_until(6 * TICK_INTERVAL)
+    assert len(app.ticks) == 6
+    assert all(dt == TICK_INTERVAL for dt, _now in app.ticks)
 
 
 def test_scale_up_and_down(engine, api):

@@ -132,7 +132,7 @@ class TestExecution:
 
 class TestLocality:
     def _stores(self):
-        store = ObjectStore(remote_penalty=0.5)
+        store = ObjectStore()
         spread_blocks(
             store, "data", total_mb=2000, block_mb=100,
             nodes=["node-0"], replication=1,

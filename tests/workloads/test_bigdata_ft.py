@@ -10,8 +10,9 @@ ledger that ties all of it together.
 import pytest
 
 from repro.cluster.chaos import FailureInjector
+from repro.cluster.cluster import STARTUP_DELAY
 from repro.cluster.resources import ResourceVector
-from repro.dataplane import STAGE_MAX_ATTEMPTS, DataPlaneConfig, backoff
+from repro.dataplane import STAGE_MAX_ATTEMPTS, backoff
 from repro.workloads.bigdata import BigDataJob, Stage
 
 from tests.conftest import make_cluster
@@ -20,10 +21,9 @@ from repro.sim.engine import Engine
 
 
 ALLOC = ResourceVector(cpu=2, memory=4, disk_bw=100, net_bw=100)
-FT = DataPlaneConfig(enabled=True)
 
 
-def submit(engine, api, *, stages, executors=2, node="node-0", ft=FT, **kw):
+def submit(engine, api, *, stages, executors=2, node="node-0", ft=True, **kw):
     job = BigDataJob(
         "job", engine, api,
         stages=stages, initial_allocation=ALLOC,
@@ -33,7 +33,7 @@ def submit(engine, api, *, stages, executors=2, node="node-0", ft=FT, **kw):
     job.start()
     for pod in api.pending_pods():
         api.bind_pod(pod.name, node)
-    engine.run_until(engine.now + 6.0)
+    engine.run_until(engine.now + STARTUP_DELAY + 1.0)
     return job
 
 
@@ -60,9 +60,9 @@ class TestDisabledIsInert:
     def test_disabled_config_keeps_fluid_path(self, engine, api):
         job = submit(
             engine, api, stages=[Stage("map", 100.0)],
-            ft=DataPlaneConfig(enabled=False),
+            ft=False,
         )
-        assert job.ft is None
+        assert not job.ft
         assert job.ft_accounting() is None
         metrics = job.sample_metrics(engine.now)
         assert "ft_reopened_work" not in metrics
@@ -84,8 +84,8 @@ class TestDisabledIsInert:
             engine.run_until(400.0)
             return job
 
-        fluid = run(None)
-        ft = run(FT)
+        fluid = run(False)
+        ft = run(True)
         assert fluid.done and ft.done
         # Task granularity costs nothing without faults: the engines
         # retire identical work per tick and finish together.
@@ -186,7 +186,7 @@ class TestSpeculation:
         job = BigDataJob(
             "job", engine, api,
             stages=[Stage("map", 600.0, max_parallelism=4)],
-            initial_allocation=ALLOC, initial_executors=4, ft=FT,
+            initial_allocation=ALLOC, initial_executors=4, ft=True,
         )
         job.start()
         pods = sorted(api.pending_pods(), key=lambda p: p.name)
@@ -228,7 +228,9 @@ class TestQuarantine:
             bind_pending(api, "node-0")
             # Wait out the re-dispatch backoff so that the next strike
             # again finds an executor holding a task.
-            engine.run_until(engine.now + backoff(rt.attempts) + 8.0)
+            engine.run_until(
+                engine.now + backoff(rt.attempts) + STARTUP_DELAY + 3.0
+            )
         assert rt.attempts == STAGE_MAX_ATTEMPTS + 1
         assert job.failed
         assert job.finished

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.cluster import STARTUP_DELAY
 from repro.cluster.resources import ResourceVector
 from repro.workloads.bigdata import BigDataJob, Stage
 
@@ -18,7 +19,7 @@ def submit(engine, api, *, stages, executors):
     nodes = [n.name for n in api.list_nodes()]
     for i, pod in enumerate(api.pending_pods()):
         api.bind_pod(pod.name, nodes[i % len(nodes)])
-    engine.run_until(engine.now + 6.0)
+    engine.run_until(engine.now + STARTUP_DELAY + 1.0)
     return job
 
 
@@ -92,7 +93,7 @@ def test_parallelism_cap_with_branches(engine, api):
 
 def test_executor_assignment_balances(engine, api):
     job = submit(engine, api, stages=branchy(), executors=4)
-    engine.run_until(10.0)
+    engine.run_until(STARTUP_DELAY + 5.0)
     assignment = job._assign_executors(job.runnable_stages(), job.running_pods())
     per_stage = {}
     for stage in assignment.values():

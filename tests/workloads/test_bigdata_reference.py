@@ -14,8 +14,9 @@ stage's remaining work and input, each pod's usage, the job's throughput
 and its completion time, so a float that differs in its last bit fails.
 Each scenario changes at least one input the plan is keyed on while the
 stages run: which stage an executor serves, its allocation, its
-accelerated CPU rate, its locality, the input bandwidth, whether input
-remains, and ``dt``.
+accelerated CPU rate, its locality, whether input remains, and ``dt``.
+The input bandwidth, a key field too, follows from the stage, the
+allocation and the locality at the store's constant remote penalty.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ import numpy as np
 import pytest
 
 from repro.cluster.api import ClusterAPI
-from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.pod import PodPhase
 from repro.cluster.resources import ResourceVector
 from repro.scheduler.kube import KubeScheduler
 from repro.sim.engine import Engine
-from repro.storage.objectstore import ObjectStore
+from repro.storage.objectstore import REMOTE_PENALTY, ObjectStore
 from repro.storage.placement import spread_blocks
 from repro.workloads.bigdata import (
     BigDataJob,
@@ -115,16 +116,15 @@ def ref_tick(job, dt, now):
 class World:
     """Nodes, a scheduler, an object store and the jobs of one scenario."""
 
-    def __init__(self, *, nodes=4, labels=None, remote_penalty=0.7):
+    def __init__(self, *, nodes=4, labels=None):
         labels = labels or {}
         self.engine = Engine()
         self.cluster = Cluster(
             self.engine,
             [Node(f"node-{i}", NODE, labels=labels.get(i)) for i in range(nodes)],
-            config=ClusterConfig(startup_delay=10.0),
         )
         self.api = ClusterAPI(self.cluster)
-        self.store = ObjectStore(remote_penalty=remote_penalty)
+        self.store = ObjectStore()
         KubeScheduler(self.engine, self.api).start()
         self.jobs: list[BigDataJob] = []
 
@@ -200,11 +200,8 @@ def executor_killed():
     """An executor dies mid-stage; self-healing brings a replacement up."""
     world = World(nodes=2)
     world.dataset([0, 1])
-    job = world.job(
-        "job",
-        skewed_fanout_stages(np.random.default_rng(3), fanout=6),
-        maintain_replicas=True,
-    )
+    job = world.job("job", skewed_fanout_stages(np.random.default_rng(3), fanout=6))
+    job.maintain_replicas = True
 
     def kill():
         victim = job.running_pods()[2]
@@ -218,19 +215,22 @@ def executor_killed():
 def dark_replica_node():
     """A node holding the whole dataset goes dark and comes back.
 
-    Liveness changes without a store-epoch bump. Disk and network
-    bandwidth are equal at a remote penalty of 1, so the input bandwidth
-    is the same at locality 1 and 0 and only the usage split tells them
-    apart. While the node is dark the remote penalty drops, which moves
-    the input bandwidth and nothing else.
+    Liveness changes without a store-epoch bump. The executors' disk
+    bandwidth equals their network bandwidth times the store's remote
+    penalty, so the input bandwidth is the same at locality 1 and 0 and
+    only the usage split tells them apart.
     """
-    world = World(nodes=2, remote_penalty=1.0)
+    world = World(nodes=2)
     world.dataset([0, 1], skew=0.0, replication=2)
     dark: set[str] = set()
     world.store.node_liveness = lambda name: name not in dark
-    world.job("job", [Stage("scan", 300.0, input_mb=40_000.0)])
+    remote = EXECUTOR.net_bw * REMOTE_PENALTY
+    world.job(
+        "job",
+        [Stage("scan", 300.0, input_mb=40_000.0)],
+        allocation=EXECUTOR.replace(disk_bw=remote),
+    )
     world.at(40.5, lambda: dark.add("node-0"))
-    world.at(60.5, lambda: setattr(world.store, "remote_penalty", 0.5))
     world.at(80.5, lambda: dark.discard("node-0"))
     return world, 1_000.0
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.cluster import STARTUP_DELAY
 from repro.cluster.pod import PodPhase
 from repro.cluster.resources import ResourceVector
 from repro.workloads.hpc import HPCJob
@@ -23,7 +24,7 @@ def bind_all(engine, api, *, spread=True):
     nodes = [n.name for n in api.list_nodes()]
     for i, pod in enumerate(api.pending_pods()):
         api.bind_pod(pod.name, nodes[i % len(nodes)] if spread else nodes[0])
-    engine.run_until(engine.now + 6.0)
+    engine.run_until(engine.now + STARTUP_DELAY + 1.0)
 
 
 class TestValidation:
@@ -66,9 +67,9 @@ class TestGangSemantics:
         bind_all(engine, api)
         engine.run_until(300.0)
         assert job.done
-        # startup ≈6 s + 100 s of work.
-        assert job.makespan() == pytest.approx(106, abs=5)
-        assert job.wait_time() == pytest.approx(6, abs=3)
+        # startup + 100 s of work.
+        assert job.makespan() == pytest.approx(STARTUP_DELAY + 101, abs=5)
+        assert job.wait_time() == pytest.approx(STARTUP_DELAY + 1, abs=3)
 
     def test_pods_succeed_on_completion(self, engine, api):
         job = submit(engine, api, ranks=2, duration=20.0)
@@ -90,7 +91,7 @@ class TestGangSemantics:
         engine.run_until(400.0)
         assert job.done
         # Whole gang ran at half speed: ~200s of work.
-        assert job.makespan() == pytest.approx(206, abs=15)
+        assert job.makespan() == pytest.approx(STARTUP_DELAY + 201, abs=15)
 
     def test_network_squeeze_slows_comm_heavy_job(self, engine, api):
         job = submit(engine, api, ranks=2, duration=100.0, comm_fraction=0.5)

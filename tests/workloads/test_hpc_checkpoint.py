@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.cluster import STARTUP_DELAY
 from repro.cluster.resources import ResourceVector
 from repro.workloads.hpc import HPCJob
 
@@ -23,7 +24,7 @@ def bind_all(engine, api):
     nodes = [n.name for n in api.list_nodes()]
     for i, pod in enumerate(api.pending_pods()):
         api.bind_pod(pod.name, nodes[i % len(nodes)])
-    engine.run_until(engine.now + 6.0)
+    engine.run_until(engine.now + STARTUP_DELAY + 1.0)
 
 
 def test_invalid_checkpoint_interval(engine, api):
@@ -126,7 +127,7 @@ def test_checkpoint_boundary_reached_within_float_rounding(engine, api):
     job.maintain_replicas = True
     job.start()
     bind_all(engine, api)
-    engine.run_until(35.5)  # 30 progress ticks after the gang forms
+    engine.run_until(STARTUP_DELAY + 30.5)  # 30 progress ticks after the gang forms
     step = 30.0 / 51.0
     assert job.progress == pytest.approx(step, abs=1e-12)
     assert job.last_checkpoint == pytest.approx(step, abs=1e-9)
@@ -137,6 +138,6 @@ def test_checkpoint_boundary_reached_within_float_rounding(engine, api):
     # old truncation it would have reset the job a full interval back.
     victim = job.running_pods()[0]
     api.delete_pod(victim.name, reason="preempted")
-    engine.run_until(38.0)
+    engine.run_until(STARTUP_DELAY + 33.0)
     assert job.rollbacks == 0
     assert job.progress >= step - 1e-9

@@ -180,14 +180,9 @@ class TestReplicasAndPhases:
         for key in ("latency", "throughput", "offered", "backlog", "served_total"):
             assert key in metrics
 
-    def test_tail_factor_scales_latency(self, engine, api):
-        svc = deploy(engine, api, trace=ConstantTrace(50), tail_factor=3.0)
-        engine.run_until(30.0)
-        base = DEMANDS.base_latency
-        assert svc.current_latency >= 3 * base * 0.9
-
     def test_invalid_tail_factor(self, engine, api):
-        with pytest.raises(ValueError):
+        # The reported latency is the mean wait; there is no tail factor.
+        with pytest.raises(TypeError):
             Microservice(
                 "svc", engine, api, trace=ConstantTrace(1), demands=DEMANDS,
                 initial_allocation=AMPLE, tail_factor=0.5,

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.api import ClusterAPI
-from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod
 from repro.cluster.resources import ResourceVector
@@ -150,9 +150,7 @@ def ref_tick(svc, dt, now):
     svc.total_dropped += dropped_total
     svc.current_drop_rate = dropped_total / dt
     svc.current_throughput = served_total / dt
-    svc.current_latency = min(
-        svc.max_latency, (wait_sum / len(running)) * svc.tail_factor
-    )
+    svc.current_latency = min(svc.max_latency, wait_sum / len(running))
     svc.current_backlog = backlog_total
     svc.current_bottleneck = max(bottleneck_votes, key=bottleneck_votes.get)
     svc.total_served += served_total
@@ -171,9 +169,7 @@ class World:
     def __init__(self, *, nodes=2):
         self.engine = Engine()
         self.cluster = Cluster(
-            self.engine,
-            [Node(f"node-{i}", NODE) for i in range(nodes)],
-            config=ClusterConfig(startup_delay=5.0),
+            self.engine, [Node(f"node-{i}", NODE) for i in range(nodes)]
         )
         self.api = ClusterAPI(self.cluster)
         KubeScheduler(self.engine, self.api).start()
@@ -241,7 +237,7 @@ def brownout_penalty():
     """A browned-out service whose penalty reaches the latency ceiling."""
     world = World()
     svc = world.service(
-        "svc", trace=StepTrace([(50.0, 110.0)], initial=40.0), replicas=1
+        "svc", trace=StepTrace([(0.0, 40.0), (50.0, 110.0)]), replicas=1
     )
     world.at(70.5, lambda: svc.enter_brownout(factor=0.5, latency_penalty=0.25))
     world.at(140.5, lambda: svc.enter_brownout(factor=0.7, latency_penalty=29.99))
@@ -304,12 +300,8 @@ def two_allocations():
 def replica_replaced():
     """A loaded replica is evicted; self-healing brings a fresh one up."""
     world = World()
-    svc = world.service(
-        "svc",
-        trace=ConstantTrace(180.0),
-        replicas=2,
-        maintain_replicas=True,
-    )
+    svc = world.service("svc", trace=ConstantTrace(180.0), replicas=2)
+    svc.maintain_replicas = True
 
     def kill():
         victim = svc.running_pods()[0]
@@ -321,16 +313,14 @@ def replica_replaced():
 
 
 def overload_shedding():
-    """An overload step against a short queue limit sheds requests."""
+    """An overload step that outlasts the queue limit sheds requests."""
     world = World()
     world.service(
         "svc",
-        trace=StepTrace([(60.0, 400.0), (140.0, 30.0)], initial=50.0),
+        trace=StepTrace([(0.0, 50.0), (60.0, 400.0), (300.0, 30.0)]),
         replicas=2,
-        queue_limit_seconds=2.0,
-        tail_factor=3.0,
     )
-    return world, 240.0
+    return world, 400.0
 
 
 def disk_net_tie():

@@ -41,7 +41,7 @@ class TestLatencyPLO:
         assert status.error == pytest.approx(-0.5)
 
     def test_percentile_uses_tail(self, engine, collector):
-        plo = LatencyPLO(0.1, percentile=99, window=100)
+        plo = LatencyPLO(0.1, window=100)
         for i in range(49):
             engine.run_until(float(i + 1))
             collector.record("app/svc/latency", 0.05)
@@ -134,15 +134,14 @@ class TestViolationTracker:
         tracker.observe(0.0, PLOStatus(0.1, 0.1, 1.0, 0.0, False))
         tracker.observe(5.0, PLOStatus(0.3, 0.1, 3.0, 2.0, True))
         assert tracker.worst_ratio == 3.0
-        assert tracker.mean_ratio == pytest.approx(2.0)
 
     def test_unknown_status_ignored_in_ratio(self):
         tracker = ViolationTracker()
         tracker.observe(0.0, PLOStatus.unknown(0.1))
-        assert tracker.mean_ratio is None
+        assert tracker.worst_ratio == 0.0
         assert tracker.violation_fraction == 0.0
 
     def test_empty_tracker(self):
         tracker = ViolationTracker()
         assert tracker.violation_fraction == 0.0
-        assert tracker.mean_ratio is None
+        assert tracker.worst_ratio == 0.0

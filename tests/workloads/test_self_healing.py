@@ -10,10 +10,12 @@ ALLOC = ResourceVector(cpu=1, memory=1, disk_bw=10, net_bw=10)
 
 
 class Dummy(Application):
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, maintain_replicas=False, **kwargs):
         kwargs.setdefault("workload_class", WorkloadClass.MICROSERVICE)
         kwargs.setdefault("initial_allocation", ALLOC)
         super().__init__(*args, **kwargs)
+        # The platform turns self-healing on the same way.
+        self.maintain_replicas = maintain_replicas
 
     def tick(self, dt, now):
         pass

@@ -3,16 +3,15 @@
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.dataplane import RESTORE_DELAY, DataPlaneConfig
+from repro.dataplane import RESTORE_DELAY
 from repro.workloads.stream import Operator, StreamJob
 from repro.workloads.traces import ConstantTrace
 
 
 ALLOC = ResourceVector(cpu=2, memory=4, disk_bw=50, net_bw=100)
-FT = DataPlaneConfig(enabled=True)
 
 
-def deploy(engine, api, *, workers=2, ft=FT, rate=100.0, **kw):
+def deploy(engine, api, *, workers=2, ft=True, rate=100.0, **kw):
     job = StreamJob(
         "stream", engine, api,
         trace=ConstantTrace(rate),
@@ -34,9 +33,9 @@ def assert_conservation(job):
 
 
 def test_disabled_ft_adds_no_state_or_metrics(engine, api):
-    job = deploy(engine, api, ft=DataPlaneConfig(enabled=False))
+    job = deploy(engine, api, ft=False)
     engine.run_until(60.0)
-    assert job.ft is None
+    assert not job.ft
     metrics = job.sample_metrics(engine.now)
     assert "checkpoints" not in metrics
     assert "restarts" not in metrics

@@ -16,38 +16,38 @@ from repro.workloads.traces import ReplayTrace, StepTrace
 
 class TestStepTraceBoundaries:
     def test_query_exactly_at_step_time(self):
-        trace = StepTrace([(10.0, 5.0), (20.0, 2.0)], initial=1.0)
+        trace = StepTrace([(0.0, 1.0), (10.0, 5.0), (20.0, 2.0)])
         # The step takes effect *at* its own timestamp.
         assert trace.rate(10.0) == 5.0
         assert trace.rate(20.0) == 2.0
 
     def test_query_infinitesimally_before_step(self):
-        trace = StepTrace([(10.0, 5.0)], initial=1.0)
+        trace = StepTrace([(0.0, 1.0), (10.0, 5.0)])
         assert trace.rate(math.nextafter(10.0, 0.0)) == 1.0
 
     def test_before_first_step_returns_initial(self):
-        trace = StepTrace([(10.0, 5.0)], initial=3.0)
-        assert trace.rate(0.0) == 3.0
-        assert trace.rate(-1e9) == 3.0
+        trace = StepTrace([(10.0, 5.0)])
+        assert trace.rate(0.0) == 0.0
+        assert trace.rate(-1e9) == 0.0
 
     def test_initial_defaults_to_zero(self):
         trace = StepTrace([(10.0, 5.0)])
         assert trace.rate(5.0) == 0.0
 
     def test_empty_steps_is_flat_initial(self):
-        trace = StepTrace([], initial=7.0)
-        assert trace.rate(0.0) == 7.0
-        assert trace.rate(1e9) == 7.0
+        trace = StepTrace([])
+        assert trace.rate(0.0) == 0.0
+        assert trace.rate(1e9) == 0.0
 
     def test_single_step_at_zero(self):
-        trace = StepTrace([(0.0, 4.0)], initial=1.0)
+        trace = StepTrace([(0.0, 4.0)])
         assert trace.rate(0.0) == 4.0
-        assert trace.rate(-0.001) == 1.0
+        assert trace.rate(-0.001) == 0.0
 
     def test_duplicate_step_times_last_wins(self):
         # Two steps at the same instant: the later entry in the spec
         # wins, matching the old linear scan's behaviour.
-        trace = StepTrace([(10.0, 5.0), (10.0, 9.0)], initial=1.0)
+        trace = StepTrace([(10.0, 5.0), (10.0, 9.0)])
         assert trace.rate(10.0) == 9.0
         assert trace.rate(11.0) == 9.0
 
@@ -62,8 +62,6 @@ class TestStepTraceBoundaries:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             StepTrace([(10.0, -0.001)])
-        with pytest.raises(ValueError):
-            StepTrace([(10.0, 5.0)], initial=-1.0)
 
     def test_nan_time_rejected(self):
         # A NaN time defeats any sortedness check based on pairwise

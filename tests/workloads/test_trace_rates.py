@@ -18,12 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.workloads import arrivals, traces
-from repro.workloads.arrivals import (
-    CorrelatedSurge,
-    DiurnalModulator,
-    MMPPArrivals,
-    SpikeModulator,
-)
+from repro.workloads.arrivals import CorrelatedSurge, MMPPArrivals
 from repro.workloads.traces import (
     BurstyTrace,
     CompositeTrace,
@@ -68,14 +63,13 @@ def _cases():
     """(name, trace, probe points) for every trace class."""
     diurnal = DiurnalTrace(50.0, 45.0, period=600.0, phase=30.0)
     replay = ReplayTrace(SAMPLES, time_scale=1.3, rate_scale=0.7)
-    step = StepTrace(STEPS, initial=12.0)
+    step = StepTrace(STEPS)
     bursty = BurstyTrace(
         20.0, burst_rate=1 / 90.0, burst_duration=25.0, horizon=HORIZON, rng=_rng(1)
     )
     noisy = NoisyTrace(diurnal, rel_std=0.4, bucket=30.0, horizon=HORIZON, rng=_rng(2))
-    ou = OUTrace(40.0, volatility=6.0, step=10.0, horizon=HORIZON, rng=_rng(4))
-    spikes = [(100.0, 5.0, 4.0, 80.0), (130.0, 2.0, 1.0, 10.0)]
-    mmpp = MMPPArrivals(replay, _rng(5), mean_dwell=50.0, horizon=HORIZON)
+    ou = OUTrace(40.0, volatility=6.0, horizon=HORIZON, rng=_rng(4))
+    mmpp = MMPPArrivals(replay, _rng(5), horizon=HORIZON)
     surge = _surge()
     windows = [edge for window in surge.windows() for edge in window]
     lag = 11.5
@@ -92,8 +86,6 @@ def _cases():
         ("ou", ou, [10.0 * k for k in range(0, 92, 7)]),
         ("replay", replay, [t * 1.3 for t, _r in SAMPLES]),
         ("mmpp", mmpp, mmpp._switch_times),
-        ("diurnal-mod", DiurnalModulator(replay, amplitude=1.4, period=300.0), []),
-        ("spike-mod", SpikeModulator(step, spikes), [100.0, 130.0]),
         ("surged", surge.attach(diurnal, lag=0.0), windows),
         (
             "surged-lagged",
@@ -133,7 +125,7 @@ def test_every_trace_class_has_both_halves():
         and "rate" in vars(cls)
         and cls is not traces.LoadTrace
     ]
-    assert len(classes) >= 15
+    assert len(classes) >= 13
     for cls in classes:
         assert "rates" in vars(cls), f"{cls.__name__} lacks rates()"
     covered = {type(trace) for _name, trace, _points in CASES}

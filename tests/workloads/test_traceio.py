@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.workloads.arrivals import trace_integral
+from repro.workloads.arrivals import PoissonArrivals, trace_integral
 from repro.workloads.traceio import (
+    REPLAY_STEP,
     SCHEMA,
     LoadedTrace,
     TraceReplayer,
@@ -122,7 +123,7 @@ class TestLoadedTrace:
 
 class TestGoldenReplay:
     def test_pinned_fingerprint(self):
-        replayer = TraceReplayer(load_trace(GOLDEN))
+        replayer = TraceReplayer(load_trace(GOLDEN).trace())
         events = replayer.events(0.0, 120.0)
         assert len(events) == GOLDEN_EVENTS
         assert replayer.fingerprint(0.0, 120.0) == GOLDEN_FINGERPRINT
@@ -130,20 +131,20 @@ class TestGoldenReplay:
     def test_count_matches_integral(self):
         loaded = load_trace(GOLDEN)
         expected = trace_integral(loaded.trace(), 0.0, 120.0)
-        events = TraceReplayer(loaded).events(0.0, 120.0)
+        events = TraceReplayer(loaded.trace()).events(0.0, 120.0)
         assert abs(len(events) - expected) <= 1.0
 
     def test_no_events_in_zero_rate_gap(self):
         # Samples pin the rate to zero over [50, 70).
-        events = TraceReplayer(load_trace(GOLDEN)).events(0.0, 120.0)
+        events = TraceReplayer(load_trace(GOLDEN).trace()).events(0.0, 120.0)
         assert not [t for t in events if 50.5 < t < 69.5]
 
 
 class TestTraceReplayer:
     def test_contiguous_windows_stitch(self):
-        loaded = load_trace(GOLDEN)
-        one_shot = TraceReplayer(loaded).events(0.0, 120.0)
-        windowed = TraceReplayer(loaded)
+        trace = load_trace(GOLDEN).trace()
+        one_shot = TraceReplayer(trace).events(0.0, 120.0)
+        windowed = TraceReplayer(trace)
         chunks = [windowed.window(a, a + 15.0) for a in np.arange(0, 120, 15)]
         stitched = np.concatenate(chunks)
         np.testing.assert_allclose(stitched, one_shot)
@@ -156,30 +157,28 @@ class TestTraceReplayer:
 
     def test_arbitrary_load_trace_source(self):
         trace = DiurnalTrace(base=5.0, amplitude=3.0, period=600.0)
-        events = TraceReplayer(trace, step=0.5).events(0.0, 600.0)
-        expected = trace_integral(trace, 0.0, 600.0, step=0.5)
+        events = TraceReplayer(trace).events(0.0, 600.0)
+        expected = trace_integral(trace, 0.0, 600.0, step=REPLAY_STEP)
         assert abs(len(events) - expected) <= 1.5
 
     def test_poisson_mode_needs_rng(self):
-        with pytest.raises(ValueError, match="rng"):
+        # A Poisson replay is PoissonArrivals, not a replayer mode.
+        with pytest.raises(TypeError):
             TraceReplayer(ConstantTrace(1.0), mode="poisson")
 
     def test_poisson_mode_seeded(self):
-        loaded = load_trace(GOLDEN)
-        a = TraceReplayer(
-            loaded, mode="poisson", rng=np.random.default_rng(3)
-        ).window(0.0, 120.0)
-        b = TraceReplayer(
-            loaded, mode="poisson", rng=np.random.default_rng(3)
-        ).window(0.0, 120.0)
+        trace = load_trace(GOLDEN).trace()
+        a = PoissonArrivals(trace, np.random.default_rng(3)).window(0.0, 120.0)
+        b = PoissonArrivals(trace, np.random.default_rng(3)).window(0.0, 120.0)
         np.testing.assert_array_equal(a, b)
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(TypeError):
             TraceReplayer(ConstantTrace(1.0), mode="exact")
 
     def test_bad_step_rejected(self):
-        with pytest.raises(ValueError, match="step"):
+        # The integration grid is the constant REPLAY_STEP.
+        with pytest.raises(TypeError):
             TraceReplayer(ConstantTrace(1.0), step=0.0)
 
 

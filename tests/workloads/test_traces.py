@@ -30,7 +30,7 @@ class TestConstant:
 
 class TestStep:
     def test_initial_before_first_step(self):
-        trace = StepTrace([(10, 5)], initial=1)
+        trace = StepTrace([(0, 1), (10, 5)])
         assert trace.rate(0) == 1
         assert trace.rate(10) == 5
         assert trace.rate(100) == 5

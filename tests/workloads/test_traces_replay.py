@@ -9,14 +9,14 @@ from repro.workloads.traces import OUTrace, ReplayTrace
 
 class TestOUTrace:
     def test_reverts_to_mean(self):
-        trace = OUTrace(100, relaxation=100, volatility=1.0, step=10,
+        trace = OUTrace(100, relaxation=100, volatility=1.0,
                         horizon=100_000, rng=np.random.default_rng(4))
         values = [trace.rate(t) for t in range(0, 100_000, 10)]
         assert np.mean(values) == pytest.approx(100, rel=0.1)
 
     def test_autocorrelated(self):
         """Adjacent samples are much closer than distant ones."""
-        trace = OUTrace(100, relaxation=600, volatility=3.0, step=10,
+        trace = OUTrace(100, relaxation=600, volatility=3.0,
                         horizon=50_000, rng=np.random.default_rng(4))
         values = np.array([trace.rate(t) for t in range(0, 50_000, 10)])
         adjacent = np.mean(np.abs(np.diff(values)))
@@ -37,7 +37,7 @@ class TestOUTrace:
                [b.rate(t) for t in range(0, 1000, 10)]
 
     def test_beyond_horizon_holds_last(self):
-        trace = OUTrace(50, horizon=100, step=10, rng=np.random.default_rng(0))
+        trace = OUTrace(50, horizon=100, rng=np.random.default_rng(0))
         assert trace.rate(1e9) == trace.rate(200)
 
     def test_invalid_params(self):

@@ -13,18 +13,15 @@ import pytest
 
 from repro.workloads.arrivals import (
     CorrelatedSurge,
-    DiurnalModulator,
     MarkedArrivals,
     MMPPArrivals,
     ParetoSizes,
     PoissonArrivals,
-    SpikeModulator,
 )
 from repro.workloads.traceio import event_fingerprint
 from repro.workloads.traces import (
     BurstyTrace,
     DiurnalTrace,
-    NoisyTrace,
     ReplayTrace,
 )
 
@@ -66,18 +63,11 @@ def _surged(lag):
     return surge.attach(_diurnal(), name="web", lag=lag)
 
 
-def _modulated():
-    noisy = NoisyTrace(_replay(), rel_std=0.3, bucket=20.0, horizon=500.0, rng=_rng(9))
-    spiky = SpikeModulator(noisy, [(100.0, 4.0, 5.0, 60.0), (410.0, 2.5, 2.0, 30.0)])
-    return DiurnalModulator(spiky, amplitude=0.6, period=240.0, phase=-15.0)
-
-
 STREAMS = {
     "poisson-diurnal": lambda: PoissonArrivals(_diurnal(), _rng(1201)),
     "poisson-replay": lambda: PoissonArrivals(_replay(), _rng(1202)),
     "poisson-surged": lambda: PoissonArrivals(_surged(None), _rng(1204)),
     "poisson-surged-lagged": lambda: PoissonArrivals(_surged(7.5), _rng(1205)),
-    "poisson-modulated": lambda: PoissonArrivals(_modulated(), _rng(1206)),
     "poisson-bursty-bound": lambda: PoissonArrivals(
         BurstyTrace(
             20.0,
@@ -89,22 +79,12 @@ STREAMS = {
         _rng(1207),
         rate_bound=70.0,
     ),
-    "mmpp-diurnal": lambda: MMPPArrivals(
-        _diurnal(),
-        _rng(1208),
-        factors=(0.3, 1.0, 3.0),
-        mean_dwell=40.0,
-        horizon=HORIZON,
-    ),
     "mmpp-replay": lambda: MMPPArrivals(_replay(), _rng(1209), horizon=500.0),
 }
 
 #: event_fingerprint of the concatenated windows, recorded before
 #: vectorization.
 DIGESTS = {
-    "mmpp-diurnal": (
-        "2e26d9afb9eaee1204dc38d66a1660ea8ca9093e1fae41a88f321be5e5101626"
-    ),
     "mmpp-replay": (
         "2770ae0eb4c2ce9a6c51d7159add579a33ba6c54851766fd9e3280e04ed63986"
     ),
@@ -113,9 +93,6 @@ DIGESTS = {
     ),
     "poisson-diurnal": (
         "fd7d30b44393c63a4ed965b680c2209cd662854306f1760c97e25a524b491397"
-    ),
-    "poisson-modulated": (
-        "5be0965040b242fe3cc2e8be882937d616d59f9bdd0d4122f2d476af04730618"
     ),
     "poisson-replay": (
         "01339295c7f1d7c69c50d01217562a07f3922769e3f32b2b56d9aa4d4581ef82"
