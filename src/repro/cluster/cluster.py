@@ -106,17 +106,36 @@ class Cluster:
     def total_allocatable(self) -> ResourceVector:
         return total_capacity(self.nodes.values())
 
+    # The sums below add into float locals in the order the vector sums
+    # from ResourceVector.zero() did, so each total is the same float,
+    # and build one vector instead of one per node.
+
     def total_allocated(self) -> ResourceVector:
-        total = ResourceVector.zero()
+        cpu = memory = disk_bw = net_bw = 0.0
         for node in self.nodes.values():
-            total = total + node.allocated
-        return total
+            allocated = node._allocated
+            cpu += allocated.cpu
+            memory += allocated.memory
+            disk_bw += allocated.disk_bw
+            net_bw += allocated.net_bw
+        return ResourceVector._from_fields(cpu, memory, disk_bw, net_bw)
 
     def total_usage(self) -> ResourceVector:
-        total = ResourceVector.zero()
+        """Per-node usage sums (``Node.usage``), added node by node."""
+        cpu = memory = disk_bw = net_bw = 0.0
         for node in self.nodes.values():
-            total = total + node.usage()
-        return total
+            n_cpu = n_memory = n_disk_bw = n_net_bw = 0.0
+            for pod in node.pods.values():
+                usage = pod.usage
+                n_cpu += usage.cpu
+                n_memory += usage.memory
+                n_disk_bw += usage.disk_bw
+                n_net_bw += usage.net_bw
+            cpu += n_cpu
+            memory += n_memory
+            disk_bw += n_disk_bw
+            net_bw += n_net_bw
+        return ResourceVector._from_fields(cpu, memory, disk_bw, net_bw)
 
     # -- lifecycle: submit / bind / start ---------------------------------------
 

@@ -76,11 +76,20 @@ class Node:
         return (self.allocatable - self._allocated).clamp_nonnegative()
 
     def usage(self) -> ResourceVector:
-        """Sum of measured usage of pods bound here."""
-        total = ResourceVector.zero()
+        """Sum of measured usage of pods bound here.
+
+        Added into float locals from 0.0 in bind order, the order the
+        vector sum from ``ResourceVector.zero()`` used, so the floats are
+        the same.
+        """
+        cpu = memory = disk_bw = net_bw = 0.0
         for pod in self.pods.values():
-            total = total + pod.usage
-        return total
+            usage = pod.usage
+            cpu += usage.cpu
+            memory += usage.memory
+            disk_bw += usage.disk_bw
+            net_bw += usage.net_bw
+        return ResourceVector._from_fields(cpu, memory, disk_bw, net_bw)
 
     def allocation_fraction(self) -> dict[str, float]:
         """Per-resource allocated / allocatable."""
@@ -163,8 +172,13 @@ class Node:
 
 
 def total_capacity(nodes: Iterable[Node]) -> ResourceVector:
-    """Sum of allocatable capacity over ``nodes``."""
-    total = ResourceVector.zero()
+    """Sum of allocatable capacity over ``nodes``, on float locals as
+    :meth:`Node.usage` sums."""
+    cpu = memory = disk_bw = net_bw = 0.0
     for node in nodes:
-        total = total + node.allocatable
-    return total
+        allocatable = node.allocatable
+        cpu += allocatable.cpu
+        memory += allocatable.memory
+        disk_bw += allocatable.disk_bw
+        net_bw += allocatable.net_bw
+    return ResourceVector._from_fields(cpu, memory, disk_bw, net_bw)

@@ -710,20 +710,7 @@ def _deploy(
                 replication=dataset.get("replication", 1),
             )
         platform.submit_bigdata(
-            name,
-            stages=[
-                Stage(
-                    name=s["name"],
-                    work_cpu_seconds=s["work"],
-                    input_mb=s.get("input_mb", 0.0),
-                    deps=tuple(s.get("deps", ())),
-                    max_parallelism=s.get("max_parallelism", 64),
-                    accel_speedup=s.get("accel_speedup", 1.0),
-                )
-                for s in p["stages"]
-            ],
-            allocation=allocation,
-            **options,
+            name, stages=_stages(p["stages"]), allocation=allocation, **options
         )
     else:
         platform.submit_hpc(
@@ -733,6 +720,33 @@ def _deploy(
             allocation=allocation,
             **options,
         )
+
+
+def _stages(stages) -> list[Stage]:
+    """A big-data stage list: a list of objects, each ``deps`` a list of
+    stage names. Checked here because a string iterates as its letters:
+    ``"deps": "ab"`` would wait on stages ``a`` and ``b``."""
+    if not isinstance(stages, list) or not all(isinstance(s, dict) for s in stages):
+        raise TypeError(f"stages must be a list of objects, got {stages!r}")
+    built = []
+    for s in stages:
+        deps = s.get("deps", [])
+        if not isinstance(deps, list) or not all(isinstance(d, str) for d in deps):
+            raise TypeError(
+                f"stage {s.get('name')!r}: deps must be a list of stage names, "
+                f"got {deps!r}"
+            )
+        built.append(
+            Stage(
+                name=s["name"],
+                work_cpu_seconds=s["work"],
+                input_mb=s.get("input_mb", 0.0),
+                deps=tuple(deps),
+                max_parallelism=s.get("max_parallelism", 64),
+                accel_speedup=s.get("accel_speedup", 1.0),
+            )
+        )
+    return built
 
 
 # -- explicit chaos ------------------------------------------------------------------

@@ -10,6 +10,7 @@ Deployment-replicas / pod-resize surface of the real system.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import Mapping
 
@@ -20,6 +21,22 @@ from repro.sim.engine import Engine, PeriodicHandle
 
 #: Seconds between model updates of every application.
 TICK_INTERVAL = 1.0
+
+
+def require_count(value, what: str) -> None:
+    """Raise ``TypeError`` unless ``value`` is an integer and not a bool.
+
+    A count is whatever ``operator.index`` accepts (``int``, numpy
+    integers), so a float such as 2.5 fails here instead of where the
+    count is first used as one, which for a delayed job is mid-run.
+    """
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 class Application:
@@ -57,6 +74,7 @@ class Application:
         node_selector: Mapping[str, str] | None = None,
         node_preference: Mapping[str, str] | None = None,
     ):
+        require_count(initial_replicas, "replica count")
         if initial_replicas < 0:
             raise ValueError("initial_replicas must be ≥ 0")
         self.name = name

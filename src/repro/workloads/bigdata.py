@@ -44,7 +44,7 @@ from repro.dataplane import (
 )
 from repro.sim.engine import Engine
 from repro.storage.objectstore import REMOTE_PENALTY, ObjectStore
-from repro.workloads.base import Application
+from repro.workloads.base import Application, require_count
 
 #: An FT executor is a straggler when its retired-work rate stays below
 #: this fraction of its stage's median rate for
@@ -88,6 +88,7 @@ class Stage:
             raise ValueError(f"stage {self.name!r}: work must be positive")
         if self.input_mb < 0:
             raise ValueError(f"stage {self.name!r}: input must be non-negative")
+        require_count(self.max_parallelism, f"stage {self.name!r}: max_parallelism")
         if self.max_parallelism < 1:
             raise ValueError(f"stage {self.name!r}: max_parallelism must be ≥ 1")
         if self.accel_speedup < 1:
@@ -371,7 +372,8 @@ class BigDataJob(Application):
         Source stages read the dataset: the local fraction over disk
         bandwidth, the rest over network bandwidth discounted by the
         store's :data:`~repro.storage.objectstore.REMOTE_PENALTY`. Shuffle input, or a job without a
-        dataset, is all local and charged against disk bandwidth.
+        dataset, is all local and charged against disk bandwidth. The
+        task engine calls this; the fluid :meth:`tick` computes it inline.
         """
         if not stage.deps and self.dataset is not None and self.store is not None:
             assert pod.node_name is not None
@@ -403,68 +405,22 @@ class BigDataJob(Application):
             open_stages = [s for s in open_stages if s.max_parallelism > rounds]
         return assignment
 
-    def _advance_executor(
-        self, pod: Pod, stage: Stage, dt: float, plan: _Plan | None
-    ) -> tuple[_Plan, float]:
-        """Run one executor on one stage for ``dt``.
-
-        Returns the plan the executor stepped with and the work it
-        retired. Input and work drain proportionally: an executor that
-        has read fraction f of its input share can have completed at most
-        f of its work share; the fluid model couples them via the min()
-        below.
-
-        ``plan`` is the one this executor stepped with on the previous
-        tick. It is reused when its key, every value the step reads but
-        the stage's remaining work and input, is unchanged; otherwise a
-        new plan is computed. Either way the stage drains by the same
-        four min/max updates, so the floats do not depend on reuse.
-        """
-        alloc = pod.allocation
-        cpu_rate = alloc.cpu  # cpu-seconds per second
-        if (
-            stage.accel_speedup > 1.0
-            and self.accelerator is not None
-            and pod.node_name is not None
-            and self.api.get_node(pod.node_name).labels.get("accelerator")
-            == self.accelerator
-        ):
-            cpu_rate *= stage.accel_speedup
-        local_frac, in_bw = self._input_locality(pod, stage)
-        has_input = stage.input_mb > 0 and stage.remaining_input > 0
-        key = (stage, alloc, cpu_rate, local_frac, in_bw, has_input, dt)
-        if plan is not None and plan.key == key:
-            pod.usage = plan.usage
-        else:
-            if has_input:
-                work_frac_rate = cpu_rate / stage.work_cpu_seconds
-                input_frac_rate = in_bw / stage.input_mb
-                frac_rate = min(work_frac_rate, input_frac_rate)
-                stage_work = frac_rate * stage.work_cpu_seconds * dt
-                stage_input = frac_rate * stage.input_mb * dt
-                cpu_used = stage_work / dt
-                io_used = min(in_bw, stage_input / dt)
-            else:
-                stage_work = cpu_rate * dt
-                stage_input = 0.0
-                cpu_used = cpu_rate
-                io_used = 0.0
-            pod.record_usage(
-                ResourceVector(
-                    cpu=min(cpu_used, alloc.cpu),
-                    memory=min(alloc.memory, 0.5 + 0.1 * alloc.cpu),
-                    disk_bw=io_used * local_frac,
-                    net_bw=io_used * (1 - local_frac),
-                )
-            )
-            plan = _Plan(key, stage_work, stage_input, pod.usage)
-        stage_work = min(plan.work, stage.remaining_work)
-        stage_input = min(plan.input_mb, stage.remaining_input)
-        stage.remaining_work = max(0.0, stage.remaining_work - stage_work)
-        stage.remaining_input = max(0.0, stage.remaining_input - stage_input)
-        return plan, stage_work
-
     def tick(self, dt: float, now: float) -> None:
+        """Advance every executor by ``dt`` in one loop on locals.
+
+        Input and work drain proportionally: an executor that has read
+        fraction f of its input share can have completed at most f of its
+        work share; the fluid model couples them through ``frac_rate``.
+
+        Each executor keeps the plan it stepped with on the previous
+        tick while the plan's key, every value the step reads but the
+        stage's remaining work and input, is unchanged; otherwise a new
+        plan is computed. Either way the stage drains by the same four
+        clamps, so the floats do not depend on reuse. ``b if b < a else
+        a`` and ``b if b > a else a`` stand for ``min(a, b)`` and
+        ``max(a, b)``: they return the builtins' operand, so ties, signed
+        zeros and NaN give the same floats.
+        """
         if self.ft:
             self._tick_ft(dt, now)
             return
@@ -486,16 +442,73 @@ class BigDataJob(Application):
             self._assigned_stages = [assignment.get(pod.name) for pod in executors]
         plans = self._plans
         self._plans = stepped = {}
+        accelerator = self.accelerator
+        dataset = self.dataset
+        store = self.store
+        reads_dataset = dataset is not None and store is not None
         work_retired = 0.0
         for pod, stage in zip(executors, self._assigned_stages):
+            alloc = pod.allocation
             if stage is None:
-                pod.record_usage(
-                    ResourceVector(memory=min(0.25, pod.allocation.memory))
-                )
+                pod.record_usage(ResourceVector(memory=min(0.25, alloc.memory)))
                 continue
-            plan, retired = self._advance_executor(pod, stage, dt, plans.get(pod))
+            cpu_rate = alloc.cpu  # cpu-seconds per second
+            if (
+                stage.accel_speedup > 1.0
+                and accelerator is not None
+                and pod.node_name is not None
+                and self.api.get_node(pod.node_name).labels.get("accelerator")
+                == accelerator
+            ):
+                cpu_rate *= stage.accel_speedup
+            # Source stages read the dataset (``_input_locality``).
+            if not stage.deps and reads_dataset:
+                local_frac = store.locality_fraction(dataset, pod.node_name)
+                remote_bw = alloc.net_bw * REMOTE_PENALTY
+                in_bw = local_frac * alloc.disk_bw + (1 - local_frac) * remote_bw
+            else:
+                local_frac = 1.0
+                in_bw = alloc.disk_bw
+            has_input = stage.input_mb > 0 and stage.remaining_input > 0
+            key = (stage, alloc, cpu_rate, local_frac, in_bw, has_input, dt)
+            plan = plans.get(pod)
+            if plan is not None and plan.key == key:
+                pod.usage = plan.usage
+            else:
+                if has_input:
+                    work_frac_rate = cpu_rate / stage.work_cpu_seconds
+                    input_frac_rate = in_bw / stage.input_mb
+                    frac_rate = min(work_frac_rate, input_frac_rate)
+                    stage_work = frac_rate * stage.work_cpu_seconds * dt
+                    stage_input = frac_rate * stage.input_mb * dt
+                    cpu_used = stage_work / dt
+                    io_used = min(in_bw, stage_input / dt)
+                else:
+                    stage_work = cpu_rate * dt
+                    stage_input = 0.0
+                    cpu_used = cpu_rate
+                    io_used = 0.0
+                pod.record_usage(
+                    ResourceVector(
+                        cpu=min(cpu_used, alloc.cpu),
+                        memory=min(alloc.memory, 0.5 + 0.1 * alloc.cpu),
+                        disk_bw=io_used * local_frac,
+                        net_bw=io_used * (1 - local_frac),
+                    )
+                )
+                plan = _Plan(key, stage_work, stage_input, pod.usage)
             stepped[pod] = plan
-            work_retired += retired
+            remaining = stage.remaining_work
+            work = plan.work
+            work = remaining if remaining < work else work
+            remaining -= work
+            stage.remaining_work = remaining if remaining > 0.0 else 0.0
+            remaining = stage.remaining_input
+            drained = plan.input_mb
+            drained = remaining if remaining < drained else drained
+            remaining -= drained
+            stage.remaining_input = remaining if remaining > 0.0 else 0.0
+            work_retired += work
         self.current_throughput = work_retired / dt
         for stage in runnable:
             if stage.complete:

@@ -170,49 +170,87 @@ class HPCJob(Application):
             self.rollbacks += 1
 
     def tick(self, dt: float, now: float) -> None:
+        """Advance the gang by ``dt``, writing each rank's usage directly.
+
+        Ranks share one allocation object unless one was resized, so a
+        rank's speed and usage are computed again only where the object
+        changes along the rank list, and ranks on one object share one
+        usage vector. A usage is ``min(allocation, want)`` clamped at 0,
+        the vector ``Pod.record_usage`` stored. ``b if b < a else a`` and
+        ``b if b > a else a`` stand for ``min(a, b)`` and ``max(a, b)``:
+        they return the builtins' operand, so ties, signed zeros and NaN
+        give the same floats.
+        """
         if self.done:
             return
         self._detect_rank_loss()
         running = self.running_pods()
+        from_fields = ResourceVector._from_fields
+        usage_alloc = None
         if len(running) < self.ranks:
             # Gang incomplete: ranks that are up spin at the barrier,
             # burning a trickle of CPU but making no progress.
             self.current_rate = 0.0
             for pod in running:
-                pod.record_usage(
-                    ResourceVector(
-                        cpu=min(0.05, pod.allocation.cpu),
-                        memory=min(0.1, pod.allocation.memory),
+                alloc = pod.allocation
+                if alloc is not usage_alloc:
+                    usage_alloc = alloc
+                    cpu = alloc.cpu
+                    cpu = cpu if cpu < 0.05 else 0.05
+                    memory = alloc.memory
+                    memory = memory if memory < 0.1 else 0.1
+                    usage = from_fields(
+                        cpu if cpu > 0.0 else 0.0,
+                        memory if memory > 0.0 else 0.0,
+                        0.0,
+                        0.0,
                     )
-                )
+                pod.usage = usage
             return
         if self.gang_started_at is None:
             self.gang_started_at = now
         # Synchronous execution: slowest rank gates everyone.
         stretch = self._comm_stretch(running)
-        gang_rate = min(
-            self._rank_speed(p.allocation, comm_stretch=stretch)
-            for p in running
-        )
+        speed_alloc = None
+        gang_rate = None
+        for pod in running:
+            alloc = pod.allocation
+            if alloc is not speed_alloc:
+                speed_alloc = alloc
+                speed = self._rank_speed(alloc, comm_stretch=stretch)
+                if gang_rate is None or speed < gang_rate:
+                    gang_rate = speed
         self.current_rate = gang_rate
-        self.progress = min(1.0, self.progress + gang_rate * dt / self.duration)
+        progress = self.progress + gang_rate * dt / self.duration
+        self.progress = progress = progress if progress < 1.0 else 1.0
         if self.checkpoint_interval is not None:
             step = self.checkpoint_interval / self.duration
             # Tolerance so a checkpoint boundary reached up to float
             # rounding (progress = n·step − ε) still counts as taken;
             # plain truncation would silently roll a whole interval back.
-            self.last_checkpoint = int(self.progress / step + 1e-9) * step
+            self.last_checkpoint = int(progress / step + 1e-9) * step
         nominal = self.nominal_allocation
+        cpu_want = nominal.cpu * gang_rate
+        memory_want = nominal.memory
+        net_want = nominal.net_bw * gang_rate
         for pod in running:
-            pod.record_usage(
-                ResourceVector(
-                    cpu=min(pod.allocation.cpu, nominal.cpu * gang_rate),
-                    memory=min(pod.allocation.memory, nominal.memory),
-                    disk_bw=0.0,
-                    net_bw=min(pod.allocation.net_bw, nominal.net_bw * gang_rate),
+            alloc = pod.allocation
+            if alloc is not usage_alloc:
+                usage_alloc = alloc
+                cpu = alloc.cpu
+                cpu = cpu_want if cpu_want < cpu else cpu
+                memory = alloc.memory
+                memory = memory_want if memory_want < memory else memory
+                net_bw = alloc.net_bw
+                net_bw = net_want if net_want < net_bw else net_bw
+                usage = from_fields(
+                    cpu if cpu > 0.0 else 0.0,
+                    memory if memory > 0.0 else 0.0,
+                    0.0,
+                    net_bw if net_bw > 0.0 else 0.0,
                 )
-            )
-        if self.progress >= 1.0:
+            pod.usage = usage
+        if progress >= 1.0:
             self._complete(now)
 
     def _complete(self, now: float) -> None:

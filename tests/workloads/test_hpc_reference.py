@@ -1,0 +1,391 @@
+"""The HPC gang tick against the per-rank tick it replaced.
+
+``HPCJob.tick`` computes a rank's speed and usage again only where the
+allocation object changes along the rank list, takes the gang minimum in
+that loop, and writes each usage straight into the pod with the
+comparisons ``Pod.record_usage`` made. This module keeps the previous
+tick as the reference: ``_rank_speed`` for every rank under a generator
+``min``, and every usage built as a ``ResourceVector`` and stored through
+``Pod.record_usage``.
+
+Each scenario runs twice from the same state, once on each path. After
+every tick of every job the two runs must agree by ``repr`` on the job's
+progress, rate, last checkpoint, rollbacks, gang start and completion
+times, and on every pod's usage, so a float that differs in its last bit
+fails. The scenarios cover a gang waiting at the barrier, ranks squeezed
+onto different allocation objects, a gang spanning two zones, lost ranks
+with and without checkpoints, nominal allocations without CPU or network,
+a rank whose allocation holds NaN, and ticks whose ``dt`` is not 1.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import functools
+import math
+import pstats
+
+import pytest
+
+from repro.cluster.api import ClusterAPI
+from repro.cluster.cluster import Cluster
+from repro.cluster.node import Node
+from repro.cluster.resources import ResourceVector
+from repro.scheduler.kube import KubeScheduler
+from repro.sim.engine import Engine
+from repro.workloads.hpc import HPCJob
+
+NODE = ResourceVector(cpu=16, memory=64, disk_bw=500, net_bw=1250)
+RANK = ResourceVector(cpu=4, memory=8, disk_bw=5, net_bw=100)
+
+# -- the reference: the tick before one loop ------------------------------------
+
+
+def ref_tick(job, dt, now):
+    if job.done:
+        return
+    job._detect_rank_loss()
+    running = job.running_pods()
+    if len(running) < job.ranks:
+        job.current_rate = 0.0
+        for pod in running:
+            pod.record_usage(
+                ResourceVector(
+                    cpu=min(0.05, pod.allocation.cpu),
+                    memory=min(0.1, pod.allocation.memory),
+                )
+            )
+        return
+    if job.gang_started_at is None:
+        job.gang_started_at = now
+    stretch = job._comm_stretch(running)
+    gang_rate = min(
+        job._rank_speed(p.allocation, comm_stretch=stretch) for p in running
+    )
+    job.current_rate = gang_rate
+    job.progress = min(1.0, job.progress + gang_rate * dt / job.duration)
+    if job.checkpoint_interval is not None:
+        step = job.checkpoint_interval / job.duration
+        job.last_checkpoint = int(job.progress / step + 1e-9) * step
+    nominal = job.nominal_allocation
+    for pod in running:
+        pod.record_usage(
+            ResourceVector(
+                cpu=min(pod.allocation.cpu, nominal.cpu * gang_rate),
+                memory=min(pod.allocation.memory, nominal.memory),
+                disk_bw=0.0,
+                net_bw=min(pod.allocation.net_bw, nominal.net_bw * gang_rate),
+            )
+        )
+    if job.progress >= 1.0:
+        job._complete(now)
+
+
+# -- scenarios --------------------------------------------------------------------
+
+
+class World:
+    """Nodes and the gangs of one scenario; ranks are bound by hand."""
+
+    def __init__(self, *, nodes=4, zones=None):
+        self.engine = Engine()
+        self.cluster = Cluster(
+            self.engine,
+            [
+                Node(f"node-{i}", NODE, labels={"zone": zones[i]} if zones else None)
+                for i in range(nodes)
+            ],
+        )
+        self.api = ClusterAPI(self.cluster)
+        self.jobs: list[HPCJob] = []
+
+    def job(self, name, *, ranks=4, duration=200.0, allocation=RANK, at=0.0, **kw):
+        job = HPCJob(
+            name,
+            self.engine,
+            self.api,
+            ranks=ranks,
+            duration=duration,
+            allocation=allocation,
+            **kw,
+        )
+        job.maintain_replicas = True
+        self.jobs.append(job)
+        self.engine.schedule_at(at, job.start)
+        return job
+
+    def bind(self, time, job, count=None, nodes=None):
+        """At ``time``, bind up to ``count`` pending ranks round-robin."""
+
+        def bind():
+            names = nodes or sorted(self.cluster.nodes)
+            pending = [p for p in self.api.pending_pods() if p.app == job.name]
+            for i, pod in enumerate(pending[:count]):
+                self.api.bind_pod(pod.name, names[i % len(names)])
+
+        self.engine.schedule_at(time, bind)
+
+    def resize(self, time, job, rank, **dims):
+        """At ``time``, resize one running rank in place (1 s to apply)."""
+
+        def resize():
+            pod = job.running_pods()[rank]
+            assert self.api.patch_pod_allocation(
+                pod.name, pod.allocation.replace(**dims)
+            )
+
+        self.engine.schedule_at(time, resize)
+
+    def kill(self, time, job, rank):
+        def kill():
+            self.api.delete_pod(job.running_pods()[rank].name, reason="chaos")
+
+        self.engine.schedule_at(time, kill)
+
+
+def barrier_spin():
+    """Gangs that wait for their last ranks, one with a sub-trickle grant."""
+    world = World()
+    gang = world.job("gang", duration=120.0)
+    world.bind(0.5, gang, count=2)
+    world.bind(60.5, gang)
+    tiny = world.job(
+        "tiny",
+        ranks=3,
+        duration=60.0,
+        allocation=ResourceVector(cpu=0.04, memory=0.08, disk_bw=1, net_bw=10),
+    )
+    world.bind(0.5, tiny, count=1)
+    world.bind(100.5, tiny)
+    return world, 600.0
+
+
+def squeezed_ranks():
+    """Ranks on up to four allocation objects, then on one again.
+
+    Rank 1 is CPU-squeezed and rank 3 network-squeezed, so the slowest
+    rank is not the first; rank 2 then gets more CPU and memory than
+    nominal; a resize of the whole job puts every rank on one object.
+    """
+    world = World()
+    job = world.job("mpi", duration=300.0, comm_fraction=0.3)
+    world.bind(0.5, job)
+    world.resize(30.5, job, 1, cpu=2)
+    world.resize(50.5, job, 3, net_bw=40)
+    world.resize(70.5, job, 2, cpu=6, memory=16)
+    world.engine.schedule_at(
+        120.5, lambda: job.set_target_allocation(RANK.replace(cpu=3))
+    )
+    return world, 1_500.0
+
+
+def two_zones():
+    """A gang across two zones beside one inside a single zone."""
+    world = World(zones=["a", "a", "b", "b"])
+    spread = world.job("spread", comm_fraction=0.25, zone_penalty=0.5)
+    world.bind(0.5, spread)
+    packed = world.job("packed", comm_fraction=0.25, zone_penalty=0.5)
+    world.bind(0.5, packed, nodes=["node-0", "node-1"])
+    # A lost rank of the spread gang comes back inside zone a.
+    world.kill(60.5, spread, 2)
+    world.bind(70.5, spread, nodes=["node-0"])
+    return world, 1_000.0
+
+
+def lost_ranks():
+    """Ranks lost twice, with and without checkpoints."""
+    world = World()
+    for name, interval in (("ckpt", 30.0), ("restart", None)):
+        job = world.job(name, ranks=3, checkpoint_interval=interval)
+        world.bind(0.5, job)
+        world.kill(86.5, job, 1)
+        world.bind(100.5, job)
+        world.kill(150.5, job, 0)
+        world.bind(160.5, job)
+    return world, 1_500.0
+
+
+def no_cpu_or_network():
+    """Nominal allocations without CPU or without network."""
+    world = World()
+    no_cpu = world.job("no-cpu", allocation=RANK.replace(cpu=0))
+    world.bind(0.5, no_cpu)
+    world.resize(40.5, no_cpu, 1, cpu=2)
+    no_net = world.job("no-net", allocation=RANK.replace(net_bw=0))
+    world.bind(0.5, no_net)
+    world.resize(40.5, no_net, 1, net_bw=50)
+    return world, 600.0
+
+
+def nan_allocation():
+    """A rank whose allocation holds NaN CPU, memory and network for 20 s.
+
+    No cluster verb grants one, so the test writes it into the pod. The
+    rank's speed stays 1.0 (``min(1.0, nan)`` is 1.0), and each usage
+    clamp must take the operand ``min`` takes: the NaN, which the clamp
+    at 0 then turns into 0.0.
+    """
+    world = World()
+    job = world.job("mpi")
+    world.bind(0.5, job)
+    held = {}
+
+    def corrupt():
+        pod = job.running_pods()[2]
+        held[pod] = pod.allocation
+        pod.allocation = pod.allocation.replace(
+            cpu=math.nan, memory=math.nan, net_bw=math.nan
+        )
+
+    def restore():
+        for pod, allocation in held.items():
+            pod.allocation = allocation
+
+    world.engine.schedule_at(40.5, corrupt)
+    world.engine.schedule_at(60.5, restore)
+    return world, 600.0
+
+
+def off_power_of_two():
+    """Ticks from t = 1.3 on: the step across 128 s is not exactly 1 s."""
+    world = World()
+    job = world.job("mpi", duration=400.0, at=0.3, checkpoint_interval=25.0)
+    world.bind(0.5, job)
+    return world, 1_000.0
+
+
+SCENARIOS = {
+    "barrier-spin": barrier_spin,
+    "squeezed-ranks": squeezed_ranks,
+    "two-zones": two_zones,
+    "lost-ranks": lost_ranks,
+    "no-cpu-or-network": no_cpu_or_network,
+    "nan-allocation": nan_allocation,
+    "off-power-of-two": off_power_of_two,
+}
+
+
+# -- running both paths -------------------------------------------------------------
+
+
+def _usage(pod) -> str:
+    u = pod.usage
+    return repr((u.cpu, u.memory, u.disk_bw, u.net_bw))
+
+
+def _snapshot(world, job, now) -> tuple:
+    return (
+        job.name,
+        repr(now),
+        repr(job.progress),
+        repr(job.current_rate),
+        repr(job.last_checkpoint),
+        job.rollbacks,
+        repr(job.gang_started_at),
+        repr(job.completed_at),
+        [(p.name, _usage(p)) for p in world.cluster.pods.values()],
+    )
+
+
+def _run(scenario, *, reference: bool):
+    """The world, every tick's snapshot, and per tick (dt, running ranks,
+    distinct allocation objects among them)."""
+    world, horizon = scenario()
+    snapshots: list[tuple] = []
+    steps: list[tuple[float, int, int]] = []
+    for job in world.jobs:
+        step = functools.partial(ref_tick, job) if reference else job.tick
+
+        def tick(dt, now, job=job, step=step):
+            running = job.running_pods()
+            objects = len({id(p.allocation) for p in running})
+            steps.append((dt, len(running), objects))
+            step(dt, now)
+            snapshots.append(_snapshot(world, job, now))
+
+        job.tick = tick
+    world.engine.run_until(horizon)
+    return world, snapshots, steps
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_tick_matches_reference(name):
+    world, fast, _ = _run(SCENARIOS[name], reference=False)
+    _, ref, _ = _run(SCENARIOS[name], reference=True)
+    assert len(fast) == len(ref)
+    for tick, (got, want) in enumerate(zip(fast, ref)):
+        assert got == want, f"{name}: tick {tick} ({got[0]} at t={got[1]}) differs"
+    # Every job reached its completing tick.
+    assert all(job.done for job in world.jobs), f"{name}: a job did not finish"
+
+
+def test_gangs_wait_at_the_barrier():
+    world, _, steps = _run(barrier_spin, reference=False)
+    assert any(0 < running < 3 for _, running, _ in steps)
+    assert all(job.gang_started_at > 60.0 for job in world.jobs)
+
+
+def test_ranks_step_on_several_allocation_objects():
+    _, _, steps = _run(squeezed_ranks, reference=False)
+    assert max(objects for _, _, objects in steps) == 4
+    # After the job-wide resize every rank shares one object again.
+    assert steps[-1][2] == 1
+
+
+def test_lost_ranks_roll_back():
+    world, _, _ = _run(lost_ranks, reference=False)
+    ckpt, restart = world.jobs
+    assert ckpt.rollbacks == restart.rollbacks == 2
+    assert ckpt.completed_at < restart.completed_at
+
+
+def test_zone_stretch_applies():
+    _, snapshots, _ = _run(two_zones, reference=False)
+    rates = {name: rate for name, now, _, rate, *_ in snapshots if now == "30.0"}
+    # 1 / (0.75 + 0.25 × 1.5) across two zones, 1.0 inside one.
+    assert rates == {"spread": repr(1 / 1.125), "packed": "1.0"}
+
+
+def test_a_tick_steps_with_dt_off_one():
+    _, _, steps = _run(off_power_of_two, reference=False)
+    assert any(dt != 1.0 and running for dt, running, _ in steps)
+
+
+def test_hpc_tick_call_budget():
+    # Profiled calls per HPCJob.tick on a six-rank gang of the data-lake
+    # rank shape (three nodes, kube scheduler, 600 s of work, the fourth
+    # rank squeezed at 200 s, a rank lost at 400 s and the job restarted
+    # from zero, 1,172 ticks): 25.5 measured (Python 3.11); the budget is
+    # that plus ~25%. The tick with a _rank_speed call and a
+    # Pod.record_usage call per rank read 86.9 here. The run has no
+    # random draws, so the count is the same on every machine.
+    engine = Engine()
+    cluster = Cluster(engine, [Node(f"node-{i}", NODE) for i in range(3)])
+    api = ClusterAPI(cluster)
+    KubeScheduler(engine, api).start()
+    job = HPCJob("gang", engine, api, ranks=6, duration=600.0, allocation=RANK)
+    job.maintain_replicas = True
+    engine.schedule_at(0.0, job.start)
+
+    def squeeze():
+        pod = job.running_pods()[3]
+        api.patch_pod_allocation(pod.name, pod.allocation.replace(cpu=3))
+
+    engine.schedule_at(200.5, squeeze)
+    engine.schedule_at(
+        400.5, lambda: api.delete_pod(job.running_pods()[1].name, reason="chaos")
+    )
+    profile = cProfile.Profile()
+    ticks = 0
+
+    def profiled(step, dt, now):
+        nonlocal ticks
+        ticks += 1
+        profile.runcall(step, dt, now)
+
+    job.tick = functools.partial(profiled, job.tick)
+    engine.run_until(1_200.0)
+    assert job.done
+    # Each runcall also records the profiler's own disable() call.
+    per_tick = (pstats.Stats(profile).total_calls - ticks) / ticks
+    assert per_tick < 31.9, f"{per_tick:.1f} profiled calls per HPC tick"
