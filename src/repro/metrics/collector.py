@@ -246,13 +246,11 @@ class MetricsCollector:
 
     def _scrape_all(self, now: float) -> None:
         # Batched store path: the fault filter is consulted once per
-        # round. On a quiescent pipeline (no active per-sample faults —
-        # the common case) a source, node or gauge family whose prefix
-        # leads to nothing declared is not even sampled, and the other
-        # samples append straight into their declared series. While a
-        # per-sample fault is active every sample still passes through
-        # the filter in the same order, because its RNG draws are part
-        # of the seeded stream; only the append is skipped.
+        # round. A source, node or gauge family whose prefix leads to
+        # nothing declared is not even sampled, and only declared samples
+        # pass through an active per-sample fault filter, whose RNG draws
+        # are part of the seeded stream; the rest append straight into
+        # their declared series.
         faults = self.faults
         if faults is not None and not faults.distorts_samples(now):
             faults = None
@@ -267,6 +265,8 @@ class MetricsCollector:
             for metric, value in samples.items():
                 name = f"{prefix}/{metric}"
                 series = series_map.get(name)
+                if series is None and name not in declared:
+                    continue
                 if faults is not None:
                     value = faults.filter(
                         name, value, now,
@@ -275,16 +275,14 @@ class MetricsCollector:
                     if value is None:
                         continue
                 if series is None:
-                    if name not in declared:
-                        continue
                     series = series_map[name] = TimeSeries(maxlen=maxlen)
                 series.append(now, value)
 
         for source in list(self._sources):
             prefix = source.metric_prefix()
-            if faults is not None or prefix in wanted:
+            if prefix in wanted:
                 store_batch(prefix, source.sample_metrics(now))
-        if faults is not None or "cluster" in wanted:
+        if "cluster" in wanted:
             allocatable = self.api.total_allocatable()
             allocated = self.api.total_allocated()
             usage = self.api.total_usage()
@@ -297,14 +295,13 @@ class MetricsCollector:
                 cluster_gauges[f"usage_frac/{name}"] = (
                     usage[name] / cap if cap > 0 else 0.0
                 )
-            # Preserve the historical interleaved order (alloc, usage per
-            # resource) — it only matters under a fault filter drawing RNG
-            # per sample, where order is part of the seeded stream.
+            # The interleaved order (alloc, usage per resource) is the
+            # filter's draw order under a per-sample fault.
             store_batch("cluster", cluster_gauges)
-        if faults is not None or "node" in wanted:
+        if "node" in wanted:
             for node in self.api.list_nodes():
                 prefix = f"node/{node.name}"
-                if faults is None and prefix not in wanted:
+                if prefix not in wanted:
                     continue
                 fractions = node.usage_fraction()
                 alloc_fractions = node.allocation_fraction()
@@ -313,7 +310,7 @@ class MetricsCollector:
                     node_gauges[f"usage_frac/{name}"] = fractions[name]
                     node_gauges[f"alloc_frac/{name}"] = alloc_fractions[name]
                 store_batch(prefix, node_gauges)
-        if faults is not None or "cluster/pending_pods" in declared:
+        if "cluster/pending_pods" in declared:
             store_batch(
                 "cluster",
                 {"pending_pods": float(len(self.api.pending_pods()))},

@@ -235,31 +235,33 @@ def test_source_with_nothing_declared_is_not_sampled(engine, collector):
     assert sorted(collector._series) == ["app/read/latency"]
 
 
-def test_distorting_faults_filter_undeclared_samples_too(engine, api):
+def test_distorting_faults_skip_undeclared_samples(engine, api):
     from repro.metrics.faults import MetricsFaultInjector
 
-    def run(declared):
+    def run(extra_source):
         faults = MetricsFaultInjector()
         faults.outlier_probability = 0.5
         collector = MetricsCollector(engine, api, faults=faults)
-        collector.declare(*declared)
-        unread = FakeSource("app/unread")
+        collector.declare("app/read/latency")
         collector.register(FakeSource("app/read"))
-        collector.register(unread)
-        collector.scrape()
+        unread = FakeSource("app/unread")
+        if extra_source:
+            collector.register(unread)
+        for _ in range(20):
+            collector.scrape()
         return unread, faults, collector
 
-    everything = [f"app/{p}/{m}" for p in ("read", "unread")
-                  for m in ("latency", "throughput")]
-    _, all_faults, all_collector = run(everything)
-    unread, faults, collector = run(["app/read/latency"])
-    # Every sample, stored or not, still passes through the filter in the
-    # same order, so the outlier draws (one per sample) line up.
-    assert unread.samples == 1
-    assert faults.outliers_injected == all_faults.outliers_injected > 0
-    assert faults.rng.random() == all_faults.rng.random()
-    assert collector.latest("app/read/latency") == all_collector.latest(
-        "app/read/latency"
+    _, alone_faults, alone = run(extra_source=False)
+    unread, faults, collector = run(extra_source=True)
+    # Only declared samples reach the filter, so an undeclared source
+    # (never sampled) and the declared source's undeclared throughput
+    # draw nothing and cannot shift the outliers of the declared series.
+    assert unread.samples == 0
+    assert faults.outliers_injected == alone_faults.outliers_injected > 0
+    assert faults.rng.random() == alone_faults.rng.random()
+    assert (
+        collector.series("app/read/latency").to_lists()
+        == alone.series("app/read/latency").to_lists()
     )
     assert sorted(collector._series) == ["app/read/latency"]
 
