@@ -59,9 +59,6 @@ class BackpressureState:
         if self.deferred.pop(app_name, None) is not None:
             self.dropped += 1
 
-    def pending(self, app_name: str) -> bool:
-        return app_name in self.deferred
-
     def clear(self) -> None:
         """Forget everything (simulated controller restart)."""
         self.deferred.clear()

@@ -14,8 +14,8 @@ record:
    horizontal policy, by adding/removing replicas when vertical scaling
    rails out — every write goes through one path that logs it to the
    write-ahead hook before actuating,
-4. **record** the loop's internals as metrics series for the evaluation
-   harness (error, output, gain scale, decisions, safe mode, breaker).
+4. **record** the PLO error and controller output as the series
+   ``control/<app>/error`` and ``control/<app>/output``.
 
 The step returns its verdict and decision; with telemetry on, the loop
 turns them into one decision-provenance record per application and period.
@@ -121,9 +121,6 @@ BROWNOUT_DEMAND_FACTOR = 0.6
 BROWNOUT_LATENCY_PENALTY = 0.02
 
 
-#: The value the ``control/<app>/action`` series records per action.
-_ACTION_VALUES = {"hold": 0.0, "grow": 1.0, "reclaim": -1.0}
-
 #: The resilience counters every application keeps, in report order.
 COUNTERS = (
     "safe_mode_entries", "safe_mode_exits", "actuation_failures", "retries",
@@ -140,10 +137,7 @@ class _Series:
     """The series names one application's loop reads and records, built
     once at registration so a control period formats no strings."""
 
-    __slots__ = (
-        "signal", "usage", "alloc", "safe_mode", "breaker_open", "error",
-        "output", "gain_scale", "action", "replicas", "backpressure", "brownout",
-    )
+    __slots__ = ("signal", "usage", "alloc", "error", "output")
 
     def __init__(self, app: Application):
         #: The PLO metric.
@@ -152,16 +146,9 @@ class _Series:
         #: The scraped usage and allocation series, in :data:`RESOURCES` order.
         self.usage = [f"{prefix}/usage/{name}" for name in RESOURCES]
         self.alloc = [f"{prefix}/alloc/{name}" for name in RESOURCES]
-        control = f"control/{app.name}"
-        self.safe_mode = f"{control}/safe_mode"
-        self.breaker_open = f"{control}/breaker_open"
-        self.error = f"{control}/error"
-        self.output = f"{control}/output"
-        self.gain_scale = f"{control}/gain_scale"
-        self.action = f"{control}/action"
-        self.replicas = f"{control}/replicas"
-        self.backpressure = f"{control}/backpressure"
-        self.brownout = f"{control}/brownout"
+        #: The recorded controller internals.
+        self.error = f"control/{app.name}/error"
+        self.output = f"control/{app.name}/output"
 
 
 @dataclass
@@ -648,9 +635,6 @@ class ControlLoopManager:
             held = bp.release(app_name)
             if held is not None and desired >= current:
                 desired = max(desired, held)
-        self.collector.record(
-            entry.series.backpressure, 1.0 if bp.pending(app_name) else 0.0
-        )
         return desired
 
     def _update_brownout(self, entry: _Entry, error: float | None, now: float) -> None:
@@ -707,9 +691,6 @@ class ControlLoopManager:
                     self.telemetry.tracer.instant(
                         "brownout_exit", "control", app=app.name,
                     )
-        self.collector.record(
-            entry.series.brownout, 1.0 if app.brownout_active else 0.0
-        )
 
     # -- the loop ----------------------------------------------------------------------
 
@@ -760,10 +741,8 @@ class ControlLoopManager:
         """One control period for one application: evaluate → decide →
         write → record. Returns the provenance verdict, the decision
         (None when the period ended before the controller was asked) and
-        the replica count it recorded (None when it recorded none)."""
+        the replica count after its writes (None when it made none)."""
         app = entry.app
-        series = entry.series
-        record = self.collector.record
         status = app.plo.evaluate(self.collector, app.name, now)
 
         if not self._signal_fresh(entry, status.error, now):
@@ -779,14 +758,12 @@ class ControlLoopManager:
                 ):
                     self._enter_safe_mode(entry, now)
                     verdict = "safe-mode-entry"
-            record(series.safe_mode, 1.0 if entry.safe_mode else 0.0)
             return verdict, None, None
 
         entry.stale_periods = 0
         entry.last_signal_time = now
         if entry.safe_mode:
             self._exit_safe_mode(entry)
-        record(series.safe_mode, 0.0)
 
         breaker_open = now < entry.breaker_open_until
         if (
@@ -804,7 +781,6 @@ class ControlLoopManager:
                 self.telemetry.tracer.instant(
                     "breaker_half_open", "control", app=app.name,
                 )
-        record(series.breaker_open, 1.0 if breaker_open else 0.0)
         if breaker_open:
             entry.counters["breaker_skips"] += 1
             return "breaker-skip", None, None
@@ -835,7 +811,6 @@ class ControlLoopManager:
 
         if self._record_direction(entry, decision):
             # Flapping tripped the breaker: suppress this actuation too.
-            record(series.breaker_open, 1.0)
             return "flap-breaker", decision, None
 
         changed = action != "hold"
@@ -858,11 +833,9 @@ class ControlLoopManager:
         if self.brownout:
             self._update_brownout(entry, decision.error, now)
 
-        record(series.error, decision.error)
-        record(series.output, decision.output)
-        record(series.gain_scale, decision.gain_scale)
-        record(series.action, _ACTION_VALUES[action])
-        record(series.replicas, float(replicas))
+        series = entry.series
+        self.collector.record(series.error, decision.error)
+        self.collector.record(series.output, decision.output)
 
         if changed:
             return "actuated", decision, replicas

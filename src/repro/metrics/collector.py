@@ -310,11 +310,6 @@ class MetricsCollector:
                     node_gauges[f"usage_frac/{name}"] = fractions[name]
                     node_gauges[f"alloc_frac/{name}"] = alloc_fractions[name]
                 store_batch(prefix, node_gauges)
-        if "cluster/pending_pods" in declared:
-            store_batch(
-                "cluster",
-                {"pending_pods": float(len(self.api.pending_pods()))},
-            )
         # Control-plane self-metrics bypass the fault filter: see
         # register_internal. They are sampled every round, because their
         # delta export keeps state. Inline the series lookup — this loop

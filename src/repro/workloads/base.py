@@ -128,8 +128,8 @@ class Application:
     def metric_prefix(self) -> str:
         return f"app/{self.name}"
 
-    def sample_metrics(self, now: float) -> Mapping[str, float]:
-        """Default gauges every app exports; subclasses extend.
+    def sample_metrics(self, now: float) -> dict[str, float]:
+        """Default gauges every app exports, in a new dict subclasses extend.
 
         Allocation totals accumulate per-dimension scalars in the same
         left-to-right order the vector sum used, so seeded metric streams
@@ -150,8 +150,6 @@ class Application:
             u_disk += usage.disk_bw
             u_net += usage.net_bw
         return {
-            "replicas": float(len(self._pods)),
-            "running_replicas": float(len(running)),
             "alloc/cpu": a_cpu,
             "alloc/memory": a_mem,
             "alloc/disk_bw": a_disk,

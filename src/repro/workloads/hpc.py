@@ -269,15 +269,6 @@ class HPCJob(Application):
 
     # -- metrics -------------------------------------------------------------------
 
-    def sample_metrics(self, now: float) -> Mapping[str, float]:
-        metrics = dict(super().sample_metrics(now))
-        metrics.update(
-            {
-                "progress": self.progress,
-                "gang_rate": self.current_rate,
-                "gang_complete": float(
-                    len(self.running_pods()) >= self.ranks
-                ),
-            }
-        )
-        return metrics
+    def sample_metrics(self, now: float) -> dict[str, float]:
+        # Only the base gauges; kept so bench/layers.py can wrap it per class.
+        return super().sample_metrics(now)

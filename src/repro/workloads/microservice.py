@@ -417,28 +417,13 @@ class Microservice(Application):
 
     # -- metrics --------------------------------------------------------------------
 
-    def sample_metrics(self, now: float) -> Mapping[str, float]:
-        metrics = dict(super().sample_metrics(now))
-        metrics.update(
-            {
-                "latency": self.current_latency,
-                "throughput": self.current_throughput,
-                "offered": self.current_offered,
-                "backlog": self.current_backlog,
-                "served_total": self.total_served,
-                "drop_rate": self.current_drop_rate,
-                "dropped_total": self.total_dropped,
-            }
-        )
-        # Brownout gauges appear only once the service has ever browned
-        # out, so the exported series set — and with it the per-sample
-        # fault-filter draw order — is untouched in runs with the
-        # feature disabled.
-        if self.brownouts_entered:
-            metrics["brownout"] = 1.0 if self.brownout_active else 0.0
-            metrics["brownout_seconds"] = self.brownout_seconds
-        # Same series-set discipline: the size-factor gauge exists only
-        # when a marked arrival process is wired in.
+    def sample_metrics(self, now: float) -> dict[str, float]:
+        metrics = super().sample_metrics(now)
+        metrics["latency"] = self.current_latency
+        metrics["throughput"] = self.current_throughput
+        metrics["offered"] = self.current_offered
+        # The size-factor gauge exists only when a marked arrival
+        # process is wired in.
         if self._marked:
             metrics["size_factor"] = self.current_size_factor
         return metrics

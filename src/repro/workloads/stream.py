@@ -287,27 +287,10 @@ class StreamJob(Application):
 
     # -- metrics ---------------------------------------------------------------------
 
-    def sample_metrics(self, now: float) -> Mapping[str, float]:
-        metrics = dict(super().sample_metrics(now))
-        metrics.update(
-            {
-                # Watermark delay doubles as the controller's latency signal.
-                "latency": self.current_lag_seconds,
-                "lag_seconds": self.current_lag_seconds,
-                "lag_events": self.lag_events,
-                "throughput": self.current_rate,
-                "offered": self.current_offered,
-                "processed_total": self.total_processed,
-                "output_rate": self.current_rate * self.output_selectivity,
-            }
-        )
-        if self.ft:
-            metrics.update(
-                {
-                    "checkpoints": float(self.checkpoints),
-                    "restarts": float(self.restarts),
-                    "replayed_total": self.replayed_total,
-                    "checkpoint_age": now - self.last_checkpoint_at,
-                }
-            )
+    def sample_metrics(self, now: float) -> dict[str, float]:
+        metrics = super().sample_metrics(now)
+        # Watermark delay doubles as the controller's latency signal.
+        metrics["latency"] = self.current_lag_seconds
+        metrics["throughput"] = self.current_rate
+        metrics["offered"] = self.current_offered
         return metrics

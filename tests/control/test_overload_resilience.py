@@ -146,7 +146,7 @@ class TestBackpressureState:
         bp = BackpressureState()
         bp.defer("a", 3)
         bp.drop("a")
-        assert not bp.pending("a")
+        assert "a" not in bp.deferred
         assert bp.stats()["dropped"] == 1
         bp.drop("a")  # no queued entry: not counted
         assert bp.stats()["dropped"] == 1
@@ -156,7 +156,7 @@ class TestBackpressureState:
         bp.defer("a", 3)
         bp.defer("b", 2)
         bp.clear()
-        assert not bp.pending("a") and not bp.pending("b")
+        assert "a" not in bp.deferred and "b" not in bp.deferred
 
 
 class TestManagerBackpressure:
@@ -178,7 +178,7 @@ class TestManagerBackpressure:
         entry.consecutive_failures = 2  # distress
         desired = manager._apply_backpressure(entry, 4, svc.replica_count, 0.0)
         assert desired == svc.replica_count
-        assert manager.backpressure.pending("svc")
+        assert "svc" in manager.backpressure.deferred
         assert manager.backpressure.stats()["deferrals"] == 1
 
     def test_calm_period_releases_held_grow(self, engine, api, collector):
@@ -189,7 +189,7 @@ class TestManagerBackpressure:
         entry.consecutive_failures = 0  # distress cleared
         desired = manager._apply_backpressure(entry, 1, 1, 10.0)
         assert desired == 5
-        assert not manager.backpressure.pending("svc")
+        assert "svc" not in manager.backpressure.deferred
 
     def test_reclaim_supersedes_queued_grow(self, engine, api, collector):
         svc = deploy(engine, api, collector)
@@ -199,7 +199,7 @@ class TestManagerBackpressure:
         manager._apply_backpressure(entry, 5, 3, 0.0)
         desired = manager._apply_backpressure(entry, 2, 3, 10.0)
         assert desired == 2  # shrink passes through under distress
-        assert not manager.backpressure.pending("svc")
+        assert "svc" not in manager.backpressure.deferred
         assert manager.backpressure.stats()["dropped"] == 1
 
     def test_finished_app_does_not_hold_other_grows(
@@ -226,7 +226,7 @@ class TestManagerBackpressure:
             manager._entries["other"], 3, 1, engine.now
         )
         assert desired == 3
-        assert not manager.backpressure.pending("other")
+        assert "other" not in manager.backpressure.deferred
 
     def test_distress_signals(self, engine, api, collector):
         svc = deploy(engine, api, collector)

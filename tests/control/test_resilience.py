@@ -195,16 +195,18 @@ class TestSafeMode:
         assert not res["safe_mode"]
 
     def test_safe_mode_series_recorded(self, engine, api, collector):
+        # The safe-mode state, read through entry_resilience().
         svc = deploy(engine, api, collector)
-        collector.declare("control/svc/safe_mode")
         manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         engine.run_until(100.0)
+        assert manager.entry_resilience("svc")["safe_mode"] is False
         collector.stop()
         engine.run_until(300.0)
-        series = collector.series("control/svc/safe_mode")
-        assert series.max_over(engine.now, 1e9) == 1.0
+        state = manager.entry_resilience("svc")
+        assert state["safe_mode"] is True
+        assert state["safe_mode_entries"] == 1
 
 
 class TestRetries:
@@ -330,7 +332,6 @@ class TestCircuitBreaker:
         self, engine, api, collector
     ):
         svc = deploy(engine, api, collector, rate=100.0, cpu=0.5)
-        collector.declare("control/svc/breaker_open")
         manager = ControlLoopManager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
@@ -340,10 +341,12 @@ class TestCircuitBreaker:
         engine.run_until(100.0 + BREAKER_OPEN_DURATION - 5.0)
         skips_at_close = manager.entry_resilience("svc")["breaker_skips"]
         assert skips_at_close >= 1
+        decided = sum(entry.stats.values())
         engine.run_until(400.0)
         # Breaker closed by timeout: the loop decides again.
         assert manager.entry_resilience("svc")["breaker_skips"] == skips_at_close
-        assert collector.series("control/svc/breaker_open").last() == 0.0
+        assert sum(entry.stats.values()) > decided
+        assert engine.now >= entry.breaker_open_until
 
     def test_trips_on_grow_reclaim_flapping(self, engine, api, collector):
         svc = deploy(engine, api, collector)

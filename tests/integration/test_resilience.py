@@ -115,20 +115,18 @@ def test_safe_mode_engages_and_releases_on_scrape_loss():
         allocation=ResourceVector(cpu=1, memory=1, disk_bw=20, net_bw=20),
         plo=LatencyPLO(0.05, window=30), replicas=3,
     )
-    platform.collector.declare("control/svc/safe_mode")
     platform.run(300.0)
     manager = platform.policy.manager
     assert manager.resilience_stats()["safe_mode_entries"] == 0
     platform.metrics_faults.drop_scrapes(platform.engine.now, 120.0)
-    platform.run(120.0)
-    stats = manager.resilience_stats()
-    assert stats["safe_mode_entries"] >= 1
-    platform.run(180.0)
-    stats = manager.resilience_stats()
-    assert stats["safe_mode_exits"] >= 1
-    series = platform.collector.series("control/svc/safe_mode")
-    assert max(series.to_lists()[1]) == 1.0
-    assert series.last() == 0.0  # released, not stuck
+    platform.run(110.0)
+    state = manager.entry_resilience("svc")
+    assert state["safe_mode_entries"] >= 1
+    assert state["safe_mode"] is True
+    platform.run(190.0)
+    state = manager.entry_resilience("svc")
+    assert state["safe_mode_exits"] >= 1
+    assert state["safe_mode"] is False  # released, not stuck
 
 
 @pytest.mark.slow

@@ -35,19 +35,10 @@ def test_scrape_records_source_metrics(engine, collector):
 def test_scrape_records_cluster_gauges(engine, api, collector):
     api.create_pod(make_spec("p0", cpu=12))
     api.bind_pod("p0", "node-0")
-    collector.declare("cluster/alloc_frac/cpu", "cluster/pending_pods")
+    collector.declare("cluster/alloc_frac/cpu")
     collector.start()
     engine.run_until(6.0)
     assert collector.latest("cluster/alloc_frac/cpu") == pytest.approx(12 / 48)
-    assert collector.latest("cluster/pending_pods") == 0.0
-
-
-def test_pending_pods_gauge(engine, api, collector):
-    api.create_pod(make_spec("p0"))
-    collector.declare("cluster/pending_pods")
-    collector.start()
-    engine.run_until(6.0)
-    assert collector.latest("cluster/pending_pods") == 1.0
 
 
 def test_unregister_stops_sampling(engine, collector):

@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.chaos import FaultLog
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.faults import MetricsFaultInjector
+from tests.conftest import make_spec
 
 
 def make(seed=0, log=None):
@@ -96,7 +97,7 @@ class TestCollectorIntegration:
     def make_collector(self, engine, api, faults):
         collector = MetricsCollector(engine, api, faults=faults)
         collector.declare(
-            "cluster/pending_pods",
+            "cluster/alloc_frac/cpu",
             "node/node-0/usage_frac/cpu",
             "node/node-1/usage_frac/cpu",
             "control/svc/error",
@@ -111,9 +112,9 @@ class TestCollectorIntegration:
         faults.drop_scrapes(engine.now, 30.0)
         engine.run_until(45.0)
         # No sample landed during the window; the last one predates it.
-        assert collector.latest_time("cluster/pending_pods") <= 20.0
+        assert collector.latest_time("cluster/alloc_frac/cpu") <= 20.0
         engine.run_until(60.0)
-        assert collector.latest_time("cluster/pending_pods") >= 55.0
+        assert collector.latest_time("cluster/alloc_frac/cpu") >= 55.0
 
     def test_blackout_stalls_one_prefix_only(self, engine, api):
         faults = make()
@@ -130,12 +131,16 @@ class TestCollectorIntegration:
         collector = self.make_collector(engine, api, faults)
         collector.start()
         engine.run_until(20.0)
-        frozen_value = collector.latest("cluster/pending_pods")
-        faults.freeze("cluster/pending_pods", engine.now, 30.0)
+        frozen_value = collector.latest("cluster/alloc_frac/cpu")
+        faults.freeze("cluster/alloc_frac", engine.now, 30.0)
+        api.create_pod(make_spec("p0", cpu=12))
+        api.bind_pod("p0", "node-0")
         engine.run_until(45.0)
         # Values are stale but timestamps advance: the hard staleness mode.
-        assert collector.latest("cluster/pending_pods") == frozen_value
-        assert collector.latest_time("cluster/pending_pods") >= 40.0
+        assert collector.latest("cluster/alloc_frac/cpu") == frozen_value
+        assert collector.latest_time("cluster/alloc_frac/cpu") >= 40.0
+        engine.run_until(55.0)
+        assert collector.latest("cluster/alloc_frac/cpu") == pytest.approx(12 / 48)
 
     def test_record_bypasses_fault_filter(self, engine, api):
         faults = make()

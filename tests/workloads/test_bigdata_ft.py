@@ -64,9 +64,6 @@ class TestDisabledIsInert:
         )
         assert not job.ft
         assert job.ft_accounting() is None
-        metrics = job.sample_metrics(engine.now)
-        assert "ft_reopened_work" not in metrics
-        assert "job_failed" not in metrics
 
     def test_no_fault_makespan_matches_fluid_model(self):
         def run(ft):
@@ -236,6 +233,5 @@ class TestQuarantine:
         assert job.finished
         assert job.quarantined_stage == "map"
         assert not job.done  # failed, not completed
-        assert job.sample_metrics(engine.now)["job_failed"] == 1.0
         # All pods were torn down with the job.
         assert not job.running_pods()

@@ -126,11 +126,13 @@ class TestBrownoutDynamics:
 
 
 class TestBrownoutMetrics:
+    """The brownout state, read through the service's attributes."""
+
     def test_series_absent_until_first_brownout(self, engine, api, cluster):
         svc = deploy(engine, api)
         engine.run_until(30.0)
-        assert "brownout" not in svc.sample_metrics(engine.now)
-        assert "brownout_seconds" not in svc.sample_metrics(engine.now)
+        assert svc.brownouts_entered == 0
+        assert svc.brownout_seconds == 0.0
 
     def test_series_present_after_entry_and_after_exit(
         self, engine, api, cluster
@@ -138,11 +140,12 @@ class TestBrownoutMetrics:
         svc = deploy(engine, api)
         svc.enter_brownout(factor=0.5, latency_penalty=0.0)
         engine.run_until(30.0)
-        metrics = svc.sample_metrics(engine.now)
-        assert metrics["brownout"] == 1.0
-        assert metrics["brownout_seconds"] > 0.0
+        assert svc.brownout_active
+        browned = svc.brownout_seconds
+        assert browned > 0.0
         svc.exit_brownout()
-        # Once the series exists it keeps reporting (as 0) so plots do
-        # not end mid-run.
-        metrics = svc.sample_metrics(engine.now)
-        assert metrics["brownout"] == 0.0
+        engine.run_until(40.0)
+        # After the exit the count and the browned-out time stay.
+        assert not svc.brownout_active
+        assert svc.brownouts_entered == 1
+        assert svc.brownout_seconds == browned

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.resources import ResourceVector
 from repro.dataplane import RESTORE_DELAY
-from repro.workloads.stream import Operator, StreamJob
+from repro.workloads.stream import CHECKPOINT_INTERVAL, Operator, StreamJob
 from repro.workloads.traces import ConstantTrace
 
 
@@ -47,9 +47,7 @@ def test_checkpoints_advance_on_schedule(engine, api):
     engine.run_until(100.0)
     # Default interval is 30 s; ~100 s of run time → 3-4 barriers.
     assert 3 <= job.checkpoints <= 4
-    assert job.last_checkpoint_at > 0.0
-    metrics = job.sample_metrics(engine.now)
-    assert metrics["checkpoint_age"] == engine.now - job.last_checkpoint_at
+    assert 0.0 < engine.now - job.last_checkpoint_at < CHECKPOINT_INTERVAL
     assert_conservation(job)
 
 
