@@ -88,6 +88,11 @@ class Stage:
             raise ValueError(f"stage {self.name!r}: work must be positive")
         if self.input_mb < 0:
             raise ValueError(f"stage {self.name!r}: input must be non-negative")
+        if isinstance(self.deps, str):  # would iterate as one name per letter
+            raise TypeError(
+                f"stage {self.name!r}: deps must be a sequence of stage names, "
+                f"got {self.deps!r}"
+            )
         require_count(self.max_parallelism, f"stage {self.name!r}: max_parallelism")
         if self.max_parallelism < 1:
             raise ValueError(f"stage {self.name!r}: max_parallelism must be ≥ 1")

@@ -45,6 +45,11 @@ class TestDagValidation:
         with pytest.raises(ValueError, match="duplicate"):
             _validate_dag([Stage("a", 1), Stage("a", 2)])
 
+    def test_string_deps_rejected(self):
+        # A string iterates as its letters: "ab" would wait on a and b.
+        with pytest.raises(TypeError, match="stage 'c': deps must be"):
+            Stage("c", 10, deps="ab")
+
     def test_invalid_stage_params(self):
         with pytest.raises(ValueError):
             Stage("s", 0)
