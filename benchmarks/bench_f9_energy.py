@@ -10,7 +10,7 @@ violation penalty for consolidation (less headroom per node). Smoke
 compares consolidate and spread over 1.5 h.
 """
 
-from repro.analysis.energy import PowerModel, cluster_energy, energy_series
+from repro.analysis.energy import PARKED_WATTS, cluster_energy, energy_series
 from repro.analysis.report import format_table
 from benchmarks.scenarios import HOUR, build_platform, deploy_service_mix
 
@@ -35,12 +35,11 @@ def run_config(label: str, seed: int, duration: float) -> dict:
     for node in platform.cluster.nodes:
         platform.collector.declare(*energy_series(node))
     platform.run(duration)
-    model = PowerModel()
     energy = cluster_energy(
         platform.collector, list(platform.cluster.nodes),
-        start=0.0, end=duration, model=model,
+        start=0.0, end=duration,
     )
-    parked_kwh_per_node = model.parked_watts * duration / 3.6e6
+    parked_kwh_per_node = PARKED_WATTS * duration / 3.6e6
     return {
         "energy": energy,
         "parked_nodes": sum(

@@ -7,12 +7,7 @@ controller cuts the tenants' allocation bill by several × versus static
 sizing at near-equal PLO compliance — the money version of reclaim.
 """
 
-from repro.analysis.cost import (
-    PriceSheet,
-    app_cost,
-    cluster_provisioned_cost,
-    cost_series,
-)
+from repro.analysis.cost import app_cost, cluster_provisioned_cost, cost_series
 from repro.analysis.report import format_table
 from benchmarks.scenarios import HOUR, build_platform
 from benchmarks.bench_t2_utilization import deploy_overprovisioned_mix
@@ -25,7 +20,6 @@ def run_case(mode: str, seed: int = SEED) -> dict:
         policies, duration = ("static", "adaptive"), HOUR
     else:
         policies, duration = ("static", "vpa", "adaptive"), 4 * HOUR
-    prices = PriceSheet()
     events = 0
     metrics: dict = {}
     violations: dict = {}
@@ -36,12 +30,12 @@ def run_case(mode: str, seed: int = SEED) -> dict:
             platform.collector.declare(*cost_series(app))
         platform.run(duration)
         metrics[f"bill/{policy}"] = sum(
-            app_cost(platform.collector, app, prices=prices).total
+            app_cost(platform.collector, app).total
             for app in apps)
         violations[policy] = platform.result().total_violation_fraction()
         events += platform.engine.events_executed
     metrics["hardware_cost"] = cluster_provisioned_cost(
-        platform.api.total_allocatable(), duration, prices=prices)
+        platform.api.total_allocatable(), duration)
     metrics["bill_reduction"] = metrics["bill/static"] / max(
         metrics["bill/adaptive"], 1e-9
     )

@@ -12,14 +12,12 @@ from repro.analysis.stats import (
 from repro.analysis.report import format_table
 from repro.analysis.cost import (
     CostReport,
-    PriceSheet,
     app_cost,
     cluster_provisioned_cost,
     cost_series,
 )
 from repro.analysis.energy import (
     EnergyReport,
-    PowerModel,
     cluster_energy,
     energy_series,
 )
@@ -44,12 +42,10 @@ from repro.analysis.traces import (
 )
 
 __all__ = [
-    "PriceSheet",
     "CostReport",
     "app_cost",
     "cluster_provisioned_cost",
     "cost_series",
-    "PowerModel",
     "EnergyReport",
     "cluster_energy",
     "energy_series",

@@ -16,39 +16,16 @@ from dataclasses import dataclass, field
 from repro.cluster.resources import RESOURCES, ResourceVector
 from repro.metrics.collector import MetricsCollector
 
-
-@dataclass(frozen=True)
-class PriceSheet:
-    """Unit prices per resource-hour.
-
-    Defaults are loosely modelled on public-cloud on-demand pricing:
-    $/core-hour, $/GiB-hour, and $/ (MB/s)-hour for provisioned disk and
-    network bandwidth.
-    """
-
-    cpu_hour: float = 0.048
-    memory_gib_hour: float = 0.006
-    disk_bw_mbs_hour: float = 0.0008
-    net_bw_mbs_hour: float = 0.0004
-
-    def __post_init__(self) -> None:
-        if min(self.cpu_hour, self.memory_gib_hour,
-               self.disk_bw_mbs_hour, self.net_bw_mbs_hour) < 0:
-            raise ValueError("prices must be non-negative")
-
-    def as_vector(self) -> ResourceVector:
-        """Prices as a vector aligned with :data:`RESOURCES`."""
-        return ResourceVector(
-            cpu=self.cpu_hour,
-            memory=self.memory_gib_hour,
-            disk_bw=self.disk_bw_mbs_hour,
-            net_bw=self.net_bw_mbs_hour,
-        )
-
-    def rate(self, allocation: ResourceVector) -> float:
-        """$ per hour for holding ``allocation``."""
-        prices = self.as_vector()
-        return sum(allocation[r] * prices[r] for r in RESOURCES)
+#: Unit prices per resource-hour, loosely modelled on public-cloud
+#: on-demand pricing: $/core-hour, $/GiB-hour, and $/(MB/s)-hour for
+#: provisioned disk and network bandwidth.
+CPU_HOUR = 0.048
+MEMORY_GIB_HOUR = 0.006
+DISK_BW_MBS_HOUR = 0.0008
+NET_BW_MBS_HOUR = 0.0004
+_PRICES = dict(
+    zip(RESOURCES, (CPU_HOUR, MEMORY_GIB_HOUR, DISK_BW_MBS_HOUR, NET_BW_MBS_HOUR))
+)
 
 
 @dataclass(frozen=True)
@@ -73,7 +50,6 @@ def app_cost(
     collector: MetricsCollector,
     app: str,
     *,
-    prices: PriceSheet | None = None,
     start: float = 0.0,
     end: float | None = None,
 ) -> CostReport:
@@ -82,34 +58,29 @@ def app_cost(
     Allocation series are app-aggregate (all replicas), so the result is
     the whole application's bill for ``[start, end]``.
     """
-    prices = prices or PriceSheet()
     if end is None:
         end = collector.engine.now
     if end <= start:
         raise ValueError("end must be after start")
-    price_vec = prices.as_vector()
     per_resource = {}
     for resource, series_name in zip(RESOURCES, cost_series(app)):
         if not collector.has_series(series_name):
             per_resource[resource] = 0.0
             continue
         unit_seconds = collector.series(series_name).integrate(start, end)
-        per_resource[resource] = (unit_seconds / 3600.0) * price_vec[resource]
+        per_resource[resource] = (unit_seconds / 3600.0) * _PRICES[resource]
     return CostReport(app=app, window=end - start, per_resource=per_resource)
 
 
 def cluster_provisioned_cost(
-    capacity: ResourceVector,
-    duration_seconds: float,
-    *,
-    prices: PriceSheet | None = None,
+    capacity: ResourceVector, duration_seconds: float
 ) -> float:
     """$ cost of keeping ``capacity`` provisioned for the duration.
 
     The operator-side denominator: hardware is paid for whether or not
     allocations use it, which is why reclaimed utilization is money.
     """
-    prices = prices or PriceSheet()
     if duration_seconds < 0:
         raise ValueError("duration must be non-negative")
-    return prices.rate(capacity) * duration_seconds / 3600.0
+    rate = sum(capacity[r] * _PRICES[r] for r in RESOURCES)  # $ per hour
+    return rate * duration_seconds / 3600.0

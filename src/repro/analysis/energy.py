@@ -16,39 +16,20 @@ from repro.metrics.collector import MetricsCollector
 
 #: Allocation fraction at or below which a node counts as parked.
 PARK_THRESHOLD = 1e-6
+#: Draw in watts of a node with zero allocation (deep sleep / powered
+#: down by the cluster manager), of an active node at 0% CPU, and at
+#: 100% CPU.
+PARKED_WATTS = 15.0
+IDLE_WATTS = 120.0
+PEAK_WATTS = 300.0
 
 
-@dataclass(frozen=True)
-class PowerModel:
-    """Linear node power model (watts).
-
-    Parameters
-    ----------
-    parked_watts:
-        Draw of a node with zero allocation (deep sleep / powered down by
-        the cluster manager).
-    idle_watts:
-        Draw of an active node at 0% CPU.
-    peak_watts:
-        Draw at 100% CPU.
-    """
-
-    parked_watts: float = 15.0
-    idle_watts: float = 120.0
-    peak_watts: float = 300.0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.parked_watts <= self.idle_watts <= self.peak_watts:
-            raise ValueError(
-                "need 0 ≤ parked_watts ≤ idle_watts ≤ peak_watts"
-            )
-
-    def node_power(self, alloc_frac: float, cpu_usage_frac: float) -> float:
-        """Instantaneous node draw in watts."""
-        if alloc_frac <= PARK_THRESHOLD:
-            return self.parked_watts
-        dynamic = self.peak_watts - self.idle_watts
-        return self.idle_watts + dynamic * max(0.0, min(1.0, cpu_usage_frac))
+def node_power(alloc_frac: float, cpu_usage_frac: float) -> float:
+    """Instantaneous node draw in watts under the linear model."""
+    if alloc_frac <= PARK_THRESHOLD:
+        return PARKED_WATTS
+    dynamic = PEAK_WATTS - IDLE_WATTS
+    return IDLE_WATTS + dynamic * max(0.0, min(1.0, cpu_usage_frac))
 
 
 @dataclass(frozen=True)
@@ -80,7 +61,6 @@ def cluster_energy(
     *,
     start: float,
     end: float,
-    model: PowerModel | None = None,
 ) -> EnergyReport:
     """Integrate node power over ``[start, end]``.
 
@@ -88,7 +68,6 @@ def cluster_energy(
     applies the power model stepwise (sample values hold until the next
     scrape).
     """
-    model = model or PowerModel()
     if end <= start:
         raise ValueError("end must be after start")
     per_node: dict[str, float] = {}
@@ -106,16 +85,16 @@ def cluster_energy(
         ]
         if not points:
             # Never scraped: assume parked for the whole window.
-            per_node[name] = model.parked_watts * (end - start) / 3.6e6
+            per_node[name] = PARKED_WATTS * (end - start) / 3.6e6
             continue
         # Segment before the first sample: parked (nothing was running).
         first_time = max(start, points[0][0])
-        joules += model.parked_watts * max(0.0, first_time - start)
+        joules += PARKED_WATTS * max(0.0, first_time - start)
         for i, (t, alloc, usage) in enumerate(points):
             seg_start = max(t, start)
             seg_end = points[i + 1][0] if i + 1 < len(points) else end
             seg_end = min(seg_end, end)
             if seg_end > seg_start:
-                joules += model.node_power(alloc, usage) * (seg_end - seg_start)
+                joules += node_power(alloc, usage) * (seg_end - seg_start)
         per_node[name] = joules / 3.6e6  # J → kWh
     return EnergyReport(window=end - start, per_node_kwh=per_node)

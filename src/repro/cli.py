@@ -31,7 +31,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from repro.analysis.cost import PriceSheet, app_cost, cost_series
+from repro.analysis.cost import app_cost, cost_series
 from repro.analysis.report import format_table
 from repro.cluster.resources import ResourceVector
 from repro.platform.config import PlatformConfig
@@ -89,7 +89,6 @@ def summarize(platform: EvolvePlatform) -> str:
         "",
     ]
     rows = []
-    prices = PriceSheet()
     for name, app in sorted(platform.apps.items()):
         tracker = result.trackers.get(name)
         violation = (
@@ -100,7 +99,7 @@ def summarize(platform: EvolvePlatform) -> str:
             status = f"{makespan:.0f} s" if makespan is not None else "running"
         else:
             status = f"{app.replica_count} replicas"
-        cost = app_cost(platform.collector, name, prices=prices)
+        cost = app_cost(platform.collector, name)
         rows.append([name, type(app).__name__, status, violation,
                      f"${cost.total:.2f}"])
     lines.append(format_table(

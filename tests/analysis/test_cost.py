@@ -3,7 +3,10 @@
 import pytest
 
 from repro.analysis.cost import (
-    PriceSheet,
+    CPU_HOUR,
+    DISK_BW_MBS_HOUR,
+    MEMORY_GIB_HOUR,
+    NET_BW_MBS_HOUR,
     app_cost,
     cluster_provisioned_cost,
     cost_series,
@@ -12,22 +15,18 @@ from repro.cluster.resources import ResourceVector
 
 
 class TestPriceSheet:
-    def test_rate(self):
-        prices = PriceSheet(cpu_hour=1.0, memory_gib_hour=0.1,
-                            disk_bw_mbs_hour=0.01, net_bw_mbs_hour=0.001)
-        alloc = ResourceVector(cpu=2, memory=10, disk_bw=100, net_bw=1000)
-        assert prices.rate(alloc) == pytest.approx(2 + 1 + 1 + 1)
+    """The unit prices per resource-hour."""
 
-    def test_negative_price_rejected(self):
-        with pytest.raises(ValueError):
-            PriceSheet(cpu_hour=-1)
+    def test_rate(self):
+        alloc = ResourceVector(cpu=2, memory=10, disk_bw=100, net_bw=1000)
+        hourly = (2 * CPU_HOUR + 10 * MEMORY_GIB_HOUR + 100 * DISK_BW_MBS_HOUR
+                  + 1000 * NET_BW_MBS_HOUR)
+        assert cluster_provisioned_cost(alloc, 3600.0) == pytest.approx(hourly)
 
     def test_default_ordering_sane(self):
-        prices = PriceSheet()
-        # A core-hour costs more than a GiB-hour, which costs more than
-        # a MB/s-hour of bandwidth.
-        assert prices.cpu_hour > prices.memory_gib_hour
-        assert prices.memory_gib_hour > prices.disk_bw_mbs_hour
+        # Every price is positive. A core-hour costs more than a GiB-hour,
+        # which costs more than a MB/s-hour of bandwidth.
+        assert CPU_HOUR > MEMORY_GIB_HOUR > DISK_BW_MBS_HOUR > NET_BW_MBS_HOUR > 0
 
 
 class TestAppCost:
@@ -36,17 +35,12 @@ class TestAppCost:
         collector.declare(*cost_series("svc"), *cost_series("ghost"))
 
     def test_constant_allocation(self, engine, collector):
-        # 2 cores held for one hour at $1/core-hour = $2.
+        # 2 cores held for one hour cost two core-hours.
         collector.record("app/svc/alloc/cpu", 2.0)
         engine.run_until(3600.0)
-        report = app_cost(
-            collector, "svc",
-            prices=PriceSheet(cpu_hour=1.0, memory_gib_hour=0,
-                              disk_bw_mbs_hour=0, net_bw_mbs_hour=0),
-            start=0.0, end=3600.0,
-        )
-        assert report.total == pytest.approx(2.0)
-        assert report.per_resource["cpu"] == pytest.approx(2.0)
+        report = app_cost(collector, "svc", start=0.0, end=3600.0)
+        assert report.total == pytest.approx(2 * CPU_HOUR)
+        assert report.per_resource["cpu"] == pytest.approx(2 * CPU_HOUR)
         assert report.per_resource["memory"] == 0.0
 
     def test_allocation_change_mid_window(self, engine, collector):
@@ -54,13 +48,9 @@ class TestAppCost:
         engine.run_until(1800.0)
         collector.record("app/svc/alloc/cpu", 2.0)
         engine.run_until(3600.0)
-        report = app_cost(
-            collector, "svc",
-            prices=PriceSheet(cpu_hour=1.0, memory_gib_hour=0,
-                              disk_bw_mbs_hour=0, net_bw_mbs_hour=0),
-            start=0.0, end=3600.0,
-        )
-        assert report.total == pytest.approx(3.0)  # (4×0.5h + 2×0.5h)
+        report = app_cost(collector, "svc", start=0.0, end=3600.0)
+        # (4×0.5h + 2×0.5h) = 3 core-hours.
+        assert report.total == pytest.approx(3 * CPU_HOUR)
 
     def test_missing_series_is_zero(self, engine, collector):
         engine.run_until(100.0)
@@ -81,12 +71,9 @@ class TestAppCost:
 class TestClusterCost:
     def test_provisioned_cost(self):
         cost = cluster_provisioned_cost(
-            ResourceVector(cpu=10, memory=0, disk_bw=0, net_bw=0),
-            7200.0,
-            prices=PriceSheet(cpu_hour=0.5, memory_gib_hour=0,
-                              disk_bw_mbs_hour=0, net_bw_mbs_hour=0),
+            ResourceVector(cpu=10, memory=0, disk_bw=0, net_bw=0), 7200.0
         )
-        assert cost == pytest.approx(10.0)
+        assert cost == pytest.approx(20 * CPU_HOUR)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):

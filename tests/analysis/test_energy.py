@@ -3,35 +3,36 @@
 import pytest
 
 from repro.analysis.energy import (
+    IDLE_WATTS,
+    PARKED_WATTS,
+    PEAK_WATTS,
     EnergyReport,
-    PowerModel,
     cluster_energy,
     energy_series,
+    node_power,
 )
 from tests.conftest import make_spec
 
 
 class TestPowerModel:
+    """The linear node power model."""
+
     def test_parked_when_empty(self):
-        model = PowerModel(parked_watts=10, idle_watts=100, peak_watts=300)
-        assert model.node_power(0.0, 0.0) == 10
+        assert node_power(0.0, 0.0) == PARKED_WATTS
 
     def test_idle_when_allocated_but_unused(self):
-        model = PowerModel(parked_watts=10, idle_watts=100, peak_watts=300)
-        assert model.node_power(0.5, 0.0) == 100
+        assert node_power(0.5, 0.0) == IDLE_WATTS
 
     def test_linear_in_utilization(self):
-        model = PowerModel(parked_watts=10, idle_watts=100, peak_watts=300)
-        assert model.node_power(0.5, 0.5) == 200
-        assert model.node_power(0.5, 1.0) == 300
+        assert node_power(0.5, 0.5) == (IDLE_WATTS + PEAK_WATTS) / 2
+        assert node_power(0.5, 1.0) == PEAK_WATTS
 
     def test_utilization_clamped(self):
-        model = PowerModel()
-        assert model.node_power(0.5, 2.0) == model.node_power(0.5, 1.0)
+        assert node_power(0.5, 2.0) == node_power(0.5, 1.0)
+        assert node_power(0.5, -1.0) == node_power(0.5, 0.0)
 
-    def test_invalid_ordering(self):
-        with pytest.raises(ValueError):
-            PowerModel(parked_watts=200, idle_watts=100)
+    def test_wattages_ordered(self):
+        assert 0 <= PARKED_WATTS <= IDLE_WATTS <= PEAK_WATTS
 
 
 class TestClusterEnergy:
@@ -42,12 +43,11 @@ class TestClusterEnergy:
     def test_parked_cluster_energy(self, engine, api, collector):
         collector.start()
         engine.run_until(3600.0)
-        model = PowerModel(parked_watts=36, idle_watts=100, peak_watts=300)
-        report = cluster_energy(
-            collector, ["node-0"], start=0.0, end=3600.0, model=model
+        report = cluster_energy(collector, ["node-0"], start=0.0, end=3600.0)
+        # The parked draw for 1 h, in kWh.
+        assert report.per_node_kwh["node-0"] == pytest.approx(
+            PARKED_WATTS / 1000, rel=0.05
         )
-        # 36 W for 1 h = 0.036 kWh.
-        assert report.per_node_kwh["node-0"] == pytest.approx(0.036, rel=0.05)
 
     def test_busy_node_draws_more(self, engine, api, collector):
         api.create_pod(make_spec("p", cpu=8))
@@ -60,11 +60,8 @@ class TestClusterEnergy:
         assert report.per_node_kwh["node-0"] > report.per_node_kwh["node-1"] * 3
 
     def test_never_scraped_counts_as_parked(self, engine, api, collector):
-        model = PowerModel(parked_watts=36, idle_watts=100, peak_watts=300)
-        report = cluster_energy(
-            collector, ["node-0"], start=0.0, end=3600.0, model=model
-        )
-        assert report.per_node_kwh["node-0"] == pytest.approx(0.036)
+        report = cluster_energy(collector, ["node-0"], start=0.0, end=3600.0)
+        assert report.per_node_kwh["node-0"] == pytest.approx(PARKED_WATTS / 1000)
 
     def test_total_and_mean_watts(self):
         report = EnergyReport(window=3600.0, per_node_kwh={"a": 0.1, "b": 0.2})

@@ -64,8 +64,7 @@ PUBLIC_SURFACE = {
                        "build_nodes"],
     "repro.analysis": ["PLOMonitor", "utilization_summary", "settling_time",
                        "recovery_time", "overshoot", "format_table",
-                       "PriceSheet", "app_cost", "PowerModel",
-                       "cluster_energy", "EpisodeRecovery", "RecoveryStats",
+                       "app_cost", "cluster_energy", "EpisodeRecovery", "RecoveryStats",
                        "UTILIZATION_SERIES", "cost_series", "energy_series",
                        "error_series",
                        "fault_recovery_report", "reconvergence_time",
