@@ -21,8 +21,11 @@ Three claims keep ``PlatformConfig(telemetry=True)`` honest:
    wall time. (The bound is a deliberately pessimistic model — every
    event charged the full 8 guards — and its share grew when the
    simulator hot path got ~2× faster: same guard cost, half the
-   denominator.) Both timings are the median of
-   :data:`TIMING_REPEATS`, so one slow moment of the host moves neither.
+   denominator.) The guard and the disabled wall time are timed in
+   :data:`TIMING_REPEATS` alternating pairs, one reading per pair, and
+   the gate takes the median reading: a host state that lasts a few
+   seconds shifts both timings of a pair, or one reading, not the
+   median.
 3. **Bit-identity** — a seeded run produces *identical* sample streams
    and event counts with telemetry on or off. Tracing must observe the
    simulation, never perturb it: no extra RNG draws, no extra events.
@@ -50,8 +53,10 @@ SIZES = {"smoke": (4, HOUR / 2), "full": (8, HOUR)}
 
 ENABLED_BUDGET = 0.05
 DISABLED_BUDGET = 0.02
-#: Timings behind the disabled-path reading (each a median).
+#: (disabled wall time, guard cost) pairs behind the disabled-path reading.
 TIMING_REPEATS = 5
+#: Guards charged per engine event by the disabled-path model.
+GUARDS_PER_EVENT = 8
 
 
 def _build(*, telemetry: bool, apps: int, seed: int):
@@ -135,26 +140,21 @@ def run_case(mode: str, seed: int = SEED) -> dict:
     run = {"apps": apps, "duration": duration, "seed": seed}
     calls_off, off_platform = _profiled_run(telemetry=False, **run)
     calls_on, on_platform = _profiled_run(telemetry=True, **run)
-    wall_off = statistics.median(
-        _timed_run(telemetry=False, **run) for _ in range(TIMING_REPEATS)
-    )
+    events = off_platform.engine.events_executed
+    walls_off, readings = [], []
+    for _ in range(TIMING_REPEATS):
+        # Disabled residual: one guard per instrumentation site, bounded
+        # by a handful of checks per engine event.
+        wall = _timed_run(telemetry=False, **run)
+        guard = _guard_cost_per_check()
+        walls_off.append(wall)
+        readings.append(guard * GUARDS_PER_EVENT * events / wall)
     wall_on = _timed_run(telemetry=True, **run)
 
     identical = (
         _series_fingerprint(off_platform, apps)
         == _series_fingerprint(on_platform, apps)
-        and off_platform.engine.events_executed
-        == on_platform.engine.events_executed
-    )
-    # Disabled residual: one guard per instrumentation site, bounded by
-    # a handful of checks per engine event.
-    guard = statistics.median(
-        _guard_cost_per_check() for _ in range(TIMING_REPEATS)
-    )
-    guards_per_event = 8
-    disabled_overhead = (
-        guard * guards_per_event * off_platform.engine.events_executed
-        / wall_off
+        and events == on_platform.engine.events_executed
     )
     metrics = {
         "calls_off": calls_off,
@@ -165,13 +165,13 @@ def run_case(mode: str, seed: int = SEED) -> dict:
         "provenance": len(on_platform.telemetry.trace.provenance),
     }
     timing = {
-        "wall_off_s": wall_off,
+        "wall_off_s": statistics.median(walls_off),
         "wall_on_s": wall_on,
-        "disabled_overhead": disabled_overhead,
+        "disabled_overhead": statistics.median(readings),
     }
     return {
         "seed": seed,
-        "events_executed": off_platform.engine.events_executed,
+        "events_executed": events,
         "metrics": metrics,
         "timing": timing,
         "apps": apps,
