@@ -249,7 +249,12 @@ def test_distorting_faults_skip_undeclared_samples(engine, api):
     # draw nothing and cannot shift the outliers of the declared series.
     assert unread.samples == 0
     assert faults.outliers_injected == alone_faults.outliers_injected > 0
-    assert faults.rng.random() == alone_faults.rng.random()
+    # One draw per declared sample: 20 scrapes of one declared name.
+    reference = MetricsFaultInjector()
+    for _ in range(20):
+        reference.rng.random()
+    next_draw = reference.rng.random()
+    assert faults.rng.random() == alone_faults.rng.random() == next_draw
     assert (
         collector.series("app/read/latency").to_lists()
         == alone.series("app/read/latency").to_lists()
