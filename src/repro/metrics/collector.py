@@ -71,7 +71,7 @@ class MetricsSource(Protocol):
 
 
 class MetricsCollector:
-    """Periodic scraper storing all series for an experiment.
+    """Periodic scraper storing the declared series of an experiment.
 
     ``engine`` and ``api`` are the simulation engine and the cluster to
     scrape, every :data:`SCRAPE_INTERVAL` seconds.
@@ -245,12 +245,12 @@ class MetricsCollector:
                 hook(now)
 
     def _scrape_all(self, now: float) -> None:
-        # Batched store path: the fault filter is consulted once per
-        # round. A source, node or gauge family whose prefix leads to
-        # nothing declared is not even sampled, and only declared samples
-        # pass through an active per-sample fault filter, whose RNG draws
-        # are part of the seeded stream; the rest append straight into
-        # their declared series.
+        # One rule, with or without a metrics fault: a source, node or
+        # gauge family whose prefix leads to nothing declared is not
+        # sampled, and only declared samples are stored or, while a
+        # per-sample fault is active (checked once per round), passed
+        # through its filter, whose RNG draws are part of the seeded
+        # stream.
         faults = self.faults
         if faults is not None and not faults.distorts_samples(now):
             faults = None
