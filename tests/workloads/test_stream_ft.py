@@ -36,9 +36,10 @@ def test_disabled_ft_adds_no_state_or_metrics(engine, api):
     job = deploy(engine, api, ft=False)
     engine.run_until(60.0)
     assert not job.ft
-    metrics = job.sample_metrics(engine.now)
-    assert "checkpoints" not in metrics
-    assert "restarts" not in metrics
+    # No checkpoint state; tests/workloads/test_metric_keys.py pins the
+    # gauges, the same with fault tolerance on or off.
+    assert not hasattr(job, "checkpoints")
+    assert not hasattr(job, "restarts")
     assert_conservation(job)
 
 
