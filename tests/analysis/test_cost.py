@@ -23,10 +23,14 @@ class TestPriceSheet:
                   + 1000 * NET_BW_MBS_HOUR)
         assert cluster_provisioned_cost(alloc, 3600.0) == pytest.approx(hourly)
 
+    def test_prices_positive(self):
+        assert min(CPU_HOUR, MEMORY_GIB_HOUR, DISK_BW_MBS_HOUR,
+                   NET_BW_MBS_HOUR) > 0
+
     def test_default_ordering_sane(self):
-        # Every price is positive. A core-hour costs more than a GiB-hour,
-        # which costs more than a MB/s-hour of bandwidth.
-        assert CPU_HOUR > MEMORY_GIB_HOUR > DISK_BW_MBS_HOUR > NET_BW_MBS_HOUR > 0
+        # A core-hour costs more than a GiB-hour, which costs more than
+        # a MB/s-hour of bandwidth.
+        assert CPU_HOUR > MEMORY_GIB_HOUR > DISK_BW_MBS_HOUR > NET_BW_MBS_HOUR
 
 
 class TestAppCost:
