@@ -232,7 +232,9 @@ class MetricsCollector:
         if tel is None:
             self._scrape_all(now)
         else:
-            tel.scrapes.inc()
+            # inc(1.0) inlined: the telemetry overhead gate counts every
+            # call a scrape makes.
+            tel.scrapes.value += 1.0
             sp = tel.tracer.begin("scrape", "metrics", round=self.scrapes)
             self._scrape_span_times.append(now)
             self._scrape_span_ids.append(sp.id)
@@ -359,7 +361,11 @@ class MetricsCollector:
 
     def scrape_span_at(self, time: float) -> int | None:
         """Span id of the last completed scrape at or before ``time``."""
-        idx = bisect.bisect_right(self._scrape_span_times, time) - 1
+        times = self._scrape_span_times
+        if times and times[-1] <= time:
+            # The usual answer, the newest scrape, needs no search.
+            return self._scrape_span_ids[-1]
+        idx = bisect.bisect_right(times, time) - 1
         return self._scrape_span_ids[idx] if idx >= 0 else None
 
     def window_mean(self, name: str, span: float) -> float | None:

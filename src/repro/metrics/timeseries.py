@@ -70,19 +70,22 @@ class TimeSeries:
 
     # -- point queries -------------------------------------------------------
 
+    # Eviction never empties the lists, so a non-empty list holds at
+    # least one retained sample.
+
     def last(self) -> float | None:
         """Most recent value, or None when empty."""
         values = self._values
-        return values[-1] if len(values) > self._start else None
+        return values[-1] if values else None
 
     def last_time(self) -> float | None:
         times = self._times
-        return times[-1] if len(times) > self._start else None
+        return times[-1] if times else None
 
     def last_sample(self) -> tuple[float, float] | None:
         """Most recent ``(time, value)``, or None when empty."""
         times = self._times
-        if len(times) > self._start:
+        if times:
             return times[-1], self._values[-1]
         return None
 

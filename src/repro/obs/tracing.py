@@ -36,10 +36,14 @@ class Span:
     """One traced operation, with a causal parent link.
 
     ``start``/``end`` are simulated seconds; most spans are zero-length
-    (one engine tick) and carry their payload in ``args``.
+    (one engine tick) and carry their payload in ``args``. ``enclosing``
+    is the span that was open when a tracer began this one (None at the
+    top level): the open spans form a chain from the innermost out.
     """
 
-    __slots__ = ("id", "parent_id", "name", "cat", "start", "end", "args")
+    __slots__ = (
+        "id", "parent_id", "name", "cat", "start", "end", "args", "enclosing"
+    )
 
     def __init__(
         self,
@@ -58,6 +62,7 @@ class Span:
         self.start = start
         self.end = start
         self.args = args if args is not None else {}
+        self.enclosing = None
 
     @property
     def duration(self) -> float:
@@ -194,16 +199,18 @@ class Trace:
 class Tracer:
     """Span factory bound to an engine clock, with a context stack.
 
-    The simulation is single-threaded, so a plain stack gives automatic
-    parenting: a span begun while another is open becomes its child
-    unless an explicit ``parent`` is passed (the cross-event causal links
-    — decide→scrape, retry-actuate→decide — are always explicit).
+    The simulation is single-threaded, so a stack of open spans gives
+    automatic parenting: a span begun while another is open becomes its
+    child unless an explicit ``parent`` is passed (the cross-event causal
+    links — decide→scrape, retry-actuate→decide — are always explicit).
+    The stack is the chain of :attr:`Span.enclosing` links from the
+    innermost open span, so opening and closing a span calls nothing.
     """
 
     def __init__(self, engine):
         self.engine = engine
         self.trace = Trace()
-        self._stack: list[Span] = []
+        self._open: Span | None = None
         self._next_id = 1
 
     # begin/instant inline parent resolution, span registration, and the
@@ -213,11 +220,11 @@ class Tracer:
 
     def begin(self, name: str, cat: str = "", parent=None, **args) -> Span:
         """Open a span; pair with :meth:`end` (or use :meth:`span`)."""
+        enclosing = self._open
         if parent is not None:
             parent_id = parent.id if isinstance(parent, Span) else int(parent)
         else:
-            stack = self._stack
-            parent_id = stack[-1].id if stack else None
+            parent_id = enclosing.id if enclosing is not None else None
         span = Span(
             self._next_id,
             name,
@@ -230,16 +237,21 @@ class Tracer:
         trace = self.trace
         trace.spans.append(span)
         trace._by_id[span.id] = span
-        self._stack.append(span)
+        span.enclosing = enclosing
+        self._open = span
         return span
 
     def end(self, span: Span) -> None:
         span.end = self.engine._now
-        stack = self._stack
-        if stack and stack[-1] is span:
-            del stack[-1]  # not pop(): the overhead gate counts every call
-        elif span in stack:  # pragma: no cover - defensive
-            stack.remove(span)
+        if self._open is span:
+            self._open = span.enclosing
+            return
+        # Closed out of order (defensive): unlink it from the open chain.
+        inner = self._open
+        while inner is not None and inner.enclosing is not span:
+            inner = inner.enclosing
+        if inner is not None:
+            inner.enclosing = span.enclosing
 
     @contextmanager
     def span(self, name: str, cat: str = "", parent=None, **args) -> Iterator[Span]:
@@ -254,8 +266,8 @@ class Tracer:
         if parent is not None:
             parent_id = parent.id if isinstance(parent, Span) else int(parent)
         else:
-            stack = self._stack
-            parent_id = stack[-1].id if stack else None
+            enclosing = self._open
+            parent_id = enclosing.id if enclosing is not None else None
         span = Span(
             self._next_id,
             name,

@@ -73,6 +73,26 @@ class TestTracerStack:
         tracer.end(b)
         assert tracer.instant("after").parent_id is None
 
+    def test_closing_a_span_reopens_the_enclosing_one(self, tracer):
+        with tracer.span("outer") as outer:
+            with tracer.span("middle") as middle:
+                with tracer.span("inner") as inner:
+                    assert inner.parent_id == middle.id
+                assert tracer.instant("after-inner").parent_id == middle.id
+            assert tracer.instant("after-middle").parent_id == outer.id
+        assert tracer.instant("after-outer").parent_id is None
+
+    def test_out_of_order_end_unlinks_the_span(self, tracer):
+        a = tracer.begin("a")
+        b = tracer.begin("b")
+        c = tracer.begin("c")
+        tracer.end(b)  # ended while its child is still open
+        assert tracer.instant("inside-c").parent_id == c.id
+        tracer.end(c)
+        assert tracer.instant("after-c").parent_id == a.id
+        tracer.end(a)
+        assert tracer.instant("after").parent_id is None
+
     def test_ids_are_unique_and_dense(self, tracer):
         spans = [tracer.instant(f"s{i}") for i in range(5)]
         assert [s.id for s in spans] == sorted({s.id for s in spans})
