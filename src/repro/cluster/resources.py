@@ -15,21 +15,20 @@ returns new vectors.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from collections import namedtuple
+from typing import Mapping
 
 #: Canonical resource dimension names, in controller order.
 RESOURCES: tuple[str, ...] = ("cpu", "memory", "disk_bw", "net_bw")
 
-# Module-level aliases used by the allocation-free arithmetic fast paths
-# below; ResourceVector construction and field writes dominate several
-# simulator hot loops (usage recording, scrape aggregation, node
-# accounting), so arithmetic avoids __init__'s float() coercions and the
-# per-dimension getattr/genexpr machinery entirely.
-_new = object.__new__
-_set = object.__setattr__
+# Vector construction dominates several simulator hot loops (usage
+# recording, scrape aggregation, node accounting): ``_from_fields``
+# builds one with a single tuple.__new__, without __new__'s float()
+# coercions.
+_tuple_new = tuple.__new__
 
 
-class ResourceVector:
+class ResourceVector(namedtuple("_ResourceFields", RESOURCES)):
     """Immutable 4-dimensional resource quantity.
 
     Supports elementwise arithmetic (``+``, ``-``, scalar ``*`` / ``/``),
@@ -37,24 +36,26 @@ class ResourceVector:
     constructors. Negative intermediate values are permitted (useful for
     headroom math); use :meth:`clamp_nonnegative` before treating a vector
     as a physical quantity.
+
+    The fields live in a tuple, which makes a vector immutable, but a
+    vector is not a sequence of numbers: it never equals a plain tuple,
+    indexing takes a dimension name (``vec[0]`` raises ``KeyError``), and
+    a NaN field makes it unequal to itself, as a field-by-field
+    comparison does.
     """
 
-    __slots__ = ("cpu", "memory", "disk_bw", "net_bw")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         cpu: float = 0.0,
         memory: float = 0.0,
         disk_bw: float = 0.0,
         net_bw: float = 0.0,
     ):
-        object.__setattr__(self, "cpu", float(cpu))
-        object.__setattr__(self, "memory", float(memory))
-        object.__setattr__(self, "disk_bw", float(disk_bw))
-        object.__setattr__(self, "net_bw", float(net_bw))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ResourceVector is immutable")
+        return _tuple_new(
+            cls, (float(cpu), float(memory), float(disk_bw), float(net_bw))
+        )
 
     # -- constructors -----------------------------------------------------
 
@@ -97,9 +98,6 @@ class ResourceVector:
             "net_bw": self.net_bw,
         }
 
-    def __iter__(self) -> Iterator[float]:
-        return (getattr(self, name) for name in RESOURCES)
-
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
@@ -107,12 +105,7 @@ class ResourceVector:
         cpu: float, memory: float, disk_bw: float, net_bw: float
     ) -> "ResourceVector":
         """Fast constructor for values already known to be floats."""
-        vec = _new(ResourceVector)
-        _set(vec, "cpu", cpu)
-        _set(vec, "memory", memory)
-        _set(vec, "disk_bw", disk_bw)
-        _set(vec, "net_bw", net_bw)
-        return vec
+        return _tuple_new(ResourceVector, (cpu, memory, disk_bw, net_bw))
 
     def _combine(self, other: "ResourceVector", op) -> "ResourceVector":
         return ResourceVector._from_fields(
@@ -228,13 +221,24 @@ class ResourceVector:
 
     # -- dunder plumbing ------------------------------------------------------
 
+    # Field by field, not tuple equality, which takes identical floats as
+    # equal: a NaN field keeps a vector unequal even to itself.
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResourceVector):
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in RESOURCES)
+        if isinstance(other, ResourceVector):
+            return (
+                self.cpu == other.cpu
+                and self.memory == other.memory
+                and self.disk_bw == other.disk_bw
+                and self.net_bw == other.net_bw
+            )
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    # hash((cpu, memory, disk_bw, net_bw)), as a plain tuple hashes.
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{n}={getattr(self, n):g}" for n in RESOURCES)

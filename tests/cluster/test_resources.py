@@ -1,5 +1,9 @@
 """Unit + property tests for ResourceVector."""
 
+import copy
+import math
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,6 +54,59 @@ class TestBasics:
         assert ResourceVector(1, 2, 3, 4) == ResourceVector(1, 2, 3, 4)
         assert hash(ResourceVector(1, 2, 3, 4)) == hash(ResourceVector(1, 2, 3, 4))
         assert ResourceVector(1, 2, 3, 4) != ResourceVector(1, 2, 3, 5)
+
+
+class TestValueSemantics:
+    """A vector keeps its fields in a tuple but is not a tuple of numbers."""
+
+    def test_never_equals_a_plain_tuple(self):
+        v = ResourceVector(1, 2, 3, 4)
+        fields = (1.0, 2.0, 3.0, 4.0)
+        assert v != fields and fields != v
+        assert not v == fields and not fields == v
+        assert tuple(v) == fields
+
+    def test_nan_field_is_unequal_even_to_itself(self):
+        for name in RESOURCES:
+            v = ResourceVector().replace(**{name: math.nan})
+            assert not v == v
+            assert v != v
+            assert v != ResourceVector().replace(**{name: math.nan})
+
+    def test_index_is_not_a_dimension(self):
+        v = ResourceVector(1, 2, 3, 4)
+        for key in (0, -1, slice(0, 2)):
+            with pytest.raises(KeyError):
+                v[key]
+
+    def test_hash_is_the_field_tuple_hash(self):
+        v = ResourceVector(1, 2.5, -0.0, 4)
+        assert hash(v) == hash((1.0, 2.5, -0.0, 4.0))
+        assert hash(v) == hash(ResourceVector(1.0, 2.5, 0.0, 4.0))
+
+    def test_ints_stored_as_floats(self):
+        v = ResourceVector(1, 2, 3, True)
+        assert [type(x) for x in v] == [float] * 4
+        assert [v.cpu, v.memory, v.disk_bw, v.net_bw] == [1.0, 2.0, 3.0, 1.0]
+        assert type(ResourceVector.from_dict({"memory": 2}).memory) is float
+
+    def test_every_field_immutable(self):
+        v = ResourceVector(1, 2, 3, 4)
+        for name in (*RESOURCES, "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, 5.0)
+        assert v == ResourceVector(1, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_round_trips(self, clone):
+        v = ResourceVector(1, 2.5, 3, 0.125)
+        got = clone(v)
+        assert type(got) is ResourceVector
+        assert got == v and repr(got) == repr(v)
 
 
 class TestArithmetic:
