@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable
 
 
@@ -256,10 +257,12 @@ class Engine:
             )
         periodic = PeriodicHandle(self, interval)
         first = self._now + interval if start is None else start
-        # Rescheduling is inlined (no schedule_at frame or validity check
-        # per firing): the next deadline is always now + interval ≥ now.
-        # Push onto self._heap — never a captured alias — so the closure
-        # survives any heap rebuild done by _compact().
+        # Each firing pushes the handle that just ran back onto the heap:
+        # one handle per periodic event (only periodic.cancel() cancels
+        # it), and no schedule_at frame or validity check per firing (the
+        # next deadline, now + interval, is never in the past). Push onto
+        # self._heap — never a captured alias — so the closure survives
+        # any heap rebuild by _compact().
         counter = self._counter
 
         def fire() -> None:
@@ -268,14 +271,12 @@ class Engine:
             periodic.fired += 1
             callback()
             if not periodic.cancelled:
-                handle = EventHandle(self._now + interval, priority, fire, self)
-                heapq.heappush(
-                    self._heap, (handle.time, priority, next(counter), handle)
-                )
+                handle.time = when = self._now + interval
+                handle.executed = False
+                heapq.heappush(self._heap, (when, priority, next(counter), handle))
                 self._live += 1
-                periodic._current = handle
 
-        periodic._current = self.schedule_at(first, fire, priority=priority)
+        handle = periodic._current = self.schedule_at(first, fire, priority=priority)
         return periodic
 
     def peek(self) -> float | None:
@@ -335,30 +336,44 @@ class Engine:
         """Cancelled entries the heap still carries (lazy cancellation)."""
         return self._cancelled_in_heap
 
-    def step(self) -> bool:
-        """Execute the next pending event. Returns False if none remain."""
+    def _dispatch(self, end_time: float, max_events: float) -> int:
+        """The dispatch loop: pop and run events due by ``end_time``.
+
+        Stops after ``max_events`` events, when the heap holds nothing due,
+        or after the event during which :meth:`stop` was called. Returns
+        the number of events run.
+        """
         heap = self._heap
         pop = heapq.heappop
+        hooks = self._cycle_hooks
+        executed = 0
         while heap:
-            entry = heap[0]
-            handle = entry[3]
+            when, _, _, handle = heap[0]
             if handle.cancelled:
                 pop(heap)
                 self._cancelled_in_heap -= 1
                 continue
-            if self._cycle_hooks and entry[0] > self._now:
+            if when > end_time:
+                break
+            if hooks and when > self._now:
                 # Quiescent boundary: everything at the current timestamp
                 # has run and the clock is about to advance.
-                for hook in tuple(self._cycle_hooks):
+                for hook in tuple(hooks):
                     hook()
             pop(heap)
-            self._now = entry[0]
+            self._now = when
             handle.executed = True
             self._live -= 1
             handle.callback()
             self.events_executed += 1
-            return True
-        return False
+            executed += 1
+            if not self._running or executed >= max_events:
+                break
+        return executed
+
+    def step(self) -> bool:
+        """Execute the next pending event. Returns False if none remain."""
+        return self._dispatch(math.inf, 1) == 1
 
     def run_until(self, end_time: float) -> None:
         """Run events until simulated time reaches ``end_time``.
@@ -373,32 +388,23 @@ class Engine:
             )
         self._running = True
         try:
-            while self._running:
-                nxt = self.peek()
-                if nxt is None or nxt > end_time:
-                    break
-                self.step()
+            self._dispatch(end_time, math.inf)
         finally:
             self._running = False
-        self._now = max(self._now, end_time)
+        if self._now < end_time:
+            self._now = end_time
 
     def run(self, max_events: int | None = None) -> int:
         """Run until the event heap drains (or ``max_events`` executed).
 
         Returns the number of events executed by this call.
         """
-        executed = 0
+        limit = math.inf if max_events is None else max_events
         self._running = True
         try:
-            while self._running:
-                if max_events is not None and executed >= max_events:
-                    break
-                if not self.step():
-                    break
-                executed += 1
+            return self._dispatch(math.inf, limit) if limit > 0 else 0
         finally:
             self._running = False
-        return executed
 
     def stop(self) -> None:
         """Stop a run in progress after the current event completes."""
