@@ -284,6 +284,9 @@ class Microservice(Application):
         ``b if b < a else a`` and ``b if b > a else a`` stand for
         ``min(a, b)`` and ``max(a, b)``: they return the same operand as
         the builtins, so ties, signed zeros and NaN give the same floats.
+        Each replica's usage is written to ``pod.usage`` directly, clamped
+        as ``Pod.record_usage`` clamps it: ``min(want, allocation)``, then
+        ``max(0.0, ·)``.
         """
         demands = self.demands_at(now)
         if self.brownout_active:
@@ -338,10 +341,13 @@ class Microservice(Application):
         for pod in running:
             alloc = pod.allocation
             # Replicas usually share one allocation object: compute its
-            # capacity once, and again only where the object changes.
+            # capacity and read its fields once, and again only where the
+            # object changes.
             if alloc is not cap_alloc:
-                mu_raw, cap_which = demands.capacity(alloc)
                 cap_alloc = alloc
+                mu_raw, cap_which = demands.capacity(alloc)
+                cpu_cap, memory, disk_cap, net_cap = alloc
+                memory_floor = 1e-9 if 1e-9 > memory else memory
             which = cap_which
             state = old_states[pod] if pod in old_states else _ReplicaState()
             states[pod] = state
@@ -351,7 +357,8 @@ class Microservice(Application):
                 backlog = 0.0
                 served = 0.0
                 wait = max_latency
-                pod.record_usage(_ZERO)
+                # Clamping a zero usage gives +0.0 in every field.
+                pod.usage = _ZERO
             else:
                 # Memory pressure from in-flight requests (Little's law on
                 # the previous tick's wait, bounded to keep the fixed point
@@ -359,8 +366,7 @@ class Microservice(Application):
                 last_wait = state.last_wait
                 inflight = arrival_rate * (5.0 if 5.0 < last_wait else last_wait)
                 required_mem = mem_base + mem_per_inflight * inflight
-                memory = alloc.memory
-                pressure = required_mem / (1e-9 if 1e-9 > memory else memory)
+                pressure = required_mem / memory_floor
                 if pressure > 1.0:
                     which = "memory"
                 else:
@@ -384,13 +390,20 @@ class Microservice(Application):
                 wait = max_latency if max_latency < wait else wait
 
                 served_rate = served / dt
-                pod.record_usage(
-                    from_fields(
-                        served_rate * cpu_seconds,
-                        memory if memory < required_mem else required_mem,
-                        served_rate * disk_mb,
-                        served_rate * net_mb,
-                    )
+                cpu = served_rate * cpu_seconds
+                cpu = cpu_cap if cpu_cap < cpu else cpu
+                # The memory want is min(required, allocation) already, so
+                # the allocation clamp returns it unchanged.
+                used_memory = memory if memory < required_mem else required_mem
+                disk_bw = served_rate * disk_mb
+                disk_bw = disk_cap if disk_cap < disk_bw else disk_bw
+                net_bw = served_rate * net_mb
+                net_bw = net_cap if net_cap < net_bw else net_bw
+                pod.usage = from_fields(
+                    cpu if cpu > 0.0 else 0.0,
+                    used_memory if used_memory > 0.0 else 0.0,
+                    disk_bw if disk_bw > 0.0 else 0.0,
+                    net_bw if net_bw > 0.0 else 0.0,
                 )
             state.backlog = backlog
             state.last_wait = wait

@@ -13,6 +13,8 @@ every tick of every service the two runs must agree by ``repr`` on the
 service's latency, throughput, backlog, drop rate, bottleneck and
 served and dropped totals, on every pod's usage, and on every replica's
 backlog and last wait, so a float that differs in its last bit fails.
+The tick writes each usage directly; the reference clamps it as the
+old ``Pod.record_usage`` did, with ``min``/``max``.
 """
 
 from __future__ import annotations
@@ -356,6 +358,50 @@ def signed_zero_and_nan():
     return world, 100.0
 
 
+def loaded_allocations():
+    """Replicas on three allocation objects, in the order A, B, C, under
+    a load the smallest cannot serve: the CPU-rich B uses more CPU than A
+    holds, and the memory-poor C is under memory pressure, so each
+    replica's pressure and usage clamps must read its own allocation."""
+    world = World()
+    svc = world.service("svc", trace=ConstantTrace(300.0), replicas=3)
+    world.at(20.5, lambda: world.resize(svc, 1, REPLICA.replace(cpu=1.5)))
+    world.at(20.5, lambda: world.resize(svc, 2, REPLICA.replace(memory=0.3)))
+    return world, 150.0
+
+
+def nan_allocation():
+    """Two replicas whose allocations hold NaN for 30 s, beside one that
+    does not: one NaN CPU and disk bandwidth, one NaN memory and network
+    bandwidth.
+
+    No cluster verb grants one, so the test writes it into the pods. A
+    NaN CPU makes the capacity NaN; a NaN memory gives no pressure (the
+    builtins' ``max(1.0, nan)`` is 1.0); each usage clamp must take the
+    operand ``min`` takes, and the clamp at 0 turns a NaN usage into 0.0.
+    """
+    world = World()
+    svc = world.service("svc", trace=ConstantTrace(120.0), replicas=3)
+    held = {}
+
+    def corrupt():
+        first, second, _ = svc.running_pods()
+        for pod, fields in (
+            (first, {"cpu": math.nan, "disk_bw": math.nan}),
+            (second, {"memory": math.nan, "net_bw": math.nan}),
+        ):
+            held[pod] = pod.allocation
+            pod.allocation = pod.allocation.replace(**fields)
+
+    def restore():
+        for pod, allocation in held.items():
+            pod.allocation = allocation
+
+    world.at(40.5, corrupt)
+    world.at(70.5, restore)
+    return world, 120.0
+
+
 SCENARIOS = {
     "memory-pressure": memory_pressure,
     "zero-cpu-allocation": zero_cpu_allocation,
@@ -367,6 +413,8 @@ SCENARIOS = {
     "overload-shedding": overload_shedding,
     "disk-net-tie": disk_net_tie,
     "signed-zero-and-nan": signed_zero_and_nan,
+    "loaded-allocations": loaded_allocations,
+    "nan-allocation": nan_allocation,
 }
 
 
@@ -467,6 +515,19 @@ def test_scenarios_reach_the_paths_they_name():
     assert any(drop > 0 for _, drop, *_ in seen)
     seen = _seen(disk_net_tie)
     assert {b for b, _, replicas, *_ in seen if replicas} == {"disk_bw"}
+    _, seen = _run(
+        nan_allocation,
+        reference=False,
+        record=lambda world, svc, now: [
+            any(math.isnan(x) for x in pod.allocation)
+            for pod in svc.running_pods()
+        ],
+    )
+    assert any(sum(flags) == 2 for flags in seen)
+    world, _ = _run(loaded_allocations, reference=False)
+    a, b, c = (pod.usage for pod in world.services[0].running_pods())
+    assert b.cpu > REPLICA.cpu == a.cpu  # B serves what A cannot
+    assert c.memory == 0.3 and c.cpu < a.cpu  # C is slowed by memory
 
 
 def test_replica_state_lives_while_its_pod_runs():
@@ -484,10 +545,11 @@ def test_replica_state_lives_while_its_pod_runs():
 
 def test_micro_tick_call_budget():
     # Profiled calls per Microservice.tick on the fleet smoke shape (six
-    # adaptive services on three nodes for 300 s, 1,800 ticks): 14.7
-    # measured (Python 3.11); the budget is that plus ~25%. The
-    # per-replica step with min/max builtins read 40.8 here. The run is
-    # seeded, so the count is the same on every machine.
+    # adaptive services on three nodes for 300 s, 1,800 ticks): 11.83
+    # measured (Python 3.11) since each usage is written directly; the
+    # budget is that plus ~25%. The tick through Pod.record_usage read
+    # 14.72, and the per-replica step with min/max builtins 40.8. The run
+    # is seeded, so the count is the same on every machine.
     from repro.platform.config import ClusterSpec, PlatformConfig
     from repro.platform.evolve import EvolvePlatform
     from repro.workloads.plo import LatencyPLO
@@ -523,4 +585,4 @@ def test_micro_tick_call_budget():
     assert ticks == 1_800
     # Each runcall also records the profiler's own disable() call.
     per_tick = (pstats.Stats(profile).total_calls - ticks) / ticks
-    assert per_tick < 18.4, f"{per_tick:.1f} profiled calls per microservice tick"
+    assert per_tick < 14.8, f"{per_tick:.1f} profiled calls per microservice tick"
