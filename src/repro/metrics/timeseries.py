@@ -37,7 +37,7 @@ class TimeSeries:
         Maximum retained samples; older samples are dropped FIFO.
     """
 
-    __slots__ = ("_times", "_values", "_maxlen", "_start")
+    __slots__ = ("_times", "_values", "_maxlen", "_start", "_percentile")
 
     def __init__(self, *, maxlen: int = 100_000):
         if maxlen < 1:
@@ -46,6 +46,9 @@ class TimeSeries:
         self._times: list[float] = []
         self._values: list[float] = []
         self._start = 0  # index of the oldest retained sample
+        # (now, span, q, result) of the last percentile_over; every append
+        # (and so every eviction) clears it.
+        self._percentile: tuple | None = None
 
     def __len__(self) -> int:
         return len(self._times) - self._start
@@ -57,6 +60,7 @@ class TimeSeries:
             raise ValueError(
                 f"out-of-order sample: t={time} after t={times[-1]}"
             )
+        self._percentile = None
         # Skip the float() coercion for exact floats (the hot path); the
         # isinstance guard keeps ints/bools normalized as before.
         times.append(time if type(time) is float else float(time))
@@ -139,21 +143,33 @@ class TimeSeries:
         return min(values)
 
     def percentile_over(self, now: float, span: float, q: float) -> float | None:
-        """q-th percentile (0–100, nearest-rank) over the trailing window."""
+        """q-th percentile (0–100, nearest-rank) over the trailing window.
+
+        The same query again with no append in between returns the
+        previous result object: the control loop and the PLO monitor ask
+        for the same tail at each control instant.
+        """
         if not 0 <= q <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
+        memo = self._percentile
+        if memo is not None and memo[0] == now and memo[1] == span and memo[2] == q:
+            return memo[3]
         times, start = self._times, self._start
         lo = bisect.bisect_right(times, now - span, start)
         hi = bisect.bisect_right(times, now, start)
         if hi <= lo:
-            return None
-        values = self._values[lo:hi]
-        rank = max(0, math.ceil(q / 100 * len(values)) - 1)
-        if len(values) >= _VECTORIZE_MIN:
-            # np.partition selects the k-th smallest — the same value
-            # sorted()[rank] yields — without a full sort.
-            return float(np.partition(np.asarray(values), rank)[rank])
-        return sorted(values)[rank]
+            result = None
+        else:
+            values = self._values[lo:hi]
+            rank = max(0, math.ceil(q / 100 * len(values)) - 1)
+            if len(values) >= _VECTORIZE_MIN:
+                # np.partition selects the k-th smallest — the same value
+                # sorted()[rank] yields — without a full sort.
+                result = float(np.partition(np.asarray(values), rank)[rank])
+            else:
+                result = sorted(values)[rank]
+        self._percentile = (now, span, q, result)
+        return result
 
     def sum_over(self, now: float, span: float) -> float:
         return sum(self._window_values(now, span))

@@ -66,6 +66,7 @@ class LatencyPLO:
             raise ValueError("latency target must be positive")
         self.target = float(target)
         self.window = float(window)
+        self._last: PLOStatus | None = None
 
     def metric_name(self, app: str) -> str:
         return f"app/{app}/latency"
@@ -77,8 +78,20 @@ class LatencyPLO:
         measured = series.percentile_over(now, self.window, self.percentile)
         if measured is None:
             return PLOStatus.unknown(self.target)
+        # A status is a function of measured and target alone, so a repeat
+        # (the series hands back the same float object) reuses the last.
+        last = self._last
+        if (
+            last is not None
+            and last.measured is measured
+            and last.target == self.target
+        ):
+            return last
         ratio = measured / self.target
-        return PLOStatus(measured, self.target, ratio, ratio - 1.0, ratio > 1.0)
+        self._last = last = PLOStatus(
+            measured, self.target, ratio, ratio - 1.0, ratio > 1.0
+        )
+        return last
 
 
 class ThroughputPLO:

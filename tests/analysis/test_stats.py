@@ -71,6 +71,46 @@ class TestPLOMonitor:
         with pytest.raises(ValueError):
             monitor.track(svc)
 
+    def test_repeat_of_the_control_evaluation_is_a_lookup(self):
+        """At each control instant the monitor asks for the tail the
+        control loop has just computed on the same series: it gets the
+        same status back, and the percentile is not computed again."""
+        from repro.platform.config import ClusterSpec, PlatformConfig
+        from repro.platform.evolve import EvolvePlatform
+
+        platform = EvolvePlatform(
+            cluster_spec=ClusterSpec(node_count=2),
+            config=PlatformConfig(seed=5),
+            policy="adaptive",
+        )
+        # A 600-s window holds 120 scrapes, so every computed p99 is a
+        # new float object.
+        plo = LatencyPLO(0.05, window=600)
+        platform.deploy_microservice(
+            "svc", trace=ConstantTrace(80.0), demands=DEMANDS,
+            allocation=ResourceVector(cpu=1, memory=1, disk_bw=20, net_bw=20),
+            plo=plo,
+        )
+        seen: dict[float, list] = {}
+        evaluate = plo.evaluate
+
+        def recorded(collector, app, now):
+            status = evaluate(collector, app, now)
+            seen.setdefault(now, []).append(status)
+            return status
+
+        plo.evaluate = recorded
+        platform.run(900.0)
+        repeats = {now: s for now, s in seen.items() if len(s) == 2}
+        assert len(repeats) >= 60
+        for now, (control, monitor) in repeats.items():
+            assert control.measured is not None, now
+            assert monitor is control, now
+        # Once the window holds 64 samples or more, a computed tail is a
+        # new object each time, so the identities above are lookups.
+        late = [s[0].measured for now, s in seen.items() if now >= 400.0]
+        assert len({id(m) for m in late}) == len(late) > 60
+
 
 class TestUtilizationSummary:
     def test_integrates_cluster_series(self, engine, api, collector):

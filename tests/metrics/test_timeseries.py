@@ -1,8 +1,12 @@
 """Unit + property tests for TimeSeries."""
 
+import bisect
+import types
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.metrics import timeseries
 from repro.metrics.timeseries import TimeSeries
 
 
@@ -55,6 +59,79 @@ class TestPointQueries:
         assert ts.value_at(2.9) == 10
         assert ts.value_at(3.0) == 30
         assert ts.value_at(100.0) == 30
+
+
+class TestPercentileMemo:
+    """A repeat of the last ``percentile_over`` query is a lookup; an
+    append in between, even at the same time, or an eviction misses."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Every ``bisect_right`` the series makes: two per computed
+        window."""
+        calls = []
+
+        def bisect_right(*args):
+            calls.append(args)
+            return bisect.bisect_right(*args)
+
+        monkeypatch.setattr(
+            timeseries, "bisect", types.SimpleNamespace(bisect_right=bisect_right)
+        )
+        return calls
+
+    def test_repeat_does_not_recompute(self, searches):
+        # 80 samples in the window: each computation builds a new float.
+        ts = series_from([(float(i), float(i % 7)) for i in range(100)])
+        first = ts.percentile_over(99.0, 80.0, 99)
+        assert len(searches) == 2
+        again = ts.percentile_over(99, 80, 99.0)
+        assert again is first
+        assert len(searches) == 2
+        assert ts.percentile_over(99.0, 80.0, 99) is first
+
+    def test_another_query_misses(self, searches):
+        ts = series_from([(float(i), float(i)) for i in range(1, 101)])
+        assert ts.percentile_over(100.0, 100.0, 99) == 99
+        assert ts.percentile_over(100.0, 100.0, 50) == 50
+        assert ts.percentile_over(100.0, 50.0, 50) == 75
+        assert ts.percentile_over(90.0, 50.0, 50) == 65
+        assert len(searches) == 8
+
+    def test_append_at_the_same_time_misses(self, searches):
+        ts = series_from([(1.0, 5.0), (2.0, 1.0)])
+        assert ts.percentile_over(2.0, 10.0, 100) == 5.0
+        ts.append(2.0, 9.0)
+        assert ts.percentile_over(2.0, 10.0, 100) == 9.0
+        # An equal sample still changes the window, so it misses too.
+        ts.append(2.0, 9.0)
+        assert ts.percentile_over(2.0, 10.0, 50) == 5.0
+        ts.append(2.0, 9.0)
+        assert ts.percentile_over(2.0, 10.0, 50) == 9.0
+        assert len(searches) == 8
+
+    def test_eviction_misses(self):
+        ts = TimeSeries(maxlen=3)
+        for t, v in [(1.0, 100.0), (2.0, 1.0), (3.0, 1.0)]:
+            ts.append(t, v)
+        assert ts.percentile_over(3.0, 10.0, 100) == 100.0
+        ts.append(3.0, 1.0)  # evicts the 100
+        assert ts.percentile_over(3.0, 10.0, 100) == 1.0
+
+    def test_compaction_misses(self):
+        ts = TimeSeries(maxlen=1)
+        ts.append(1.0, 5.0)
+        assert ts.percentile_over(1.0, 10.0, 50) == 5.0
+        ts.append(1.0, 7.0)  # evicts the 5 and compacts the lists
+        assert ts.percentile_over(1.0, 10.0, 50) == 7.0
+
+    def test_empty_window_is_remembered_too(self, searches):
+        ts = series_from([(1.0, 1.0)])
+        assert ts.percentile_over(10.0, 5.0, 99) is None
+        assert ts.percentile_over(10.0, 5.0, 99) is None
+        assert len(searches) == 2
+        ts.append(9.0, 2.0)
+        assert ts.percentile_over(10.0, 5.0, 99) == 2.0
 
 
 class TestWindowQueries:
