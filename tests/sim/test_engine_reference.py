@@ -243,7 +243,7 @@ class World:
         )
 
 
-def _drive(world: World, plan: list[tuple[int, int]]) -> list[tuple]:
+def _drive(world: World, plan: list[tuple[int, int | None]]) -> list[tuple]:
     """Slices of ``run_until`` up to the horizon, each followed by the
     planned ``step()`` calls and ``run(max_events=...)``; a snapshot,
     with the calls' return values, after each."""
@@ -282,8 +282,9 @@ def test_every_slice_matches_reference(seed):
 
 
 def test_programs_reach_the_paths_they_name():
-    """Across the seeds: compaction mid-run, stops from a callback and
-    from a hook, self-cancelled periodics and step/run calls."""
+    """Across the seeds: compaction mid-run, stops from a callback or a
+    hook, hooks that ran, and periodics cancelled inside their own
+    firing."""
     compactions = stops = hook_runs = self_cancelled = 0
     for seed in SEEDS:
         world = World(Engine, seed)
