@@ -105,6 +105,8 @@ class AdaptiveAutoscaler:
         Passed to each controller; the ablation switches.
     horizontal:
         Enable the replica escape valve.
+    rng / fault_log / overload:
+        Passed to the :class:`~repro.control.manager.ControlLoopManager`.
     """
 
     policy_name = "adaptive-multiresource"
@@ -126,9 +128,9 @@ class AdaptiveAutoscaler:
         horizontal: bool = True,
         deadband: float = 0.1,
         feedforward: bool = False,
-        rng=None,
-        fault_log=None,
-        overload=None,
+        rng,
+        fault_log,
+        overload,
     ):
         self.engine = engine
         self.collector = collector

@@ -200,13 +200,13 @@ def _build_vpa(ctx: PolicyContext, **kwargs) -> AutoscalerPolicy:
 def _build_adaptive(ctx: PolicyContext, **kwargs) -> AutoscalerPolicy:
     from repro.autoscaler.adaptive import AdaptiveAutoscaler
 
-    kwargs.setdefault("rng", ctx.rng_stream("control/jitter"))
-    kwargs.setdefault("fault_log", ctx.fault_log)
-    kwargs.setdefault("overload", ctx.overload)
     return AdaptiveAutoscaler(
         ctx.engine,
         ctx.collector,
         bounds=ctx.bounds,
         interval=ctx.control_interval,
+        rng=ctx.rng_stream("control/jitter"),
+        fault_log=ctx.fault_log,
+        overload=ctx.overload,
         **kwargs,
     )

@@ -9,13 +9,16 @@ client with mechanical changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Type, TypeVar
+from typing import TYPE_CHECKING, Callable, Type, TypeVar
 
 from repro.cluster.cluster import Cluster, ClusterError
 from repro.cluster.events import ClusterEvent, LeaderDeposed, LeaderElected
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod, PodPhase, PodSpec, WorkloadClass
 from repro.cluster.resources import ResourceVector
+
+if TYPE_CHECKING:  # annotations only
+    from repro.cluster.chaos import ActuationFaultInjector, PartitionInjector
 
 E = TypeVar("E", bound=ClusterEvent)
 
@@ -69,20 +72,29 @@ class Lease:
 class ClusterAPI:
     """Narrow, kube-like verbs over a :class:`~repro.cluster.cluster.Cluster`.
 
-    ``actuation_faults`` (optional) injects transient failures into the
-    mutating verbs so consumers' retry paths can be exercised.
+    ``actuation_faults`` (an
+    :class:`~repro.cluster.chaos.ActuationFaultInjector`) injects
+    transient failures into the mutating verbs so consumers' retry paths
+    can be exercised; ``partitions`` (a
+    :class:`~repro.cluster.chaos.PartitionInjector`) cuts controller
+    identities off from the :class:`ScopedClusterAPI` views.
     """
 
-    def __init__(self, cluster: Cluster):
+    def __init__(
+        self,
+        cluster: Cluster,
+        *,
+        actuation_faults: ActuationFaultInjector,
+        partitions: PartitionInjector,
+    ):
         self._cluster = cluster
-        self.actuation_faults = None  # optional ActuationFaultInjector
-        self.partitions = None  # optional PartitionInjector
+        self.actuation_faults = actuation_faults
+        self.partitions = partitions
         self.telemetry = None  # optional repro.obs Telemetry bundle
         self._leases: dict[str, Lease] = {}
 
     def _check_actuation(self, verb: str) -> None:
-        faults = self.actuation_faults
-        if faults is not None and faults.should_fail(self._cluster.now, verb):
+        if self.actuation_faults.should_fail(self._cluster.now, verb):
             raise ActuationError(f"injected actuation failure: {verb}")
 
     # -- time ----------------------------------------------------------------
@@ -309,8 +321,7 @@ class ScopedClusterAPI:
         return self._base.now
 
     def is_partitioned(self) -> bool:
-        injector = self._base.partitions
-        return injector is not None and injector.is_partitioned(
+        return self._base.partitions.is_partitioned(
             self.identity, self._base.now
         )
 

@@ -20,8 +20,8 @@ speaks the one protocol every chaos driver uses:
   recovery.
 
 The controller-crash and data-plane kinds record FaultLog episodes only
-when built with a ``log``; the others always log (into a private
-FaultLog unless given one).
+when built with a ``log``; the others always log, into the FaultLog
+they are built with (a zone outage into its crash injector's).
 
 The kinds, as ``name`` → class (FaultLog episode kind):
 
@@ -188,9 +188,9 @@ class FailureInjector:
 
     name = "crash"
 
-    def __init__(self, cluster: Cluster, *, log: FaultLog | None = None):
+    def __init__(self, cluster: Cluster, *, log: FaultLog):
         self.cluster = cluster
-        self.log = log if log is not None else FaultLog()
+        self.log = log
         self._down: dict[str, tuple[ResourceVector, FaultEpisode]] = {}
         self.failures: list[NodeFailure] = []
         self.recoveries = 0
@@ -263,9 +263,9 @@ class DegradationInjector:
 
     name = "degrade"
 
-    def __init__(self, cluster: Cluster, *, log: FaultLog | None = None):
+    def __init__(self, cluster: Cluster, *, log: FaultLog):
         self.cluster = cluster
-        self.log = log if log is not None else FaultLog()
+        self.log = log
         self._degraded: dict[str, tuple[ResourceVector, FaultEpisode]] = {}
         self.degradations = 0
         self.restorations = 0
@@ -337,17 +337,18 @@ class ZoneOutageInjector:
     cluster down together. A strike fails every healthy node carrying
     the same ``zone`` label, recording a *single* ``zone-outage`` episode
     (the unit the containment accounting and MTTR analysis care about)
-    with the blast radius — node and displaced-pod counts — in its
-    detail. Healing recovers the nodes that are still down; nodes
-    recovered externally in the meantime are skipped. Candidates are the
-    zones that still have a healthy labelled node.
+    in the crash injector's log, with the blast radius — node and
+    displaced-pod counts — in its detail. Healing recovers the nodes
+    that are still down; nodes recovered externally in the meantime are
+    skipped. Candidates are the zones that still have a healthy labelled
+    node.
     """
 
     name = "zone-outage"
 
-    def __init__(self, injector: FailureInjector, *, log: FaultLog | None = None):
+    def __init__(self, injector: FailureInjector):
         self.injector = injector
-        self.log = log if log is not None else injector.log
+        self.log = injector.log
         self.outages = 0
         self.pods_displaced = 0
 
@@ -449,8 +450,8 @@ class PartitionInjector:
 
     name = "partition"
 
-    def __init__(self, *, log: FaultLog | None = None):
-        self.log = log if log is not None else FaultLog()
+    def __init__(self, *, log: FaultLog):
+        self.log = log
         #: identity → (until-time or None for open-ended, episode)
         self._partitioned: dict[str, tuple[float | None, FaultEpisode]] = {}
         self.partitions_injected = 0
@@ -668,14 +669,9 @@ class ActuationFaultInjector:
       brown-out). Outage episodes are recorded in the fault log.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator | None = None,
-        *,
-        log: FaultLog | None = None,
-    ):
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.log = log if log is not None else FaultLog()
+    def __init__(self, rng: np.random.Generator, *, log: FaultLog):
+        self.rng = rng
+        self.log = log
         self.failure_probability = 0.0
         self._outage_until = 0.0
         self.attempts = 0

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.api import ActuationError, ClusterAPI, PartitionError
+from repro.cluster.chaos import FaultLog
 from repro.cluster.resources import ResourceVector
 from repro.control.manager import ControlLoopManager
 from repro.control.statestore import ControllerStateStore
@@ -92,12 +93,14 @@ class ReplicatedControlPlane:
         :class:`ControlLoopManager` instances. All replicas must have the
         same applications registered.
     store:
-        Shared durable statestore; a default one (60 s snapshots) is
-        created when omitted.
+        Shared durable statestore.
     rng:
         Jitter source for de-correlating standby watch timers. Use a
         dedicated :class:`~repro.sim.rng.RngRegistry` stream — the plane
         must never draw from workload streams.
+    fault_log:
+        The :class:`~repro.cluster.chaos.FaultLog` that leader gaps are
+        recorded in.
     """
 
     def __init__(
@@ -106,15 +109,15 @@ class ReplicatedControlPlane:
         api: ClusterAPI,
         replicas: list,
         *,
-        store: ControllerStateStore | None = None,
-        rng: np.random.Generator | None = None,
-        fault_log=None,
+        store: ControllerStateStore,
+        rng: np.random.Generator,
+        fault_log: FaultLog,
     ):
         if not replicas:
             raise ValueError("need at least one control-plane replica")
         self.engine = engine
         self.api = api
-        self.store = store or ControllerStateStore(engine)
+        self.store = store
         self.rng = rng
         self.fault_log = fault_log
         self.replicas: list[_Replica] = [
@@ -232,13 +235,12 @@ class ReplicatedControlPlane:
         replica = self.replicas[index]
         if replica.watch_handle is not None:
             return
-        # Stagger the first poll per replica (plus optional jitter) so
-        # standbys do not race on the same tick; the engine would break
-        # the tie deterministically, but the stagger keeps election order
+        # Stagger the first poll per replica (plus jitter) so standbys do
+        # not race on the same tick; the engine would break the tie
+        # deterministically, but the stagger keeps election order
         # independent of scheduling insertion order.
         offset = self.watch_interval * (1.0 + 0.1 * index)
-        if self.rng is not None:
-            offset += 0.05 * self.watch_interval * float(self.rng.random())
+        offset += 0.05 * self.watch_interval * float(self.rng.random())
         replica.watch_handle = self.engine.every(
             self.watch_interval,
             lambda: self._watch_tick(index),
@@ -310,12 +312,11 @@ class ReplicatedControlPlane:
         gap = None
         if previous is not None:
             gap = self.engine.now - previous.renewed_at
-            if self.fault_log is not None:
-                self.fault_log.record(
-                    "leader-gap", replica.identity,
-                    previous.renewed_at, self.engine.now,
-                    detail=f"generation={lease.generation}",
-                )
+            self.fault_log.record(
+                "leader-gap", replica.identity,
+                previous.renewed_at, self.engine.now,
+                detail=f"generation={lease.generation}",
+            )
         self.failovers.append(
             FailoverEvent(
                 self.engine.now, replica.identity, lease.generation, gap,

@@ -60,7 +60,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import pairwise
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
@@ -73,6 +73,10 @@ from repro.metrics.collector import MetricsCollector
 from repro.obs.tracing import DecisionProvenance
 from repro.sim.engine import Engine, EventHandle, PeriodicHandle
 from repro.workloads.base import Application
+
+if TYPE_CHECKING:  # annotations only
+    from repro.cluster.chaos import FaultLog
+    from repro.scheduler.admission import OverloadConfig
 
 
 class HorizontalPolicy(Protocol):
@@ -205,12 +209,15 @@ class ControlLoopManager:
         trailing window usage is averaged over for saturation snapshots).
         A PLO signal older than 2.5 periods counts as stale.
     rng:
-        Source of retry jitter; seeded default keeps runs deterministic.
+        Source of retry jitter (the platform's ``control/jitter`` stream).
+    fault_log:
+        The :class:`~repro.cluster.chaos.FaultLog` that retry windows and
+        brownouts are recorded in.
     overload:
-        Optional :class:`~repro.scheduler.admission.OverloadConfig`.
-        Its ``backpressure`` flag arms the deferred scale-up ledger and
-        ``brownout`` arms hysteretic degradation; both default off, and a
-        ``None`` (or all-off) config leaves the loop byte-identical.
+        The :class:`~repro.scheduler.admission.OverloadConfig`. Its
+        ``backpressure`` flag arms the deferred scale-up ledger and
+        ``brownout`` arms hysteretic degradation; both default off, and an
+        all-off config leaves the loop byte-identical.
     """
 
     def __init__(
@@ -219,9 +226,9 @@ class ControlLoopManager:
         collector: MetricsCollector,
         *,
         interval: float = 10.0,
-        rng: np.random.Generator | None = None,
-        fault_log=None,
-        overload=None,
+        rng: np.random.Generator,
+        fault_log: FaultLog,
+        overload: OverloadConfig,
     ):
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -230,14 +237,12 @@ class ControlLoopManager:
         self.interval = interval
         #: Max age (s) of the newest PLO sample before the signal is stale.
         self.freshness_timeout = 2.5 * interval
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
         self.fault_log = fault_log
         self.backpressure: BackpressureState | None = (
-            BackpressureState()
-            if overload is not None and overload.backpressure
-            else None
+            BackpressureState() if overload.backpressure else None
         )
-        self.brownout = overload is not None and overload.brownout
+        self.brownout = overload.brownout
         # HA hooks (see repro.control.ha). ``partition_guard`` runs at the
         # top of every actuation and may raise ActuationError (a partitioned
         # leader cannot reach the API, so its writes fail like any other
@@ -564,14 +569,13 @@ class ControlLoopManager:
         entry.retry_handle = self.engine.schedule(
             delay, lambda: self._run_retry(entry, action, on_success)
         )
-        if self.fault_log is not None:
-            # Structured episode per retry window so MTTR attribution in
-            # analysis.recovery can separate retry latency from the outage.
-            now = self.engine.now
-            self.fault_log.record(
-                "actuation-retry", entry.app.name, now, now + delay,
-                detail=f"attempt={entry.retry_attempts}",
-            )
+        # Structured episode per retry window so MTTR attribution in
+        # analysis.recovery can separate retry latency from the outage.
+        now = self.engine.now
+        self.fault_log.record(
+            "actuation-retry", entry.app.name, now, now + delay,
+            detail=f"attempt={entry.retry_attempts}",
+        )
 
     def _run_retry(
         self,
@@ -659,11 +663,10 @@ class ControlLoopManager:
                     latency_penalty=BROWNOUT_LATENCY_PENALTY,
                 )
                 entry.counters["brownout_entries"] += 1
-                if self.fault_log is not None:
-                    entry.brownout_episode = self.fault_log.open(
-                        "brownout", app.name, now,
-                        detail=f"factor={BROWNOUT_DEMAND_FACTOR}",
-                    )
+                entry.brownout_episode = self.fault_log.open(
+                    "brownout", app.name, now,
+                    detail=f"factor={BROWNOUT_DEMAND_FACTOR}",
+                )
                 if self.telemetry is not None:
                     self.telemetry.tracer.instant(
                         "brownout_enter", "control", app=app.name,
@@ -684,7 +687,7 @@ class ControlLoopManager:
                 entry.brownout_low_periods = 0
                 app.exit_brownout()
                 entry.counters["brownout_exits"] += 1
-                if self.fault_log is not None and entry.brownout_episode is not None:
+                if entry.brownout_episode is not None:
                     self.fault_log.close(entry.brownout_episode, now)
                     entry.brownout_episode = None
                 if self.telemetry is not None:
@@ -900,7 +903,7 @@ class ControlLoopManager:
             action = decision.action
             target = decision.new_allocation if action != "hold" else None
         active: tuple[int, ...] = ()
-        if self.fault_log is not None and self.fault_log.episodes:
+        if self.fault_log.episodes:
             active = tuple(ep.eid for ep in self.fault_log.active_at(now))
         tel.tracer.trace.provenance.append(DecisionProvenance(
             app=app.name,

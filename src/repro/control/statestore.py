@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cluster.chaos import FaultLog
 from repro.sim.engine import Engine
 
 #: Delay (s) before a write becomes durable. A crash inside this window
@@ -83,13 +84,13 @@ class ControllerStateStore:
         engine: Engine,
         *,
         snapshot_interval: float | None = 60.0,
-        log=None,
+        log: FaultLog,
     ):
         if snapshot_interval is not None and snapshot_interval <= 0:
             raise ValueError("snapshot_interval must be positive or None")
         self.engine = engine
         self.snapshot_interval = snapshot_interval
-        self.log = log  # optional FaultLog for corruption episodes
+        self.log = log  # FaultLog for corruption episodes
         self.snapshots: list[StateSnapshot] = []
         self.wal: list[WalRecord] = []
         self._snapshot_seq = 0
@@ -148,11 +149,10 @@ class ControllerStateStore:
                 continue
             snap.corrupted = True
             self.corruptions += 1
-            if self.log is not None:
-                self.log.record(
-                    "snapshot-corruption", f"snapshot-{snap.seq}", now, now,
-                    detail=f"wal_seq={snap.wal_seq}",
-                )
+            self.log.record(
+                "snapshot-corruption", f"snapshot-{snap.seq}", now, now,
+                detail=f"wal_seq={snap.wal_seq}",
+            )
             return True
         return False
 

@@ -74,10 +74,12 @@ class MetricsCollector:
     """Periodic scraper storing the declared series of an experiment.
 
     ``engine`` and ``api`` are the simulation engine and the cluster to
-    scrape, every :data:`SCRAPE_INTERVAL` seconds.
+    scrape, every :data:`SCRAPE_INTERVAL` seconds; ``faults`` is the
+    :class:`~repro.metrics.faults.MetricsFaultInjector` in front of the
+    scrape path.
     """
 
-    def __init__(self, engine: Engine, api: ClusterAPI, *, faults=None):
+    def __init__(self, engine: Engine, api: ClusterAPI, *, faults):
         self.engine = engine
         self.api = api
         self._sources: list[MetricsSource] = []
@@ -97,8 +99,8 @@ class MetricsCollector:
         #: arrived later than 1.5× the configured interval.
         self.scrape_gaps = 0
         self._last_attempt: float | None = None
-        #: Optional :class:`~repro.metrics.faults.MetricsFaultInjector`
-        #: distorting the scrape path (never the out-of-band ``record``).
+        #: The fault filter distorting the scrape path (never the
+        #: out-of-band ``record``).
         self.faults = faults
         #: Optional :class:`~repro.obs.telemetry.Telemetry` bundle.
         self.telemetry = None
@@ -223,7 +225,7 @@ class MetricsCollector:
                         "scrape_gap", "metrics", missed=missed, elapsed=elapsed
                     )
         self._last_attempt = now
-        if self.faults is not None and self.faults.should_drop_scrape(now):
+        if self.faults.should_drop_scrape(now):
             self.scrape_gaps += 1
             if tel is not None:
                 tel.scrape_gaps.inc()
@@ -253,9 +255,7 @@ class MetricsCollector:
         # per-sample fault is active (checked once per round), passed
         # through its filter, whose RNG draws are part of the seeded
         # stream.
-        faults = self.faults
-        if faults is not None and not faults.distorts_samples(now):
-            faults = None
+        faults = self.faults if self.faults.distorts_samples(now) else None
         series_map = self._series
         declared = self._declared
         wanted = self._wanted

@@ -35,14 +35,9 @@ from repro.cluster.chaos import FaultEpisode, FaultLog
 class MetricsFaultInjector:
     """Deterministic fault filter for the scrape path."""
 
-    def __init__(
-        self,
-        rng: np.random.Generator | None = None,
-        *,
-        log: FaultLog | None = None,
-    ):
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.log = log if log is not None else FaultLog()
+    def __init__(self, rng: np.random.Generator, *, log: FaultLog):
+        self.rng = rng
+        self.log = log
         #: Per-scrape probability of dropping the whole round (continuous).
         self.drop_scrape_probability = 0.0
         #: Per-sample probability of multiplying by ``outlier_factor``.

@@ -109,10 +109,10 @@ def to_chrome_trace(trace: Trace, *, fault_log=None) -> dict:
                 "pid": 1,
                 "tid": _FAULT_TRACK,
                 "args": {
-                    "eid": getattr(episode, "eid", -1),
+                    "eid": episode.eid,
                     "target": episode.target,
                     "detail": episode.detail,
-                    "domain": getattr(episode, "domain", ""),
+                    "domain": episode.domain,
                 },
             })
     return {
@@ -152,13 +152,13 @@ def _write_jsonl(trace: Trace, handle: IO[str], *, fault_log=None) -> int:
         for episode in fault_log.episodes:
             handle.write(json.dumps({
                 "type": "fault",
-                "eid": getattr(episode, "eid", -1),
+                "eid": episode.eid,
                 "kind": episode.kind,
                 "target": episode.target,
                 "start": episode.start,
                 "end": episode.end,
                 "detail": episode.detail,
-                "domain": getattr(episode, "domain", ""),
+                "domain": episode.domain,
             }) + "\n")
             lines += 1
     return lines

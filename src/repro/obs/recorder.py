@@ -229,7 +229,7 @@ def _alert_timeline(slo_engine, fault_log) -> list[dict]:
                 "start": episode.start,
                 "end": episode.end,
                 "detail": episode.detail,
-                "domain": getattr(episode, "domain", ""),
+                "domain": episode.domain,
             })
     timeline.sort(key=lambda e: (e["start"], e["type"], e["name"]))
     return timeline
@@ -265,12 +265,12 @@ def build_run_report(platform, *, top_k: int = 5) -> RunReport:
     }
 
     ledgers: dict[str, dict] = {}
-    admission = getattr(platform, "admission", None)
+    admission = platform.admission
     if admission is not None:
         ledgers["admission"] = _admission_ledger(admission)
     managers = [
         policy.manager
-        for policy in getattr(platform, "replica_policies", [])
+        for policy in platform.replica_policies
         if getattr(policy, "manager", None) is not None
     ]
     if any(m.backpressure is not None for m in managers):
@@ -289,7 +289,7 @@ def build_run_report(platform, *, top_k: int = 5) -> RunReport:
     ]
     if streams:
         ledgers["streams"] = _stream_ledger(streams)
-    repair = getattr(platform, "repair", None)
+    repair = platform.repair
     if repair is not None:
         ledgers["storage"] = _storage_ledger(repair)
 

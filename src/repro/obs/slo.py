@@ -28,7 +28,7 @@ Per spec the engine maintains
   Fired/resolved times are recorded as :class:`SLOAlert` rows — the
   flight recorder's alert timeline.
 
-When given a registry the engine also exports ``slo/*`` gauges
+The engine also exports ``slo/*`` gauges into its registry
 (attainment, both burn rates, firing flag) so SLO health is scrapeable
 like any other ``ctrl/*`` self-metric. Exports lag evaluation by one
 scrape round: the registry is sampled during the scrape, the hook runs
@@ -224,11 +224,11 @@ class SLOEngine:
     specs:
         The SLOs to track; names must be unique.
     registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry` to export
-        ``slo/*`` gauges into (normally the Telemetry registry).
+        The :class:`~repro.obs.registry.MetricsRegistry` to export
+        ``slo/*`` gauges into (the Telemetry registry).
     """
 
-    def __init__(self, collector, specs, *, registry=None):
+    def __init__(self, collector, specs, *, registry):
         self.collector = collector
         self.specs = tuple(specs)
         names = [s.name for s in self.specs]
@@ -240,16 +240,15 @@ class SLOEngine:
             s.name: _SLOState(s, self.tick) for s in self.specs
         }
         self._gauges: dict[str, tuple] = {}
-        if registry is not None:
-            for spec in self.specs:
-                base = f"slo/{spec.name}"
-                self._gauges[spec.name] = (
-                    registry.gauge(f"{base}/attainment"),
-                    registry.gauge(f"{base}/burn_fast"),
-                    registry.gauge(f"{base}/burn_slow"),
-                    registry.gauge(f"{base}/firing"),
-                )
-                self._gauges[spec.name][0].set(1.0)
+        for spec in self.specs:
+            base = f"slo/{spec.name}"
+            self._gauges[spec.name] = (
+                registry.gauge(f"{base}/attainment"),
+                registry.gauge(f"{base}/burn_fast"),
+                registry.gauge(f"{base}/burn_slow"),
+                registry.gauge(f"{base}/firing"),
+            )
+            self._gauges[spec.name][0].set(1.0)
 
     # -- evaluation (the collector's scrape hook) -----------------------------
 
@@ -288,12 +287,11 @@ class SLOEngine:
             elif burn_fast < BURN_THRESHOLD:
                 state.firing = False
                 state.alerts[-1].resolved_at = now
-            gauges = self._gauges.get(spec.name)
-            if gauges is not None:
-                gauges[0].set(state.attainment())
-                gauges[1].set(burn_fast)
-                gauges[2].set(burn_slow)
-                gauges[3].set(1.0 if state.firing else 0.0)
+            gauges = self._gauges[spec.name]
+            gauges[0].set(state.attainment())
+            gauges[1].set(burn_fast)
+            gauges[2].set(burn_slow)
+            gauges[3].set(1.0 if state.firing else 0.0)
 
     # -- reporting ------------------------------------------------------------
 

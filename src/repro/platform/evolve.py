@@ -158,7 +158,6 @@ class EvolvePlatform:
         self.store = ObjectStore()
         nodes = build_nodes(self.cluster_spec)
         self.cluster = Cluster(self.engine, nodes)
-        self.api = ClusterAPI(self.cluster)
         # Shared fault bookkeeping: every injector logs episodes here so
         # repro.analysis.recovery can compute MTTR across fault classes.
         self.fault_log = FaultLog()
@@ -168,9 +167,12 @@ class EvolvePlatform:
         self.actuation_faults = ActuationFaultInjector(
             self.rng.stream("faults/actuation"), log=self.fault_log
         )
-        self.api.actuation_faults = self.actuation_faults
         self.partition_faults = PartitionInjector(log=self.fault_log)
-        self.api.partitions = self.partition_faults
+        self.api = ClusterAPI(
+            self.cluster,
+            actuation_faults=self.actuation_faults,
+            partitions=self.partition_faults,
+        )
         self.collector = MetricsCollector(
             self.engine, self.api, faults=self.metrics_faults
         )

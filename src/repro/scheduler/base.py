@@ -18,7 +18,7 @@ class SchedulerBase:
     policy (:meth:`schedule_cycle` / :meth:`select_node`) to place pods.
     Pods that cannot be placed stay pending and are retried next cycle.
 
-    ``admission`` optionally attaches an
+    :attr:`admission` is ``None`` unless the platform arms an
     :class:`~repro.scheduler.admission.AdmissionController`: the cycle
     then routes its pending snapshot through the controller (class-aware
     shedding and reordering under overload). ``None`` keeps the cycle
@@ -27,10 +27,10 @@ class SchedulerBase:
 
     policy_name = "base"
 
-    def __init__(self, engine: Engine, api: ClusterAPI, *, admission=None):
+    def __init__(self, engine: Engine, api: ClusterAPI):
         self.engine = engine
         self.api = api
-        self.admission = admission
+        self.admission = None
         self._handle: PeriodicHandle | None = None
         self.cycles = 0
         self.binds = 0

@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.cluster.api import ClusterAPI
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod, WorkloadClass
-from repro.scheduler.admission import AdmissionController
 from repro.scheduler.base import SchedulerBase
 from repro.scheduler.gang import GangAdmission
 from repro.scheduler.interference import interference_penalty
@@ -38,10 +37,10 @@ class ConvergedScheduler(SchedulerBase):
     Parameters
     ----------
     store:
-        Shared object store, used for big-data locality scoring; optional
-        (without it big-data pods fall back to plain packing scores). A
-        big-data pod's locality fraction adds to its packing score as it
-        is, and a node matching its preference adds
+        Shared object store, used for big-data locality scoring (a pod
+        whose dataset has no bucket there gets the plain packing score).
+        A big-data pod's locality fraction adds to its packing score as
+        it is, and a node matching its preference adds
         :data:`PREFERENCE_WEIGHT`.
     interference_weight:
         Strength of the interference penalty against the packing score.
@@ -54,12 +53,6 @@ class ConvergedScheduler(SchedulerBase):
         interference friendly) or ``"consolidate"`` (MostAllocated —
         packs work onto few nodes so idle ones can be parked; the energy
         experiment's knob).
-    admission:
-        Optional :class:`~repro.scheduler.admission.AdmissionController`.
-        When set, each cycle routes its pending snapshot through the
-        controller (class-aware shedding and reordering under overload);
-        when ``None`` (default) the cycle is byte-identical to the
-        pre-admission behaviour.
     zone_aware_gangs:
         Try to place each gang entirely inside one zone (fullest-first)
         before letting it span zones — cross-zone links stretch the
@@ -73,16 +66,15 @@ class ConvergedScheduler(SchedulerBase):
         engine: Engine,
         api: ClusterAPI,
         *,
-        store: ObjectStore | None = None,
+        store: ObjectStore,
         interference_weight: float = 0.5,
         preemption: bool = False,
         packing: str = "spread",
         zone_aware_gangs: bool = True,
-        admission: "AdmissionController | None" = None,
     ):
         if packing not in ("spread", "consolidate"):
             raise ValueError(f"unknown packing mode {packing!r}")
-        super().__init__(engine, api, admission=admission)
+        super().__init__(engine, api)
         self.packing = packing
         self.zone_aware_gangs = zone_aware_gangs
         self.single_zone_gangs = 0
@@ -208,8 +200,6 @@ class ConvergedScheduler(SchedulerBase):
     # -- scoring ---------------------------------------------------------------------
 
     def _locality_bonus(self, node: Node, pod: Pod) -> float:
-        if self.store is None:
-            return 0.0
         dataset = pod.spec.labels.get("dataset")
         if dataset is None or not self.store.has_bucket(dataset):
             return 0.0

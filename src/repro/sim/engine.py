@@ -42,7 +42,7 @@ class EventHandle:
         time: float,
         priority: int,
         callback: Callable[[], None],
-        engine: "Engine | None" = None,
+        engine: "Engine",
     ):
         self.time = time
         self.priority = priority
@@ -56,7 +56,7 @@ class EventHandle:
         if self.cancelled:
             return
         self.cancelled = True
-        if not self.executed and self._engine is not None:
+        if not self.executed:
             self._engine._note_cancellation()
 
     @property
@@ -380,7 +380,10 @@ class Engine:
 
         Events scheduled exactly at ``end_time`` are executed. The clock is
         left at ``end_time`` even if the heap drains early, so periodic
-        consumers observe a consistent horizon.
+        consumers observe a consistent horizon. A run ended by
+        :meth:`stop` leaves the clock at the stopping event's time: the
+        events still due before ``end_time`` run in a later call, each at
+        its own time.
         """
         if end_time < self._now:
             raise SimulationError(
@@ -389,10 +392,10 @@ class Engine:
         self._running = True
         try:
             self._dispatch(end_time, math.inf)
+            if self._running and self._now < end_time:
+                self._now = end_time
         finally:
             self._running = False
-        if self._now < end_time:
-            self._now = end_time
 
     def run(self, max_events: int | None = None) -> int:
         """Run until the event heap drains (or ``max_events`` executed).

@@ -43,7 +43,7 @@ class StorageRepairService:
         store: ObjectStore,
         api: "ClusterAPI",
         *,
-        log: "FaultLog | None" = None,
+        log: "FaultLog",
     ):
         self.engine = engine
         self.store = store
@@ -121,14 +121,13 @@ class StorageRepairService:
                 dropped = self.store.drop_node(node.name)
                 self.dropped_replicas += dropped
                 if dropped:
-                    if self.log is not None:
-                        self.log.record(
-                            "storage-replica-loss",
-                            node.name,
-                            now,
-                            now,
-                            detail=f"replicas_dropped={dropped}",
-                        )
+                    self.log.record(
+                        "storage-replica-loss",
+                        node.name,
+                        now,
+                        now,
+                        detail=f"replicas_dropped={dropped}",
+                    )
                     if self.telemetry is not None:
                         self.telemetry.tracer.instant(
                             "replica_drop", "store",

@@ -733,8 +733,8 @@ class InvariantChecker:
             statestore=platform.statestore,
             scheduler=platform.scheduler,
             apps=platform.apps,
-            store=getattr(platform, "store", None),
-            repair=getattr(platform, "repair", None),
+            store=platform.store,
+            repair=platform.repair,
             every=every,
             **kwargs,
         )

@@ -184,7 +184,6 @@ class MMPPArrivals:
         *,
         factors: Sequence[float] = (0.4, 1.0, 2.4),
         horizon: float = 86_400.0,
-        rate_bound: float | None = None,
     ):
         if len(factors) < 2:
             raise ValueError("need at least two MMPP states")
@@ -214,7 +213,7 @@ class MMPPArrivals:
         self._switch_arr = np.array(switch_times)
         self._factor_arr = np.array(self._factor_table)
         # The modulated rate is itself a LoadTrace: thin against it.
-        self._thin = PoissonArrivals(self, rng, rate_bound=rate_bound, bound_samples=17)
+        self._thin = PoissonArrivals(self, rng, bound_samples=17)
 
     def factor_at(self, t: float) -> float:
         """State multiplier in effect at time ``t`` (last state holds

@@ -201,14 +201,13 @@ class BurstyTrace:
         burst_rate: float = 1 / 1800.0,
         burst_duration: float = 120.0,
         horizon: float = 86_400.0,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
     ):
         if base < 0 or burst_factor < 1 or burst_rate <= 0 or burst_duration <= 0:
             raise ValueError("invalid burst parameters")
         self.base = float(base)
         self.burst_factor = float(burst_factor)
         self.burst_duration = float(burst_duration)
-        rng = rng or np.random.default_rng(0)
         expected = max(1, int(burst_rate * horizon * 3))
         gaps = rng.exponential(1 / burst_rate, size=expected)
         times = np.cumsum(gaps)
@@ -242,13 +241,12 @@ class NoisyTrace:
         rel_std: float = 0.1,
         bucket: float = 60.0,
         horizon: float = 86_400.0,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
     ):
         if rel_std < 0 or bucket <= 0 or horizon <= 0:
             raise ValueError("invalid noise parameters")
         self.base = base
         self.bucket = float(bucket)
-        rng = rng or np.random.default_rng(0)
         n = int(math.ceil(horizon / bucket)) + 1
         sigma = math.sqrt(math.log(1 + rel_std**2))
         self._noise = rng.lognormal(mean=-sigma**2 / 2, sigma=sigma, size=n)
@@ -334,13 +332,12 @@ class OUTrace:
         relaxation: float = 600.0,
         volatility: float = 2.0,
         horizon: float = 86_400.0,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
     ):
         if mean < 0 or relaxation <= 0 or volatility < 0:
             raise ValueError("invalid OU parameters")
         self.mean = float(mean)
         step = OU_STEP
-        rng = rng or np.random.default_rng(0)
         n = int(math.ceil(horizon / step)) + 1
         theta = 1.0 / relaxation
         path = np.empty(n)

@@ -21,6 +21,7 @@ from repro.control.pid import PIDGains
 from repro.workloads.microservice import Microservice, ServiceDemands
 from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import ConstantTrace
+from tests.conftest import control_wiring
 
 
 BOUNDS = AllocationBounds(
@@ -131,7 +132,9 @@ class TestAdaptiveAutoscaler:
         svc.start()
         collector.register(svc)
         collector.start()
-        autoscaler = AdaptiveAutoscaler(engine, collector, bounds=BOUNDS)
+        autoscaler = AdaptiveAutoscaler(
+            engine, collector, bounds=BOUNDS, **control_wiring(collector)
+        )
         autoscaler.attach(svc)
         autoscaler.start()
         engine.every(
@@ -154,6 +157,7 @@ class TestAdaptiveAutoscaler:
     def test_ablation_switches_propagate(self, engine, api, collector):
         autoscaler = AdaptiveAutoscaler(
             engine, collector, bounds=BOUNDS, adaptive=False, dimensions=("cpu",),
+            **control_wiring(collector),
         )
         svc = Microservice(
             "svc", engine, api, trace=ConstantTrace(1), demands=DEMANDS,

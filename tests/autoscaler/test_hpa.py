@@ -3,12 +3,10 @@
 import pytest
 
 from repro.autoscaler.hpa import MAX_REPLICAS, HorizontalPodAutoscaler
-from repro.cluster.api import ClusterAPI
 from repro.cluster.resources import ResourceVector
-from repro.metrics.collector import MetricsCollector
 from repro.workloads.microservice import Microservice, ServiceDemands
 from repro.workloads.traces import ConstantTrace, StepTrace
-from tests.conftest import make_cluster
+from tests.conftest import make_api, make_cluster, make_collector
 
 
 DEMANDS = ServiceDemands(cpu_seconds=0.01, base_latency=0.01)
@@ -79,8 +77,8 @@ def test_scale_down_waits_for_stabilization(engine, api, collector):
 def test_respects_max_replicas(engine):
     # 24 one-core replicas near saturation want 40; four nodes hold 40
     # pods, so only the clamp stops the scale-out at MAX_REPLICAS.
-    api = ClusterAPI(make_cluster(engine, nodes=4))
-    collector = MetricsCollector(engine, api)
+    api = make_api(make_cluster(engine, nodes=4))
+    collector = make_collector(engine, api)
     svc = deploy(engine, api, collector, ConstantTrace(2400), replicas=24)
     hpa = HorizontalPodAutoscaler(engine, collector)
     hpa.attach(svc)

@@ -31,12 +31,12 @@ def degraded(degrader: DegradationInjector) -> list[str]:
 
 @pytest.fixture
 def injector(cluster):
-    return FailureInjector(cluster)
+    return FailureInjector(cluster, log=FaultLog())
 
 
 @pytest.fixture
 def degrader(cluster):
-    return DegradationInjector(cluster)
+    return DegradationInjector(cluster, log=FaultLog())
 
 
 class TestFailureInjector:
@@ -258,7 +258,7 @@ class TestChaosMonkey:
             from repro.sim.engine import Engine
             eng = Engine()
             clus = make_cluster(eng)
-            inj = FailureInjector(clus)
+            inj = FailureInjector(clus, log=FaultLog())
             monkey = ChaosMonkey(eng, inj, np.random.default_rng(seed),
                                  mtbf=100.0, repair_time=30.0)
             monkey.start()
@@ -361,7 +361,7 @@ class TestChaosMonkey:
 
         def run(explicit):
             eng = Engine()
-            inj = FailureInjector(make_cluster(eng))
+            inj = FailureInjector(make_cluster(eng), log=FaultLog())
             rng = np.random.default_rng(7)
             domains = [inj] if explicit else None
             monkey = ChaosMonkey(eng, inj, rng, mtbf=100.0, repair_time=30.0,
@@ -381,7 +381,7 @@ class TestChaosMonkey:
 
     def test_kind_without_candidates_skips_strike(self, engine, cluster):
         monkey = ChaosMonkey(
-            engine, FailureInjector(cluster), np.random.default_rng(0),
+            engine, FailureInjector(cluster, log=FaultLog()), np.random.default_rng(0),
             mtbf=10.0, repair_time=5.0,
             domains=[DataLossInjector(ObjectStore(), cluster)],
         )
@@ -413,7 +413,7 @@ class TestZoneOutageDomain:
     def test_strike_zone_fails_whole_zone_one_episode(
         self, engine, zoned_cluster
     ):
-        injector = FailureInjector(zoned_cluster)
+        injector = FailureInjector(zoned_cluster, log=FaultLog())
         dom = ZoneOutageInjector(injector)
         zoned_cluster.submit(make_spec("a", cpu=2))
         zoned_cluster.submit(make_spec("b", cpu=2))
@@ -436,7 +436,7 @@ class TestZoneOutageDomain:
         assert zone == "z1" and victims == ("node-1-0", "node-1-1")
 
     def test_heal_recovers_and_closes_episode(self, engine, zoned_cluster):
-        injector = FailureInjector(zoned_cluster)
+        injector = FailureInjector(zoned_cluster, log=FaultLog())
         dom = ZoneOutageInjector(injector)
         engine.run_until(10.0)
         token = dom.strike_zone("z0")
@@ -448,7 +448,7 @@ class TestZoneOutageDomain:
         assert episode.duration() == pytest.approx(40.0)
 
     def test_heal_tolerates_external_recovery(self, engine, zoned_cluster):
-        injector = FailureInjector(zoned_cluster)
+        injector = FailureInjector(zoned_cluster, log=FaultLog())
         dom = ZoneOutageInjector(injector)
         token = dom.strike_zone("z2")
         injector.recover_node("node-2-0")  # operator beat the domain to it
@@ -456,20 +456,20 @@ class TestZoneOutageDomain:
         assert failed(injector) == []
 
     def test_zones_lists_only_healthy_zones(self, engine, zoned_cluster):
-        injector = FailureInjector(zoned_cluster)
+        injector = FailureInjector(zoned_cluster, log=FaultLog())
         dom = ZoneOutageInjector(injector)
         assert dom.candidates() == ["z0", "z1", "z2"]
         dom.strike_zone("z1")
         assert dom.candidates() == ["z0", "z2"]
 
     def test_strike_empty_zone_rejected(self, engine, zoned_cluster):
-        injector = FailureInjector(zoned_cluster)
+        injector = FailureInjector(zoned_cluster, log=FaultLog())
         dom = ZoneOutageInjector(injector)
         with pytest.raises(ClusterError):
             dom.strike_zone("nope")
 
     def test_monkey_strikes_a_candidate_zone(self, engine, zoned_cluster):
-        injector = FailureInjector(zoned_cluster)
+        injector = FailureInjector(zoned_cluster, log=FaultLog())
         dom = ZoneOutageInjector(injector)
         monkey = ChaosMonkey(
             engine, injector, np.random.default_rng(7),
@@ -482,7 +482,7 @@ class TestZoneOutageDomain:
         assert episode.target in ("z0", "z1", "z2")
 
     def test_unlabelled_cluster_has_no_zones(self, engine, cluster):
-        injector = FailureInjector(cluster)
+        injector = FailureInjector(cluster, log=FaultLog())
         dom = ZoneOutageInjector(injector)
         assert dom.candidates() == []
 
@@ -555,7 +555,7 @@ class TestStragglerDomain:
         assert dom.candidates() == []  # every node already slowed
 
     def test_dark_nodes_excluded(self, cluster):
-        injector = FailureInjector(cluster)
+        injector = FailureInjector(cluster, log=FaultLog())
         for name in ("node-0", "node-1", "node-2"):
             injector.fail_node(name)
         dom = StragglerInjector(cluster)

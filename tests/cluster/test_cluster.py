@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster.api import ClusterAPI
 from repro.cluster.cluster import (
     STARTUP_DELAY,
     Cluster,
@@ -21,7 +20,7 @@ from repro.cluster.events import (
 from repro.cluster.node import Node
 from repro.cluster.pod import PodPhase
 from repro.cluster.resources import ResourceVector
-from tests.conftest import make_spec
+from tests.conftest import make_api, make_spec
 
 
 def test_duplicate_node_names_rejected(engine):
@@ -220,7 +219,7 @@ def test_pods_of_app_and_gang(engine, cluster):
     cluster.submit(make_spec("a-0", app="a"))
     cluster.submit(make_spec("a-1", app="a"))
     cluster.submit(make_spec("g-0", app="g", gang_id="g"))
-    assert len(ClusterAPI(cluster).list_pods(app="a")) == 2
+    assert len(make_api(cluster).list_pods(app="a")) == 2
 
 
 def test_verify_invariants_clean(engine, cluster):

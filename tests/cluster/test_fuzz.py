@@ -15,7 +15,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.cluster.chaos import FailureInjector
+from repro.cluster.chaos import FailureInjector, FaultLog
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.pod import PodPhase, PodSpec, WorkloadClass
@@ -33,7 +33,7 @@ class ClusterMachine(RuleBasedStateMachine):
         self.cluster = Cluster(
             self.engine, [Node(f"node-{i}", CAPACITY) for i in range(3)]
         )
-        self.injector = FailureInjector(self.cluster)
+        self.injector = FailureInjector(self.cluster, log=FaultLog())
         self.counter = 0
 
     # -- helpers ------------------------------------------------------------

@@ -91,7 +91,6 @@ class TestScopedAPI:
         assert scoped.list_pods() == []
 
     def test_partitioned_identity_fails_every_verb(self, engine, api):
-        api.partitions = PartitionInjector()
         scoped = api.for_controller("cp-0")
         api.partitions.partition("cp-0", engine.now, duration=60.0)
         assert scoped.is_partitioned()
@@ -108,7 +107,6 @@ class TestScopedAPI:
                 verb()
 
     def test_partition_is_per_identity(self, engine, api):
-        api.partitions = PartitionInjector()
         cut = api.for_controller("cp-0")
         fine = api.for_controller("cp-1")
         api.partitions.partition("cp-0", engine.now, duration=60.0)
@@ -117,7 +115,6 @@ class TestScopedAPI:
         assert fine.get_lease("cp") is None  # unaffected
 
     def test_bounded_window_heals_itself(self, engine, api):
-        api.partitions = PartitionInjector()
         scoped = api.for_controller("cp-0")
         api.partitions.partition("cp-0", engine.now, duration=30.0)
         engine.run_until(30.0)
@@ -145,7 +142,7 @@ class TestPartitionInjector:
         assert episode.end == 40.0
 
     def test_double_partition_rejected(self, engine):
-        injector = PartitionInjector()
+        injector = PartitionInjector(log=FaultLog())
         injector.partition("cp-0", 0.0, duration=10.0)
         with pytest.raises(ClusterError):
             injector.partition("cp-0", 5.0, duration=10.0)
@@ -155,7 +152,7 @@ class TestPartitionInjector:
 
     def test_nonpositive_duration_rejected(self, engine):
         with pytest.raises(ValueError):
-            PartitionInjector().partition("cp-0", 0.0, duration=0.0)
+            PartitionInjector(log=FaultLog()).partition("cp-0", 0.0, duration=0.0)
 
     def test_heal_unknown_identity_is_noop(self, engine):
-        PartitionInjector().heal("ghost", 0.0)
+        PartitionInjector(log=FaultLog()).heal("ghost", 0.0)

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.api import ClusterAPI
+from repro.cluster.chaos import ActuationFaultInjector, FaultLog, PartitionInjector
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.pod import PodSpec, WorkloadClass
 from repro.cluster.resources import ResourceVector
+from repro.control.manager import ControlLoopManager
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.faults import MetricsFaultInjector
+from repro.scheduler.admission import OverloadConfig
 from repro.sim.engine import Engine
 
 
@@ -35,14 +40,56 @@ def cluster(engine: Engine) -> Cluster:
     return make_cluster(engine)
 
 
+def make_api(cluster: Cluster) -> ClusterAPI:
+    """A ClusterAPI wired as the platform wires it: an actuation-fault
+    injector and a partition injector sharing one FaultLog (reach it as
+    ``api.actuation_faults.log``). Neither fails anything until armed."""
+    log = FaultLog()
+    return ClusterAPI(
+        cluster,
+        actuation_faults=ActuationFaultInjector(np.random.default_rng(0), log=log),
+        partitions=PartitionInjector(log=log),
+    )
+
+
+def make_collector(engine: Engine, api: ClusterAPI) -> MetricsCollector:
+    """A MetricsCollector behind a metrics-fault injector that logs into
+    the API's FaultLog, as on the platform; it distorts nothing until
+    armed."""
+    faults = MetricsFaultInjector(
+        np.random.default_rng(0), log=api.actuation_faults.log
+    )
+    return MetricsCollector(engine, api, faults=faults)
+
+
+def control_wiring(collector: MetricsCollector) -> dict:
+    """What the platform hands a control loop: a retry-jitter stream, the
+    collector's FaultLog and an all-off OverloadConfig."""
+    return {
+        "rng": np.random.default_rng(0),
+        "fault_log": collector.faults.log,
+        "overload": OverloadConfig(),
+    }
+
+
+def make_manager(
+    engine: Engine, collector: MetricsCollector, **kwargs
+) -> ControlLoopManager:
+    """A ControlLoopManager with :func:`control_wiring`, except for what
+    ``kwargs`` name."""
+    return ControlLoopManager(
+        engine, collector, **{**control_wiring(collector), **kwargs}
+    )
+
+
 @pytest.fixture
 def api(cluster: Cluster) -> ClusterAPI:
-    return ClusterAPI(cluster)
+    return make_api(cluster)
 
 
 @pytest.fixture
 def collector(engine: Engine, api: ClusterAPI) -> MetricsCollector:
-    return MetricsCollector(engine, api)
+    return make_collector(engine, api)
 
 
 def make_chaos_platform(domains, *, seed: int = 5):

@@ -1,12 +1,12 @@
 """Unit tests for the replicated control plane: election, failover,
 self-fencing under partitions, and idempotent WAL replay."""
 
+import numpy as np
 import pytest
 
-from repro.cluster.chaos import FaultLog, PartitionInjector
+from repro.cluster.chaos import FaultLog
 from repro.cluster.resources import ResourceVector
 from repro.control.ha import ReplicatedControlPlane
-from repro.control.manager import ControlLoopManager
 from repro.control.multiresource import (
     AllocationBounds,
     MultiResourceController,
@@ -16,6 +16,7 @@ from repro.control.statestore import ControllerStateStore
 from repro.workloads.microservice import Microservice, ServiceDemands
 from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import ConstantTrace
+from tests.conftest import make_manager
 
 
 BOUNDS = AllocationBounds(
@@ -44,9 +45,14 @@ def deploy(engine, api, collector, *, start_collector=True):
 
 
 def make_plane(engine, api, collector, svc, *, replicas=3, **kwargs):
+    """A plane wired as the platform wires it: a statestore, an election
+    stream and the collector's FaultLog, unless ``kwargs`` name others."""
+    kwargs.setdefault("fault_log", collector.faults.log)
+    kwargs.setdefault("store", ControllerStateStore(engine, log=kwargs["fault_log"]))
+    kwargs.setdefault("rng", np.random.default_rng(0))
     managers = []
     for _ in range(replicas):
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(
             svc, MultiResourceController(PIDGains(kp=0.8, ki=0.08), BOUNDS)
         )
@@ -117,7 +123,7 @@ class TestFailover:
 
     def test_successor_restores_durable_snapshot(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        store = ControllerStateStore(engine, snapshot_interval=60.0)
+        store = ControllerStateStore(engine, snapshot_interval=60.0, log=FaultLog())
         plane, _ = make_plane(engine, api, collector, svc, store=store)
         plane.start()
         engine.run_until(150.0)  # snapshots at t=60 and t=120
@@ -171,7 +177,6 @@ class TestPartition:
         self, engine, api, collector
     ):
         svc = deploy(engine, api, collector)
-        api.partitions = PartitionInjector()
         plane, managers = make_plane(engine, api, collector, svc)
         plane.start()
         engine.run_until(100.0)
@@ -196,7 +201,6 @@ class TestPartition:
         self, engine, api, collector
     ):
         svc = deploy(engine, api, collector)
-        api.partitions = PartitionInjector()
         plane, _ = make_plane(engine, api, collector, svc)
         plane.start()
         engine.run_until(100.0)
@@ -215,7 +219,7 @@ class TestWalReplay:
         # No collector → no PLO signal → the loop never actuates on its
         # own, so the WAL contains exactly the records planted here.
         svc = deploy(engine, api, collector, start_collector=False)
-        store = ControllerStateStore(engine, snapshot_interval=None)
+        store = ControllerStateStore(engine, snapshot_interval=None, log=FaultLog())
         plane, _ = make_plane(engine, api, collector, svc, store=store)
         plane.start()
         engine.run_until(50.0)
@@ -238,7 +242,7 @@ class TestWalReplay:
         self, engine, api, collector
     ):
         svc = deploy(engine, api, collector, start_collector=False)
-        store = ControllerStateStore(engine, snapshot_interval=None)
+        store = ControllerStateStore(engine, snapshot_interval=None, log=FaultLog())
         plane, _ = make_plane(engine, api, collector, svc, store=store)
         plane.start()
         engine.run_until(50.0)
@@ -259,7 +263,7 @@ class TestWalReplay:
 
     def test_records_for_unknown_apps_are_skipped(self, engine, api, collector):
         svc = deploy(engine, api, collector, start_collector=False)
-        store = ControllerStateStore(engine, snapshot_interval=None)
+        store = ControllerStateStore(engine, snapshot_interval=None, log=FaultLog())
         plane, _ = make_plane(engine, api, collector, svc, store=store)
         plane.start()
         engine.run_until(50.0)
@@ -286,7 +290,12 @@ class TestLifecycle:
 
     def test_empty_replica_list_rejected(self, engine, api, collector):
         with pytest.raises(ValueError):
-            ReplicatedControlPlane(engine, api, [])
+            ReplicatedControlPlane(
+                engine, api, [],
+                store=ControllerStateStore(engine, log=FaultLog()),
+                rng=np.random.default_rng(0),
+                fault_log=FaultLog(),
+            )
 
     def test_double_start_rejected(self, engine, api, collector):
         svc = deploy(engine, api, collector)

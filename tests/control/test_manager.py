@@ -3,12 +3,12 @@
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.control.manager import ControlLoopManager
 from repro.control.multiresource import AllocationBounds, MultiResourceController
 from repro.control.pid import PIDGains
 from repro.workloads.microservice import Microservice, ServiceDemands
 from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import ConstantTrace
+from tests.conftest import make_manager
 
 
 BOUNDS = AllocationBounds(
@@ -41,7 +41,7 @@ def deploy(engine, api, collector, *, rate=100.0, cpu=0.5, plo_target=0.05):
 
 
 def test_register_requires_plo(engine, api, collector):
-    manager = ControlLoopManager(engine, collector)
+    manager = make_manager(engine, collector)
     svc = Microservice(
         "nop", engine, api, trace=ConstantTrace(1), demands=DEMANDS,
         initial_allocation=ResourceVector(cpu=1, memory=1),
@@ -51,7 +51,7 @@ def test_register_requires_plo(engine, api, collector):
 
 
 def test_register_duplicate_rejected(engine, api, collector):
-    manager = ControlLoopManager(engine, collector)
+    manager = make_manager(engine, collector)
     svc = deploy(engine, api, collector)
     manager.register(svc, controller())
     with pytest.raises(ValueError, match="already"):
@@ -62,7 +62,7 @@ def test_loop_grows_starved_service(engine, api, collector):
     """0.5 cores can serve 50 rps; offered 100 rps violates the PLO, and
     the loop must grow CPU until latency recovers."""
     svc = deploy(engine, api, collector, rate=100.0, cpu=0.5)
-    manager = ControlLoopManager(engine, collector, interval=10.0)
+    manager = make_manager(engine, collector, interval=10.0)
     manager.register(svc, controller())
     manager.start()
     engine.run_until(600.0)
@@ -73,7 +73,7 @@ def test_loop_grows_starved_service(engine, api, collector):
 
 def test_loop_reclaims_overprovisioned_service(engine, api, collector):
     svc = deploy(engine, api, collector, rate=20.0, cpu=4.0, plo_target=0.2)
-    manager = ControlLoopManager(engine, collector, interval=10.0)
+    manager = make_manager(engine, collector, interval=10.0)
     manager.register(svc, controller())
     manager.start()
     engine.run_until(900.0)
@@ -85,7 +85,7 @@ def test_loop_reclaims_overprovisioned_service(engine, api, collector):
 def test_loop_records_control_series(engine, api, collector):
     svc = deploy(engine, api, collector)
     collector.declare("control/svc/error", "control/svc/output")
-    manager = ControlLoopManager(engine, collector, interval=10.0)
+    manager = make_manager(engine, collector, interval=10.0)
     manager.register(svc, controller())
     manager.start()
     engine.run_until(60.0)
@@ -98,7 +98,7 @@ def test_loop_records_control_series(engine, api, collector):
 
 def test_loop_skips_before_metrics_exist(engine, api, collector):
     svc = deploy(engine, api, collector)
-    manager = ControlLoopManager(engine, collector, interval=1.0)
+    manager = make_manager(engine, collector, interval=1.0)
     manager.register(svc, controller())
     # Run the loop once by hand before any scrape happened.
     manager.run_once()
@@ -107,7 +107,7 @@ def test_loop_skips_before_metrics_exist(engine, api, collector):
 
 def test_finished_app_is_skipped(engine, api, collector):
     svc = deploy(engine, api, collector)
-    manager = ControlLoopManager(engine, collector, interval=10.0)
+    manager = make_manager(engine, collector, interval=10.0)
     manager.register(svc, controller())
     manager.start()
     engine.run_until(30.0)
@@ -119,7 +119,7 @@ def test_finished_app_is_skipped(engine, api, collector):
 
 def test_unregister(engine, api, collector):
     svc = deploy(engine, api, collector)
-    manager = ControlLoopManager(engine, collector)
+    manager = make_manager(engine, collector)
     manager.register(svc, controller())
     manager.unregister("svc")
     manager.run_once()  # no entries, no crash
@@ -134,7 +134,7 @@ def test_horizontal_policy_invoked(engine, api, collector):
             return app.replica_count
 
     svc = deploy(engine, api, collector)
-    manager = ControlLoopManager(engine, collector, interval=10.0)
+    manager = make_manager(engine, collector, interval=10.0)
     manager.register(svc, controller(), horizontal=FakeHorizontal())
     manager.start()
     engine.run_until(60.0)
@@ -143,4 +143,4 @@ def test_horizontal_policy_invoked(engine, api, collector):
 
 def test_invalid_interval(engine, collector):
     with pytest.raises(ValueError):
-        ControlLoopManager(engine, collector, interval=0)
+        make_manager(engine, collector, interval=0)

@@ -13,7 +13,6 @@ from repro.control.manager import (
     BROWNOUT_ENTER_PERIODS,
     BROWNOUT_EXIT_PERIODS,
     BROWNOUT_LATENCY_PENALTY,
-    ControlLoopManager,
 )
 from repro.control.multiresource import AllocationBounds, MultiResourceController
 from repro.control.pid import PIDGains
@@ -21,6 +20,7 @@ from repro.scheduler.admission import OverloadConfig
 from repro.workloads.microservice import Microservice, ServiceDemands
 from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import ConstantTrace
+from tests.conftest import make_manager
 
 
 BOUNDS = AllocationBounds(
@@ -58,7 +58,7 @@ def failing_action():
 
 class TestHalfOpenBreaker:
     def make_manager(self, engine, collector, svc):
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         return manager, manager._entries["svc"]
 
@@ -161,7 +161,7 @@ class TestBackpressureState:
 
 class TestManagerBackpressure:
     def make_manager(self, engine, collector, svc):
-        manager = ControlLoopManager(
+        manager = make_manager(
             engine, collector, interval=10.0,
             overload=OverloadConfig(backpressure=True),
         )
@@ -169,7 +169,7 @@ class TestManagerBackpressure:
         return manager, manager._entries["svc"]
 
     def test_disabled_by_default(self, engine, collector):
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         assert manager.backpressure is None
 
     def test_grow_deferred_while_distressed(self, engine, api, collector):
@@ -271,7 +271,7 @@ class BrownoutProbe:
 class TestBrownoutHysteresis:
     def make_manager(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(
+        manager = make_manager(
             engine, collector, interval=10.0,
             overload=OverloadConfig(brownout=True),
             fault_log=FaultLog(),

@@ -15,7 +15,6 @@ from repro.control.manager import (
     RETRY_BASE_DELAY,
     RETRY_JITTER,
     SAFE_MODE_AFTER,
-    ControlLoopManager,
 )
 from repro.control.multiresource import (
     AllocationBounds,
@@ -26,6 +25,7 @@ from repro.control.pid import PIDGains
 from repro.workloads.microservice import Microservice, ServiceDemands
 from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import ConstantTrace
+from tests.conftest import make_manager
 
 
 BOUNDS = AllocationBounds(
@@ -73,14 +73,14 @@ def jittered(delays, seed=0):
 
 class TestSafeMode:
     def test_freshness_timeout_is_interval_multiple(self, engine, collector):
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         assert manager.freshness_timeout == pytest.approx(25.0)
 
     def test_enters_after_k_stale_periods_and_exits_on_signal(
         self, engine, api, collector
     ):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         engine.run_until(300.0)
@@ -115,7 +115,7 @@ class TestSafeMode:
         resets = []
         original_reset = ctrl.reset
         ctrl.reset = lambda: (resets.append(engine.now), original_reset())[-1]
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, ctrl)
         manager.start()
         engine.run_until(200.0)
@@ -133,7 +133,7 @@ class TestSafeMode:
         quietly instead of entering a meaningless safe mode."""
         svc = deploy(engine, api, collector)
         collector.stop()  # nothing ever scraped
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         engine.run_until(200.0)
@@ -150,7 +150,7 @@ class TestSafeMode:
         on every fresh signal instead of accumulating across gaps."""
         svc = deploy(engine, api, collector)
         collector.stop()  # signal freshness is driven by hand below
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         # One latency sample per gap; with the PLO's 20 s window the
@@ -175,7 +175,7 @@ class TestSafeMode:
         thrashing while the signal stays dark)."""
         svc = deploy(engine, api, collector)
         collector.stop()
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         # One sample per gap: fresh at +10/+20, then SAFE_MODE_AFTER stale
@@ -197,7 +197,7 @@ class TestSafeMode:
     def test_safe_mode_series_recorded(self, engine, api, collector):
         # The safe-mode state, read through entry_resilience().
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         engine.run_until(100.0)
@@ -211,7 +211,7 @@ class TestSafeMode:
 
 class TestRetries:
     def make_manager(self, engine, collector, svc, **kwargs):
-        manager = ControlLoopManager(engine, collector, interval=10.0, **kwargs)
+        manager = make_manager(engine, collector, interval=10.0, **kwargs)
         manager.register(svc, controller())
         return manager, manager._entries["svc"]
 
@@ -314,7 +314,7 @@ class TestRetries:
 class TestCircuitBreaker:
     def test_trips_on_consecutive_failures(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         entry = manager._entries["svc"]
         for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
@@ -332,7 +332,7 @@ class TestCircuitBreaker:
         self, engine, api, collector
     ):
         svc = deploy(engine, api, collector, rate=100.0, cpu=0.5)
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         manager.start()
         engine.run_until(100.0)
@@ -350,7 +350,7 @@ class TestCircuitBreaker:
 
     def test_trips_on_grow_reclaim_flapping(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         entry = manager._entries["svc"]
         alloc = svc.current_allocation()
@@ -372,7 +372,7 @@ class TestCircuitBreaker:
 
     def test_holds_do_not_count_as_flaps(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         entry = manager._entries["svc"]
         alloc = svc.current_allocation()
@@ -388,7 +388,7 @@ class TestCircuitBreaker:
 class TestLifecycle:
     def test_unregister_cancels_pending_retry(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         entry = manager._entries["svc"]
         manager._actuate(entry, failing_action)
@@ -398,7 +398,7 @@ class TestLifecycle:
 
     def test_resilience_stats_aggregates(self, engine, api, collector):
         svc = deploy(engine, api, collector)
-        manager = ControlLoopManager(engine, collector, interval=10.0)
+        manager = make_manager(engine, collector, interval=10.0)
         manager.register(svc, controller())
         entry = manager._entries["svc"]
         manager._actuate(entry, failing_action)

@@ -11,13 +11,13 @@ from repro.sim.engine import Engine
 
 @pytest.fixture
 def store(engine: Engine) -> ControllerStateStore:
-    return ControllerStateStore(engine)
+    return ControllerStateStore(engine, log=FaultLog())
 
 
 class TestValidation:
     def test_bad_knobs_rejected(self, engine):
         with pytest.raises(ValueError):
-            ControllerStateStore(engine, snapshot_interval=0.0)
+            ControllerStateStore(engine, snapshot_interval=0.0, log=FaultLog())
 
     def test_unknown_wal_kind_rejected(self, engine, store):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 """Unit tests for the metrics collector / scrape loop."""
 
+import numpy as np
 import pytest
 
+from repro.cluster.chaos import FaultLog
 from repro.metrics.collector import MetricsCollector, UndeclaredSeriesError
-from tests.conftest import make_spec
+from tests.conftest import make_collector, make_spec
 
 
 class FakeSource:
@@ -104,10 +106,10 @@ def test_stop_halts_scraping(engine, collector):
     assert collector.scrapes == 1
 
 
-def test_invalid_interval(engine, api):
+def test_invalid_interval(engine, api, collector):
     # The scrape interval is the constant SCRAPE_INTERVAL.
     with pytest.raises(TypeError):
-        MetricsCollector(engine, api, scrape_interval=0)
+        MetricsCollector(engine, api, faults=collector.faults, scrape_interval=0)
 
 
 def test_scrape_gap_counted_when_rounds_are_missed(engine, collector):
@@ -126,7 +128,7 @@ def test_scrape_gap_counted_when_rounds_are_missed(engine, collector):
 def test_internal_source_bypasses_fault_filter(engine, api):
     from repro.metrics.faults import MetricsFaultInjector
 
-    faults = MetricsFaultInjector()
+    faults = MetricsFaultInjector(np.random.default_rng(0), log=FaultLog())
     faults.drop_scrape_probability = 1.0
     collector = MetricsCollector(engine, api, faults=faults)
     internal = FakeSource(prefix="ctrl")
@@ -151,7 +153,7 @@ def test_scrape_span_at_without_telemetry_is_none(engine, collector):
 def test_scrape_span_at_returns_covering_round(engine, api):
     from repro.obs.telemetry import Telemetry
 
-    collector = MetricsCollector(engine, api)
+    collector = make_collector(engine, api)
     tel = Telemetry(engine)
     collector.telemetry = tel
     collector.start()
@@ -230,7 +232,7 @@ def test_distorting_faults_skip_undeclared_samples(engine, api):
     from repro.metrics.faults import MetricsFaultInjector
 
     def run(extra_source):
-        faults = MetricsFaultInjector()
+        faults = MetricsFaultInjector(np.random.default_rng(0), log=FaultLog())
         faults.outlier_probability = 0.5
         collector = MetricsCollector(engine, api, faults=faults)
         collector.declare("app/read/latency")
@@ -250,7 +252,7 @@ def test_distorting_faults_skip_undeclared_samples(engine, api):
     assert unread.samples == 0
     assert faults.outliers_injected == alone_faults.outliers_injected > 0
     # One draw per declared sample: 20 scrapes of one declared name.
-    reference = MetricsFaultInjector()
+    reference = MetricsFaultInjector(np.random.default_rng(0), log=FaultLog())
     for _ in range(20):
         reference.rng.random()
     next_draw = reference.rng.random()

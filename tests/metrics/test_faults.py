@@ -9,8 +9,8 @@ from repro.metrics.faults import MetricsFaultInjector
 from tests.conftest import make_spec
 
 
-def make(seed=0, log=None):
-    return MetricsFaultInjector(np.random.default_rng(seed), log=log)
+def make(seed=0):
+    return MetricsFaultInjector(np.random.default_rng(seed), log=FaultLog())
 
 
 class TestFilter:
@@ -79,8 +79,8 @@ class TestFilter:
             faults.inject_noise(0.0, 10.0, probability=1.5)
 
     def test_window_faults_logged_with_ends(self):
-        log = FaultLog()
-        faults = make(log=log)
+        faults = make()
+        log = faults.log
         faults.drop_scrapes(10.0, 20.0)
         faults.blackout("app/web", 40.0, 5.0)
         faults.freeze("app/cache", 50.0, 5.0)

@@ -6,7 +6,7 @@ turning telemetry on must never change what a seeded run does.
 """
 
 from repro.cluster.resources import ResourceVector
-from repro.control.manager import SAFE_MODE_AFTER, ControlLoopManager
+from repro.control.manager import SAFE_MODE_AFTER
 from repro.control.multiresource import AllocationBounds, MultiResourceController
 from repro.control.pid import PIDGains
 from repro.obs.telemetry import Telemetry
@@ -15,6 +15,7 @@ from repro.platform.evolve import EvolvePlatform
 from repro.workloads.microservice import Microservice, ServiceDemands
 from repro.workloads.plo import LatencyPLO
 from repro.workloads.traces import ConstantTrace, NoisyTrace
+from tests.conftest import make_manager
 
 BOUNDS = AllocationBounds(
     minimum=ResourceVector(cpu=0.1, memory=0.25, disk_bw=5, net_bw=5),
@@ -56,7 +57,7 @@ def instrument(engine, api, collector, **manager_kwargs):
     api.telemetry = tel
     collector.telemetry = tel
     collector.register_internal(tel)
-    manager = ControlLoopManager(engine, collector, **manager_kwargs)
+    manager = make_manager(engine, collector, **manager_kwargs)
     manager.telemetry = tel
     return tel, manager
 

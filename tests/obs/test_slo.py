@@ -76,13 +76,18 @@ class TestSLOSpec:
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            SLOEngine(FakeCollector(), [make_spec(), make_spec()])
+            SLOEngine(
+                FakeCollector(), [make_spec(), make_spec()],
+                registry=MetricsRegistry(),
+            )
 
 
 class TestEvaluation:
     def _engine(self, **overrides):
         collector = FakeCollector()
-        engine = SLOEngine(collector, [make_spec(**overrides)])
+        engine = SLOEngine(
+            collector, [make_spec(**overrides)], registry=MetricsRegistry()
+        )
         return collector, engine, engine.states["web_latency"]
 
     def test_warmup_ticks_skipped(self):
@@ -136,7 +141,7 @@ class TestAlertLifecycle:
 
     def test_fires_only_when_both_windows_burn(self):
         collector = FakeCollector()
-        engine = SLOEngine(collector, [make_spec()])
+        engine = SLOEngine(collector, [make_spec()], registry=MetricsRegistry())
         state = engine.states["web_latency"]
         # One tick short: the fast window burns past the threshold, but
         # the slow window holds the alert back.
@@ -155,7 +160,7 @@ class TestAlertLifecycle:
 
     def test_resolves_when_fast_window_clears(self):
         collector = FakeCollector()
-        engine = SLOEngine(collector, [make_spec()])
+        engine = SLOEngine(collector, [make_spec()], registry=MetricsRegistry())
         state = engine.states["web_latency"]
         now = self._run(engine, collector, [1.0] * TICKS_TO_FIRE)
         assert state.firing
@@ -174,7 +179,7 @@ class TestAlertLifecycle:
         engine = SLOEngine(collector, [
             make_spec(name="a", series="s/a"),
             make_spec(name="b", series="s/b"),
-        ])
+        ], registry=MetricsRegistry())
         collector.values = {"s/a": 1.0, "s/b": 1.0}
         fire_at = TICK * TICKS_TO_FIRE
         for k in range(TICKS_TO_FIRE):

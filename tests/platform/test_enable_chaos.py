@@ -10,6 +10,7 @@ import pytest
 from repro.cluster.chaos import (
     ChaosMonkey,
     ControllerCrashInjector,
+    FaultLog,
     PartitionInjector,
 )
 from repro.platform.config import ClusterSpec, PlatformConfig
@@ -72,7 +73,7 @@ class TestDomainSelection:
         with pytest.raises(ValueError, match="at least one"):
             ChaosMonkey(
                 engine,
-                FailureInjector(cluster),
+                FailureInjector(cluster, log=FaultLog()),
                 np.random.default_rng(0),
                 domains=[],
             )
@@ -154,4 +155,4 @@ class TestPartitionInjector:
         assert episode.duration() == pytest.approx(45.0)
 
     def test_no_plane_no_candidates(self):
-        assert PartitionInjector().candidates() == []
+        assert PartitionInjector(log=FaultLog()).candidates() == []

@@ -302,13 +302,13 @@ class TestConservationProperties:
     @settings(max_examples=40, deadline=None)
     @given(classes=pod_classes, gangs=gang_flags)
     def test_every_pod_admitted_or_shed_exactly_once(self, classes, gangs):
-        from repro.cluster.api import ClusterAPI
+        from tests.conftest import make_api
         from repro.sim.engine import Engine
         from tests.conftest import make_cluster
 
         engine = Engine()
         cluster = make_cluster(engine)
-        api = ClusterAPI(cluster)
+        api = make_api(cluster)
         ctl = make_controller(engine, api, pending_high=1)
         pending = [
             cluster.submit(
@@ -343,14 +343,14 @@ class TestConservationProperties:
     @settings(max_examples=25, deadline=None)
     @given(classes=pod_classes)
     def test_admission_is_deterministic(self, classes):
-        from repro.cluster.api import ClusterAPI
+        from tests.conftest import make_api
         from repro.sim.engine import Engine
         from tests.conftest import make_cluster
 
         def run():
             engine = Engine()
             cluster = make_cluster(engine)
-            api = ClusterAPI(cluster)
+            api = make_api(cluster)
             ctl = make_controller(engine, api, pending_high=1)
             pending = [
                 cluster.submit(spec_for(f"p{i}", cls))

@@ -13,7 +13,7 @@ from tests.conftest import make_spec
 
 class TestConvergedGangs:
     def test_gang_admitted_atomically(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api)
+        scheduler = ConvergedScheduler(engine, api, store=ObjectStore())
         scheduler.start()
         for i in range(3):
             api.create_pod(
@@ -25,7 +25,7 @@ class TestConvergedGangs:
         assert scheduler.gangs_admitted == 1
 
     def test_oversized_gang_fully_deferred(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api)
+        scheduler = ConvergedScheduler(engine, api, store=ObjectStore())
         scheduler.start()
         for i in range(8):
             api.create_pod(
@@ -37,7 +37,7 @@ class TestConvergedGangs:
         assert scheduler.gangs_deferred >= 1
 
     def test_backfill_behind_blocked_gang(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api)
+        scheduler = ConvergedScheduler(engine, api, store=ObjectStore())
         scheduler.start()
         for i in range(8):
             api.create_pod(
@@ -49,7 +49,7 @@ class TestConvergedGangs:
         assert api.get_pod("small").node_name is not None
 
     def test_gangs_admitted_fifo(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api)
+        scheduler = ConvergedScheduler(engine, api, store=ObjectStore())
         for i in range(2):
             api.create_pod(
                 make_spec(f"a-{i}", cpu=8, gang_id="first",
@@ -115,7 +115,9 @@ class TestInterference:
         assert interference_penalty(node, svc) > interference_penalty(node, batch)
 
     def test_converged_spreads_sensitive_pods(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, interference_weight=2.0)
+        scheduler = ConvergedScheduler(
+            engine, api, store=ObjectStore(), interference_weight=2.0
+        )
         noisy = api.create_pod(
             make_spec("batch-0", cpu=4, workload_class=WorkloadClass.BIGDATA)
         )

@@ -9,6 +9,7 @@ from repro.scheduler.preemption import (
     plan_gang,
     plan_single,
 )
+from repro.storage.objectstore import ObjectStore
 from tests.conftest import make_spec
 
 
@@ -111,7 +112,9 @@ class TestPlanGang:
 
 class TestPreemptingScheduler:
     def test_service_preempts_batch(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, preemption=True)
+        scheduler = ConvergedScheduler(
+            engine, api, store=ObjectStore(), preemption=True
+        )
         scheduler.start()
         # Fill every node with low-priority batch.
         for i in range(3):
@@ -129,7 +132,9 @@ class TestPreemptingScheduler:
         assert len(evicted) == 1
 
     def test_gang_preempts_batch_atomically(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, preemption=True)
+        scheduler = ConvergedScheduler(
+            engine, api, store=ObjectStore(), preemption=True
+        )
         scheduler.start()
         for i in range(3):
             api.create_pod(
@@ -147,7 +152,9 @@ class TestPreemptingScheduler:
         assert scheduler.preemptions == 3
 
     def test_no_preemption_when_disabled(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, preemption=False)
+        scheduler = ConvergedScheduler(
+            engine, api, store=ObjectStore(), preemption=False
+        )
         scheduler.start()
         for i in range(3):
             api.create_pod(
@@ -160,7 +167,9 @@ class TestPreemptingScheduler:
         assert api.get_pod("svc").phase == PodPhase.PENDING
 
     def test_equal_priority_never_preempts(self, engine, api):
-        scheduler = ConvergedScheduler(engine, api, preemption=True)
+        scheduler = ConvergedScheduler(
+            engine, api, store=ObjectStore(), preemption=True
+        )
         scheduler.start()
         for i in range(3):
             api.create_pod(make_spec(f"svc-{i}", cpu=14, priority=10))

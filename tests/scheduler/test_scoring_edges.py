@@ -5,12 +5,13 @@ import pytest
 from repro.cluster.pod import WorkloadClass
 from repro.scheduler.converged import ConvergedScheduler
 from repro.scheduler.kube import least_allocated_score, most_allocated_score
+from repro.storage.objectstore import ObjectStore
 from tests.conftest import make_spec
 
 
 def test_invalid_packing_mode(engine, api):
     with pytest.raises(ValueError, match="packing"):
-        ConvergedScheduler(engine, api, packing="tetris")
+        ConvergedScheduler(engine, api, store=ObjectStore(), packing="tetris")
 
 
 def test_most_allocated_is_dual(engine, api):
@@ -28,7 +29,8 @@ def test_most_allocated_is_dual(engine, api):
 
 
 def test_consolidate_fills_one_node_first(engine, api):
-    scheduler = ConvergedScheduler(engine, api, packing="consolidate",
+    scheduler = ConvergedScheduler(engine, api, store=ObjectStore(),
+                                   packing="consolidate",
                                    interference_weight=0.0)
     scheduler.start()
     for i in range(4):
@@ -40,7 +42,9 @@ def test_consolidate_fills_one_node_first(engine, api):
 
 def test_preference_weight_breaks_ties(engine, api):
     api.get_node("node-1").labels["accelerator"] = "fpga"
-    scheduler = ConvergedScheduler(engine, api, interference_weight=0.0)
+    scheduler = ConvergedScheduler(
+        engine, api, store=ObjectStore(), interference_weight=0.0
+    )
     spec = make_spec("exec", workload_class=WorkloadClass.BIGDATA)
     pod = api.create_pod(spec)
     object.__setattr__(pod.spec, "node_preference", {"accelerator": "fpga"})

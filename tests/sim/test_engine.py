@@ -136,6 +136,24 @@ class TestRunUntil:
         assert executed == 4
         assert fired == [0, 1, 2, 3]
 
+    def test_stop_leaves_the_clock_at_the_stopping_event(self):
+        engine = Engine()
+        ran = []
+
+        def stopper():
+            ran.append(engine.now)
+            engine.stop()
+
+        engine.schedule_at(2.0, stopper)
+        engine.schedule_at(2.5, lambda: ran.append(engine.now))
+        engine.run_until(5.0)
+        assert engine.now == 2.0
+        # A later event before the old end time is not in the past.
+        engine.schedule_at(3.0, lambda: ran.append(engine.now))
+        engine.run_until(10.0)
+        assert ran == [2.0, 2.5, 3.0]
+        assert engine.now == 10.0
+
 
 class TestPeriodic:
     def test_periodic_fires_at_interval(self):

@@ -5,7 +5,8 @@ runs events itself, and a periodic event pushes its own ``EventHandle``
 back onto the heap after each firing. This module keeps the previous
 engine as the reference: ``run_until`` and ``run`` call ``peek()`` and
 ``step()`` once per event, and every periodic firing allocates a new
-handle.
+handle. Its ``run_until`` keeps the current clock rule: a run that
+``stop()`` ended leaves the clock at the stopping event's time.
 
 Seeded random programs run on both engines: one-shot and periodic
 events at tied and distinct times, cancellation inside callbacks, a
@@ -97,9 +98,10 @@ class ReferenceEngine(Engine):
                 if nxt is None or nxt > end_time:
                     break
                 self.step()
+            if self._running:  # a stop() leaves the clock where it stopped
+                self._now = max(self._now, end_time)
         finally:
             self._running = False
-        self._now = max(self._now, end_time)
 
     def run(self, max_events=None):
         executed = 0

@@ -10,7 +10,7 @@ from repro.storage.repair import REPAIR_INTERVAL, StorageRepairService
 
 
 def make_service(engine, api, store):
-    service = StorageRepairService(engine, store, api)
+    service = StorageRepairService(engine, store, api, log=FaultLog())
     service.start()
     return service
 
@@ -28,7 +28,7 @@ class TestRepairLoop:
     def test_dark_node_dropped_and_rereplicated(self, engine, cluster, api):
         store = seeded_store()
         service = make_service(engine, api, store)
-        FailureInjector(cluster).fail_node("node-0")
+        FailureInjector(cluster, log=FaultLog()).fail_node("node-0")
         engine.run_until(16.0)  # one scan past the default 15 s interval
         assert service.dropped_replicas > 0
         assert service.repaired_objects == service.dropped_replicas
@@ -53,7 +53,7 @@ class TestRepairLoop:
         budget_mb = REPAIR_BANDWIDTH_MBPS * REPAIR_INTERVAL
         store = seeded_store(block_mb=budget_mb * 2 / 3)
         service = make_service(engine, api, store)
-        FailureInjector(cluster).fail_node("node-0")
+        FailureInjector(cluster, log=FaultLog()).fail_node("node-0")
         engine.run_until(16.0)
         assert 0 < service.repaired_objects <= 2
         assert service.backlog() > 0
@@ -65,7 +65,7 @@ class TestRepairLoop:
     def test_lost_objects_are_not_repairable(self, engine, cluster, api):
         store = seeded_store(replication=1)
         service = make_service(engine, api, store)
-        FailureInjector(cluster).fail_node("node-0")
+        FailureInjector(cluster, log=FaultLog()).fail_node("node-0")
         engine.run_until(46.0)
         # Blocks whose only copy was on node-0 have no source to copy from.
         lost = store.lost_objects()
@@ -82,7 +82,7 @@ class TestRepairLoop:
         store.create_bucket("b")
         # Already on both surviving nodes; target 3 needs node-0 back.
         store.put("b", "k", 10.0, {"node-1", "node-2"}, target_replicas=3)
-        injector = FailureInjector(cluster)
+        injector = FailureInjector(cluster, log=FaultLog())
         injector.fail_node("node-0")
         service = make_service(engine, api, store)
         engine.run_until(16.0)
@@ -102,7 +102,7 @@ class TestRepairLoop:
         log = FaultLog()
         service = StorageRepairService(engine, store, api, log=log)
         service.start()
-        FailureInjector(cluster).fail_node("node-1")
+        FailureInjector(cluster, log=FaultLog()).fail_node("node-1")
         engine.run_until(16.0)
         records = [e for e in log.episodes if e.kind == "storage-replica-loss"]
         assert len(records) == 1
@@ -124,7 +124,7 @@ class TestRepairLoop:
     def test_sample_metrics_keys(self, engine, cluster, api):
         store = seeded_store()
         service = make_service(engine, api, store)
-        FailureInjector(cluster).fail_node("node-2")
+        FailureInjector(cluster, log=FaultLog()).fail_node("node-2")
         engine.run_until(16.0)
         metrics = service.sample_metrics()
         assert metrics["repair_scans"] == 1.0

@@ -161,17 +161,19 @@ def _json_keys(value) -> set[str]:
 
 
 @functools.lru_cache(maxsize=None)
-def program_setters() -> frozenset[str]:
-    """Names program code sets: keyword arguments, string dict keys and
-    string subscript-assignment targets under :data:`PROGRAM_DIRS`, minus
-    same-name pass-throughs, plus every key of the JSON under ``src/``."""
+def program_setters(*, keywords: bool = True) -> frozenset[str]:
+    """Names program code sets: keyword arguments (unless ``keywords``
+    is false), string dict keys and string subscript-assignment targets
+    under :data:`PROGRAM_DIRS`, minus same-name pass-throughs, plus every
+    key of the JSON under ``src/``."""
     names: set[str] = set()
     for top in PROGRAM_DIRS:
         for path in sorted((REPO / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 pairs = []
                 if isinstance(node, ast.keyword) and node.arg is not None:
-                    pairs.append((node.arg, node.value))
+                    if keywords:
+                        pairs.append((node.arg, node.value))
                 elif isinstance(node, ast.Dict):
                     pairs.extend(zip(node.keys, node.values))
                 elif isinstance(node, ast.Assign):
@@ -213,71 +215,240 @@ def _literal(node: ast.expr) -> bool:
     )
 
 
+def _option(default: ast.expr | None) -> bool:
+    """A default that makes a parameter an option: a literal, or None."""
+    if isinstance(default, ast.Constant) and default.value is None:
+        return True
+    return default is not None and _literal(default)
+
+
+@functools.lru_cache(maxsize=None)
+def _classes() -> tuple[ast.ClassDef, ...]:
+    """Every class defined under ``src/repro``."""
+    return tuple(
+        cls
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(cls, ast.ClassDef)
+    )
+
+
 def constructor_options() -> dict[str, tuple[list[str], list[str]]]:
     """Per public class under ``src/repro``: its ``__init__`` parameters
-    in positional order, and those with a literal default."""
+    in positional order, and those with a literal or ``None`` default."""
     options = {}
-    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+    for cls in _classes():
+        if cls.name.startswith("_"):
+            continue
+        for init in cls.body:
+            if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
                 continue
-            for init in cls.body:
-                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
-                    continue
-                args = init.args
-                positional = [a.arg for a in args.posonlyargs + args.args][1:]
-                defaults = list(zip(positional[::-1], args.defaults[::-1]))
-                defaults += zip((a.arg for a in args.kwonlyargs), args.kw_defaults)
-                literal = [name for name, d in defaults if d is not None and _literal(d)]
-                options[cls.name] = (positional, literal)
+            args = init.args
+            positional = [a.arg for a in args.posonlyargs + args.args][1:]
+            defaults = list(zip(positional[::-1], args.defaults[::-1]))
+            defaults += zip((a.arg for a in args.kwonlyargs), args.kw_defaults)
+            options[cls.name] = (positional, [n for n, d in defaults if _option(d)])
     return options
 
 
-def call_setters(options) -> tuple[set[str], set[tuple[str, str]]]:
-    """What program code passes besides :func:`program_setters`: the
-    strings of key tuples and ``setdefault`` calls plus the keys of the
-    spec files under ``examples/``, and each (class, parameter) a call
-    of the class sets by position."""
-    names: set[str] = set()
-    positional: set[tuple[str, str]] = set()
+class _Scope:
+    """An enclosing function: the target its parameters belong to (the
+    class for an ``__init__``, else the function's name; None for a
+    lambda), its parameter names and ``**`` name, and its class."""
+
+    def __init__(self, node, cls: str | None):
+        args = node.args
+        self.target = getattr(node, "name", None)
+        if cls is not None and self.target == "__init__":
+            self.target = cls
+        self.params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        self.kwarg = args.kwarg.arg if args.kwarg else None
+        self.cls = cls
+        self.classmethod = cls is not None and any(
+            getattr(d, "id", None) == "classmethod"
+            for d in getattr(node, "decorator_list", ())
+        )
+
+
+class _CallSetters(ast.NodeVisitor):
+    """What the calls of one program module pass, and to which target.
+
+    A call's target is the class or function its callee names: ``C(...)``
+    and ``obj.C(...)`` name ``C``, ``cls(...)`` in a classmethod its class,
+    ``super().__init__(...)`` the bases of the enclosing class. A keyword
+    ``p=p`` that forwards a parameter of an enclosing function is an edge
+    from that parameter; ``**kwargs`` passed on is an edge from the
+    function that took them. The keywords of a call whose callee has no
+    name (``table[kind](...)``) count for every class.
+    """
+
+    def __init__(self, options, bases, found):
+        self.options = options
+        self.bases = bases
+        self.found = found
+        self.scopes: list[_Scope] = []
+
+    def visit_ClassDef(self, node):
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                self._enter(item, node.name)
+            else:
+                self.visit(item)
+
+    def visit_FunctionDef(self, node):
+        self._enter(node, self.scopes[-1].cls if self.scopes else None)
+
+    visit_Lambda = visit_FunctionDef
+
+    def _enter(self, node, cls):
+        self.scopes.append(_Scope(node, cls))
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    def _owner(self, name: str, *, kwarg: bool = False) -> str | None:
+        """The target of the innermost function taking ``name`` (as its
+        ``**`` parameter with ``kwarg``); None if none or a lambda does."""
+        for scope in reversed(self.scopes):
+            if scope.kwarg == name if kwarg else name in scope.params:
+                return scope.target
+        return None
+
+    def _callees(self, func) -> set[str] | None:
+        cls = next((s.cls for s in reversed(self.scopes) if s.cls), None)
+        if isinstance(func, ast.Name):
+            if func.id == "cls" and any(s.classmethod for s in self.scopes):
+                return {cls}
+            return {func.id}
+        if not isinstance(func, ast.Attribute):
+            return None
+        receiver = getattr(func.value, "func", None)
+        if func.attr == "__init__" and getattr(receiver, "id", None) == "super":
+            return set(self.bases.get(cls, ()))
+        return {func.attr}
+
+    def visit_Dict(self, node):
+        # {"p": p} forwarding a parameter of the enclosing function (the
+        # policy_kwargs a bench builds): its callers choose the value.
+        for key, value in zip(node.keys, node.values):
+            if (
+                isinstance(key, ast.Constant)
+                and isinstance(value, ast.Name)
+                and value.id == key.value
+                and self._owner(key.value) is not None
+            ):
+                self.found["anywhere"].add(key.value)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        found = self.found
+        callees = self._callees(node.func)
+        for kw in node.keywords:
+            name = getattr(kw.value, "id", None)
+            if callees is None:
+                if kw.arg is not None:
+                    found["anywhere"].add(kw.arg)
+            elif kw.arg is None:
+                owner = name and self._owner(name, kwarg=True)
+                if owner:
+                    found["spreads"] |= {(owner, c) for c in callees}
+            elif name == kw.arg and (owner := self._owner(name)):
+                found["forwards"] |= {((owner, name), c) for c in callees}
+            else:
+                found["set"] |= {(c, kw.arg) for c in callees}
+        for callee in callees or ():
+            for param, arg in zip(self.options.get(callee, ((), ()))[0], node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                found["set"].add((callee, param))
+        if getattr(node.func, "attr", None) == "setdefault" and node.args:
+            first = node.args[0]
+            if isinstance(first, ast.Constant):
+                found["anywhere"].add(first.value)
+        self.generic_visit(node)
+
+
+def constructor_setters(options) -> tuple[set[tuple[str, str]], set[str]]:
+    """The (class, parameter) pairs program code sets, and the names that
+    count for every class: string dict keys, ``setdefault`` keys and
+    key tuples under :data:`PROGRAM_DIRS`, the keys of the spec files
+    under ``src/`` and ``examples/``, the keywords of calls whose callee
+    has no name, and dict entries ``"p": p`` forwarding a parameter.
+    A keyword passed to a class counts for it, and for its bases when
+    its ``__init__`` passes ``**kwargs`` on (a class without an
+    ``__init__`` passes everything on); a keyword passed to a function
+    counts for what the function forwards it or its ``**kwargs`` to,
+    such as the platform's ``deploy_*``/``submit_*`` verbs and
+    ``InvariantChecker.attach``."""
+    bases = {
+        cls.name: [getattr(b, "id", getattr(b, "attr", None)) for b in cls.bases]
+        for cls in _classes()
+    }
+    found = {"set": set(), "forwards": set(), "spreads": set(), "anywhere": set()}
+    for cls in _classes():
+        if not any(getattr(f, "name", None) == "__init__" for f in cls.body):
+            found["spreads"] |= {(cls.name, base) for base in bases[cls.name]}
     for top in PROGRAM_DIRS:
         for path in sorted((REPO / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            tree = ast.parse(path.read_text(), str(path))
+            _CallSetters(options, bases, found).visit(tree)
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Tuple):
-                    names.update(
+                    found["anywhere"].update(
                         e.value for e in node.elts
                         if isinstance(e, ast.Constant) and isinstance(e.value, str)
                     )
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                callee = getattr(func, "id", getattr(func, "attr", None))
-                first = node.args[0] if node.args else None
-                if callee == "setdefault" and isinstance(first, ast.Constant):
-                    names.add(first.value)
-                params = options.get(callee, ((), ()))[0]
-                for param, arg in zip(params, node.args):
-                    if isinstance(arg, ast.Starred):
-                        break
-                    positional.add((callee, param))
+    found["anywhere"] |= program_setters(keywords=False)
     for path in sorted((REPO / "examples").rglob("*.json")):
-        names |= _json_keys(json.loads(path.read_text()))
-    return names, positional
+        found["anywhere"] |= _json_keys(json.loads(path.read_text()))
+    credited = set(found["set"])
+    while True:
+        before = len(credited)
+        credited |= {
+            (target, param)
+            for (source, param), target in found["forwards"]
+            if (source, param) in credited
+        }
+        credited |= {
+            (target, param)
+            for source, target in found["spreads"]
+            for owner, param in list(credited)
+            if owner == source
+        }
+        if len(credited) == before:
+            return credited, found["anywhere"]
+
+
+#: Options no program sets that stay because a tier-1 test needs them,
+#: with that test. The gate fails once a program sets one (drop it here).
+KEPT_FOR_TESTS = {
+    "InvariantChecker(invariants)": (
+        "tests/verify/test_invariants.py checks one invariant at a time; "
+        "test_checker.py and test_reference_equivalence.py run episodes "
+        "with a chosen list"
+    ),
+    "PoissonArrivals(rate_bound)": (
+        "tests/workloads/test_arrivals.py::test_explicit_rate_bound and the "
+        "poisson-bursty-bound stream of test_window_streams.py"
+    ),
+}
 
 
 def test_every_constructor_option_has_a_program_setter():
-    """A keyword parameter with a literal default that no program passes
-    is a constant: make it one where it is read."""
+    """A keyword parameter with a literal or ``None`` default that no
+    program passes to its class is a constant, or dead: make it one where
+    it is read, or delete it."""
     options = constructor_options()
-    names, positional = call_setters(options)
-    names |= program_setters()
-    unset = [
+    credited, anywhere = constructor_setters(options)
+    unset = {
         f"{cls}({param})"
-        for cls, (_positional, literal) in sorted(options.items())
-        for param in literal
-        if param not in names and (cls, param) not in positional
-    ]
-    assert not unset, f"options only tests set (make them constants): {unset}"
+        for cls, (_positional, params) in sorted(options.items())
+        for param in params
+        if param not in anywhere and (cls, param) not in credited
+    }
+    only_tests = sorted(unset - set(KEPT_FOR_TESTS))
+    assert not only_tests, f"options only tests set (make them constants): {only_tests}"
+    stale = sorted(set(KEPT_FOR_TESTS) - unset)
+    assert not stale, f"kept for tests, but a program sets them now: {stale}"
 
 
 def test_cli_module_importable():

@@ -213,14 +213,14 @@ class TestShedConservation:
     def _shed(self, *, admission=True):
         from types import SimpleNamespace
 
-        from repro.cluster.api import ClusterAPI
+        from tests.conftest import make_api
         from repro.scheduler.admission import AdmissionController, OverloadConfig
 
         engine, cluster = _cluster()
         controller = None
         if admission:
             controller = AdmissionController(
-                engine, ClusterAPI(cluster), OverloadConfig(admission=True)
+                engine, make_api(cluster), OverloadConfig(admission=True)
             )
         checker = _checker(
             engine,
@@ -565,10 +565,11 @@ class TestDataPlaneConservation:
         assert "arrived" in violations[0]
 
     def test_repair_ledger_imbalance_detected(self, engine, cluster, api):
+        from repro.cluster.chaos import FaultLog
         from repro.storage.objectstore import ObjectStore
         from repro.storage.repair import StorageRepairService
 
-        service = StorageRepairService(engine, ObjectStore(), api)
+        service = StorageRepairService(engine, ObjectStore(), api, log=FaultLog())
         assert self._check(engine, cluster, repair=service) == []
         service.repaired_mb += 4.0  # bytes landed that were never moved
         violations = self._check(engine, cluster, repair=service)

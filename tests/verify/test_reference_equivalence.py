@@ -369,6 +369,7 @@ def test_planted_corruption_matches_reference(cls, name, monkeypatch, request):
 def test_several_breaches_at_once(engine, cluster, api, monkeypatch):
     """Every rewritten invariant finds two or more breaches in one state,
     and the rewrites report them exactly as the reference does."""
+    from repro.cluster.chaos import FaultLog
     from repro.scheduler.admission import AdmissionController, OverloadConfig
     from repro.storage.objectstore import ObjectStore
     from repro.storage.repair import StorageRepairService
@@ -388,7 +389,7 @@ def test_several_breaches_at_once(engine, cluster, api, monkeypatch):
     admission = AdmissionController(
         engine, api, OverloadConfig(admission=True)
     )
-    repair = StorageRepairService(engine, ObjectStore(), api)
+    repair = StorageRepairService(engine, ObjectStore(), api, log=FaultLog())
     invariants = [cls() for cls in REFERENCE]
     ctx = CheckContext(
         engine,

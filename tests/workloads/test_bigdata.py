@@ -95,9 +95,9 @@ class TestExecution:
 
         engine2 = type(engine)()
         from tests.conftest import make_cluster
-        from repro.cluster.api import ClusterAPI
+        from tests.conftest import make_api
         cluster2 = make_cluster(engine2)
-        api2 = ClusterAPI(cluster2)
+        api2 = make_api(cluster2)
         slow = submit(engine2, api2, stages=[Stage("s", 100.0, input_mb=10_000)])
         engine2.run_until(5000.0)
         assert slow.done

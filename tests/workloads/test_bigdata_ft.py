@@ -9,14 +9,13 @@ ledger that ties all of it together.
 
 import pytest
 
-from repro.cluster.chaos import FailureInjector
+from repro.cluster.chaos import FailureInjector, FaultLog
 from repro.cluster.cluster import STARTUP_DELAY
 from repro.cluster.resources import ResourceVector
 from repro.dataplane import STAGE_MAX_ATTEMPTS, backoff
 from repro.workloads.bigdata import BigDataJob, Stage
 
-from tests.conftest import make_cluster
-from repro.cluster.api import ClusterAPI
+from tests.conftest import make_api, make_cluster
 from repro.sim.engine import Engine
 
 
@@ -69,7 +68,7 @@ class TestDisabledIsInert:
         def run(ft):
             engine = Engine()
             cluster = make_cluster(engine)
-            api = ClusterAPI(cluster)
+            api = make_api(cluster)
             job = submit(
                 engine, api,
                 stages=[
@@ -146,7 +145,7 @@ class TestLineage:
             job._runtime["scan"].tasks
         )
         assert not job.done
-        injector = FailureInjector(cluster)
+        injector = FailureInjector(cluster, log=FaultLog())
         injector.fail_node("node-0")
         engine.run_until(65.0)
         # Scan's shuffle output died with node-0 while agg still needs
@@ -172,7 +171,7 @@ class TestLineage:
         job = submit(engine, api, stages=[Stage("map", 100.0)])
         engine.run_until(60.0)
         assert job.done
-        FailureInjector(cluster).fail_node("node-0")
+        FailureInjector(cluster, log=FaultLog()).fail_node("node-0")
         engine.run_until(70.0)
         assert job.lineage_recomputes == 0
         assert job.done

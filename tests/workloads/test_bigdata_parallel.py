@@ -52,11 +52,11 @@ def test_parallel_branches_halve_makespan(engine, api):
     assert job.done
     assert job.makespan() == pytest.approx(6 + 100 + 2, abs=15)
     # Sanity: the serial equivalent (chained stages) takes about twice that.
-    from repro.cluster.api import ClusterAPI
+    from tests.conftest import make_api
     from repro.sim.engine import Engine
     from tests.conftest import make_cluster
     engine2 = Engine()
-    api2 = ClusterAPI(make_cluster(engine2))
+    api2 = make_api(make_cluster(engine2))
     serial = submit(
         engine2, api2,
         stages=[

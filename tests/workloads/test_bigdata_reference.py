@@ -28,7 +28,6 @@ import pstats
 import numpy as np
 import pytest
 
-from repro.cluster.api import ClusterAPI
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.pod import PodPhase
@@ -43,6 +42,7 @@ from repro.workloads.bigdata import (
     fork_join_stages,
     skewed_fanout_stages,
 )
+from tests.conftest import make_api
 
 NODE = ResourceVector(cpu=16, memory=64, disk_bw=500, net_bw=1250)
 EXECUTOR = ResourceVector(cpu=2, memory=4, disk_bw=60, net_bw=60)
@@ -123,7 +123,7 @@ class World:
             self.engine,
             [Node(f"node-{i}", NODE, labels=labels.get(i)) for i in range(nodes)],
         )
-        self.api = ClusterAPI(self.cluster)
+        self.api = make_api(self.cluster)
         self.store = ObjectStore()
         KubeScheduler(self.engine, self.api).start()
         self.jobs: list[BigDataJob] = []

@@ -76,13 +76,13 @@ def test_job_still_finishes_after_rollback(engine, api):
 
 
 def test_checkpointing_beats_restart_under_failure(engine, api):
-    from repro.cluster.api import ClusterAPI
+    from tests.conftest import make_api
     from repro.sim.engine import Engine
     from tests.conftest import make_cluster
 
     def run(checkpoint_interval):
         eng = Engine()
-        api2 = ClusterAPI(make_cluster(eng))
+        api2 = make_api(make_cluster(eng))
         job = HPCJob(
             "mpi", eng, api2, ranks=2, duration=200.0, allocation=ALLOC,
             checkpoint_interval=checkpoint_interval,

@@ -27,13 +27,13 @@ import pstats
 
 import pytest
 
-from repro.cluster.api import ClusterAPI
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.resources import ResourceVector
 from repro.scheduler.kube import KubeScheduler
 from repro.sim.engine import Engine
 from repro.workloads.hpc import HPCJob
+from tests.conftest import make_api
 
 NODE = ResourceVector(cpu=16, memory=64, disk_bw=500, net_bw=1250)
 RANK = ResourceVector(cpu=4, memory=8, disk_bw=5, net_bw=100)
@@ -96,7 +96,7 @@ class World:
                 for i in range(nodes)
             ],
         )
-        self.api = ClusterAPI(self.cluster)
+        self.api = make_api(self.cluster)
         self.jobs: list[HPCJob] = []
 
     def job(self, name, *, ranks=4, duration=200.0, allocation=RANK, at=0.0, **kw):
@@ -361,7 +361,7 @@ def test_hpc_tick_call_budget():
     # random draws, so the count is the same on every machine.
     engine = Engine()
     cluster = Cluster(engine, [Node(f"node-{i}", NODE) for i in range(3)])
-    api = ClusterAPI(cluster)
+    api = make_api(cluster)
     KubeScheduler(engine, api).start()
     job = HPCJob("gang", engine, api, ranks=6, duration=600.0, allocation=RANK)
     job.maintain_replicas = True

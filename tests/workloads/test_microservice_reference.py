@@ -27,7 +27,6 @@ import pstats
 import numpy as np
 import pytest
 
-from repro.cluster.api import ClusterAPI
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod
@@ -42,6 +41,7 @@ from repro.workloads.microservice import (
     _ReplicaState,
 )
 from repro.workloads.traces import ConstantTrace, DiurnalTrace, StepTrace
+from tests.conftest import make_api
 
 NODE = ResourceVector(cpu=16, memory=64, disk_bw=500, net_bw=1250)
 REPLICA = ResourceVector(cpu=0.6, memory=1, disk_bw=15, net_bw=15)
@@ -173,7 +173,7 @@ class World:
         self.cluster = Cluster(
             self.engine, [Node(f"node-{i}", NODE) for i in range(nodes)]
         )
-        self.api = ClusterAPI(self.cluster)
+        self.api = make_api(self.cluster)
         KubeScheduler(self.engine, self.api).start()
         self.services: list[Microservice] = []
 

@@ -1,6 +1,5 @@
 """Unit tests for application self-healing (maintain_replicas)."""
 
-from repro.cluster.chaos import ActuationFaultInjector
 from repro.cluster.pod import PodPhase, WorkloadClass
 from repro.cluster.resources import ResourceVector
 from repro.workloads.base import Application
@@ -119,9 +118,8 @@ def test_heal_absorbs_actuation_outage(engine, api):
     app = Dummy("svc", engine, api, initial_replicas=2, maintain_replicas=True)
     app.start()
     api.delete_pod("svc-0", reason="node-failure")
-    faults = ActuationFaultInjector()
+    faults = api.actuation_faults
     faults.outage(0.0, 5.0)
-    api.actuation_faults = faults
     engine.run_until(4.0)
     # Ticks at t=1..4 all hit the outage; the loss is still open.
     assert app.replica_count == 1

@@ -82,12 +82,12 @@ class TestConservation:
         self, rate, cpu
     ):
         """Flow conservation: nothing appears or vanishes."""
-        from repro.cluster.api import ClusterAPI
+        from tests.conftest import make_api
         from repro.sim.engine import Engine
         from tests.conftest import make_cluster
 
         engine = Engine()
-        api = ClusterAPI(make_cluster(engine))
+        api = make_api(make_cluster(engine))
         svc = Microservice(
             "svc", engine, api, trace=ConstantTrace(rate), demands=DEMANDS,
             initial_allocation=ResourceVector(cpu=cpu, memory=2, disk_bw=50,

@@ -42,9 +42,9 @@ class TestOUTrace:
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            OUTrace(-1)
+            OUTrace(-1, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            OUTrace(1, relaxation=0)
+            OUTrace(1, relaxation=0, rng=np.random.default_rng(0))
 
 
 class TestReplayTrace:
