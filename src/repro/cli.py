@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import math
 import os
 import sys
 from dataclasses import replace
@@ -565,8 +566,9 @@ def _bad_argument(args: argparse.Namespace) -> str | None:
     """Why a numeric argument is out of range, or None if all are valid.
     ``main`` checks this before any command runs a simulation."""
     duration = getattr(args, "duration", None)
-    if duration is not None and not duration > 0:
-        return f"--duration must be > 0, got {duration:g}"
+    # An infinite horizon would never end; NaN fails the comparison.
+    if duration is not None and not (duration > 0 and math.isfinite(duration)):
+        return f"--duration must be a finite number > 0, got {duration:g}"
     for name, low in (("seed", 0), ("episodes", 0), ("every", 1), ("top_k", 1)):
         value = getattr(args, name, None)
         if value is not None and value < low:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -221,11 +222,16 @@ class ScenarioSpec:
                 f"arrival_model must be one of {ARRIVAL_MODELS}, "
                 f"got {self.arrival_model!r}"
             )
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
-        if self.fault_cycle is not None and not self.fault_cycle > 0:
+        # An infinite horizon would never end; NaN fails the comparison.
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError(
-                f"fault_cycle must be positive, got {self.fault_cycle!r}"
+                f"horizon must be positive and finite, got {self.horizon!r}"
+            )
+        if self.fault_cycle is not None and not (
+            self.fault_cycle > 0 and math.isfinite(self.fault_cycle)
+        ):
+            raise ValueError(
+                f"fault_cycle must be positive and finite, got {self.fault_cycle!r}"
             )
         if self.groups and sum(g["count"] for g in self.groups) != self.nodes:
             raise ValueError("nodes must equal the node groups' total count")

@@ -40,7 +40,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.workloads.traces import LoadTrace
+from repro.workloads.traces import LoadTrace, require_finite
 
 __all__ = [
     "ArrivalProcess",
@@ -95,13 +95,54 @@ class ArrivalProcess(Protocol):
 #: :class:`PoissonArrivals` estimates its thinning bound.
 BOUND_MARGIN = 1.25
 
+#: Grid points of a :class:`PoissonArrivals` window's bound scan.
+BOUND_SAMPLES = 9
+#: Grid points of an :class:`MMPPArrivals` window's bound scan.
+MMPP_BOUND_SAMPLES = 17
 
-def _estimate_bound(trace: LoadTrace, t0: float, t1: float, samples: int) -> float:
-    """Upper bound on ``trace.rate`` over ``[t0, t1]`` from a grid scan."""
-    if samples < 2:
-        samples = 2
-    peak = float(np.max(trace.rates(np.linspace(t0, t1, samples))))
-    return peak * BOUND_MARGIN
+
+def _grid_peak(trace: LoadTrace, t0: float, t1: float, samples: int) -> float:
+    """``max(trace.rates(np.linspace(t0, t1, samples)))`` for ``t1 > t0``
+    and ``samples ≥ 2``.
+
+    At 9 or 17 points numpy's fixed cost per call outweighs the
+    arithmetic, so the scan calls ``trace.rate`` (bitwise equal to
+    ``rates``) at the points ``linspace`` computes: ``i * step + t0``,
+    and ``t1`` itself last. Rates are never NaN (trace parameters are
+    finite), so a running maximum equals ``np.max``.
+    """
+    last = samples - 1
+    step = (t1 - t0) / last
+    if step == 0.0:
+        # A subnormal width, where linspace scales by the width instead.
+        return float(np.max(trace.rates(np.linspace(t0, t1, samples))))
+    rate = trace.rate
+    peak = rate(t1)
+    for i in range(last):
+        value = rate(i * step + t0)
+        if value > peak:
+            peak = value
+    return peak
+
+
+def _thin(rng: np.random.Generator, rates, t0: float, t1: float, bound: float):
+    """Lewis & Shedler thinning of ``[t0, t1)`` against ``bound > 0``.
+
+    Draws, in this order, the candidate count, the candidate times (sorted
+    before anything else is drawn) and one acceptance draw per candidate;
+    ``rates(times)`` gives the rate at each candidate as a new array.
+    ``rng.random(n)`` yields the doubles ``rng.uniform(0.0, 1.0, n)``
+    yields, from the same stream.
+    """
+    n = int(rng.poisson(bound * (t1 - t0)))
+    if n == 0:
+        return np.empty(0)
+    times = rng.uniform(t0, t1, n)
+    times.sort()
+    accept = rng.random(n)
+    accept *= bound
+    # accept ≥ 0, so a negative rate rejects like a zero one.
+    return times[accept < rates(times)]
 
 
 class PoissonArrivals:
@@ -110,11 +151,12 @@ class PoissonArrivals:
     Thinning: candidates arrive homogeneously at an upper bound
     ``rate_bound`` and are accepted with probability
     ``rate(t) / rate_bound``. When ``rate_bound`` is ``None`` the bound
-    is estimated per window from a grid scan times :data:`BOUND_MARGIN` —
-    exact for traces whose within-window peak the grid sees (constant,
-    monotone, or slowly-varying over a tick); pass an explicit bound
-    for spiky traces. A window evaluates the trace through
-    ``trace.rates``: one call for the grid scan, one for all candidates.
+    is estimated per window from a :data:`BOUND_SAMPLES`-point grid scan
+    times :data:`BOUND_MARGIN` — exact for traces whose within-window
+    peak the grid sees (constant, monotone, or slowly-varying over a
+    tick); pass an explicit bound for spiky traces. The grid scan calls
+    ``trace.rate`` per point; the candidates are evaluated in one
+    ``trace.rates`` call.
 
     Parameters
     ----------
@@ -133,19 +175,19 @@ class PoissonArrivals:
         rng: np.random.Generator,
         *,
         rate_bound: float | None = None,
-        bound_samples: int = 9,
     ):
-        if rate_bound is not None and rate_bound <= 0:
-            raise ValueError("rate_bound must be positive")
+        if rate_bound is not None:
+            require_finite(rate_bound=rate_bound)
+            if rate_bound <= 0:
+                raise ValueError("rate_bound must be positive")
         self.trace = trace
         self.rng = rng
         self.rate_bound = rate_bound
-        self.bound_samples = int(bound_samples)
 
     def _bound(self, t0: float, t1: float) -> float:
         if self.rate_bound is not None:
             return self.rate_bound
-        return _estimate_bound(self.trace, t0, t1, self.bound_samples)
+        return _grid_peak(self.trace, t0, t1, BOUND_SAMPLES) * BOUND_MARGIN
 
     def window(self, t0: float, t1: float) -> np.ndarray:
         if t1 <= t0:
@@ -153,13 +195,7 @@ class PoissonArrivals:
         bound = self._bound(t0, t1)
         if bound <= 0:
             return np.empty(0)
-        n = int(self.rng.poisson(bound * (t1 - t0)))
-        if n == 0:
-            return np.empty(0)
-        times = np.sort(self.rng.uniform(t0, t1, size=n))
-        accept_u = self.rng.uniform(0.0, 1.0, size=n)
-        # accept_u * bound ≥ 0, so a negative rate rejects like a zero one.
-        return times[accept_u * bound < self.trace.rates(times)]
+        return _thin(self.rng, self.trace.rates, t0, t1, bound)
 
 
 class MMPPArrivals:
@@ -175,6 +211,13 @@ class MMPPArrivals:
     The state path is pre-drawn over ``horizon`` at construction, so
     the modulation is a pure function of time and the process stays
     deterministic under any window query pattern.
+
+    A window thins against the modulated rate, whose bound comes from a
+    :data:`MMPP_BOUND_SAMPLES`-point grid scan. Most windows see no state
+    switch; there one factor ``f`` holds, and since ``x ↦ fl(x·f)`` never
+    decreases for a finite ``f ≥ 0``, the scan and the candidate rates
+    take the driving trace's values and multiply by ``f`` once, with the
+    floats the general path gives.
     """
 
     def __init__(
@@ -187,8 +230,11 @@ class MMPPArrivals:
     ):
         if len(factors) < 2:
             raise ValueError("need at least two MMPP states")
+        if not all(math.isfinite(f) for f in factors):
+            raise ValueError(f"factors must be finite, got {tuple(factors)!r}")
         if any(f < 0 for f in factors):
             raise ValueError("state factors must be non-negative")
+        require_finite(horizon=horizon)
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         self.trace = trace
@@ -212,8 +258,6 @@ class MMPPArrivals:
         self._factor_table = factor_path[:1] + factor_path
         self._switch_arr = np.array(switch_times)
         self._factor_arr = np.array(self._factor_table)
-        # The modulated rate is itself a LoadTrace: thin against it.
-        self._thin = PoissonArrivals(self, rng, bound_samples=17)
 
     def factor_at(self, t: float) -> float:
         """State multiplier in effect at time ``t`` (last state holds
@@ -229,7 +273,30 @@ class MMPPArrivals:
         return np.maximum(self.trace.rates(ts), 0.0) * factors
 
     def window(self, t0: float, t1: float) -> np.ndarray:
-        return self._thin.window(t0, t1)
+        if t1 <= t0:
+            return np.empty(0)
+        # The bound scan reads the factor at t1 too, so the window is
+        # steady when [t0, t1] holds no switch.
+        state = bisect.bisect_right(self._switch_times, t0)
+        if state != bisect.bisect_right(self._switch_times, t1):
+            # The modulated rate is itself a LoadTrace: thin against it.
+            bound = _grid_peak(self, t0, t1, MMPP_BOUND_SAMPLES) * BOUND_MARGIN
+            rates = self.rates
+        else:
+            factor = self._factor_table[state]
+            peak = _grid_peak(self.trace, t0, t1, MMPP_BOUND_SAMPLES)
+            bound = (peak if peak > 0.0 else 0.0) * factor * BOUND_MARGIN
+            trace_rates = self.trace.rates
+
+            def rates(ts: np.ndarray) -> np.ndarray:
+                out = trace_rates(ts)
+                np.maximum(out, 0.0, out=out)
+                out *= factor
+                return out
+
+        if bound <= 0:
+            return np.empty(0)
+        return _thin(self.rng, rates, t0, t1, bound)
 
 
 # -- request-size marks ---------------------------------------------------------
@@ -252,12 +319,15 @@ class ParetoSizes:
     """
 
     def __init__(self, alpha: float = 1.6):
+        require_finite(alpha=alpha)
         if alpha <= 1.0:
             raise ValueError("alpha must exceed 1 (finite mean)")
         self.alpha = float(alpha)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return 1.0 + rng.pareto(self.alpha, size=n)
+        sizes = rng.pareto(self.alpha, size=n)
+        sizes += 1.0
+        return sizes
 
     def mean(self) -> float:
         return self.alpha / (self.alpha - 1.0)
@@ -322,6 +392,13 @@ class CorrelatedSurge:
         factor: float = 3.0,
         max_lag: float = 0.0,
     ):
+        require_finite(
+            horizon=horizon,
+            mean_interval=mean_interval,
+            duration=duration,
+            factor=factor,
+            max_lag=max_lag,
+        )
         if horizon <= 0 or mean_interval <= 0 or duration <= 0:
             raise ValueError("horizon/mean_interval/duration must be positive")
         if factor < 1.0:
@@ -370,19 +447,17 @@ class CorrelatedSurge:
         draw per attach, in attach order — attach apps in a stable
         order for reproducibility).
         """
+        if factor is None:
+            factor = self.factor
         if lag is None:
             lag = (
                 float(self.rng.uniform(0.0, self.max_lag))
                 if self.max_lag > 0
                 else 0.0
             )
+        require_finite(factor=factor, lag=lag)
         self.attached.append(name)
-        return _SurgedTrace(
-            trace,
-            self,
-            factor=self.factor if factor is None else float(factor),
-            lag=float(lag),
-        )
+        return _SurgedTrace(trace, self, factor=float(factor), lag=float(lag))
 
 
 class _SurgedTrace:

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.cluster.api import ClusterAPI
 from repro.cluster.pod import Pod, WorkloadClass
 from repro.cluster.resources import ResourceVector
@@ -259,7 +257,8 @@ class Microservice(Application):
             if len(times) == 0:
                 return 0.0, 1.0
             mean = self.arrivals.mean_size()
-            factor = float(np.mean(sizes)) / mean if mean > 0 else 1.0
+            # np.mean's own sum and division.
+            factor = float(sizes.sum()) / len(sizes) / mean if mean > 0 else 1.0
             return len(times) / dt, max(factor, 1e-6)
         events = self.arrivals.window(now - dt, now)
         return len(events) / dt, 1.0

@@ -32,6 +32,7 @@ untouched and seeded runs are bit-identical to the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -172,21 +173,6 @@ class StreamJob(Application):
 
     # -- model ------------------------------------------------------------------
 
-    def _worker_capacity(self, pod: Pod) -> float:
-        """Max source events/s one worker can sustain."""
-        caps = []
-        if self.cpu_per_event > 0:
-            caps.append(pod.allocation.cpu / self.cpu_per_event)
-        if self.event_mb > 0:
-            caps.append(pod.allocation.net_bw / self.event_mb)
-        capacity = min(caps) if caps else float("inf")
-        # Memory pressure: state for the throughput this worker handles.
-        needed = self.mem_base + self.state_mb_per_eps * capacity / 1024.0
-        mem = max(pod.allocation.memory, 1e-9)
-        if needed > mem:
-            capacity *= mem / needed
-        return capacity
-
     def _node_speed(self, pod: Pod) -> float:
         if pod.node_name is None:
             return 1.0
@@ -232,55 +218,106 @@ class StreamJob(Application):
         return restoring
 
     def tick(self, dt: float, now: float) -> None:
-        offered = max(0.0, self.trace.rate(now))
+        """Advance the pipeline by ``dt``, writing each worker's usage
+        directly.
+
+        A worker's capacity (source events/s) is the lower of its CPU
+        and ingest-bandwidth ceilings, cut by memory pressure from the
+        state that throughput holds, and times its node's speed under
+        FT. Workers usually share one allocation object, so capacity and
+        usage are computed again only where the object changes along the
+        worker list; under FT they are computed per worker, because node
+        speed differs per pod. A usage is ``min(want, allocation)``
+        clamped at 0, the vector ``Pod.record_usage`` stored. ``b if b <
+        a else a`` and ``b if b > a else a`` stand for ``min(a, b)`` and
+        ``max(a, b)``: they return the builtins' operand, so ties, signed
+        zeros and NaN give the same floats.
+        """
+        offered = self.trace.rate(now)
+        offered = offered if offered > 0.0 else 0.0
         self.current_offered = offered
         workers = self.running_pods()
         arrivals = offered * dt
         self.total_arrived += arrivals
-        restoring = self._ft_pre_tick(now) if self.ft else False
+        ft = self.ft
+        restoring = self._ft_pre_tick(now) if ft else False
+        mem_base = self.mem_base
+        from_fields = ResourceVector._from_fields
+        usage_alloc = None
         if not workers or restoring:
             self.lag_events += arrivals
             self.current_rate = 0.0
-            if workers:
-                # Workers are up but rebuilding operator state: backlog
-                # accrues while the watermark estimate goes stale.
-                for pod in workers:
-                    pod.record_usage(
-                        ResourceVector(
-                            memory=min(pod.allocation.memory, self.mem_base)
-                        )
+            # Workers that are up rebuild operator state: backlog accrues
+            # while the watermark estimate goes stale.
+            for pod in workers:
+                alloc = pod.allocation
+                if alloc is not usage_alloc:
+                    usage_alloc = alloc
+                    memory = alloc.memory
+                    memory = mem_base if mem_base < memory else memory
+                    usage = from_fields(
+                        0.0, memory if memory > 0.0 else 0.0, 0.0, 0.0
                     )
-            else:
+                pod.usage = usage
+            if not workers:
                 self.current_lag_seconds = self.max_lag_seconds
             return
 
+        queued = self.lag_events + arrivals
+        share_rate = queued / len(workers) / dt
+        cpu_per_event = self.cpu_per_event
+        event_mb = self.event_mb
+        state_per_eps = self.state_mb_per_eps
         total_capacity = 0.0
-        share = (self.lag_events + arrivals) / len(workers)
         for pod in workers:
-            capacity = self._worker_capacity(pod)
-            if self.ft:
-                capacity *= self._node_speed(pod)
-            total_capacity += capacity
-            processed_rate = min(capacity, share / dt)
-            state_mem = (
-                self.mem_base
-                + self.state_mb_per_eps * processed_rate / 1024.0
-            )
-            pod.record_usage(
-                ResourceVector(
-                    cpu=processed_rate * self.cpu_per_event,
-                    memory=min(pod.allocation.memory, state_mem),
-                    disk_bw=0.0,
-                    net_bw=processed_rate * self.event_mb,
+            alloc = pod.allocation
+            if ft or alloc is not usage_alloc:
+                usage_alloc = alloc
+                cpu_cap, mem_cap, _disk, net_cap = alloc
+                if cpu_per_event > 0:
+                    capacity = cpu_cap / cpu_per_event
+                    if event_mb > 0:
+                        net_rate = net_cap / event_mb
+                        capacity = net_rate if net_rate < capacity else capacity
+                elif event_mb > 0:
+                    capacity = net_cap / event_mb
+                else:
+                    capacity = math.inf
+                # Memory pressure: state for the throughput this worker
+                # handles.
+                needed = mem_base + state_per_eps * capacity / 1024.0
+                mem = 1e-9 if 1e-9 > mem_cap else mem_cap
+                if needed > mem:
+                    capacity *= mem / needed
+                if ft:
+                    capacity *= self._node_speed(pod)
+                rate = share_rate if share_rate < capacity else capacity
+                state_mem = mem_base + state_per_eps * rate / 1024.0
+                cpu = rate * cpu_per_event
+                cpu = cpu_cap if cpu_cap < cpu else cpu
+                # min(allocation, state) is already within the allocation.
+                memory = state_mem if state_mem < mem_cap else mem_cap
+                net_bw = rate * event_mb
+                net_bw = net_cap if net_cap < net_bw else net_bw
+                usage = from_fields(
+                    cpu if cpu > 0.0 else 0.0,
+                    memory if memory > 0.0 else 0.0,
+                    0.0,
+                    net_bw if net_bw > 0.0 else 0.0,
                 )
-            )
-        processed = min(self.lag_events + arrivals, total_capacity * dt)
-        self.lag_events = max(0.0, self.lag_events + arrivals - processed)
+            total_capacity += capacity
+            pod.usage = usage
+        processed = total_capacity * dt
+        processed = processed if processed < queued else queued
+        lag = queued - processed
+        self.lag_events = lag = lag if lag > 0.0 else 0.0
         self.total_processed += processed
         self.current_rate = processed / dt
         if total_capacity > 0:
-            self.current_lag_seconds = min(
-                self.max_lag_seconds, self.lag_events / total_capacity
+            lag_seconds = lag / total_capacity
+            max_lag = self.max_lag_seconds
+            self.current_lag_seconds = (
+                lag_seconds if lag_seconds < max_lag else max_lag
             )
         else:
             self.current_lag_seconds = self.max_lag_seconds

@@ -17,13 +17,30 @@ import numpy as np
 #: Resolution (s) of a pre-simulated :class:`OUTrace` path.
 OU_STEP = 10.0
 
+_TWO_PI = 2 * math.pi
+
+
+def require_finite(**params: float) -> None:
+    """Raise ``ValueError`` naming the first parameter that is NaN or
+    infinite.
+
+    A range check such as ``base < 0`` is False for NaN, so without this
+    a NaN parameter passes it and surfaces mid-run, if at all.
+    """
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
 
 class LoadTrace(Protocol):
     """Offered load as a function of time.
 
-    ``rate`` answers one instant (a model tick); ``rates`` answers a
-    whole array of them (arrival thinning) and must equal ``rate``
-    elementwise, bit for bit, so both paths see the same curve.
+    ``rate`` answers one instant (a model tick, a thinning bound's grid
+    point); ``rates`` answers a whole array of them (thinning candidates)
+    and must equal ``rate`` elementwise, bit for bit, so both paths see
+    the same curve. ``rates`` returns a new array that the caller owns:
+    never its input, and never one it hands out again, because arrival
+    thinning scales the result in place.
     """
 
     def rate(self, t: float) -> float:
@@ -31,7 +48,8 @@ class LoadTrace(Protocol):
         ...
 
     def rates(self, ts: np.ndarray) -> np.ndarray:
-        """``[rate(t) for t in ts]`` for a 1-D float array, bitwise."""
+        """``[rate(t) for t in ts]`` for a 1-D float array, bitwise, as a
+        new array."""
         ...
 
 
@@ -45,6 +63,7 @@ class ConstantTrace:
     """Fixed request rate."""
 
     def __init__(self, value: float):
+        require_finite(value=value)
         if value < 0:
             raise ValueError("rate must be non-negative")
         self.value = float(value)
@@ -92,6 +111,12 @@ class RampTrace:
     def __init__(
         self, start_time: float, end_time: float, start_rate: float, end_rate: float
     ):
+        require_finite(
+            start_time=start_time,
+            end_time=end_time,
+            start_rate=start_rate,
+            end_rate=end_rate,
+        )
         if end_time <= start_time:
             raise ValueError("end_time must be after start_time")
         self.start_time = start_time
@@ -129,6 +154,7 @@ class DiurnalTrace:
         period: float = 86_400.0,
         phase: float = 0.0,
     ):
+        require_finite(base=base, amplitude=amplitude, period=period, phase=phase)
         if base < 0 or amplitude < 0 or period <= 0:
             raise ValueError("base/amplitude must be ≥ 0 and period > 0")
         self.base = float(base)
@@ -138,16 +164,21 @@ class DiurnalTrace:
 
     def rate(self, t: float) -> float:
         value = self.base + self.amplitude * math.sin(
-            2 * math.pi * (t - self.phase) / self.period
+            _TWO_PI * (t - self.phase) / self.period
         )
-        return max(0.0, value)
+        # max(0.0, value), which returns 0.0 for a tie and for NaN.
+        return value if value > 0.0 else 0.0
 
     def rates(self, ts: np.ndarray) -> np.ndarray:
-        # Same operation order as ``rate``; np.sin matches libm's sin.
-        value = self.base + self.amplitude * np.sin(
-            2 * math.pi * (ts - self.phase) / self.period
-        )
-        return np.maximum(value, 0.0)
+        # ``rate``'s operations in its order, in one buffer; np.sin
+        # matches libm's sin.
+        out = ts - self.phase
+        out *= _TWO_PI
+        out /= self.period
+        np.sin(out, out=out)
+        out *= self.amplitude
+        out += self.base
+        return np.maximum(out, 0.0, out=out)
 
 
 class FlashCrowdTrace:
@@ -165,6 +196,9 @@ class FlashCrowdTrace:
         rise: float = 30.0,
         decay: float = 600.0,
     ):
+        require_finite(
+            start_time=start_time, peak_rate=peak_rate, rise=rise, decay=decay
+        )
         if peak_rate < 0 or rise <= 0 or decay <= 0:
             raise ValueError("peak_rate ≥ 0 and rise/decay > 0 required")
         self.start_time = start_time
@@ -203,6 +237,13 @@ class BurstyTrace:
         horizon: float = 86_400.0,
         rng: np.random.Generator,
     ):
+        require_finite(
+            base=base,
+            burst_factor=burst_factor,
+            burst_rate=burst_rate,
+            burst_duration=burst_duration,
+            horizon=horizon,
+        )
         if base < 0 or burst_factor < 1 or burst_rate <= 0 or burst_duration <= 0:
             raise ValueError("invalid burst parameters")
         self.base = float(base)
@@ -243,6 +284,7 @@ class NoisyTrace:
         horizon: float = 86_400.0,
         rng: np.random.Generator,
     ):
+        require_finite(rel_std=rel_std, bucket=bucket, horizon=horizon)
         if rel_std < 0 or bucket <= 0 or horizon <= 0:
             raise ValueError("invalid noise parameters")
         self.base = base
@@ -292,6 +334,7 @@ class ScaledTrace:
     """A trace multiplied by a constant factor."""
 
     def __init__(self, base: LoadTrace, factor: float):
+        require_finite(factor=factor)
         if factor < 0:
             raise ValueError("factor must be non-negative")
         self.base = base
@@ -334,6 +377,9 @@ class OUTrace:
         horizon: float = 86_400.0,
         rng: np.random.Generator,
     ):
+        require_finite(
+            mean=mean, relaxation=relaxation, volatility=volatility, horizon=horizon
+        )
         if mean < 0 or relaxation <= 0 or volatility < 0:
             raise ValueError("invalid OU parameters")
         self.mean = float(mean)

@@ -1,6 +1,7 @@
 """Unit tests for the CLI."""
 
 import json
+import math
 
 import pytest
 
@@ -202,6 +203,15 @@ def test_fuzz_negative_episodes(tmp_path, capsys):
                      id="bench-seed"),
         pytest.param(["report", "calm", "--duration", "60", "--top-k", "0"],
                      "--top-k", id="report-top-k"),
+        # An infinite horizon never ends: each of these hung before.
+        pytest.param(["run", "{config}", "--duration", "inf"], "--duration",
+                     id="run-duration-inf"),
+        pytest.param(["demo", "--duration", "inf"], "--duration",
+                     id="demo-duration-inf"),
+        pytest.param(["trace", "{tmp}/t.json", "--duration", "inf"],
+                     "--duration", id="trace-duration-inf"),
+        pytest.param(["report", "calm", "--duration", "inf"], "--duration",
+                     id="report-duration-inf"),
     ],
 )
 def test_out_of_range_argument_exits_2(argv, flag, tmp_path, capsys):
@@ -240,6 +250,11 @@ def _without_amplitude(spec):
     del spec["workloads"][0]["params"]["amplitude"]
 
 
+def _poisson_nan_base(spec):
+    spec["arrival_model"] = "poisson"
+    spec["workloads"][0]["params"]["base"] = math.nan
+
+
 @pytest.mark.parametrize(
     "command, fault, named",
     [
@@ -262,6 +277,17 @@ def _without_amplitude(spec):
         pytest.param("run", {"monkey": []}, "monkey: ", id="run-monkey-list"),
         pytest.param("run", {"groups": {}}, "groups: ",
                      id="run-groups-object"),
+        # json writes and reads Infinity and NaN; an infinite horizon
+        # hung the run, and with MMPP arrivals the build.
+        pytest.param("run", {"horizon": math.inf}, "horizon must be positive",
+                     id="run-infinite-horizon"),
+        pytest.param("run", {"horizon": math.inf, "arrival_model": "mmpp"},
+                     "horizon must be positive", id="run-infinite-horizon-mmpp"),
+        pytest.param("run", {"fault_cycle": math.inf},
+                     "fault_cycle must be positive", id="run-infinite-fault-cycle"),
+        # A NaN base died mid-run inside rng.poisson.
+        pytest.param("run", _poisson_nan_base, "base must be finite",
+                     id="run-poisson-nan-base"),
     ],
 )
 def test_malformed_spec_exits_2(command, fault, named, tmp_path, capsys):

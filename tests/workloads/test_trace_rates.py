@@ -9,6 +9,8 @@ their float neighbours, on surge window edges (with and without lag),
 on MMPP switch times, before time 0, and past the horizon or the last
 sample. A derandomized hypothesis property adds arbitrary times; it also
 catches a numpy build whose ``np.sin`` is not bit-identical to libm.
+Every ``rates`` must also return a new array that the caller owns, since
+MMPP thinning scales the driving trace's answer in place.
 """
 
 import inspect
@@ -114,6 +116,24 @@ def test_rates_equal_rate_at_edges(name, trace, points):
 )
 def test_rates_of_an_empty_array(name, trace, points):
     assert trace.rates(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "name,trace,points", CASES, ids=[name for name, _t, _p in CASES]
+)
+def test_rates_returns_a_new_array(name, trace, points):
+    ts = np.array(sorted(_around(points + COMMON)))
+    probe = ts.copy()
+    first = trace.rates(ts)
+    second = trace.rates(ts)
+    assert not np.shares_memory(first, ts)
+    assert not np.shares_memory(first, second)
+    # Writing into an answer changes neither the input nor a later answer.
+    expected = second.copy()
+    first[:] = -1.0
+    second[:] = -2.0
+    assert np.array_equal(ts, probe)
+    assert np.array_equal(trace.rates(ts), expected)
 
 
 def test_every_trace_class_has_both_halves():
