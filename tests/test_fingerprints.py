@@ -27,7 +27,11 @@ the admission ledger); and one run whose metrics faults draw RNG per
 sample (continuous outliers and an outlier window overlapping a
 blackout and a freeze) over managed services and an unmanaged app whose
 samples nothing reads (events, placements, the fault filter's counters
-and scale events).
+and scale events); and R-T4's mixed-worlds trace at its smoke horizon
+under the ``kube`` and the ``siloed`` scheduler, the only digested runs
+whose gangs meet those two scheduling cycles (events, placements, the
+scheduler's binds and failures, each gang's and batch job's makespan and
+each gang's wait).
 
 Digests are recorded on one interpreter (the file's ``python`` field)
 and the test skips on any other: float formatting and library numerics
@@ -117,6 +121,10 @@ STARVATION_HORIZON = 900.0
 #: Per-sample metrics faults: every scraped sample, read or not, passes
 #: through the fault filter, whose outlier draws share one RNG stream.
 NOISE_HORIZON = 600.0
+#: R-T4's trace under the two baseline schedulers, at R-T4's smoke
+#: horizon: the runner's smoke sizes run it under ``converged`` only.
+T4_BASELINES = ("kube", "siloed")
+T4_HORIZON = 1.5 * 3600.0
 
 
 def _interpreter() -> str:
@@ -329,6 +337,35 @@ def _noise() -> dict:
     }
 
 
+def _t4_baseline(scheduler: str) -> dict:
+    from benchmarks import bench_t4_converged_sched as t4
+    from benchmarks.scenarios import (
+        HOUR,
+        build_platform as build_bench_platform,
+        deploy_batch_churn,
+        deploy_gang_rush,
+        deploy_service_mix,
+    )
+
+    platform = build_bench_platform(
+        "adaptive", nodes=6, seed=t4.SEED, scheduler=scheduler
+    )
+    placements = _record_placements(platform)
+    deploy_service_mix(platform)
+    deploy_batch_churn(platform, start=0.25 * HOUR)
+    deploy_gang_rush(platform)
+    platform.run(T4_HORIZON)
+    result = platform.result()
+    return {
+        "placements": placements,
+        "events_executed": platform.engine.events_executed,
+        "binds": platform.scheduler.binds,
+        "failures": platform.scheduler.failures,
+        "makespans": result.makespans,
+        "waits": result.hpc_waits,
+    }
+
+
 def runs() -> dict:
     """Fingerprint key → zero-argument function producing its payload."""
     table = {}
@@ -352,6 +389,10 @@ def runs() -> dict:
     table["speculation/etl"] = _speculation
     table["starvation/gang"] = _starvation
     table["metrics-faults/noise"] = _noise
+    for scheduler in T4_BASELINES:
+        table[f"runner/t4-baselines/{scheduler}"] = (
+            lambda s=scheduler: _t4_baseline(s)
+        )
     return table
 
 
