@@ -37,7 +37,7 @@ from repro.analysis.report import format_table
 from repro.cluster.resources import ResourceVector
 from repro.platform.config import PlatformConfig
 from repro.platform.evolve import POLICIES, SCHEDULERS, EvolvePlatform
-from repro.scenarios.spec import ConfigError, build_platform, load_spec
+from repro.scenarios.spec import ConfigError, build_platform, load_spec, spec_file
 from repro.workloads.bigdata import BigDataJob
 from repro.workloads.hpc import HPCJob
 from repro.workloads.microservice import ServiceDemands
@@ -122,7 +122,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         spec = load_spec(args.config)
         if args.duration is not None:
             spec = replace(spec, horizon=args.duration)
-        platform = build_platform(spec)
+        with spec_file(args.config):
+            platform = build_platform(spec)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

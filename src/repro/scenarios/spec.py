@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -91,6 +92,15 @@ DATA_DOMAINS = ("executor-kill", "straggler", "data-loss")
 
 class ConfigError(ValueError):
     """A scenario spec that cannot be loaded or built."""
+
+
+@contextmanager
+def spec_file(path: str | Path):
+    """Name the spec file ``path`` in a :class:`ConfigError` raised inside."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 #: What the library raises for a value it rejects while a spec is wired.
@@ -348,10 +358,8 @@ def load_spec(path: str | Path) -> ScenarioSpec:
     JSON, or does not describe a spec.
     """
     data = read_spec_file(path)
-    try:
+    with spec_file(path):
         return ScenarioSpec.from_dict(data)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def read_spec_file(path: str | Path) -> dict:

@@ -20,10 +20,12 @@ from repro.cluster.api import ClusterAPI
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod, WorkloadClass
 from repro.scheduler.base import SchedulerBase
-from repro.scheduler.gang import GangAdmission
 from repro.scheduler.interference import interference_penalty
-from repro.scheduler.kube import least_allocated_score, most_allocated_score
-from repro.scheduler.preemption import plan_cheapest_single, plan_gang
+from repro.scheduler.kube import (
+    KubeScheduler,
+    least_allocated_score,
+    most_allocated_score,
+)
 from repro.sim.engine import Engine
 from repro.storage.objectstore import ObjectStore
 
@@ -81,10 +83,6 @@ class ConvergedScheduler(SchedulerBase):
         self.store = store
         self.interference_weight = interference_weight
         self.preemption = preemption
-        self.gang_admission = GangAdmission()
-        self.gangs_admitted = 0
-        self.gangs_deferred = 0
-        self.preemptions = 0
         # Per-cycle score cache keyed on (node.name, node.generation,
         # pod score inputs). Two score inputs are NOT tracked by the
         # generation counter and rely on being per-cycle invariants:
@@ -104,73 +102,11 @@ class ConvergedScheduler(SchedulerBase):
         self._score_cache: dict[tuple, float] = {}
         self.score_cache_hits = 0
 
-    def _apply_plan(self, plan) -> None:
-        for victim in plan.victims:
-            self.api.delete_pod(victim.name, reason="preempted")
-            self.preemptions += 1
-        for pod_name, node_name in plan.assignment.items():
-            self.api.bind_pod(pod_name, node_name)
-            self.binds += 1
-
-    # -- cycle -------------------------------------------------------------------
-
     def schedule_cycle(self) -> None:
         self._score_cache.clear()
-        pending = self.api.pending_pods()
-        if self.admission is not None:
-            pending = self.admission.admit_cycle(pending)
-        gangs: dict[str, list[Pod]] = {}
-        singles: list[Pod] = []
-        for pod in pending:
-            if pod.spec.gang_id is not None:
-                gangs.setdefault(pod.spec.gang_id, []).append(pod)
-            else:
-                singles.append(pod)
+        self._run_cycle()
 
-        # Gangs first, FIFO by earliest member; deferred gangs do not
-        # block later work (backfill).
-        for gang_id in sorted(gangs, key=lambda g: min(p.created_at for p in gangs[g])):
-            members = gangs[gang_id]
-            if not self.api.quota_allows_gang([p.name for p in members]):
-                self.gangs_deferred += 1
-                self.failures += len(members)
-                continue
-            assignment = self._gang_assignment(members)
-            if assignment is None:
-                if self.preemption:
-                    plan = plan_gang(self.api.list_nodes(), members)
-                    if plan is not None:
-                        self._apply_plan(plan)
-                        self.gangs_admitted += 1
-                        continue
-                self.gangs_deferred += 1
-                self.failures += len(members)
-                continue
-            for pod_name, node_name in assignment.items():
-                self.api.bind_pod(pod_name, node_name)
-                self.binds += 1
-            self.gangs_admitted += 1
-
-        for pod in singles:
-            if not self.api.quota_allows_bind(pod.name):
-                self.failures += 1
-                continue
-            node = self.select_node(pod)
-            if node is None:
-                if self.preemption:
-                    plan = plan_cheapest_single(self.api.list_nodes(), pod)
-                    if plan is not None:
-                        self._apply_plan(plan)
-                        continue
-                self.failures += 1
-                continue
-            self.api.bind_pod(pod.name, node.name)
-            self.binds += 1
-
-        if self.admission is not None:
-            self.admission.post_cycle()
-
-    def _gang_assignment(self, members: list[Pod]) -> dict[str, str] | None:
+    def gang_assignment(self, members: list[Pod]) -> dict[str, str] | None:
         """Find a gang placement, preferring a single zone.
 
         Zones are tried fullest-capacity-first; a gang that fits nowhere
@@ -260,8 +196,11 @@ class ConvergedScheduler(SchedulerBase):
         return best
 
 
-class SiloedScheduler(SchedulerBase):
+class SiloedScheduler(KubeScheduler):
     """Statically-partitioned comparator: one node pool per world.
+
+    Kube's node choice and the gang-aware cycle, each pod limited to its
+    world's pool.
 
     Parameters
     ----------
@@ -271,6 +210,7 @@ class SiloedScheduler(SchedulerBase):
     """
 
     policy_name = "siloed"
+    gang_aware = True
 
     def __init__(
         self,
@@ -286,55 +226,13 @@ class SiloedScheduler(SchedulerBase):
             if missing:
                 raise ValueError(f"pool {cls.value!r}: unknown nodes {sorted(missing)}")
         self.pools = {cls: list(names) for cls, names in pools.items()}
-        self.gang_admission = GangAdmission()
 
-    def _pool_nodes(self, pod: Pod) -> list[Node]:
+    def schedule_cycle(self) -> None:
+        # Only the shared cycle; kept so bench/layers.py can wrap it per class.
+        self._run_cycle()
+
+    def candidate_nodes(self, pod: Pod) -> list[Node]:
         names = self.pools.get(pod.spec.workload_class)
         if names is None:
             return self.api.list_nodes()
         return [self.api.get_node(n) for n in names]
-
-    def schedule_cycle(self) -> None:
-        pending = self.api.pending_pods()
-        gangs: dict[str, list[Pod]] = {}
-        singles: list[Pod] = []
-        for pod in pending:
-            if pod.spec.gang_id is not None:
-                gangs.setdefault(pod.spec.gang_id, []).append(pod)
-            else:
-                singles.append(pod)
-
-        for gang_id in sorted(gangs, key=lambda g: min(p.created_at for p in gangs[g])):
-            members = gangs[gang_id]
-            if not self.api.quota_allows_gang([p.name for p in members]):
-                self.failures += len(members)
-                continue
-            nodes = self._pool_nodes(members[0])
-            assignment = self.gang_admission.find_assignment(members, nodes)
-            if assignment is None:
-                self.failures += len(members)
-                continue
-            for pod_name, node_name in assignment.items():
-                self.api.bind_pod(pod_name, node_name)
-                self.binds += 1
-
-        for pod in singles:
-            if not self.api.quota_allows_bind(pod.name):
-                self.failures += 1
-                continue
-            node = self.select_node(pod)
-            if node is None:
-                self.failures += 1
-                continue
-            self.api.bind_pod(pod.name, node.name)
-            self.binds += 1
-
-    def select_node(self, pod: Pod) -> Node | None:
-        feasible = [
-            n
-            for n in self._pool_nodes(pod)
-            if n.can_fit(pod.allocation) and pod.spec.selector_matches(n.labels)
-        ]
-        if not feasible:
-            return None
-        return max(feasible, key=lambda n: (least_allocated_score(n, pod), n.name))

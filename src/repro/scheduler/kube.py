@@ -39,6 +39,7 @@ class KubeScheduler(SchedulerBase):
     """Default scheduler baseline."""
 
     policy_name = "k8s-default"
+    gang_aware = False
 
     def select_node(self, pod: Pod) -> Node | None:
         feasible = self.feasible_nodes(pod)

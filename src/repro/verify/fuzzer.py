@@ -39,6 +39,7 @@ from repro.scenarios.spec import (
     WorkloadSpec,
     build_platform,
     load_spec,
+    spec_file,
 )
 from repro.sim.rng import RngRegistry
 from repro.verify.invariants import Invariant, InvariantChecker, Violation
@@ -440,4 +441,5 @@ def replay(
     spec = load_spec(path)
     if seed is not None:
         spec = replace(spec, seed=seed)
-    return run_episode(spec, every=every)
+    with spec_file(path):
+        return run_episode(spec, every=every)

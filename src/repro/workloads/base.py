@@ -247,6 +247,17 @@ class Application:
         self._pods.clear()
         self._running_epoch = None
 
+    def _finish(self, *, succeeded: bool) -> None:
+        """Mark each live pod finished, forget the pods and stop ticking."""
+        for pod in self.pods():
+            if not pod.terminal:
+                self.api.mark_finished(pod.name, succeeded=succeeded)
+        self._drop_pods()
+        if self._tick_handle is not None:
+            self._tick_handle.cancel()
+            self._tick_handle = None
+        self.finished = True
+
     # -- replica management ----------------------------------------------------------
 
     def _submit_replica(self) -> Pod:

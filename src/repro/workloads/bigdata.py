@@ -528,15 +528,8 @@ class BigDataJob(Application):
             return
         self.completed_at = now
         self.current_throughput = 0.0
-        for pod in self.pods():
-            if not pod.terminal:
-                self.api.mark_finished(pod.name, succeeded=True)
-        self._drop_pods()
         self._plans = {}  # nothing steps any more
-        if self._tick_handle is not None:
-            self._tick_handle.cancel()
-            self._tick_handle = None
-        self.finished = True
+        self._finish(succeeded=True)
 
     # -- fault-tolerant task engine --------------------------------------------
 
@@ -643,14 +636,7 @@ class BigDataJob(Application):
                         stage=stage.name, attempts=rt.attempts,
                     )
                 self.current_throughput = 0.0
-                for pod in self.pods():
-                    if not pod.terminal:
-                        self.api.mark_finished(pod.name, succeeded=False)
-                self._drop_pods()
-                if self._tick_handle is not None:
-                    self._tick_handle.cancel()
-                    self._tick_handle = None
-                self.finished = True
+                self._finish(succeeded=False)
                 return True
         return False
 

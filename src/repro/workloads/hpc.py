@@ -258,14 +258,7 @@ class HPCJob(Application):
             return
         self.completed_at = now
         self.current_rate = 0.0
-        for pod in self.pods():
-            if not pod.terminal:
-                self.api.mark_finished(pod.name, succeeded=True)
-        self._drop_pods()
-        if self._tick_handle is not None:
-            self._tick_handle.cancel()
-            self._tick_handle = None
-        self.finished = True
+        self._finish(succeeded=True)
 
     # -- metrics -------------------------------------------------------------------
 

@@ -61,6 +61,17 @@ class ServiceDemands:
         if self.base_latency <= 0:
             raise ValueError("base_latency must be positive")
 
+    def scaled(self, factor: float) -> "ServiceDemands":
+        """These demands with per-request CPU, disk and network times ``factor``."""
+        return ServiceDemands(
+            cpu_seconds=self.cpu_seconds * factor,
+            disk_mb=self.disk_mb * factor,
+            net_mb=self.net_mb * factor,
+            mem_base=self.mem_base,
+            mem_per_inflight=self.mem_per_inflight,
+            base_latency=self.base_latency,
+        )
+
     def capacity(self, allocation: ResourceVector) -> tuple[float, str]:
         """Max sustainable request rate under ``allocation``, and which
         resource imposes it (ignoring memory, handled via pressure).
@@ -233,14 +244,7 @@ class Microservice(Application):
         ):
             return cached[2]
         factor = self.brownout_factor
-        degraded = ServiceDemands(
-            cpu_seconds=demands.cpu_seconds * factor,
-            disk_mb=demands.disk_mb * factor,
-            net_mb=demands.net_mb * factor,
-            mem_base=demands.mem_base,
-            mem_per_inflight=demands.mem_per_inflight,
-            base_latency=demands.base_latency,
-        )
+        degraded = demands.scaled(factor)
         self._brownout_cache = (demands, factor, degraded)
         return degraded
 
@@ -263,18 +267,6 @@ class Microservice(Application):
         events = self.arrivals.window(now - dt, now)
         return len(events) / dt, 1.0
 
-    def _sized_demands(
-        self, demands: ServiceDemands, factor: float
-    ) -> ServiceDemands:
-        return ServiceDemands(
-            cpu_seconds=demands.cpu_seconds * factor,
-            disk_mb=demands.disk_mb * factor,
-            net_mb=demands.net_mb * factor,
-            mem_base=demands.mem_base,
-            mem_per_inflight=demands.mem_per_inflight,
-            base_latency=demands.base_latency,
-        )
-
     # -- dynamics -----------------------------------------------------------------
 
     def tick(self, dt: float, now: float) -> None:
@@ -295,7 +287,7 @@ class Microservice(Application):
             offered, size_factor = self._offered_from_arrivals(dt, now)
             self.current_size_factor = size_factor
             if size_factor != 1.0:
-                demands = self._sized_demands(demands, size_factor)
+                demands = demands.scaled(size_factor)
         else:
             offered = self.trace.rate(now)
             offered = offered if offered > 0.0 else 0.0

@@ -288,6 +288,11 @@ def _poisson_nan_base(spec):
         # A NaN base died mid-run inside rng.poisson.
         pytest.param("run", _poisson_nan_base, "base must be finite",
                      id="run-poisson-nan-base"),
+        # Faults found while building name the file, as load faults do.
+        pytest.param("run", {"scheduler_kwargs": {"locality_weight": 2}},
+                     "{path}: platform: ", id="run-build-names-file"),
+        pytest.param("replay", {"scheduler_kwargs": {"locality_weight": 2}},
+                     "{path}: platform: ", id="replay-build-names-file"),
     ],
 )
 def test_malformed_spec_exits_2(command, fault, named, tmp_path, capsys):
@@ -306,7 +311,7 @@ def test_malformed_spec_exits_2(command, fault, named, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert named in err
+    assert named.format(path=path) in err
 
 
 #: A general-form service whose trace sets a parameter that is now a
@@ -344,7 +349,7 @@ def test_spec_setting_a_deleted_option_exits_2(fault, section, tmp_path, capsys)
     path.write_text(json.dumps(spec))
     assert main(["run", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {section}: ")
+    assert captured.err.startswith(f"error: {path}: {section}: ")
     assert "unexpected keyword argument" in captured.err
     assert captured.out == ""
 

@@ -155,7 +155,8 @@ def test_malformed_job_exits_2_before_the_run(edit, message, tmp_path, capsys):
     spec = json.loads(EXAMPLE.read_text())
     spec["horizon"] = 2400
     edit(spec)
-    assert main(["run", _write(tmp_path, spec)]) == 2
+    path = _write(tmp_path, spec)
+    assert main(["run", path]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {path}: {message}\n"
     assert captured.out == ""

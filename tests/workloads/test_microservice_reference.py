@@ -105,6 +105,18 @@ def ref_step_replica(svc, state, pod, arrival_rate, demands, dt):
     return wait, served, dropped, bottleneck
 
 
+def ref_sized_demands(demands, factor):
+    """``Microservice._sized_demands`` as it was, before ``ServiceDemands.scaled``."""
+    return ServiceDemands(
+        cpu_seconds=demands.cpu_seconds * factor,
+        disk_mb=demands.disk_mb * factor,
+        net_mb=demands.net_mb * factor,
+        mem_base=demands.mem_base,
+        mem_per_inflight=demands.mem_per_inflight,
+        base_latency=demands.base_latency,
+    )
+
+
 def ref_tick(svc, dt, now):
     demands = svc.demands_at(now)
     if svc.brownout_active:
@@ -114,7 +126,7 @@ def ref_tick(svc, dt, now):
         offered, size_factor = svc._offered_from_arrivals(dt, now)
         svc.current_size_factor = size_factor
         if size_factor != 1.0:
-            demands = svc._sized_demands(demands, size_factor)
+            demands = ref_sized_demands(demands, size_factor)
     else:
         offered = max(0.0, svc.trace.rate(now))
     running = svc.running_pods()
