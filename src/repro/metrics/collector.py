@@ -28,6 +28,12 @@ SCRAPE_INTERVAL = 5.0
 #: Samples each series keeps before its oldest are dropped.
 SERIES_MAXLEN = 100_000
 
+#: The cluster gauges' keys in store order, which is the fault filter's draw
+#: order: alloc, then usage, per resource.
+_CLUSTER_KEYS = tuple(
+    f"{gauge}/{name}" for name in RESOURCES for gauge in ("alloc_frac", "usage_frac")
+)
+
 
 class UndeclaredSeriesError(KeyError):
     """A series was read that no consumer declared to the collector."""
@@ -85,7 +91,7 @@ class MetricsCollector:
         self._sources: list[MetricsSource] = []
         self._internal_sources: list[MetricsSource] = []
         # Stored series, all under declared names, created by the first
-        # append or read.
+        # append or read, or when a scrape binds the name.
         self._series: dict[str, TimeSeries] = {}
         self._declared: set[str] = set()
         # Every proper prefix of a declared name, so a scrape can skip a
@@ -93,6 +99,10 @@ class MetricsCollector:
         # its sample names. Rebuilt at the first scrape after a
         # declaration, which keeps declare() a set update.
         self._wanted: set[str] | None = set()
+        # Per source prefix, each metric key met so far, bound to its
+        # ``(full name, series)`` when declared and to None when not, so a
+        # round formats and hashes no full names. Dropped with _wanted.
+        self._bindings: dict[str, dict[str, tuple[str, TimeSeries] | None]] = {}
         self._handle: PeriodicHandle | None = None
         self.scrapes = 0
         #: Scrape rounds that produced no samples (dropped by a fault) or
@@ -123,6 +133,7 @@ class MetricsCollector:
         """
         self._declared.update(names)
         self._wanted = None
+        self._bindings = {}
 
     def register(self, source: MetricsSource) -> None:
         """Add a source to the scrape set."""
@@ -173,6 +184,7 @@ class MetricsCollector:
     def stored(self, name: str) -> TimeSeries | None:
         """The stored series ``name``; None when declared but not stored yet.
 
+        A series a scrape has bound but not sampled yet is stored empty.
         Unlike :meth:`series`, a read of a name with no samples stores
         nothing.
         """
@@ -249,57 +261,54 @@ class MetricsCollector:
                 hook(now)
 
     def _scrape_all(self, now: float) -> None:
-        # One rule, with or without a metrics fault: a source, node or
-        # gauge family whose prefix leads to nothing declared is not
-        # sampled, and only declared samples are stored or, while a
+        # One rule for every source, node and gauge family, internal
+        # sources included: one whose prefix leads to nothing declared is
+        # not sampled, and only declared samples are stored or, while a
         # per-sample fault is active (checked once per round), passed
         # through its filter, whose RNG draws are part of the seeded
         # stream.
         faults = self.faults if self.faults.distorts_samples(now) else None
-        series_map = self._series
-        declared = self._declared
         wanted = self._wanted
         if wanted is None:
-            wanted = self._wanted = _proper_prefixes(declared)
-        maxlen = SERIES_MAXLEN
+            wanted = self._wanted = _proper_prefixes(self._declared)
+        bindings = self._bindings
+        bind = self._bind
 
-        def store_batch(prefix: str, samples) -> None:
-            for metric, value in samples.items():
-                name = f"{prefix}/{metric}"
-                series = series_map.get(name)
-                if series is None and name not in declared:
+        def store_batch(prefix, samples, faults=faults, kind=TimeSeries):
+            # Samples in their given order, which is the filter's draw
+            # order under a per-sample fault.
+            try:
+                bound = bindings[prefix]
+            except KeyError:
+                bound = bindings[prefix] = {}
+            for metric, value in samples:
+                try:
+                    target = bound[metric]
+                except KeyError:
+                    target = bound[metric] = bind(f"{prefix}/{metric}", kind)
+                if target is None:
                     continue
+                name, series = target
                 if faults is not None:
-                    value = faults.filter(
-                        name, value, now,
-                        series.last() if series is not None else None,
-                    )
+                    value = faults.filter(name, value, now, series.last())
                     if value is None:
                         continue
-                if series is None:
-                    series = series_map[name] = TimeSeries(maxlen=maxlen)
                 series.append(now, value)
 
         for source in list(self._sources):
             prefix = source.metric_prefix()
             if prefix in wanted:
-                store_batch(prefix, source.sample_metrics(now))
+                store_batch(prefix, source.sample_metrics(now).items())
         if "cluster" in wanted:
-            allocatable = self.api.total_allocatable()
-            allocated = self.api.total_allocated()
-            usage = self.api.total_usage()
-            cluster_gauges: dict[str, float] = {}
-            for name in RESOURCES:
-                cap = allocatable[name]
-                cluster_gauges[f"alloc_frac/{name}"] = (
-                    allocated[name] / cap if cap > 0 else 0.0
+            api = self.api
+            cluster_gauges: list[float] = []
+            for cap, allocated, used in zip(
+                api.total_allocatable(), api.total_allocated(), api.total_usage()
+            ):
+                cluster_gauges += (
+                    (allocated / cap, used / cap) if cap > 0 else (0.0, 0.0)
                 )
-                cluster_gauges[f"usage_frac/{name}"] = (
-                    usage[name] / cap if cap > 0 else 0.0
-                )
-            # The interleaved order (alloc, usage per resource) is the
-            # filter's draw order under a per-sample fault.
-            store_batch("cluster", cluster_gauges)
+            store_batch("cluster", zip(_CLUSTER_KEYS, cluster_gauges))
         if "node" in wanted:
             for node in self.api.list_nodes():
                 prefix = f"node/{node.name}"
@@ -311,32 +320,35 @@ class MetricsCollector:
                 for name in RESOURCES:
                     node_gauges[f"usage_frac/{name}"] = fractions[name]
                     node_gauges[f"alloc_frac/{name}"] = alloc_fractions[name]
-                store_batch(prefix, node_gauges)
+                store_batch(prefix, node_gauges.items())
         # Control-plane self-metrics bypass the fault filter: see
-        # register_internal. They are sampled every round, because their
-        # delta export keeps state. Inline the series lookup — this loop
-        # runs every scrape and the telemetry overhead gate counts its
-        # calls.
+        # register_internal. Their delta export only chooses which values
+        # reach declared series, so a source with nothing declared is not
+        # sampled here either; its first sampled round exports every
+        # instrument. Internal sources delta-suppress their exports, so
+        # their series hold change points, not uniform ticks;
+        # ChangePointSeries rejects windowed aggregates that would misread
+        # that encoding.
         for source in list(self._internal_sources):
             prefix = source.metric_prefix()
-            samples = source.sample_metrics(now)
-            if prefix not in wanted:
-                continue
-            for metric, value in samples.items():
-                name = f"{prefix}/{metric}"
-                if name in series_map:
-                    series = series_map[name]
-                elif name in declared:
-                    # Internal sources delta-suppress their exports, so
-                    # their series hold change points, not uniform
-                    # ticks; ChangePointSeries rejects windowed
-                    # aggregates that would misread that encoding.
-                    series = series_map[name] = ChangePointSeries(
-                        maxlen=maxlen
-                    )
-                else:
-                    continue
-                series.append(now, value)
+            if prefix in wanted:
+                store_batch(
+                    prefix, source.sample_metrics(now).items(), None,
+                    ChangePointSeries,
+                )
+
+    def _bind(self, name: str, kind: type[TimeSeries]):
+        """``(name, series)`` for a declared name, None for any other.
+
+        The series is created here when nothing has stored it yet: empty
+        until its first sample, it reads as no data, as a missing one does.
+        """
+        if name not in self._declared:
+            return None
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = kind(maxlen=SERIES_MAXLEN)
+        return name, series
 
     # -- convenience queries ------------------------------------------------------
 

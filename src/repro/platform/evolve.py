@@ -14,6 +14,7 @@ Typical experiment::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -588,6 +589,12 @@ class EvolvePlatform:
     ) -> None:
         if app.name in self.apps:
             raise ValueError(f"application {app.name!r} already deployed")
+        # A NaN or negative delay would start the job at once, and an
+        # infinite one never.
+        if not 0.0 <= start_delay < math.inf:
+            raise ValueError(
+                f"delay must be a finite number ≥ 0, got {start_delay!r}"
+            )
         self.apps[app.name] = app
         app.maintain_replicas = True  # survive preemption and node failure
         self.collector.register(app)

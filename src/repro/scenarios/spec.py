@@ -161,6 +161,16 @@ class ChaosEvent:
     duration: float
     target: int
 
+    def __post_init__(self) -> None:
+        # A NaN or negative time would strike or heal out of order (a
+        # heal before its strike leaves a crashed node dark).
+        for key in ("at", "duration"):
+            value = getattr(self, key)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{key} must be a finite number ≥ 0, got {value!r}"
+                )
+
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -13,6 +13,30 @@ from repro.cluster.pod import Pod
 from repro.cluster.resources import ResourceVector
 
 
+#: ``fits_within``'s tolerance: the search places a pod on a node whose
+#: headroom is up to this much short of it, in each dimension.
+_FIT_TOLERANCE = 1e-9
+#: Relative slack for float rounding in the search's headroom arithmetic
+#: and in the totals below.
+_ROUNDING = 1.0 + 1e-9
+
+
+def _exceeds_headroom(pods: list[Pod], headroom: dict[str, ResourceVector]) -> bool:
+    """Whether ``pods`` need more than all of ``headroom`` together.
+
+    The first-fit search places a pod within :data:`_FIT_TOLERANCE` of a
+    node's headroom and clamps what is left at zero, so the pods it
+    places on one node add up to at most that headroom plus the tolerance
+    once per pod. A gang that needs more than the total plus that slack,
+    in any dimension, has no placement, and the search would return None
+    only after trying its pods.
+    """
+    slack = len(pods) * _FIT_TOLERANCE
+    need = map(sum, zip(*(pod.allocation for pod in pods)))
+    have = map(sum, zip(*headroom.values()))
+    return any(n > (h + slack) * _ROUNDING for n, h in zip(need, have))
+
+
 class GangAdmission:
     """Trial-placement gang admission.
 
@@ -34,13 +58,15 @@ class GangAdmission:
             return {}
         if not nodes:
             return None
+        headroom: dict[str, ResourceVector] = {n.name: n.free for n in nodes}
+        if _exceeds_headroom(pods, headroom):
+            return None
         mean_cap = self._mean_capacity(nodes)
         ordered = sorted(
             pods,
             key=lambda p: p.allocation.dominant_share(mean_cap),
             reverse=True,
         )
-        headroom: dict[str, ResourceVector] = {n.name: n.free for n in nodes}
         assignment: dict[str, str] = {}
         for pod in ordered:
             best: str | None = None

@@ -214,10 +214,13 @@ class Engine:
     ) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
-        ``delay`` must be non-negative. Returns a cancellable handle.
+        ``delay`` must be non-negative (not NaN). Returns a cancellable
+        handle.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule with negative delay {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(
+                f"cannot schedule with delay {delay!r}: a delay must be ≥ 0"
+            )
         return self.schedule_at(self._now + delay, callback, priority=priority)
 
     def schedule_at(
@@ -227,10 +230,15 @@ class Engine:
         *,
         priority: int = 0,
     ) -> EventHandle:
-        """Schedule ``callback`` at absolute simulated ``time``."""
-        if time < self._now:
+        """Schedule ``callback`` at absolute simulated ``time``.
+
+        ``time`` must not be before now, nor NaN: a NaN time compares
+        false with every other, which would break the heap order.
+        """
+        if not time >= self._now:
             raise SimulationError(
-                f"cannot schedule at t={time!r}, which is before now={self._now!r}"
+                f"cannot schedule at t={time!r}: not a time at or after "
+                f"now={self._now!r}"
             )
         handle = EventHandle(time, priority, callback, self)
         heapq.heappush(self._heap, (time, priority, next(self._counter), handle))
@@ -251,7 +259,8 @@ class Engine:
         ``now + interval``). Returns a handle whose :meth:`~PeriodicHandle.cancel`
         stops future firings.
         """
-        if interval <= 0:
+        # Checked once here: each firing adds the interval without a check.
+        if not interval > 0:
             raise SimulationError(
                 f"periodic interval must be positive, got {interval!r}"
             )
@@ -385,9 +394,10 @@ class Engine:
         events still due before ``end_time`` run in a later call, each at
         its own time.
         """
-        if end_time < self._now:
+        if not end_time >= self._now:
             raise SimulationError(
-                f"end_time {end_time!r} is before current time {self._now!r}"
+                f"end_time {end_time!r} is not at or after current time "
+                f"{self._now!r}"
             )
         self._running = True
         try:

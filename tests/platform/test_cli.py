@@ -255,6 +255,27 @@ def _poisson_nan_base(spec):
     spec["workloads"][0]["params"]["base"] = math.nan
 
 
+def _chaos(**times):
+    event = {"domain": "crash", "at": 10.0, "duration": 5.0, "target": 0}
+    return {"chaos": [{**event, **times}]}
+
+
+def _job(kind, delay):
+    """Adds a short-form ``kind`` job submitted after ``delay`` seconds."""
+    params = {
+        "bigdata": {"scan_cpu": 40.0, "agg_cpu": 10.0, "input_mb": 100.0,
+                    "cpu": 1.0, "memory": 2.0, "executors": 1},
+        "hpc": {"ranks": 1, "duration": 30.0, "cpu": 1.0, "memory": 2.0},
+    }[kind]
+
+    def fault(spec):
+        spec["workloads"].append(
+            {"kind": kind, "name": "job", "params": {**params, "delay": delay}}
+        )
+
+    return fault
+
+
 @pytest.mark.parametrize(
     "command, fault, named",
     [
@@ -293,6 +314,33 @@ def _poisson_nan_base(spec):
                      "{path}: platform: ", id="run-build-names-file"),
         pytest.param("replay", {"scheduler_kwargs": {"locality_weight": 2}},
                      "{path}: platform: ", id="replay-build-names-file"),
+        # A NaN time ran as if valid; a negative strike time ended in a
+        # traceback, and a negative duration healed before the strike.
+        pytest.param("run", _chaos(at=math.nan),
+                     "{path}: chaos: at must be a finite number ≥ 0, got nan",
+                     id="run-chaos-nan-at"),
+        pytest.param("replay", _chaos(duration=math.nan),
+                     "{path}: chaos: duration must be a finite number ≥ 0",
+                     id="replay-chaos-nan-duration"),
+        pytest.param("run", _chaos(at=-5),
+                     "{path}: chaos: at must be a finite number ≥ 0, got -5.0",
+                     id="run-chaos-negative-at"),
+        pytest.param("replay", _chaos(duration=-5),
+                     "{path}: chaos: duration must be a finite number ≥ 0",
+                     id="replay-chaos-negative-duration"),
+        # A NaN or negative delay started the job at once.
+        pytest.param("run", _job("bigdata", math.nan),
+                     "{path}: bigdata 'job': delay must be a finite number ≥ 0",
+                     id="run-bigdata-nan-delay"),
+        pytest.param("replay", _job("bigdata", -5.0),
+                     "{path}: bigdata 'job': delay must be a finite number ≥ 0",
+                     id="replay-bigdata-negative-delay"),
+        pytest.param("run", _job("hpc", -5.0),
+                     "{path}: hpc 'job': delay must be a finite number ≥ 0",
+                     id="run-hpc-negative-delay"),
+        pytest.param("replay", _job("hpc", math.nan),
+                     "{path}: hpc 'job': delay must be a finite number ≥ 0",
+                     id="replay-hpc-nan-delay"),
     ],
 )
 def test_malformed_spec_exits_2(command, fault, named, tmp_path, capsys):

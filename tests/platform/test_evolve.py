@@ -7,6 +7,7 @@ from repro.platform.config import ClusterSpec
 from repro.platform.evolve import EvolvePlatform
 from repro.scheduler.converged import ConvergedScheduler, SiloedScheduler
 from repro.scheduler.kube import KubeScheduler
+from repro.sim.engine import SimulationError
 from repro.workloads.bigdata import Stage
 from repro.workloads.microservice import ServiceDemands
 from repro.workloads.plo import LatencyPLO
@@ -144,6 +145,27 @@ class TestDeployment:
         assert job.submitted_at == pytest.approx(100.0)
 
 
+    @pytest.mark.parametrize("delay", [float("nan"), -5.0, float("inf")])
+    @pytest.mark.parametrize("kind", ["bigdata", "hpc"])
+    def test_delay_must_be_finite_and_not_negative(self, kind, delay):
+        platform = small_platform()
+        allocation = ResourceVector(cpu=2, memory=2)
+        with pytest.raises(ValueError, match="delay"):
+            if kind == "bigdata":
+                platform.submit_bigdata(
+                    "job", stages=[Stage("map", 10.0)],
+                    allocation=allocation, delay=delay,
+                )
+            else:
+                platform.submit_hpc(
+                    "job", ranks=1, duration=30.0,
+                    allocation=allocation, delay=delay,
+                )
+        # Nothing was registered: the job neither started nor waits.
+        assert platform.apps == {}
+        assert platform.api.list_pods() == []
+
+
 class TestResult:
     def test_result_aggregates(self):
         platform = small_platform(policy="adaptive")
@@ -163,6 +185,14 @@ class TestResult:
         platform = small_platform()
         platform.run(30.0)
         assert platform.result().total_violation_fraction() == 0.0
+
+    def test_run_rejects_a_nan_duration(self):
+        platform = small_platform()
+        # Ends the run at t=1 on an engine that would accept the NaN.
+        platform.engine.schedule(1.0, platform.engine.stop)
+        with pytest.raises(SimulationError, match="nan"):
+            platform.run(float("nan"))
+        assert platform.engine.now == 0.0
 
     def test_run_is_resumable(self):
         platform = small_platform()

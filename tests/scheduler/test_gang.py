@@ -1,9 +1,14 @@
 """Unit tests for gang admission."""
 
+from unittest.mock import patch
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from repro.cluster.node import Node
-from repro.cluster.pod import Pod
+from repro.cluster.pod import Pod, PodSpec, WorkloadClass
 from repro.cluster.resources import ResourceVector
-from repro.scheduler.gang import GangAdmission
+from repro.scheduler.gang import GangAdmission, _exceeds_headroom
 from tests.conftest import make_spec
 
 
@@ -80,3 +85,88 @@ def test_heterogeneous_gang_largest_first():
     # The 8-cpu rank monopolizes one node; the rest pack on the other.
     big_node = assignment["big"]
     assert all(assignment[f"s{i}"] != big_node for i in range(4))
+
+
+# -- the total-headroom pre-check ---------------------------------------------
+
+# Each node's pool label, by index; a member may select its piece's pool.
+POOLS = ("a", "b")
+#: Added to the last member cut from a node: exact, within fits_within's
+#: 1e-9 tolerance, just past it, and far past it.
+EXCESS = (0.0, 0.4e-9, 0.9e-9, 3e-9, 1e-3, 0.5)
+
+
+@st.composite
+def gangs_and_nodes(draw):
+    """Nodes (some partly loaded) and a gang cut from their free room.
+
+    Each node's free cpu and memory are split into 0-3 members, so the
+    gang fits exactly; then the last member of a node grows by one of
+    :data:`EXCESS`, and some members select their node's pool.
+    """
+    node_list, members = [], []
+    for i in range(draw(st.integers(1, 4))):
+        cap = ResourceVector(
+            cpu=draw(st.sampled_from((4.0, 8.0, 16.0)) | st.floats(1.0, 32.0)),
+            memory=draw(st.floats(4.0, 64.0)),
+            disk_bw=100.0,
+            net_bw=100.0,
+        )
+        node = Node(f"node-{i}", cap, labels={"pool": POOLS[i % 2]})
+        loaded = draw(st.floats(0.0, 0.9))
+        if loaded:
+            node.bind(Pod(make_spec(f"filler-{i}", cpu=cap.cpu * loaded,
+                                    memory=cap.memory * loaded), created_at=0.0))
+        node_list.append(node)
+        free = node.free
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=0, max_size=3))
+        for j, weight in enumerate(weights):
+            share = weight / sum(weights)
+            cpu, memory = free.cpu * share, free.memory * share
+            if j == len(weights) - 1:
+                excess = draw(st.sampled_from(EXCESS))
+                cpu += excess
+                memory += draw(st.sampled_from((0.0, excess)))
+            selector = {"pool": POOLS[i % 2]} if draw(st.booleans()) else {}
+            spec = PodSpec(
+                name=f"rank-{i}-{j}",
+                app="g",
+                workload_class=WorkloadClass.HPC,
+                requests=ResourceVector(cpu, memory, 1.0, 1.0),
+                gang_id="g",
+                node_selector=selector,
+            )
+            members.append(Pod(spec, created_at=0.0))
+    return members, node_list
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gangs_and_nodes())
+def test_precheck_refuses_only_gangs_the_search_cannot_place(case):
+    members, node_list = case
+    headroom = {n.name: n.free for n in node_list}
+    if not _exceeds_headroom(members, headroom):
+        return
+    with patch("repro.scheduler.gang._exceeds_headroom", return_value=False):
+        assert GangAdmission().find_assignment(members, node_list) is None
+
+
+def test_precheck_lets_a_fit_within_tolerance_through():
+    # fits_within places an 8-cpu node's rank asking 0.5e-9 more.
+    member = pods(1, cpu=8.0 + 0.5e-9)
+    node_list = nodes(1)
+    assert not _exceeds_headroom(member, {n.name: n.free for n in node_list})
+    assert GangAdmission().find_assignment(member, node_list) == {
+        "rank-0": "node-0"
+    }
+
+
+def test_precheck_refuses_a_gang_larger_than_the_free_total():
+    # R-T4's siloed shape: 8 ranks of 6 cores against a 2-node HPC pool.
+    node_list = [Node(f"node-{i}", ResourceVector(16, 64, 200, 500))
+                 for i in range(2)]
+    gang = pods(8, cpu=6.0)
+    assert _exceeds_headroom(gang, {n.name: n.free for n in node_list})
+    assert GangAdmission().find_assignment(gang, node_list) is None
+    with patch("repro.scheduler.gang._exceeds_headroom", return_value=False):
+        assert GangAdmission().find_assignment(gang, node_list) is None

@@ -71,6 +71,49 @@ class TestScheduling:
         assert engine.now == 2.0
 
 
+class TestNaNTimes:
+    """A NaN time compares false with every other: each entry point that
+    takes a time refuses it rather than run events out of order or
+    never reach its end time."""
+
+    def test_schedule_rejects_a_nan_delay(self):
+        engine = Engine()
+        with pytest.raises(SimulationError, match="nan"):
+            engine.schedule(float("nan"), lambda: None)
+        assert engine.pending_count() == 0
+
+    def test_schedule_at_rejects_a_nan_time(self):
+        engine = Engine()
+        seen = []
+        engine.schedule_at(5.0, lambda: seen.append(engine.now))
+        with pytest.raises(SimulationError, match="nan"):
+            engine.schedule_at(float("nan"), lambda: seen.append(engine.now))
+        engine.schedule_at(7.0, lambda: seen.append(engine.now))
+        engine.run()
+        assert seen == [5.0, 7.0]
+
+    def test_every_rejects_a_nan_interval(self):
+        engine = Engine()
+        with pytest.raises(SimulationError, match="nan"):
+            engine.every(float("nan"), lambda: None)
+        assert engine.pending_count() == 0
+
+    def test_every_rejects_a_nan_start(self):
+        engine = Engine()
+        with pytest.raises(SimulationError, match="nan"):
+            engine.every(1.0, lambda: None, start=float("nan"))
+        assert engine.pending_count() == 0
+
+    def test_run_until_rejects_a_nan_end_time(self):
+        engine = Engine()
+        fired = []
+        engine.schedule(5.0, lambda: fired.append(engine.now))
+        with pytest.raises(SimulationError, match="nan"):
+            engine.run_until(float("nan"))
+        assert fired == []
+        assert engine.now == 0.0
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_run(self):
         engine = Engine()
