@@ -673,21 +673,27 @@ class ActuationFaultInjector:
         self.rng = rng
         self.log = log
         self.failure_probability = 0.0
-        self._outage_until = 0.0
+        self._outages: list[tuple[float, float]] = []  # (start, until)
         self.attempts = 0
         self.injected_failures = 0
 
     def outage(self, now: float, duration: float) -> FaultEpisode:
-        """Fail every actuation for ``duration`` seconds from ``now``."""
+        """Fail every actuation on ``[now, now + duration)``, the span the
+        episode records; an outage armed ahead of time waits for it.
+        Arming drops the outages that ended by ``now``."""
         if duration <= 0:
             raise ValueError("outage duration must be positive")
-        self._outage_until = max(self._outage_until, now + duration)
+        self._outages = [w for w in self._outages if w[1] > now]
+        self._outages.append((now, now + duration))
         return self.log.record(
             "actuation-outage", "cluster-api", now, now + duration
         )
 
     def in_outage(self, now: float) -> bool:
-        return now < self._outage_until
+        for start, until in self._outages:
+            if start <= now < until:
+                return True
+        return False
 
     def should_fail(self, now: float, verb: str = "") -> bool:
         """One actuation attempt; True means the API must reject it."""

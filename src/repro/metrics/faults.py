@@ -23,6 +23,12 @@ All faults are deterministic given the injected RNG, and window faults
 are recorded into the shared :class:`~repro.cluster.chaos.FaultLog` for
 MTTR analysis. Out-of-band :meth:`~repro.metrics.collector.MetricsCollector.record`
 calls (controller internals) are never distorted — only scraped samples.
+
+A window armed with ``now`` and ``duration`` applies on
+``[now, now + duration)``, the span its episode records, so one armed
+ahead of time waits for its start. A prefix may carry several blackouts
+or freezes (arming one drops the prefix's windows that ended by its
+``now``); a new drop or noise window replaces the last one.
 """
 
 from __future__ import annotations
@@ -30,6 +36,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.chaos import FaultEpisode, FaultLog
+
+
+def _arm(
+    table: dict[str, list[tuple[float, float]]], prefix: str, now: float, until: float
+) -> None:
+    """Add ``[now, until)`` to ``prefix``'s windows, dropping those that
+    ended by ``now``."""
+    table[prefix] = [w for w in table.get(prefix, ()) if w[1] > now]
+    table[prefix].append((now, until))
+
+
+def _in_force(windows: list[tuple[float, float]], now: float) -> bool:
+    """Whether any ``(start, until)`` window holds ``now``."""
+    for start, until in windows:
+        if start <= now < until:
+            return True
+    return False
 
 
 class MetricsFaultInjector:
@@ -43,10 +66,12 @@ class MetricsFaultInjector:
         #: Per-sample probability of multiplying by ``outlier_factor``.
         self.outlier_probability = 0.0
         self.outlier_factor = 10.0
-        self._drop_window: tuple[float, float] = (0.0, 1.0)  # (until, prob)
-        self._noise_window: tuple[float, float, float] = (0.0, 0.0, 1.0)
-        self._blackouts: dict[str, float] = {}  # prefix -> until
-        self._frozen: dict[str, float] = {}  # prefix -> until
+        # (start, until, probability) and (start, until, probability, factor)
+        self._drop_window: tuple[float, float, float] = (0.0, 0.0, 1.0)
+        self._noise_window: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 1.0)
+        # prefix -> its (start, until) windows.
+        self._blackouts: dict[str, list[tuple[float, float]]] = {}
+        self._frozen: dict[str, list[tuple[float, float]]] = {}
         self.scrapes_dropped = 0
         self.samples_dropped = 0
         self.samples_frozen = 0
@@ -64,7 +89,7 @@ class MetricsFaultInjector:
             raise ValueError("duration must be positive")
         if not 0.0 < probability <= 1.0:
             raise ValueError("probability must be in (0, 1]")
-        self._drop_window = (now + duration, probability)
+        self._drop_window = (now, now + duration, probability)
         return self.log.record(
             "scrape-drop", "collector", now, now + duration,
             detail=f"probability={probability:g}",
@@ -74,16 +99,14 @@ class MetricsFaultInjector:
         """Drop every sample under ``prefix`` for a window."""
         if duration <= 0:
             raise ValueError("duration must be positive")
-        self._blackouts[prefix] = max(
-            self._blackouts.get(prefix, 0.0), now + duration
-        )
+        _arm(self._blackouts, prefix, now, now + duration)
         return self.log.record("scrape-blackout", prefix, now, now + duration)
 
     def freeze(self, prefix: str, now: float, duration: float) -> FaultEpisode:
         """Freeze samples under ``prefix`` at their last stored value."""
         if duration <= 0:
             raise ValueError("duration must be positive")
-        self._frozen[prefix] = max(self._frozen.get(prefix, 0.0), now + duration)
+        _arm(self._frozen, prefix, now, now + duration)
         return self.log.record("metrics-freeze", prefix, now, now + duration)
 
     def inject_noise(
@@ -99,7 +122,7 @@ class MetricsFaultInjector:
             raise ValueError("duration must be positive")
         if not 0.0 < probability <= 1.0:
             raise ValueError("probability must be in (0, 1]")
-        self._noise_window = (now + duration, probability, factor)
+        self._noise_window = (now, now + duration, probability, factor)
         return self.log.record(
             "metrics-noise", "collector", now, now + duration,
             detail=f"probability={probability:g} factor={factor:g}",
@@ -118,28 +141,31 @@ class MetricsFaultInjector:
         """
         if self.outlier_probability > 0.0:
             return True
-        if now < self._noise_window[0] and self._noise_window[1] > 0.0:
+        start, until, prob, _ = self._noise_window
+        if start <= now < until and prob > 0.0:
             return True
-        for until in self._blackouts.values():
-            if now < until:
+        for windows in self._blackouts.values():
+            if _in_force(windows, now):
                 return True
-        for until in self._frozen.values():
-            if now < until:
+        for windows in self._frozen.values():
+            if _in_force(windows, now):
                 return True
         return False
 
     def should_drop_scrape(self, now: float) -> bool:
-        until, prob = self._drop_window
-        window_prob = prob if now < until else 0.0
+        start, until, prob = self._drop_window
+        window_prob = prob if start <= now < until else 0.0
         effective = max(window_prob, self.drop_scrape_probability)
         if effective > 0.0 and float(self.rng.random()) < effective:
             self.scrapes_dropped += 1
             return True
         return False
 
-    def _match(self, table: dict[str, float], name: str, now: float) -> bool:
-        for prefix, until in table.items():
-            if now < until and name.startswith(prefix):
+    def _match(
+        self, table: dict[str, list[tuple[float, float]]], name: str, now: float
+    ) -> bool:
+        for prefix, windows in table.items():
+            if name.startswith(prefix) and _in_force(windows, now):
                 return True
         return False
 
@@ -158,13 +184,14 @@ class MetricsFaultInjector:
                 self.telemetry.samples_distorted.inc()
             # No history yet: nothing to freeze to, drop the sample.
             return last if last is not None else None
-        until, prob, factor = self._noise_window
-        window_prob = prob if now < until else 0.0
+        start, until, prob, factor = self._noise_window
+        in_window = start <= now < until
+        window_prob = prob if in_window else 0.0
         effective = max(window_prob, self.outlier_probability)
         if effective > 0.0 and float(self.rng.random()) < effective:
             self.outliers_injected += 1
             if self.telemetry is not None:
                 self.telemetry.samples_distorted.inc()
-            scale = factor if now < until else self.outlier_factor
+            scale = factor if in_window else self.outlier_factor
             return value * scale
         return value

@@ -185,11 +185,15 @@ class Application:
 
     def _on_tick(self) -> None:
         now = self.engine.now
-        dt = now - (self._last_tick if self._last_tick is not None else now)
+        dt = now - self._last_tick
         self._last_tick = now
         if self.api.phase_epoch != self._pruned_epoch:
             self._prune_terminal_pods()
-        if self.maintain_replicas and not self.finished:
+        if (
+            self.maintain_replicas
+            and not self.finished
+            and len(self._pods) < self._desired_replicas
+        ):
             self._heal_replicas(now)
         if dt > 0:
             self.tick(dt, now)
@@ -203,10 +207,8 @@ class Application:
         replaced — the next round is delayed exponentially up to
         ``restart_backoff_cap`` instead of resubmitting immediately.
         Transient actuation faults on the resubmit path are absorbed and
-        retried on a later tick.
+        retried on a later tick. Called only while replicas are missing.
         """
-        if len(self._pods) >= self._desired_replicas:
-            return
         if now < self._resubmit_backoff_until:
             return
         resubmitted = 0

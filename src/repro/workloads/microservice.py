@@ -14,6 +14,7 @@ excursions rather than instantaneous equilibria.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -77,8 +78,9 @@ class ServiceDemands:
         resource imposes it (ignoring memory, handled via pressure).
 
         Strict ``<`` comparisons keep first-wins tie-breaking in the
-        cpu → disk_bw → net_bw order without building candidate lists —
-        this runs once per replica per model tick.
+        cpu → disk_bw → net_bw order without building candidate lists.
+        ``Microservice.tick`` keeps the result until the demands or the
+        allocation object changes.
         """
         cap = allocation.cpu / self.cpu_seconds
         which = "cpu"
@@ -182,6 +184,9 @@ class Microservice(Application):
             if not phases:
                 raise ValueError("need at least one demand phase")
             self._phases = phases
+        # The demand phase in force, from ``_phase_at``; the empty span
+        # makes the first tick look it up.
+        self._phase: tuple = (math.inf, -math.inf, None)
         # -- brownout: the degraded PLO tier -------------------------------
         # While browned out, per-request demand is multiplied by
         # ``brownout_factor`` (serving a cheaper response) and the reported
@@ -196,7 +201,16 @@ class Microservice(Application):
         self._brownout_cache: tuple | None = None
         self.total_dropped = 0.0
         self.current_drop_rate = 0.0
+        # Per-replica state, built from the running list that
+        # ``_state_running`` holds with its length; holding the list keeps
+        # its id from being reused.
         self._replica_state: dict[Pod, _ReplicaState] = {}
+        self._state_running: tuple = (None, 0)
+        # The capacity of one allocation under one demand profile, with
+        # the allocation's fields: (demands, allocation, capacity,
+        # resource, cpu, memory, disk_bw, net_bw, memory floor). It holds
+        # both key objects, so neither id can be reused while it lives.
+        self._capacity: tuple = (None, None, 0.0, "cpu", 0.0, 0.0, 0.0, 0.0, 0.0)
         # Last-tick aggregates, exported on scrape.
         self.current_latency = self._phases[0].demands.base_latency
         self.current_throughput = 0.0
@@ -209,13 +223,35 @@ class Microservice(Application):
 
     def demands_at(self, t: float) -> ServiceDemands:
         """Demand profile in effect at time ``t``."""
+        return self._phase_at(t)[2]
+
+    def _phase_at(self, t: float) -> tuple[float, float, ServiceDemands]:
+        """``(since, until, demands)``: the demands in effect at ``t``,
+        which hold from their phase's start (-inf before the first phase)
+        until the next phase's start (+inf after the last)."""
         current = self._phases[0].demands
+        since, until = -math.inf, math.inf
         for phase in self._phases:
             if t >= phase.start_time:
                 current = phase.demands
+                since = phase.start_time
             else:
+                until = phase.start_time
                 break
-        return current
+        return since, until, current
+
+    def _track_replicas(self, running: list[Pod]) -> int:
+        """Rebuild the replica state for a new running list; returns its
+        length. A replica that stopped running loses its state, and one
+        that started gets a fresh one."""
+        old = self._replica_state
+        states: dict[Pod, _ReplicaState] = {}
+        for pod in running:
+            states[pod] = old[pod] if pod in old else _ReplicaState()
+        self._replica_state = states
+        n = len(running)
+        self._state_running = (running, n)
+        return n
 
     # -- brownout ------------------------------------------------------------
 
@@ -278,8 +314,19 @@ class Microservice(Application):
         Each replica's usage is written to ``pod.usage`` directly, clamped
         as ``Pod.record_usage`` clamps it: ``min(want, allocation)``, then
         ``max(0.0, ·)``.
+
+        What changes only with its inputs is kept across ticks: the
+        demand phase until the next phase starts, the replica state until
+        ``running_pods()`` hands back another list, and the capacity and
+        fields of one allocation until the demands or allocation object
+        differs. Any new input to ``ServiceDemands.capacity`` must join
+        that entry's key, or a replica keeps a capacity computed without
+        it.
         """
-        demands = self.demands_at(now)
+        since, until, demands = self._phase
+        if not since <= now < until:
+            self._phase = self._phase_at(now)
+            demands = self._phase[2]
         if self.brownout_active:
             demands = self._degraded_demands(demands)
             self.brownout_seconds += dt
@@ -293,12 +340,11 @@ class Microservice(Application):
             offered = offered if offered > 0.0 else 0.0
         running = self.running_pods()
         self.current_offered = offered
-
-        # Rebuilt from the running pods, so a replica that stopped
-        # running since the last tick loses its state.
-        old_states = self._replica_state
-        states: dict[Pod, _ReplicaState] = {}
-        self._replica_state = states
+        # running_pods() returns the same list object until a phase or
+        # the replica list changes.
+        held, n = self._state_running
+        if running is not held:
+            n = self._track_replicas(running)
         max_latency = self.max_latency
 
         if not running:
@@ -311,7 +357,7 @@ class Microservice(Application):
             self.current_backlog = 0.0
             return
 
-        n = len(running)
+        states = self._replica_state
         arrival_rate = offered / n
         arrivals = arrival_rate * dt
         cpu_seconds = demands.cpu_seconds
@@ -326,22 +372,34 @@ class Microservice(Application):
         dropped_total = 0.0
         wait_sum = 0.0
         backlog_total = 0.0
-        votes: dict[str, int] = {}
-        cap_alloc = None
+        # The resource every replica so far reports, and how many do;
+        # counts per resource in first-reported order once they differ.
+        bottleneck = None
+        agreed = 0
+        votes: dict[str, int] | None = None
+        (
+            cap_demands, cap_alloc, mu_raw, cap_which,
+            cpu_cap, memory, disk_cap, net_cap, memory_floor,
+        ) = self._capacity
+        if cap_demands is not demands:
+            cap_alloc = None
 
         for pod in running:
             alloc = pod.allocation
             # Replicas usually share one allocation object: compute its
             # capacity and read its fields once, and again only where the
-            # object changes.
+            # object or the demands change.
             if alloc is not cap_alloc:
                 cap_alloc = alloc
                 mu_raw, cap_which = demands.capacity(alloc)
                 cpu_cap, memory, disk_cap, net_cap = alloc
                 memory_floor = 1e-9 if 1e-9 > memory else memory
+                self._capacity = (
+                    demands, alloc, mu_raw, cap_which,
+                    cpu_cap, memory, disk_cap, net_cap, memory_floor,
+                )
             which = cap_which
-            state = old_states[pod] if pod in old_states else _ReplicaState()
-            states[pod] = state
+            state = states[pod]
             backlog = state.backlog
             if mu_raw <= 0:
                 dropped = backlog + arrivals
@@ -402,18 +460,29 @@ class Microservice(Application):
             dropped_total += dropped
             wait_sum += wait
             backlog_total += backlog
-            if which in votes:
+            if which == bottleneck:
+                agreed += 1
+            elif bottleneck is None:
+                bottleneck = which
+                agreed = 1
+            elif votes is None:
+                votes = {bottleneck: 0, which: 1}
+            elif which in votes:
                 votes[which] += 1
             else:
                 votes[which] = 1
 
+        if votes is not None:
+            # A mixed vote: the most replicas, the first reported on a tie.
+            votes[bottleneck] = agreed
+            bottleneck = max(votes, key=votes.get)
         self.total_dropped += dropped_total
         self.current_drop_rate = dropped_total / dt
         self.current_throughput = served_total / dt
         latency = wait_sum / n
         self.current_latency = latency if latency < max_latency else max_latency
         self.current_backlog = backlog_total
-        self.current_bottleneck = max(votes, key=votes.get)
+        self.current_bottleneck = bottleneck
         self.total_served += served_total
         if self.brownout_active and self.brownout_penalty > 0:
             latency = self.current_latency + self.brownout_penalty

@@ -224,7 +224,9 @@ class StreamJob(Application):
         A worker's capacity (source events/s) is the lower of its CPU
         and ingest-bandwidth ceilings, cut by memory pressure from the
         state that throughput holds, and times its node's speed under
-        FT. Workers usually share one allocation object, so capacity and
+        FT. Without either ceiling the capacity is infinite, and with
+        keyed state the cut's limit, ``1024 × memory / state_mb_per_eps``.
+        Workers usually share one allocation object, so capacity and
         usage are computed again only where the object changes along the
         worker list; under FT they are computed per worker, because node
         speed differs per pod. A usage is ``min(want, allocation)``
@@ -288,7 +290,12 @@ class StreamJob(Application):
                 needed = mem_base + state_per_eps * capacity / 1024.0
                 mem = 1e-9 if 1e-9 > mem_cap else mem_cap
                 if needed > mem:
-                    capacity *= mem / needed
+                    if capacity == math.inf:
+                        # The cut's limit as capacity grows without
+                        # bound; inf * (mem / inf) would be NaN.
+                        capacity = 1024.0 * mem / state_per_eps
+                    else:
+                        capacity *= mem / needed
                 if ft:
                     capacity *= self._node_speed(pod)
                 rate = share_rate if share_rate < capacity else capacity

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.cluster.api import ActuationError
 from repro.cluster.chaos import (
     DEGRADE_FACTOR,
+    ActuationFaultInjector,
     ChaosMonkey,
     DataLossInjector,
     DegradationInjector,
@@ -504,6 +506,39 @@ class TestFaultLogCloseOpen:
         assert log.close_open(50.0) == 1
         assert log.close_open(60.0) == 0
         assert log.episodes[0].end == 50.0
+
+
+class TestActuationOutage:
+    def make(self):
+        return ActuationFaultInjector(np.random.default_rng(0), log=FaultLog())
+
+    def test_outage_armed_ahead_waits_for_its_start(self):
+        faults = self.make()
+        episode = faults.outage(10.0, 5.0)
+        assert (episode.start, episode.end) == (10.0, 15.0)
+        assert not faults.should_fail(9.5)
+        assert faults.should_fail(10.0) and faults.should_fail(14.9)
+        assert not faults.should_fail(15.0)
+        assert faults.injected_failures == 2
+
+    def test_overlapping_and_separate_outages(self):
+        faults = self.make()
+        faults.outage(0.0, 20.0)
+        faults.outage(10.0, 20.0)
+        assert [faults.in_outage(t) for t in (5.0, 25.0, 30.0)] == [True, True, False]
+        faults.outage(50.0, 10.0)
+        # Arming drops the outages that ended by its start.
+        assert faults._outages == [(50.0, 60.0)]
+        assert [faults.in_outage(t) for t in (40.0, 55.0, 60.0)] == [False, True, False]
+
+    def test_api_verbs_fail_only_from_the_start(self, engine, api):
+        api.actuation_faults.outage(engine.now + 10.0, 5.0)
+        api.create_pod(make_spec("early"))
+        engine.run_until(10.0)
+        with pytest.raises(ActuationError):
+            api.create_pod(make_spec("late"))
+        engine.run_until(15.0)
+        api.create_pod(make_spec("after"))
 
 
 class TestExecutorKillDomain:

@@ -93,6 +93,73 @@ class TestFilter:
         assert log.episodes[0].duration() == pytest.approx(20.0)
 
 
+class TestWindowStart:
+    """A window armed 10 s ahead applies from its start, not its arming."""
+
+    def test_drop_scrapes_armed_ahead(self):
+        faults = make()
+        faults.drop_scrapes(10.0, 20.0)
+        assert not faults.should_drop_scrape(0.0)
+        assert not faults.should_drop_scrape(9.9)
+        assert faults.should_drop_scrape(10.0)
+        assert faults.scrapes_dropped == 1
+
+    def test_blackout_armed_ahead(self):
+        faults = make()
+        faults.blackout("app/web", 10.0, 20.0)
+        assert not faults.distorts_samples(9.9)
+        assert faults.filter("app/web/latency", 1.5, 9.9, 1.0) == 1.5
+        assert faults.distorts_samples(10.0)
+        assert faults.filter("app/web/latency", 1.5, 10.0, 1.0) is None
+
+    def test_freeze_armed_ahead(self):
+        faults = make()
+        faults.freeze("app/web", 10.0, 20.0)
+        assert not faults.distorts_samples(9.9)
+        assert faults.filter("app/web/latency", 9.9, 9.9, 1.25) == 9.9
+        assert faults.filter("app/web/latency", 9.9, 10.0, 1.25) == 1.25
+
+    def test_noise_armed_ahead(self):
+        faults = make()
+        faults.inject_noise(10.0, 20.0, probability=1.0, factor=10.0)
+        assert not faults.distorts_samples(9.9)
+        assert faults.filter("app/web/latency", 2.0, 9.9, None) == 2.0
+        assert faults.filter("app/web/latency", 2.0, 10.0, None) == 20.0
+        assert faults.outliers_injected == 1
+
+    def test_two_overlapping_windows_on_one_prefix(self):
+        faults = make()
+        faults.blackout("app/web", 0.0, 20.0)
+        faults.blackout("app/web", 10.0, 20.0)
+        blacked = [faults.filter("app/web/x", 1.0, t, 0.5) for t in (5, 25, 30)]
+        assert blacked == [None, None, 1.0]
+
+    def test_arming_drops_the_prefix_windows_that_ended(self):
+        faults = make()
+        faults.freeze("app/api", 0.0, 10.0)
+        faults.freeze("app/api", 5.0, 10.0)
+        faults.freeze("app/api", 12.0, 10.0)
+        assert faults._frozen["app/api"] == [(5.0, 15.0), (12.0, 22.0)]
+        frozen = [faults.filter("app/api/x", 1.0, t, 0.5) for t in (12, 20, 22)]
+        assert frozen == [0.5, 0.5, 1.0]
+
+    def test_scrapes_before_the_start_are_stored(self, engine, api):
+        faults = make()
+        collector = MetricsCollector(engine, api, faults=faults)
+        collector.declare("cluster/alloc_frac/cpu", "node/node-0/usage_frac/cpu")
+        collector.start()
+        engine.run_until(20.0)
+        faults.drop_scrapes(engine.now + 10.0, 10.0)
+        faults.blackout("node/node-0", engine.now + 10.0, 10.0)
+        engine.run_until(25.0)
+        assert collector.latest_time("cluster/alloc_frac/cpu") == 25.0
+        assert collector.latest_time("node/node-0/usage_frac/cpu") == 25.0
+        engine.run_until(35.0)
+        # The rounds at 30 and 35 are dropped.
+        assert collector.latest_time("cluster/alloc_frac/cpu") == 25.0
+        assert faults.scrapes_dropped == 2
+
+
 class TestCollectorIntegration:
     def make_collector(self, engine, api, faults):
         collector = MetricsCollector(engine, api, faults=faults)

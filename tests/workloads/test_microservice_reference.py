@@ -1,11 +1,16 @@
 """The one-loop microservice tick against the per-replica step it replaced.
 
 ``Microservice.tick`` steps every running replica in one loop on
-locals: replica state keyed by the ``Pod`` object in a dict rebuilt each
-tick, ``ServiceDemands.capacity`` once per allocation object, and each
-``min``/``max`` written as a comparison that returns the builtin's
-operand. This module keeps the previous tick as the reference: state
-keyed by pod name, one ``_step_replica`` call per replica, and
+locals, with each ``min``/``max`` written as a comparison that returns
+the builtin's operand, and keeps across ticks what changes only with its
+inputs: the demand phase until the next phase starts, replica state
+keyed by the ``Pod`` object in a dict rebuilt only when
+``running_pods()`` hands back another list, ``ServiceDemands.capacity``
+and the allocation's fields until the demands or allocation object
+differs, and the bottleneck without a vote dict while every replica
+reports the same resource. This module keeps the previous tick as the
+reference: phase, state, capacity and vote worked out afresh every tick,
+state keyed by pod name, one ``_step_replica`` call per replica, and
 ``Pod.record_usage`` with the ``min``/``max`` builtins.
 
 Each scenario runs twice from the same state, once on each path. After
@@ -28,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.events import PodStarted
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod
 from repro.cluster.resources import ResourceVector
@@ -190,7 +196,7 @@ class World:
         self.services: list[Microservice] = []
 
     def service(self, name, *, trace, demands=DEMANDS, allocation=REPLICA,
-                replicas=1, **kw):
+                replicas=1, at=0.0, **kw):
         svc = Microservice(
             name,
             self.engine,
@@ -202,7 +208,7 @@ class World:
             **kw,
         )
         self.services.append(svc)
-        self.engine.schedule_at(0.0, svc.start)
+        self.engine.schedule_at(at, svc.start)
         return svc
 
     def at(self, time, action):
@@ -212,6 +218,16 @@ class World:
         """Resize the ``index``-th running replica of ``svc`` alone."""
         pod = svc.running_pods()[index]
         assert self.api.patch_pod_allocation(pod.name, allocation)
+
+
+    def on_start(self, svc, action):
+        """Run ``action()`` as each replica of ``svc`` starts running."""
+
+        def started(event):
+            if self.cluster.pods[event.pod_name].app == svc.name:
+                action()
+
+        self.cluster.events.subscribe(PodStarted, started)
 
 
 def memory_pressure():
@@ -414,6 +430,106 @@ def nan_allocation():
     return world, 120.0
 
 
+# -- state kept across ticks ---------------------------------------------------
+#
+# The scenarios below change one input of the kept state at a time: the
+# demands under one allocation object, the allocation object with equal
+# values, the pods behind a new running list, and the mix of a vote.
+
+
+def phase_switch_one_allocation():
+    """Phases from 30 s (the first also holds before it), two starting
+    together at 80 s (the later listed wins), and one at 150.5 s that
+    brings back the first demands object, all under one allocation
+    object: CPU-, disk-, network-, then CPU-bound again."""
+    world = World()
+    world.service(
+        "svc",
+        trace=ConstantTrace(120.0),
+        demands=[
+            DemandPhase(30.0, DEMANDS),
+            DemandPhase(80.0, ServiceDemands(cpu_seconds=0.004, disk_mb=0.3)),
+            DemandPhase(80.0, ServiceDemands(cpu_seconds=0.006, net_mb=0.2)),
+            DemandPhase(150.5, DEMANDS),
+        ],
+        replicas=2,
+    )
+    return world, 250.0
+
+
+#: Equal to REPLICA field by field, but another object.
+REPLICA_COPY = ResourceVector(cpu=0.6, memory=1, disk_bw=15, net_bw=15)
+
+
+def equal_valued_resize():
+    """Every replica resized to an equal-valued new object, one replica
+    back to the first object (objects A, A' along the list), then all."""
+    world = World()
+    svc = world.service("svc", trace=ConstantTrace(160.0), replicas=2)
+    world.at(30.5, lambda: svc.set_target_allocation(REPLICA_COPY))
+    world.at(60.5, lambda: world.resize(svc, 0, REPLICA))
+    world.at(90.5, lambda: svc.set_target_allocation(REPLICA))
+    return world, 150.0
+
+
+def brownout_in_and_out():
+    """Brownout entered and left twice at one factor, under one
+    allocation object, at a load only the degraded tier can serve."""
+    world = World()
+    svc = world.service("svc", trace=ConstantTrace(100.0))
+    for enter, leave in ((40.5, 80.5), (120.5, 160.5)):
+        world.at(
+            enter, lambda: svc.enter_brownout(factor=0.5, latency_penalty=0.0)
+        )
+        world.at(leave, svc.exit_brownout)
+    return world, 200.0
+
+
+def same_pods_new_list():
+    """A neighbour's replica is bound and starts: the phase epoch moves,
+    so ``running_pods()`` hands the loaded service a new list of the same
+    pods, whose state must carry over."""
+    world = World()
+    world.service("svc", trace=ConstantTrace(170.0), replicas=2)
+    world.service("neighbour", trace=ConstantTrace(10.0), at=40.5)
+    return world, 120.0
+
+
+def replica_swapped():
+    """A third replica starts and the oldest is deleted at that instant:
+    the next tick sees as many replicas as the last, but not the same."""
+    world = World()
+    svc = world.service("svc", trace=ConstantTrace(170.0), replicas=2)
+    world.at(30.5, lambda: svc.scale_to(3))
+
+    def swap():
+        if world.engine.now > 30.5:
+            world.api.delete_pod(svc.running_pods()[0].name, reason="chaos")
+
+    world.on_start(svc, swap)
+    return world, 120.0
+
+
+def minority_first():
+    """Four replicas; the first alone is memory-poor, so a mixed vote
+    leaves it in the minority (CPU wins 3:1); then the second is too, a
+    2:2 tie the first-reported resource (memory) wins."""
+    world = World()
+    svc = world.service(
+        "svc",
+        trace=ConstantTrace(280.0),
+        demands=ServiceDemands(
+            cpu_seconds=0.008, disk_mb=0.1, net_mb=0.05, mem_per_inflight=0.01,
+            base_latency=0.01,
+        ),
+        replicas=4,
+    )
+    poor = REPLICA.replace(memory=0.3)
+    world.at(20.5, lambda: world.resize(svc, 0, poor))
+    world.at(80.5, lambda: world.resize(svc, 1, poor))
+    return world, 140.0
+
+
 SCENARIOS = {
     "memory-pressure": memory_pressure,
     "zero-cpu-allocation": zero_cpu_allocation,
@@ -427,6 +543,12 @@ SCENARIOS = {
     "signed-zero-and-nan": signed_zero_and_nan,
     "loaded-allocations": loaded_allocations,
     "nan-allocation": nan_allocation,
+    "phase-switch-one-allocation": phase_switch_one_allocation,
+    "equal-valued-resize": equal_valued_resize,
+    "brownout-in-and-out": brownout_in_and_out,
+    "same-pods-new-list": same_pods_new_list,
+    "replica-swapped": replica_swapped,
+    "minority-first": minority_first,
 }
 
 
@@ -542,6 +664,63 @@ def test_scenarios_reach_the_paths_they_name():
     assert c.memory == 0.3 and c.cpu < a.cpu  # C is slowed by memory
 
 
+def _per_tick(scenario, record, name="svc"):
+    """``record(service)`` after each tick of the service ``name``."""
+    _, seen = _run(
+        scenario,
+        reference=False,
+        record=lambda world, svc, now: (svc.name, record(svc)),
+    )
+    return [value for who, value in seen if who == name]
+
+
+def test_cross_tick_scenarios_change_the_input_they_name():
+    seen = _per_tick(
+        phase_switch_one_allocation,
+        lambda svc: (
+            svc.current_bottleneck,
+            {pod.allocation is REPLICA for pod in svc.running_pods()},
+        ),
+    )
+    seen = [bottleneck for bottleneck, kept in seen if kept == {True}]
+    # One run per phase, in order: the first phase also held before 30 s.
+    runs = [b for i, b in enumerate(seen) if i == 0 or b != seen[i - 1]]
+    assert runs == ["cpu", "net_bw", "cpu"]
+    seen = _per_tick(
+        equal_valued_resize,
+        lambda svc: [pod.allocation for pod in svc.running_pods()],
+    )
+    assert any(
+        len(objects) == 2 and objects[0] is REPLICA and objects[1] is REPLICA_COPY
+        for objects in seen
+    )
+    assert seen[-1][0] is seen[-1][1] is REPLICA
+    seen = _per_tick(
+        brownout_in_and_out,
+        lambda svc: (svc.brownout_active, svc.current_throughput),
+    )
+    full = max(rate for active, rate in seen if not active)
+    assert sum(active for active, _ in seen) == 80
+    assert any(active and rate > full for active, rate in seen)
+    lists = _per_tick(same_pods_new_list, lambda svc: svc.running_pods())
+    assert any(a is not b and a == b for a, b in zip(lists, lists[1:]))
+    lists = _per_tick(replica_swapped, lambda svc: svc.running_pods())
+    assert any(
+        len(a) == len(b) == 2 and a != b and a[1] is b[0]
+        for a, b in zip(lists, lists[1:])
+    )
+    seen = _per_tick(
+        minority_first,
+        lambda svc: (
+            svc.current_bottleneck,
+            [pod.usage.memory == 0.3 for pod in svc.running_pods()],
+        ),
+    )
+    # Memory-bound replicas use all of their 0.3 GiB.
+    assert ("cpu", [True, False, False, False]) in seen
+    assert ("memory", [True, True, False, False]) in seen
+
+
 def test_replica_state_lives_while_its_pod_runs():
     world, _ = replica_replaced()
     world.engine.run_until(41.0)  # the first kill landed at 40.5
@@ -557,11 +736,14 @@ def test_replica_state_lives_while_its_pod_runs():
 
 def test_micro_tick_call_budget():
     # Profiled calls per Microservice.tick on the fleet smoke shape (six
-    # adaptive services on three nodes for 300 s, 1,800 ticks): 11.83
-    # measured (Python 3.11) since each usage is written directly; the
-    # budget is that plus ~25%. The tick through Pod.record_usage read
-    # 14.72, and the per-replica step with min/max builtins 40.8. The run
-    # is seeded, so the count is the same on every machine.
+    # adaptive services on three nodes for 300 s, 1,800 ticks): 7.06
+    # measured (Python 3.11) since the demand phase, the capacity, the
+    # replica state and its count are kept across ticks and a unanimous
+    # bottleneck vote takes no max(); the budget is that plus ~25%. The
+    # tick that redid them every tick read 10.83, the one through
+    # Pod.record_usage 14.72, and the per-replica step with min/max
+    # builtins 40.8. The run is seeded, so the count is the same on every
+    # machine.
     from repro.platform.config import ClusterSpec, PlatformConfig
     from repro.platform.evolve import EvolvePlatform
     from repro.workloads.plo import LatencyPLO
@@ -597,4 +779,4 @@ def test_micro_tick_call_budget():
     assert ticks == 1_800
     # Each runcall also records the profiler's own disable() call.
     per_tick = (pstats.Stats(profile).total_calls - ticks) / ticks
-    assert per_tick < 14.8, f"{per_tick:.1f} profiled calls per microservice tick"
+    assert per_tick < 8.8, f"{per_tick:.1f} profiled calls per microservice tick"

@@ -15,7 +15,8 @@ and FT counters, and on every pod's usage, so a float that differs in its
 last bit fails. The scenarios cover workers on one allocation object and
 on objects A, B, A; FT with a slowed node and a lost worker (restart,
 restore, resubmission); memory pressure; no network cost, no CPU cost
-and neither (infinite capacity); a worker without memory; a worker
+and neither (infinite capacity, and a separate test for keyed state
+without either cost); a worker without memory; a worker
 whose allocation holds NaN, also while the job restores; a job with no
 running worker; and ticks whose ``dt`` is not 1.
 """
@@ -262,16 +263,13 @@ def memory_pressure():
 
 
 def costless():
-    """No network cost, no CPU cost, and neither: infinite capacity, and
-    with state its NaN (inf × 0 in the memory cut)."""
-    world = World(nodes=4)
+    """No network cost, no CPU cost, and neither: infinite capacity."""
+    world = World()
     free_cpu = [Operator("map", cpu_seconds=0.0)]
-    free_state = [Operator("map", cpu_seconds=0.0, state_mb_per_eps=1.0)]
     for name, operators, event_mb in (
         ("no-net", CHAIN, 0.0),
         ("no-cpu", free_cpu, 0.01),
         ("neither", free_cpu, 0),
-        ("neither-with-state", free_state, 0.0),
     ):
         job = world.job(name, operators=operators, event_mb=event_mb, workers=2)
         world.bind(0.5, job)
@@ -401,13 +399,40 @@ def test_memory_pressure_cuts_capacity():
     assert 0.0 < squeezed.usage.cpu < 400 * job.cpu_per_event
 
 
-def test_costless_jobs_have_unbounded_or_nan_capacity():
+def test_costless_jobs_have_unbounded_capacity():
     world, snapshots, _ = _run(costless, reference=False)
     last = {s[0]: s for s in snapshots}
     assert last["neither"][4] == "0.0"  # lag / inf
-    # NaN capacity is not > 0, so the watermark delay reads its ceiling.
-    assert last["neither-with-state"][4] == repr(StreamJob.max_lag_seconds)
     assert last["no-net"][3] != "nan" and last["no-cpu"][3] != "nan"
+
+
+def test_costless_worker_with_state_is_cut_by_its_memory():
+    # No CPU and no network cost, but 4 MB of state per event/s: each
+    # worker's capacity is the memory cut's limit, 1024 × 4 GiB / 4 =
+    # 1,024 events/s, not inf × (4 / inf), which is NaN.
+    world = World()
+    job = world.job(
+        "neither-with-state",
+        trace=StepTrace([(0.0, 1_000.0), (100.0, 3_000.0), (200.0, 500.0)]),
+        operators=[Operator("map", cpu_seconds=0.0, state_mb_per_eps=4.0)],
+        event_mb=0.0,
+        workers=2,
+    )
+    world.bind(0.5, job)
+    world.engine.run_until(99.0)
+    # Below capacity: the backlog from before the workers started is
+    # gone, and each worker holds the state for its 500 events/s.
+    assert job.lag_events == 0.0 and job.current_rate == 1_000.0
+    state_mb = job.mem_base + 4.0 * 500.0 / 1024.0
+    assert [pod.usage.memory for pod in job.running_pods()] == [state_mb] * 2
+    world.engine.run_until(150.0)
+    # The surge outruns both workers: they process 2,048 events/s and the
+    # lag grows by the rest over the 51 ticks from 100 s to 150 s, with a
+    # finite watermark delay.
+    assert job.current_rate == 2_048.0
+    assert job.lag_events == 51 * (3_000.0 - 2_048.0)
+    assert job.current_lag_seconds == job.lag_events / 2_048.0
+    assert 0.0 < job.current_lag_seconds < StreamJob.max_lag_seconds
 
 
 def test_a_tick_without_workers_and_dt_off_one():
