@@ -192,8 +192,8 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         "telemetry_overhead", "benchmarks.bench_telemetry_overhead",
         "Telemetry overhead gate",
         budgets={"events_executed": 13_000,
-                 "metrics.calls_off": 434_000,
-                 "metrics.calls_on": 453_000}),
+                 "metrics.calls_off": 394_000,
+                 "metrics.calls_on": 411_000}),
 )
 
 REGISTRY: dict[str, Experiment] = {e.name: e for e in EXPERIMENTS}

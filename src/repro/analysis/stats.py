@@ -44,7 +44,8 @@ class PLOMonitor:
     def __init__(self, engine: Engine, collector: MetricsCollector):
         self.engine = engine
         self.collector = collector
-        self._apps: list[Application] = []
+        # (app, its tracker, its ``plo/<app>/ratio`` name) per tracked app.
+        self._tracked: list[tuple[Application, ViolationTracker, str]] = []
         self.trackers: dict[str, ViolationTracker] = {}
         self._handle: PeriodicHandle | None = None
 
@@ -55,8 +56,8 @@ class PLOMonitor:
         if app.name in self.trackers:
             raise ValueError(f"application {app.name!r} already tracked")
         self.collector.declare(app.plo.metric_name(app.name))
-        self._apps.append(app)
         tracker = ViolationTracker()
+        self._tracked.append((app, tracker, f"plo/{app.name}/ratio"))
         self.trackers[app.name] = tracker
         return tracker
 
@@ -72,13 +73,14 @@ class PLOMonitor:
 
     def _loop(self) -> None:
         now = self.engine.now
-        for app in self._apps:
+        collector = self.collector
+        for app, tracker, ratio_name in self._tracked:
             if app.finished and app.plo.kind != "deadline":
                 continue
-            status = app.plo.evaluate(self.collector, app.name, now)
-            self.trackers[app.name].observe(now, status)
+            status = app.plo.evaluate(collector, app.name, now)
+            tracker.observe(now, status)
             if status.ratio is not None:
-                self.collector.record(f"plo/{app.name}/ratio", status.ratio)
+                collector.record(ratio_name, status.ratio)
 
 
 @dataclass(frozen=True)

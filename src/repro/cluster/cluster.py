@@ -20,7 +20,7 @@ from repro.cluster.events import (
     PodStarted,
     PodSubmitted,
 )
-from repro.cluster.node import Node, total_capacity
+from repro.cluster.node import Node, NodeError, total_capacity
 from repro.cluster.pod import Pod, PodPhase, PodSpec
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine
@@ -268,8 +268,9 @@ class Cluster:
 
         Returns True if the resize was accepted (fits on the node at
         request time). The new allocation is applied after the delay,
-        re-checked against headroom at apply time; a resize that no longer
-        fits is dropped, mirroring a rejected kubelet patch.
+        re-checked against headroom at apply time (by ``apply_resize``
+        itself); a resize that no longer fits is dropped, mirroring a
+        rejected kubelet patch.
         """
         if not self.can_resize(pod_name, new_allocation):
             return False
@@ -282,11 +283,11 @@ class Cluster:
                 pod, new_allocation, self.pods.values()
             ):
                 return
-            node = self.get_node(pod.node_name)
-            if not node.headroom_for_resize(pod, new_allocation):
-                return
             old = pod.allocation
-            node.apply_resize(pod, new_allocation)
+            try:
+                self.get_node(pod.node_name).apply_resize(pod, new_allocation)
+            except NodeError:
+                return
             self.events.publish(
                 PodResized(self.now, pod_name, old, new_allocation)
             )

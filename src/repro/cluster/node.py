@@ -103,12 +103,35 @@ class Node:
         """Whether a pod with this request can bind here right now."""
         return (self._allocated + request).fits_within(self.allocatable)
 
-    def headroom_for_resize(self, pod: Pod, new_allocation: ResourceVector) -> bool:
-        """Whether ``pod`` (already bound here) can grow to ``new_allocation``."""
+    def _resized_total(
+        self, pod: Pod, new_allocation: ResourceVector
+    ) -> tuple[float, float, float, float] | None:
+        """The allocated total with ``pod`` at ``new_allocation``, or None
+        when it does not fit.
+
+        ``(allocated - old) + new`` per field in :data:`RESOURCES` order on
+        float locals, the floats the vector arithmetic gives, each tested
+        against allocatable + 1e-9 as ``fits_within`` does.
+        """
         if pod.name not in self.pods:
             raise NodeError(f"pod {pod.name!r} is not bound to node {self.name!r}")
-        without = self._allocated - pod.allocation
-        return (without + new_allocation).fits_within(self.allocatable)
+        allocated, old, cap = self._allocated, pod.allocation, self.allocatable
+        cpu = allocated.cpu - old.cpu + new_allocation.cpu
+        memory = allocated.memory - old.memory + new_allocation.memory
+        disk_bw = allocated.disk_bw - old.disk_bw + new_allocation.disk_bw
+        net_bw = allocated.net_bw - old.net_bw + new_allocation.net_bw
+        if (
+            cpu <= cap.cpu + 1e-9
+            and memory <= cap.memory + 1e-9
+            and disk_bw <= cap.disk_bw + 1e-9
+            and net_bw <= cap.net_bw + 1e-9
+        ):
+            return cpu, memory, disk_bw, net_bw
+        return None
+
+    def headroom_for_resize(self, pod: Pod, new_allocation: ResourceVector) -> bool:
+        """Whether ``pod`` (already bound here) can grow to ``new_allocation``."""
+        return self._resized_total(pod, new_allocation) is not None
 
     # -- mutation ---------------------------------------------------------------
 
@@ -135,13 +158,12 @@ class Node:
 
     def apply_resize(self, pod: Pod, new_allocation: ResourceVector) -> None:
         """Atomically swap a bound pod's allocation (checked for fit)."""
-        if not self.headroom_for_resize(pod, new_allocation):
+        total = self._resized_total(pod, new_allocation)
+        if total is None:
             raise NodeError(
                 f"resize of pod {pod.name!r} on node {self.name!r} does not fit"
             )
-        self._allocated = (
-            self._allocated - pod.allocation + new_allocation
-        ).clamp_nonnegative()
+        self._allocated = ResourceVector._from_fields(*total).clamp_nonnegative()
         pod.allocation = new_allocation
         self.generation += 1
 

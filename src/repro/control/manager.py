@@ -59,7 +59,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
@@ -70,6 +69,7 @@ from repro.control.backpressure import BackpressureState
 from repro.control.estimator import SaturationSnapshot
 from repro.control.multiresource import ControlDecision, MultiResourceController
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.timeseries import TimeSeries
 from repro.obs.tracing import DecisionProvenance
 from repro.sim.engine import Engine, EventHandle, PeriodicHandle
 from repro.workloads.base import Application
@@ -194,6 +194,10 @@ class _Entry:
     # Span id of the current period's decide span (telemetry only), so
     # actuations — including delayed retries — parent to their decision.
     decision_span_id: int | None = None
+    #: The PLO-signal series and the usage and allocation series in
+    #: :data:`RESOURCES` order, kept once the collector stores all nine
+    #: (see :meth:`ControlLoopManager._bind`).
+    bound: tuple[TimeSeries, list[TimeSeries], list[TimeSeries]] | None = None
 
     def __post_init__(self) -> None:
         self.series = _Series(self.app)
@@ -414,11 +418,34 @@ class ControlLoopManager:
 
     # -- signal freshness / safe mode ---------------------------------------------
 
-    def _signal_fresh(self, entry: _Entry, error: float | None, now: float) -> bool:
+    def _bind(
+        self, entry: _Entry
+    ) -> tuple[TimeSeries | None, list[TimeSeries | None], list[TimeSeries | None]]:
+        """The entry's PLO-signal, usage and allocation series, each None
+        while the collector stores no such series.
+
+        Kept in ``entry.bound`` once all nine are stored: the collector
+        never replaces a series, and the first scrape that samples the
+        app stores every declared one it reports. Not bound at
+        :meth:`register`: creating the series there would move their
+        creation into set-up, before the run.
+        """
+        stored = self.collector.stored
+        names = entry.series
+        signal = stored(names.signal)
+        usage = [stored(name) for name in names.usage]
+        alloc = [stored(name) for name in names.alloc]
+        if signal is not None and None not in usage and None not in alloc:
+            entry.bound = signal, usage, alloc
+        return signal, usage, alloc
+
+    def _signal_fresh(
+        self, signal: TimeSeries | None, error: float | None, now: float
+    ) -> bool:
         """Whether the PLO signal is present *and* recently scraped."""
         if error is None:
             return False
-        last_t = self.collector.latest_time(entry.series.signal)
+        last_t = signal.last_time() if signal is not None else None
         return last_t is not None and now - last_t <= self.freshness_timeout
 
     def _enter_safe_mode(self, entry: _Entry, now: float) -> None:
@@ -476,8 +503,14 @@ class ControlLoopManager:
         """Track grow/reclaim flapping; True when the breaker just tripped."""
         if decision.action == "hold":
             return False
-        entry.directions.append(1 if decision.action == "grow" else -1)
-        flips = sum(1 for a, b in pairwise(entry.directions) if a != b)
+        directions = entry.directions
+        directions.append(1 if decision.action == "grow" else -1)
+        flips = 0
+        previous = directions[0]
+        for direction in directions:
+            if direction != previous:
+                flips += 1
+            previous = direction
         if flips >= BREAKER_FLAP_THRESHOLD:
             self._trip_breaker(entry, self.engine.now)
             return True
@@ -697,17 +730,20 @@ class ControlLoopManager:
 
     # -- the loop ----------------------------------------------------------------------
 
-    def _saturation(self, entry: _Entry) -> SaturationSnapshot:
-        """Saturation from scraped series, falling back to live pods."""
-        collector = self.collector
+    def _saturation(
+        self,
+        entry: _Entry,
+        usage_series: list[TimeSeries | None],
+        alloc_series: list[TimeSeries | None],
+    ) -> SaturationSnapshot:
+        """Saturation from the scraped usage and allocation series (None
+        where not stored), falling back to live pods."""
+        now = self.engine.now
         interval = self.interval
         fractions = {}
-        series = entry.series
-        for name, usage_series, alloc_series in zip(
-            RESOURCES, series.usage, series.alloc
-        ):
-            usage = collector.window_mean(usage_series, interval)
-            alloc = collector.latest(alloc_series)
+        for name, usage_of, alloc_of in zip(RESOURCES, usage_series, alloc_series):
+            usage = usage_of.mean_over(now, interval) if usage_of is not None else None
+            alloc = alloc_of.last() if alloc_of is not None else None
             if usage is None or alloc is None or alloc <= 0:
                 break
             fractions[name] = usage / alloc
@@ -747,8 +783,9 @@ class ControlLoopManager:
         the replica count after its writes (None when it made none)."""
         app = entry.app
         status = app.plo.evaluate(self.collector, app.name, now)
+        signal, usage, alloc = entry.bound or self._bind(entry)
 
-        if not self._signal_fresh(entry, status.error, now):
+        if not self._signal_fresh(signal, status.error, now):
             entry.skipped += 1
             verdict = "safe-mode-hold" if entry.safe_mode else "stale-skip"
             # Before the first signal ever arrives there is no last-known-
@@ -788,7 +825,7 @@ class ControlLoopManager:
             entry.counters["breaker_skips"] += 1
             return "breaker-skip", None, None
 
-        saturation = self._saturation(entry)
+        saturation = self._saturation(entry, usage, alloc)
         ff = 0.0
         if entry.feedforward is not None:
             ff = entry.feedforward.signal(app, now)
@@ -882,7 +919,9 @@ class ControlLoopManager:
         tel = self.telemetry
         app = entry.app
         metric = entry.series.signal
-        sample = self.collector.latest_sample(metric)
+        bound = entry.bound
+        series = bound[0] if bound is not None else self.collector.stored(metric)
+        sample = series.last_sample() if series is not None else None
         signal = signal_age = scrape_span = None
         if sample is not None:
             signal_time, signal = sample

@@ -15,7 +15,7 @@ classic single-resource controller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.cluster.resources import RESOURCES, ResourceVector
 from repro.control.adaptive import AdaptiveGainTuner
@@ -72,9 +72,12 @@ class AllocationBounds:
         return True
 
 
-@dataclass(frozen=True)
-class ControlDecision:
-    """Outcome of one control period for one application."""
+class ControlDecision(NamedTuple):
+    """Outcome of one control period for one application.
+
+    A named tuple, built once per decision: cheaper to construct than a
+    frozen dataclass, and as immutable.
+    """
 
     action: str  # "grow" | "reclaim" | "hold"
     new_allocation: ResourceVector
@@ -231,15 +234,13 @@ class MultiResourceController:
         # Per dimension: scale by max(0.05, 1 + effort × weight), clamp
         # into the bounds, and test closeness within 1e-9 to the proposal
         # (was it clamped?) and to the current allocation (any change?).
-        low, high = self.bounds.minimum, self.bounds.maximum
+        # Vectors iterate their fields in RESOURCES order.
+        bounds = self.bounds
         target = []
         was_clamped = False
         unchanged = True
         for w, cur, lo, hi in zip(
-            (w_cpu, w_memory, w_disk, w_net),
-            (current.cpu, current.memory, current.disk_bw, current.net_bw),
-            (low.cpu, low.memory, low.disk_bw, low.net_bw),
-            (high.cpu, high.memory, high.disk_bw, high.net_bw),
+            (w_cpu, w_memory, w_disk, w_net), current, bounds.minimum, bounds.maximum
         ):
             factor = 1.0 + effort * w
             proposed = cur * (factor if factor > 0.05 else 0.05)

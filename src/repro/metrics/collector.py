@@ -357,20 +357,6 @@ class MetricsCollector:
         series = self.stored(name)
         return series.last() if series is not None else None
 
-    def latest_time(self, name: str) -> float | None:
-        """Timestamp of the most recent sample, or None if empty.
-
-        Freshness probe: consumers compare this against ``engine.now`` to
-        detect a stalled scrape pipeline before acting on old data.
-        """
-        series = self.stored(name)
-        return series.last_time() if series is not None else None
-
-    def latest_sample(self, name: str) -> tuple[float, float] | None:
-        """Newest ``(time, value)`` of a declared series, or None if empty."""
-        series = self.stored(name)
-        return series.last_sample() if series is not None else None
-
     def scrape_span_at(self, time: float) -> int | None:
         """Span id of the last completed scrape at or before ``time``."""
         times = self._scrape_span_times

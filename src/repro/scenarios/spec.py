@@ -441,13 +441,30 @@ def trace_from_dict(
     raise ConfigError(f"unknown trace kind {kind!r}")
 
 
+def _numbers(key: str, data: dict) -> dict:
+    """``data``, an object of JSON numbers (no bools) under ``key``, each
+    finite: a NaN or infinite demand, objective or allocation would run
+    without an error and yield meaningless figures."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{key}: expected an object, got {data!r}")
+    for name, value in data.items():
+        if type(value) not in (int, float) or not -math.inf < value < math.inf:
+            raise ValueError(f"{key}.{name} must be a finite number, got {value!r}")
+    return data
+
+
+def _vector(key: str, data: dict) -> ResourceVector:
+    """The resource vector a spec's ``key`` object describes."""
+    return ResourceVector(**_numbers(key, data))
+
+
 def demands_from_dict(data: dict | list) -> ServiceDemands | list[DemandPhase]:
     """One demand profile, or a list of profiles with a ``start_time``."""
     if isinstance(data, dict):
-        return ServiceDemands(**data)
+        return ServiceDemands(**_numbers("demands", data))
     phases = []
-    for entry in data:
-        profile = dict(entry)
+    for i, entry in enumerate(data):
+        profile = dict(_numbers(f"demands[{i}]", entry))
         start = profile.pop("start_time")
         phases.append(DemandPhase(start, ServiceDemands(**profile)))
     return phases
@@ -461,7 +478,7 @@ def plo_from_dict(data: dict) -> LatencyPLO | ThroughputPLO:
     kind = params.pop("kind")
     if kind not in _PLOS:
         raise ConfigError(f"unknown plo kind {kind!r}")
-    return _PLOS[kind](**params)
+    return _PLOS[kind](**_numbers("plo", params))
 
 
 def _expand(kind: str, p: dict) -> dict:
@@ -557,7 +574,7 @@ def build_platform(spec: ScenarioSpec, *, telemetry: bool = False) -> EvolvePlat
         watermarks = spec.overload if isinstance(spec.overload, dict) else {}
         ceiling = {}
         if spec.max_allocation is not None:
-            ceiling["max_allocation"] = ResourceVector(**spec.max_allocation)
+            ceiling["max_allocation"] = _vector("max_allocation", spec.max_allocation)
         platform = EvolvePlatform(
             cluster_spec=cluster,
             config=PlatformConfig(
@@ -597,7 +614,7 @@ def build_platform(spec: ScenarioSpec, *, telemetry: bool = False) -> EvolvePlat
         if spec.quotas is not None:
             section = "quotas"
             for tenant, limit in spec.quotas.items():
-                platform.set_tenant_quota(tenant, ResourceVector(**limit))
+                platform.set_tenant_quota(tenant, _vector(f"quotas.{tenant}", limit))
         section = "chaos"
         for event in spec.chaos:
             _schedule_chaos(platform, event)
@@ -624,18 +641,18 @@ def _cluster_shape(spec: ScenarioSpec) -> dict:
     """The ClusterSpec keywords a format-5 spec sets."""
     shape = {}
     if spec.node_capacity is not None:
-        shape["node_capacity"] = ResourceVector(**spec.node_capacity)
+        shape["node_capacity"] = _vector("node_capacity", spec.node_capacity)
     if spec.system_reserved is not None:
-        shape["system_reserved"] = ResourceVector(**spec.system_reserved)
+        shape["system_reserved"] = _vector("system_reserved", spec.system_reserved)
     if spec.groups:
         shape["groups"] = tuple(
             NodeGroup(
                 name=g["name"],
                 count=g["count"],
-                capacity=ResourceVector(**g["capacity"]),
+                capacity=_vector(f"groups[{i}].capacity", g["capacity"]),
                 labels=g.get("labels", {}),
             )
-            for g in spec.groups
+            for i, g in enumerate(spec.groups)
         )
     return shape
 
@@ -684,7 +701,7 @@ def _deploy(
     name, kind = workload.name, workload.kind
     p = workload.general()
     options = {key: p[key] for key in _VERB_KEYS[kind] if key in p}
-    allocation = ResourceVector(**p["allocation"])
+    allocation = _vector("allocation", p["allocation"])
     if kind in ("micro", "stream"):
         trace = trace_from_dict(
             p["trace"], partial(platform.rng.stream, f"trace/{name}")

@@ -46,7 +46,23 @@ class PLOStatus:
         return PLOStatus(None, target, None, None, False)
 
 
-class LatencyPLO:
+class _Objective:
+    """What every PLO kind shares: the ``app/<app>/<metric>`` series it
+    reads, named once per application (each kind's ``__init__`` sets
+    ``_names``)."""
+
+    #: The application metric the objective reads.
+    metric = ""
+
+    def metric_name(self, app: str) -> str:
+        try:
+            return self._names[app]
+        except KeyError:
+            name = self._names[app] = f"app/{app}/{self.metric}"
+            return name
+
+
+class LatencyPLO(_Objective):
     """Tail-latency objective: ``p99 latency ≤ target`` seconds.
 
     Parameters
@@ -58,6 +74,7 @@ class LatencyPLO:
     """
 
     kind = "latency"
+    metric = "latency"
     #: Which tail the objective controls.
     percentile = 99.0
 
@@ -67,9 +84,7 @@ class LatencyPLO:
         self.target = float(target)
         self.window = float(window)
         self._last: PLOStatus | None = None
-
-    def metric_name(self, app: str) -> str:
-        return f"app/{app}/latency"
+        self._names: dict[str, str] = {}
 
     def evaluate(self, collector: MetricsCollector, app: str, now: float) -> PLOStatus:
         series = collector.stored(self.metric_name(app))
@@ -94,19 +109,18 @@ class LatencyPLO:
         return last
 
 
-class ThroughputPLO:
+class ThroughputPLO(_Objective):
     """Throughput objective: served rate ≥ target (req/s or tasks/s)."""
 
     kind = "throughput"
+    metric = "throughput"
 
     def __init__(self, target: float, *, window: float = 30.0):
         if target <= 0:
             raise ValueError("throughput target must be positive")
         self.target = float(target)
         self.window = float(window)
-
-    def metric_name(self, app: str) -> str:
-        return f"app/{app}/throughput"
+        self._names: dict[str, str] = {}
 
     def evaluate(self, collector: MetricsCollector, app: str, now: float) -> PLOStatus:
         series = collector.stored(self.metric_name(app))
@@ -120,7 +134,7 @@ class ThroughputPLO:
         return PLOStatus(measured, self.target, ratio, ratio - 1.0, ratio > 1.0)
 
 
-class DeadlinePLO:
+class DeadlinePLO(_Objective):
     """Batch-job objective: finish by an absolute deadline.
 
     ``evaluate`` compares projected completion (from the job's reported
@@ -129,19 +143,18 @@ class DeadlinePLO:
     """
 
     kind = "deadline"
+    metric = "progress"
 
     def __init__(self, deadline: float, *, start_time: float = 0.0):
         if deadline <= start_time:
             raise ValueError("deadline must be after start_time")
         self.deadline = float(deadline)
         self.start_time = float(start_time)
+        self._names: dict[str, str] = {}
 
     @property
     def target(self) -> float:
         return self.deadline
-
-    def metric_name(self, app: str) -> str:
-        return f"app/{app}/progress"
 
     def evaluate(self, collector: MetricsCollector, app: str, now: float) -> PLOStatus:
         series = collector.stored(self.metric_name(app))

@@ -183,6 +183,8 @@ class TestResize:
         assert not cluster.resize_pod("p0", ResourceVector(cpu=-1))
 
     def test_resize_dropped_if_headroom_vanishes(self, engine, cluster):
+        events = []
+        cluster.events.subscribe(PodResized, events.append)
         pod = cluster.submit(make_spec("p0", cpu=1))
         cluster.bind("p0", "node-0")
         engine.run_until(6.0)
@@ -192,8 +194,11 @@ class TestResize:
         # A competing pod grabs the headroom before the resize applies.
         cluster.submit(make_spec("greedy", cpu=free_cpu))
         cluster.bind("greedy", "node-0")
-        engine.run_until(8.0)
+        allocated = node.allocated
+        engine.run_until(8.0)  # the apply raises nothing
         assert pod.allocation.cpu == 1  # resize silently dropped
+        assert node.allocated is allocated
+        assert events == []
         node.verify_invariants()
 
     def test_resize_on_evicted_pod_is_noop(self, engine, cluster):

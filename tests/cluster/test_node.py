@@ -1,5 +1,8 @@
 """Unit tests for Node accounting."""
 
+import itertools
+import math
+
 import pytest
 
 from repro.cluster.node import Node, NodeError, total_capacity
@@ -94,6 +97,59 @@ def test_resize_unbound_pod_rejected():
     node = Node("n", CAP)
     with pytest.raises(NodeError):
         node.headroom_for_resize(make_pod(), ResourceVector(cpu=1))
+
+
+def _resize_edges(cap):
+    """(allocated, old, new) per field: the last float ``new`` that fits
+    under ``cap + 1e-9`` and the first that does not, signed zeros, a
+    negative total and NaN in either vector."""
+    limit = cap + 1e-9
+    over = limit - 2.0  # the first new for which (3 - 1) + new > limit
+    while 2.0 + over > limit:
+        over = math.nextafter(over, -math.inf)
+    while 2.0 + over <= limit:
+        over = math.nextafter(over, math.inf)
+    return [
+        (3.0, 1.0, math.nextafter(over, -math.inf)),
+        (3.0, 1.0, over),
+        (3.0, 1.0, cap - 2.0),
+        (0.0, 0.0, -0.0),
+        (-0.0, 0.0, -0.0),
+        (0.0, -0.0, 0.0),
+        (-0.0, -0.0, -0.0),
+        (2.0, 3.0, 0.5),  # total -0.5: fits, and clamps to 0
+        (1.0, 1.0, math.nan),
+        (math.nan, 1.0, 1.0),
+    ]
+
+
+def test_resize_fit_matches_vector_arithmetic():
+    # headroom_for_resize and apply_resize add field by field on floats;
+    # the reference is the vector arithmetic they replaced, compared by
+    # repr, so a signed zero or a NaN that comes out otherwise fails.
+    node = Node("n", CAP)
+    pod = make_pod()
+    node.bind(pod)
+    edges = [_resize_edges(cap) for cap in node.allocatable]
+    outcomes = set()
+    for combo in itertools.product(*edges):
+        allocated, old, new = (ResourceVector(*column) for column in zip(*combo))
+        node._allocated, pod.allocation = allocated, old
+        total = allocated - old + new
+        fits = total.fits_within(node.allocatable)
+        outcomes.add(fits)
+        assert node.headroom_for_resize(pod, new) is fits, combo
+        if fits:
+            node.apply_resize(pod, new)
+            assert repr(tuple(node.allocated)) == repr(
+                tuple(total.clamp_nonnegative())
+            ), combo
+            assert pod.allocation is new
+        else:
+            with pytest.raises(NodeError):
+                node.apply_resize(pod, new)
+            assert node.allocated is allocated and pod.allocation is old
+    assert outcomes == {True, False}
 
 
 def test_usage_aggregates_pods():

@@ -4,12 +4,13 @@
 diagnoses oscillation and sluggishness in one pass over its window,
 ``MultiResourceController.decide`` computes the four scaled, clamped
 dimensions and both closeness tests directly, and
-``ControlLoopManager._saturation`` reads series names built once at
-registration. This module keeps the bodies they replaced as the
-reference: a ``PIDGains`` built per update, the tuner's ``_sign_flips``
-and ``_sluggish`` helpers, the ``factors`` dict with
-``ResourceVector.scale``, the bounds' ``clamp`` and ``approx_equal``, and
-series names formatted per period.
+``ControlLoopManager`` reads the PLO signal, usage and allocation series
+it binds once the collector stores them. This module keeps the bodies
+they replaced as the reference: a ``PIDGains`` built per update, the
+tuner's ``_sign_flips`` and ``_sluggish`` helpers, the ``factors`` dict
+with ``ResourceVector.scale``, the bounds' ``clamp`` and ``approx_equal``,
+and collector reads by series names formatted per period (the freshness
+probe, the saturation snapshot and the provenance's newest sample).
 
 The reference ``decide`` counts a call before it validates
 ``feedforward``, as the replaced code did; no case here passes a negative
@@ -27,6 +28,7 @@ from __future__ import annotations
 import cProfile
 import functools
 import math
+import operator
 import pstats
 
 import pytest
@@ -209,6 +211,22 @@ def ref_decide(ctrl, error, saturation, current, dt, *, feedforward=0.0):
         action, clamped, error, output, gain_scale, weights,
         clamped=was_clamped,
     )
+
+
+def ref_latest_sample(collector, name):
+    """The deleted ``MetricsCollector.latest_sample``."""
+    series = collector.stored(name)
+    return series.last_sample() if series is not None else None
+
+
+def ref_signal_fresh(manager, app, error, now):
+    """The replaced freshness probe, through the deleted
+    ``MetricsCollector.latest_time``."""
+    if error is None:
+        return False
+    sample = ref_latest_sample(manager.collector, app.plo.metric_name(app.name))
+    last_t = sample[0] if sample is not None else None
+    return last_t is not None and now - last_t <= manager.freshness_timeout
 
 
 def ref_saturation(manager, app):
@@ -526,13 +544,16 @@ DEMANDS = ServiceDemands(
 REPLICA = ResourceVector(cpu=0.6, memory=1, disk_bw=15, net_bw=15)
 
 
-def _platform():
-    """Three managed services with feedforward on; an overload step; and
-    a scrape blackout of one service's usage series, so its saturation
-    falls back to the live pods while its latency stays fresh."""
+def _platform(*, telemetry=False):
+    """Three managed services with feedforward on; an overload step; a
+    scrape blackout of one service's usage series, so its saturation
+    falls back to the live pods while its latency stays fresh; a blackout
+    of another's latency long enough for safe mode; and a fourth service
+    deployed at 255 s while scrape rounds are dropped, so its first
+    periods find none of its series and it binds them after the others."""
     platform = EvolvePlatform(
         cluster_spec=ClusterSpec(node_count=3),
-        config=PlatformConfig(seed=5),
+        config=PlatformConfig(seed=5, telemetry=telemetry),
         scheduler="converged",
         policy="adaptive",
         policy_kwargs={"feedforward": True},
@@ -554,63 +575,148 @@ def _platform():
         plo=LatencyPLO(0.05, window=30),
     )
     faults = platform.metrics_faults
-    platform.engine.schedule_at(
-        300.0, lambda: faults.blackout("app/svc-1/usage", 300.0, 90.0)
-    )
+    at = platform.engine.schedule_at
+    at(250.0, lambda: faults.drop_scrapes(250.0, 40.0))
+    at(255.0, lambda: platform.deploy_microservice(
+        "late",
+        trace=DiurnalTrace(base=50, amplitude=30, period=600.0),
+        demands=DEMANDS,
+        allocation=REPLICA,
+        plo=LatencyPLO(0.06, window=30),
+    ))
+    at(300.0, lambda: faults.blackout("app/svc-1/usage", 300.0, 90.0))
+    at(420.0, lambda: faults.blackout("app/surge/latency", 420.0, 60.0))
     return platform
 
 
-def test_closed_loop_matches_reference():
-    platform = _platform()
+def _run_shadowed(platform):
+    """Run ``platform`` for 600 s with every decision, saturation snapshot,
+    freshness verdict and (with telemetry on) provenance signal checked
+    against the reference; return what the run went through."""
     manager = platform.policy.manager
-    decided = fallbacks = 0
+    collector = platform.collector
+    seen = {"decided": 0, "fallbacks": 0, "stale": 0, "provenance": 0}
     actions = set()
+    verdicts = set()
+    bound_at = {}
 
     def shadowed(fast):
         ref = _twin(fast)
         real = fast.decide
 
         def decide(error, saturation, current, dt, *, feedforward=0.0):
-            nonlocal decided
             got = real(error, saturation, current, dt, feedforward=feedforward)
             want = ref_decide(
                 ref, error, saturation, current, dt, feedforward=feedforward
             )
             assert _decision(got) == _decision(want), f"t={platform.engine.now}"
             assert _state(fast) == _state(ref), f"t={platform.engine.now}"
-            decided += 1
+            seen["decided"] += 1
             actions.add((got.action, feedforward > 0))
             return got
 
+        def reset():
+            # Leaving safe mode resets the controller: reset the twin too.
+            real_reset()
+            ref.reset()
+
+        real_reset = fast.reset
+        fast.reset = reset
         return decide
 
-    for entry in manager._entries.values():
-        entry.controller.decide = shadowed(entry.controller)
+    shadowed_entries = set()
+
+    def shadow_new_entries():
+        for name, entry in manager._entries.items():
+            if name not in shadowed_entries:
+                shadowed_entries.add(name)
+                entry.controller.decide = shadowed(entry.controller)
+
     real_saturation = manager._saturation
 
-    def saturation(entry):
-        nonlocal fallbacks
-        got = real_saturation(entry)
+    def saturation(entry, usage, alloc):
+        got = real_saturation(entry, usage, alloc)
         want, fell_back = ref_saturation(manager, entry.app)
         assert repr(got.fractions) == repr(want.fractions), (
             f"{entry.app.name} at t={platform.engine.now}"
         )
-        fallbacks += fell_back
+        seen["fallbacks"] += fell_back
         return got
 
+    real_step = manager._step
+
+    def step(entry, now):
+        shadow_new_entries()
+        app = entry.app
+        status = app.plo.evaluate(collector, app.name, now)
+        fresh = ref_signal_fresh(manager, app, status.error, now)
+        outcome = real_step(entry, now)
+        verdict = outcome[0]
+        verdicts.add(verdict)
+        stale = verdict in ("stale-skip", "safe-mode-hold", "safe-mode-entry")
+        assert stale == (not fresh), f"{app.name} at t={now}: {verdict}"
+        seen["stale"] += stale
+        if entry.bound is not None:
+            bound_at.setdefault(app.name, now)
+            signal, usage, alloc = entry.bound
+            names = entry.series
+            assert signal is collector.stored(names.signal)
+            assert all(map(operator.is_, usage, map(collector.stored, names.usage)))
+            assert all(map(operator.is_, alloc, map(collector.stored, names.alloc)))
+        return outcome
+
+    real_emit = manager._emit_provenance
+
+    def emit(entry, now, sp, verdict, decision, replicas):
+        metric = entry.app.plo.metric_name(entry.app.name)
+        want = ref_latest_sample(collector, metric)
+        real_emit(entry, now, sp, verdict, decision, replicas)
+        record = platform.telemetry.trace.provenance[-1]
+        assert (record.app, record.time) == (entry.app.name, now)
+        if want is None:
+            assert (record.inputs, record.signal_age, record.scrape_span_id) == (
+                {metric: None}, None, None
+            )
+        else:
+            signal_time, signal = want
+            assert repr(record.inputs) == repr({metric: signal})
+            assert repr(record.signal_age) == repr(now - signal_time)
+            assert record.scrape_span_id == collector.scrape_span_at(signal_time)
+        seen["provenance"] += 1
+
     manager._saturation = saturation
+    manager._step = step
+    manager._emit_provenance = emit
     platform.run(600.0)
-    assert decided == 3 * 60
-    assert fallbacks >= 3
+    return seen, actions, verdicts, bound_at
+
+
+@pytest.mark.parametrize("telemetry", [False, True], ids=["plain", "telemetry"])
+def test_closed_loop_matches_reference(telemetry):
+    platform = _platform(telemetry=telemetry)
+    seen, actions, verdicts, bound_at = _run_shadowed(platform)
+    # 60 periods of three services, and 35 of the late one from 260 s.
+    steps = 3 * 60 + 35
+    assert seen["decided"] + seen["stale"] == steps
+    # Stale: every service at 280 s (the dropped rounds), the late one at
+    # 260 and 270 s too, and the surge at 450-470 s, entering safe mode.
+    assert seen["stale"] == 4 + 2 + 3
+    assert seen["fallbacks"] >= 3
+    assert seen["provenance"] == (steps if telemetry else 0)
     assert {("grow", True), ("reclaim", False), ("hold", False)} <= actions
+    assert {"stale-skip", "safe-mode-entry", "actuated"} <= verdicts
+    # The late service finds no series of its own until the scrape round
+    # at 290 s, so it binds them 280 s after the others did.
+    assert bound_at == {"svc-0": 10.0, "svc-1": 10.0, "surge": 10.0, "late": 290.0}
 
 
 def test_control_step_call_budget():
     # Profiled calls per ControlLoopManager._step on the fleet smoke shape
-    # (six adaptive services on three nodes for 300 s, 180 steps): 159.8
+    # (six adaptive services on three nodes for 300 s, 180 steps): 110.1
     # measured (Python 3.11); the budget is that plus ~25%. Before the
-    # control period ran on locals it read 265.0 here. The run is
-    # seeded, so the count is the same on every machine.
+    # period read bound series and tested a resize's fit once it read
+    # 144.8, and before it ran on locals 265.0. The run is seeded, so the
+    # count is the same on every machine.
     platform = EvolvePlatform(
         cluster_spec=ClusterSpec(node_count=3),
         config=PlatformConfig(seed=3),
@@ -640,4 +746,4 @@ def test_control_step_call_budget():
     assert steps == 180
     # Each runcall also records the profiler's own disable() call.
     per_step = (pstats.Stats(profile).total_calls - steps) / steps
-    assert per_step < 200.0, f"{per_step:.1f} profiled calls per control step"
+    assert per_step < 138.0, f"{per_step:.1f} profiled calls per control step"

@@ -171,8 +171,7 @@ def test_scrape_span_at_returns_covering_round(engine, api):
 READS = (
     ("series", ()),
     ("latest", ()),
-    ("latest_time", ()),
-    ("latest_sample", ()),
+    ("stored", ()),
     ("window_mean", (10.0,)),
     ("window_percentile", (10.0, 99.0)),
     ("has_series", ()),
@@ -203,7 +202,7 @@ def test_record_of_an_undeclared_name_stores_nothing(engine, collector):
     collector.declare("custom/metric")
     assert not collector.has_series("custom/metric")
     assert collector.latest("custom/metric") is None
-    assert collector.latest_sample("custom/metric") is None
+    assert collector.stored("custom/metric") is None
 
 
 def test_has_series_means_at_least_one_sample(engine, collector):
@@ -213,7 +212,7 @@ def test_has_series_means_at_least_one_sample(engine, collector):
     assert not collector.has_series("custom/metric")
     collector.record("custom/metric", 1.0)
     assert collector.has_series("custom/metric")
-    assert collector.latest_sample("custom/metric") == (engine.now, 1.0)
+    assert collector.stored("custom/metric").last_sample() == (engine.now, 1.0)
 
 
 def test_source_with_nothing_declared_is_not_sampled(engine, collector):

@@ -152,11 +152,11 @@ class TestWindowStart:
         faults.drop_scrapes(engine.now + 10.0, 10.0)
         faults.blackout("node/node-0", engine.now + 10.0, 10.0)
         engine.run_until(25.0)
-        assert collector.latest_time("cluster/alloc_frac/cpu") == 25.0
-        assert collector.latest_time("node/node-0/usage_frac/cpu") == 25.0
+        assert collector.series("cluster/alloc_frac/cpu").last_time() == 25.0
+        assert collector.series("node/node-0/usage_frac/cpu").last_time() == 25.0
         engine.run_until(35.0)
         # The rounds at 30 and 35 are dropped.
-        assert collector.latest_time("cluster/alloc_frac/cpu") == 25.0
+        assert collector.series("cluster/alloc_frac/cpu").last_time() == 25.0
         assert faults.scrapes_dropped == 2
 
 
@@ -179,9 +179,9 @@ class TestCollectorIntegration:
         faults.drop_scrapes(engine.now, 30.0)
         engine.run_until(45.0)
         # No sample landed during the window; the last one predates it.
-        assert collector.latest_time("cluster/alloc_frac/cpu") <= 20.0
+        assert collector.series("cluster/alloc_frac/cpu").last_time() <= 20.0
         engine.run_until(60.0)
-        assert collector.latest_time("cluster/alloc_frac/cpu") >= 55.0
+        assert collector.series("cluster/alloc_frac/cpu").last_time() >= 55.0
 
     def test_blackout_stalls_one_prefix_only(self, engine, api):
         faults = make()
@@ -190,8 +190,8 @@ class TestCollectorIntegration:
         engine.run_until(20.0)
         faults.blackout("node/node-0", engine.now, 30.0)
         engine.run_until(45.0)
-        assert collector.latest_time("node/node-0/usage_frac/cpu") <= 20.0
-        assert collector.latest_time("node/node-1/usage_frac/cpu") >= 40.0
+        assert collector.series("node/node-0/usage_frac/cpu").last_time() <= 20.0
+        assert collector.series("node/node-1/usage_frac/cpu").last_time() >= 40.0
 
     def test_frozen_series_keeps_fresh_timestamps(self, engine, api):
         faults = make()
@@ -205,7 +205,7 @@ class TestCollectorIntegration:
         engine.run_until(45.0)
         # Values are stale but timestamps advance: the hard staleness mode.
         assert collector.latest("cluster/alloc_frac/cpu") == frozen_value
-        assert collector.latest_time("cluster/alloc_frac/cpu") >= 40.0
+        assert collector.series("cluster/alloc_frac/cpu").last_time() >= 40.0
         engine.run_until(55.0)
         assert collector.latest("cluster/alloc_frac/cpu") == pytest.approx(12 / 48)
 

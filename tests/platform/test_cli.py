@@ -255,6 +255,15 @@ def _poisson_nan_base(spec):
     spec["workloads"][0]["params"]["base"] = math.nan
 
 
+def _web(key, value):
+    """Sets the short-form service's ``key`` to ``value``."""
+
+    def fault(spec):
+        spec["workloads"][0]["params"][key] = value
+
+    return fault
+
+
 def _chaos(**times):
     event = {"domain": "crash", "at": 10.0, "duration": 5.0, "target": 0}
     return {"chaos": [{**event, **times}]}
@@ -341,6 +350,44 @@ def _job(kind, delay):
         pytest.param("replay", _job("hpc", math.nan),
                      "{path}: hpc 'job': delay must be a finite number ≥ 0",
                      id="replay-hpc-nan-delay"),
+        # A NaN allocation ran with every period violated at $0.00, an
+        # infinite one or a NaN or infinite objective never violated, a
+        # NaN demand ran meaningless queues, and a string objective ended
+        # in a comparison error.
+        pytest.param("run", _web("cpu", math.nan),
+                     "{path}: micro 'web': allocation.cpu must be a finite "
+                     "number, got nan", id="run-nan-cpu"),
+        pytest.param("replay", _web("cpu", math.inf),
+                     "{path}: micro 'web': allocation.cpu must be a finite "
+                     "number, got inf", id="replay-infinite-cpu"),
+        pytest.param("run", _web("plo", math.nan),
+                     "{path}: micro 'web': plo.target must be a finite number, "
+                     "got nan", id="run-nan-plo"),
+        pytest.param("run", _web("plo", math.inf),
+                     "{path}: micro 'web': plo.target must be a finite number, "
+                     "got inf", id="run-infinite-plo"),
+        pytest.param("replay", _web("plo", "0.05"),
+                     "{path}: micro 'web': plo.target must be a finite number, "
+                     "got '0.05'", id="replay-string-plo"),
+        pytest.param("run", _web("cpu_seconds", math.nan),
+                     "{path}: micro 'web': demands.cpu_seconds must be a "
+                     "finite number, got nan", id="run-nan-cpu-seconds"),
+        pytest.param("run", {"max_allocation": {"cpu": math.inf}},
+                     "{path}: platform: max_allocation.cpu must be a finite "
+                     "number, got inf", id="run-infinite-max-allocation"),
+        pytest.param("run", {"node_capacity": {"cpu": 16, "memory": math.nan}},
+                     "{path}: cluster: node_capacity.memory must be a finite "
+                     "number, got nan", id="run-nan-node-capacity"),
+        pytest.param("run", {"system_reserved": {"net_bw": -math.inf}},
+                     "{path}: cluster: system_reserved.net_bw must be a finite "
+                     "number, got -inf", id="run-infinite-system-reserved"),
+        pytest.param("run", {"groups": [{"name": "g", "count": 2,
+                                         "capacity": {"cpu": math.nan}}]},
+                     "{path}: cluster: groups[0].capacity.cpu must be a finite "
+                     "number, got nan", id="run-nan-group-capacity"),
+        pytest.param("run", {"quotas": {"team": {"cpu": True}}},
+                     "{path}: quotas: quotas.team.cpu must be a finite number, "
+                     "got True", id="run-bool-quota"),
     ],
 )
 def test_malformed_spec_exits_2(command, fault, named, tmp_path, capsys):
