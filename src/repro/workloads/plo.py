@@ -55,11 +55,11 @@ class _Objective:
     metric = ""
 
     def metric_name(self, app: str) -> str:
-        try:
-            return self._names[app]
-        except KeyError:
-            name = self._names[app] = f"app/{app}/{self.metric}"
-            return name
+        names = self._names
+        if app in names:
+            return names[app]
+        name = names[app] = f"app/{app}/{self.metric}"
+        return name
 
 
 class LatencyPLO(_Objective):

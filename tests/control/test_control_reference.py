@@ -691,8 +691,15 @@ def _run_shadowed(platform):
     return seen, actions, verdicts, bound_at
 
 
-@pytest.mark.parametrize("telemetry", [False, True], ids=["plain", "telemetry"])
-def test_closed_loop_matches_reference(telemetry):
+def test_closed_loop_matches_reference():
+    _check_closed_loop(telemetry=False)
+
+
+def test_closed_loop_with_telemetry_matches_reference():
+    _check_closed_loop(telemetry=True)
+
+
+def _check_closed_loop(*, telemetry):
     platform = _platform(telemetry=telemetry)
     seen, actions, verdicts, bound_at = _run_shadowed(platform)
     # 60 periods of three services, and 35 of the late one from 260 s.
