@@ -30,9 +30,10 @@ Per spec the engine maintains
 
 The engine also exports ``slo/*`` gauges into its registry
 (attainment, both burn rates, firing flag) so SLO health is scrapeable
-like any other ``ctrl/*`` self-metric. Exports lag evaluation by one
-scrape round: the registry is sampled during the scrape, the hook runs
-after it.
+like any other ``ctrl/*`` self-metric. The telemetry bundle sets them
+from the engine's state when it exports (:meth:`SLOEngine.sync_gauges`),
+so exports lag evaluation by one scrape round: the registry is sampled
+during the scrape, the hook runs after it.
 """
 
 from __future__ import annotations
@@ -248,7 +249,6 @@ class SLOEngine:
                 registry.gauge(f"{base}/burn_slow"),
                 registry.gauge(f"{base}/firing"),
             )
-            self._gauges[spec.name][0].set(1.0)
 
     # -- evaluation (the collector's scrape hook) -----------------------------
 
@@ -287,11 +287,17 @@ class SLOEngine:
             elif burn_fast < BURN_THRESHOLD:
                 state.firing = False
                 state.alerts[-1].resolved_at = now
-            gauges = self._gauges[spec.name]
-            gauges[0].set(state.attainment())
-            gauges[1].set(burn_fast)
-            gauges[2].set(burn_slow)
-            gauges[3].set(1.0 if state.firing else 0.0)
+
+    def sync_gauges(self) -> None:
+        """Set the ``slo/*`` gauges from each SLO's state. The telemetry
+        bundle calls this when it exports, so a run that stores no
+        ``ctrl/slo/*`` series sets none."""
+        for name, state in self.states.items():
+            attainment, burn_fast, burn_slow, firing = self._gauges[name]
+            attainment.set(state.attainment())
+            burn_fast.set(state.burn(state.fast))
+            burn_slow.set(state.burn(state.slow))
+            firing.set(1.0 if state.firing else 0.0)
 
     # -- reporting ------------------------------------------------------------
 

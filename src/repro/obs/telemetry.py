@@ -119,6 +119,7 @@ class Telemetry:
         self._dp_jobs: list = []
         self._dp_streams: list = []
         self._repair = None
+        self._slo_engine = None
         # Previous scrape's full export, for delta suppression (below).
         self._last_export: dict[str, float] | None = None
 
@@ -150,6 +151,10 @@ class Telemetry:
     def attach_repair(self, repair) -> None:
         """Sync ``store/*`` metrics from this StorageRepairService."""
         self._repair = repair
+
+    def attach_slo_engine(self, engine) -> None:
+        """Sync ``slo/*`` gauges from this SLOEngine."""
+        self._slo_engine = engine
 
     def _sync_components(self) -> None:
         """Pull resilience / data-plane / storage counters into the
@@ -234,6 +239,8 @@ class Telemetry:
             self.store_traffic.value = repair.repair_traffic_mb
             self.store_dropped.value = float(repair.dropped_replicas)
             self.store_unplaceable.value = float(repair.unplaceable)
+        if self._slo_engine is not None:
+            self._slo_engine.sync_gauges()
 
     # -- MetricsSource protocol (the collector scrapes the bundle) ------------
 

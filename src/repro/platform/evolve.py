@@ -73,6 +73,7 @@ from repro.workloads.bigdata import BigDataJob, Stage
 from repro.workloads.hpc import HPCJob
 from repro.workloads.microservice import DemandPhase, Microservice, ServiceDemands
 from repro.workloads.plo import DeadlinePLO, LatencyPLO, ThroughputPLO, ViolationTracker
+from repro.workloads.stream import Operator, StreamJob
 from repro.workloads.traces import LoadTrace
 
 #: Autoscaling policies selectable by name (snapshot of the registry at
@@ -259,6 +260,7 @@ class EvolvePlatform:
                 registry=self.telemetry.registry,
             )
             self.collector.add_scrape_hook(self.slo_engine.on_scrape)
+            self.telemetry.attach_slo_engine(self.slo_engine)
         self._started = False
         self._run_until = 0.0
 
@@ -527,21 +529,19 @@ class EvolvePlatform:
         name: str,
         *,
         trace: LoadTrace,
-        operators,
+        operators: Sequence[Operator],
         allocation: ResourceVector,
         plo: LatencyPLO | ThroughputPLO | None = None,
         workers: int = 1,
         managed: bool = True,
         **kwargs,
-    ) -> "StreamJob":
+    ) -> StreamJob:
         """Deploy a continuous stream pipeline, optionally PLO-managed.
 
         A LatencyPLO on a stream job targets the watermark delay
         (seconds of lag), which the job exports as its ``latency``
         metric.
         """
-        from repro.workloads.stream import StreamJob
-
         kwargs.setdefault("ft", self.config.data_plane)
         app = StreamJob(
             name,

@@ -42,6 +42,7 @@ from repro.scenarios.spec import (
     build_platform,
     load_spec,
     read_spec_file,
+    spec_file,
 )
 
 #: Bump when any existing entry's spec changes (see the pack contract).
@@ -85,13 +86,10 @@ def _load(directory: Path, name: str) -> PackEntry:
     if not path.is_file():
         raise UnknownScenarioError(name, _names(directory))
     data = read_spec_file(path)
-    declared = data.get("name", name)
-    if declared != name:
-        raise ConfigError(f"{path.name} declares name {declared!r}")
-    try:
+    with spec_file(path):
+        if data.get("name", name) != name:
+            raise ConfigError(f"declares name {data['name']!r}")
         spec = ScenarioSpec.from_dict(data)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     return PackEntry(
         name=name,
         description=data.get("description", ""),

@@ -7,19 +7,24 @@ that turns a spec into a wired :class:`EvolvePlatform`; ``repro run``,
 ``report``, ``arena``, ``fuzz`` and R-T10/R-T11/R-T12 all load and build
 through it. docs/scenarios.md describes every key, the short and the
 general workload form, and the rule that keeps older readers working: a
-spec that needs nothing of format 5 is written as format 4.
+spec that needs nothing of format 5 is written as format 4. Every value
+a spec sets is checked by one rule, against the annotation of the
+parameter it reaches (:func:`_checked`).
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from types import UnionType
+from typing import Any, Callable, Union, get_args, get_origin
 
 from repro.cluster.chaos import (
     ControllerCrashInjector,
@@ -46,10 +51,12 @@ from repro.workloads.arrivals import (
     ParetoSizes,
     PoissonArrivals,
 )
-from repro.workloads.bigdata import Stage
+from repro.workloads.base import Application
+from repro.workloads.bigdata import BigDataJob, Stage
+from repro.workloads.hpc import HPCJob
 from repro.workloads.microservice import DemandPhase, Microservice, ServiceDemands
 from repro.workloads.plo import LatencyPLO, ThroughputPLO
-from repro.workloads.stream import Operator
+from repro.workloads.stream import StreamJob
 from repro.workloads.traceio import load_trace
 from repro.workloads.traces import (
     BurstyTrace,
@@ -73,7 +80,7 @@ from repro.workloads.traces import (
 #: version 4 adds the trace-model fields ``arrival_model``,
 #: ``heavy_tail`` and ``surge`` plus the ``samples`` micro param;
 #: version 5 adds the general workload form and the keys of
-#: :data:`_V5_PARSERS`. Older files still load: every new key defaults
+#: :data:`_V5_KEYS`. Older files still load: every new key defaults
 #: to the old behaviour.
 FORMAT_VERSION = 5
 SUPPORTED_FORMATS = (1, 2, 3, 4, 5)
@@ -114,6 +121,131 @@ def _config_error(section: str, exc: Exception) -> ConfigError:
     return ConfigError(f"{section}: {exc}")
 
 
+# -- the one rule: a value against the parameter it sets -------------------------
+
+#: The Python types a JSON value of each plain annotation may have, and
+#: how an error names them. A bool is not a number, and a float must be
+#: finite: a NaN or infinite demand, objective, allocation or time would
+#: run without an error and yield meaningless figures.
+_JSON = {
+    float: ((int, float), "a finite number"),
+    int: ((int,), "an integer"),
+    bool: ((bool,), "a bool"),
+    str: ((str,), "a string"),
+    dict: ((dict,), "an object"),
+    list: ((list,), "a list"),
+    type(None): ((type(None),), "null"),
+}
+
+
+def _test(annotation) -> tuple:
+    """An annotation as a plain test: ``(types, label, build)``, where
+    ``build(value, where)`` builds a nested value, or is None."""
+    if annotation in _JSON:
+        return (*_JSON[annotation], None)
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin in (Union, UnionType):
+        tests = [_test(arg) for arg in args]
+        nested = [t[2] for t in tests if t[0] != (type(None),)]
+        return (
+            sum((t[0] for t in tests), ()),
+            " or ".join(dict.fromkeys(t[1] for t in tests)),
+            nested[0] if len(nested) == 1 else None,
+        )
+    # A tuple's items share its first item's type (here, pairs of floats).
+    if origin in (list, tuple, Sequence):
+        return ((list,), "a list", partial(_items, _test(args[0]), origin is tuple))
+    if origin in (dict, Mapping):
+        return ((dict,), "an object", partial(_entries, _test(args[1])))
+    # A class: an object of its parameters, unless the spec writes it in
+    # a form of its own that the builder turns into it.
+    build = None if annotation in _BUILT_HERE else partial(_build, annotation)
+    return ((dict,), "an object", build)
+
+
+def _items(test: tuple, as_tuple: bool, value: list, where: str):
+    built = [_value(test, item, f"{where}[{i}]") for i, item in enumerate(value)]
+    return tuple(built) if as_tuple else built
+
+
+def _entries(test: tuple, value: dict, where: str) -> dict:
+    return {key: _value(test, item, f"{where}.{key}") for key, item in value.items()}
+
+
+_INF = math.inf
+
+
+def _value(test: tuple, value, where: str):
+    """``value`` checked against one resolved annotation, then built."""
+    types, label, build = test
+    if type(value) not in types or type(value) is float and not -_INF < value < _INF:
+        raise ConfigError(f"{where} must be {label}, got {value!r}")
+    return value if build is None else build(value, where)
+
+
+def _at(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+#: Resolved parameters by target: ``(tests by key, required keys)``.
+_PARAMS: dict = {}
+
+
+def _params(target, skip=()) -> tuple[dict, tuple]:
+    """The keys a spec may set on ``target``, as plain tests, and the
+    required ones: the annotations are read here, once per target. The
+    parameters in ``skip`` are the builder's."""
+    if target in _PARAMS:
+        return _PARAMS[target]
+    sources, keys = _SOURCES.get(target, ((target,), None))
+    params, required = {}, []
+    for source in sources:
+        for name, p in inspect.signature(source, eval_str=True).parameters.items():
+            if p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) or name in skip:
+                continue
+            if name not in params and (keys is None or name in keys):
+                params[name] = _test(p.annotation)
+                if p.default is p.empty:
+                    required.append(name)
+    _PARAMS[target] = params, tuple(required)
+    return _PARAMS[target]
+
+
+def _checked(target, data: dict, where: str, skip=()) -> dict:
+    """The keyword arguments the JSON object ``data`` gives ``target``,
+    each checked against the annotation of its parameter and built.
+    ``where`` names ``data`` in errors. A valid leaf costs no call."""
+    if type(data) is not dict:
+        raise ConfigError(f"{where} must be an object, got {data!r}")
+    try:
+        params, required = _PARAMS[target]
+    except KeyError:
+        params, required = _params(target, skip)
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"missing required key {_at(where, key)!r}")
+    kwargs = {}
+    for key in data:
+        value = data[key]
+        if key not in params:
+            raise ConfigError(f"unknown key {_at(where, key)!r}")
+        types, label, build = params[key]
+        if type(value) not in types or (
+            type(value) is float and not -_INF < value < _INF
+        ):
+            raise ConfigError(f"{_at(where, key)} must be {label}, got {value!r}")
+        kwargs[key] = value if build is None else build(value, _at(where, key))
+    return kwargs
+
+
+def _build(target, data: dict, where: str, *args, **given):
+    """``target(*args, **given)`` plus what ``data`` sets, checked."""
+    return target(*args, **_checked(target, data, where, given), **given)
+
+
+_OBJECT, _NUMBER = _test(dict), _test(float)
+
+
 # -- the spec ------------------------------------------------------------------
 
 
@@ -125,27 +257,24 @@ class WorkloadSpec:
     name: str
     params: dict
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "name": self.name, "params": self.params}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadSpec":
-        if not isinstance(data, dict):
-            raise TypeError(f"expected an object, got {data!r}")
-        if data["kind"] not in WORKLOAD_KINDS:
+    def __post_init__(self) -> None:
+        if self.kind not in WORKLOAD_KINDS:
             raise ValueError(
-                f"unknown workload kind {data['kind']!r} "
+                f"unknown workload kind {self.kind!r} "
                 f"(choose from {', '.join(WORKLOAD_KINDS)})"
             )
-        return cls(
-            kind=data["kind"], name=data["name"], params=dict(data["params"])
-        )
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "name": self.name, "params": self.params}
 
     def general(self) -> dict:
         """The params in the general form."""
         if "allocation" in self.params:
             return self.params
-        return _expand(self.kind, self.params)
+        short = _SHORT[self.kind]
+        if self.kind == "micro" and "samples" in self.params:
+            short = _replay_micro
+        return _build(short, self.params, "")
 
 
 @dataclass(frozen=True)
@@ -162,31 +291,29 @@ class ChaosEvent:
     target: int
 
     def __post_init__(self) -> None:
+        if self.domain not in _FAULT_KINDS:
+            raise ValueError(
+                f"unknown chaos domain {self.domain!r} "
+                f"(choose from {', '.join(_FAULT_KINDS)})"
+            )
         # A NaN or negative time would strike or heal out of order (a
         # heal before its strike leaves a crashed node dark).
         for key in ("at", "duration"):
-            value = getattr(self, key)
+            value = float(getattr(self, key))
             if not 0.0 <= value < math.inf:
                 raise ValueError(
                     f"{key} must be a finite number ≥ 0, got {value!r}"
                 )
+            object.__setattr__(self, key, value)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosEvent":
-        if data["domain"] not in _FAULT_KINDS:
-            raise ValueError(
-                f"unknown chaos domain {data['domain']!r} "
-                f"(choose from {', '.join(_FAULT_KINDS)})"
-            )
-        return cls(
-            domain=data["domain"],
-            at=float(data["at"]),
-            duration=float(data["duration"]),
-            target=int(data["target"]),
-        )
+
+#: Top-level keys a spec file may hold besides the fields: its format,
+#: the pack's metadata and a fuzz repro's violations. Only ``format`` is
+#: read.
+METADATA = ("format", "name", "description", "tags", "pack_version", "violations")
 
 
 @dataclass(frozen=True)
@@ -242,26 +369,21 @@ class ScenarioSpec:
                 f"arrival_model must be one of {ARRIVAL_MODELS}, "
                 f"got {self.arrival_model!r}"
             )
-        # An infinite horizon would never end; NaN fails the comparison.
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ValueError(
-                f"horizon must be positive and finite, got {self.horizon!r}"
-            )
-        if self.fault_cycle is not None and not (
-            self.fault_cycle > 0 and math.isfinite(self.fault_cycle)
-        ):
-            raise ValueError(
-                f"fault_cycle must be positive and finite, got {self.fault_cycle!r}"
-            )
-        if self.groups and sum(g["count"] for g in self.groups) != self.nodes:
-            raise ValueError("nodes must equal the node groups' total count")
+        if not self.horizon > 0:
+            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+        if self.fault_cycle is not None and not self.fault_cycle > 0:
+            raise ValueError(f"fault_cycle must be positive, got {self.fault_cycle!r}")
+        # Whole seconds in a file load as the floats every writer holds.
+        object.__setattr__(self, "horizon", float(self.horizon))
+        if self.fault_cycle is not None:
+            object.__setattr__(self, "fault_cycle", float(self.fault_cycle))
 
     def to_dict(self) -> dict:
         data = {"format": 4}
-        for key in _PARSERS:
-            value = getattr(self, key)
-            if key not in _V5_PARSERS or value != _DEFAULTS[key]:
-                data[key] = value
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in _V5_KEYS or value != f.default:
+                data[f.name] = value
         data["workloads"] = [w.to_dict() for w in self.workloads]
         data["chaos"] = [c.to_dict() for c in self.chaos]
         if self.slos:
@@ -269,7 +391,7 @@ class ScenarioSpec:
         if self.groups:
             data["groups"] = list(self.groups)
         if (
-            data.keys() & _V5_PARSERS.keys()
+            data.keys() & _V5_KEYS
             or isinstance(self.overload, dict)
             or any("allocation" in w.params for w in self.workloads)
         ):
@@ -280,85 +402,39 @@ class ScenarioSpec:
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         """Parse a spec; raises :class:`ConfigError` naming the bad key.
 
-        Keys this format does not know (pack metadata, a repro file's
-        ``violations``) are ignored.
+        Each value is checked against the annotation of its field; a key
+        that is neither a field nor in :data:`METADATA` is refused.
         """
         version = data.get("format", FORMAT_VERSION)
-        if version not in SUPPORTED_FORMATS:
+        if type(version) is not int or version not in SUPPORTED_FORMATS:
             raise ConfigError(
-                f"format {version} not supported "
+                f"format {version!r} not supported "
                 f"(this build reads formats {SUPPORTED_FORMATS})"
             )
-        kwargs = {}
-        for key, parse in _PARSERS.items():
+        params, required = _params(cls)
+        for key in required:
             if key not in data:
-                if key in _REQUIRED:
-                    raise ConfigError(f"missing required key {key!r}")
+                raise ConfigError(f"missing required key {key!r}")
+        kwargs = {}
+        for key, value in data.items():
+            if key in METADATA:
                 continue
+            if key not in params:
+                raise ConfigError(f"unknown key {key!r}")
             try:
-                kwargs[key] = parse(data[key])
-            except ConfigError:
-                raise
-            except (TypeError, ValueError, KeyError) as exc:
+                kwargs[key] = _value(params[key], value, key)
+            except (TypeError, ValueError) as exc:
                 raise _config_error(key, exc) from exc
         try:
             return cls(**kwargs)
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError) as exc:
             raise _config_error("spec", exc) from exc
 
 
-def _json(kind: type) -> Callable[[Any], Any]:
-    """A parser accepting only values of the JSON type ``kind``."""
-    label = {str: "a string", dict: "an object", list: "a list"}[kind]
-
-    def parse(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"expected {label}, got {value!r}")
-        return value
-
-    return parse
-
-
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-#: Every key a spec file may set up to format 4, with its parser.
-_PARSERS: dict[str, Callable[[Any], Any]] = {
-    "seed": int,
-    "horizon": float,
-    "nodes": int,
-    "controller_replicas": int,
-    "scheduler": str,
-    "workloads": lambda v: tuple(WorkloadSpec.from_dict(w) for w in v),
-    "chaos": lambda v: tuple(ChaosEvent.from_dict(c) for c in v),
-    "zones": int,
-    "overload": lambda v: v if isinstance(v, dict) else bool(v),
-    "ft": bool,
-    "arrival_model": str,
-    "heavy_tail": bool,
-    "surge": bool,
-}
-#: The keys format 5 added (``overload`` objects and general-form
+_FIELDS = [f.name for f in fields(ScenarioSpec)]
+#: The fields format 5 added (``overload`` objects and general-form
 #: workloads are format 5 too).
-_V5_PARSERS = {
-    "policy": _json(str),
-    "policy_kwargs": _json(dict),
-    "scheduler_kwargs": _json(dict),
-    "node_capacity": _json(dict),
-    "system_reserved": _json(dict),
-    "groups": lambda v: tuple(_json(list)(v)),
-    "quotas": _json(dict),
-    "monkey": _json(dict),
-    "slos": lambda v: tuple(SLOSpec(**_json(dict)(s)) for s in _json(list)(v)),
-    "max_allocation": _json(dict),
-    "fault_cycle": _number,
-}
-_PARSERS.update(_V5_PARSERS)
-_REQUIRED = ("seed", "horizon", "nodes")
-_DEFAULTS = {f.name: f.default for f in fields(ScenarioSpec)}
+_V5_KEYS = frozenset(_FIELDS[_FIELDS.index("policy"):])
 
 
 def load_spec(path: str | Path) -> ScenarioSpec:
@@ -387,15 +463,25 @@ def read_spec_file(path: str | Path) -> dict:
 
 # -- general-form parts ----------------------------------------------------------
 
-#: Trace kinds built straight from their parameters.
 _TRACES = {
     "constant": ConstantTrace,
+    "step": StepTrace,
     "ramp": RampTrace,
     "diurnal": DiurnalTrace,
     "flash_crowd": FlashCrowdTrace,
+    "bursty": BurstyTrace,
+    "ou": OUTrace,
+    "noisy": NoisyTrace,
+    "composite": CompositeTrace,
+    "replay": ReplayTrace,
 }
 #: Trace kinds that draw from the workload's ``trace/<name>`` stream.
-_DRAWING_TRACES = {"bursty": BurstyTrace, "ou": OUTrace}
+_DRAWING = ("bursty", "ou", "noisy")
+
+
+def _replay_file(path: str, *, time_scale: float = 1.0, rate_scale: float = 1.0):
+    """A ``replay`` trace read from a trace file."""
+    return load_trace(path).trace(time_scale=time_scale, rate_scale=rate_scale)
 
 
 def trace_from_dict(
@@ -407,66 +493,38 @@ def trace_from_dict(
     ``ou``, ``noisy``); it is called only for them, so other traces
     create no stream.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"trace: expected an object, got {data!r}")
-    params = dict(data)
+    params = dict(_value(_OBJECT, data, "trace"))
     kind = params.pop("kind", None)
+    if kind not in _TRACES:
+        missing = "trace: missing required key 'kind'"
+        raise ConfigError(missing if kind is None else f"unknown trace kind {kind!r}")
+    target = _replay_file if kind == "replay" and "path" in params else _TRACES[kind]
     try:
-        if kind in _TRACES:
-            return _TRACES[kind](**params)
-        if kind in _DRAWING_TRACES:
-            return _DRAWING_TRACES[kind](**params, rng=stream())
-        if kind == "step":
-            steps = [tuple(s) for s in params.pop("steps")]
-            return StepTrace(steps, **params)
+        kwargs = _checked(target, params, "", ("rng",))
         if kind == "noisy":
-            base = trace_from_dict(params.pop("base"), stream)
-            return NoisyTrace(base, **params, rng=stream())
-        if kind == "composite":
-            return CompositeTrace(
-                [trace_from_dict(c, stream) for c in params.pop("components")]
-            )
-        if kind == "replay":
-            path = params.pop("path", None)
-            if path is not None:
-                return load_trace(path).trace(**params)
-            samples = [tuple(s) for s in params.pop("samples")]
-            return ReplayTrace(samples, **params)
-    except ConfigError:
-        raise
+            kwargs["base"] = trace_from_dict(kwargs["base"], stream)
+        elif kind == "composite":
+            kwargs["components"] = [
+                trace_from_dict(c, stream) for c in kwargs["components"]
+            ]
+        if kind in _DRAWING:
+            kwargs["rng"] = stream()
+        return target(**kwargs)
     except _LIBRARY_ERRORS as exc:
         raise _config_error(f"trace kind {kind!r}", exc) from exc
-    if kind is None:
-        raise ConfigError("trace: missing required key 'kind'")
-    raise ConfigError(f"unknown trace kind {kind!r}")
-
-
-def _numbers(key: str, data: dict) -> dict:
-    """``data``, an object of JSON numbers (no bools) under ``key``, each
-    finite: a NaN or infinite demand, objective or allocation would run
-    without an error and yield meaningless figures."""
-    if not isinstance(data, dict):
-        raise TypeError(f"{key}: expected an object, got {data!r}")
-    for name, value in data.items():
-        if type(value) not in (int, float) or not -math.inf < value < math.inf:
-            raise ValueError(f"{key}.{name} must be a finite number, got {value!r}")
-    return data
-
-
-def _vector(key: str, data: dict) -> ResourceVector:
-    """The resource vector a spec's ``key`` object describes."""
-    return ResourceVector(**_numbers(key, data))
 
 
 def demands_from_dict(data: dict | list) -> ServiceDemands | list[DemandPhase]:
     """One demand profile, or a list of profiles with a ``start_time``."""
-    if isinstance(data, dict):
-        return ServiceDemands(**_numbers("demands", data))
+    if type(data) is not list:
+        return _build(ServiceDemands, data, "demands")
     phases = []
     for i, entry in enumerate(data):
-        profile = dict(_numbers(f"demands[{i}]", entry))
-        start = profile.pop("start_time")
-        phases.append(DemandPhase(start, ServiceDemands(**profile)))
+        where = f"demands[{i}]"
+        profile = dict(_value(_OBJECT, entry, where))
+        start = {k: profile.pop(k) for k in ("start_time",) if k in profile}
+        demands = _build(ServiceDemands, profile, where)
+        phases.append(_build(DemandPhase, start, where, demands=demands))
     return phases
 
 
@@ -474,84 +532,137 @@ _PLOS = {"latency": LatencyPLO, "throughput": ThroughputPLO}
 
 
 def plo_from_dict(data: dict) -> LatencyPLO | ThroughputPLO:
-    params = dict(data)
+    params = dict(_value(_OBJECT, data, "plo"))
     kind = params.pop("kind")
     if kind not in _PLOS:
         raise ConfigError(f"unknown plo kind {kind!r}")
-    return _PLOS[kind](**_numbers("plo", params))
+    return _build(_PLOS[kind], params, "plo")
 
 
-def _expand(kind: str, p: dict) -> dict:
-    """A short-form workload's params in the general form."""
-    if kind == "micro":
-        if "samples" in p:
-            # A replayed rate curve (pack v2's diurnal-replay entry).
-            trace = {"kind": "replay", "samples": p["samples"]}
-            for key in ("time_scale", "rate_scale"):
-                if key in p:
-                    trace[key] = float(p[key])
-        else:
-            trace = {
-                "kind": "diurnal",
-                "base": p["base"],
-                "amplitude": p["amplitude"],
-                "period": p["period"],
-            }
-        return {
-            "trace": trace,
-            "demands": {
-                "cpu_seconds": p["cpu_seconds"],
-                "disk_mb": float(p.get("disk_mb", 0.0)),
-                "net_mb": float(p.get("net_mb", 0.0)),
-                "base_latency": 0.005,
-            },
-            "allocation": {
-                "cpu": p["cpu"], "memory": p["memory"], "disk_bw": 10, "net_bw": 30
-            },
-            "plo": {"kind": "latency", "target": p["plo"], "window": 30},
-            "replicas": p["replicas"],
-        }
-    if kind == "stream":
-        return {
-            "trace": {"kind": "constant", "value": p["rate"]},
-            "operators": [
-                {"name": "parse", "cpu_seconds": p["cpu_seconds"]},
-                {"name": "agg", "cpu_seconds": p["cpu_seconds"] / 2},
-            ],
-            "allocation": {
-                "cpu": p["cpu"], "memory": p["memory"], "disk_bw": 10, "net_bw": 40
-            },
-            "plo": {"kind": "latency", "target": p["plo"], "window": 30},
-            "workers": p["workers"],
-        }
-    if kind == "bigdata":
-        general = {
-            "stages": [
-                {"name": "scan", "work": p["scan_cpu"], "input_mb": p["input_mb"]},
-                {
-                    "name": "agg",
-                    "work": p["agg_cpu"],
-                    "input_mb": p["input_mb"] / 10,
-                    "deps": ["scan"],
-                },
-            ],
-            "allocation": {
-                "cpu": p["cpu"], "memory": p["memory"], "disk_bw": 60, "net_bw": 60
-            },
-            "executors": p["executors"],
-            "delay": p["delay"],
-        }
-        if p.get("dataset"):
-            general["dataset"] = {"total_mb": 2000, "block_mb": 100}
-        return general
+def _stage(data: dict, where: str) -> Stage:
+    """A big-data stage; its ``work`` sets ``work_cpu_seconds``."""
+    params = dict(_value(_OBJECT, data, where))
+    work = _value(_NUMBER, params.pop("work"), f"{where}.work")
+    return _build(Stage, params, where, work_cpu_seconds=work)
+
+
+# -- the short form: each kind spelled out in the general form ---------------------
+
+
+def _micro(trace, cpu_seconds, disk_mb, net_mb, cpu, memory, plo, replicas) -> dict:
     return {
-        "ranks": p["ranks"],
-        "duration": p["duration"],
-        "allocation": {
-            "cpu": p["cpu"], "memory": p["memory"], "disk_bw": 5, "net_bw": 40
+        "trace": trace,
+        "demands": {
+            "cpu_seconds": cpu_seconds,
+            "disk_mb": disk_mb,
+            "net_mb": net_mb,
+            "base_latency": 0.005,
         },
-        "delay": p["delay"],
+        "allocation": {"cpu": cpu, "memory": memory, "disk_bw": 10, "net_bw": 30},
+        "plo": {"kind": "latency", "target": plo, "window": 30},
+        "replicas": replicas,
     }
+
+
+def _diurnal_micro(
+    *, base: float, amplitude: float, period: float, cpu_seconds: float,
+    cpu: float, memory: float, plo: float, replicas: int,
+    disk_mb: float = 0.0, net_mb: float = 0.0,
+) -> dict:
+    trace = {"kind": "diurnal", "base": base, "amplitude": amplitude, "period": period}
+    return _micro(trace, cpu_seconds, disk_mb, net_mb, cpu, memory, plo, replicas)
+
+
+def _replay_micro(
+    *, samples: list, cpu_seconds: float, cpu: float, memory: float,
+    plo: float, replicas: int, time_scale: float = 1.0,
+    rate_scale: float = 1.0, disk_mb: float = 0.0, net_mb: float = 0.0,
+) -> dict:
+    """A replayed rate curve (pack v2's diurnal-replay entry)."""
+    trace = {"kind": "replay", "samples": samples, "time_scale": time_scale,
+             "rate_scale": rate_scale}
+    return _micro(trace, cpu_seconds, disk_mb, net_mb, cpu, memory, plo, replicas)
+
+
+def _short_stream(
+    *, rate: float, cpu_seconds: float, cpu: float, memory: float,
+    plo: float, workers: int,
+) -> dict:
+    return {
+        "trace": {"kind": "constant", "value": rate},
+        "operators": [
+            {"name": "parse", "cpu_seconds": cpu_seconds},
+            {"name": "agg", "cpu_seconds": cpu_seconds / 2},
+        ],
+        "allocation": {"cpu": cpu, "memory": memory, "disk_bw": 10, "net_bw": 40},
+        "plo": {"kind": "latency", "target": plo, "window": 30},
+        "workers": workers,
+    }
+
+
+def _short_bigdata(
+    *, scan_cpu: float, agg_cpu: float, input_mb: float, cpu: float,
+    memory: float, executors: int, delay: float, dataset: bool = False,
+) -> dict:
+    general = {
+        "stages": [
+            {"name": "scan", "work": scan_cpu, "input_mb": input_mb},
+            {"name": "agg", "work": agg_cpu, "input_mb": input_mb / 10,
+             "deps": ["scan"]},
+        ],
+        "allocation": {"cpu": cpu, "memory": memory, "disk_bw": 60, "net_bw": 60},
+        "executors": executors,
+        "delay": delay,
+    }
+    if dataset:
+        general["dataset"] = {"total_mb": 2000, "block_mb": 100}
+    return general
+
+
+def _short_hpc(
+    *, ranks: int, duration: float, cpu: float, memory: float, delay: float
+) -> dict:
+    return {
+        "ranks": ranks,
+        "duration": duration,
+        "allocation": {"cpu": cpu, "memory": memory, "disk_bw": 5, "net_bw": 40},
+        "delay": delay,
+    }
+
+
+_SHORT = {
+    "micro": _diurnal_micro,
+    "stream": _short_stream,
+    "bigdata": _short_bigdata,
+    "hpc": _short_hpc,
+}
+
+#: Targets a spec sets only some parameters of: the callables whose
+#: annotations check them, searched in order (each verb passes its
+#: ``**kwargs`` on to the job class), and the keys a spec may set. A
+#: workload's ``trace``, ``demands``, ``plo`` and ``stages`` pass as plain
+#: objects that the parts above build; its ``dataset`` object is checked
+#: against :func:`spread_blocks`, and the verb gets the bucket's name.
+_SOURCES = {
+    "micro": ((EvolvePlatform.deploy_microservice, Microservice, Application), (
+        "trace", "demands", "allocation", "plo", "replicas", "managed", "labels",
+        "node_selector")),
+    "stream": ((EvolvePlatform.deploy_stream, StreamJob), (
+        "trace", "operators", "allocation", "plo", "workers", "managed",
+        "event_mb", "labels")),
+    "bigdata": ((EvolvePlatform.submit_bigdata, BigDataJob), (
+        "stages", "allocation", "executors", "dataset", "deadline", "delay",
+        "accelerator", "labels")),
+    "hpc": ((EvolvePlatform.submit_hpc, HPCJob), (
+        "ranks", "duration", "allocation", "delay", "comm_fraction",
+        "zone_penalty", "checkpoint_interval", "labels")),
+    "monkey": ((EvolvePlatform.enable_chaos,), (
+        "mtbf", "repair_time", "max_concurrent_failures")),
+    spread_blocks: ((spread_blocks,), ("total_mb", "block_mb", "replication")),
+}
+#: Library classes a spec writes in a form of its own, which the parts
+#: above build: a parameter of one takes a plain object.
+_BUILT_HERE = (LoadTrace, Stage)
 
 
 # -- the builder -------------------------------------------------------------------
@@ -574,7 +685,9 @@ def build_platform(spec: ScenarioSpec, *, telemetry: bool = False) -> EvolvePlat
         watermarks = spec.overload if isinstance(spec.overload, dict) else {}
         ceiling = {}
         if spec.max_allocation is not None:
-            ceiling["max_allocation"] = _vector("max_allocation", spec.max_allocation)
+            ceiling["max_allocation"] = _build(
+                ResourceVector, spec.max_allocation, "max_allocation"
+            )
         platform = EvolvePlatform(
             cluster_spec=cluster,
             config=PlatformConfig(
@@ -582,11 +695,9 @@ def build_platform(spec: ScenarioSpec, *, telemetry: bool = False) -> EvolvePlat
                 controller_replicas=spec.controller_replicas,
                 telemetry=telemetry or bool(spec.slos),
                 slos=spec.slos,
-                overload=OverloadConfig(
-                    admission=armed,
-                    backpressure=armed,
-                    brownout=armed,
-                    **watermarks,
+                overload=_build(
+                    OverloadConfig, watermarks, "overload",
+                    admission=armed, backpressure=armed, brownout=armed,
                 ),
                 data_plane=spec.ft,
                 **ceiling,
@@ -614,24 +725,17 @@ def build_platform(spec: ScenarioSpec, *, telemetry: bool = False) -> EvolvePlat
         if spec.quotas is not None:
             section = "quotas"
             for tenant, limit in spec.quotas.items():
-                platform.set_tenant_quota(tenant, _vector(f"quotas.{tenant}", limit))
+                platform.set_tenant_quota(
+                    tenant, _build(ResourceVector, limit, f"quotas.{tenant}")
+                )
         section = "chaos"
         for event in spec.chaos:
             _schedule_chaos(platform, event)
         if spec.monkey is not None:
             section = "monkey"
-            monkey = spec.monkey
-            platform.enable_chaos(
-                mtbf=float(monkey.get("mtbf", 3600.0)),
-                repair_time=float(monkey.get("repair_time", 300.0)),
-                max_concurrent_failures=int(
-                    monkey.get("max_concurrent_failures", 1)
-                ),
-            )
+            platform.enable_chaos(**_checked("monkey", spec.monkey, "monkey"))
         if spec.fault_cycle is not None:
             schedule_fault_cycle(platform, spec.fault_cycle, spec.horizon)
-    except ConfigError:
-        raise
     except _LIBRARY_ERRORS as exc:
         raise _config_error(section, exc) from exc
     return platform
@@ -641,19 +745,20 @@ def _cluster_shape(spec: ScenarioSpec) -> dict:
     """The ClusterSpec keywords a format-5 spec sets."""
     shape = {}
     if spec.node_capacity is not None:
-        shape["node_capacity"] = _vector("node_capacity", spec.node_capacity)
+        shape["node_capacity"] = _build(
+            ResourceVector, spec.node_capacity, "node_capacity"
+        )
     if spec.system_reserved is not None:
-        shape["system_reserved"] = _vector("system_reserved", spec.system_reserved)
+        shape["system_reserved"] = _build(
+            ResourceVector, spec.system_reserved, "system_reserved"
+        )
     if spec.groups:
         shape["groups"] = tuple(
-            NodeGroup(
-                name=g["name"],
-                count=g["count"],
-                capacity=_vector(f"groups[{i}].capacity", g["capacity"]),
-                labels=g.get("labels", {}),
-            )
-            for i, g in enumerate(spec.groups)
+            _build(NodeGroup, group, f"groups[{i}]")
+            for i, group in enumerate(spec.groups)
         )
+        if sum(group.count for group in shape["groups"]) != spec.nodes:
+            raise ValueError("nodes must equal the node groups' total count")
     return shape
 
 
@@ -683,15 +788,6 @@ def _micro_arrivals(
     return process
 
 
-#: General-form keys passed to the platform verb as they are, when set.
-_VERB_KEYS = {
-    "micro": ("replicas", "labels", "node_selector"),
-    "stream": ("workers", "event_mb", "labels"),
-    "bigdata": ("executors", "deadline", "delay", "accelerator", "labels"),
-    "hpc": ("delay", "comm_fraction", "zone_penalty", "checkpoint_interval", "labels"),
-}
-
-
 def _deploy(
     platform: EvolvePlatform,
     workload: WorkloadSpec,
@@ -700,94 +796,36 @@ def _deploy(
 ) -> None:
     name, kind = workload.name, workload.kind
     p = workload.general()
-    options = {key: p[key] for key in _VERB_KEYS[kind] if key in p}
-    allocation = _vector("allocation", p["allocation"])
+    if kind == "bigdata" and "dataset" in p:
+        # The job's input, written across the first half of the nodes.
+        p = dict(p)
+        nodes = list(platform.cluster.nodes)
+        _build(spread_blocks, p.pop("dataset"), "dataset", platform.store,
+               f"{name}-data", nodes=nodes[: max(1, len(nodes) // 2)])
+        p["dataset"] = f"{name}-data"
+    kwargs = _checked(kind, p, "")
     if kind in ("micro", "stream"):
-        trace = trace_from_dict(
-            p["trace"], partial(platform.rng.stream, f"trace/{name}")
+        kwargs["trace"] = trace_from_dict(
+            kwargs["trace"], partial(platform.rng.stream, f"trace/{name}")
         )
-        plo = plo_from_dict(p["plo"]) if "plo" in p else None
-        managed = p.get("managed", plo is not None)
+        if kwargs.get("plo") is not None:
+            kwargs["plo"] = plo_from_dict(kwargs["plo"])
+        kwargs.setdefault("managed", kwargs.get("plo") is not None)
     if kind == "micro":
         if surge is not None:
-            trace = surge.attach(trace, name=name)
-        platform.deploy_microservice(
-            name,
-            trace=trace,
-            demands=demands_from_dict(p["demands"]),
-            allocation=allocation,
-            plo=plo,
-            managed=managed,
-            arrivals=_micro_arrivals(platform, name, trace, spec),
-            **options,
-        )
+            kwargs["trace"] = surge.attach(kwargs["trace"], name=name)
+        kwargs["demands"] = demands_from_dict(kwargs["demands"])
+        arrivals = _micro_arrivals(platform, name, kwargs["trace"], spec)
+        platform.deploy_microservice(name, arrivals=arrivals, **kwargs)
     elif kind == "stream":
-        platform.deploy_stream(
-            name,
-            trace=trace,
-            operators=[Operator(**op) for op in p["operators"]],
-            allocation=allocation,
-            plo=plo,
-            managed=managed,
-            **options,
-        )
+        platform.deploy_stream(name, **kwargs)
     elif kind == "bigdata":
-        dataset = p.get("dataset")
-        if dataset is not None:
-            if not isinstance(dataset, dict):
-                raise TypeError(
-                    "dataset must be an object {total_mb, block_mb, "
-                    f"replication}}, got {dataset!r}"
-                )
-            # The job's input, written across the first half of the nodes.
-            options["dataset"] = f"{name}-data"
-            nodes = list(platform.cluster.nodes)
-            spread_blocks(
-                platform.store,
-                options["dataset"],
-                total_mb=dataset["total_mb"],
-                block_mb=dataset["block_mb"],
-                nodes=nodes[: max(1, len(nodes) // 2)],
-                replication=dataset.get("replication", 1),
-            )
-        platform.submit_bigdata(
-            name, stages=_stages(p["stages"]), allocation=allocation, **options
-        )
+        kwargs["stages"] = [
+            _stage(s, f"stages[{i}]") for i, s in enumerate(kwargs["stages"])
+        ]
+        platform.submit_bigdata(name, **kwargs)
     else:
-        platform.submit_hpc(
-            name,
-            ranks=p["ranks"],
-            duration=p["duration"],
-            allocation=allocation,
-            **options,
-        )
-
-
-def _stages(stages) -> list[Stage]:
-    """A big-data stage list: a list of objects, each ``deps`` a list of
-    stage names. Checked here because a string iterates as its letters:
-    ``"deps": "ab"`` would wait on stages ``a`` and ``b``."""
-    if not isinstance(stages, list) or not all(isinstance(s, dict) for s in stages):
-        raise TypeError(f"stages must be a list of objects, got {stages!r}")
-    built = []
-    for s in stages:
-        deps = s.get("deps", [])
-        if not isinstance(deps, list) or not all(isinstance(d, str) for d in deps):
-            raise TypeError(
-                f"stage {s.get('name')!r}: deps must be a list of stage names, "
-                f"got {deps!r}"
-            )
-        built.append(
-            Stage(
-                name=s["name"],
-                work_cpu_seconds=s["work"],
-                input_mb=s.get("input_mb", 0.0),
-                deps=tuple(deps),
-                max_parallelism=s.get("max_parallelism", 64),
-                accel_speedup=s.get("accel_speedup", 1.0),
-            )
-        )
-    return built
+        platform.submit_hpc(name, **kwargs)
 
 
 # -- explicit chaos ------------------------------------------------------------------
@@ -875,8 +913,6 @@ def _schedule_chaos(platform: EvolvePlatform, event: ChaosEvent) -> None:
     plane, …) the event is a no-op instead of an error: a shrunken spec
     must stay runnable no matter which of its siblings were dropped.
     """
-    if event.domain not in _FAULT_KINDS:
-        raise ValueError(f"unknown chaos domain {event.domain!r}")
     kind = _FAULT_KINDS[event.domain](platform, event)
     has_target = (
         platform.control_plane is not None

@@ -203,6 +203,7 @@ class TestGaugeExport:
         } <= set(names)
         assert lint_names(list(registry.sample_metrics(0.0))) == []
         # Attainment starts optimistic; firing starts clear.
+        engine.sync_gauges()
         out = registry.sample_metrics(0.0)
         assert out["slo/web_latency/attainment"] == 1.0
         assert out["slo/web_latency/firing"] == 0.0
@@ -214,6 +215,7 @@ class TestGaugeExport:
         collector.values["app/web/latency"] = 1.0
         for k in range(TICKS_TO_FIRE):
             engine.on_scrape(TICK * (k + 1))
+        engine.sync_gauges()
         out = registry.sample_metrics(TICK * TICKS_TO_FIRE)
         assert out["slo/web_latency/firing"] == 1.0
         assert out["slo/web_latency/attainment"] == 0.0

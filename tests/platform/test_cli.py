@@ -264,6 +264,19 @@ def _web(key, value):
     return fault
 
 
+def _general(kind, name, **params):
+    """Adds a general-form ``kind`` workload holding ``params``."""
+    allocation = {"cpu": 1.0, "memory": 2.0, "disk_bw": 10, "net_bw": 10}
+
+    def fault(spec):
+        spec["workloads"].append(
+            {"kind": kind, "name": name,
+             "params": {"allocation": allocation, **params}}
+        )
+
+    return fault
+
+
 def _chaos(**times):
     event = {"domain": "crash", "at": 10.0, "duration": 5.0, "target": 0}
     return {"chaos": [{**event, **times}]}
@@ -309,14 +322,18 @@ def _job(kind, delay):
                      id="run-groups-object"),
         # json writes and reads Infinity and NaN; an infinite horizon
         # hung the run, and with MMPP arrivals the build.
-        pytest.param("run", {"horizon": math.inf}, "horizon must be positive",
+        pytest.param("run", {"horizon": math.inf},
+                     "{path}: horizon: horizon must be a finite number, got inf",
                      id="run-infinite-horizon"),
         pytest.param("run", {"horizon": math.inf, "arrival_model": "mmpp"},
-                     "horizon must be positive", id="run-infinite-horizon-mmpp"),
+                     "{path}: horizon: horizon must be a finite number, got inf",
+                     id="run-infinite-horizon-mmpp"),
         pytest.param("run", {"fault_cycle": math.inf},
-                     "fault_cycle must be positive", id="run-infinite-fault-cycle"),
+                     "{path}: fault_cycle: fault_cycle must be a finite number",
+                     id="run-infinite-fault-cycle"),
         # A NaN base died mid-run inside rng.poisson.
-        pytest.param("run", _poisson_nan_base, "base must be finite",
+        pytest.param("run", _poisson_nan_base,
+                     "{path}: micro 'web': base must be a finite number, got nan",
                      id="run-poisson-nan-base"),
         # Faults found while building name the file, as load faults do.
         pytest.param("run", {"scheduler_kwargs": {"locality_weight": 2}},
@@ -326,11 +343,11 @@ def _job(kind, delay):
         # A NaN time ran as if valid; a negative strike time ended in a
         # traceback, and a negative duration healed before the strike.
         pytest.param("run", _chaos(at=math.nan),
-                     "{path}: chaos: at must be a finite number ≥ 0, got nan",
+                     "{path}: chaos: chaos[0].at must be a finite number, got nan",
                      id="run-chaos-nan-at"),
         pytest.param("replay", _chaos(duration=math.nan),
-                     "{path}: chaos: duration must be a finite number ≥ 0",
-                     id="replay-chaos-nan-duration"),
+                     "{path}: chaos: chaos[0].duration must be a finite number, "
+                     "got nan", id="replay-chaos-nan-duration"),
         pytest.param("run", _chaos(at=-5),
                      "{path}: chaos: at must be a finite number ≥ 0, got -5.0",
                      id="run-chaos-negative-at"),
@@ -339,7 +356,7 @@ def _job(kind, delay):
                      id="replay-chaos-negative-duration"),
         # A NaN or negative delay started the job at once.
         pytest.param("run", _job("bigdata", math.nan),
-                     "{path}: bigdata 'job': delay must be a finite number ≥ 0",
+                     "{path}: bigdata 'job': delay must be a finite number, got nan",
                      id="run-bigdata-nan-delay"),
         pytest.param("replay", _job("bigdata", -5.0),
                      "{path}: bigdata 'job': delay must be a finite number ≥ 0",
@@ -348,30 +365,30 @@ def _job(kind, delay):
                      "{path}: hpc 'job': delay must be a finite number ≥ 0",
                      id="run-hpc-negative-delay"),
         pytest.param("replay", _job("hpc", math.nan),
-                     "{path}: hpc 'job': delay must be a finite number ≥ 0",
+                     "{path}: hpc 'job': delay must be a finite number, got nan",
                      id="replay-hpc-nan-delay"),
         # A NaN allocation ran with every period violated at $0.00, an
         # infinite one or a NaN or infinite objective never violated, a
         # NaN demand ran meaningless queues, and a string objective ended
         # in a comparison error.
         pytest.param("run", _web("cpu", math.nan),
-                     "{path}: micro 'web': allocation.cpu must be a finite "
-                     "number, got nan", id="run-nan-cpu"),
+                     "{path}: micro 'web': cpu must be a finite number, got nan",
+                     id="run-nan-cpu"),
         pytest.param("replay", _web("cpu", math.inf),
-                     "{path}: micro 'web': allocation.cpu must be a finite "
-                     "number, got inf", id="replay-infinite-cpu"),
+                     "{path}: micro 'web': cpu must be a finite number, got inf",
+                     id="replay-infinite-cpu"),
         pytest.param("run", _web("plo", math.nan),
-                     "{path}: micro 'web': plo.target must be a finite number, "
-                     "got nan", id="run-nan-plo"),
+                     "{path}: micro 'web': plo must be a finite number, got nan",
+                     id="run-nan-plo"),
         pytest.param("run", _web("plo", math.inf),
-                     "{path}: micro 'web': plo.target must be a finite number, "
-                     "got inf", id="run-infinite-plo"),
+                     "{path}: micro 'web': plo must be a finite number, got inf",
+                     id="run-infinite-plo"),
         pytest.param("replay", _web("plo", "0.05"),
-                     "{path}: micro 'web': plo.target must be a finite number, "
+                     "{path}: micro 'web': plo must be a finite number, "
                      "got '0.05'", id="replay-string-plo"),
         pytest.param("run", _web("cpu_seconds", math.nan),
-                     "{path}: micro 'web': demands.cpu_seconds must be a "
-                     "finite number, got nan", id="run-nan-cpu-seconds"),
+                     "{path}: micro 'web': cpu_seconds must be a finite number, "
+                     "got nan", id="run-nan-cpu-seconds"),
         pytest.param("run", {"max_allocation": {"cpu": math.inf}},
                      "{path}: platform: max_allocation.cpu must be a finite "
                      "number, got inf", id="run-infinite-max-allocation"),
@@ -388,6 +405,36 @@ def _job(kind, delay):
         pytest.param("run", {"quotas": {"team": {"cpu": True}}},
                      "{path}: quotas: quotas.team.cpu must be a finite number, "
                      "got True", id="run-bool-quota"),
+        # Each of these ran and exited 0: a string bool armed fault
+        # tolerance, a float node count was cut to 2, a misspelt key was
+        # dropped, and a NaN work, duration, operator cost or mean time
+        # between failures ran as if valid.
+        pytest.param("run", {"ft": "false"},
+                     "{path}: ft: ft must be a bool, got 'false'", id="run-string-ft"),
+        pytest.param("run", {"nodes": 2.9},
+                     "{path}: nodes: nodes must be an integer, got 2.9",
+                     id="run-float-nodes"),
+        pytest.param("run", _general("micro", "api", replcas=3,
+                                     trace={"kind": "constant", "value": 5},
+                                     demands={"cpu_seconds": 0.01}),
+                     "{path}: micro 'api': unknown key 'replcas'",
+                     id="run-misspelt-general-key"),
+        pytest.param("run", _general("bigdata", "etl",
+                                     stages=[{"name": "map", "work": math.nan}]),
+                     "{path}: bigdata 'etl': stages[0].work must be a finite "
+                     "number, got nan", id="run-nan-stage-work"),
+        pytest.param("replay", _general("hpc", "sim", ranks=1,
+                                        duration=math.nan),
+                     "{path}: hpc 'sim': duration must be a finite number, "
+                     "got nan", id="replay-nan-hpc-duration"),
+        pytest.param("run", {"monkey": {"mtbf": math.nan}},
+                     "{path}: monkey: monkey.mtbf must be a finite number, "
+                     "got nan", id="run-nan-monkey-mtbf"),
+        pytest.param("run", _general(
+            "stream", "ingest", trace={"kind": "constant", "value": 5},
+            operators=[{"name": "parse", "cpu_seconds": math.nan}]),
+                     "{path}: stream 'ingest': operators[0].cpu_seconds must be "
+                     "a finite number, got nan", id="run-nan-operator-cpu"),
     ],
 )
 def test_malformed_spec_exits_2(command, fault, named, tmp_path, capsys):
@@ -424,20 +471,25 @@ _OU_STEP_SERVICE = {
 
 
 @pytest.mark.parametrize(
-    "fault, section",
+    "fault, section, reason",
     [
-        pytest.param({"workloads": [_OU_STEP_SERVICE]}, "trace kind 'ou'",
+        pytest.param({"workloads": [_OU_STEP_SERVICE]},
+                     "micro 'web': trace kind 'ou'", "unknown key 'step'",
                      id="ou-trace-step"),
         pytest.param({"policy": "hpa",
                       "policy_kwargs": {"target_utilization": 0.7}},
-                     "platform", id="hpa-target-utilization"),
+                     "platform", "unexpected keyword argument "
+                     "'target_utilization'", id="hpa-target-utilization"),
         pytest.param({"scheduler_kwargs": {"locality_weight": 2}},
-                     "platform", id="scheduler-locality-weight"),
+                     "platform", "unexpected keyword argument 'locality_weight'",
+                     id="scheduler-locality-weight"),
     ],
 )
-def test_spec_setting_a_deleted_option_exits_2(fault, section, tmp_path, capsys):
+def test_spec_setting_a_deleted_option_exits_2(
+    fault, section, reason, tmp_path, capsys
+):
     """A spec that sets an option which is now a constant is rejected at
-    the boundary, naming the section, instead of running."""
+    the boundary, naming the section and the key, instead of running."""
     spec = json.loads(json.dumps(SPEC))
     spec.update(fault)
     path = tmp_path / "spec.json"
@@ -445,7 +497,7 @@ def test_spec_setting_a_deleted_option_exits_2(fault, section, tmp_path, capsys)
     assert main(["run", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {path}: {section}: ")
-    assert "unexpected keyword argument" in captured.err
+    assert reason in captured.err
     assert captured.out == ""
 
 

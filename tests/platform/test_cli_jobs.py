@@ -117,34 +117,34 @@ def _stages_ab_then_c(spec):
     "edit, message",
     [
         pytest.param(_set("cfd-run", "ranks", 2.5),
-                     "hpc 'cfd-run': replica count must be an integer, got 2.5",
+                     "hpc 'cfd-run': ranks must be an integer, got 2.5",
                      id="ranks"),
         pytest.param(_set("cfd-run", "ranks", True),
-                     "hpc 'cfd-run': replica count must be an integer, got True",
+                     "hpc 'cfd-run': ranks must be an integer, got True",
                      id="ranks-bool"),
         pytest.param(_set("feature-build", "executors", 2.5),
-                     "bigdata 'feature-build': replica count must be an "
-                     "integer, got 2.5",
+                     "bigdata 'feature-build': executors must be an integer, "
+                     "got 2.5",
                      id="executors"),
         pytest.param(_set_stage("max_parallelism", 2.5),
-                     "bigdata 'feature-build': stage 'kernel': max_parallelism "
-                     "must be an integer, got 2.5",
+                     "bigdata 'feature-build': stages[1].max_parallelism must "
+                     "be an integer, got 2.5",
                      id="max-parallelism"),
         pytest.param(_set_stage("max_parallelism", 2.5, ft=True),
-                     "bigdata 'feature-build': stage 'kernel': max_parallelism "
-                     "must be an integer, got 2.5",
+                     "bigdata 'feature-build': stages[1].max_parallelism must "
+                     "be an integer, got 2.5",
                      id="max-parallelism-ft"),
         pytest.param(_set_stage("deps", "scan"),
-                     "bigdata 'feature-build': stage 'kernel': deps must be a "
-                     "list of stage names, got 'scan'",
+                     "bigdata 'feature-build': stages[1].deps must be a list, "
+                     "got 'scan'",
                      id="deps-string"),
         pytest.param(_stages_ab_then_c,
-                     "bigdata 'feature-build': stage 'c': deps must be a list "
-                     "of stage names, got 'ab'",
+                     "bigdata 'feature-build': stages[3].deps must be a list, "
+                     "got 'ab'",
                      id="deps-string-naming-stages"),
         pytest.param(_set("feature-build", "stages", {"scan": {"work": 800}}),
-                     "bigdata 'feature-build': stages must be a list of "
-                     "objects, got {'scan': {'work': 800}}",
+                     "bigdata 'feature-build': stages must be a list, "
+                     "got {'scan': {'work': 800}}",
                      id="stages-object"),
     ],
 )

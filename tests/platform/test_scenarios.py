@@ -86,6 +86,17 @@ def test_pack_contains_the_curated_scenarios():
     assert len(scenario_names()) >= 9
 
 
+def test_pack_style_file_declaring_another_name_names_its_path(tmp_path):
+    from repro.scenarios import ConfigError, _load
+
+    path = tmp_path / "mine.json"
+    spec = {"name": "theirs", "seed": 1, "horizon": 60, "nodes": 2}
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ConfigError) as info:
+        _load(tmp_path, "mine")
+    assert str(info.value) == f"{path}: declares name 'theirs'"
+
+
 def test_unknown_scenario_lists_pack():
     with pytest.raises(UnknownScenarioError) as info:
         load_scenario("mystery")
